@@ -18,6 +18,7 @@ import argparse
 import hashlib
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, measures, scenario, solver
-from .grid import read_field
+from .grid import GridError, read_field
 from .interface import extract_interface, mcf_oracle
-from .measures import DiagnosticsRow, EnergyMeasure, HuiskenProbe
+from .measures import DiagnosticsRow, HuiskenProbe
 from .scenario import ConfigError, RadialGradient, ScenarioConfig, ZeroTransport
 from .shapes import Ball
 from .solver import SolverAbort, SolverConfig, Trajectory
@@ -107,14 +108,9 @@ def _write_interface_csv(out_dir: str, result: solver.RunResult) -> None:
     iset = extract_interface(result.final_phi)
     path = os.path.join(out_dir, "interface_final.csv")
     with open(path, "w") as fh:
-        if iset.dim == 2:
-            fh.write("x0,y0,x1,y1\n")
-            for seg in iset.elements:
-                fh.write(",".join(repr(float(v)) for v in seg.reshape(-1)) + "\n")
-        else:
-            fh.write("x0,y0,z0,x1,y1,z1,x2,y2,z2\n")
-            for tri in iset.elements:
-                fh.write(",".join(repr(float(v)) for v in tri.reshape(-1)) + "\n")
+        fh.write("x0,y0,x1,y1\n" if iset.dim == 2 else "x0,y0,z0,x1,y1,z1,x2,y2,z2\n")
+        for element in iset.elements:  # a segment (2D) or a triangle (3D)
+            fh.write(",".join(repr(float(v)) for v in element.reshape(-1)) + "\n")
 
 
 def run_experiment(config_path: str, out_dir: str) -> int:
@@ -140,9 +136,6 @@ def run_experiment(config_path: str, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
-
-SWEEP_KEYS = {"rungs", "eps_over_h"}
-
 
 @dataclass
 class SweepPlan:
@@ -177,13 +170,7 @@ def load_plan(path: str) -> SweepPlan:
     base: dict[str, str] = {}
     rungs: tuple[int, ...] = ()
     eps_over_h = 8.0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
+    for lineno, key, value in scenario.config_entries(text):
         if key == "rungs":
             rungs = tuple(int(v) for v in value.split())
         elif key == "eps_over_h":
@@ -201,13 +188,16 @@ def load_trajectory(art_dir: str, cfg: ScenarioConfig) -> Trajectory:
     """Rebuild a trajectory from the snapshot files of an artifact directory."""
     snap_dir = os.path.join(art_dir, "snapshots")
     traj = Trajectory(cfg)
-    names = sorted(os.listdir(snap_dir))
     steps = []
-    for name in names:
-        f, t = read_field(os.path.join(snap_dir, name))
+    for name in sorted(os.listdir(snap_dir)):
+        path = os.path.join(snap_dir, name)
+        match = re.fullmatch(r"step_(\d+)\.afld", name)
+        if match is None:
+            raise GridError(f"{path}: not a snapshot file (expected step_<digits>.afld)")
+        f, t = read_field(path)
         traj.times.append(t)
         traj.frames.append(f)
-        steps.append(int(name.split("_")[1].split(".")[0]))
+        steps.append(int(match.group(1)))
     if len(steps) >= 2:
         traj.steps_between = steps[1] - steps[0]
     return traj
@@ -224,14 +214,7 @@ def interface_probes(traj: Trajectory, count: int = 10) -> list[HuiskenProbe]:
     ang = np.arctan2(verts[:, 1] - centroid[1], verts[:, 0] - centroid[0])
     order = np.argsort(ang, kind="stable")
     picks = [order[int(round(i * len(order) / count)) % len(order)] for i in range(count)]
-    d = min(cfg.inset_prime / 2.0, 0.25)
-    probes = []
-    for i in picks:
-        y = [float(v) for v in verts[i]]
-        for k in range(cfg.grid.dim):
-            y[k] = min(max(y[k], cfg.grid.lo[k] + d), cfg.grid.hi[k] - d)
-        probes.append(HuiskenProbe.standard(y, cfg.t_end + 0.01, cfg.inset_prime))
-    return probes
+    return [solver.probe_at(cfg, verts[i]) for i in picks]
 
 
 def fitted_monotonicity_c(traj: Trajectory, count: int = 10) -> tuple[float, list[float]]:
@@ -387,8 +370,6 @@ def sweep(plan_path: str, out_dir: str) -> int:
 
 def _parse_probe(spec_str: str, cfg: ScenarioConfig) -> HuiskenProbe:
     """Parse 'y=0.5,0.5 s=0.05' (optionally 'd=0.05'); commas may separate fields."""
-    import re
-
     y = None
     s = None
     d = min(cfg.inset_prime / 2.0, 0.25)
@@ -424,35 +405,28 @@ def diagnose(args) -> int:
     order = np.argsort(traj.times, kind="stable")
     traj.times = [traj.times[i] for i in order]
     traj.frames = [traj.frames[i] for i in order]
+    probe = _parse_probe(args.probe, cfg) if args.probe else None
 
+    mask = measures.region_mask(cfg.grid, cfg.omega_prime())
     for t, phi in zip(traj.times, traj.frames):
-        mu = EnergyMeasure.from_phase(phi, cfg.epsilon, cfg.well)
-        xi = measures.discrepancy_field(phi, cfg.epsilon, cfg.well)
-        mask = measures.region_mask(cfg.grid, cfg.omega_prime())
+        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well)
+        mu = ff.measure()
         ratio = measures.density_ratio(mu, region=cfg.omega_prime(), stride=4)
         print(
-            f"t={t!r} energy={mu.total!r} sup_xi={float(np.max(xi.values[mask]))!r} "
+            f"t={t!r} energy={mu.total!r} sup_xi={float(np.max(ff.xi.values[mask]))!r} "
             f"density_ratio_max={ratio.max_ratio!r} at center={ratio.center} r={ratio.radius!r}"
         )
-    if args.probe:
-        probe = _parse_probe(args.probe, cfg)
-        if len(traj.times) >= 2:
-            t0 = args.t0 if args.t0 is not None else traj.times[0]
-            t1 = args.t1 if args.t1 is not None else traj.times[-1]
-            rep = measures.monotonicity_check(traj, probe, t0, t1)
-            print(
-                f"monotonicity [{rep.t0!r},{rep.t1!r}]: lhs={rep.lhs!r} "
-                f"transport={rep.transport_term!r} discrepancy={rep.discrepancy_term!r} "
-                f"tail_factor={rep.tail_factor!r} residual={rep.residual!r} fitted_c={rep.fitted_c!r}"
-            )
-        else:
-            f, t = traj.frames[0], traj.times[0]
-            mu = EnergyMeasure.from_phase(f, cfg.epsilon, cfg.well)
-            rho = measures.kernel_field(probe, cfg.grid, t)
-            from .grid import ScalarField, integrate
-
-            val = integrate(ScalarField(cfg.grid, rho.values * mu.density.values))
-            print(f"kernel energy at t={t!r}: {val!r}")
+        if probe is not None and len(traj.times) == 1:
+            print(f"kernel energy at t={t!r}: {measures.kernel_terms(ff, probe, t, None)[0]!r}")
+    if probe is not None and len(traj.times) >= 2:
+        t0 = args.t0 if args.t0 is not None else traj.times[0]
+        t1 = args.t1 if args.t1 is not None else traj.times[-1]
+        rep = measures.monotonicity_check(traj, probe, t0, t1)
+        print(
+            f"monotonicity [{rep.t0!r},{rep.t1!r}]: lhs={rep.lhs!r} "
+            f"transport={rep.transport_term!r} discrepancy={rep.discrepancy_term!r} "
+            f"tail_factor={rep.tail_factor!r} residual={rep.residual!r} fitted_c={rep.fitted_c!r}"
+        )
     return EXIT_OK
 
 

@@ -365,12 +365,24 @@ def read_field(path) -> tuple[ScalarField, float]:
             if not ch:
                 raise GridError(f"{path}: truncated header")
             header += ch
-        toks = header.decode("ascii").split()
         data = fh.read()
+    try:
+        return _decode_field(header, data)
+    except ValueError as exc:  # GridError, bad numbers and non-ASCII headers alike
+        raise GridError(f"{path}: {exc}") from None
+
+
+def _decode_field(header: bytes, data: bytes) -> tuple[ScalarField, float]:
+    toks = header.decode("ascii").split()
 
     def take(key: str, count: int) -> list[str]:
+        if key not in toks:
+            raise GridError(f"header has no {key!r} entry")
         i = toks.index(key)
-        return toks[i + 1 : i + 1 + count]
+        vals = toks[i + 1 : i + 1 + count]
+        if len(vals) != count:
+            raise GridError(f"header entry {key!r} needs {count} values, got {len(vals)}")
+        return vals
 
     dim = int(take("dim", 1)[0])
     cells = tuple(int(v) for v in take("cells", dim))
@@ -378,5 +390,9 @@ def read_field(path) -> tuple[ScalarField, float]:
     hi = tuple(float(v) for v in take("hi", dim))
     time = float(take("time", 1)[0])
     spec = GridSpec(dim, lo, hi, cells)
-    values = np.frombuffer(data, dtype="<f8", count=spec.n_nodes).reshape(spec.nodes)
+    want = 8 * spec.n_nodes
+    if len(data) != want:
+        kind = "truncated" if len(data) < want else "trailing bytes in"
+        raise GridError(f"{kind} payload: {len(data)} bytes, expected {want}")
+    values = np.frombuffer(data, dtype="<f8").reshape(spec.nodes)
     return ScalarField(spec, values.copy()), time

@@ -6,6 +6,11 @@ its two halves, ball density ratios, truncated backward heat kernels and the
 near-monotonicity of their energy integrals, transport/velocity space-time
 integrals, a Meyers-Ziemer ratio probe, and weighted-energy growth checks.
 
+Per-frame quantities are computed once: ``frame_fields`` (one gradient, one
+well evaluation, the Laplacian only for the drive) plus the per-frame scalars
+built on it. The rows of ``solver.run``, ``actx diagnose`` and the windowed
+checks (trapezoids over retained frames) all share this computation.
+
 Ball-mass sweeps over node lattices run through FFT convolution with hard
 disk kernels, which reproduces the direct node-counting ball integral up to
 rounding; inequality checks report fitted constants instead of asserting
@@ -16,16 +21,17 @@ refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .grid import GridSpec, ScalarField, ball_integrate, gradient, integrate, laplacian
-from .potential import DoubleWell
+from .potential import DoubleWell, _smoothstep
 
 if TYPE_CHECKING:
+    from .scenario import Transport
     from .solver import Trajectory
 
 
@@ -34,8 +40,47 @@ class MeasureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Energy measure and discrepancy
+# Per-frame fields: energy density, discrepancy, drive
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class FrameFields:
+    """Pointwise fields of one frame.
+
+    density = eps |grad phi|^2/2 + W(phi)/eps, xi = eps |grad phi|^2/2 - W(phi)/eps
+    and, when requested, the drive lap phi - W'(phi)/eps^2.
+    """
+
+    eps: float
+    density: ScalarField
+    xi: ScalarField
+    drive: np.ndarray | None = None
+
+    def measure(self) -> "EnergyMeasure":
+        return EnergyMeasure(self.density.spec, self.density, integrate(self.density))
+
+
+def frame_fields(
+    phi: ScalarField, eps: float, well: DoubleWell, drive: bool = False
+) -> FrameFields:
+    """One gradient and one well evaluation; the Laplacian only with ``drive``.
+
+    The gradient and the two halves are released before the Laplacian runs.
+    """
+    grad_half = 0.5 * eps * np.sum(gradient(phi, None).values**2, axis=-1)
+    w, wp = well.eval(phi.values)[:2]
+    well_half = w / eps
+    del w
+    out = FrameFields(
+        eps,
+        ScalarField(phi.spec, grad_half + well_half),
+        ScalarField(phi.spec, grad_half - well_half),
+    )
+    if drive:
+        del grad_half, well_half
+        out.drive = laplacian(phi, -1.0).values - wp / eps**2
+    return out
 
 
 @dataclass
@@ -47,22 +92,34 @@ class EnergyMeasure:
     total: float
 
     @classmethod
-    def from_phase(
-        cls, phi: ScalarField, eps: float, well: DoubleWell, boundary_value: float | None = None
-    ) -> "EnergyMeasure":
-        g = gradient(phi, boundary_value)
-        dens = 0.5 * eps * np.sum(g.values**2, axis=-1) + well.eval(phi.values)[0] / eps
-        f = ScalarField(phi.spec, dens)
-        return cls(phi.spec, f, integrate(f))
+    def from_phase(cls, phi: ScalarField, eps: float, well: DoubleWell) -> "EnergyMeasure":
+        return frame_fields(phi, eps, well).measure()
 
 
-def discrepancy_field(
-    phi: ScalarField, eps: float, well: DoubleWell, boundary_value: float | None = None
-) -> ScalarField:
+def discrepancy_field(phi: ScalarField, eps: float, well: DoubleWell) -> ScalarField:
     """xi = eps |grad phi|^2 / 2 - W(phi)/eps; vanishes on the exact 1D profile."""
-    g = gradient(phi, boundary_value)
-    xi = 0.5 * eps * np.sum(g.values**2, axis=-1) - well.eval(phi.values)[0] / eps
-    return ScalarField(phi.spec, xi)
+    return frame_fields(phi, eps, well).xi
+
+
+def velocity_sq(fields: FrameFields, region: tuple[Sequence[float], Sequence[float]]) -> float:
+    """int_region eps (lap phi - W'(phi)/eps^2)^2 dx; needs fields built with the drive."""
+    return integrate(ScalarField(fields.density.spec, fields.eps * fields.drive**2), region)
+
+
+def speed_sq(transport: "Transport", pts: np.ndarray, t: float) -> np.ndarray | None:
+    """|u|^2 at the nodes ``pts`` (shape nodes + (dim,)) and time t; None if u vanishes."""
+    u = transport.velocity(pts, t)
+    return np.sum(u * u, axis=-1) if np.any(u) else None
+
+
+def gronwall_weight(transport: "Transport", pts: np.ndarray, t: float) -> np.ndarray:
+    """exp(-g) at the nodes, for a gradient transport u = grad g."""
+    return np.exp(-transport.g(pts, t))
+
+
+def weighted_energy(fields: FrameFields, weight) -> float:
+    """int weight dmu; the Groenwall factor F(t) for weight = ``gronwall_weight``."""
+    return integrate(ScalarField(fields.density.spec, weight * fields.density.values))
 
 
 def discrepancy_sup(
@@ -102,7 +159,7 @@ def positive_discrepancy_ball(
 ) -> float:
     """Ball integral of the positive part of the discrepancy; needs B_r(y) inside."""
     spec = phi.spec
-    if not all(y[k] - r >= spec.lo[k] - 1e-12 and y[k] + r <= spec.hi[k] + 1e-12 for k in range(spec.dim)):
+    if not spec.contains_box([v - r for v in y], [v + r for v in y]):
         raise MeasureError(f"ball of radius {r:g} at {tuple(y)} is not contained in the domain")
     xi = discrepancy_field(phi, eps, well)
     pos = ScalarField(spec, np.maximum(xi.values, 0.0))
@@ -160,6 +217,18 @@ def ratio_lattice_radii(spec: GridSpec, inset: float) -> list[float]:
     return dyadic_radii(spec, min(inset / 2.0, 0.25))
 
 
+def _stride_mask(spec: GridSpec, stride: int) -> np.ndarray:
+    m = np.zeros(spec.nodes, dtype=bool)
+    m[tuple(slice(None, None, stride) for _ in range(spec.dim))] = True
+    return m
+
+
+def _masked_node(mesh: tuple[np.ndarray, ...], m: np.ndarray, i: int) -> tuple[float, ...]:
+    """Coordinates of the i-th selected node of the mask m."""
+    where = tuple(np.argwhere(m)[i])
+    return tuple(float(axis[where]) for axis in mesh)
+
+
 def density_ratio(
     measure: EnergyMeasure,
     centers: np.ndarray | None = None,
@@ -210,14 +279,9 @@ def density_ratio(
         mesh = spec.meshgrid()
         for r in radii:
             masses = ball_masses(measure, r)
-            m = np.zeros(spec.nodes, dtype=bool)
-            sl = tuple(slice(None, None, stride) for _ in range(spec.dim))
-            m[sl] = True
-            lo, hi = region
-            tol = 1e-9 * h
             pad = r if require_fit else 0.0
-            for k in range(spec.dim):
-                m &= (mesh[k] >= lo[k] + pad - tol) & (mesh[k] <= hi[k] - pad + tol)
+            fit = ([lo + pad for lo in region[0]], [hi - pad for hi in region[1]])
+            m = _stride_mask(spec, stride) & region_mask(spec, fit)
             if not np.any(m):
                 per_radius_max.append(-math.inf)
                 continue
@@ -225,10 +289,8 @@ def density_ratio(
             n_samples += vals.size
             per_radius_max.append(float(np.max(vals)))
             i = int(np.argmax(vals))
-            where = np.argwhere(m)[i]
-            center = tuple(float(mesh[k][tuple(where)]) for k in range(spec.dim))
             if vals[i] > best[0]:
-                best = (float(vals[i]), center, r)
+                best = (float(vals[i]), _masked_node(mesh, m, i), r)
 
     if n_samples == 0:
         raise MeasureError("no admissible (center, radius) samples in the region")
@@ -269,19 +331,14 @@ def scaled_density_ratio(
         l_field = np.minimum(dist_inset, l_time)
         for r in radii:
             masses = ball_masses(mu, r)
-            m = dist_inset >= 2.0 * r - 1e-12
-            sl = np.zeros(spec.nodes, dtype=bool)
-            sl[tuple(slice(None, None, stride) for _ in range(spec.dim))] = True
-            m &= sl
+            m = (dist_inset >= 2.0 * r - 1e-12) & _stride_mask(spec, stride)
             if not np.any(m):
                 continue
             found = True
             vals = np.maximum(l_field[m], 0.0) ** (spec.dim - 1) * masses[m] / r ** (spec.dim - 1)
             i = int(np.argmax(vals))
             if vals[i] > best[0]:
-                where = np.argwhere(m)[i]
-                center = tuple(float(mesh[k][tuple(where)]) for k in range(spec.dim))
-                best = (float(vals[i]), center, r, t)
+                best = (float(vals[i]), _masked_node(mesh, m, i), r, t)
     if not found:
         raise MeasureError("no admissible (center, radius, time) samples for the scaled ratio")
     return best
@@ -290,11 +347,6 @@ def scaled_density_ratio(
 # ---------------------------------------------------------------------------
 # Truncated backward heat kernel and near-monotonicity
 # ---------------------------------------------------------------------------
-
-
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return t**3 * (10.0 + t * (-15.0 + 6.0 * t))
 
 
 @dataclass
@@ -322,12 +374,8 @@ class HuiskenProbe:
         return cls(tuple(float(v) for v in y), float(s), d / 2.0, d)
 
     def validate(self, spec: GridSpec) -> None:
-        ok = all(
-            self.y[k] - self.r_outer >= spec.lo[k] - 1e-12
-            and self.y[k] + self.r_outer <= spec.hi[k] + 1e-12
-            for k in range(spec.dim)
-        )
-        if not ok:
+        r = self.r_outer
+        if not spec.contains_box([v - r for v in self.y], [v + r for v in self.y]):
             raise MeasureError(f"probe ball B_{self.r_outer:g}({self.y}) leaves the domain box")
 
     def cutoff(self, dist: np.ndarray) -> np.ndarray:
@@ -335,27 +383,43 @@ class HuiskenProbe:
         return 1.0 - _smoothstep(t)
 
 
-def heat_kernel(probe: HuiskenProbe, x: Sequence[float], t: float, n: int) -> float:
-    """Truncated backward codimension-one Gaussian at a single point."""
+def _kernel(probe: HuiskenProbe, r2, t: float, n: int):
+    """Truncated backward codimension-one Gaussian at squared distance r2 from y."""
     if t >= probe.s:
         raise MeasureError(f"kernel needs t < s, got t={t:g}, s={probe.s:g}")
     tau = probe.s - t
-    d = np.asarray(x, dtype=np.float64) - np.asarray(probe.y)
-    r = float(np.sqrt(np.sum(d * d)))
     amp = (4.0 * math.pi * tau) ** (-(n - 1) / 2.0)
-    return float(amp * math.exp(-(r * r) / (4.0 * tau)) * probe.cutoff(np.asarray(r)))
+    return amp * np.exp(-r2 / (4.0 * tau)) * probe.cutoff(np.sqrt(r2))
+
+
+def heat_kernel(probe: HuiskenProbe, x: Sequence[float], t: float, n: int) -> float:
+    """The truncated kernel at a single point."""
+    d = np.asarray(x, dtype=np.float64) - np.asarray(probe.y)
+    return float(_kernel(probe, np.sum(d * d), t, n))
 
 
 def kernel_field(probe: HuiskenProbe, spec: GridSpec, t: float) -> ScalarField:
     """The truncated kernel sampled on the node lattice."""
-    if t >= probe.s:
-        raise MeasureError(f"kernel needs t < s, got t={t:g}, s={probe.s:g}")
-    tau = probe.s - t
     mesh = spec.meshgrid()
     r2 = sum((mesh[k] - probe.y[k]) ** 2 for k in range(spec.dim))
-    r = np.sqrt(r2)
-    amp = (4.0 * math.pi * tau) ** (-(spec.dim - 1) / 2.0)
-    return ScalarField(spec, amp * np.exp(-r2 / (4.0 * tau)) * probe.cutoff(r))
+    return ScalarField(spec, _kernel(probe, r2, t, spec.dim))
+
+
+def kernel_terms(
+    fields: FrameFields, probe: HuiskenProbe, t: float, u2: np.ndarray | None
+) -> tuple[float, float, float]:
+    """The probe-weighted scalars of one frame at time t.
+
+    (int rho dmu, 1/2 int rho |u|^2 dmu, int xi rho / (2(s - t))) for the probe's
+    kernel rho; ``u2`` is ``speed_sq`` at t (None: no transport).
+    """
+    spec = fields.density.spec
+    rho = kernel_field(probe, spec, t).values
+    dens = fields.density.values
+    i_rho = integrate(ScalarField(spec, rho * dens))
+    i_u = 0.0 if u2 is None else 0.5 * integrate(ScalarField(spec, rho * u2 * dens))
+    i_xi = integrate(ScalarField(spec, fields.xi.values * rho)) / (2.0 * (probe.s - t))
+    return i_rho, i_u, i_xi
 
 
 @dataclass
@@ -386,13 +450,19 @@ class MonotonicityReport:
         return self.residual <= c * self.tail_factor + slack * abs(self.scale)
 
 
-def _window_frames(traj: "Trajectory", t0: float, t1: float):
+def _window_series(traj: "Trajectory", t0: float, t1: float, per_frame, drive: bool = False):
+    """(times, values): ``per_frame(t, frame fields)`` at each retained frame in [t0, t1]."""
     idx = [i for i, t in enumerate(traj.times) if t0 - 1e-12 <= t <= t1 + 1e-12]
     if len(idx) < 2:
         raise MeasureError(
             f"window [{t0:g}, {t1:g}] covers {len(idx)} retained frames; need at least 2"
         )
-    return idx
+    cfg = traj.cfg
+    vals = [
+        per_frame(traj.times[i], frame_fields(traj.frames[i], cfg.epsilon, cfg.well, drive))
+        for i in idx
+    ]
+    return np.asarray([traj.times[i] for i in idx]), np.asarray(vals)
 
 
 def monotonicity_check(
@@ -400,44 +470,30 @@ def monotonicity_check(
 ) -> MonotonicityReport:
     """Evaluate the kernel-energy inequality over [t0, t1] for one probe.
 
-    Trapezoid quadrature on the retained-frame schedule; the discrepancy term
-    uses the signed discrepancy, and the tail term is the kernel-cutoff
-    leakage factor integral exp(-1/(128(s-t))) mu_t(B_{1/4}(y)) dt.
+    Trapezoid quadrature of ``kernel_terms`` on the retained-frame schedule;
+    the discrepancy term uses the signed discrepancy, and the tail term is
+    the kernel-cutoff leakage factor integral exp(-1/(128(s-t))) mu_t(B_{1/4}(y)) dt.
     """
     cfg = traj.cfg
-    spec = cfg.grid
-    probe.validate(spec)
+    probe.validate(cfg.grid)
     if not t0 < t1 < probe.s:
         raise MeasureError(f"need t0 < t1 < s, got {t0:g}, {t1:g}, {probe.s:g}")
-    idx = _window_frames(traj, t0, t1)
-    times = [traj.times[i] for i in idx]
-    vals, trans, disc, tail = [], [], [], []
-    for i in idx:
-        t = traj.times[i]
-        phi = traj.frames[i]
-        mu = EnergyMeasure.from_phase(phi, cfg.epsilon, cfg.well)
-        rho = kernel_field(probe, spec, t)
-        vals.append(integrate(ScalarField(spec, rho.values * mu.density.values)))
-        u = cfg.transport.velocity(np.stack(spec.meshgrid(), axis=-1), t)
-        u2 = np.sum(u * u, axis=-1)
-        trans.append(0.5 * integrate(ScalarField(spec, rho.values * u2 * mu.density.values)))
-        xi = discrepancy_field(phi, cfg.epsilon, cfg.well)
-        disc.append(
-            integrate(ScalarField(spec, xi.values * rho.values)) / (2.0 * (probe.s - t))
-        )
-        tail.append(
-            math.exp(-1.0 / (128.0 * (probe.s - t)))
-            * ball_integrate(mu.density, probe.y, 0.25, clip_ok=True)
-        )
-    times_a = np.asarray(times)
+    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+
+    def per_frame(t, ff):
+        leak = math.exp(-1.0 / (128.0 * (probe.s - t)))
+        mass = ball_integrate(ff.density, probe.y, 0.25, clip_ok=True)
+        return kernel_terms(ff, probe, t, speed_sq(cfg.transport, pts, t)) + (leak * mass,)
+
+    times, vals = _window_series(traj, t0, t1, per_frame)
     return MonotonicityReport(
-        t0=times[0],
-        t1=times[-1],
-        lhs=vals[-1] - vals[0],
-        transport_term=float(np.trapezoid(trans, times_a)),
-        discrepancy_term=float(np.trapezoid(disc, times_a)),
-        tail_factor=float(np.trapezoid(tail, times_a)),
-        scale=float(np.max(vals)),
+        t0=float(times[0]),
+        t1=float(times[-1]),
+        lhs=float(vals[-1, 0] - vals[0, 0]),
+        transport_term=float(np.trapezoid(vals[:, 1], times)),
+        discrepancy_term=float(np.trapezoid(vals[:, 2], times)),
+        tail_factor=float(np.trapezoid(vals[:, 3], times)),
+        scale=float(np.max(vals[:, 0])),
     )
 
 
@@ -446,19 +502,12 @@ def transport_kernel_integral(
 ) -> float:
     """Space-time integral of the kernel against |u|^2 dmu over [t0, t1]."""
     cfg = traj.cfg
-    spec = cfg.grid
-    probe.validate(spec)
-    idx = _window_frames(traj, t0, t1)
-    times, vals = [], []
-    for i in idx:
-        t = traj.times[i]
-        mu = EnergyMeasure.from_phase(traj.frames[i], cfg.epsilon, cfg.well)
-        rho = kernel_field(probe, spec, t)
-        u = cfg.transport.velocity(np.stack(spec.meshgrid(), axis=-1), t)
-        u2 = np.sum(u * u, axis=-1)
-        vals.append(integrate(ScalarField(spec, rho.values * u2 * mu.density.values)))
-        times.append(t)
-    return float(np.trapezoid(vals, np.asarray(times)))
+    probe.validate(cfg.grid)
+    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+    times, vals = _window_series(  # kernel_terms carries half of this integrand
+        traj, t0, t1, lambda t, ff: kernel_terms(ff, probe, t, speed_sq(cfg.transport, pts, t))[1]
+    )
+    return float(2.0 * np.trapezoid(vals, times))
 
 
 def hat_p(p: float, q: float, n: int, margin: float = 0.0) -> float:
@@ -484,18 +533,10 @@ def velocity_l2(
     t1: float,
     region: tuple[Sequence[float], Sequence[float]] | None = None,
 ) -> float:
-    """Space-time integral of eps (laplacian phi - W'(phi)/eps^2)^2 over the region."""
-    cfg = traj.cfg
-    region = region or cfg.omega_prime()
-    idx = _window_frames(traj, t0, t1)
-    times, vals = [], []
-    for i in idx:
-        phi = traj.frames[i]
-        lap = laplacian(phi, -1.0)
-        drive = lap.values - cfg.well.eval(phi.values)[1] / cfg.epsilon**2
-        vals.append(integrate(ScalarField(cfg.grid, cfg.epsilon * drive**2), region))
-        times.append(traj.times[i])
-    return float(np.trapezoid(vals, np.asarray(times)))
+    """Time integral of ``velocity_sq`` over [t0, t1] (region default Omega')."""
+    region = region or traj.cfg.omega_prime()
+    times, vals = _window_series(traj, t0, t1, lambda t, ff: velocity_sq(ff, region), drive=True)
+    return float(np.trapezoid(vals, times))
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +579,7 @@ def meyers_ziemer_check(
         c = [rng.uniform(spec.lo[k] + rho, spec.hi[k] - rho) for k in range(spec.dim)]
         r = np.sqrt(sum((mesh[k] - c[k]) ** 2 for k in range(spec.dim)))
         t = np.clip(1.0 - r / rho, 0.0, 1.0)
-        bump = t**3 * (10.0 + t * (-15.0 + 6.0 * t))
+        bump = _smoothstep(t)
         dq = 30.0 * t**2 * (1.0 - t) ** 2 / rho  # |d bump / d r|
         num = abs(integrate(ScalarField(spec, bump * measure.density.values)))
         den = k_density * integrate(ScalarField(spec, dq))
@@ -579,9 +620,8 @@ def gronwall_check(traj: "Trajectory", steps_between: int | None = None) -> Gron
     times = np.asarray(traj.times)
     vals = np.empty(times.size)
     for i, (t, phi) in enumerate(zip(traj.times, traj.frames)):
-        mu = EnergyMeasure.from_phase(phi, cfg.epsilon, cfg.well)
-        w = np.exp(-cfg.transport.g(pts, t))
-        vals[i] = integrate(ScalarField(spec, w * mu.density.values))
+        ff = frame_fields(phi, cfg.epsilon, cfg.well)
+        vals[i] = weighted_energy(ff, gronwall_weight(cfg.transport, pts, t))
     f0 = vals[0]
     if steps_between is None:
         steps_between = getattr(traj, "steps_between", 1)
@@ -625,13 +665,7 @@ class DiagnosticsRow:
     )
 
     def to_csv_line(self) -> str:
-        vals = (
-            self.t, self.total_energy, self.density_ratio_max, self.sup_xi,
-            self.sup_xi_pos, self.pos_xi_integral, self.interface_radius,
-            self.monotonicity_residual, self.gronwall_factor, self.velocity_sq,
-            self.max_abs_phi,
-        )
-        return ",".join(repr(float(v)) for v in vals)
+        return ",".join(repr(float(v)) for v in astuple(self))
 
     @classmethod
     def from_csv_line(cls, line: str) -> "DiagnosticsRow":

@@ -111,12 +111,6 @@ class DoubleWell:
             return float(w), float(wp), float(wpp)
         return w, wp, wpp
 
-    def w(self, s):
-        return self.eval(s)[0]
-
-    def wp(self, s):
-        return self.eval(s)[1]
-
     def wpp_max(self, bound: float = 1.1, samples: int = 4097) -> float:
         """sup of |W''| over [-bound, bound], by dense sampling."""
         s = np.linspace(-bound, bound, samples)
@@ -152,11 +146,6 @@ class DoubleWell:
         s_grid = np.linspace(-PSI_CUT, PSI_CUT, 2 * m + 1)
         psi = np.concatenate([bwd[::-1], fwd[1:]])
         return s_grid, psi
-
-
-def eval_triple(w: DoubleWell, s):
-    """Free-function alias for DoubleWell.eval."""
-    return w.eval(s)
 
 
 def profile_psi(w: DoubleWell, s):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec, ScalarField, VectorField, integrate
-from .potential import DoubleWell, profile_psi, surface_tension
+from .potential import DoubleWell, _smoothstep, profile_psi
 from .shapes import Ball, Box, Complement, HalfSpace, Intersection, Shape, Union
 
 
@@ -205,10 +205,9 @@ class ScenarioConfig:
     well: DoubleWell = field(default_factory=DoubleWell.quartic)
     beta: float = 0.25
     tau: float | None = None
-    p: float = 2.0
+    p: float | None = None
     q: float = 4.0
     lambda0: float = 100.0
-    energy_cap: float = 100.0
     inset_prime: float | None = None
     inset_dprime: float | None = None
 
@@ -217,6 +216,8 @@ class ScenarioConfig:
             raise ConfigError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if not 0.0 < self.beta < 0.5:
             raise ConfigError(f"beta must lie in (0,1/2), got {self.beta}")
+        if self.p is None:
+            self.p = float(self.grid.dim)  # p = n meets the exponent condition for q > 2
         complaint = exponent_condition(self.grid.dim, self.p, self.q)
         if complaint:
             raise ConfigError(complaint)
@@ -271,9 +272,7 @@ def cutoff_field(cfg: ScenarioConfig) -> ScalarField:
     dd = Box(*cfg.omega_dprime()).sdf(pts)
     l = np.ones(pts.shape[:-1])
     collar = (dp > 0) & (dd < 0)
-    theta = dp[collar] / (dp[collar] - dd[collar])
-    t = np.clip(theta, 0.0, 1.0)
-    l[collar] = 1.0 - t**3 * (10.0 + t * (-15.0 + 6.0 * t))
+    l[collar] = 1.0 - _smoothstep(dp[collar] / (dp[collar] - dd[collar]))
     l[dd >= 0] = 0.0
     return ScalarField(cfg.grid, l)
 
@@ -380,24 +379,15 @@ def transport_norm(cfg: ScenarioConfig, time_samples: int = 65) -> float:
     return float(np.trapezoid(norms**cfg.q, times) ** (1.0 / cfg.q))
 
 
-def initial_energy_report(cfg: ScenarioConfig, perimeter: float) -> tuple[float, float]:
-    """(mu0, cap): measured initial energy and 1.2 * sigma * perimeter."""
-    from .measures import EnergyMeasure
-
-    phi0 = build_initial_phase(cfg)
-    mu0 = EnergyMeasure.from_phase(phi0, cfg.epsilon, cfg.well).total
-    return mu0, 1.2 * surface_tension(cfg.well) * perimeter
-
-
 # ---------------------------------------------------------------------------
 # Config files: flat key = value lines, s-expression shapes/transports
 # ---------------------------------------------------------------------------
 
 KNOWN_KEYS = {
     "dim", "cells", "lo", "hi", "epsilon", "beta", "shape", "transport",
-    "tau", "T", "p", "q", "lambda0", "m0", "inset_prime", "inset_dprime",
+    "tau", "T", "p", "q", "lambda0", "inset_prime", "inset_dprime",
     "potential", "alpha", "kappa", "scheme", "cfl", "diag_every",
-    "snap_every", "seed",
+    "snap_every",
 }
 
 REQUIRED_KEYS = ("dim", "cells", "epsilon", "shape", "T")
@@ -486,9 +476,8 @@ def transport_from_sexpr(node, dim: int) -> Transport:
     raise ConfigError(f"unknown transport kind {head!r}")
 
 
-def parse_config(text: str) -> dict[str, str]:
-    """key = value lines into a dict; unknown keys are rejected with their line."""
-    out: dict[str, str] = {}
+def config_entries(text: str):
+    """(line number, key, value) of each ``key = value`` line; ``#`` starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -496,6 +485,13 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        yield lineno, key, value
+
+
+def parse_config(text: str) -> dict[str, str]:
+    """key = value lines into a dict; unknown keys are rejected with their line."""
+    out: dict[str, str] = {}
+    for lineno, key, value in config_entries(text):
         if key not in KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
@@ -532,6 +528,8 @@ def scenario_from_config(conf: dict[str, str]) -> ScenarioConfig:
         kwargs["inset_prime"] = float(conf["inset_prime"])
     if "inset_dprime" in conf:
         kwargs["inset_dprime"] = float(conf["inset_dprime"])
+    if "p" in conf:
+        kwargs["p"] = float(conf["p"])
     return ScenarioConfig(
         grid=grid,
         shape=shape,
@@ -540,9 +538,7 @@ def scenario_from_config(conf: dict[str, str]) -> ScenarioConfig:
         t_end=float(conf["T"]),
         well=well,
         beta=float(conf.get("beta", "0.25")),
-        p=float(conf.get("p", "2")),
         q=float(conf.get("q", "4")),
         lambda0=float(conf.get("lambda0", "100")),
-        energy_cap=float(conf.get("m0", "100")),
         **kwargs,
     )

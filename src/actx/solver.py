@@ -169,17 +169,18 @@ class RunResult:
         return self.trajectory.frames[-1]
 
 
-def _default_probe(cfg: ScenarioConfig, phi0: ScalarField) -> measures.HuiskenProbe:
-    """Probe anchored at the strongest initial energy node, pulled inside the box."""
-    mu = measures.EnergyMeasure.from_phase(phi0, cfg.epsilon, cfg.well)
-    flat = int(np.argmax(mu.density.values))
-    idx = np.unravel_index(flat, cfg.grid.nodes)
-    mesh = cfg.grid.meshgrid()
-    y = [float(mesh[k][idx]) for k in range(cfg.grid.dim)]
+def probe_at(cfg: ScenarioConfig, y) -> measures.HuiskenProbe:
+    """Standard probe at y (pulled inside the box so its ball fits), s = T + 0.01."""
     d = min(cfg.inset_prime / 2.0, 0.25)
-    for k in range(cfg.grid.dim):
-        y[k] = min(max(y[k], cfg.grid.lo[k] + d), cfg.grid.hi[k] - d)
+    y = [min(max(float(v), lo + d), hi - d) for v, lo, hi in zip(y, cfg.grid.lo, cfg.grid.hi)]
     return measures.HuiskenProbe.standard(y, cfg.t_end + 0.01, cfg.inset_prime)
+
+
+def _default_probe(cfg: ScenarioConfig, phi0: ScalarField) -> measures.HuiskenProbe:
+    """Probe at the strongest initial energy node."""
+    mu = measures.EnergyMeasure.from_phase(phi0, cfg.epsilon, cfg.well)
+    idx = np.unravel_index(int(np.argmax(mu.density.values)), cfg.grid.nodes)
+    return probe_at(cfg, [mesh[idx] for mesh in cfg.grid.meshgrid()])
 
 
 def _sample_umax(cfg: ScenarioConfig, n_times: int = 9) -> float:
@@ -225,13 +226,11 @@ def run(
 
     pts = np.stack(cfg.grid.meshgrid(), axis=-1)
     static_u: VectorField | None = None
+    u2_static = None
     if not cfg.transport.time_dependent:
-        vals = cfg.transport.velocity(pts, 0.0)
-        if np.any(vals):
-            static_u = VectorField(cfg.grid, vals)
-        use_transport = static_u is not None
-    else:
-        use_transport = True
+        u2_static = measures.speed_sq(cfg.transport, pts, 0.0)
+        if u2_static is not None:
+            static_u = VectorField(cfg.grid, cfg.transport.velocity(pts, 0.0))
 
     center = tuple(0.5 * (l + h) for l, h in zip(cfg.grid.lo, cfg.grid.hi))
     omega_p = cfg.omega_prime()
@@ -239,56 +238,45 @@ def run(
     ratio_radii = measures.ratio_lattice_radii(cfg.grid, cfg.inset_prime)
     g_weight = None
     if cfg.transport.is_gradient and not cfg.transport.time_dependent:
-        g_weight = np.exp(-cfg.transport.g(pts, 0.0))
+        g_weight = measures.gronwall_weight(cfg.transport, pts, 0.0)
 
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
 
-    prev_kernel_vals: dict[str, float] = {}
+    prev_kernel: list[tuple[float, ...]] = []  # (t, i_rho, i_u, i_xi) of the previous row
 
     def make_row(state: SimState, running_max: float) -> measures.DiagnosticsRow:
         phi = state.phi
         t = state.t
-        mu = measures.EnergyMeasure.from_phase(phi, cfg.epsilon, cfg.well)
-        xi = measures.discrepancy_field(phi, cfg.epsilon, cfg.well)
-        xi_p = np.maximum(xi.values, 0.0)
+        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, drive=True)
+        vel = measures.velocity_sq(ff, omega_p)
+        ff.drive = None  # release it before the density-ratio FFTs
+        mu = ff.measure()
         ratio = measures.density_ratio(mu, region=omega_p, stride=4, radii=ratio_radii)
         iset = extract_interface(phi)
         radius = -1.0
         if not iset.is_empty:
             radius = radius_estimate(iset, center)[0]
-        lap = laplacian(phi, -1.0)
-        drive = lap.values - cfg.well.eval(phi.values)[1] / cfg.epsilon**2
-        vel = integrate(ScalarField(cfg.grid, cfg.epsilon * drive**2), omega_p)
         if g_weight is not None:
             weight = g_weight
         elif cfg.transport.is_gradient:
-            weight = np.exp(-cfg.transport.g(pts, t))
+            weight = measures.gronwall_weight(cfg.transport, pts, t)
         else:
             weight = 1.0
-        gron = integrate(ScalarField(cfg.grid, weight * mu.density.values))
-        rho = measures.kernel_field(probe, cfg.grid, t)
-        i_rho = integrate(ScalarField(cfg.grid, rho.values * mu.density.values))
-        if use_transport:
-            uv = static_u.values if static_u is not None else cfg.transport.velocity(pts, t)
-            u2 = np.sum(uv * uv, axis=-1)
-            i_u = 0.5 * integrate(ScalarField(cfg.grid, rho.values * u2 * mu.density.values))
-        else:
-            i_u = 0.0
-        i_xi = integrate(ScalarField(cfg.grid, xi.values * rho.values)) / (2.0 * (probe.s - t))
-        if prev_kernel_vals:
-            dt_row = t - prev_kernel_vals["t"]
-            resid = (i_rho - prev_kernel_vals["i_rho"]) - 0.5 * dt_row * (
-                i_u + prev_kernel_vals["i_u"] + i_xi + prev_kernel_vals["i_xi"]
-            )
-        else:
-            resid = 0.0
-        prev_kernel_vals.update(t=t, i_rho=i_rho, i_u=i_u, i_xi=i_xi)
+        gron = measures.weighted_energy(ff, weight)
+        u2 = measures.speed_sq(cfg.transport, pts, t) if cfg.transport.time_dependent else u2_static
+        i_rho, i_u, i_xi = measures.kernel_terms(ff, probe, t, u2)
+        resid = 0.0
+        if prev_kernel:
+            t0, rho0, u0, xi0 = prev_kernel.pop()
+            resid = (i_rho - rho0) - 0.5 * (t - t0) * (i_u + u0 + i_xi + xi0)
+        prev_kernel.append((t, i_rho, i_u, i_xi))
+        xi_p = np.maximum(ff.xi.values, 0.0)
         return measures.DiagnosticsRow(
             t=t,
             total_energy=mu.total,
             density_ratio_max=ratio.max_ratio,
-            sup_xi=float(np.max(xi.values[mask_p])),
+            sup_xi=float(np.max(ff.xi.values[mask_p])),
             sup_xi_pos=float(np.max(xi_p[mask_p])),
             pos_xi_integral=integrate(ScalarField(cfg.grid, xi_p), omega_p),
             interface_radius=radius,
@@ -329,17 +317,11 @@ def run(
                 traj.append(state.t, state.phi)
                 rows.append(make_row(state, running_max))
                 running_max = float(np.max(np.abs(state.phi.values)))
-            if solver.snap_every and k % solver.snap_every == 0:
+            if (solver.snap_every and k % solver.snap_every == 0) or k == n_steps:
                 snapshot(state)
-            elif k == n_steps and (not solver.snap_every or k % solver.snap_every):
-                snapshot(state)
-    except SolverAbort:
+    finally:  # an abort flushes the rows computed so far
         if out_dir is not None:
             _write_rows(out_dir, rows)
-        raise
-
-    if out_dir is not None:
-        _write_rows(out_dir, rows)
     return RunResult(cfg, solver, dt, n_steps, traj, rows, probe, snap_paths)
 
 

@@ -1,11 +1,12 @@
 """Command-line orchestration: exit codes, artifacts, reports, sweeps."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
-from actx.cli import emit_report, main, read_rows
+from actx.cli import emit_report, load_experiment, load_trajectory, main, read_rows
 from actx.measures import DiagnosticsRow
 
 CONFIG = """\
@@ -208,6 +209,28 @@ class TestDiagnoseCommand:
         out_text = capsys.readouterr().out
         assert "density_ratio_max" in out_text
         assert "monotonicity" in out_text
+
+
+class TestLoadTrajectory:
+    def test_reads_every_snapshot(self, artifact):
+        _, cfg_path, out = artifact
+        cfg, _sol, _ = load_experiment(str(cfg_path))
+        traj = load_trajectory(str(out), cfg)
+        assert len(traj.frames) == len(os.listdir(out / "snapshots")) >= 2
+        assert traj.times == sorted(traj.times)
+
+    @pytest.mark.parametrize("name", ["notes.txt", "step_12.afld.bak", "step_x.afld"])
+    def test_stray_file_named(self, artifact, tmp_path, name):
+        import shutil
+
+        from actx.grid import GridError
+
+        _, cfg_path, out = artifact
+        shutil.copytree(out / "snapshots", tmp_path / "snapshots")
+        (tmp_path / "snapshots" / name).write_text("not a field\n")
+        cfg, _sol, _ = load_experiment(str(cfg_path))
+        with pytest.raises(GridError, match=re.escape(name)):
+            load_trajectory(str(tmp_path), cfg)
 
 
 class TestOracleCommand:

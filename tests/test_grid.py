@@ -216,6 +216,41 @@ class TestSnapshotIO:
         with pytest.raises(GridError, match="magic"):
             read_field(p)
 
+    @staticmethod
+    def _snapshot_bytes(tmp_path_factory) -> bytes:
+        spec = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (6, 6))
+        path = tmp_path_factory.mktemp("afld") / "good.afld"
+        write_field(path, ScalarField.sample(spec, lambda x, y: x - y), 0.5)
+        return path.read_bytes()
+
+    @staticmethod
+    def _rejects(tmp_path_factory, blob: bytes, reason: str) -> None:
+        path = tmp_path_factory.mktemp("afld") / "corrupt.afld"
+        path.write_bytes(blob)
+        with pytest.raises(GridError, match=reason) as info:
+            read_field(path)
+        assert str(path) in str(info.value)
+
+    @given(cut=st.integers(1, 7 * 7 * 8))
+    @settings(max_examples=20, deadline=None)
+    def test_truncated_payload_names_file(self, tmp_path_factory, cut):
+        blob = self._snapshot_bytes(tmp_path_factory)
+        self._rejects(tmp_path_factory, blob[:-cut], "truncated payload")
+
+    @given(extra=st.binary(min_size=1, max_size=64))
+    @settings(max_examples=20, deadline=None)
+    def test_trailing_bytes_name_file(self, tmp_path_factory, extra):
+        blob = self._snapshot_bytes(tmp_path_factory)
+        self._rejects(tmp_path_factory, blob + extra, "trailing bytes")
+
+    @given(key=st.sampled_from(["dim", "cells", "lo", "hi", "time"]))
+    @settings(max_examples=10, deadline=None)
+    def test_missing_header_key_names_file(self, tmp_path_factory, key):
+        blob = self._snapshot_bytes(tmp_path_factory)
+        head, sep, payload = blob[len(b"AFLD\n"):].partition(b"\n")
+        head = head.replace(key.encode() + b" ", b"")
+        self._rejects(tmp_path_factory, b"AFLD\n" + head + sep + payload, f"no '{key}'")
+
 
 class TestGridSpec:
     def test_anisotropic_rejected(self):

@@ -53,13 +53,30 @@ class TestDiscrepancy:
         assert np.allclose(xi.values, -0.5 / EPS)
 
     def test_trajectory_sup_matches_rows(self, ladder):
-        from actx.measures import discrepancy_sup
+        # the run's rows and the offline checks share one per-frame computation
+        from actx.measures import discrepancy_sup, frame_fields, velocity_sq
 
         cfg, res, _ = ladder[128]
-        sup_xi, sup_pos = discrepancy_sup(res.trajectory)
+        traj = res.trajectory
+        sup_xi, sup_pos = discrepancy_sup(traj)
         tail = [r for r in res.rows if r.t >= cfg.tau - 1e-12]
         assert sup_xi == pytest.approx(max(r.sup_xi for r in tail), rel=1e-12)
         assert sup_pos >= 0.0
+
+        assert traj.times == [r.t for r in res.rows]
+        assert [r.gronwall_factor for r in res.rows] == list(gronwall_check(traj).values)
+
+        per_frame = [
+            velocity_sq(frame_fields(phi, cfg.epsilon, cfg.well, drive=True), cfg.omega_prime())
+            for phi in traj.frames
+        ]
+        assert [r.velocity_sq for r in res.rows] == per_frame
+        assert velocity_l2(traj, 0.0, cfg.t_end) == np.trapezoid(per_frame, traj.times)
+
+        for prev, row in zip(res.rows, res.rows[1:]):
+            rep = monotonicity_check(traj, res.probe, prev.t, row.t)
+            assert (rep.t0, rep.t1) == (prev.t, row.t)
+            assert rep.residual == pytest.approx(row.monotonicity_residual, rel=1e-12)
 
     def test_gradient_saturation_bound(self, ladder):
         # eps |grad phi| <= 1.2 max sqrt(2W) on the inner box, along the flow

@@ -262,9 +262,18 @@ tau = 0.005
         assert cfg.epsilon == 0.125
         assert isinstance(cfg.shape, Ball)
 
-    def test_unknown_key_names_key_and_line(self):
-        with pytest.raises(ConfigError, match=r"line 2.*'frobnicate'"):
-            parse_config("dim = 2\nfrobnicate = 3\n")
+    # seed and m0 were once accepted and then ignored; they are unknown keys now
+    @pytest.mark.parametrize("key", ["frobnicate", "seed", "m0"])
+    def test_unknown_key_names_key_and_line(self, key):
+        with pytest.raises(ConfigError, match=rf"line 2.*'{key}'"):
+            parse_config(f"dim = 2\n{key} = 3\n")
+
+    def test_default_p_valid_in_3d(self):
+        # p = 2 fails the 3D exponent condition (p > 2); the default is p = n
+        text = self.GOOD.replace("dim = 2", "dim = 3").replace("0.5 0.5 0.2", "0.5 0.5 0.5 0.2")
+        cfg = scenario_from_config(parse_config(text))
+        assert cfg.grid.dim == 3 and cfg.p == 3.0
+        assert scenario_from_config(parse_config(self.GOOD)).p == 2.0
 
     def test_missing_required_key(self):
         conf = parse_config(self.GOOD.replace("epsilon = 0.125", ""))
