@@ -7,9 +7,11 @@ Subcommands:
   oracle    print the exact radial-flow reference trajectory
   report    validate an artifact directory and summarize its checks
 
-Exit codes: 0 clean, 1 configuration error, 2 solver abort. The environment
-variable ACTX_THREADS caps sweep-rung parallelism (default serial). Artifact
-directories contain a manifest listing every output file with its sha256.
+Exit codes: 0 clean, 1 configuration error or unreadable snapshot, 2 solver
+abort. The environment variable ACTX_THREADS caps sweep-rung parallelism
+(default serial). Artifact directories contain a manifest listing every
+output file with its sha256; an aborted run's manifest also records the
+abort's step, node, time and |phi|.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def _sha256(path: str) -> str:
 
 
 def _write_manifest(out_dir: str, cfg: ScenarioConfig, sol: SolverConfig, config_text: str,
-                    dt: float, n_steps: int, status: str) -> None:
+                    dt: float, n_steps: int, status: str, abort: SolverAbort | None = None) -> None:
     sup_dtg = 0.0
     if cfg.transport.is_gradient:
         sup_dtg = cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end)
@@ -87,8 +89,15 @@ def _write_manifest(out_dir: str, cfg: ScenarioConfig, sol: SolverConfig, config
         f"sup_dt_g = {sup_dtg!r}",
         f"transport_norm = {u_norm!r}",
         f"lambda0 = {cfg.lambda0!r}",
-        "[config]",
     ]
+    if abort is not None:
+        lines += [
+            f"abort_step = {abort.step_index}",
+            "abort_node = " + " ".join(str(i) for i in abort.location),
+            f"abort_t = {abort.t!r}",
+            f"abort_abs_phi = {abort.value!r}",
+        ]
+    lines.append("[config]")
     lines += ["  " + l for l in config_text.splitlines()]
     lines.append("[files]")
     entries = []
@@ -125,11 +134,13 @@ def run_experiment(config_path: str, out_dir: str) -> int:
         result = solver.run(cfg, sol, out_dir=out_dir)
     except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
-        _write_manifest(out_dir, cfg, sol, text, 0.0, -1, "aborted")
+        _write_manifest(out_dir, cfg, sol, text, exc.dt, exc.n_steps, "aborted", abort=exc)
         return EXIT_ABORT
     _write_interface_csv(out_dir, result)
-    _write_manifest(out_dir, cfg, sol, text, result.dt, result.n_steps, "complete")
-    print(f"run complete: {result.n_steps} steps, {len(result.rows)} diagnostics rows -> {out_dir}")
+    dt, n_steps, n_rows = result.dt, result.n_steps, len(result.rows)
+    del result  # frees the retained frames before the manifest's transport-norm quadrature
+    _write_manifest(out_dir, cfg, sol, text, dt, n_steps, "complete")
+    print(f"run complete: {n_steps} steps, {n_rows} diagnostics rows -> {out_dir}")
     return EXIT_OK
 
 
@@ -315,7 +326,11 @@ def sweep(plan_path: str, out_dir: str) -> int:
                     fh.write("t,radius_sim,radius_oracle,rel_err\n")
                     for t, rs, rr, e in err[1]:
                         fh.write(f"{t!r},{rs!r},{rr!r},{e!r}\n")
-            traj = load_trajectory(rung_dir, cfg)
+            try:
+                traj = load_trajectory(rung_dir, cfg)
+            except (GridError, OSError) as exc:
+                print(f"snapshot error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
             entry["fitted_c"], _ = fitted_monotonicity_c(traj)
             rep = measures.gronwall_check(traj, steps_between=traj.steps_between)
             entry["gronwall_margin"] = rep.sup_dt_g + 0.05 - rep.growth_rate
@@ -399,7 +414,11 @@ def diagnose(args) -> int:
         return EXIT_CONFIG
     traj = Trajectory(cfg)
     for path in args.snapshot:
-        f, t = read_field(path)
+        try:
+            f, t = read_field(path)
+        except (GridError, OSError) as exc:
+            print(f"snapshot error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         traj.times.append(t)
         traj.frames.append(f)
     order = np.argsort(traj.times, kind="stable")

@@ -127,6 +127,15 @@ class ScalarField:
         return cls(spec, np.asarray(fn(*mesh), dtype=np.float64) + np.zeros(spec.nodes))
 
     @classmethod
+    def from_checked(cls, spec: GridSpec, values: np.ndarray) -> "ScalarField":
+        """Wrap a C-contiguous float64 array of shape ``spec.nodes`` that the
+        caller has already scanned for non-finite entries, without rescanning."""
+        f = cls.__new__(cls)
+        f.spec = spec
+        f.values = values
+        return f
+
+    @classmethod
     def full(cls, spec: GridSpec, value: float) -> "ScalarField":
         return cls(spec, np.full(spec.nodes, float(value)))
 

@@ -91,21 +91,43 @@ class DoubleWell:
                 hi = mid
         return 0.5 * (lo + hi)
 
+    @cached_property
+    def _poly_derivs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ascending coefficients of W, W' and W'' (polynomial family)."""
+        c = np.asarray(self.coeffs)
+        cp = (c * np.arange(len(c)))[1:]
+        cpp = (cp * np.arange(len(cp)))[1:]
+        return c, cp, cpp
+
+    def wprime(self, s) -> np.ndarray:
+        """W'(s) alone, for the explicit step; ``eval`` takes its W' from here.
+
+        The quartic's -2 s (1 - s^2) is evaluated into two explicit arrays,
+        in the operation order of the expression. The expression itself
+        makes up to four field-sized temporaries, and on a 257^2 field the
+        fresh memory for them cost several times the arithmetic.
+        """
+        s = np.asarray(s, dtype=np.float64)
+        if self.family == "poly":
+            cp = self._poly_derivs[1]
+            return np.polynomial.polynomial.polyval(s, cp) if cp.size else np.zeros_like(s)
+        one_m = np.multiply(s, s, out=np.empty(s.shape))
+        np.subtract(1.0, one_m, out=one_m)
+        wp = np.multiply(s, -2.0, out=np.empty(s.shape))
+        wp *= one_m
+        return wp
+
     def eval(self, s):
         """(W, W', W'') at s; accepts scalars or arrays, total on all of R."""
         s = np.asarray(s, dtype=np.float64)
+        wp = self.wprime(s)
         if self.family == "quartic":
             one_m = 1.0 - s * s
             w = 0.5 * one_m * one_m
-            wp = -2.0 * s * one_m
             wpp = 6.0 * s * s - 2.0
         else:
-            c = np.asarray(self.coeffs)
-            k = np.arange(len(c))
-            cp = (c * k)[1:]
-            cpp = (cp * np.arange(len(cp)))[1:]
+            c, _cp, cpp = self._poly_derivs
             w = np.polynomial.polynomial.polyval(s, c)
-            wp = np.polynomial.polynomial.polyval(s, cp) if cp.size else np.zeros_like(s)
             wpp = np.polynomial.polynomial.polyval(s, cpp) if cpp.size else np.zeros_like(s)
         if s.ndim == 0:
             return float(w), float(wp), float(wpp)

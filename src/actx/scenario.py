@@ -66,6 +66,10 @@ class Transport:
         """Bound on |dt_g| over the box and time window."""
         raise NotImplementedError("transport is not a gradient field")
 
+    def sup_speed(self, spec: GridSpec, t0: float, t1: float) -> float:
+        """Bound on |u| over the box and time window (time-dependent transports)."""
+        raise NotImplementedError("transport has no analytic speed bound")
+
 
 @dataclass
 class ZeroTransport(Transport):
@@ -167,13 +171,16 @@ class RadialGradient(Transport):
         d = pts - np.asarray(self.center)
         return 0.5 * self.mod_amp * self.mod_freq * math.cos(self.mod_freq * t) * np.sum(d * d, axis=-1)
 
+    def _far2(self, spec: GridSpec) -> float:
+        """max |x - x0|^2 over the box, attained at a corner."""
+        return sum(max((c - l) ** 2, (c - h) ** 2) for c, l, h in zip(self.center, spec.lo, spec.hi))
+
     def sup_dt_g(self, spec, t0, t1):
-        far2 = max(
-            sum((c - l) ** 2 for c, l in zip(self.center, spec.lo)),
-            sum((c - h) ** 2 for c, h in zip(self.center, spec.hi)),
-            sum(max((c - l) ** 2, (c - h) ** 2) for c, l, h in zip(self.center, spec.lo, spec.hi)),
-        )
-        return 0.5 * abs(self.mod_amp * self.mod_freq) * far2
+        return 0.5 * abs(self.mod_amp * self.mod_freq) * self._far2(spec)
+
+    def sup_speed(self, spec, t0, t1):
+        """(|strength| + |mod_amp|) max |x - x0|: holds at every t, between samples too."""
+        return (abs(self.strength) + abs(self.mod_amp)) * math.sqrt(self._far2(spec))
 
 
 # ---------------------------------------------------------------------------

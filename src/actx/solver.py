@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .grid import ScalarField, VectorField, gradient, integrate, laplacian, write_field
+from .grid import ScalarField, VectorField, integrate, write_field
 from .interface import extract_interface, radius_estimate
 from .potential import DoubleWell
 from .scenario import ScenarioConfig, build_initial_phase
@@ -31,12 +31,28 @@ PHI_ABORT = 1.1  # just outside the wells' basin; past this the run is garbage
 
 
 class SolverAbort(RuntimeError):
-    """Instability: non-finite update or |phi| beyond the abort threshold."""
+    """Instability: non-finite update or |phi| beyond the abort threshold.
 
-    def __init__(self, step_index: int, location: tuple[int, ...], message: str):
+    ``t`` is the time the failed update would have reached and ``value`` the
+    |phi| at ``location`` (inf or nan for a non-finite node). ``run`` adds
+    the run's ``dt`` and ``n_steps`` before the exception leaves it.
+    """
+
+    def __init__(
+        self,
+        step_index: int,
+        location: tuple[int, ...],
+        message: str,
+        t: float = math.nan,
+        value: float = math.nan,
+    ):
         super().__init__(message)
         self.step_index = step_index
         self.location = location
+        self.t = t
+        self.value = value
+        self.dt = math.nan
+        self.n_steps = -1
 
 
 @dataclass
@@ -61,6 +77,7 @@ class SimState:
     t: float
     phi: ScalarField
     step_index: int
+    max_abs_phi: float = math.nan  # max |phi|, as measured by the step that made this state
 
 
 @dataclass
@@ -87,24 +104,75 @@ def stable_dt(h: float, eps: float, u_max: float, w: DoubleWell, n: int, cfl: fl
     )
 
 
-def _boundary_mask(shape: tuple[int, ...]) -> np.ndarray:
-    m = np.zeros(shape, dtype=bool)
-    for ax in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[ax] = 0
-        m[tuple(sl)] = True
-        sl[ax] = -1
-        m[tuple(sl)] = True
-    return m
+def _rhs(
+    f: np.ndarray, u: np.ndarray | None, h: float, eps: float, well: DoubleWell, out: np.ndarray
+) -> None:
+    """lap f - W'(f)/eps^2 - u . grad f on the nodes of ``f[1:-1]``, into the flat ``out``.
+
+    ``f[1:-1]`` (every node off the two axis-0 faces) is one contiguous run
+    of the flattened field, and its neighbours along axis k are the same run
+    shifted by +-stride_k, so every term is a contiguous 1D operation and no
+    ghost layer is built. The nodes of the other axes' faces in that run get
+    wrapped-around neighbours; the caller does not keep their values. The
+    operation order is that of ``grid.laplacian``, ``grid.gradient`` and
+    ``DoubleWell.eval``, so the interior values are bit-identical to
+    ``laplacian(f) - eval(f)[1] / (eps*eps) - np.sum(u * gradient(f), -1)``:
+    (-2n f + up_0 + dn_0 + up_1 + dn_1 ...) / h^2, then W' / (eps*eps), then
+    sum_k u_k (up_k - dn_k) / (2h) in axis order.
+    """
+    flat = f.reshape(-1)
+    steps = [st // f.itemsize for st in f.strides]
+    lo, hi = steps[0], flat.size - steps[0]
+    np.multiply(flat[lo:hi], -2.0 * f.ndim, out=out)
+    for st in steps:
+        out += flat[lo + st : hi + st]
+        out += flat[lo - st : hi - st]
+    out /= h**2
+    wp = well.wprime(flat[lo:hi])
+    wp /= eps * eps
+    out -= wp
+    del wp
+    if u is None:
+        return
+    uf = u.reshape(-1, f.ndim)[lo:hi]
+    acc = None
+    for ax, st in enumerate(steps):
+        g = np.subtract(flat[lo + st : hi + st], flat[lo - st : hi - st])
+        g /= 2.0 * h
+        g *= uf[:, ax]
+        if acc is None:
+            acc = g
+        else:
+            acc += g
+    out -= acc
 
 
-def _rhs(phi: ScalarField, u: VectorField | None, eps: float, well: DoubleWell) -> np.ndarray:
-    lap = laplacian(phi, -1.0)
-    out = lap.values - well.eval(phi.values)[1] / (eps * eps)
-    if u is not None:
-        g = gradient(phi, -1.0)
-        out -= np.sum(u.values * g.values, axis=-1)
-    return out
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| in two reductions and no temporary; nan if any entry is nan."""
+    return max(abs(float(a.max())), abs(float(a.min())))
+
+
+def _abort(state: SimState, vals: np.ndarray, t: float, midpoint: bool) -> SolverAbort:
+    """The abort for an update that failed the max |phi| check, at its first bad node."""
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        loc = tuple(int(v) for v in np.argwhere(bad)[0])
+        msg = (
+            f"non-finite midpoint at node {loc}"
+            if midpoint
+            else f"non-finite value at node {loc} after step {state.step_index}"
+        )
+        return SolverAbort(state.step_index, loc, msg, t, abs(float(vals[loc])))
+    worst = int(np.argmax(np.abs(vals)))
+    loc = tuple(int(v) for v in np.unravel_index(worst, vals.shape))
+    value = abs(float(vals.flat[worst]))
+    return SolverAbort(
+        state.step_index,
+        loc,
+        f"|phi| = {value:.4f} > {PHI_ABORT} at node {loc} after step {state.step_index}: stability lost",
+        t,
+        value,
+    )
 
 
 def step(
@@ -118,39 +186,40 @@ def step(
     """One explicit step; boundary nodes keep their current (initial-trace) values.
 
     ``u``/``u_mid`` are the velocity samples at t and t + dt/2 (midpoint rule);
-    omit them for transport-free runs. Aborts with the step index and worst
-    node when the update leaves the physical range.
+    omit them for transport-free runs. The input state is not modified. Each
+    update is written into a fresh copy of phi, so the boundary nodes carry
+    over untouched, and is checked by one max |phi| scan, which the returned
+    state keeps as ``max_abs_phi``. Aborts with the step index and the first
+    non-finite (else the largest) node when the update leaves the physical
+    range; the rk2 midpoint is only checked for non-finite values.
     """
-    phi = state.phi
-    bmask = _boundary_mask(phi.values.shape)
-    if scheme == "euler":
-        new = phi.values + dt * _rhs(phi, u, cfg.epsilon, cfg.well)
-    else:
-        k1 = _rhs(phi, u, cfg.epsilon, cfg.well)
-        mid_vals = phi.values + 0.5 * dt * k1
-        mid_vals[bmask] = phi.values[bmask]
-        if not np.all(np.isfinite(mid_vals)):
-            loc = tuple(int(v) for v in np.argwhere(~np.isfinite(mid_vals))[0])
-            raise SolverAbort(state.step_index, loc, f"non-finite midpoint at node {loc}")
-        mid = ScalarField(phi.spec, mid_vals)
-        k2 = _rhs(mid, u_mid if u_mid is not None else u, cfg.epsilon, cfg.well)
-        new = phi.values + dt * k2
-    new[bmask] = phi.values[bmask]
+    v = state.phi.values
+    h, eps, well = state.phi.spec.h, cfg.epsilon, cfg.well
 
-    bad = ~np.isfinite(new)
-    if np.any(bad):
-        loc = tuple(int(v) for v in np.argwhere(bad)[0])
-        raise SolverAbort(state.step_index, loc, f"non-finite value at node {loc} after step {state.step_index}")
-    worst = int(np.argmax(np.abs(new)))
-    loc = tuple(int(v) for v in np.unravel_index(worst, new.shape))
-    if abs(new.flat[worst]) > PHI_ABORT:
-        raise SolverAbort(
-            state.step_index,
-            loc,
-            f"|phi| = {abs(new.flat[worst]):.4f} > {PHI_ABORT} at node {loc} after step "
-            f"{state.step_index}: stability lost",
-        )
-    return SimState(state.t + dt, ScalarField(phi.spec, new), state.step_index + 1)
+    def update(f: np.ndarray, vel: VectorField | None, scale: float) -> np.ndarray:
+        """phi + scale * rhs(f) on the interior, phi on the boundary."""
+        out = v.copy()
+        r = out[1:-1].reshape(-1)
+        _rhs(f, None if vel is None else vel.values, h, eps, well, r)
+        r *= scale
+        r += v[1:-1].reshape(-1)
+        for ax in range(1, v.ndim):  # the faces that _rhs swept along with the interior
+            for face in (0, -1):
+                sl = (slice(None),) * ax + (face,)
+                out[sl] = v[sl]
+        return out
+
+    f = v
+    if scheme != "euler":
+        f = update(v, u, 0.5 * dt)
+        if not math.isfinite(_max_abs(f)):
+            raise _abort(state, f, state.t + 0.5 * dt, midpoint=True)
+        u = u_mid if u_mid is not None else u
+    new = update(f, u, dt)
+    m = _max_abs(new)
+    if not m <= PHI_ABORT:  # also catches nan and inf
+        raise _abort(state, new, state.t + dt, midpoint=False)
+    return SimState(state.t + dt, ScalarField.from_checked(state.phi.spec, new), state.step_index + 1, m)
 
 
 @dataclass
@@ -183,14 +252,13 @@ def _default_probe(cfg: ScenarioConfig, phi0: ScalarField) -> measures.HuiskenPr
     return probe_at(cfg, [mesh[idx] for mesh in cfg.grid.meshgrid()])
 
 
-def _sample_umax(cfg: ScenarioConfig, n_times: int = 9) -> float:
-    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
-    worst = 0.0
-    times = [0.0] if not cfg.transport.time_dependent else np.linspace(0.0, cfg.t_end, n_times)
-    for t in times:
-        u = cfg.transport.velocity(pts, float(t))
-        worst = max(worst, float(np.max(np.sqrt(np.sum(u * u, axis=-1)))))
-    return worst
+def _sup_speed(cfg: ScenarioConfig) -> float:
+    """sup |u| for the advective limit: sampled on the nodes for a static
+    transport, the transport's analytic bound over [0, T] otherwise."""
+    if cfg.transport.time_dependent:
+        return cfg.transport.sup_speed(cfg.grid, 0.0, cfg.t_end)
+    u = cfg.transport.velocity(np.stack(cfg.grid.meshgrid(), axis=-1), 0.0)
+    return float(np.max(np.sqrt(np.sum(u * u, axis=-1))))
 
 
 def run(
@@ -207,7 +275,7 @@ def run(
     """
     solver = solver or SolverConfig()
     phi0 = build_initial_phase(cfg)
-    u_max = _sample_umax(cfg)
+    u_max = _sup_speed(cfg)
     dt0 = stable_dt(cfg.grid.h, cfg.epsilon, u_max, cfg.well, cfg.grid.dim, solver.cfl)
     d = solver.diag_every
     n_steps = d * math.ceil(cfg.t_end / (dt0 * d))
@@ -312,13 +380,16 @@ def run(
                 u = static_u
                 u_mid = static_u
             state = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=solver.scheme)
-            running_max = max(running_max, float(np.max(np.abs(state.phi.values))))
+            running_max = max(running_max, state.max_abs_phi)
             if k % d == 0:
                 traj.append(state.t, state.phi)
                 rows.append(make_row(state, running_max))
-                running_max = float(np.max(np.abs(state.phi.values)))
+                running_max = state.max_abs_phi
             if (solver.snap_every and k % solver.snap_every == 0) or k == n_steps:
                 snapshot(state)
+    except SolverAbort as exc:
+        exc.dt, exc.n_steps = dt, n_steps
+        raise
     finally:  # an abort flushes the rows computed so far
         if out_dir is not None:
             _write_rows(out_dir, rows)

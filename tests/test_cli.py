@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from actx.cli import emit_report, load_experiment, load_trajectory, main, read_rows
+from actx.cli import _parse_manifest, emit_report, load_experiment, load_trajectory, main, read_rows
 from actx.measures import DiagnosticsRow
 
 CONFIG = """\
@@ -104,10 +104,24 @@ class TestRunCommand:
         p.write_text(CONFIG)
         out = tmp_path / "art"
         assert main(["run", "--config", str(p), "--out", str(out)]) == 2
-        assert "abort" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "abort" in err
         assert (out / "diagnostics.csv").exists()  # partial rows flushed
         text, _passed, _total = emit_report(str(out))
         assert "INCOMPLETE" in text
+        meta, files, _ = _parse_manifest(str(out / "run-manifest"))
+        # the real schedule: T = 0.004 in one diagnostics interval of 50 steps
+        assert int(meta["n_steps"]) == 50
+        dt = float(meta["dt"])
+        assert dt == 0.004 / 50
+        step_index = int(meta["abort_step"])
+        assert 0 <= step_index < 50
+        node = tuple(int(v) for v in meta["abort_node"].split())
+        assert len(node) == 2 and all(0 < i < 96 for i in node)
+        assert f"node {node}" in err and f"step {step_index}" in err
+        assert float(meta["abort_t"]) == pytest.approx((step_index + 1) * dt, rel=1e-12)
+        assert not float(meta["abort_abs_phi"]) <= 1.1
+        assert "diagnostics.csv" in {rel for _, rel in files}
 
     def test_manifest_lists_every_file_with_hash(self, artifact):
         _, _, out = artifact
@@ -176,6 +190,28 @@ class TestSweepCommand:
         table = (out / "sweep.csv").read_text().splitlines()
         assert table[2].split(",")[4] == "n/a"
 
+    def test_corrupt_snapshot_exits_one(self, tmp_path, monkeypatch, capsys):
+        import actx.cli
+
+        run_rung = actx.cli._run_rung
+
+        def run_then_truncate(job):
+            code = run_rung(job)
+            snap = sorted(os.listdir(os.path.join(job[1], "snapshots")))[-1]
+            path = os.path.join(job[1], "snapshots", snap)
+            with open(path, "rb") as fh:
+                head = fh.read(2000)
+            with open(path, "wb") as fh:
+                fh.write(head)
+            return code
+
+        monkeypatch.setattr(actx.cli, "_run_rung", run_then_truncate)
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN.replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
+        assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "rung_0128" in err[0] and "truncated payload" in err[0]
+
     def test_plan_needs_two_rungs(self, tmp_path, capsys):
         plan = tmp_path / "plan.cfg"
         plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 128"))
@@ -209,6 +245,14 @@ class TestDiagnoseCommand:
         out_text = capsys.readouterr().out
         assert "density_ratio_max" in out_text
         assert "monotonicity" in out_text
+
+    def test_corrupt_snapshot_exits_one(self, artifact, tmp_path, capsys):
+        _, cfg_path, out = artifact
+        bad = tmp_path / "bad.afld"
+        bad.write_bytes(sorted((out / "snapshots").iterdir())[0].read_bytes()[:2000])
+        assert main(["diagnose", "--config", str(cfg_path), "--snapshot", str(bad)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(bad) in err[0] and "truncated payload" in err[0]
 
 
 class TestLoadTrajectory:
