@@ -236,8 +236,7 @@ def fitted_monotonicity_c(traj: Trajectory, count: int = 10) -> tuple[float, lis
     """
     cfg = traj.cfg
     cs = []
-    for probe in interface_probes(traj, count):
-        rep = measures.monotonicity_check(traj, probe, cfg.tau, cfg.t_end)
+    for rep in measures.monotonicity_check(traj, interface_probes(traj, count), cfg.tau, cfg.t_end):
         if rep.tail_factor > 0:
             cs.append(max(0.0, (rep.residual - 0.05 * abs(rep.scale)) / rep.tail_factor))
         else:
@@ -440,7 +439,7 @@ def diagnose(args) -> int:
     if probe is not None and len(traj.times) >= 2:
         t0 = args.t0 if args.t0 is not None else traj.times[0]
         t1 = args.t1 if args.t1 is not None else traj.times[-1]
-        rep = measures.monotonicity_check(traj, probe, t0, t1)
+        (rep,) = measures.monotonicity_check(traj, [probe], t0, t1)
         print(
             f"monotonicity [{rep.t0!r},{rep.t1!r}]: lhs={rep.lhs!r} "
             f"transport={rep.transport_term!r} discrepancy={rep.discrepancy_term!r} "

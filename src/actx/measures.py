@@ -6,10 +6,11 @@ its two halves, ball density ratios, truncated backward heat kernels and the
 near-monotonicity of their energy integrals, transport/velocity space-time
 integrals, a Meyers-Ziemer ratio probe, and weighted-energy growth checks.
 
-Per-frame quantities are computed once: ``frame_fields`` (one gradient, one
-well evaluation, the Laplacian only for the drive) plus the per-frame scalars
+Per-frame quantities are computed once: ``frame_fields`` (one gradient, W,
+and W' with the Laplacian only for the drive) plus the per-frame scalars
 built on it. The rows of ``solver.run``, ``actx diagnose`` and the windowed
-checks (trapezoids over retained frames) all share this computation.
+checks (trapezoids over retained frames) all share this computation;
+``monotonicity_check`` builds each frame's fields once for all its probes.
 
 Ball-mass sweeps over node lattices run through FFT convolution with hard
 disk kernels, which reproduces the direct node-counting ball integral up to
@@ -25,9 +26,9 @@ from dataclasses import astuple, dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
-from .grid import GridSpec, ScalarField, ball_integrate, gradient, integrate, laplacian
+from .grid import GridSpec, ScalarField, ball_integrate, gradient, integrate, laplacian, sum_sq
 from .potential import DoubleWell, _smoothstep
 
 if TYPE_CHECKING:
@@ -64,14 +65,13 @@ class FrameFields:
 def frame_fields(
     phi: ScalarField, eps: float, well: DoubleWell, drive: bool = False
 ) -> FrameFields:
-    """One gradient and one well evaluation; the Laplacian only with ``drive``.
+    """One gradient and W; W' and the Laplacian only with ``drive``.
 
     The gradient and the two halves are released before the Laplacian runs.
     """
-    grad_half = 0.5 * eps * np.sum(gradient(phi, None).values**2, axis=-1)
-    w, wp = well.eval(phi.values)[:2]
-    well_half = w / eps
-    del w
+    grad_half = 0.5 * eps * sum_sq(gradient(phi, None).values)
+    well_half = well.w(phi.values)
+    well_half /= eps
     out = FrameFields(
         eps,
         ScalarField(phi.spec, grad_half + well_half),
@@ -79,7 +79,7 @@ def frame_fields(
     )
     if drive:
         del grad_half, well_half
-        out.drive = laplacian(phi, -1.0).values - wp / eps**2
+        out.drive = laplacian(phi, -1.0).values - well.wprime(phi.values) / eps**2
     return out
 
 
@@ -109,7 +109,7 @@ def velocity_sq(fields: FrameFields, region: tuple[Sequence[float], Sequence[flo
 def speed_sq(transport: "Transport", pts: np.ndarray, t: float) -> np.ndarray | None:
     """|u|^2 at the nodes ``pts`` (shape nodes + (dim,)) and time t; None if u vanishes."""
     u = transport.velocity(pts, t)
-    return np.sum(u * u, axis=-1) if np.any(u) else None
+    return sum_sq(u) if np.any(u) else None
 
 
 def gronwall_weight(transport: "Transport", pts: np.ndarray, t: float) -> np.ndarray:
@@ -191,10 +191,24 @@ def _disk_kernel(spec: GridSpec, radius: float) -> np.ndarray:
     return (d2 < radius**2 * (1.0 - 1e-12)).astype(np.float64)
 
 
+def _convolve_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Linear convolution of a with k, cropped centred to a's shape (a view).
+
+    The same ``scipy.fft`` calls as ``scipy.signal.fftconvolve(a, k, mode="same")``,
+    so the same bits, without importing ``scipy.signal``.
+    """
+    full = [n + m - 1 for n, m in zip(a.shape, k.shape)]
+    fshape = [sp_fft.next_fast_len(n, True) for n in full]
+    axes = list(range(a.ndim))
+    prod = sp_fft.rfftn(a, fshape, axes=axes) * sp_fft.rfftn(k, fshape, axes=axes)
+    conv = sp_fft.irfftn(prod, fshape, axes=axes)
+    return conv[tuple(slice((n - m) // 2, (n - m) // 2 + m) for n, m in zip(full, a.shape))]
+
+
 def ball_masses(measure: EnergyMeasure, radius: float) -> np.ndarray:
     """mu(B_radius(x)) for every node x simultaneously (balls clipped at the box)."""
     kern = _disk_kernel(measure.spec, radius)
-    conv = fftconvolve(measure.density.values, kern, mode="same")
+    conv = _convolve_same(measure.density.values, kern)
     return conv * measure.spec.h**measure.spec.dim
 
 
@@ -466,35 +480,46 @@ def _window_series(traj: "Trajectory", t0: float, t1: float, per_frame, drive: b
 
 
 def monotonicity_check(
-    traj: "Trajectory", probe: HuiskenProbe, t0: float, t1: float
-) -> MonotonicityReport:
-    """Evaluate the kernel-energy inequality over [t0, t1] for one probe.
+    traj: "Trajectory", probes: Sequence[HuiskenProbe], t0: float, t1: float
+) -> list[MonotonicityReport]:
+    """Evaluate the kernel-energy inequality over [t0, t1], one report per probe.
 
     Trapezoid quadrature of ``kernel_terms`` on the retained-frame schedule;
     the discrepancy term uses the signed discrepancy, and the tail term is
     the kernel-cutoff leakage factor integral exp(-1/(128(s-t))) mu_t(B_{1/4}(y)) dt.
+    Each frame's fields and |u|^2 are built once and shared by all probes.
     """
     cfg = traj.cfg
-    probe.validate(cfg.grid)
-    if not t0 < t1 < probe.s:
-        raise MeasureError(f"need t0 < t1 < s, got {t0:g}, {t1:g}, {probe.s:g}")
+    if not probes:
+        raise MeasureError("monotonicity check needs at least one probe")
+    for probe in probes:
+        probe.validate(cfg.grid)
+        if not t0 < t1 < probe.s:
+            raise MeasureError(f"need t0 < t1 < s, got {t0:g}, {t1:g}, {probe.s:g}")
     pts = np.stack(cfg.grid.meshgrid(), axis=-1)
 
     def per_frame(t, ff):
-        leak = math.exp(-1.0 / (128.0 * (probe.s - t)))
-        mass = ball_integrate(ff.density, probe.y, 0.25, clip_ok=True)
-        return kernel_terms(ff, probe, t, speed_sq(cfg.transport, pts, t)) + (leak * mass,)
+        u2 = speed_sq(cfg.transport, pts, t)
+        rows = []
+        for probe in probes:
+            leak = math.exp(-1.0 / (128.0 * (probe.s - t)))
+            mass = ball_integrate(ff.density, probe.y, 0.25, clip_ok=True)
+            rows.append(kernel_terms(ff, probe, t, u2) + (leak * mass,))
+        return rows
 
-    times, vals = _window_series(traj, t0, t1, per_frame)
-    return MonotonicityReport(
-        t0=float(times[0]),
-        t1=float(times[-1]),
-        lhs=float(vals[-1, 0] - vals[0, 0]),
-        transport_term=float(np.trapezoid(vals[:, 1], times)),
-        discrepancy_term=float(np.trapezoid(vals[:, 2], times)),
-        tail_factor=float(np.trapezoid(vals[:, 3], times)),
-        scale=float(np.max(vals[:, 0])),
-    )
+    times, vals = _window_series(traj, t0, t1, per_frame)  # (frame, probe, term)
+    return [
+        MonotonicityReport(
+            t0=float(times[0]),
+            t1=float(times[-1]),
+            lhs=float(v[-1, 0] - v[0, 0]),
+            transport_term=float(np.trapezoid(v[:, 1], times)),
+            discrepancy_term=float(np.trapezoid(v[:, 2], times)),
+            tail_factor=float(np.trapezoid(v[:, 3], times)),
+            scale=float(np.max(v[:, 0])),
+        )
+        for v in (vals[:, j] for j in range(len(probes)))
+    ]
 
 
 def transport_kernel_integral(

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 PSI_BLEND_START = 8.0
 PSI_CUT = 10.0
@@ -117,17 +116,31 @@ class DoubleWell:
         wp *= one_m
         return wp
 
+    def w(self, s) -> np.ndarray:
+        """W(s) alone, for the per-frame diagnostics; ``eval`` takes its W from here.
+
+        The quartic's (1 - s^2)^2 / 2 is evaluated as 0.5 (1 - s^2) (1 - s^2)
+        into two explicit arrays, in the operation order of the expression,
+        for the same reason as ``wprime``.
+        """
+        s = np.asarray(s, dtype=np.float64)
+        if self.family == "poly":
+            return np.polynomial.polynomial.polyval(s, self._poly_derivs[0])
+        one_m = np.multiply(s, s, out=np.empty(s.shape))
+        np.subtract(1.0, one_m, out=one_m)
+        w = np.multiply(one_m, 0.5, out=np.empty(s.shape))
+        w *= one_m
+        return w
+
     def eval(self, s):
         """(W, W', W'') at s; accepts scalars or arrays, total on all of R."""
         s = np.asarray(s, dtype=np.float64)
+        w = self.w(s)
         wp = self.wprime(s)
         if self.family == "quartic":
-            one_m = 1.0 - s * s
-            w = 0.5 * one_m * one_m
             wpp = 6.0 * s * s - 2.0
         else:
-            c, _cp, cpp = self._poly_derivs
-            w = np.polynomial.polynomial.polyval(s, c)
+            cpp = self._poly_derivs[2]
             wpp = np.polynomial.polynomial.polyval(s, cpp) if cpp.size else np.zeros_like(s)
         if s.ndim == 0:
             return float(w), float(wp), float(wpp)
@@ -273,6 +286,8 @@ def validate_conditions(w: DoubleWell, samples: int = 10_000) -> WellReport:
 
 def surface_tension(w: DoubleWell) -> float:
     """sigma = integral of sqrt(2W) over [-1,1], relative error <= 1e-8."""
+    from scipy.integrate import quad  # local, so importing actx does not load scipy.integrate
+
     val, err = quad(lambda s: np.sqrt(max(2.0 * w.eval(s)[0], 0.0)), -1.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
     if val <= 0.0 or err > 1e-8 * val:
         raise PotentialError(f"surface tension quadrature did not converge (value {val}, err {err})")

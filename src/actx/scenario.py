@@ -8,8 +8,10 @@ the +1 phase inside the shape.
 
 Transport fields come from a small analytic catalog (zero, constant,
 rotation, radial gradient with optional sinusoidal time modulation); velocity
-and Jacobian are evaluated in closed form, never by differencing. Gradient
-entries also expose g and dt_g so weighted-energy diagnostics can reuse them.
+and Jacobian are evaluated in closed form, never by differencing. Every entry
+is affine, so its Jacobian is one n x n matrix, returned with singleton node
+axes that broadcast against the grid. Gradient entries also expose g and dt_g
+so weighted-energy diagnostics can reuse them.
 
 Config files are flat ``key = value`` text with shapes and transports given
 as s-expressions, e.g. ``shape = (union (ball 0.5 0.5 0.25) (box 0 0 1 1))``.
@@ -22,7 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, integrate
+from .grid import GridSpec, ScalarField, VectorField, integrate, sum_sq
 from .potential import DoubleWell, _smoothstep, profile_psi
 from .shapes import Ball, Box, Complement, HalfSpace, Intersection, Shape, Union
 
@@ -54,6 +56,7 @@ class Transport:
         raise NotImplementedError
 
     def jacobian(self, pts: np.ndarray, t: float) -> np.ndarray:
+        """grad u at the nodes: shape pts.shape[:-1] + (n, n), or broadcastable to it."""
         raise NotImplementedError
 
     def g(self, pts: np.ndarray, t: float) -> np.ndarray:
@@ -71,6 +74,11 @@ class Transport:
         raise NotImplementedError("transport has no analytic speed bound")
 
 
+def _constant_jacobian(pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """The n x n matrix jac with one singleton axis per node axis of pts."""
+    return jac.reshape((1,) * (pts.ndim - 1) + jac.shape)
+
+
 @dataclass
 class ZeroTransport(Transport):
     is_gradient = True
@@ -79,8 +87,7 @@ class ZeroTransport(Transport):
         return np.zeros_like(pts)
 
     def jacobian(self, pts, t):
-        n = pts.shape[-1]
-        return np.zeros(pts.shape[:-1] + (n, n))
+        return _constant_jacobian(pts, np.zeros((pts.shape[-1],) * 2))
 
     def g(self, pts, t):
         return np.zeros(pts.shape[:-1])
@@ -103,8 +110,7 @@ class ConstantTransport(Transport):
         return np.broadcast_to(np.asarray(self.vector), pts.shape).copy()
 
     def jacobian(self, pts, t):
-        n = pts.shape[-1]
-        return np.zeros(pts.shape[:-1] + (n, n))
+        return _constant_jacobian(pts, np.zeros((pts.shape[-1],) * 2))
 
     def g(self, pts, t):
         return np.sum(pts * np.asarray(self.vector), axis=-1)
@@ -130,10 +136,7 @@ class RotationTransport(Transport):
         return self.omega * np.stack([d[..., 1], -d[..., 0]], axis=-1)
 
     def jacobian(self, pts, t):
-        j = np.zeros(pts.shape[:-1] + (2, 2))
-        j[..., 0, 1] = self.omega
-        j[..., 1, 0] = -self.omega
-        return j
+        return _constant_jacobian(pts, np.array([[0.0, self.omega], [-self.omega, 0.0]]))
 
 
 @dataclass
@@ -156,20 +159,32 @@ class RadialGradient(Transport):
     def _m(self, t: float) -> float:
         return self.strength + self.mod_amp * math.sin(self.mod_freq * t)
 
+    def _offset(self, pts: np.ndarray) -> np.ndarray:
+        """x - x0, formed one axis at a time (a broadcast over the short
+        component axis costs several times the subtraction)."""
+        if len(self.center) != pts.shape[-1]:
+            raise ConfigError(
+                f"radial transport center {self.center} does not match dim {pts.shape[-1]}"
+            )
+        d = np.empty(pts.shape)
+        for k, c in enumerate(self.center):
+            np.subtract(pts[..., k], c, out=d[..., k])
+        return d
+
     def velocity(self, pts, t):
-        return self._m(t) * (pts - np.asarray(self.center))
+        u = self._offset(pts)
+        u *= self._m(t)
+        return u
 
     def jacobian(self, pts, t):
-        n = pts.shape[-1]
-        return self._m(t) * np.broadcast_to(np.eye(n), pts.shape[:-1] + (n, n)).copy()
+        return _constant_jacobian(pts, self._m(t) * np.eye(pts.shape[-1]))
 
     def g(self, pts, t):
-        d = pts - np.asarray(self.center)
-        return 0.5 * self._m(t) * np.sum(d * d, axis=-1)
+        return 0.5 * self._m(t) * sum_sq(self._offset(pts))
 
     def dt_g(self, pts, t):
-        d = pts - np.asarray(self.center)
-        return 0.5 * self.mod_amp * self.mod_freq * math.cos(self.mod_freq * t) * np.sum(d * d, axis=-1)
+        d2 = sum_sq(self._offset(pts))
+        return 0.5 * self.mod_amp * self.mod_freq * math.cos(self.mod_freq * t) * d2
 
     def _far2(self, spec: GridSpec) -> float:
         """max |x - x0|^2 over the box, attained at a corner."""
@@ -310,7 +325,7 @@ def build_transport(cfg: ScenarioConfig, t: float, check_bounds: bool = True) ->
     pts = np.stack(cfg.grid.meshgrid(), axis=-1)
     u = cfg.transport.velocity(pts, t)
     if check_bounds:
-        sup_u = float(np.max(np.sqrt(np.sum(u * u, axis=-1))))
+        sup_u = float(np.max(np.sqrt(sum_sq(u))))
         jac = cfg.transport.jacobian(pts, t)
         sup_ju = float(np.max(np.sqrt(np.sum(jac * jac, axis=(-2, -1)))))
         cap_u = cfg.epsilon ** (-cfg.beta)
@@ -348,7 +363,7 @@ def transport_bounds_report(cfg: ScenarioConfig, n_samples: int = 17) -> Transpo
     for t in np.linspace(0.0, cfg.t_end, n_samples):
         u = cfg.transport.velocity(pts, float(t))
         jac = cfg.transport.jacobian(pts, float(t))
-        su = float(np.max(np.sqrt(np.sum(u * u, axis=-1))))
+        su = float(np.max(np.sqrt(sum_sq(u))))
         sj = float(np.max(np.sqrt(np.sum(jac * jac, axis=(-2, -1)))))
         sup_u = max(sup_u, su)
         sup_ju = max(sup_ju, sj)
@@ -374,7 +389,7 @@ def transport_norm(cfg: ScenarioConfig, time_samples: int = 65) -> float:
         u = cfg.transport.velocity(pts, t)
         jac = cfg.transport.jacobian(pts, t)
         dens = (
-            np.sqrt(np.sum(u * u, axis=-1)) ** cfg.p
+            np.sqrt(sum_sq(u)) ** cfg.p
             + np.sqrt(np.sum(jac * jac, axis=(-2, -1))) ** cfg.p
         )
         return integrate(ScalarField(cfg.grid, dens)) ** (1.0 / cfg.p)

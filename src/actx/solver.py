@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .grid import ScalarField, VectorField, integrate, write_field
+from .grid import ScalarField, VectorField, integrate, sum_sq, write_field
 from .interface import extract_interface, radius_estimate
 from .potential import DoubleWell
 from .scenario import ScenarioConfig, build_initial_phase
@@ -258,7 +258,7 @@ def _sup_speed(cfg: ScenarioConfig) -> float:
     if cfg.transport.time_dependent:
         return cfg.transport.sup_speed(cfg.grid, 0.0, cfg.t_end)
     u = cfg.transport.velocity(np.stack(cfg.grid.meshgrid(), axis=-1), 0.0)
-    return float(np.max(np.sqrt(np.sum(u * u, axis=-1))))
+    return float(np.max(np.sqrt(sum_sq(u))))
 
 
 def run(

@@ -53,10 +53,11 @@ def probe_constants(cfg, res, count: int = 10):
     ang = np.arctan2(verts[:, 1] - cen[1], verts[:, 0] - cen[0])
     order = np.argsort(ang, kind="stable")
     picks = [order[int(round(i * len(order) / count)) % len(order)] for i in range(count)]
+    probes = [
+        HuiskenProbe(tuple(float(v) for v in verts[i]), cfg.t_end + 0.01, 0.0875, 0.175) for i in picks
+    ]
     cs, floors, holds = [], [], []
-    for i in picks:
-        probe = HuiskenProbe(tuple(float(v) for v in verts[i]), cfg.t_end + 0.01, 0.0875, 0.175)
-        rep = monotonicity_check(res.trajectory, probe, cfg.tau, cfg.t_end)
+    for rep in monotonicity_check(res.trajectory, probes, cfg.tau, cfg.t_end):
         floor = 0.05 * abs(rep.scale) / rep.tail_factor if rep.tail_factor > 0 else 0.0
         req = max(0.0, (rep.residual - 0.05 * abs(rep.scale)) / rep.tail_factor) if rep.tail_factor > 0 else 0.0
         cs.append(req)

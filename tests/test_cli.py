@@ -294,3 +294,28 @@ class TestRowsCsv:
         row = DiagnosticsRow(0.1, 1.5, 2.5, -0.25, 0.0, 0.0, 0.2, -1e-5, 1.4, 33.0, 1.0)
         again = DiagnosticsRow.from_csv_line(row.to_csv_line())
         assert again == row
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_neither_scipy_signal_nor_integrate(self):
+        # a fresh interpreter: importing the CLI loads numpy and scipy.fft only;
+        # surface_tension brings scipy.integrate in through its local import
+        import subprocess
+        import sys
+
+        import actx
+
+        code = (
+            "import sys\n"
+            "import actx.cli\n"
+            "heavy = ('scipy.signal', 'scipy.integrate')\n"
+            "print(sorted(m for m in sys.modules if m.startswith(heavy)))\n"
+            "from actx.potential import DoubleWell, surface_tension\n"
+            "print(round(surface_tension(DoubleWell.quartic()), 12))\n"
+            "print('scipy.integrate' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(actx.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+        assert out == ["[]", repr(round(4.0 / 3.0, 12)), "True"]

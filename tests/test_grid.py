@@ -1,5 +1,7 @@
 """Grid operators against stencil-exact cases, analytic oracles, and invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from actx.grid import (
     integrate,
     laplacian,
     read_field,
+    sum_sq,
     write_field,
 )
 
@@ -151,6 +154,67 @@ class TestIntegrate:
     def test_region_outside_domain_rejected(self):
         with pytest.raises(GridError):
             integrate(ScalarField.full(SPEC, 1.0), region=((0, 0), (2, 1)))
+
+    @staticmethod
+    def _weight_vector_form(f, region):
+        """The former integrate: the sub-box times [1/2, 1, ..., 1, 1/2] along each axis."""
+        spec = f.spec
+        axes = spec.axes()
+        if region is None:
+            windows = [(0, c) for c in spec.cells]
+        else:
+            windows = []
+            for k in range(spec.dim):
+                tol = 1e-9 * spec.h
+                idx = np.nonzero((axes[k] >= region[0][k] - tol) & (axes[k] <= region[1][k] + tol))[0]
+                if idx.size <= 1:
+                    return 0.0
+                windows.append((int(idx[0]), int(idx[-1])))
+        total = f.values[tuple(slice(a, b + 1) for a, b in windows)].copy()
+        for k, (a, b) in enumerate(windows):
+            w = np.ones(b - a + 1)
+            w[0] = 0.5
+            w[-1] = 0.5
+            shape = [1] * spec.dim
+            shape[k] = w.size
+            total = total * w.reshape(shape)
+        return float(np.sum(total) * spec.h**spec.dim)
+
+    @given(
+        cells=st.lists(st.integers(1, 24), min_size=2, max_size=3),
+        fracs=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+        full=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_as_weight_vector_form(self, cells, fracs, full, seed):
+        # in-place halving of the edge slices against the per-axis weight vectors,
+        # over the full box and over sub-boxes, in 2D and 3D
+        h = 0.1
+        dim = len(cells)
+        spec = GridSpec(dim, (-0.3,) * dim, tuple(-0.3 + c * h for c in cells), tuple(cells))
+        f = ScalarField(spec, np.random.default_rng(seed).standard_normal(spec.nodes))
+        region = None
+        if not full:
+            ends = [sorted(fracs[2 * k : 2 * k + 2]) for k in range(dim)]
+            region = tuple(
+                tuple(spec.lo[k] + e[j] * (spec.hi[k] - spec.lo[k]) for k, e in enumerate(ends))
+                for j in (0, 1)
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # regions without two nodes per axis integrate to 0.0
+            assert integrate(f, region) == self._weight_vector_form(f, region)
+
+
+class TestSumSq:
+    @pytest.mark.parametrize("shape", [(7, 2), (33, 17, 2), (9, 8, 7, 3)])
+    def test_same_bits_as_numpy_sum(self, shape):
+        v = np.random.default_rng(len(shape)).standard_normal(shape) * 1e3
+        assert np.array_equal(sum_sq(v), np.sum(v * v, axis=-1))
+
+    def test_vector_magnitude(self):
+        u = VectorField.sample(SPEC, lambda x, y: (x - 0.3, 2.0 * y))
+        assert np.array_equal(u.magnitude(), np.sqrt(np.sum(u.values**2, axis=-1)))
 
 
 class TestBallIntegrate:

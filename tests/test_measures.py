@@ -1,6 +1,7 @@
 """Diagnostics: discrepancy, density ratios, kernels, inequalities, weighted energy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from actx.measures import (
 from actx.potential import DoubleWell, surface_tension
 from actx.solver import Trajectory
 
-from conftest import CENTER, INSET, L
+from conftest import CENTER, INSET, L, circle_config
 
 WELL = DoubleWell.quartic()
 SPEC = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (128, 128))
@@ -74,7 +75,7 @@ class TestDiscrepancy:
         assert velocity_l2(traj, 0.0, cfg.t_end) == np.trapezoid(per_frame, traj.times)
 
         for prev, row in zip(res.rows, res.rows[1:]):
-            rep = monotonicity_check(traj, res.probe, prev.t, row.t)
+            (rep,) = monotonicity_check(traj, [res.probe], prev.t, row.t)
             assert (rep.t0, rep.t1) == (prev.t, row.t)
             assert rep.residual == pytest.approx(row.monotonicity_residual, rel=1e-12)
 
@@ -144,6 +145,24 @@ class TestDensityRatio:
             c = (idx[0] / 128, idx[1] / 128)
             direct = ball_integrate(mu.density, c, 0.125, clip_ok=True)
             assert masses[idx] == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("dim, cells", [(2, 128), (3, 32)])
+    def test_fft_same_bits_as_scipy_fftconvolve(self, dim, cells):
+        from scipy.signal import fftconvolve
+
+        from actx.measures import _disk_kernel, dyadic_radii
+
+        spec = GridSpec(dim, (0.0,) * dim, (1.0,) * dim, (cells,) * dim)
+        eps = 6.0 / cells
+        phi = ScalarField.sample(
+            spec, lambda *x: np.tanh((0.3 - np.sqrt(sum((c - 0.45) ** 2 for c in x))) / eps)
+        )
+        mu = EnergyMeasure.from_phase(phi, eps, WELL)
+        radii = dyadic_radii(spec, 0.5)
+        assert radii[0] == 2.0 * spec.h and len(radii) >= 4
+        for r in radii:
+            ref = fftconvolve(mu.density.values, _disk_kernel(spec, r), mode="same") * spec.h**dim
+            assert np.array_equal(ball_masses(mu, r), ref), r
 
     def test_small_radii_rejected(self):
         mu = EnergyMeasure.from_phase(flat_field(), EPS, WELL)
@@ -226,7 +245,7 @@ class TestMonotonicity:
         for t in (cfg.tau, cfg.tau + 0.002, cfg.tau + 0.004):
             traj.append(t, ScalarField.full(cfg.grid, 1.0))
         probe = HuiskenProbe(CENTER, cfg.tau + 0.02, 0.0875, 0.175)
-        rep = monotonicity_check(traj, probe, cfg.tau, cfg.tau + 0.004)
+        (rep,) = monotonicity_check(traj, [probe], cfg.tau, cfg.tau + 0.004)
         assert rep.lhs == pytest.approx(0.0, abs=1e-14)
         assert rep.residual == pytest.approx(0.0, abs=1e-14)
 
@@ -246,13 +265,13 @@ class TestMonotonicity:
             if (k + 1) % 100 == 0:
                 traj.append(st.t, st.phi)
         probe = HuiskenProbe((CENTER[0], CENTER[1]), st.t + 3e-4, 0.175, 0.35)
-        rep = monotonicity_check(traj, probe, st.t - 0.0016, st.t)
+        (rep,) = monotonicity_check(traj, [probe], st.t - 0.0016, st.t)
         assert rep.lhs <= 0.01 * rep.scale
 
     def test_shrinking_circle_probes(self, ladder):
         cfg, res, _ = ladder[256]
         probe = HuiskenProbe((CENTER[0] + 0.25, CENTER[1]), cfg.t_end + 0.01, 0.0875, 0.175)
-        rep = monotonicity_check(res.trajectory, probe, cfg.tau, cfg.t_end)
+        (rep,) = monotonicity_check(res.trajectory, [probe], cfg.tau, cfg.t_end)
         # the kernel-energy inequality holds with the fitted constant by construction;
         # the content is that the fit is small against the 5%-of-scale floor
         floor_c = 0.05 * abs(rep.scale) / rep.tail_factor
@@ -263,7 +282,82 @@ class TestMonotonicity:
         cfg, res, _ = ladder[128]
         probe = HuiskenProbe(CENTER, cfg.t_end + 0.01, 0.0875, 0.175)
         with pytest.raises(MeasureError):
-            monotonicity_check(res.trajectory, probe, cfg.t_end, cfg.tau)
+            monotonicity_check(res.trajectory, [probe], cfg.t_end, cfg.tau)
+
+    @pytest.fixture(scope="class")
+    def pulsed(self):
+        """A short pulsed-transport rk2 run and the 10 interface probes of its first frame."""
+        from actx.cli import interface_probes
+        from actx.scenario import RadialGradient
+        from actx.solver import SolverConfig, run
+
+        tr = RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)
+        cfg = circle_config(96, 16, t_end=0.004, tau=0.001, transport=tr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = run(cfg, SolverConfig(scheme="rk2", diag_every=25))
+        return cfg, res.trajectory, interface_probes(res.trajectory, 10)
+
+    @staticmethod
+    def _one_probe_reference(traj, probe, t0, t1):
+        """One probe's report, built frame by frame as a single-probe check does."""
+        from actx.measures import MonotonicityReport, frame_fields, kernel_terms, speed_sq
+
+        cfg = traj.cfg
+        pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+        idx = [i for i, t in enumerate(traj.times) if t0 - 1e-12 <= t <= t1 + 1e-12]
+        vals = []
+        for i in idx:
+            t = traj.times[i]
+            ff = frame_fields(traj.frames[i], cfg.epsilon, cfg.well)
+            leak = math.exp(-1.0 / (128.0 * (probe.s - t)))
+            mass = ball_integrate(ff.density, probe.y, 0.25, clip_ok=True)
+            vals.append(kernel_terms(ff, probe, t, speed_sq(cfg.transport, pts, t)) + (leak * mass,))
+        times = np.asarray([traj.times[i] for i in idx])
+        vals = np.asarray(vals)
+        return MonotonicityReport(
+            t0=float(times[0]),
+            t1=float(times[-1]),
+            lhs=float(vals[-1, 0] - vals[0, 0]),
+            transport_term=float(np.trapezoid(vals[:, 1], times)),
+            discrepancy_term=float(np.trapezoid(vals[:, 2], times)),
+            tail_factor=float(np.trapezoid(vals[:, 3], times)),
+            scale=float(np.max(vals[:, 0])),
+        )
+
+    def test_probe_list_matches_per_probe_reference(self, pulsed):
+        # one pass over the frames for all probes gives each probe's own report, bit for bit
+        from dataclasses import fields
+
+        cfg, traj, probes = pulsed
+        assert len(probes) == 10 and len(traj.times) >= 5
+        reps = monotonicity_check(traj, probes, cfg.tau, cfg.t_end)
+        assert len(reps) == len(probes)
+        for probe, rep in zip(probes, reps):
+            ref = self._one_probe_reference(traj, probe, cfg.tau, cfg.t_end)
+            for f in fields(rep):
+                assert getattr(rep, f.name) == getattr(ref, f.name), (probe.y, f.name)
+        assert any(rep.transport_term > 0.0 for rep in reps)  # the pulse enters the check
+
+    @pytest.mark.parametrize("where", [0, 4, 9])
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (HuiskenProbe((0.05, 0.8), 1.0, 0.03, 0.06), "leaves the domain"),
+            (HuiskenProbe(CENTER, 0.003, 0.03, 0.06), "t0 < t1 < s"),
+        ],
+    )
+    def test_bad_probe_anywhere_raises(self, pulsed, where, bad, match):
+        cfg, traj, probes = pulsed
+        probes = list(probes)
+        probes[where] = bad
+        with pytest.raises(MeasureError, match=match):
+            monotonicity_check(traj, probes, cfg.tau, cfg.t_end)
+
+    def test_empty_probe_list_rejected(self, pulsed):
+        cfg, traj, _ = pulsed
+        with pytest.raises(MeasureError, match="at least one probe"):
+            monotonicity_check(traj, [], cfg.tau, cfg.t_end)
 
 
 class TestTransportKernel:

@@ -30,6 +30,16 @@ class TestEval:
         assert wp == pytest.approx(0.0, abs=1e-15)
         assert wpp == pytest.approx(4.0, abs=1e-12)
 
+    def test_w_same_bits_as_expression(self):
+        # W alone, in explicit arrays, against the expression eval used to evaluate
+        s = np.random.default_rng(3).uniform(-1.3, 1.3, (65, 33))
+        one_m = 1.0 - s * s
+        assert np.array_equal(QUARTIC.w(s), 0.5 * one_m * one_m)
+        assert np.array_equal(QUARTIC.eval(s)[0], 0.5 * one_m * one_m)
+        poly = np.polynomial.polynomial.polyval(s, SCALED4.coeffs)
+        assert np.array_equal(SCALED4.w(s), poly)
+        assert QUARTIC.eval(0.25)[0] == 0.5 * (1.0 - 0.0625) * (1.0 - 0.0625)
+
     @given(s=st.floats(-1.2, 1.2))
     @settings(max_examples=100, deadline=None)
     def test_derivative_consistency(self, s):

@@ -1,5 +1,6 @@
 """Shapes, initial data construction, transport catalog, and config parsing."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actx.grid import GridSpec
+from actx.grid import GridSpec, ScalarField, integrate
 from actx.potential import surface_tension
 from actx.scenario import (
     ConfigError,
@@ -200,7 +201,92 @@ class TestTransport:
         assert clean.first_violation is None
 
 
+def _old_jacobian_field(tr, pts, t):
+    """The Jacobian as the catalog built it node by node before it became a broadcast value."""
+    n = pts.shape[-1]
+    if isinstance(tr, RadialGradient):
+        return tr._m(t) * np.broadcast_to(np.eye(n), pts.shape[:-1] + (n, n)).copy()
+    j = np.zeros(pts.shape[:-1] + (n, n))
+    if isinstance(tr, RotationTransport):
+        j[..., 0, 1] = tr.omega
+        j[..., 1, 0] = -tr.omega
+    return j
+
+
+def _lattice(dim, cells=24):
+    spec = GridSpec(dim, (0.0,) * dim, (1.6,) * dim, (cells,) * dim)
+    return spec, np.stack(spec.meshgrid(), axis=-1)
+
+
+class TestRadialGradientBits:
+    """The per-axis forms against the expressions over the (..., dim) point array."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("t", [0.0, 0.0123, 0.31])
+    def test_velocity_g_dt_g(self, dim, t):
+        _spec, pts = _lattice(dim)
+        c = (0.8, 0.7, 0.75)[:dim]
+        for tr in (RadialGradient(16.0, c), RadialGradient(1.2, c, mod_amp=0.3125, mod_freq=5.0)):
+            d = pts - np.asarray(c)
+            m = tr.strength + tr.mod_amp * math.sin(tr.mod_freq * t)
+            assert np.array_equal(tr.velocity(pts, t), m * d)
+            assert np.array_equal(tr.g(pts, t), 0.5 * m * np.sum(d * d, axis=-1))
+            dt_g = 0.5 * tr.mod_amp * tr.mod_freq * math.cos(tr.mod_freq * t) * np.sum(d * d, axis=-1)
+            assert np.array_equal(tr.dt_g(pts, t), dt_g)
+
+    def test_center_must_match_dim(self):
+        _spec, pts = _lattice(3, 4)
+        with pytest.raises(ConfigError, match="center"):
+            RadialGradient(1.0, (0.5, 0.5)).velocity(pts, 0.0)
+
+
 class TestTransportNorm:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_jacobian_broadcasts_to_old_field(self, dim):
+        _spec, pts = _lattice(dim, 8)
+        c = (0.8,) * dim
+        entries = [ZeroTransport(), ConstantTransport((0.3,) * dim), RadialGradient(1.2, c, 0.3, 5.0)]
+        if dim == 2:
+            entries.append(RotationTransport(1.5, c))
+        for tr in entries:
+            jac = tr.jacobian(pts, 0.2)
+            assert jac.shape == (1,) * dim + (dim, dim)
+            assert np.array_equal(np.broadcast_to(jac, pts.shape[:-1] + (dim, dim)),
+                                  _old_jacobian_field(tr, pts, 0.2))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("p", [None, 2.5, 3.0, 4.5])
+    def test_same_bits_as_jacobian_field_form(self, dim, p):
+        # the norm from one broadcast Jacobian against the (nodes, n, n) field it replaced
+        spec, pts = _lattice(dim)
+        c = (0.8,) * dim
+        entries = [
+            ZeroTransport(),
+            ConstantTransport((0.4, -0.1, 0.2)[:dim]),
+            RadialGradient(16.0, c),
+            RadialGradient(1.2, c, mod_amp=0.3125, mod_freq=5.0),
+        ]
+        if dim == 2:
+            entries.append(RotationTransport(1.5, c))
+        for tr in entries:
+            cfg = ScenarioConfig(grid=spec, shape=Ball(c, 0.5), transport=tr, epsilon=0.45,
+                                 t_end=0.05, tau=0.01, p=p)
+
+            def spatial(t):
+                u = tr.velocity(pts, t)
+                jac = _old_jacobian_field(tr, pts, t)
+                dens = (np.sqrt(np.sum(u * u, axis=-1)) ** cfg.p
+                        + np.sqrt(np.sum(jac * jac, axis=(-2, -1))) ** cfg.p)
+                return integrate(ScalarField(spec, dens)) ** (1.0 / cfg.p)
+
+            if tr.time_dependent:
+                times = np.linspace(0.0, cfg.t_end, 65)
+                norms = np.array([spatial(float(t)) for t in times])
+                ref = float(np.trapezoid(norms**cfg.q, times) ** (1.0 / cfg.q))
+            else:
+                ref = float(spatial(0.0) * cfg.t_end ** (1.0 / cfg.q))
+            assert transport_norm(cfg) == ref, tr
+
     def test_zero_field(self):
         assert transport_norm(circle_config(128, 16)) == 0.0
 
