@@ -7,11 +7,12 @@ Subcommands:
   oracle    print the exact radial-flow reference trajectory
   report    validate an artifact directory and summarize its checks
 
-Exit codes: 0 clean, 1 configuration error or unreadable snapshot, 2 solver
-abort. The environment variable ACTX_THREADS caps sweep-rung parallelism
-(default serial). Artifact directories contain a manifest listing every
-output file with its sha256; an aborted run's manifest also records the
-abort's step, node, time and |phi|.
+Exit codes: 0 clean, 1 configuration error (also one found before the first
+step), unreadable snapshot or bad run-manifest value, 2 solver abort. The
+environment variable ACTX_THREADS caps sweep-rung parallelism (default
+serial). Artifact directories contain a manifest listing every output file
+with its sha256 and the transport bounds; an aborted run's manifest also
+records the abort's step, node, time and |phi|.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -66,15 +67,19 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(out_dir: str, cfg: ScenarioConfig, sol: SolverConfig, config_text: str,
                     dt: float, n_steps: int, status: str, abort: SolverAbort | None = None) -> None:
-    sup_dtg = 0.0
-    if cfg.transport.is_gradient:
-        sup_dtg = cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end)
-    u_norm = scenario.transport_norm(cfg)
-    if u_norm > cfg.lambda0:
+    sup_dtg = cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end) if cfg.transport.is_gradient else 0.0
+    tr = scenario.transport_report(cfg)
+    if tr.norm > cfg.lambda0:
         print(
-            f"warning: transport norm {u_norm:.4g} exceeds the configured cap "
+            f"warning: transport norm {tr.norm:.4g} exceeds the configured cap "
             f"lambda0 = {cfg.lambda0:g}",
             file=sys.stderr,
+        )
+    if tr.first_violation is not None:
+        print(
+            f"warning: transport exceeds the eps-scaled bounds from t = {tr.first_violation:g}: "
+            f"sup|u| = {tr.sup_u:.4g} vs {tr.cap_u:.4g}, sup|grad u| = {tr.sup_grad_u:.4g} vs "
+            f"{tr.cap_grad_u:.4g}", file=sys.stderr,
         )
     lines = [
         f"status = {status}",
@@ -87,7 +92,12 @@ def _write_manifest(out_dir: str, cfg: ScenarioConfig, sol: SolverConfig, config
         f"tau = {cfg.tau!r}",
         f"T = {cfg.t_end!r}",
         f"sup_dt_g = {sup_dtg!r}",
-        f"transport_norm = {u_norm!r}",
+        f"transport_norm = {tr.norm!r}",
+        f"transport_sup_u = {tr.sup_u!r}",
+        f"transport_sup_grad_u = {tr.sup_grad_u!r}",
+        f"transport_cap_u = {tr.cap_u!r}",
+        f"transport_cap_grad_u = {tr.cap_grad_u!r}",
+        f"transport_first_violation = {'none' if tr.first_violation is None else repr(tr.first_violation)}",
         f"lambda0 = {cfg.lambda0!r}",
     ]
     if abort is not None:
@@ -132,13 +142,16 @@ def run_experiment(config_path: str, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = solver.run(cfg, sol, out_dir=out_dir)
+    except ConfigError as exc:  # raised before the first step: collar margin, frame cap
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         _write_manifest(out_dir, cfg, sol, text, exc.dt, exc.n_steps, "aborted", abort=exc)
         return EXIT_ABORT
     _write_interface_csv(out_dir, result)
     dt, n_steps, n_rows = result.dt, result.n_steps, len(result.rows)
-    del result  # frees the retained frames before the manifest's transport-norm quadrature
+    del result  # frees the retained frames before the manifest's transport sampling
     _write_manifest(out_dir, cfg, sol, text, dt, n_steps, "complete")
     print(f"run complete: {n_steps} steps, {n_rows} diagnostics rows -> {out_dir}")
     return EXIT_OK
@@ -331,8 +344,12 @@ def sweep(plan_path: str, out_dir: str) -> int:
                 print(f"snapshot error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
             entry["fitted_c"], _ = fitted_monotonicity_c(traj)
-            rep = measures.gronwall_check(traj, steps_between=traj.steps_between)
-            entry["gronwall_margin"] = rep.sup_dt_g + 0.05 - rep.growth_rate
+            try:
+                rep = _gronwall(rows, _parse_manifest(os.path.join(rung_dir, "run-manifest"))[0])
+            except ConfigError as exc:
+                print(f"manifest error: {rung_dir}: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
+            entry["gronwall_margin"] = rep.rate_bound - rep.growth_rate
         table.append(entry)
 
     # observed order between consecutive successful rungs (eps decreasing)
@@ -386,7 +403,7 @@ def _parse_probe(spec_str: str, cfg: ScenarioConfig) -> HuiskenProbe:
     """Parse 'y=0.5,0.5 s=0.05' (optionally 'd=0.05'); commas may separate fields."""
     y = None
     s = None
-    d = min(cfg.inset_prime / 2.0, 0.25)
+    d = measures.probe_radius(cfg.inset_prime)
     # split on whitespace/semicolons, or on commas that start a new key=value
     for tok in re.split(r"[;\s]+|,(?=[A-Za-z]+=)", spec_str.strip()):
         if not tok:
@@ -458,10 +475,10 @@ def oracle_cmd(args) -> int:
     return EXIT_OK
 
 
-def _parse_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str]], list[str]]:
+def _parse_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str]]]:
+    """(metadata, [(sha256, relative path)]); the [config] echo is skipped."""
     meta: dict[str, str] = {}
     files: list[tuple[str, str]] = []
-    config_lines: list[str] = []
     section = "meta"
     with open(path) as fh:
         for raw in fh.read().splitlines():
@@ -474,12 +491,32 @@ def _parse_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str]], l
             if section == "meta" and "=" in raw:
                 k, _, v = raw.partition("=")
                 meta[k.strip()] = v.strip()
-            elif section == "config":
-                config_lines.append(raw[2:] if raw.startswith("  ") else raw)
             elif section == "files" and raw.strip():
                 digest, _, rel = raw.strip().partition("  ")
                 files.append((digest, rel))
-    return meta, files, config_lines
+    return meta, files
+
+
+def _manifest_value(meta: dict[str, str], key: str, kind=float):
+    """One run-manifest value; ConfigError naming the key if it is missing or unparseable."""
+    if key not in meta:
+        raise ConfigError(f"run-manifest: missing key {key!r}")
+    try:
+        return kind(meta[key])
+    except ValueError:
+        raise ConfigError(f"run-manifest: key {key!r} has unparseable value {meta[key]!r}") from None
+
+
+_REPORT_KEYS = ("dt", "epsilon", "beta", "tau", "T", "sup_dt_g", "diag_every", "lambda0",
+                "transport_norm", "transport_sup_u", "transport_cap_u", "transport_sup_grad_u",
+                "transport_cap_grad_u", "transport_first_violation")
+
+
+def _gronwall(rows: list[DiagnosticsRow], meta: dict[str, str]) -> measures.GronwallReport:
+    """The weighted-energy growth check on the rows' F(t), with the manifest's sup |dt g|."""
+    times, values = np.array([(r.t, r.gronwall_factor) for r in rows]).T
+    return measures.gronwall_report(times, values, _manifest_value(meta, "sup_dt_g"),
+                                    _manifest_value(meta, "diag_every", int))
 
 
 def emit_report(art_dir: str) -> tuple[str, int, int]:
@@ -489,39 +526,38 @@ def emit_report(art_dir: str) -> tuple[str, int, int]:
     (3) near-maximum principle, (4) energy stays under the weighted cap,
     (5) discrepancy under the scaled bound after tau, (6) weighted-energy
     growth rate bounded, (7) static-weight non-increase, (8) ratio/velocity
-    columns finite and sane.
+    columns finite and sane. An informational line gives the transport norm
+    and the eps-scaled transport bounds. A manifest key these need that is
+    missing or unparseable raises ConfigError naming the key.
     """
     manifest_path = os.path.join(art_dir, "run-manifest")
     if not os.path.exists(manifest_path):
         return ("INCOMPLETE: no run-manifest found\n", 0, 0)
-    meta, files, config_lines = _parse_manifest(manifest_path)
+    meta, files = _parse_manifest(manifest_path)
     if meta.get("status") != "complete":
         text = f"INCOMPLETE: run status = {meta.get('status', 'missing')}\n"
         return (text, 0, 0)
+    kinds = {"diag_every": int, "transport_first_violation": str}  # "none" or a time
+    m = {key: _manifest_value(meta, key, kinds.get(key, float)) for key in _REPORT_KEYS}
 
     results: list[tuple[str, bool, str]] = []
 
     rows: list[DiagnosticsRow] = []
-    detail = ""
-    ok = True
+    ok, detail = True, ""
     try:
         with open(os.path.join(art_dir, "diagnostics.csv")) as fh:
             lines = fh.read().splitlines()
         for i, line in enumerate(lines[1:], start=2):
             row = DiagnosticsRow.from_csv_line(line)
-            vals = [getattr(row, f) for f in row.__dataclass_fields__]
-            if not all(np.isfinite(v) for v in vals):
-                ok = False
-                detail = f"non-finite value in diagnostics.csv row {i}"
+            if not all(np.isfinite(astuple(row))):
+                ok, detail = False, f"non-finite value in diagnostics.csv row {i}"
                 break
             rows.append(row)
     except (OSError, ValueError) as exc:
-        ok = False
-        detail = f"diagnostics.csv unreadable: {exc}"
+        ok, detail = False, f"diagnostics.csv unreadable: {exc}"
     results.append(("diagnostics-finite", ok, detail))
 
-    ok = True
-    detail = ""
+    ok, detail = True, ""
     for digest, rel in files:
         full = os.path.join(art_dir, rel)
         if not os.path.exists(full):
@@ -532,56 +568,40 @@ def emit_report(art_dir: str) -> tuple[str, int, int]:
             break
     results.append(("manifest-hashes", ok, detail))
 
-    dt = float(meta.get("dt", "0") or 0)
-    eps = float(meta.get("epsilon", "0.1"))
-    beta = float(meta.get("beta", "0.25"))
-    tau = float(meta.get("tau", "0"))
-    t_end = float(meta.get("T", "0"))
-    sup_dtg = float(meta.get("sup_dt_g", "0"))
-    diag_every = int(meta.get("diag_every", "1"))
-
     if rows:
-        cap = 1.0 + 10.0 * dt
+        cap = 1.0 + 10.0 * m["dt"]
         bad = [r for r in rows if r.max_abs_phi > cap]
         results.append((
             "near-max-principle", not bad,
             "" if not bad else f"max|phi|={bad[0].max_abs_phi:.6f} > 1+10dt at t={bad[0].t:g}",
         ))
 
+        gron = _gronwall(rows, meta)
         mu0 = rows[0].total_energy
-        energy_cap = 1.25 * mu0 * math.exp((sup_dtg + 0.05) * t_end)
+        energy_cap = 1.25 * mu0 * math.exp(gron.rate_bound * m["T"])
         worst = max(r.total_energy for r in rows)
         results.append((
             "energy-cap", worst <= energy_cap,
             f"max energy {worst:.6g} vs cap {energy_cap:.6g}",
         ))
 
-        xi_cap = 10.0 * eps ** (-beta)
-        tail = [r for r in rows if r.t >= tau - 1e-12]
+        xi_cap = 10.0 * m["epsilon"] ** (-m["beta"])
+        tail = [r for r in rows if r.t >= m["tau"] - 1e-12]
         worst_xi = max((r.sup_xi for r in tail), default=0.0)
         results.append((
             "discrepancy-bound", worst_xi <= xi_cap,
             f"sup xi {worst_xi:.6g} vs 10 eps^-beta {xi_cap:.6g}",
         ))
 
-        f0 = rows[0].gronwall_factor
-        rates = [
-            math.log(r.gronwall_factor / f0) / r.t for r in rows if r.t > 0 and r.gronwall_factor > 0
-        ]
-        rate = max(rates, default=0.0)
         results.append((
-            "gronwall-rate", rate <= sup_dtg + 0.05,
-            f"growth rate {rate:.6g} vs bound {sup_dtg + 0.05:.6g}",
+            "gronwall-rate", gron.rate_bound_ok(),
+            f"growth rate {gron.growth_rate:.6g} vs bound {gron.rate_bound:.6g}",
         ))
 
-        if sup_dtg == 0.0:
-            slack = 1e-9 * f0 * diag_every
-            bad_pairs = [
-                (a, b) for a, b in zip(rows, rows[1:]) if b.gronwall_factor > a.gronwall_factor + slack
-            ]
+        if gron.sup_dt_g == 0.0:
             results.append((
-                "static-weight-dissipation", not bad_pairs,
-                "" if not bad_pairs else f"weighted energy rose at t={bad_pairs[0][1].t:g}",
+                "static-weight-dissipation", gron.max_step_increase <= 1e-9,
+                f"max per-step increase {gron.max_step_increase:.3g} x F(0) vs 1e-9",
             ))
         else:
             results.append(("static-weight-dissipation", True, "skipped: time-modulated weight"))
@@ -601,6 +621,12 @@ def emit_report(art_dir: str) -> tuple[str, int, int]:
     for name, ok, detail in results:
         suffix = f" ({detail})" if detail else ""
         lines_out.append(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
+    lines_out.append(
+        f"INFO transport: norm {m['transport_norm']:.6g} vs lambda0 {m['lambda0']:g}; "
+        f"sup|u| {m['transport_sup_u']:.6g} vs eps^-beta {m['transport_cap_u']:.6g}; "
+        f"sup|grad u| {m['transport_sup_grad_u']:.6g} vs eps^-(beta+1) "
+        f"{m['transport_cap_grad_u']:.6g}; first violation {m['transport_first_violation']}"
+    )
     lines_out.append(f"ACCEPT {passed}/{len(results)}")
     text = "\n".join(lines_out) + "\n"
 
@@ -614,7 +640,11 @@ def emit_report(art_dir: str) -> tuple[str, int, int]:
 
 
 def report_cmd(args) -> int:
-    text, passed, total = emit_report(args.dir)
+    try:
+        text, passed, total = emit_report(args.dir)
+    except ConfigError as exc:
+        print(f"manifest error: {args.dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(text, end="")
     return EXIT_OK if total > 0 and passed == total else EXIT_CONFIG
 

@@ -176,8 +176,6 @@ class DensityRatioResult:
     max_ratio: float
     center: tuple[float, ...]
     radius: float
-    n_samples: int
-    modulus_estimate: float  # coarse bound on lattice-vs-continuum sup gap
 
 
 def _disk_kernel(spec: GridSpec, radius: float) -> np.ndarray:
@@ -226,9 +224,9 @@ def ratio_lattice_radii(spec: GridSpec, inset: float) -> list[float]:
 
     Capped at min(inset/2, 1/4): large enough that the top radii dominate the
     interface width (so the sup is refinement-stable), small enough that balls
-    at interface points stay inside the inset box.
+    at interface points stay inside the inset box; the standard probe's radius.
     """
-    return dyadic_radii(spec, min(inset / 2.0, 0.25))
+    return dyadic_radii(spec, probe_radius(inset))
 
 
 def _stride_mask(spec: GridSpec, stride: int) -> np.ndarray:
@@ -273,8 +271,7 @@ def density_ratio(
 
     power = spec.dim - 1
     best = (-math.inf, (math.nan,) * spec.dim, math.nan)
-    n_samples = 0
-    per_radius_max: list[float] = []
+    sampled = False
 
     if centers is not None:
         centers = np.asarray(centers, dtype=np.float64).reshape(-1, spec.dim)
@@ -284,8 +281,7 @@ def density_ratio(
             vals = np.array(
                 [ball_integrate(measure.density, c, r, clip_ok=True) / r**power for c in centers]
             )
-            n_samples += vals.size
-            per_radius_max.append(float(np.max(vals)))
+            sampled = True
             i = int(np.argmax(vals))
             if vals[i] > best[0]:
                 best = (float(vals[i]), tuple(centers[i]), r)
@@ -297,20 +293,16 @@ def density_ratio(
             fit = ([lo + pad for lo in region[0]], [hi - pad for hi in region[1]])
             m = _stride_mask(spec, stride) & region_mask(spec, fit)
             if not np.any(m):
-                per_radius_max.append(-math.inf)
                 continue
             vals = masses[m] / r**power
-            n_samples += vals.size
-            per_radius_max.append(float(np.max(vals)))
+            sampled = True
             i = int(np.argmax(vals))
             if vals[i] > best[0]:
                 best = (float(vals[i]), _masked_node(mesh, m, i), r)
 
-    if n_samples == 0:
+    if not sampled:
         raise MeasureError("no admissible (center, radius) samples in the region")
-    finite = [v for v in per_radius_max if np.isfinite(v)]
-    modulus = max(abs(a - b) for a, b in zip(finite, finite[1:])) if len(finite) > 1 else 0.0
-    return DensityRatioResult(best[0], best[1], best[2], n_samples, modulus)
+    return DensityRatioResult(*best)
 
 
 def scaled_density_ratio(
@@ -363,12 +355,17 @@ def scaled_density_ratio(
 # ---------------------------------------------------------------------------
 
 
+def probe_radius(inset: float) -> float:
+    """d = min(inset/2, 1/4), the outer radius of the standard probe."""
+    return min(inset / 2.0, 0.25)
+
+
 @dataclass
 class HuiskenProbe:
     """Backward-kernel probe anchored at (y, s) with a C^2 radial cutoff.
 
     The cutoff is 1 on B_{r_inner}(y) and 0 off B_{r_outer}(y); the standard
-    choice is r_inner = d/2, r_outer = d with d = min(inset/2, 1/4).
+    choice is r_inner = d/2, r_outer = d with d = ``probe_radius(inset)``.
     """
 
     y: tuple[float, ...]
@@ -384,7 +381,7 @@ class HuiskenProbe:
 
     @classmethod
     def standard(cls, y: Sequence[float], s: float, inset: float) -> "HuiskenProbe":
-        d = min(inset / 2.0, 0.25)
+        d = probe_radius(inset)
         return cls(tuple(float(v) for v in y), float(s), d / 2.0, d)
 
     def validate(self, spec: GridSpec) -> None:
@@ -618,25 +615,42 @@ def meyers_ziemer_check(
 # ---------------------------------------------------------------------------
 
 
+GRONWALL_SLACK = 0.05  # growth rate allowed above sup |dt g|
+
+
 @dataclass
 class GronwallReport:
-    f0: float
     times: np.ndarray
     values: np.ndarray
     sup_dt_g: float
     max_step_increase: float  # max per-step increase of F, normalized by F(0)
     growth_rate: float  # max over t > 0 of log(F(t)/F(0)) / t
 
-    def rate_bound_ok(self, slack: float = 0.05) -> bool:
-        return self.growth_rate <= self.sup_dt_g + slack
+    @property
+    def rate_bound(self) -> float:
+        """sup |dt g| + GRONWALL_SLACK: the largest growth rate the check accepts."""
+        return self.sup_dt_g + GRONWALL_SLACK
+
+    def rate_bound_ok(self) -> bool:
+        return self.growth_rate <= self.rate_bound
 
 
-def gronwall_check(traj: "Trajectory", steps_between: int | None = None) -> GronwallReport:
-    """Track F(t) = integral exp(-g) dmu_t along the trajectory.
+def gronwall_report(
+    times: np.ndarray, values: np.ndarray, sup_dt_g: float, steps_between: int
+) -> GronwallReport:
+    """The growth check on F(t) = integral exp(-g) dmu_t sampled from t = 0,
+    ``steps_between`` steps apart; with static g, F must not rise."""
+    f0 = values[0]
+    diffs = np.diff(values) / max(steps_between, 1)
+    max_step_inc = float(np.max(diffs) / f0) if diffs.size else 0.0
+    with np.errstate(divide="ignore"):
+        rates = np.log(values[1:] / f0) / times[1:]
+    growth = float(np.max(rates)) if rates.size else 0.0
+    return GronwallReport(times, values, sup_dt_g, max_step_inc, growth)
 
-    Requires a gradient transport (g available); with static g the report's
-    max_step_increase is the largest per-step gain of F relative to F(0).
-    """
+
+def gronwall_check(traj: "Trajectory") -> GronwallReport:
+    """``gronwall_report`` on F(t) recomputed from the retained frames; needs u = grad g."""
     cfg = traj.cfg
     if not cfg.transport.is_gradient:
         raise MeasureError("weighted-energy check needs a gradient transport (u = grad g)")
@@ -647,16 +661,8 @@ def gronwall_check(traj: "Trajectory", steps_between: int | None = None) -> Gron
     for i, (t, phi) in enumerate(zip(traj.times, traj.frames)):
         ff = frame_fields(phi, cfg.epsilon, cfg.well)
         vals[i] = weighted_energy(ff, gronwall_weight(cfg.transport, pts, t))
-    f0 = vals[0]
-    if steps_between is None:
-        steps_between = getattr(traj, "steps_between", 1)
-    diffs = np.diff(vals) / max(steps_between, 1)
-    max_step_inc = float(np.max(diffs) / f0) if diffs.size else 0.0
-    with np.errstate(divide="ignore"):
-        rates = np.log(vals[1:] / f0) / times[1:]
-    growth = float(np.max(rates)) if rates.size else 0.0
     sup_dtg = cfg.transport.sup_dt_g(spec, float(times[0]), float(times[-1]))
-    return GronwallReport(f0, times, vals, sup_dtg, max_step_inc, growth)
+    return gronwall_report(times, vals, sup_dtg, traj.steps_between)
 
 
 # ---------------------------------------------------------------------------

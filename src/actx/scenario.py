@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, integrate, sum_sq
+from .grid import GridSpec, ScalarField, integrate, sum_sq
 from .potential import DoubleWell, _smoothstep, profile_psi
 from .shapes import Ball, Box, Complement, HalfSpace, Intersection, Shape, Union
 
@@ -33,12 +33,8 @@ class ConfigError(ValueError):
     """Raised for malformed configs, including exponent-condition failures."""
 
 
-class MarginError(ValueError):
+class MarginError(ConfigError):
     """Raised when the initial interface comes too close to the cutoff collar."""
-
-
-class TransportBoundWarning(UserWarning):
-    """Emitted when a sampled velocity violates the eps-scaled bounds."""
 
 
 # ---------------------------------------------------------------------------
@@ -320,29 +316,12 @@ def build_initial_phase(cfg: ScenarioConfig) -> ScalarField:
     return ScalarField(cfg.grid, l * psi + l - 1.0)
 
 
-def build_transport(cfg: ScenarioConfig, t: float, check_bounds: bool = True) -> VectorField:
-    """Sample u on the grid; bound violations are reported, never clamped."""
-    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
-    u = cfg.transport.velocity(pts, t)
-    if check_bounds:
-        sup_u = float(np.max(np.sqrt(sum_sq(u))))
-        jac = cfg.transport.jacobian(pts, t)
-        sup_ju = float(np.max(np.sqrt(np.sum(jac * jac, axis=(-2, -1)))))
-        cap_u = cfg.epsilon ** (-cfg.beta)
-        cap_ju = cfg.epsilon ** (-(cfg.beta + 1.0))
-        if sup_u > cap_u or sup_ju > cap_ju:
-            warnings.warn(
-                f"transport bound violated at t={t:g}: sup|u|={sup_u:.4g} vs "
-                f"eps^-beta={cap_u:.4g}, sup|grad u|={sup_ju:.4g} vs "
-                f"eps^-(beta+1)={cap_ju:.4g}",
-                TransportBoundWarning,
-                stacklevel=2,
-            )
-    return VectorField(cfg.grid, u)
-
-
 @dataclass
-class TransportBoundsReport:
+class TransportReport:
+    """The L^q(W^{1,p}) norm; sup |u| and sup |grad u|_F over nodes and sample times
+    against eps^-beta and eps^-(beta+1), and the first sample time a cap fails."""
+
+    norm: float
     sup_u: float
     sup_grad_u: float
     cap_u: float
@@ -350,55 +329,37 @@ class TransportBoundsReport:
     first_violation: float | None
 
 
-def transport_bounds_report(cfg: ScenarioConfig, n_samples: int = 17) -> TransportBoundsReport:
-    """Scan [0, T] for the first time the eps-scaled bounds fail.
+def transport_report(cfg: ScenarioConfig) -> TransportReport:
+    """One pass over the sample times for the norm and the bounds (never clamped).
 
-    A finite first_violation caps the usable horizon for this epsilon.
+    Spatial norm: (integral of |u|^p + |grad u|^p)^{1/p} by trapezoid. A static
+    transport is sampled at t = 0 and its norm is that times T^{1/q}; otherwise
+    65 equispaced times over [0, T] give the L^q time norm by trapezoid.
     """
     pts = np.stack(cfg.grid.meshgrid(), axis=-1)
     cap_u = cfg.epsilon ** (-cfg.beta)
     cap_ju = cfg.epsilon ** (-(cfg.beta + 1.0))
+    static = not cfg.transport.time_dependent
+    times = np.zeros(1) if static else np.linspace(0.0, cfg.t_end, 65)
+    norms = np.empty(times.size)
     sup_u = sup_ju = 0.0
     first = None
-    for t in np.linspace(0.0, cfg.t_end, n_samples):
-        u = cfg.transport.velocity(pts, float(t))
+    for i, t in enumerate(times):
+        abs_u = sum_sq(cfg.transport.velocity(pts, float(t)))
+        np.sqrt(abs_u, out=abs_u)
         jac = cfg.transport.jacobian(pts, float(t))
-        su = float(np.max(np.sqrt(sum_sq(u))))
-        sj = float(np.max(np.sqrt(np.sum(jac * jac, axis=(-2, -1)))))
-        sup_u = max(sup_u, su)
-        sup_ju = max(sup_ju, sj)
+        abs_ju = np.sqrt(np.sum(jac * jac, axis=(-2, -1)))
+        su, sj = float(np.max(abs_u)), float(np.max(abs_ju))
+        sup_u, sup_ju = max(sup_u, su), max(sup_ju, sj)
         if first is None and (su > cap_u or sj > cap_ju):
             first = float(t)
-    return TransportBoundsReport(sup_u, sup_ju, cap_u, cap_ju, first)
-
-
-def transport_norm(cfg: ScenarioConfig, time_samples: int = 65) -> float:
-    """Space-time transport norm: L^q in time of the W^{1,p} spatial norm.
-
-    Spatial norm: (integral of |u|^p + |grad u|^p)^{1/p} with trapezoid
-    quadrature; time integral by trapezoid over >= 64 intervals.
-    """
-    complaint = exponent_condition(cfg.grid.dim, cfg.p, cfg.q)
-    if complaint:
-        raise ConfigError(complaint)
-    if time_samples < 65:
-        time_samples = 65
-    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
-
-    def spatial_norm(t: float) -> float:
-        u = cfg.transport.velocity(pts, t)
-        jac = cfg.transport.jacobian(pts, t)
-        dens = (
-            np.sqrt(sum_sq(u)) ** cfg.p
-            + np.sqrt(np.sum(jac * jac, axis=(-2, -1))) ** cfg.p
-        )
-        return integrate(ScalarField(cfg.grid, dens)) ** (1.0 / cfg.p)
-
-    if not cfg.transport.time_dependent:
-        return float(spatial_norm(0.0) * cfg.t_end ** (1.0 / cfg.q))
-    times = np.linspace(0.0, cfg.t_end, time_samples)
-    norms = np.array([spatial_norm(float(t)) for t in times])
-    return float(np.trapezoid(norms**cfg.q, times) ** (1.0 / cfg.q))
+        abs_u **= cfg.p  # in place: one field-sized array per sample
+        abs_u += abs_ju**cfg.p
+        norms[i] = integrate(ScalarField(cfg.grid, abs_u)) ** (1.0 / cfg.p)
+        del abs_u  # before the next sample's velocity
+    norm = (norms[0] * cfg.t_end ** (1.0 / cfg.q) if static
+            else np.trapezoid(norms**cfg.q, times) ** (1.0 / cfg.q))
+    return TransportReport(float(norm), sup_u, sup_ju, cap_u, cap_ju, first)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +460,11 @@ def transport_from_sexpr(node, dim: int) -> Transport:
 
 
 def config_entries(text: str):
-    """(line number, key, value) of each ``key = value`` line; ``#`` starts a comment."""
+    """(line number, key, value) of each ``key = value`` line; ``#`` starts a comment.
+
+    A key given twice is rejected with the line of its second occurrence.
+    """
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -507,6 +472,9 @@ def config_entries(text: str):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
         yield lineno, key, value
 
 
@@ -516,8 +484,6 @@ def parse_config(text: str) -> dict[str, str]:
     for lineno, key, value in config_entries(text):
         if key not in KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 

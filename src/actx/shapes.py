@@ -19,9 +19,6 @@ class Shape:
     def sdf(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, pts) -> np.ndarray:
-        return self.sdf(np.asarray(pts, dtype=np.float64))
-
 
 @dataclass
 class Ball(Shape):
@@ -92,8 +89,3 @@ class Complement(Shape):
 
     def sdf(self, pts):
         return -self.part.sdf(pts)
-
-
-def signed_distance(shape: Shape, x) -> float:
-    """Signed distance of a single point (exact for primitives, min/max for composites)."""
-    return float(shape.sdf(np.asarray(x, dtype=np.float64)))

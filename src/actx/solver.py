@@ -25,7 +25,7 @@ from . import measures
 from .grid import ScalarField, VectorField, integrate, sum_sq, write_field
 from .interface import extract_interface, radius_estimate
 from .potential import DoubleWell
-from .scenario import ScenarioConfig, build_initial_phase
+from .scenario import ConfigError, ScenarioConfig, build_initial_phase
 
 PHI_ABORT = 1.1  # just outside the wells' basin; past this the run is garbage
 
@@ -231,7 +231,6 @@ class RunResult:
     trajectory: Trajectory
     rows: list[measures.DiagnosticsRow]
     probe: measures.HuiskenProbe
-    snapshot_paths: list[str] = field(default_factory=list)
 
     @property
     def final_phi(self) -> ScalarField:
@@ -240,7 +239,7 @@ class RunResult:
 
 def probe_at(cfg: ScenarioConfig, y) -> measures.HuiskenProbe:
     """Standard probe at y (pulled inside the box so its ball fits), s = T + 0.01."""
-    d = min(cfg.inset_prime / 2.0, 0.25)
+    d = measures.probe_radius(cfg.inset_prime)
     y = [min(max(float(v), lo + d), hi - d) for v, lo, hi in zip(y, cfg.grid.lo, cfg.grid.hi)]
     return measures.HuiskenProbe.standard(y, cfg.t_end + 0.01, cfg.inset_prime)
 
@@ -271,7 +270,9 @@ def run(
     The step count is rounded up to a whole number of diagnostics intervals,
     so the row count is n_steps / diag_every + 1 and the final time lands
     exactly on T. On abort, partial outputs are flushed before the exception
-    propagates (carrying the rows computed so far).
+    propagates (carrying the rows computed so far). Before the first step, a
+    shape too close to the cutoff collar (``MarginError``) or a schedule over
+    ``max_frames`` raises ``ConfigError``.
     """
     solver = solver or SolverConfig()
     phi0 = build_initial_phase(cfg)
@@ -282,7 +283,7 @@ def run(
     dt = cfg.t_end / n_steps
     n_frames = n_steps // d + 1
     if n_frames > solver.max_frames:
-        raise ValueError(
+        raise ConfigError(
             f"schedule would retain {n_frames} frames (> max_frames={solver.max_frames}); "
             f"increase diag_every or max_frames"
         )
@@ -290,7 +291,6 @@ def run(
     probe = _default_probe(cfg, phi0)
     traj = Trajectory(cfg, steps_between=d)
     rows: list[measures.DiagnosticsRow] = []
-    snap_paths: list[str] = []
 
     pts = np.stack(cfg.grid.meshgrid(), axis=-1)
     static_u: VectorField | None = None
@@ -359,7 +359,6 @@ def run(
             return
         path = os.path.join(out_dir, "snapshots", f"step_{state.step_index:08d}.afld")
         write_field(path, state.phi, state.t)
-        snap_paths.append(path)
 
     state = SimState(0.0, phi0, 0)
     running_max = float(np.max(np.abs(phi0.values)))
@@ -393,7 +392,7 @@ def run(
     finally:  # an abort flushes the rows computed so far
         if out_dir is not None:
             _write_rows(out_dir, rows)
-    return RunResult(cfg, solver, dt, n_steps, traj, rows, probe, snap_paths)
+    return RunResult(cfg, solver, dt, n_steps, traj, rows, probe)
 
 
 def _write_rows(out_dir: str, rows: list[measures.DiagnosticsRow]) -> None:

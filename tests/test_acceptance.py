@@ -209,7 +209,7 @@ class TestAcceptance:
         scenarios = [gronwall_runs["modulated"], gronwall_runs["static"],
                      ladder[128][:2]] + [v[:2] for v in transport_equilibrium_runs.values()]
         for cfg, res in scenarios:
-            rep = gronwall_check(res.trajectory, steps_between=res.trajectory.steps_between)
+            rep = gronwall_check(res.trajectory)
             rates.append(rep.growth_rate <= rep.sup_dt_g + 0.05)
             if rep.sup_dt_g == 0.0:
                 static_incs.append(rep.max_step_increase)

@@ -1,13 +1,15 @@
 """Command-line orchestration: exit codes, artifacts, reports, sweeps."""
 
+import math
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
 
 from actx.cli import _parse_manifest, emit_report, load_experiment, load_trajectory, main, read_rows
-from actx.measures import DiagnosticsRow
+from actx.measures import DiagnosticsRow, gronwall_check
 
 CONFIG = """\
 dim = 2
@@ -43,6 +45,31 @@ rungs = 128 192
 eps_over_h = 8
 """
 
+# two rungs of a pulsed radial ladder (eps = 0.1, 0.075), short enough for a unit test
+PULSED_PLAN = """\
+dim = 2
+scheme = rk2
+lo = 0 0
+hi = 1.6 1.6
+shape = (ball 0.8 0.8 0.25)
+transport = (radial-pulsed 1.2 0.3125 5.0 0.8 0.8)
+tau = 0.0005
+T = 0.0015
+inset_prime = 0.12
+inset_dprime = 0.06
+diag_every = 10
+rungs = 96 128
+eps_over_h = 6
+"""
+
+# the ball is 0.8 - 0.12 - 0.297 = 0.383 from the collar; eps = 0.1 needs 4 eps = 0.4
+TOO_CLOSE = CONFIG.replace("(ball 0.8 0.8 0.25)", "(ball 0.8 0.8 0.297)")
+
+
+def _sweep_rows(out):
+    lines = (out / "sweep.csv").read_text().splitlines()
+    return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+
 
 @pytest.fixture(scope="module")
 def artifact(tmp_path_factory):
@@ -74,6 +101,44 @@ class TestRunCommand:
         p.write_text(CONFIG.replace("p = 2\n", "p = 0.7\n").replace("q = 4\n", "q = 3\n"))
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "exponent condition" in capsys.readouterr().err
+
+    def test_shape_too_close_to_collar_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "close.cfg"
+        p.write_text(TOO_CLOSE)
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "measured margin" in err[0]
+
+    def test_frame_cap_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "long.cfg"
+        p.write_text(CONFIG.replace("diag_every = 50", "diag_every = 1").replace("T = 0.004", "T = 0.02"))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "max_frames" in err[0]
+
+    def test_manifest_records_transport_bounds(self, artifact):
+        _, _, out = artifact
+        meta, _ = _parse_manifest(str(out / "run-manifest"))
+        assert float(meta["transport_sup_u"]) == 0.0 and float(meta["transport_sup_grad_u"]) == 0.0
+        assert float(meta["transport_cap_u"]) == 0.1**-0.25
+        assert float(meta["transport_cap_grad_u"]) == 0.1**-1.25
+        assert meta["transport_first_violation"] == "none"
+        keys = list(meta)
+        assert keys[keys.index("transport_norm") + 1] == "transport_sup_u"
+
+    def test_bound_violation_warns_and_is_recorded(self, tmp_path, capsys):
+        p = tmp_path / "fast.cfg"
+        p.write_text(CONFIG.replace("transport = zero", "transport = (radial 50 0.8 0.8)")
+                     .replace("T = 0.004", "T = 0.001").replace("tau = 0.002", "tau = 0.0005"))
+        out = tmp_path / "art"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "warning: transport exceeds the eps-scaled bounds from t = 0:" in err
+        meta, _ = _parse_manifest(str(out / "run-manifest"))
+        assert float(meta["transport_first_violation"]) == 0.0
+        assert float(meta["transport_sup_u"]) == pytest.approx(50 * 0.8 * math.sqrt(2), rel=1e-12)
+        assert main(["report", "--dir", str(out)]) == 0
+        assert "; first violation 0.0\n" in capsys.readouterr().out
 
     def test_artifacts_complete(self, artifact):
         _, _, out = artifact
@@ -109,7 +174,7 @@ class TestRunCommand:
         assert (out / "diagnostics.csv").exists()  # partial rows flushed
         text, _passed, _total = emit_report(str(out))
         assert "INCOMPLETE" in text
-        meta, files, _ = _parse_manifest(str(out / "run-manifest"))
+        meta, files = _parse_manifest(str(out / "run-manifest"))
         # the real schedule: T = 0.004 in one diagnostics interval of 50 steps
         assert int(meta["n_steps"]) == 50
         dt = float(meta["dt"])
@@ -147,8 +212,6 @@ class TestReportCommand:
         _, _, out = artifact
         victim = tmp_path / "tampered"
         victim.mkdir()
-        import shutil
-
         shutil.copytree(out, victim / "art")
         csv = victim / "art" / "diagnostics.csv"
         lines = csv.read_text().splitlines()
@@ -159,6 +222,39 @@ class TestReportCommand:
         text, passed, total = emit_report(str(victim / "art"))
         assert passed < total
         assert "row 4" in text
+
+    def test_info_line_shows_transport_bounds(self, artifact, capsys):
+        _, _, out = artifact
+        assert main(["report", "--dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "ACCEPT 8/8"
+        assert sum(l.startswith(("PASS ", "FAIL ")) for l in lines) == 8
+        info = [l for l in lines if l.startswith("INFO transport: ")]
+        assert len(info) == 1
+        assert "sup|u| 0 vs eps^-beta 1.77828" in info[0] and "first violation none" in info[0]
+
+    @pytest.mark.parametrize("edit", ["dt = abc", "diag_every = 2.5", "sup_dt_g = ",
+                                      "-sup_dt_g", "-epsilon", "-dt", "-diag_every",
+                                      "-transport_sup_u"])
+    def test_bad_manifest_exits_one(self, artifact, tmp_path, capsys, edit):
+        _, _, out = artifact
+        art = tmp_path / "art"
+        shutil.copytree(out, art)
+        for name in ("report.txt", "report.csv"):
+            (art / name).unlink(missing_ok=True)
+        key = edit.lstrip("-").split(" = ")[0]
+        lines = (art / "run-manifest").read_text().splitlines()
+        i = next(i for i, l in enumerate(lines) if l.startswith(key + " = "))
+        if edit.startswith("-"):
+            del lines[i]
+        else:
+            lines[i] = edit
+        (art / "run-manifest").write_text("\n".join(lines) + "\n")
+        assert main(["report", "--dir", str(art)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "run-manifest" in err[0] and repr(key) in err[0]
+        assert captured.out == "" and not (art / "report.txt").exists()
 
     def test_incomplete_directory(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -211,6 +307,63 @@ class TestSweepCommand:
         assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "s")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "rung_0128" in err[0] and "truncated payload" in err[0]
+
+    def test_margin_from_rows_matches_trajectory_check(self, tmp_path):
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PULSED_PLAN)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 0
+        for row in _sweep_rows(out):
+            rung = out / f"rung_{int(row['cells']):04d}"
+            cfg, _sol, _ = load_experiment(str(rung / "config.txt"))
+            # the margin as computed from the reloaded snapshots before it came from the rows
+            rep = gronwall_check(load_trajectory(str(rung), cfg))
+            assert row["gronwall_margin"] == repr(rep.sup_dt_g + 0.05 - rep.growth_rate)
+            assert rep.sup_dt_g > 0
+            # and the growth-rate arithmetic spelled out on those recomputed F values
+            with np.errstate(divide="ignore"):
+                growth = float(np.max(np.log(rep.values[1:] / rep.values[0]) / rep.times[1:]))
+            assert row["gronwall_margin"] == repr(rep.sup_dt_g + 0.05 - growth)
+
+    def test_rotation_sweep_finishes(self, tmp_path, capsys):
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PULSED_PLAN.replace("(radial-pulsed 1.2 0.3125 5.0 0.8 0.8)",
+                                            "(rotation 1.0 0.8 0.8)"))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 0
+        capsys.readouterr()
+        for row in _sweep_rows(out):
+            assert row["status"] == "ok"
+            rung = out / f"rung_{int(row['cells']):04d}"
+            rows = read_rows(str(rung))
+            f0 = rows[0].gronwall_factor
+            growth = max(math.log(r.gronwall_factor / f0) / r.t for r in rows[1:])
+            assert float(row["gronwall_margin"]) == pytest.approx(0.05 - growth, rel=1e-12)
+            assert main(["report", "--dir", str(rung)]) == 0
+            text = capsys.readouterr().out
+            assert f"PASS gronwall-rate (growth rate {growth:.6g} vs bound 0.05)" in text
+            assert "ACCEPT 8/8" in text
+
+    def test_rung_too_close_to_collar_fails_alone(self, tmp_path, capsys):
+        # eps = 8 h: 4 eps = 0.64 on 80 cells breaks the 0.43 collar margin, 0.4 on 128 does not
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 80 128")
+                        .replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
+        out = tmp_path / "s"
+        assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 2
+        assert "config error: " in capsys.readouterr().err
+        rows = _sweep_rows(out)
+        assert [(r["cells"], r["status"]) for r in rows] == [("80", "FAILED"), ("128", "ok")]
+
+    @pytest.mark.parametrize("line", ["dim = 3", "rungs = 64 96"])
+    def test_plan_duplicate_key_cites_line(self, tmp_path, capsys, line):
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN + line + "\n")
+        assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert f"line {len(PLAN.splitlines()) + 1}: duplicate key {key!r}" in err
+        assert not (tmp_path / "s").exists()
 
     def test_plan_needs_two_rungs(self, tmp_path, capsys):
         plan = tmp_path / "plan.cfg"
@@ -265,8 +418,6 @@ class TestLoadTrajectory:
 
     @pytest.mark.parametrize("name", ["notes.txt", "step_12.afld.bak", "step_x.afld"])
     def test_stray_file_named(self, artifact, tmp_path, name):
-        import shutil
-
         from actx.grid import GridError
 
         _, cfg_path, out = artifact

@@ -17,18 +17,15 @@ from actx.scenario import (
     RadialGradient,
     RotationTransport,
     ScenarioConfig,
-    TransportBoundWarning,
     ZeroTransport,
     build_initial_phase,
-    build_transport,
     cutoff_field,
     exponent_condition,
     parse_config,
     parse_sexpr,
     scenario_from_config,
     shape_from_sexpr,
-    transport_bounds_report,
-    transport_norm,
+    transport_report,
 )
 from actx.shapes import Ball, Box, Complement, HalfSpace, Intersection, Union
 
@@ -40,8 +37,8 @@ pts = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(np.array)
 class TestShapes:
     def test_ball_center_and_boundary(self):
         b = Ball((0.0, 0.0), 0.25)
-        assert b(np.array([0.0, 0.0])) == pytest.approx(-0.25)
-        assert b(np.array([0.25, 0.0])) == pytest.approx(0.0, abs=1e-15)
+        assert b.sdf(np.array([0.0, 0.0])) == pytest.approx(-0.25)
+        assert b.sdf(np.array([0.25, 0.0])) == pytest.approx(0.0, abs=1e-15)
 
     def test_union_is_min_of_distances(self):
         b1 = Ball((0.0, 0.0), 0.1)
@@ -57,30 +54,30 @@ class TestShapes:
             ]
         )
         brute = np.min(np.sqrt(np.sum((bnd - mid) ** 2, axis=-1)))
-        assert u(mid) == pytest.approx(brute, abs=1e-6)
-        assert u(mid) == pytest.approx(min(b1(mid), b2(mid)))
+        assert u.sdf(mid) == pytest.approx(brute, abs=1e-6)
+        assert u.sdf(mid) == pytest.approx(min(b1.sdf(mid), b2.sdf(mid)))
 
     def test_box_inside_outside(self):
         bx = Box((0.0, 0.0), (1.0, 2.0))
-        assert bx(np.array([0.5, 1.0])) == pytest.approx(-0.5)
-        assert bx(np.array([2.0, 1.0])) == pytest.approx(1.0)
+        assert bx.sdf(np.array([0.5, 1.0])) == pytest.approx(-0.5)
+        assert bx.sdf(np.array([2.0, 1.0])) == pytest.approx(1.0)
 
     def test_halfspace(self):
         hs = HalfSpace((1.0, 0.0), 0.3)
-        assert hs(np.array([0.0, 5.0])) == pytest.approx(-0.3)
-        assert hs(np.array([0.8, -1.0])) == pytest.approx(0.5)
+        assert hs.sdf(np.array([0.0, 5.0])) == pytest.approx(-0.3)
+        assert hs.sdf(np.array([0.8, -1.0])) == pytest.approx(0.5)
 
     def test_complement_flips_sign(self):
         b = Ball((0.0, 0.0), 0.5)
         c = Complement(b)
         p = np.array([0.1, 0.1])
-        assert c(p) == pytest.approx(-b(p))
+        assert c.sdf(p) == pytest.approx(-b.sdf(p))
 
     @given(p=pts, q=pts)
     @settings(max_examples=100, deadline=None)
     def test_primitives_are_1_lipschitz(self, p, q):
         for s in (Ball((0.2, -0.1), 0.4), Box((-1, -1), (0.5, 1.0)), HalfSpace((3, 4), 0.1)):
-            assert abs(s(p) - s(q)) <= np.linalg.norm(p - q) + 1e-12
+            assert abs(s.sdf(p) - s.sdf(q)) <= np.linalg.norm(p - q) + 1e-12
 
     @given(p=pts)
     @settings(max_examples=100, deadline=None)
@@ -88,8 +85,8 @@ class TestShapes:
         # intersection of overlapping balls: inside iff inside both
         b1, b2 = Ball((0.0, 0.0), 1.0), Ball((0.5, 0.0), 1.0)
         inter = Intersection(b1, b2)
-        truly_inside = b1(p) < 0 and b2(p) < 0
-        assert (inter(p) < 0) == truly_inside
+        truly_inside = b1.sdf(p) < 0 and b2.sdf(p) < 0
+        assert (inter.sdf(p) < 0) == truly_inside
 
 
 class TestInitialPhase:
@@ -160,45 +157,79 @@ class TestInitialPhase:
         assert np.max(np.abs(xi.values[collar])) <= 0.02 / cfg.epsilon
 
 
+def _nodes(cfg):
+    return np.stack(cfg.grid.meshgrid(), axis=-1)
+
+
+def _old_bounds(cfg, times):
+    """(sup|u|, sup|grad u|, first violation) as the separate bounds scan computed them."""
+    pts = _nodes(cfg)
+    cap_u = cfg.epsilon ** (-cfg.beta)
+    cap_ju = cfg.epsilon ** (-(cfg.beta + 1.0))
+    sup_u = sup_ju = 0.0
+    first = None
+    for t in times:
+        u = cfg.transport.velocity(pts, float(t))
+        jac = cfg.transport.jacobian(pts, float(t))
+        su = float(np.max(np.sqrt(np.sum(u * u, axis=-1))))
+        sj = float(np.max(np.sqrt(np.sum(jac * jac, axis=(-2, -1)))))
+        sup_u, sup_ju = max(sup_u, su), max(sup_ju, sj)
+        if first is None and (su > cap_u or sj > cap_ju):
+            first = float(t)
+    return sup_u, sup_ju, first
+
+
 class TestTransport:
     def test_radial_gradient_is_exact(self):
         cfg = circle_config(128, 16, transport=RadialGradient(16.0, CENTER))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TransportBoundWarning)
-            u = build_transport(cfg, 0.0)
+        u = cfg.transport.velocity(_nodes(cfg), 0.0)
         x, y = cfg.grid.meshgrid()
-        assert np.array_equal(u.values[..., 0], 16.0 * (x - CENTER[0]))
-        assert np.array_equal(u.values[..., 1], 16.0 * (y - CENTER[1]))
+        assert np.array_equal(u[..., 0], 16.0 * (x - CENTER[0]))
+        assert np.array_equal(u[..., 1], 16.0 * (y - CENTER[1]))
 
     def test_zero_catalog_entry(self):
         cfg = circle_config(128, 16)
-        assert not np.any(build_transport(cfg, 0.0).values)
+        assert not np.any(cfg.transport.velocity(_nodes(cfg), 0.0))
+        rep = transport_report(cfg)
+        assert (rep.norm, rep.sup_u, rep.sup_grad_u, rep.first_violation) == (0.0, 0.0, 0.0, None)
 
     def test_rotation_is_divergence_free(self):
         from actx.grid import gradient
 
         cfg = circle_config(128, 16, transport=RotationTransport(1.5, CENTER))
-        u = build_transport(cfg, 0.0)
-        from actx.grid import ScalarField
-
-        dux = gradient(ScalarField(cfg.grid, u.values[..., 0]), 0.0).values[..., 0]
-        duy = gradient(ScalarField(cfg.grid, u.values[..., 1]), 0.0).values[..., 1]
+        u = cfg.transport.velocity(_nodes(cfg), 0.0)
+        dux = gradient(ScalarField(cfg.grid, u[..., 0]), 0.0).values[..., 0]
+        duy = gradient(ScalarField(cfg.grid, u[..., 1]), 0.0).values[..., 1]
         div = dux[1:-1, 1:-1] + duy[1:-1, 1:-1]
         assert np.max(np.abs(div)) < 1e-12
 
     def test_bound_violation_warns_not_clamps(self):
+        # the report flags the static violation at t = 0 (the run warns from it)
         cfg = circle_config(128, 16, transport=RadialGradient(50.0, CENTER))
-        with pytest.warns(TransportBoundWarning):
-            u = build_transport(cfg, 0.0)
-        assert np.max(np.abs(u.values)) > 10  # unclamped
+        rep = transport_report(cfg)
+        assert rep.first_violation == 0.0
+        assert rep.sup_u > rep.cap_u and rep.sup_grad_u > rep.cap_grad_u
+        assert rep.sup_u == pytest.approx(50.0 * 0.8 * math.sqrt(2), rel=1e-12)  # unclamped
 
     def test_bounds_report_flags_first_violation(self):
         tr = RadialGradient(0.5, CENTER, mod_amp=40.0, mod_freq=200.0)
         cfg = circle_config(128, 16, transport=tr)
-        rep = transport_bounds_report(cfg, n_samples=33)
+        rep = transport_report(cfg)
         assert rep.first_violation is not None and rep.first_violation > 0.0
-        clean = transport_bounds_report(circle_config(128, 16), n_samples=5)
-        assert clean.first_violation is None
+        ref = _old_bounds(cfg, np.linspace(0.0, cfg.t_end, 65))
+        assert (rep.sup_u, rep.sup_grad_u, rep.first_violation) == ref
+        assert (rep.cap_u, rep.cap_grad_u) == (cfg.epsilon**-0.25, cfg.epsilon**-1.25)
+        assert transport_report(circle_config(128, 16)).first_violation is None
+
+    def test_gradient_cap_alone_flags_violation(self):
+        # on a small box |u| stays under eps^-beta while |grad u|_F = sqrt(2) m exceeds eps^-(beta+1)
+        spec = GridSpec(2, (0.0, 0.0), (0.4, 0.4), (64, 64))
+        cfg = ScenarioConfig(grid=spec, shape=Ball((0.2, 0.2), 0.1),
+                             transport=RadialGradient(4.0, (0.2, 0.2)), epsilon=0.3, t_end=0.05, tau=0.01)
+        rep = transport_report(cfg)
+        assert rep.sup_u <= rep.cap_u and rep.sup_grad_u > rep.cap_grad_u
+        assert rep.first_violation == 0.0
+        assert (rep.sup_u, rep.sup_grad_u, rep.first_violation) == _old_bounds(cfg, [0.0])
 
 
 def _old_jacobian_field(tr, pts, t):
@@ -284,11 +315,14 @@ class TestTransportNorm:
                 norms = np.array([spatial(float(t)) for t in times])
                 ref = float(np.trapezoid(norms**cfg.q, times) ** (1.0 / cfg.q))
             else:
+                times = [0.0]
                 ref = float(spatial(0.0) * cfg.t_end ** (1.0 / cfg.q))
-            assert transport_norm(cfg) == ref, tr
+            rep = transport_report(cfg)
+            assert rep.norm == ref, tr
+            assert (rep.sup_u, rep.sup_grad_u, rep.first_violation) == _old_bounds(cfg, times), tr
 
     def test_zero_field(self):
-        assert transport_norm(circle_config(128, 16)) == 0.0
+        assert transport_report(circle_config(128, 16)).norm == 0.0
 
     def test_constant_field_closed_form(self):
         # |Omega|^{1/p} * T^{1/q} with |Omega| = 1, T = 1, p = 2, q = 4
@@ -297,7 +331,7 @@ class TestTransportNorm:
             grid=spec, shape=Ball((0.5, 0.5), 0.2), transport=ConstantTransport((1.0, 0.0)),
             epsilon=8 / 64, t_end=1.0, p=2.0, q=4.0,
         )
-        assert transport_norm(cfg) == pytest.approx(1.0, abs=1e-3)
+        assert transport_report(cfg).norm == pytest.approx(1.0, abs=1e-3)
 
     def test_homogeneity(self):
         spec = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (64, 64))
@@ -308,8 +342,8 @@ class TestTransportNorm:
                 epsilon=8 / 64, t_end=0.5, p=2.5, q=3.0,
             )
 
-        n1 = transport_norm(cfg_with((0.4, 0.1)))
-        n2 = transport_norm(cfg_with((0.8, 0.2)))
+        n1 = transport_report(cfg_with((0.4, 0.1))).norm
+        n2 = transport_report(cfg_with((0.8, 0.2))).norm
         assert n2 == pytest.approx(2 * n1, rel=1e-12)
 
     def test_time_reparametrization_invariance(self):
@@ -321,7 +355,7 @@ class TestTransportNorm:
                 grid=spec, shape=Ball((0.5, 0.5), 0.2), transport=ConstantTransport((1.0, 0.0)),
                 epsilon=8 / 64, t_end=t_end, p=2.0, q=4.0,
             )
-            return transport_norm(cfg) / t_end ** (1 / 4)
+            return transport_report(cfg).norm / t_end ** (1 / 4)
 
         assert norm_at(0.5) == pytest.approx(norm_at(2.0), rel=1e-12)
 
@@ -353,6 +387,10 @@ tau = 0.005
     def test_unknown_key_names_key_and_line(self, key):
         with pytest.raises(ConfigError, match=rf"line 2.*'{key}'"):
             parse_config(f"dim = 2\n{key} = 3\n")
+
+    def test_duplicate_key_names_key_and_line(self):
+        with pytest.raises(ConfigError, match=r"line 3: duplicate key 'dim'"):
+            parse_config("dim = 2\n# comment\ndim = 3\n")
 
     def test_default_p_valid_in_3d(self):
         # p = 2 fails the 3D exponent condition (p > 2); the default is p = n
