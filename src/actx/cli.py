@@ -297,9 +297,18 @@ def _run_rung(args: tuple[str, str]) -> int:
 
 
 def read_rows(art_dir: str) -> list[DiagnosticsRow]:
-    with open(os.path.join(art_dir, "diagnostics.csv")) as fh:
+    """The rows of an artifact directory's ``diagnostics.csv``; a row that does not
+    parse raises ``ValueError`` naming the file and the line."""
+    path = os.path.join(art_dir, "diagnostics.csv")
+    with open(path) as fh:
         lines = fh.read().splitlines()
-    return [DiagnosticsRow.from_csv_line(l) for l in lines[1:]]
+    rows = []
+    for i, line in enumerate(lines[1:], start=2):
+        try:
+            rows.append(DiagnosticsRow.from_csv_line(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {i}: {exc}") from None
+    return rows
 
 
 def sweep(plan_path: str, out_dir: str) -> int:
@@ -327,7 +336,11 @@ def sweep(plan_path: str, out_dir: str) -> int:
         cfg, _sol, _ = load_experiment(os.path.join(rung_dir, "config.txt"))
         entry: dict = {"cells": cells, "epsilon": cfg.epsilon, "status": "ok" if code == 0 else "FAILED"}
         if code == 0:
-            rows = read_rows(rung_dir)
+            try:
+                rows = read_rows(rung_dir)
+            except (OSError, ValueError) as exc:
+                print(f"diagnostics error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
             tail = [r for r in rows if r.t >= cfg.tau - 1e-12]
             entry["e_max"] = max(r.density_ratio_max for r in tail)
             entry["sup_xi_pos"] = max(r.sup_xi_pos for r in tail)

@@ -139,9 +139,6 @@ class ScalarField:
     def full(cls, spec: GridSpec, value: float) -> "ScalarField":
         return cls(spec, np.full(spec.nodes, float(value)))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.spec, self.values.copy())
-
 
 @dataclass
 class VectorField:

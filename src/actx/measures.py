@@ -12,21 +12,23 @@ built on it. The rows of ``solver.run``, ``actx diagnose`` and the windowed
 checks (trapezoids over retained frames) all share this computation;
 ``monotonicity_check`` builds each frame's fields once for all its probes.
 
-Ball-mass sweeps over node lattices run through FFT convolution with hard
-disk kernels, which reproduces the direct node-counting ball integral up to
-rounding; inequality checks report fitted constants instead of asserting
-universal ones, and acceptance pins the stability of those fits across
-refinement.
+Ball masses over a lattice of centres are exact lattice sums: after one
+prefix sum along the first axis, the mass of a ball is the sum of one chord
+difference per offset line of the ball (a summed-area table), so it counts
+exactly the nodes that the direct ``ball_integrate`` counts and differs from
+it only by rounding; only the centres asked for are computed. Inequality
+checks report fitted constants instead of asserting universal ones, and
+acceptance pins the stability of those fits across refinement.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .grid import GridSpec, ScalarField, ball_integrate, gradient, integrate, laplacian, sum_sq
 from .potential import DoubleWell, _smoothstep
@@ -143,14 +145,18 @@ def discrepancy_sup(
     return sup_xi, max(sup_xi, 0.0)
 
 
+def _axis_window(spec: GridSpec, box: tuple[Sequence[float], Sequence[float]], k: int) -> np.ndarray:
+    """Boolean mask of the axis-k nodes inside the box's closed interval, to 1e-9 h."""
+    ax = spec.axes()[k]
+    tol = 1e-9 * spec.h
+    return (ax >= box[0][k] - tol) & (ax <= box[1][k] + tol)
+
+
 def region_mask(spec: GridSpec, box: tuple[Sequence[float], Sequence[float]]) -> np.ndarray:
     """Boolean node mask of the given closed sub-box."""
-    lo, hi = box
-    mesh = spec.meshgrid()
-    tol = 1e-9 * spec.h
     m = np.ones(spec.nodes, dtype=bool)
     for k in range(spec.dim):
-        m &= (mesh[k] >= lo[k] - tol) & (mesh[k] <= hi[k] + tol)
+        m &= _axis_window(spec, box, k).reshape((-1,) + (1,) * (spec.dim - 1 - k))
     return m
 
 
@@ -178,36 +184,52 @@ class DensityRatioResult:
     radius: float
 
 
-def _disk_kernel(spec: GridSpec, radius: float) -> np.ndarray:
-    m = int(math.ceil(radius / spec.h))
-    offs = [np.arange(-m, m + 1) * spec.h for _ in range(spec.dim)]
-    if spec.dim == 2:
-        d2 = offs[0][:, None] ** 2 + offs[1][None, :] ** 2
-    else:
-        d2 = offs[0][:, None, None] ** 2 + offs[1][None, :, None] ** 2 + offs[2][None, None, :] ** 2
-    # same boundary rule as ball_integrate: exact-radius nodes stay out
-    return (d2 < radius**2 * (1.0 - 1e-12)).astype(np.float64)
+def _ball_lines(spec: GridSpec, radius: float) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """(m, lines): the ball of lattice offsets k h with |k h|^2 < r^2 (1 - 1e-12),
+    m = ceil(r/h), as one (half-length along axis 0, offset on the other axes)
+    pair per offset line that meets it.
 
-
-def _convolve_same(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Linear convolution of a with k, cropped centred to a's shape (a view).
-
-    The same ``scipy.fft`` calls as ``scipy.signal.fftconvolve(a, k, mode="same")``,
-    so the same bits, without importing ``scipy.signal``.
+    The squared distances are summed axis by axis from the offsets k h, and
+    nodes at exactly the radius stay out, as in ``ball_integrate``.
     """
-    full = [n + m - 1 for n, m in zip(a.shape, k.shape)]
-    fshape = [sp_fft.next_fast_len(n, True) for n in full]
-    axes = list(range(a.ndim))
-    prod = sp_fft.rfftn(a, fshape, axes=axes) * sp_fft.rfftn(k, fshape, axes=axes)
-    conv = sp_fft.irfftn(prod, fshape, axes=axes)
-    return conv[tuple(slice((n - m) // 2, (n - m) // 2 + m) for n, m in zip(full, a.shape))]
+    m = int(math.ceil(radius / spec.h))
+    sq = (np.arange(-m, m + 1) * spec.h) ** 2
+    d2 = sq
+    for _ in range(1, spec.dim):
+        d2 = d2[..., None] + sq
+    # nodes per offset line; the ball is symmetric along axis 0, so 2a + 1
+    count = np.count_nonzero(d2 < radius**2 * (1.0 - 1e-12), axis=0)
+    return m, [(int(count[off]) // 2, tuple(int(i) - m for i in off)) for off in zip(*np.nonzero(count))]
 
 
-def ball_masses(measure: EnergyMeasure, radius: float) -> np.ndarray:
-    """mu(B_radius(x)) for every node x simultaneously (balls clipped at the box)."""
-    kern = _disk_kernel(measure.spec, radius)
-    conv = _convolve_same(measure.density.values, kern)
-    return conv * measure.spec.h**measure.spec.dim
+def ball_masses(measure: EnergyMeasure, radius: float, centres: Sequence[slice]) -> np.ndarray:
+    """mu(B_radius(x)) at the nodes x of the sub-lattice ``centres`` (one index
+    slice per axis); balls are clipped at the box.
+
+    One prefix sum along axis 0, padded by m = ceil(r/h) rows clamped to its
+    end values and m zero columns on the other axes, turns the ball mass into
+    a sum of chord differences, one per offset line of the ball.
+    """
+    spec = measure.spec
+    vals = measure.density.values
+    m, lines = _ball_lines(spec, radius)
+    cum = np.zeros((vals.shape[0] + 2 * m + 1,) + tuple(n + 2 * m for n in vals.shape[1:]))
+    inner = tuple(slice(m, m + n) for n in vals.shape[1:])
+    np.cumsum(vals, axis=0, out=cum[(slice(m + 1, m + 1 + vals.shape[0]),) + inner])
+    cum[m + 1 + vals.shape[0] :] = cum[m + vals.shape[0]]
+    sub = [range(*sl.indices(n)) for sl, n in zip(centres, vals.shape)]
+    out = np.zeros(tuple(len(r) for r in sub))
+    chord = np.empty_like(out)
+
+    def shifted(axis: int, by: int) -> slice:
+        r = sub[axis]
+        return slice(r.start + by, r.start + by + (len(r) - 1) * r.step + 1, r.step)
+
+    for a, off in lines:
+        rest = tuple(shifted(k + 1, m + b) for k, b in enumerate(off))
+        np.subtract(cum[(shifted(0, m + a + 1),) + rest], cum[(shifted(0, m - a),) + rest], out=chord)
+        out += chord
+    return out * spec.h**spec.dim
 
 
 def dyadic_radii(spec: GridSpec, r_max: float) -> list[float]:
@@ -229,16 +251,20 @@ def ratio_lattice_radii(spec: GridSpec, inset: float) -> list[float]:
     return dyadic_radii(spec, probe_radius(inset))
 
 
-def _stride_mask(spec: GridSpec, stride: int) -> np.ndarray:
-    m = np.zeros(spec.nodes, dtype=bool)
-    m[tuple(slice(None, None, stride) for _ in range(spec.dim))] = True
-    return m
+def _index_slice(keep: np.ndarray, stride: int) -> slice | None:
+    """The nodes with index a multiple of ``stride`` where ``keep`` holds (an
+    index interval along one axis) as a slice, or None if there are none."""
+    idx = np.nonzero(keep)[0]
+    if idx.size == 0:
+        return None
+    start = -(-int(idx[0]) // stride) * stride
+    return slice(start, int(idx[-1]) + 1, stride) if start <= idx[-1] else None
 
 
-def _masked_node(mesh: tuple[np.ndarray, ...], m: np.ndarray, i: int) -> tuple[float, ...]:
-    """Coordinates of the i-th selected node of the mask m."""
-    where = tuple(np.argwhere(m)[i])
-    return tuple(float(axis[where]) for axis in mesh)
+def _lattice_argmax(vals: np.ndarray, axes: Sequence[np.ndarray], centres: Sequence[slice]):
+    """(max of vals, coordinates of its first node) on the sub-lattice ``centres``."""
+    i = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return float(vals[i]), tuple(float(ax[sl][j]) for ax, sl, j in zip(axes, centres, i))
 
 
 def density_ratio(
@@ -286,19 +312,18 @@ def density_ratio(
             if vals[i] > best[0]:
                 best = (float(vals[i]), tuple(centers[i]), r)
     else:
-        mesh = spec.meshgrid()
+        axes = spec.axes()
         for r in radii:
-            masses = ball_masses(measure, r)
             pad = r if require_fit else 0.0
             fit = ([lo + pad for lo in region[0]], [hi - pad for hi in region[1]])
-            m = _stride_mask(spec, stride) & region_mask(spec, fit)
-            if not np.any(m):
+            centres = [_index_slice(_axis_window(spec, fit, k), stride) for k in range(spec.dim)]
+            if None in centres:
                 continue
-            vals = masses[m] / r**power
+            vals = ball_masses(measure, r, centres) / r**power
             sampled = True
-            i = int(np.argmax(vals))
-            if vals[i] > best[0]:
-                best = (float(vals[i]), _masked_node(mesh, m, i), r)
+            val, center = _lattice_argmax(vals, axes, centres)
+            if val > best[0]:
+                best = (val, center, r)
 
     if not sampled:
         raise MeasureError("no admissible (center, radius) samples in the region")
@@ -322,11 +347,9 @@ def scaled_density_ratio(
     if radii is None:
         ext = min(hi - lo for lo, hi in zip(spec.lo, spec.hi))
         radii = dyadic_radii(spec, ext / 8.0)
-    mesh = spec.meshgrid()
-    dist_inset = np.minimum.reduce(
-        [mesh[k] - (spec.lo[k] + eps) for k in range(spec.dim)]
-        + [(spec.hi[k] - eps) - mesh[k] for k in range(spec.dim)]
-    )
+    axes = spec.axes()
+    # each axis's distance to the eps-inset box boundary; the node's is their min
+    dist = [np.minimum(ax - (lo + eps), (hi - eps) - ax) for ax, lo, hi in zip(axes, spec.lo, spec.hi)]
     best = (-math.inf, (math.nan,) * spec.dim, math.nan, math.nan)
     found = False
     for t, phi in zip(traj.times, traj.frames):
@@ -334,17 +357,18 @@ def scaled_density_ratio(
             continue
         mu = EnergyMeasure.from_phase(phi, eps, cfg.well)
         l_time = math.sqrt(t - eps * eps)
-        l_field = np.minimum(dist_inset, l_time)
         for r in radii:
-            masses = ball_masses(mu, r)
-            m = (dist_inset >= 2.0 * r - 1e-12) & _stride_mask(spec, stride)
-            if not np.any(m):
+            centres = [_index_slice(d >= 2.0 * r - 1e-12, stride) for d in dist]
+            if None in centres:
                 continue
             found = True
-            vals = np.maximum(l_field[m], 0.0) ** (spec.dim - 1) * masses[m] / r ** (spec.dim - 1)
-            i = int(np.argmax(vals))
-            if vals[i] > best[0]:
-                best = (float(vals[i]), _masked_node(mesh, m, i), r, t)
+            masses = ball_masses(mu, r, centres)
+            dist_inset = functools.reduce(np.minimum, np.ix_(*(d[c] for d, c in zip(dist, centres))))
+            l_field = np.minimum(dist_inset, l_time)
+            vals = np.maximum(l_field, 0.0) ** (spec.dim - 1) * masses / r ** (spec.dim - 1)
+            val, center = _lattice_argmax(vals, axes, centres)
+            if val > best[0]:
+                best = (val, center, r, t)
     if not found:
         raise MeasureError("no admissible (center, radius, time) samples for the scaled ratio")
     return best
@@ -701,4 +725,6 @@ class DiagnosticsRow:
     @classmethod
     def from_csv_line(cls, line: str) -> "DiagnosticsRow":
         parts = [float(v) for v in line.strip().split(",")]
+        if len(parts) != len(fields(cls)):
+            raise ValueError(f"expected {len(fields(cls))} values, got {len(parts)}")
         return cls(*parts)

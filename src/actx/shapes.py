@@ -8,6 +8,7 @@ which is all the phase construction needs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,16 @@ class Box(Shape):
     hi: tuple[float, ...]
 
     def sdf(self, pts):
-        c = 0.5 * (np.asarray(self.lo) + np.asarray(self.hi))
-        half = 0.5 * (np.asarray(self.hi) - np.asarray(self.lo))
-        q = np.abs(pts - c) - half
-        outside = np.sqrt(np.sum(np.maximum(q, 0.0) ** 2, axis=-1))
-        inside = np.minimum(np.max(q, axis=-1), 0.0)
-        return outside + inside
+        # one axis at a time, like grid.sum_sq: the same bits as broadcasting
+        # over the component axis and reducing it with np.sum and np.max
+        q = [
+            np.abs(pts[..., k] - 0.5 * (lo + hi)) - 0.5 * (hi - lo)
+            for k, (lo, hi) in enumerate(zip(self.lo, self.hi))
+        ]
+        outside = np.maximum(q[0], 0.0) ** 2
+        for qk in q[1:]:
+            outside = outside + np.maximum(qk, 0.0) ** 2
+        return np.sqrt(outside) + np.minimum(functools.reduce(np.maximum, q), 0.0)
 
 
 @dataclass

@@ -91,7 +91,7 @@ class Trajectory:
 
     def append(self, t: float, phi: ScalarField) -> None:
         self.times.append(t)
-        self.frames.append(phi.copy())
+        self.frames.append(phi)  # fields are never mutated: ``step`` returns a new one
 
 
 def stable_dt(h: float, eps: float, u_max: float, w: DoubleWell, n: int, cfl: float = 0.5) -> float:
@@ -251,13 +251,13 @@ def _default_probe(cfg: ScenarioConfig, phi0: ScalarField) -> measures.HuiskenPr
     return probe_at(cfg, [mesh[idx] for mesh in cfg.grid.meshgrid()])
 
 
-def _sup_speed(cfg: ScenarioConfig) -> float:
-    """sup |u| for the advective limit: sampled on the nodes for a static
-    transport, the transport's analytic bound over [0, T] otherwise."""
+def _sup_speed(cfg: ScenarioConfig, u2: np.ndarray | None) -> float:
+    """sup |u| for the advective limit: the max over the nodes of a static
+    transport's |u|^2 ``u2``, the transport's analytic bound over [0, T] for a
+    time-dependent one (``u2`` None)."""
     if cfg.transport.time_dependent:
         return cfg.transport.sup_speed(cfg.grid, 0.0, cfg.t_end)
-    u = cfg.transport.velocity(np.stack(cfg.grid.meshgrid(), axis=-1), 0.0)
-    return float(np.max(np.sqrt(sum_sq(u))))
+    return float(np.max(np.sqrt(u2)))
 
 
 def run(
@@ -276,7 +276,18 @@ def run(
     """
     solver = solver or SolverConfig()
     phi0 = build_initial_phase(cfg)
-    u_max = _sup_speed(cfg)
+    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+    # a static transport's velocity, evaluated once: the step's u, |u|^2 and sup |u|
+    static_u: VectorField | None = None
+    u2_static = u2 = None
+    if not cfg.transport.time_dependent:
+        u0 = cfg.transport.velocity(pts, 0.0)
+        u2 = sum_sq(u0)
+        if np.any(u0):
+            static_u, u2_static = VectorField(cfg.grid, u0), u2
+        del u0
+    u_max = _sup_speed(cfg, u2)
+    del u2
     dt0 = stable_dt(cfg.grid.h, cfg.epsilon, u_max, cfg.well, cfg.grid.dim, solver.cfl)
     d = solver.diag_every
     n_steps = d * math.ceil(cfg.t_end / (dt0 * d))
@@ -291,14 +302,6 @@ def run(
     probe = _default_probe(cfg, phi0)
     traj = Trajectory(cfg, steps_between=d)
     rows: list[measures.DiagnosticsRow] = []
-
-    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
-    static_u: VectorField | None = None
-    u2_static = None
-    if not cfg.transport.time_dependent:
-        u2_static = measures.speed_sq(cfg.transport, pts, 0.0)
-        if u2_static is not None:
-            static_u = VectorField(cfg.grid, cfg.transport.velocity(pts, 0.0))
 
     center = tuple(0.5 * (l + h) for l, h in zip(cfg.grid.lo, cfg.grid.hi))
     omega_p = cfg.omega_prime()
@@ -318,7 +321,7 @@ def run(
         t = state.t
         ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, drive=True)
         vel = measures.velocity_sq(ff, omega_p)
-        ff.drive = None  # release it before the density-ratio FFTs
+        ff.drive = None  # release it before the density ratio
         mu = ff.measure()
         ratio = measures.density_ratio(mu, region=omega_p, stride=4, radii=ratio_radii)
         iset = extract_interface(phi)

@@ -62,6 +62,17 @@ class TestShapes:
         assert bx.sdf(np.array([0.5, 1.0])) == pytest.approx(-0.5)
         assert bx.sdf(np.array([2.0, 1.0])) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_box_sdf_same_bits_as_broadcast_form(self, dim):
+        # the per-axis form against the broadcast over the component axis
+        lo, hi = (-0.3, 0.1, 0.25)[:dim], (0.7, 1.3, 0.5)[:dim]
+        pts = np.random.default_rng(dim).uniform(-1.0, 2.0, (40, 30, dim))
+        c = 0.5 * (np.asarray(lo) + np.asarray(hi))
+        q = np.abs(pts - c) - 0.5 * (np.asarray(hi) - np.asarray(lo))
+        ref = np.sqrt(np.sum(np.maximum(q, 0.0) ** 2, axis=-1)) + np.minimum(np.max(q, axis=-1), 0.0)
+        got = Box(lo, hi).sdf(pts)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
     def test_halfspace(self):
         hs = HalfSpace((1.0, 0.0), 0.3)
         assert hs.sdf(np.array([0.0, 5.0])) == pytest.approx(-0.3)
