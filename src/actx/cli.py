@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import __version__, measures, scenario, solver
-from .grid import GridError, read_field
+from .grid import GridError
 from .interface import extract_interface, mcf_oracle
 from .measures import DiagnosticsRow, HuiskenProbe
 from .scenario import ConfigError, RadialGradient, ScenarioConfig, ZeroTransport
@@ -142,7 +142,7 @@ def run_experiment(config_path: str, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = solver.run(cfg, sol, out_dir=out_dir)
-    except ConfigError as exc:  # raised before the first step: collar margin, frame cap
+    except ConfigError as exc:  # raised before the first step: collar margin
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverAbort as exc:
@@ -150,10 +150,8 @@ def run_experiment(config_path: str, out_dir: str) -> int:
         _write_manifest(out_dir, cfg, sol, text, exc.dt, exc.n_steps, "aborted", abort=exc)
         return EXIT_ABORT
     _write_interface_csv(out_dir, result)
-    dt, n_steps, n_rows = result.dt, result.n_steps, len(result.rows)
-    del result  # frees the retained frames before the manifest's transport sampling
-    _write_manifest(out_dir, cfg, sol, text, dt, n_steps, "complete")
-    print(f"run complete: {n_steps} steps, {n_rows} diagnostics rows -> {out_dir}")
+    _write_manifest(out_dir, cfg, sol, text, result.dt, result.n_steps, "complete")
+    print(f"run complete: {result.n_steps} steps, {len(result.rows)} diagnostics rows -> {out_dir}")
     return EXIT_OK
 
 
@@ -206,25 +204,6 @@ def load_plan(path: str) -> SweepPlan:
     if "epsilon" not in base:
         base["epsilon"] = "0.1"  # placeholder; each rung overrides it
     return SweepPlan(base, rungs, eps_over_h)
-
-
-def load_trajectory(art_dir: str, cfg: ScenarioConfig) -> Trajectory:
-    """Rebuild a trajectory from the snapshot files of an artifact directory."""
-    snap_dir = os.path.join(art_dir, "snapshots")
-    traj = Trajectory(cfg)
-    steps = []
-    for name in sorted(os.listdir(snap_dir)):
-        path = os.path.join(snap_dir, name)
-        match = re.fullmatch(r"step_(\d+)\.afld", name)
-        if match is None:
-            raise GridError(f"{path}: not a snapshot file (expected step_<digits>.afld)")
-        f, t = read_field(path)
-        traj.times.append(t)
-        traj.frames.append(f)
-        steps.append(int(match.group(1)))
-    if len(steps) >= 2:
-        traj.steps_between = steps[1] - steps[0]
-    return traj
 
 
 def interface_probes(traj: Trajectory, count: int = 10) -> list[HuiskenProbe]:
@@ -352,7 +331,7 @@ def sweep(plan_path: str, out_dir: str) -> int:
                     for t, rs, rr, e in err[1]:
                         fh.write(f"{t!r},{rs!r},{rr!r},{e!r}\n")
             try:
-                traj = load_trajectory(rung_dir, cfg)
+                traj = solver.load_trajectory(rung_dir, cfg)
             except (GridError, OSError) as exc:
                 print(f"snapshot error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
@@ -441,18 +420,11 @@ def diagnose(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    traj = Trajectory(cfg)
-    for path in args.snapshot:
-        try:
-            f, t = read_field(path)
-        except (GridError, OSError) as exc:
-            print(f"snapshot error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        traj.times.append(t)
-        traj.frames.append(f)
-    order = np.argsort(traj.times, kind="stable")
-    traj.times = [traj.times[i] for i in order]
-    traj.frames = [traj.frames[i] for i in order]
+    try:
+        traj = solver.read_trajectory(args.snapshot, cfg)
+    except (GridError, OSError) as exc:
+        print(f"snapshot error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     probe = _parse_probe(args.probe, cfg) if args.probe else None
 
     mask = measures.region_mask(cfg.grid, cfg.omega_prime())
@@ -555,19 +527,14 @@ def emit_report(art_dir: str) -> tuple[str, int, int]:
 
     results: list[tuple[str, bool, str]] = []
 
-    rows: list[DiagnosticsRow] = []
     ok, detail = True, ""
     try:
-        with open(os.path.join(art_dir, "diagnostics.csv")) as fh:
-            lines = fh.read().splitlines()
-        for i, line in enumerate(lines[1:], start=2):
-            row = DiagnosticsRow.from_csv_line(line)
-            if not all(np.isfinite(astuple(row))):
-                ok, detail = False, f"non-finite value in diagnostics.csv row {i}"
-                break
-            rows.append(row)
+        rows = read_rows(art_dir)
     except (OSError, ValueError) as exc:
-        ok, detail = False, f"diagnostics.csv unreadable: {exc}"
+        rows, ok, detail = [], False, f"unreadable: {exc}"
+    bad = next((i for i, row in enumerate(rows) if not all(np.isfinite(astuple(row)))), None)
+    if bad is not None:  # the checks below see the rows before it
+        rows, ok, detail = rows[:bad], False, f"non-finite value in diagnostics.csv row {bad + 2}"
     results.append(("diagnostics-finite", ok, detail))
 
     ok, detail = True, ""

@@ -7,25 +7,30 @@ data (whose trace is identically -1) while keeping synthetic profiles
 consistent. The timestep obeys the diffusive, reactive and advective limits
 simultaneously.
 
-``run`` integrates a scenario from 0 to T, records a diagnostics row and
-retains the field every ``diag_every`` steps (the quadrature schedule for all
-time-integrated diagnostics), and optionally writes snapshot files. Identical
-configs produce bit-identical outputs.
+``run`` integrates a scenario from 0 to T, records a diagnostics row every
+``diag_every`` steps (the quadrature schedule for all time-integrated
+diagnostics) and writes snapshot files ``snapshots/step_<8-digit step>.afld``:
+the first and final fields and every ``snap_every``-th. It keeps only the
+final field; with ``snap_every = diag_every`` the snapshots are the fields on
+the diagnostics schedule, and ``load_trajectory`` reads them back bit for bit
+as the trajectory the offline checks take. Identical configs produce
+bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import measures
-from .grid import ScalarField, VectorField, integrate, sum_sq, write_field
+from .grid import GridError, ScalarField, VectorField, integrate, read_field, sum_sq, write_field
 from .interface import extract_interface, radius_estimate
 from .potential import DoubleWell
-from .scenario import ConfigError, ScenarioConfig, build_initial_phase
+from .scenario import ScenarioConfig, build_initial_phase
 
 PHI_ABORT = 1.1  # just outside the wells' basin; past this the run is garbage
 
@@ -61,7 +66,6 @@ class SolverConfig:
     cfl: float = 0.5
     diag_every: int = 50
     snap_every: int = 0  # 0: snapshot only the first and final fields
-    max_frames: int = 600  # retention guard; raise rather than thrash memory
 
     def __post_init__(self):
         if self.scheme not in ("euler", "rk2"):
@@ -82,7 +86,7 @@ class SimState:
 
 @dataclass
 class Trajectory:
-    """Retained fields on the diagnostics schedule, plus run context."""
+    """Fields at increasing times, ``steps_between`` steps apart, plus run context."""
 
     cfg: ScenarioConfig
     times: list[float] = field(default_factory=list)
@@ -237,6 +241,33 @@ class RunResult:
         return self.trajectory.frames[-1]
 
 
+def read_trajectory(paths, cfg: ScenarioConfig) -> Trajectory:
+    """The snapshot files ``paths`` as a trajectory, ordered by time (files of
+    equal time keep their order); an unreadable file raises ``GridError`` or
+    ``OSError`` naming it."""
+    snaps = sorted((read_field(p) for p in paths), key=lambda snap: snap[1])
+    return Trajectory(cfg, [t for _, t in snaps], [f for f, _ in snaps])
+
+
+def load_trajectory(art_dir: str, cfg: ScenarioConfig) -> Trajectory:
+    """The trajectory in an artifact directory's snapshot files, ``steps_between``
+    taken from the first two step indices; a file not named like a snapshot
+    raises ``GridError`` naming it."""
+    snap_dir = os.path.join(art_dir, "snapshots")
+    names = sorted(os.listdir(snap_dir))
+    steps = []
+    for name in names:
+        match = re.fullmatch(r"step_(\d+)\.afld", name)
+        if match is None:
+            path = os.path.join(snap_dir, name)
+            raise GridError(f"{path}: not a snapshot file (expected step_<digits>.afld)")
+        steps.append(int(match.group(1)))
+    traj = read_trajectory([os.path.join(snap_dir, name) for name in names], cfg)
+    if len(steps) >= 2:
+        traj.steps_between = steps[1] - steps[0]
+    return traj
+
+
 def probe_at(cfg: ScenarioConfig, y) -> measures.HuiskenProbe:
     """Standard probe at y (pulled inside the box so its ball fits), s = T + 0.01."""
     d = measures.probe_radius(cfg.inset_prime)
@@ -269,10 +300,11 @@ def run(
 
     The step count is rounded up to a whole number of diagnostics intervals,
     so the row count is n_steps / diag_every + 1 and the final time lands
-    exactly on T. On abort, partial outputs are flushed before the exception
-    propagates (carrying the rows computed so far). Before the first step, a
-    shape too close to the cutoff collar (``MarginError``) or a schedule over
-    ``max_frames`` raises ``ConfigError``.
+    exactly on T. The result's trajectory holds the final field only; the
+    earlier fields are in the snapshot files. On abort, partial outputs are
+    flushed before the exception propagates (carrying the rows computed so
+    far). Before the first step, a shape too close to the cutoff collar
+    (``MarginError``) raises ``ConfigError``.
     """
     solver = solver or SolverConfig()
     phi0 = build_initial_phase(cfg)
@@ -292,15 +324,8 @@ def run(
     d = solver.diag_every
     n_steps = d * math.ceil(cfg.t_end / (dt0 * d))
     dt = cfg.t_end / n_steps
-    n_frames = n_steps // d + 1
-    if n_frames > solver.max_frames:
-        raise ConfigError(
-            f"schedule would retain {n_frames} frames (> max_frames={solver.max_frames}); "
-            f"increase diag_every or max_frames"
-        )
 
     probe = _default_probe(cfg, phi0)
-    traj = Trajectory(cfg, steps_between=d)
     rows: list[measures.DiagnosticsRow] = []
 
     center = tuple(0.5 * (l + h) for l, h in zip(cfg.grid.lo, cfg.grid.hi))
@@ -365,7 +390,6 @@ def run(
 
     state = SimState(0.0, phi0, 0)
     running_max = float(np.max(np.abs(phi0.values)))
-    traj.append(state.t, state.phi)
     rows.append(make_row(state, running_max))
     snapshot(state)
 
@@ -384,7 +408,6 @@ def run(
             state = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=solver.scheme)
             running_max = max(running_max, state.max_abs_phi)
             if k % d == 0:
-                traj.append(state.t, state.phi)
                 rows.append(make_row(state, running_max))
                 running_max = state.max_abs_phi
             if (solver.snap_every and k % solver.snap_every == 0) or k == n_steps:
@@ -395,7 +418,7 @@ def run(
     finally:  # an abort flushes the rows computed so far
         if out_dir is not None:
             _write_rows(out_dir, rows)
-    return RunResult(cfg, solver, dt, n_steps, traj, rows, probe)
+    return RunResult(cfg, solver, dt, n_steps, Trajectory(cfg, [state.t], [state.phi]), rows, probe)
 
 
 def _write_rows(out_dir: str, rows: list[measures.DiagnosticsRow]) -> None:

@@ -1,10 +1,15 @@
 """Shared fixtures: the expensive reference runs are session-scoped.
 
+A run keeps only its final field; ``run_with_frames`` writes a snapshot on
+every diagnostics row and reads them back as the trajectory the offline
+checks take (bit-identical to the fields the run computed).
+
 The acceptance scenarios live on the [0, 1.6]^2 box (inset boxes 0.12/0.06)
 so that the coarse rung of the refinement ladder clears the 4-eps cutoff
 margin. The ladder keeps eps/h = 8 with eps = {16, 8} * h0, h0 = 1.6/256.
 """
 
+import dataclasses
 import time
 import warnings
 
@@ -15,7 +20,7 @@ from actx.grid import GridSpec, ScalarField
 from actx.potential import DoubleWell
 from actx.scenario import RadialGradient, ScenarioConfig, ZeroTransport
 from actx.shapes import Ball
-from actx.solver import SimState, SolverConfig, run, stable_dt, step
+from actx.solver import SimState, SolverConfig, load_trajectory, run, stable_dt, step
 
 L = 1.6
 CENTER = (0.8, 0.8)
@@ -43,14 +48,23 @@ def circle_config(
     )
 
 
+def run_with_frames(tmp_path_factory, cfg: ScenarioConfig, sol: SolverConfig):
+    """(result, trajectory): ``run`` with ``snap_every = diag_every`` into a fresh
+    directory, and its snapshot files read back."""
+    out = str(tmp_path_factory.mktemp("run"))
+    res = run(cfg, dataclasses.replace(sol, snap_every=sol.diag_every), out_dir=out)
+    return res, load_trajectory(out, cfg)
+
+
 @pytest.fixture(scope="session")
 def well() -> DoubleWell:
     return DoubleWell.quartic()
 
 
 @pytest.fixture(scope="session")
-def ladder():
-    """Shrinking-circle refinement ladder at fixed eps/h = 8.
+def ladder(tmp_path_factory):
+    """Shrinking-circle refinement ladder at fixed eps/h = 8: (cfg, result,
+    trajectory, seconds) per rung.
 
     The outer rungs are eps = 16 h0 (128^2) and 8 h0 (256^2); the 192^2 rung
     sits between them so cross-refinement stability is checked over three
@@ -62,8 +76,8 @@ def ladder():
         for cells, mult, diag in ((128, 16, 50), (192, 32 / 3, 75), (256, 8, 100)):
             cfg = circle_config(cells, mult)
             t0 = time.perf_counter()
-            res = run(cfg, SolverConfig(diag_every=diag))
-            out[cells] = (cfg, res, time.perf_counter() - t0)
+            res, traj = run_with_frames(tmp_path_factory, cfg, SolverConfig(diag_every=diag))
+            out[cells] = (cfg, res, traj, time.perf_counter() - t0)
     return out
 
 
@@ -83,8 +97,9 @@ def standing(well):
 
 
 @pytest.fixture(scope="session")
-def gronwall_runs():
-    """Gradient-transport runs: static weight and unit-rate modulated weight."""
+def gronwall_runs(tmp_path_factory):
+    """Gradient-transport runs, (cfg, result, trajectory): static weight and
+    unit-rate modulated weight."""
     out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -95,13 +110,14 @@ def gronwall_runs():
             ("modulated", RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)),
         ):
             cfg = circle_config(128, 16, t_end=0.008, tau=0.002, transport=tr)
-            out[tag] = (cfg, run(cfg, SolverConfig(diag_every=50)))
+            out[tag] = (cfg, *run_with_frames(tmp_path_factory, cfg, SolverConfig(diag_every=50)))
     return out
 
 
 @pytest.fixture(scope="session")
-def transport_equilibrium_runs():
-    """Quadratic-potential transport, c=16, from below and above R* = 0.25."""
+def transport_equilibrium_runs(tmp_path_factory):
+    """Quadratic-potential transport, c=16, from below and above R* = 0.25:
+    (cfg, result, trajectory, seconds) per start radius."""
     out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -109,6 +125,6 @@ def transport_equilibrium_runs():
             cfg = circle_config(192, 8, radius=r0, t_end=0.05, tau=0.01,
                                 transport=RadialGradient(16.0, CENTER))
             t0 = time.perf_counter()
-            res = run(cfg, SolverConfig(diag_every=100))
-            out[r0] = (cfg, res, time.perf_counter() - t0)
+            res, traj = run_with_frames(tmp_path_factory, cfg, SolverConfig(diag_every=100))
+            out[r0] = (cfg, res, traj, time.perf_counter() - t0)
     return out

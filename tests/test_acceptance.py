@@ -45,9 +45,9 @@ def matched_radius_errors(cfg, res, n_times: int = 10):
     return errs
 
 
-def probe_constants(cfg, res, count: int = 10):
+def probe_constants(cfg, traj, count: int = 10):
     """Per-probe constants needed beyond the 5%-of-scale slack, plus the slack floor."""
-    iset = extract_interface(res.trajectory.frames[0])
+    iset = extract_interface(traj.frames[0])
     verts = iset.vertices
     cen = np.mean(verts, axis=0)
     ang = np.arctan2(verts[:, 1] - cen[1], verts[:, 0] - cen[0])
@@ -57,7 +57,7 @@ def probe_constants(cfg, res, count: int = 10):
         HuiskenProbe(tuple(float(v) for v in verts[i]), cfg.t_end + 0.01, 0.0875, 0.175) for i in picks
     ]
     cs, floors, holds = [], [], []
-    for rep in monotonicity_check(res.trajectory, probes, cfg.tau, cfg.t_end):
+    for rep in monotonicity_check(traj, probes, cfg.tau, cfg.t_end):
         floor = 0.05 * abs(rep.scale) / rep.tail_factor if rep.tail_factor > 0 else 0.0
         req = max(0.0, (rep.residual - 0.05 * abs(rep.scale)) / rep.tail_factor) if rep.tail_factor > 0 else 0.0
         cs.append(req)
@@ -98,8 +98,8 @@ class TestAcceptance:
         assert secs < 10.0
 
     def test_03_shrinking_circle(self, ladder):
-        cfg_f, res_f, secs_f = ladder[256]
-        cfg_c, res_c, secs_c = ladder[128]
+        cfg_f, res_f, _, secs_f = ladder[256]
+        cfg_c, res_c, _, secs_c = ladder[128]
         errs = matched_radius_errors(cfg_f, res_f)
         err_c = max(matched_radius_errors(cfg_c, res_c))
         err_f = max(errs)
@@ -123,7 +123,7 @@ class TestAcceptance:
     def test_04_transport_equilibrium(self, transport_equilibrium_runs):
         devs = {}
         for r0 in (0.2, 0.3):
-            cfg, res, secs = transport_equilibrium_runs[r0]
+            cfg, res, _, secs = transport_equilibrium_runs[r0]
             r_end = res.rows[-1].interface_radius
             devs[r0] = abs(r_end / 0.25 - 1) if r_end > 0 else float("inf")
         ok = all(d <= 0.05 for d in devs.values())
@@ -137,17 +137,17 @@ class TestAcceptance:
         e_max = {}
         arg_dist = {}
         for cells in (128, 192, 256):
-            cfg, res, _ = ladder[cells]
+            cfg, res, traj, _ = ladder[cells]
             tail = [r for r in res.rows if r.t >= cfg.tau - 1e-12]
             e_max[cells] = max(r.density_ratio_max for r in tail)
             t_best = max(tail, key=lambda r: r.density_ratio_max).t
-            i = int(np.argmin(np.abs(np.array(res.trajectory.times) - t_best)))
-            mu = EnergyMeasure.from_phase(res.trajectory.frames[i], cfg.epsilon, cfg.well)
+            i = int(np.argmin(np.abs(np.array(traj.times) - t_best)))
+            mu = EnergyMeasure.from_phase(traj.frames[i], cfg.epsilon, cfg.well)
             dr = density_ratio(
                 mu, region=cfg.omega_prime(), stride=4,
                 radii=ratio_lattice_radii(cfg.grid, cfg.inset_prime),
             )
-            iset = extract_interface(res.trajectory.frames[i])
+            iset = extract_interface(traj.frames[i])
             arg_dist[cells] = float(
                 np.min(np.sqrt(np.sum((iset.vertices - np.array(dr.center)) ** 2, axis=-1)))
             )
@@ -166,7 +166,7 @@ class TestAcceptance:
         sup_xi_pos = {}
         caps = {}
         for cells in (128, 192, 256):
-            cfg, res, _ = ladder[cells]
+            cfg, res, _, _ = ladder[cells]
             tail = [r for r in res.rows if r.t >= cfg.tau - 1e-12]
             sup_xi[cells] = max(r.sup_xi for r in tail)
             sup_xi_pos[cells] = max(r.sup_xi_pos for r in tail)
@@ -186,8 +186,8 @@ class TestAcceptance:
     def test_07_kernel_monotonicity(self, ladder):
         stats = {}
         for cells in (128, 192, 256):
-            cfg, res, _ = ladder[cells]
-            cs, floors, holds = probe_constants(cfg, res)
+            cfg, _res, traj, _ = ladder[cells]
+            cs, floors, holds = probe_constants(cfg, traj)
             c9 = sorted(cs)[8]
             stats[cells] = (c9, float(np.median(floors)), sum(holds))
         pass_counts = {c: stats[c][2] for c in stats}
@@ -207,9 +207,9 @@ class TestAcceptance:
         rates = []
         static_incs = []
         scenarios = [gronwall_runs["modulated"], gronwall_runs["static"],
-                     ladder[128][:2]] + [v[:2] for v in transport_equilibrium_runs.values()]
-        for cfg, res in scenarios:
-            rep = gronwall_check(res.trajectory)
+                     ladder[128]] + list(transport_equilibrium_runs.values())
+        for _cfg, _res, traj, *_ in scenarios:
+            rep = gronwall_check(traj)
             rates.append(rep.growth_rate <= rep.sup_dt_g + 0.05)
             if rep.sup_dt_g == 0.0:
                 static_incs.append(rep.max_step_increase)
@@ -225,8 +225,8 @@ class TestAcceptance:
     def test_09_velocity_square_stability(self, ladder):
         vals = {}
         for cells in (128, 192, 256):
-            cfg, res, _ = ladder[cells]
-            vals[cells] = velocity_l2(res.trajectory, cfg.tau, cfg.t_end) / (cfg.t_end - cfg.tau)
+            cfg, _res, traj, _ = ladder[cells]
+            vals[cells] = velocity_l2(traj, cfg.tau, cfg.t_end) / (cfg.t_end - cfg.tau)
         factor = max(vals.values()) / min(vals.values())
         ok = factor < 2.0
         report(9, "velocity square stability", ok,
@@ -235,14 +235,14 @@ class TestAcceptance:
         assert factor < 2.0
 
     def test_10_meyers_ziemer(self, ladder, well):
-        cfg, res, _ = ladder[256]
+        cfg, _res, traj, _ = ladder[256]
         flat = ScalarField.sample(
             cfg.grid, lambda x, y: np.tanh((x - CENTER[0]) / cfg.epsilon)
         )
         spreads = {}
         for tag, mu in (
             ("flat", EnergyMeasure.from_phase(flat, cfg.epsilon, well)),
-            ("circle", EnergyMeasure.from_phase(res.trajectory.frames[0], cfg.epsilon, well)),
+            ("circle", EnergyMeasure.from_phase(traj.frames[0], cfg.epsilon, well)),
         ):
             vals = [meyers_ziemer_check(mu, trials=100, seed=s).max_ratio for s in (0, 1, 2)]
             assert all(np.isfinite(v) for v in vals)

@@ -8,8 +8,9 @@ import shutil
 import numpy as np
 import pytest
 
-from actx.cli import _parse_manifest, emit_report, load_experiment, load_trajectory, main, read_rows
+from actx.cli import _parse_manifest, emit_report, load_experiment, main, read_rows
 from actx.measures import DiagnosticsRow, gronwall_check
+from actx.solver import load_trajectory
 
 CONFIG = """\
 dim = 2
@@ -108,13 +109,6 @@ class TestRunCommand:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ") and "measured margin" in err[0]
-
-    def test_frame_cap_exits_one(self, tmp_path, capsys):
-        p = tmp_path / "long.cfg"
-        p.write_text(CONFIG.replace("diag_every = 50", "diag_every = 1").replace("T = 0.004", "T = 0.02"))
-        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: ") and "max_frames" in err[0]
 
     def test_manifest_records_transport_bounds(self, artifact):
         _, _, out = artifact
@@ -222,6 +216,18 @@ class TestReportCommand:
         text, passed, total = emit_report(str(victim / "art"))
         assert passed < total
         assert "row 4" in text
+
+    def test_unparseable_row_fails_the_check(self, artifact, tmp_path):
+        _, _, out = artifact
+        shutil.copytree(out, tmp_path / "art")
+        csv = tmp_path / "art" / "diagnostics.csv"
+        lines = csv.read_text().splitlines()
+        lines[2] = "x" + lines[2]
+        csv.write_text("\n".join(lines) + "\n")
+        text, passed, total = emit_report(str(tmp_path / "art"))
+        first = text.splitlines()[0]
+        assert first.startswith(f"FAIL diagnostics-finite (unreadable: {csv}: line 3: could not convert")
+        assert passed < total == 8
 
     def test_info_line_shows_transport_bounds(self, artifact, capsys):
         _, _, out = artifact
@@ -417,6 +423,17 @@ class TestDiagnoseCommand:
         out_text = capsys.readouterr().out
         assert "density_ratio_max" in out_text
         assert "monotonicity" in out_text
+
+    def test_frames_ordered_by_time(self, artifact, capsys):
+        d, cfg_path, out = artifact
+        snaps = sorted((out / "snapshots").iterdir())
+        assert len(snaps) >= 3
+        args = ["diagnose", "--config", str(cfg_path)]
+        for snap in reversed(snaps):
+            args += ["--snapshot", str(snap)]
+        assert main(args) == 0
+        times = [float(l.split()[0][2:]) for l in capsys.readouterr().out.splitlines()]
+        assert len(times) == len(snaps) and times == sorted(times) and times[0] == 0.0
 
     def test_corrupt_snapshot_exits_one(self, artifact, tmp_path, capsys):
         _, cfg_path, out = artifact

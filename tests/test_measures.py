@@ -29,7 +29,7 @@ from actx.measures import (
 from actx.potential import DoubleWell, surface_tension
 from actx.solver import Trajectory
 
-from conftest import CENTER, INSET, L, circle_config
+from conftest import CENTER, INSET, L, circle_config, run_with_frames
 
 WELL = DoubleWell.quartic()
 SPEC = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (128, 128))
@@ -57,8 +57,7 @@ class TestDiscrepancy:
         # the run's rows and the offline checks share one per-frame computation
         from actx.measures import discrepancy_sup, frame_fields, velocity_sq
 
-        cfg, res, _ = ladder[128]
-        traj = res.trajectory
+        cfg, res, traj, _ = ladder[128]
         sup_xi, sup_pos = discrepancy_sup(traj)
         tail = [r for r in res.rows if r.t >= cfg.tau - 1e-12]
         assert sup_xi == pytest.approx(max(r.sup_xi for r in tail), rel=1e-12)
@@ -81,11 +80,11 @@ class TestDiscrepancy:
 
     def test_gradient_saturation_bound(self, ladder):
         # eps |grad phi| <= 1.2 max sqrt(2W) on the inner box, along the flow
-        cfg, res, _ = ladder[128]
+        cfg, res, traj, _ = ladder[128]
         from actx.grid import gradient
 
         mask = region_mask(cfg.grid, cfg.omega_prime())
-        for phi in res.trajectory.frames:
+        for phi in traj.frames:
             g = gradient(phi, None)
             mag = cfg.epsilon * np.sqrt(np.sum(g.values**2, axis=-1))
             assert np.max(mag[mask]) <= 1.2 * 1.0
@@ -109,7 +108,7 @@ class TestPositiveDiscrepancyBall:
         # integrated positive discrepancy shrinks (or ties) as eps refines
         vals = {}
         for cells in (128, 192, 256):
-            cfg, res, _ = ladder[cells]
+            cfg, res, _, _ = ladder[cells]
             tail = [r for r in res.rows if r.t >= cfg.tau - 1e-12]
             vals[cells] = max(r.pos_xi_integral for r in tail)
         assert vals[192] <= vals[128] + 1e-12
@@ -178,7 +177,7 @@ class TestDensityRatio:
 
 class TestScaledDensityRatio:
     def test_pure_phase_zero(self, ladder):
-        cfg, _res, _ = ladder[128]
+        cfg, _res, _, _ = ladder[128]
         traj = Trajectory(cfg)
         traj.append(cfg.tau + 0.001, ScalarField.full(cfg.grid, 1.0))
         val, _, _, _ = scaled_density_ratio(traj)
@@ -187,12 +186,12 @@ class TestScaledDensityRatio:
     def test_saturates_to_distance_weight_for_late_times(self, ladder):
         # when sqrt(t - eps^2) exceeds the box scale, only the distance matters:
         # the scaled ratio then equals dist^{n-1} mass / r^{n-1} computed by hand
-        cfg, res, _ = ladder[128]
+        cfg, res, _, _ = ladder[128]
         late = 10.0 + cfg.epsilon**2  # sqrt(t - eps^2) > diam
         traj = Trajectory(cfg, steps_between=1)
-        traj.append(late, res.trajectory.frames[-1])
+        traj.append(late, res.final_phi)
         val, center, radius, t = scaled_density_ratio(traj, stride=4, radii=[0.05])
-        mu = EnergyMeasure.from_phase(res.trajectory.frames[-1], cfg.epsilon, cfg.well)
+        mu = EnergyMeasure.from_phase(res.final_phi, cfg.epsilon, cfg.well)
         dist = min(
             center[0] - cfg.epsilon, center[1] - cfg.epsilon,
             L - cfg.epsilon - center[0], L - cfg.epsilon - center[1],
@@ -206,8 +205,8 @@ class TestScaledDensityRatio:
         radii = [0.025, 0.05, 0.1, 0.2]
         vals = {}
         for cells in (128, 192, 256):
-            cfg, res, _ = ladder[cells]
-            vals[cells], _, _, _ = scaled_density_ratio(res.trajectory, radii=radii)
+            cfg, res, traj, _ = ladder[cells]
+            vals[cells], _, _, _ = scaled_density_ratio(traj, radii=radii)
         assert max(vals.values()) / min(vals.values()) < 2.0
 
 
@@ -241,7 +240,7 @@ class TestHeatKernel:
 
 class TestMonotonicity:
     def test_pure_phase_trivial(self, ladder):
-        cfg, _res, _ = ladder[128]
+        cfg, _res, _, _ = ladder[128]
         traj = Trajectory(cfg)
         for t in (cfg.tau, cfg.tau + 0.002, cfg.tau + 0.004):
             traj.append(t, ScalarField.full(cfg.grid, 1.0))
@@ -255,7 +254,7 @@ class TestMonotonicity:
         # horizon is short enough that the Gaussian sits inside the cutoff
         from actx.solver import SimState, stable_dt, step
 
-        cfg, _res, _ = ladder[128]
+        cfg, _res, _, _ = ladder[128]
         phi = ScalarField.sample(cfg.grid, lambda x, y: np.tanh((x - CENTER[0]) / cfg.epsilon))
         dt = stable_dt(cfg.grid.h, cfg.epsilon, 0.0, WELL, 2, 0.5)
         st = SimState(0.0, phi, 0)
@@ -270,9 +269,9 @@ class TestMonotonicity:
         assert rep.lhs <= 0.01 * rep.scale
 
     def test_shrinking_circle_probes(self, ladder):
-        cfg, res, _ = ladder[256]
+        cfg, res, traj, _ = ladder[256]
         probe = HuiskenProbe((CENTER[0] + 0.25, CENTER[1]), cfg.t_end + 0.01, 0.0875, 0.175)
-        (rep,) = monotonicity_check(res.trajectory, [probe], cfg.tau, cfg.t_end)
+        (rep,) = monotonicity_check(traj, [probe], cfg.tau, cfg.t_end)
         # the kernel-energy inequality holds with the fitted constant by construction;
         # the content is that the fit is small against the 5%-of-scale floor
         floor_c = 0.05 * abs(rep.scale) / rep.tail_factor
@@ -280,24 +279,24 @@ class TestMonotonicity:
         assert rep.holds_with(rep.fitted_c)
 
     def test_window_validation(self, ladder):
-        cfg, res, _ = ladder[128]
+        cfg, res, traj, _ = ladder[128]
         probe = HuiskenProbe(CENTER, cfg.t_end + 0.01, 0.0875, 0.175)
         with pytest.raises(MeasureError):
-            monotonicity_check(res.trajectory, [probe], cfg.t_end, cfg.tau)
+            monotonicity_check(traj, [probe], cfg.t_end, cfg.tau)
 
     @pytest.fixture(scope="class")
-    def pulsed(self):
+    def pulsed(self, tmp_path_factory):
         """A short pulsed-transport rk2 run and the 10 interface probes of its first frame."""
         from actx.cli import interface_probes
         from actx.scenario import RadialGradient
-        from actx.solver import SolverConfig, run
+        from actx.solver import SolverConfig
 
         tr = RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)
         cfg = circle_config(96, 16, t_end=0.004, tau=0.001, transport=tr)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = run(cfg, SolverConfig(scheme="rk2", diag_every=25))
-        return cfg, res.trajectory, interface_probes(res.trajectory, 10)
+            _res, traj = run_with_frames(tmp_path_factory, cfg, SolverConfig(scheme="rk2", diag_every=25))
+        return cfg, traj, interface_probes(traj, 10)
 
     @staticmethod
     def _one_probe_reference(traj, probe, t0, t1):
@@ -363,9 +362,9 @@ class TestMonotonicity:
 
 class TestTransportKernel:
     def test_zero_velocity(self, ladder):
-        cfg, res, _ = ladder[128]
+        cfg, res, traj, _ = ladder[128]
         probe = HuiskenProbe(CENTER, cfg.t_end + 0.01, 0.0875, 0.175)
-        assert transport_kernel_integral(res.trajectory, probe, cfg.tau, cfg.t_end) == 0.0
+        assert transport_kernel_integral(traj, probe, cfg.tau, cfg.t_end) == 0.0
 
     def test_hat_p_closed_form(self):
         assert hat_p(2.0, 4.0, 2) == pytest.approx(0.5)
@@ -383,11 +382,11 @@ class TestTransportKernel:
 
     def test_envelope_scaling(self, gronwall_runs):
         # the double integral over a window shrinks at least like the window length
-        cfg, res = gronwall_runs["static"]
+        cfg, _res, traj = gronwall_runs["static"]
         probe = HuiskenProbe((CENTER[0] + 0.25, CENTER[1]), cfg.t_end + 0.01, 0.0875, 0.175)
         t1 = cfg.t_end
-        full = transport_kernel_integral(res.trajectory, probe, cfg.tau, t1)
-        half = transport_kernel_integral(res.trajectory, probe, (cfg.tau + t1) / 2, t1)
+        full = transport_kernel_integral(traj, probe, cfg.tau, t1)
+        half = transport_kernel_integral(traj, probe, (cfg.tau + t1) / 2, t1)
         phat = hat_p(cfg.p, cfg.q, 2)
         window_ratio = (t1 - (cfg.tau + t1) / 2) / (t1 - cfg.tau)
         assert half <= full * window_ratio**phat * 1.5 + 1e-12
@@ -395,7 +394,7 @@ class TestTransportKernel:
 
 class TestVelocityL2:
     def test_pure_phase_zero(self, ladder):
-        cfg, _res, _ = ladder[128]
+        cfg, _res, _, _ = ladder[128]
         traj = Trajectory(cfg)
         for t in (cfg.tau, cfg.tau + 0.002):
             traj.append(t, ScalarField.full(cfg.grid, 1.0))
@@ -423,8 +422,8 @@ class TestVelocityL2:
     def test_cross_epsilon_stability(self, ladder):
         vals = {}
         for cells in (128, 192, 256):
-            cfg, res, _ = ladder[cells]
-            vals[cells] = velocity_l2(res.trajectory, cfg.tau, cfg.t_end) / (cfg.t_end - cfg.tau)
+            cfg, res, traj, _ = ladder[cells]
+            vals[cells] = velocity_l2(traj, cfg.tau, cfg.t_end) / (cfg.t_end - cfg.tau)
         assert max(vals.values()) / min(vals.values()) < 2.0
 
 
@@ -447,20 +446,20 @@ class TestMeyersZiemer:
 
 class TestGronwall:
     def test_static_weight_non_increasing(self, gronwall_runs):
-        cfg, res = gronwall_runs["static"]
-        rep = gronwall_check(res.trajectory)
+        cfg, _res, traj = gronwall_runs["static"]
+        rep = gronwall_check(traj)
         assert rep.sup_dt_g == 0.0
         assert rep.max_step_increase <= 1e-9
 
     def test_zero_weight_reduces_to_energy(self, ladder):
-        cfg, res, _ = ladder[128]
-        rep = gronwall_check(res.trajectory)
+        cfg, res, traj, _ = ladder[128]
+        rep = gronwall_check(traj)
         assert rep.values[0] == pytest.approx(res.rows[0].total_energy, rel=1e-12)
         assert rep.max_step_increase <= 1e-9
 
     def test_modulated_rate_bound(self, gronwall_runs):
-        cfg, res = gronwall_runs["modulated"]
-        rep = gronwall_check(res.trajectory)
+        cfg, _res, traj = gronwall_runs["modulated"]
+        rep = gronwall_check(traj)
         assert rep.sup_dt_g == pytest.approx(1.0, abs=0.01)
         assert rep.rate_bound_ok()
         # pairwise form of the growth bound between consecutive samples
@@ -473,14 +472,14 @@ class TestGronwall:
         from actx.scenario import RotationTransport, ScenarioConfig
         from actx.shapes import Ball
 
-        cfg, res, _ = ladder[128]
+        cfg, _res, run_traj, _ = ladder[128]
         cfg_rot = ScenarioConfig(
             grid=cfg.grid, shape=Ball(CENTER, 0.25), transport=RotationTransport(1.0, CENTER),
             epsilon=cfg.epsilon, t_end=cfg.t_end, tau=cfg.tau,
             inset_prime=INSET, inset_dprime=INSET / 2,
         )
         traj = Trajectory(cfg_rot)
-        traj.append(0.0, res.trajectory.frames[0])
+        traj.append(0.0, run_traj.frames[0])
         with pytest.raises(MeasureError, match="gradient"):
             gronwall_check(traj)
 
@@ -488,7 +487,7 @@ class TestGronwall:
 class TestEnergyCap:
     def test_weighted_cap_on_all_scenarios(self, ladder, gronwall_runs):
         # sup_t mu_t <= 1.25 mu_0 exp((sup|dt g| + 0.05) T)
-        cases = [ladder[c][:2] for c in (128, 256)] + list(gronwall_runs.values())
+        cases = [ladder[c][:2] for c in (128, 256)] + [v[:2] for v in gronwall_runs.values()]
         for cfg, res in cases:
             mu0 = res.rows[0].total_energy
             sup_dtg = cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end)
@@ -498,15 +497,15 @@ class TestEnergyCap:
 
 class TestEnergyMeasure:
     def test_density_nonnegative_and_total(self, ladder):
-        cfg, res, _ = ladder[128]
-        for phi in res.trajectory.frames[:3]:
+        cfg, res, traj, _ = ladder[128]
+        for phi in traj.frames[:3]:
             mu = EnergyMeasure.from_phase(phi, cfg.epsilon, cfg.well)
             assert np.all(mu.density.values >= 0)
             assert mu.total == pytest.approx(integrate(mu.density), rel=1e-14)
 
     def test_discrepancy_below_density(self, ladder):
-        cfg, res, _ = ladder[128]
-        phi = res.trajectory.frames[-1]
+        cfg, res, _, _ = ladder[128]
+        phi = res.final_phi
         mu = EnergyMeasure.from_phase(phi, cfg.epsilon, cfg.well)
         xi = discrepancy_field(phi, cfg.epsilon, cfg.well)
         assert np.all(xi.values <= mu.density.values + 1e-15)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from actx.grid import ScalarField
+from actx.grid import ScalarField, read_field
 from actx.potential import DoubleWell
 from actx.scenario import RadialGradient
 from actx.solver import SimState, SolverAbort, SolverConfig, run, stable_dt, step
@@ -87,18 +87,29 @@ class TestStandingWave:
 
 
 class TestRun:
-    def test_zero_horizon_single_snapshot(self):
-        cfg = circle_config(128, 16, t_end=1e-9, tau=1e-10)
-        res = run(cfg, SolverConfig(diag_every=50))
+    def test_zero_horizon_single_snapshot(self, tmp_path):
         from actx.scenario import build_initial_phase
 
-        assert len(res.trajectory.frames) >= 1
-        assert np.array_equal(res.trajectory.frames[0].values, build_initial_phase(cfg).values)
+        cfg = circle_config(128, 16, t_end=1e-9, tau=1e-10)
+        run(cfg, SolverConfig(diag_every=50), out_dir=str(tmp_path))
+        first, t = read_field(tmp_path / "snapshots" / "step_00000000.afld")
+        assert t == 0.0
+        assert np.array_equal(first.values, build_initial_phase(cfg).values)
+
+    @pytest.mark.parametrize("diag_every, snap_every", [(10, 0), (10, 10), (20, 30)])
+    def test_keeps_only_the_final_field(self, tmp_path, diag_every, snap_every):
+        cfg = circle_config(96, 16, t_end=0.002, tau=0.001)
+        res = run(cfg, SolverConfig(diag_every=diag_every, snap_every=snap_every), out_dir=str(tmp_path))
+        assert len(res.rows) > 2 and len(res.trajectory.frames) == 1
+        last, t = read_field(tmp_path / "snapshots" / f"step_{res.n_steps:08d}.afld")
+        assert res.trajectory.times == [res.rows[-1].t] == [t]
+        assert res.final_phi is res.trajectory.frames[0]
+        assert np.array_equal(res.final_phi.values.view(np.uint64), last.values.view(np.uint64))
 
     def test_shrinking_circle_tracks_oracle(self, ladder):
         from actx.interface import mcf_oracle
 
-        cfg, res, _ = ladder[256]
+        cfg, res, _, _ = ladder[256]
         oracle = mcf_oracle(0.25, 0.0, 2, cfg.t_end)
         row_t = np.array([r.t for r in res.rows])
         for t in np.linspace(cfg.tau, cfg.t_end, 10):
@@ -118,20 +129,20 @@ class TestRun:
                 assert abs(row.interface_radius - 0.25) / 0.25 <= 0.05
 
     def test_energy_dissipates_without_transport(self, ladder):
-        cfg, res, _ = ladder[128]
+        cfg, res, traj, _ = ladder[128]
         mu0 = res.rows[0].total_energy
         for a, b in zip(res.rows, res.rows[1:]):
-            steps = res.trajectory.steps_between
+            steps = traj.steps_between
             assert b.total_energy <= a.total_energy + 1e-9 * mu0 * steps
 
     def test_near_maximum_principle(self, ladder):
         for cells in (128, 256):
-            cfg, res, _ = ladder[cells]
+            cfg, res, _, _ = ladder[cells]
             cap = 1.0 + 10.0 * res.dt
             assert all(r.max_abs_phi <= cap for r in res.rows)
 
     def test_row_count_matches_schedule(self, ladder):
-        cfg, res, _ = ladder[128]
+        cfg, res, _, _ = ladder[128]
         assert len(res.rows) == res.n_steps // res.solver.diag_every + 1
 
     def test_deterministic_rows(self):
@@ -152,11 +163,6 @@ class TestRun:
             out.append((d / "snapshots").iterdir())
         for fa, fb in zip(sorted(out[0]), sorted(out[1])):
             assert fa.read_bytes() == fb.read_bytes()
-
-    def test_retention_guard(self):
-        cfg = circle_config(128, 16)
-        with pytest.raises(ValueError, match="max_frames"):
-            run(cfg, SolverConfig(diag_every=1, max_frames=10))
 
 
 class TestThreeDimensions:
@@ -395,7 +401,7 @@ class TestSpeedBound:
         assert _sup_speed(cfg, None) >= peak
 
     def test_diffusive_limit_still_binds_on_pulsed_runs(self, gronwall_runs):
-        cfg, res = gronwall_runs["modulated"]
+        cfg, res, _ = gronwall_runs["modulated"]
         dt0 = stable_dt(cfg.grid.h, cfg.epsilon, 0.0, cfg.well, 2, 0.5)
         n = res.solver.diag_every * int(np.ceil(cfg.t_end / (dt0 * res.solver.diag_every)))
         assert res.n_steps == n and res.dt == cfg.t_end / n
