@@ -8,11 +8,11 @@ Subcommands:
   report    validate an artifact directory and summarize its checks
 
 Exit codes: 0 clean, 1 configuration error (also one found before the first
-step), unreadable snapshot or bad run-manifest value, 2 solver abort. The
-environment variable ACTX_THREADS caps sweep-rung parallelism (default
-serial). Artifact directories contain a manifest listing every output file
-with its sha256 and the transport bounds; an aborted run's manifest also
-records the abort's step, node, time and |phi|.
+step), unreadable snapshot, bad ``diagnose`` probe or bad run-manifest
+value, 2 solver abort. The environment variable ACTX_THREADS caps sweep-rung
+parallelism (default serial). Artifact directories contain a manifest
+listing every output file with its sha256 and the transport bounds; an
+aborted run's manifest also records the abort's step, node, time and |phi|.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, measures, scenario, solver
 from .grid import GridError
 from .interface import extract_interface, mcf_oracle
-from .measures import DiagnosticsRow, HuiskenProbe
+from .measures import DiagnosticsRow, HuiskenProbe, MeasureError
 from .scenario import ConfigError, RadialGradient, ScenarioConfig, ZeroTransport
 from .shapes import Ball
 from .solver import SolverAbort, SolverConfig, Trajectory
@@ -425,7 +425,14 @@ def diagnose(args) -> int:
     except (GridError, OSError) as exc:
         print(f"snapshot error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    probe = _parse_probe(args.probe, cfg) if args.probe else None
+    probe = None
+    if args.probe:
+        try:
+            probe = _parse_probe(args.probe, cfg)
+            probe.validate(cfg.grid)
+        except ValueError as exc:  # ConfigError, MeasureError and bad numbers alike
+            print(f"probe error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
     mask = measures.region_mask(cfg.grid, cfg.omega_prime())
     for t, phi in zip(traj.times, traj.frames):
@@ -436,17 +443,23 @@ def diagnose(args) -> int:
             f"t={t!r} energy={mu.total!r} sup_xi={float(np.max(ff.xi.values[mask]))!r} "
             f"density_ratio_max={ratio.max_ratio!r} at center={ratio.center} r={ratio.radius!r}"
         )
-        if probe is not None and len(traj.times) == 1:
+    if probe is None:
+        return EXIT_OK
+    try:  # the probe's times: t < s, and a window of at least two frames
+        if len(traj.times) == 1:
             print(f"kernel energy at t={t!r}: {measures.kernel_terms(ff, probe, t, None)[0]!r}")
-    if probe is not None and len(traj.times) >= 2:
+            return EXIT_OK
         t0 = args.t0 if args.t0 is not None else traj.times[0]
         t1 = args.t1 if args.t1 is not None else traj.times[-1]
         (rep,) = measures.monotonicity_check(traj, [probe], t0, t1)
-        print(
-            f"monotonicity [{rep.t0!r},{rep.t1!r}]: lhs={rep.lhs!r} "
-            f"transport={rep.transport_term!r} discrepancy={rep.discrepancy_term!r} "
-            f"tail_factor={rep.tail_factor!r} residual={rep.residual!r} fitted_c={rep.fitted_c!r}"
-        )
+    except MeasureError as exc:
+        print(f"probe error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    print(
+        f"monotonicity [{rep.t0!r},{rep.t1!r}]: lhs={rep.lhs!r} "
+        f"transport={rep.transport_term!r} discrepancy={rep.discrepancy_term!r} "
+        f"tail_factor={rep.tail_factor!r} residual={rep.residual!r} fitted_c={rep.fitted_c!r}"
+    )
     return EXIT_OK
 
 

@@ -78,10 +78,8 @@ class GridSpec:
         return n
 
     def axes(self) -> tuple[np.ndarray, ...]:
-        """1D node coordinate arrays, one per axis."""
-        return tuple(
-            np.linspace(self.lo[k], self.hi[k], self.cells[k] + 1) for k in range(self.dim)
-        )
+        """1D node coordinate arrays, one per axis; shared and read-only."""
+        return _axes_cached(self)
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         """Node coordinate arrays of shape ``nodes``, 'ij' indexing."""
@@ -92,6 +90,14 @@ class GridSpec:
             l >= self.lo[k] - tol and h <= self.hi[k] + tol
             for k, (l, h) in enumerate(zip(lo, hi))
         )
+
+
+@lru_cache(maxsize=8)
+def _axes_cached(spec: GridSpec) -> tuple[np.ndarray, ...]:
+    axes = tuple(np.linspace(spec.lo[k], spec.hi[k], spec.cells[k] + 1) for k in range(spec.dim))
+    for ax in axes:
+        ax.flags.writeable = False
+    return axes
 
 
 @lru_cache(maxsize=8)
@@ -324,23 +330,34 @@ def ball_integrate(
     )
     if clipped and not clip_ok:
         warnings.warn("ball clipped to the domain box", stacklevel=2)
-    # restrict to the bounding sub-box before forming the distance mask
+    return window_integral(f, ball_window(spec, c, radius))
+
+
+def ball_window(
+    spec: GridSpec, center: Sequence[float], radius: float
+) -> tuple[tuple[slice, ...], np.ndarray]:
+    """(index slices of the ball's bounding sub-box, clipped to the box; mask of
+    the sub-box nodes with |node - center| < radius): the nodes ``ball_integrate``
+    sums."""
     axes = spec.axes()
     sl = []
     for k in range(spec.dim):
-        i0 = int(np.searchsorted(axes[k], c[k] - radius, side="left"))
-        i1 = int(np.searchsorted(axes[k], c[k] + radius, side="right"))
+        i0 = int(np.searchsorted(axes[k], center[k] - radius, side="left"))
+        i1 = int(np.searchsorted(axes[k], center[k] + radius, side="right"))
         sl.append(slice(max(i0, 0), min(i1, spec.cells[k] + 1)))
-    sub_axes = [axes[k][sl[k]] - c[k] for k in range(spec.dim)]
-    if any(a.size == 0 for a in sub_axes):
-        return 0.0
+    sub_axes = [axes[k][sl[k]] - center[k] for k in range(spec.dim)]
     d2 = sub_axes[0][:, None] ** 2 + sub_axes[1][None, :] ** 2
     if spec.dim == 3:
         d2 = d2[:, :, None] + sub_axes[2][None, None, :] ** 2
     # strict inequality with a relative guard band, so nodes at exactly the
     # radius resolve the same way regardless of coordinate rounding
-    mask = d2 < radius**2 * (1.0 - 1e-12)
-    return float(np.sum(f.values[tuple(sl)][mask]) * spec.h**spec.dim)
+    return tuple(sl), d2 < radius**2 * (1.0 - 1e-12)
+
+
+def window_integral(f: ScalarField, window: tuple[tuple[slice, ...], np.ndarray]) -> float:
+    """Sum of f over the nodes of a ``ball_window``, times h^n."""
+    sl, mask = window
+    return float(np.sum(f.values[sl][mask]) * f.spec.h**f.spec.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ built on it. The rows of ``solver.run``, ``actx diagnose`` and the windowed
 checks (trapezoids over retained frames) all share this computation;
 ``monotonicity_check`` builds each frame's fields once for all its probes.
 
+The truncated backward kernel of a probe vanishes off B_{r_outer}(y), so it
+and the integrals it weights are evaluated on the probe's bounding sub-box
+only. Each probe's geometry on a grid (the sub-box, r^2 and the cutoff on it,
+and the B_{1/4}(y) window of the tail term) is built once and cached; per
+frame only amp exp(-r^2/(4(s - t))) is computed.
+
 Ball masses over a lattice of centres are exact lattice sums: after one
 prefix sum along the first axis, the mass of a ball is the sum of one chord
 difference per offset line of the ball (a summed-area table), so it counts
@@ -30,7 +36,18 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, ball_integrate, gradient, integrate, laplacian, sum_sq
+from .grid import (
+    GridError,
+    GridSpec,
+    ScalarField,
+    ball_integrate,
+    ball_window,
+    gradient,
+    integrate,
+    laplacian,
+    sum_sq,
+    window_integral,
+)
 from .potential import DoubleWell, _smoothstep
 
 if TYPE_CHECKING:
@@ -384,7 +401,7 @@ def probe_radius(inset: float) -> float:
     return min(inset / 2.0, 0.25)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HuiskenProbe:
     """Backward-kernel probe anchored at (y, s) with a C^2 radial cutoff.
 
@@ -409,6 +426,8 @@ class HuiskenProbe:
         return cls(tuple(float(v) for v in y), float(s), d / 2.0, d)
 
     def validate(self, spec: GridSpec) -> None:
+        if len(self.y) != spec.dim:
+            raise MeasureError(f"probe centre {self.y} needs {spec.dim} coordinates")
         r = self.r_outer
         if not spec.contains_box([v - r for v in self.y], [v + r for v in self.y]):
             raise MeasureError(f"probe ball B_{self.r_outer:g}({self.y}) leaves the domain box")
@@ -418,26 +437,82 @@ class HuiskenProbe:
         return 1.0 - _smoothstep(t)
 
 
-def _kernel(probe: HuiskenProbe, r2, t: float, n: int):
-    """Truncated backward codimension-one Gaussian at squared distance r2 from y."""
+TAIL_RADIUS = 0.25  # the ball B_{1/4}(y) of the monotonicity check's tail term
+
+
+@dataclass(frozen=True, eq=False)
+class ProbeGeometry:
+    """The time-independent part of a probe's kernel on one grid.
+
+    ``box`` is the index sub-box of the nodes within r_outer of y along every
+    axis: it holds every node where the kernel can be nonzero, and a probe
+    that passes ``validate`` has none of those on the box faces, so sums over
+    it need no trapezoid edge weights. ``r2`` and ``cutoff`` are the squared
+    distance to y and the C^2 cutoff on it; ``tail`` is the ``ball_window`` of
+    B_{1/4}(y). The arrays are shared and read-only.
+    """
+
+    box: tuple[slice, ...]
+    r2: np.ndarray
+    cutoff: np.ndarray
+    tail: tuple[tuple[slice, ...], np.ndarray]
+
+
+@functools.lru_cache(maxsize=32)
+def probe_geometry(probe: HuiskenProbe, spec: GridSpec) -> ProbeGeometry:
+    """The probe's ``ProbeGeometry`` on ``spec``, built once per (probe, grid);
+    a probe whose ball leaves the box raises ``MeasureError``."""
+    probe.validate(spec)
+    box = []
+    r2 = None
+    for ax, y in zip(spec.axes(), probe.y):
+        # r >= |x_k - y_k| at every node, so the kernel vanishes off these nodes
+        idx = np.nonzero(np.abs(ax - y) < probe.r_outer)[0]
+        sl = slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+        box.append(sl)
+        d2 = (ax[sl] - y) ** 2
+        r2 = d2 if r2 is None else r2[..., None] + d2
+    cutoff = probe.cutoff(np.sqrt(r2))
+    tail = ball_window(spec, probe.y, TAIL_RADIUS)
+    for arr in (r2, cutoff, tail[1]):
+        arr.flags.writeable = False
+    return ProbeGeometry(tuple(box), r2, cutoff, tail)
+
+
+def _kernel(probe: HuiskenProbe, r2, cutoff, t: float, n: int):
+    """Truncated backward codimension-one Gaussian at squared distance r2 from y,
+    where the probe's cutoff is ``cutoff``."""
     if t >= probe.s:
         raise MeasureError(f"kernel needs t < s, got t={t:g}, s={probe.s:g}")
     tau = probe.s - t
     amp = (4.0 * math.pi * tau) ** (-(n - 1) / 2.0)
-    return amp * np.exp(-r2 / (4.0 * tau)) * probe.cutoff(np.sqrt(r2))
+    return amp * np.exp(-r2 / (4.0 * tau)) * cutoff
 
 
 def heat_kernel(probe: HuiskenProbe, x: Sequence[float], t: float, n: int) -> float:
     """The truncated kernel at a single point."""
     d = np.asarray(x, dtype=np.float64) - np.asarray(probe.y)
-    return float(_kernel(probe, np.sum(d * d), t, n))
+    r2 = np.sum(d * d)
+    return float(_kernel(probe, r2, probe.cutoff(np.sqrt(r2)), t, n))
 
 
 def kernel_field(probe: HuiskenProbe, spec: GridSpec, t: float) -> ScalarField:
-    """The truncated kernel sampled on the node lattice."""
-    mesh = spec.meshgrid()
-    r2 = sum((mesh[k] - probe.y[k]) ** 2 for k in range(spec.dim))
-    return ScalarField(spec, _kernel(probe, r2, t, spec.dim))
+    """The truncated kernel sampled on the node lattice: zero off the probe's box."""
+    geo = probe_geometry(probe, spec)
+    rho = np.zeros(spec.nodes)
+    rho[geo.box] = _kernel(probe, geo.r2, geo.cutoff, t, spec.dim)
+    return ScalarField(spec, rho)
+
+
+def _box_integral(values: np.ndarray, geo: ProbeGeometry, spec: GridSpec) -> float:
+    """Node sum of ``values`` on the probe's box times h^n; a non-finite entry
+    raises ``GridError`` with its node index on the whole grid."""
+    total = np.sum(values)
+    if not np.isfinite(total) and not np.all(np.isfinite(values)):
+        bad = np.argwhere(~np.isfinite(values))[0]
+        node = tuple(int(i) + sl.start for i, sl in zip(bad, geo.box))
+        raise GridError(f"kernel-weighted field contains a non-finite entry at node index {node}")
+    return float(total * spec.h**spec.dim)
 
 
 def kernel_terms(
@@ -446,14 +521,16 @@ def kernel_terms(
     """The probe-weighted scalars of one frame at time t.
 
     (int rho dmu, 1/2 int rho |u|^2 dmu, int xi rho / (2(s - t))) for the probe's
-    kernel rho; ``u2`` is ``speed_sq`` at t (None: no transport).
+    kernel rho; ``u2`` is ``speed_sq`` at t (None: no transport). The products
+    are formed and summed on the probe's box only.
     """
     spec = fields.density.spec
-    rho = kernel_field(probe, spec, t).values
-    dens = fields.density.values
-    i_rho = integrate(ScalarField(spec, rho * dens))
-    i_u = 0.0 if u2 is None else 0.5 * integrate(ScalarField(spec, rho * u2 * dens))
-    i_xi = integrate(ScalarField(spec, fields.xi.values * rho)) / (2.0 * (probe.s - t))
+    geo = probe_geometry(probe, spec)
+    rho = _kernel(probe, geo.r2, geo.cutoff, t, spec.dim)
+    dens = fields.density.values[geo.box]
+    i_rho = _box_integral(rho * dens, geo, spec)
+    i_u = 0.0 if u2 is None else 0.5 * _box_integral(rho * u2[geo.box] * dens, geo, spec)
+    i_xi = _box_integral(fields.xi.values[geo.box] * rho, geo, spec) / (2.0 * (probe.s - t))
     return i_rho, i_u, i_xi
 
 
@@ -513,8 +590,9 @@ def monotonicity_check(
     cfg = traj.cfg
     if not probes:
         raise MeasureError("monotonicity check needs at least one probe")
+    tails = []
     for probe in probes:
-        probe.validate(cfg.grid)
+        tails.append(probe_geometry(probe, cfg.grid).tail)  # validates the probe's ball
         if not t0 < t1 < probe.s:
             raise MeasureError(f"need t0 < t1 < s, got {t0:g}, {t1:g}, {probe.s:g}")
     pts = np.stack(cfg.grid.meshgrid(), axis=-1)
@@ -522,9 +600,9 @@ def monotonicity_check(
     def per_frame(t, ff):
         u2 = speed_sq(cfg.transport, pts, t)
         rows = []
-        for probe in probes:
+        for probe, tail in zip(probes, tails):
             leak = math.exp(-1.0 / (128.0 * (probe.s - t)))
-            mass = ball_integrate(ff.density, probe.y, 0.25, clip_ok=True)
+            mass = window_integral(ff.density, tail)  # ball_integrate over B_{1/4}(y)
             rows.append(kernel_terms(ff, probe, t, u2) + (leak * mass,))
         return rows
 

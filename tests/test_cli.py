@@ -443,6 +443,28 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(bad) in err[0] and "truncated payload" in err[0]
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_probe_leaving_box_exits_one(self, artifact, capsys, count):
+        # the default d = 0.06 puts the probe ball across the face x = 0
+        _, cfg_path, out = artifact
+        args = ["diagnose", "--config", str(cfg_path), "--probe", "y=0.01,0.8 s=0.05"]
+        for snap in sorted((out / "snapshots").iterdir())[:count]:
+            args += ["--snapshot", str(snap)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("probe error: ") and "leaves the domain box" in err[0]
+        assert captured.out == ""
+
+    def test_probe_time_not_after_snapshot_exits_one(self, artifact, capsys):
+        _, cfg_path, out = artifact
+        last = sorted((out / "snapshots").iterdir())[-1]
+        code = main(["diagnose", "--config", str(cfg_path), "--snapshot", str(last),
+                     "--probe", "y=0.8,0.8 s=0.001"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("probe error: ") and "t < s" in err[0]
+
 
 class TestLoadTrajectory:
     def test_reads_every_snapshot(self, artifact):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actx.grid import GridSpec, ScalarField, ball_integrate, integrate
 from actx.measures import (
@@ -236,6 +238,98 @@ class TestHeatKernel:
         probe = HuiskenProbe((0.05, 0.5), 0.05, 0.125, 0.25)
         with pytest.raises(MeasureError, match="leaves the domain"):
             probe.validate(SPEC)
+
+
+def _whole_grid_kernel(probe, spec, t):
+    """The truncated kernel evaluated on every node of the grid."""
+    mesh = spec.meshgrid()
+    r2 = sum((mesh[k] - probe.y[k]) ** 2 for k in range(spec.dim))
+    tau = probe.s - t
+    amp = (4.0 * math.pi * tau) ** (-(spec.dim - 1) / 2.0)
+    return amp * np.exp(-r2 / (4.0 * tau)) * probe.cutoff(np.sqrt(r2))
+
+
+def _whole_grid_terms(ff, probe, t, u2):
+    """``kernel_terms`` as whole-grid trapezoid integrals, with the scale of each
+    (the integral of the absolute integrand)."""
+    spec = ff.density.spec
+    rho = _whole_grid_kernel(probe, spec, t)
+    dens = ff.density.values
+    u2 = np.zeros(spec.nodes) if u2 is None else u2
+    parts = [rho * dens, 0.5 * rho * u2 * dens, ff.xi.values * rho / (2.0 * (probe.s - t))]
+    return [(integrate(ScalarField(spec, p)), integrate(ScalarField(spec, np.abs(p)))) for p in parts]
+
+
+class TestProbeLocalKernel:
+    """``kernel_field`` and ``kernel_terms`` on the probe's box against the whole grid."""
+
+    @given(
+        dim=st.sampled_from([2, 3]),
+        cells=st.integers(12, 40),
+        r_outer=st.floats(0.05, 0.3),
+        faces=st.lists(st.sampled_from(["lo", "mid", "hi"]), min_size=3, max_size=3),
+        gap=st.sampled_from([1e-9, 1e-4, 3e-3, 0.04]),
+        with_u=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_whole_grid(self, dim, cells, r_outer, faces, gap, with_u, seed):
+        from actx.measures import frame_fields, kernel_terms, probe_geometry
+
+        if dim == 3:
+            cells = min(cells, 20)
+        spec = GridSpec(dim, (0.0,) * dim, (0.8,) * dim, (cells,) * dim)
+        rng = np.random.default_rng(seed)
+        # the probe ball at the box centre or touching a face, per axis
+        y = tuple({"lo": r_outer, "mid": 0.4, "hi": 0.8 - r_outer}[f] for f in faces[:dim])
+        probe = HuiskenProbe(y, 0.05, 0.5 * r_outer, r_outer)
+        ff = frame_fields(ScalarField(spec, rng.uniform(-1.2, 1.2, spec.nodes)), 0.1, WELL)
+        u2 = rng.uniform(0.0, 4.0, spec.nodes) if with_u else None
+        box = probe_geometry(probe, spec).box
+        outside = np.ones(spec.nodes, dtype=bool)
+        outside[box] = False
+        # two times per probe and grid: nothing time-dependent is kept between calls
+        for t in (probe.s - gap, probe.s - 0.5 * gap):
+            ref = _whole_grid_kernel(probe, spec, t)
+            assert np.all(ref[outside] == 0.0)
+            assert np.array_equal(kernel_field(probe, spec, t).values, ref)
+            got = kernel_terms(ff, probe, t, u2)
+            for value, (want, scale) in zip(got, _whole_grid_terms(ff, probe, t, u2)):
+                assert abs(value - want) <= 1e-13 * scale, (t, value, want)
+
+    def test_probe_leaving_box_raises_before_evaluation(self):
+        from actx.measures import frame_fields, kernel_terms
+
+        ff = frame_fields(flat_field(), EPS, WELL)
+        probe = HuiskenProbe((0.1, 0.5), 0.05, 0.1, 0.2)
+        with pytest.raises(MeasureError, match="leaves the domain"):
+            kernel_terms(ff, probe, 0.06, None)  # t > s as well: the ball is checked first
+        with pytest.raises(MeasureError, match="leaves the domain"):
+            kernel_field(probe, SPEC, 0.01)
+
+    def test_time_ordering_enforced(self):
+        from actx.measures import frame_fields, kernel_terms
+
+        ff = frame_fields(flat_field(), EPS, WELL)
+        probe = HuiskenProbe((0.5, 0.5), 0.05, 0.1, 0.2)
+        for t in (0.05, 0.06):
+            with pytest.raises(MeasureError, match="t < s"):
+                kernel_terms(ff, probe, t, None)
+
+    def test_non_finite_product_raises(self):
+        from actx.grid import GridError
+        from actx.measures import frame_fields, kernel_terms, probe_geometry
+
+        ff = frame_fields(flat_field(), EPS, WELL)
+        probe = HuiskenProbe((0.5, 0.5), 0.05, 0.1, 0.2)
+        u2 = np.ones(SPEC.nodes)
+        u2[64, 70] = np.nan
+        with pytest.raises(GridError, match=r"non-finite entry at node index \(64, 70\)"):
+            kernel_terms(ff, probe, 0.01, u2)
+        box = probe_geometry(probe, SPEC).box
+        u2[64, 70] = 1.0
+        u2[box[0].stop, 64] = np.inf  # off the box: not a node of the kernel's support
+        assert np.isfinite(kernel_terms(ff, probe, 0.01, u2)[1])
 
 
 class TestMonotonicity:

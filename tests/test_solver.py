@@ -301,8 +301,10 @@ def test_diagnostics_digest_2d_rk2_pulsed(tmp_path):
                             transport=RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0))
         got = _diagnostics_digest(cfg, SolverConfig(scheme="rk2", diag_every=10), tmp_path)
     # re-pinned for the exact lattice ball sums: only density_ratio_max moved
-    # (9 of 13 rows, at most 6.3e-16 relative)
-    assert got == "d862a3926ab45248c3306d31eede73f43db1dc7e353965f48c36c1c19f781b31"
+    # (9 of 13 rows, at most 6.3e-16 relative); re-pinned for the probe-local
+    # kernel sums: only monotonicity_residual moved (7 of 13 rows, at most
+    # 1.3e-13 relative)
+    assert got == "d01ec575072e8a0a3c6098907bd2b5844b792da6830c536688743db2a1b5bfae"
 
 
 def test_diagnostics_digest_3d_euler(tmp_path):
@@ -319,7 +321,7 @@ def test_diagnostics_digest_3d_euler(tmp_path):
         got = _diagnostics_digest(cfg, SolverConfig(diag_every=10), tmp_path)
     # recorded with the unfused step (grid.laplacian/gradient + DoubleWell.eval), re-pinned
     # for the exact lattice ball sums: only density_ratio_max moved (4 of 4 rows, at most
-    # 5.8e-16 relative)
+    # 5.8e-16 relative); the probe-local kernel sums left every column unchanged
     assert got == "7b3677b0563add9bedf3db2d99188d35f653eee5e8cb980a5347789110c3b8e6"
 
 
