@@ -8,8 +8,10 @@ Subcommands:
   report    validate an artifact directory and summarize its checks
 
 Exit codes: 0 clean, 1 configuration error (also one found before the first
-step), unreadable snapshot, bad ``diagnose`` probe or bad run-manifest
-value, 2 solver abort. The environment variable ACTX_THREADS caps sweep-rung
+step, such as an empty density-ratio radius ladder), unreadable snapshot, bad
+``diagnose`` probe, bad run-manifest value or a sweep rung without an initial
+interface to place probes on, 2 solver abort or a failed sweep rung (a FAILED
+row in ``sweep.csv``). The environment variable ACTX_THREADS caps sweep-rung
 parallelism (default serial). Artifact directories contain a manifest
 listing every output file with its sha256 and the transport bounds; an
 aborted run's manifest also records the abort's step, node, time and |phi|.
@@ -42,12 +44,9 @@ EXIT_ABORT = 2
 
 
 def solver_from_config(conf: dict[str, str]) -> SolverConfig:
-    return SolverConfig(
-        scheme=conf.get("scheme", "euler"),
-        cfl=float(conf.get("cfl", "0.5")),
-        diag_every=int(conf.get("diag_every", "50")),
-        snap_every=int(conf.get("snap_every", "0")),
-    )
+    """The solver settings a parsed config sets; the others keep their defaults."""
+    kinds = {"scheme": str, "cfl": float, "diag_every": int, "snap_every": int}
+    return SolverConfig(**{key: kind(conf[key]) for key, kind in kinds.items() if key in conf})
 
 
 def load_experiment(path: str) -> tuple[ScenarioConfig, SolverConfig, str]:
@@ -123,15 +122,6 @@ def _write_manifest(out_dir: str, cfg: ScenarioConfig, sol: SolverConfig, config
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_interface_csv(out_dir: str, result: solver.RunResult) -> None:
-    iset = extract_interface(result.final_phi)
-    path = os.path.join(out_dir, "interface_final.csv")
-    with open(path, "w") as fh:
-        fh.write("x0,y0,x1,y1\n" if iset.dim == 2 else "x0,y0,z0,x1,y1,z1,x2,y2,z2\n")
-        for element in iset.elements:  # a segment (2D) or a triangle (3D)
-            fh.write(",".join(repr(float(v)) for v in element.reshape(-1)) + "\n")
-
-
 def run_experiment(config_path: str, out_dir: str) -> int:
     """Run one scenario; returns the process exit code."""
     try:
@@ -142,14 +132,13 @@ def run_experiment(config_path: str, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = solver.run(cfg, sol, out_dir=out_dir)
-    except ConfigError as exc:  # raised before the first step: collar margin
+    except ConfigError as exc:  # raised before the first step: collar margin, ratio radii
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         _write_manifest(out_dir, cfg, sol, text, exc.dt, exc.n_steps, "aborted", abort=exc)
         return EXIT_ABORT
-    _write_interface_csv(out_dir, result)
     _write_manifest(out_dir, cfg, sol, text, result.dt, result.n_steps, "complete")
     print(f"run complete: {result.n_steps} steps, {len(result.rows)} diagnostics rows -> {out_dir}")
     return EXIT_OK
@@ -175,9 +164,7 @@ class SweepPlan:
 
     def rung_config_text(self, cells: int) -> str:
         conf = dict(self.base_conf)
-        dim = int(conf["dim"])
-        lo = [float(v) for v in conf.get("lo", "0 " * dim).split()]
-        hi = [float(v) for v in conf.get("hi", "1 " * dim).split()]
+        lo, hi = scenario.config_box(conf, int(conf["dim"]))
         h = min(b - a for a, b in zip(lo, hi)) / cells
         conf["cells"] = str(cells)
         conf["epsilon"] = repr(self.eps_over_h * h)
@@ -312,9 +299,11 @@ def sweep(plan_path: str, out_dir: str) -> int:
     header = "cells,epsilon,status,interface_err,order,e_max,sup_xi_pos,fitted_c,gronwall_margin"
     table: list[dict] = []
     for (text, rung_dir), code, cells in zip(jobs, codes, plan.rungs):
-        cfg, _sol, _ = load_experiment(os.path.join(rung_dir, "config.txt"))
-        entry: dict = {"cells": cells, "epsilon": cfg.epsilon, "status": "ok" if code == 0 else "FAILED"}
+        # a failed rung's config may not even load, so the epsilon comes from its text
+        epsilon = float(scenario.parse_config(text)["epsilon"])
+        entry: dict = {"cells": cells, "epsilon": epsilon, "status": "ok" if code == 0 else "FAILED"}
         if code == 0:
+            cfg, _sol, _ = load_experiment(os.path.join(rung_dir, "config.txt"))
             try:
                 rows = read_rows(rung_dir)
             except (OSError, ValueError) as exc:
@@ -335,7 +324,11 @@ def sweep(plan_path: str, out_dir: str) -> int:
             except (GridError, OSError) as exc:
                 print(f"snapshot error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            entry["fitted_c"], _ = fitted_monotonicity_c(traj)
+            try:
+                entry["fitted_c"], _ = fitted_monotonicity_c(traj)
+            except ConfigError as exc:
+                print(f"probe error: {rung_dir}: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
             try:
                 rep = _gronwall(rows, _parse_manifest(os.path.join(rung_dir, "run-manifest"))[0])
             except ConfigError as exc:
@@ -417,6 +410,7 @@ def _parse_probe(spec_str: str, cfg: ScenarioConfig) -> HuiskenProbe:
 def diagnose(args) -> int:
     try:
         cfg, _sol, _ = load_experiment(args.config)
+        radii = solver.ratio_radii(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -438,7 +432,7 @@ def diagnose(args) -> int:
     for t, phi in zip(traj.times, traj.frames):
         ff = measures.frame_fields(phi, cfg.epsilon, cfg.well)
         mu = ff.measure()
-        ratio = measures.density_ratio(mu, region=cfg.omega_prime(), stride=4)
+        ratio = measures.density_ratio(mu, region=cfg.omega_prime(), stride=4, radii=radii)
         print(
             f"t={t!r} energy={mu.total!r} sup_xi={float(np.max(ff.xi.values[mask]))!r} "
             f"density_ratio_max={ratio.max_ratio!r} at center={ratio.center} r={ratio.radius!r}"

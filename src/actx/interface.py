@@ -1,10 +1,11 @@
 """Zero-level-set extraction and exact radial flow oracles.
 
-Extraction places vertices on grid edges whose endpoint values straddle zero
-(linear interpolation); 2D cells with ambiguous diagonal sign patterns are
-resolved by the cell-average sign. The 3D path uses the classic marching-cubes
-case tables. A node value of exactly zero counts as the non-negative side, so
-fields like ``x - 0.5`` reproduce their level line through the nodes exactly.
+Extraction places vertices on cell edges whose endpoint values straddle zero
+(linear interpolation). One table-driven extractor serves both dimensions, the
+square being the cube's z = 0 face; each cell edge's crossing is computed once
+per active cell, and 2D saddle cells are resolved by the cell-average sign. A
+node value of exactly zero counts as the non-negative side, so fields like
+``x - 0.5`` reproduce their level line through the nodes exactly.
 
 The radial oracle integrates dR/dt = -(n-1)/R + c R through the substitution
 y = R^2, whose evolution y' = 2c y - 2(n-1) is linear: the RK4 iteration then
@@ -61,139 +62,78 @@ class InterfaceSet:
         return float(0.5 * np.sum(np.linalg.norm(np.cross(a, b), axis=-1)))
 
 
-# 2D case table: per 4-bit corner code (c0 + 2 c1 + 4 c2 + 8 c3, bit set when
-# phi < 0), the cell edges (0=bottom, 1=right, 2=top, 3=left) joined by each
-# segment. Codes 5 and 10 are ambiguous and handled separately.
-_MS_SEGMENTS: dict[int, tuple[tuple[int, int], ...]] = {
-    0: (), 15: (),
-    1: ((3, 0),), 2: ((0, 1),), 4: ((1, 2),), 8: ((2, 3),),
-    3: ((3, 1),), 6: ((0, 2),), 12: ((1, 3),), 9: ((2, 0),),
-    7: ((3, 2),), 11: ((2, 1),), 13: ((1, 0),), 14: ((0, 3),),
-}
-
-
-def _edge_crossing(xa, ya, fa, xb, yb, fb):
-    t = fa / (fa - fb)
-    return xa + t * (xb - xa), ya + t * (yb - ya)
-
-
-def _marching_squares(phi: ScalarField) -> np.ndarray:
-    spec = phi.spec
-    v = phi.values
-    x, y = spec.axes()
-    c0 = v[:-1, :-1]
-    c1 = v[1:, :-1]
-    c2 = v[1:, 1:]
-    c3 = v[:-1, 1:]
-    inside = lambda a: (a < 0.0).astype(np.int8)
-    code = inside(c0) + 2 * inside(c1) + 4 * inside(c2) + 8 * inside(c3)
-
-    segs: list[np.ndarray] = []
-
-    def crossings(ii, jj, edge):
-        """Crossing coordinates on the given cell edge for cells (ii, jj)."""
-        if edge == 0:
-            fa, fb = v[ii, jj], v[ii + 1, jj]
-            xa, ya, xb, yb = x[ii], y[jj], x[ii + 1], y[jj]
-        elif edge == 1:
-            fa, fb = v[ii + 1, jj], v[ii + 1, jj + 1]
-            xa, ya, xb, yb = x[ii + 1], y[jj], x[ii + 1], y[jj + 1]
-        elif edge == 2:
-            fa, fb = v[ii + 1, jj + 1], v[ii, jj + 1]
-            xa, ya, xb, yb = x[ii + 1], y[jj + 1], x[ii], y[jj + 1]
-        else:
-            fa, fb = v[ii, jj + 1], v[ii, jj]
-            xa, ya, xb, yb = x[ii], y[jj + 1], x[ii], y[jj]
-        px, py = _edge_crossing(xa, ya, fa, xb, yb, fb)
-        return np.stack([px, py], axis=-1)
-
-    for case, pairs in _MS_SEGMENTS.items():
-        if not pairs:
-            continue
-        ii, jj = np.nonzero(code == case)
-        if ii.size == 0:
-            continue
-        for ea, eb in pairs:
-            segs.append(np.stack([crossings(ii, jj, ea), crossings(ii, jj, eb)], axis=1))
-
-    for case in (5, 10):
-        ii, jj = np.nonzero(code == case)
-        if ii.size == 0:
-            continue
-        avg = 0.25 * (c0[ii, jj] + c1[ii, jj] + c2[ii, jj] + c3[ii, jj])
-        center_in = avg < 0.0
-        if case == 5:
-            # corners c0, c2 inside
-            joined = (((0, 1), (2, 3)), ((3, 0), (1, 2)))
-        else:
-            # corners c1, c3 inside
-            joined = (((3, 0), (1, 2)), ((0, 1), (2, 3)))
-        for sel, pairs in zip((center_in, ~center_in), joined):
-            si, sj = ii[sel], jj[sel]
-            if si.size == 0:
-                continue
-            for ea, eb in pairs:
-                segs.append(np.stack([crossings(si, sj, ea), crossings(si, sj, eb)], axis=1))
-
-    if not segs:
-        return np.zeros((0, 2, 2))
-    return np.concatenate(segs, axis=0)
-
-
-# Cube corner offsets in (i, j, k) for the marching-cubes vertex numbering.
-_MC_OFFSETS = (
+# Offset of corner k from a cell's lowest node. The square's corners are the
+# cube's z = 0 face, so in both dimensions cell edge e joins the corners
+# EDGE_VERTICES[e]; the square's edges are the first four.
+_CORNERS = (
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
 )
 
+# Marching-squares segments per corner code (bit k set where corner k is
+# negative) as pairs of cell edges, in output order. The saddle codes 5 and 10
+# gain bit 4 (21, 26) when their cell average is not negative.
+_SEGMENTS = {
+    1: ((3, 0),), 2: ((0, 1),), 4: ((1, 2),), 8: ((2, 3),),
+    3: ((3, 1),), 6: ((0, 2),), 12: ((1, 3),), 9: ((2, 0),),
+    7: ((3, 2),), 11: ((2, 1),), 13: ((1, 0),), 14: ((0, 3),),
+    5: ((0, 1), (2, 3)), 21: ((3, 0), (1, 2)),
+    10: ((3, 0), (1, 2)), 26: ((0, 1), (2, 3)),
+}
 
-def _marching_cubes(phi: ScalarField) -> np.ndarray:
-    spec = phi.spec
-    v = phi.values
-    x, y, z = spec.axes()
-    corner = [v[o[0]:, o[1]:, o[2]:][: spec.cells[0], : spec.cells[1], : spec.cells[2]]
-              for o in _MC_OFFSETS]
-    code = np.zeros(tuple(spec.cells), dtype=np.int16)
-    for bit, c in enumerate(corner):
-        code |= ((c < 0.0).astype(np.int16)) << bit
 
-    tris: list[np.ndarray] = []
-    active = np.nonzero((code != 0) & (code != 255))
-    if active[0].size == 0:
-        return np.zeros((0, 3, 3))
-    codes_active = code[active]
-    ii, jj, kk = active
+def _case_table(cases: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cell edge of each element vertex per code, -1 padded; output rank per
+    code) from ``cases``: each code's elements' edges, flat, in output order."""
+    rows = [[] for _ in range(max(cases) + 1)]
+    rank = [0] * len(rows)
+    for r, (code, edges) in enumerate(cases.items()):
+        rows[code], rank[code] = list(edges), r
+    width = max(map(len, rows))
+    padded = [row + [-1] * (width - len(row)) for row in rows]
+    return np.reshape(np.array(padded, dtype=np.intp), (len(rows), -1, dim)), np.array(rank)
 
-    def edge_points(sel, edge):
-        a, b = EDGE_VERTICES[edge]
-        oa, ob = _MC_OFFSETS[a], _MC_OFFSETS[b]
-        ia, ja, ka = ii[sel] + oa[0], jj[sel] + oa[1], kk[sel] + oa[2]
-        ib, jb, kb = ii[sel] + ob[0], jj[sel] + ob[1], kk[sel] + ob[2]
-        fa, fb = v[ia, ja, ka], v[ib, jb, kb]
-        t = fa / (fa - fb)
-        px = x[ia] + t * (x[ib] - x[ia])
-        py = y[ja] + t * (y[jb] - y[ja])
-        pz = z[ka] + t * (z[kb] - z[ka])
-        return np.stack([px, py, pz], axis=-1)
 
-    for case in np.unique(codes_active):
-        sel = codes_active == case
-        row = TRIANGLE_TABLE[case]
-        for m in range(0, 16, 3):
-            if row[m] < 0:
-                break
-            pts = [edge_points(sel, row[m + d]) for d in range(3)]
-            tris.append(np.stack(pts, axis=1))
-    if not tris:
-        return np.zeros((0, 3, 3))
-    return np.concatenate(tris, axis=0)
+_TABLES = {
+    2: _case_table({code: sum(pairs, ()) for code, pairs in _SEGMENTS.items()}, 2),
+    3: _case_table({code: row[: row.index(-1)] for code, row in enumerate(TRIANGLE_TABLE)}, 3),
+}
 
 
 def extract_interface(phi: ScalarField) -> InterfaceSet:
-    """Zero level set of phi; an empty set is the valid 'vanished' outcome."""
-    if phi.spec.dim == 2:
-        return InterfaceSet(2, _marching_squares(phi))
-    return InterfaceSet(3, _marching_cubes(phi))
+    """Zero level set of phi; an empty set is the valid 'vanished' outcome.
+
+    Elements are ordered by code (in table order), place in the code's entry
+    and cell (row-major).
+    """
+    spec, v, n = phi.spec, phi.values, phi.spec.dim
+    offsets = [o[:n] for o in _CORNERS[: 2**n]]
+    corner = [v[tuple(slice(o, o + c) for o, c in zip(off, spec.cells))] for off in offsets]
+    code = np.zeros(spec.cells, dtype=np.int16)
+    for bit, c in enumerate(corner):
+        code |= (c < 0.0).astype(np.int16) << bit
+    cells = np.nonzero((code != 0) & (code != (1 << len(corner)) - 1))
+    codes = code[cells]
+    f = [c[cells] for c in corner]
+    if n == 2:
+        avg = 0.25 * (f[0] + f[1] + f[2] + f[3])
+        codes[((codes == 5) | (codes == 10)) & ~(avg < 0.0)] |= 16
+    axes = spec.axes()
+    pairs = [ab for ab in EDGE_VERTICES if max(ab) < len(corner)]
+    pts = np.empty((codes.size, len(pairs), n))  # the crossing on every cell edge
+    with np.errstate(divide="ignore", invalid="ignore"):  # edges without a sign change
+        for e, (a, b) in enumerate(pairs):
+            t = f[a] / (f[a] - f[b])
+            for k in range(n):
+                xa = axes[k][cells[k] + offsets[a][k]]
+                xb = axes[k][cells[k] + offsets[b][k]]
+                pts[:, e, k] = xa + t * (xb - xa)
+    edges, rank = _TABLES[n]
+    table = edges[codes]
+    cell, m = np.nonzero(table[:, :, 0] >= 0)
+    order = np.argsort(rank[codes[cell]] * table.shape[1] + m, kind="stable")
+    cell, m = cell[order], m[order]
+    return InterfaceSet(n, pts[cell[:, None], table[cell, m]])
 
 
 def radius_estimate(s: InterfaceSet, center) -> tuple[float, float]:

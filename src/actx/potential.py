@@ -65,12 +65,12 @@ class DoubleWell:
             self.gamma = 0.0
 
     @classmethod
-    def quartic(cls, alpha: float = 0.8, kappa: float = 1.0) -> "DoubleWell":
-        return cls(family="quartic", alpha=alpha, kappa=kappa)
+    def quartic(cls, **params) -> "DoubleWell":
+        return cls(family="quartic", **params)
 
     @classmethod
-    def from_coeffs(cls, coeffs, alpha: float = 0.8, kappa: float = 1.0) -> "DoubleWell":
-        return cls(family="poly", coeffs=tuple(coeffs), alpha=alpha, kappa=kappa)
+    def from_coeffs(cls, coeffs, **params) -> "DoubleWell":
+        return cls(family="poly", coeffs=tuple(coeffs), **params)
 
     def _locate_gamma(self) -> float:
         # W' > 0 left of gamma and < 0 right of it, so bisect the sign change.

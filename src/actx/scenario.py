@@ -488,36 +488,34 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
+def config_box(conf: dict[str, str], dim: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(lo, hi) of a config's box: the unit box unless ``lo``/``hi`` are set."""
+    lo = tuple(float(v) for v in conf.get("lo", "0 " * dim).split())
+    hi = tuple(float(v) for v in conf.get("hi", "1 " * dim).split())
+    return lo, hi
+
+
 def scenario_from_config(conf: dict[str, str]) -> ScenarioConfig:
+    """The scenario a parsed config describes; a key the config does not set
+    keeps the default of ``ScenarioConfig`` or ``DoubleWell``."""
     for key in REQUIRED_KEYS:
         if key not in conf:
             raise ConfigError(f"missing required key {key!r}")
     dim = int(conf["dim"])
     cells_vals = [int(v) for v in conf["cells"].split()]
     cells = tuple(cells_vals * dim if len(cells_vals) == 1 else cells_vals)
-    lo = tuple(float(v) for v in conf.get("lo", "0 " * dim).split())
-    hi = tuple(float(v) for v in conf.get("hi", "1 " * dim).split())
-    grid = GridSpec(dim, lo, hi, cells)
+    grid = GridSpec(dim, *config_box(conf, dim), cells)
     shape = shape_from_sexpr(parse_sexpr(conf["shape"]), dim)
     transport = transport_from_sexpr(parse_sexpr(conf.get("transport", "zero")), dim)
     pot = conf.get("potential", "quartic").split()
-    alpha = float(conf.get("alpha", "0.8"))
-    kappa = float(conf.get("kappa", "1.0"))
+    params = {key: float(conf[key]) for key in ("alpha", "kappa") if key in conf}
     if pot[0] == "quartic":
-        well = DoubleWell.quartic(alpha=alpha, kappa=kappa)
+        well = DoubleWell.quartic(**params)
     elif pot[0] == "poly":
-        well = DoubleWell.from_coeffs([float(c) for c in pot[1:]], alpha=alpha, kappa=kappa)
+        well = DoubleWell.from_coeffs([float(c) for c in pot[1:]], **params)
     else:
         raise ConfigError(f"unknown potential {pot[0]!r}")
-    kwargs = {}
-    if "tau" in conf:
-        kwargs["tau"] = float(conf["tau"])
-    if "inset_prime" in conf:
-        kwargs["inset_prime"] = float(conf["inset_prime"])
-    if "inset_dprime" in conf:
-        kwargs["inset_dprime"] = float(conf["inset_dprime"])
-    if "p" in conf:
-        kwargs["p"] = float(conf["p"])
+    keys = ("beta", "tau", "p", "q", "lambda0", "inset_prime", "inset_dprime")
     return ScenarioConfig(
         grid=grid,
         shape=shape,
@@ -525,8 +523,5 @@ def scenario_from_config(conf: dict[str, str]) -> ScenarioConfig:
         epsilon=float(conf["epsilon"]),
         t_end=float(conf["T"]),
         well=well,
-        beta=float(conf.get("beta", "0.25")),
-        q=float(conf.get("q", "4")),
-        lambda0=float(conf.get("lambda0", "100")),
-        **kwargs,
+        **{key: float(conf[key]) for key in keys if key in conf},
     )

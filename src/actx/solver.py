@@ -10,11 +10,12 @@ simultaneously.
 ``run`` integrates a scenario from 0 to T, records a diagnostics row every
 ``diag_every`` steps (the quadrature schedule for all time-integrated
 diagnostics) and writes snapshot files ``snapshots/step_<8-digit step>.afld``:
-the first and final fields and every ``snap_every``-th. It keeps only the
-final field; with ``snap_every = diag_every`` the snapshots are the fields on
-the diagnostics schedule, and ``load_trajectory`` reads them back bit for bit
-as the trajectory the offline checks take. Identical configs produce
-bit-identical outputs.
+the first and final fields and every ``snap_every``-th. Each row's frame is
+extracted once, and the last row's interface is written to
+``interface_final.csv``. It keeps only the final field; with ``snap_every =
+diag_every`` the snapshots are the fields on the diagnostics schedule, and
+``load_trajectory`` reads them back bit for bit as the trajectory the offline
+checks take. Identical configs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 
 from . import measures
 from .grid import GridError, ScalarField, VectorField, integrate, read_field, sum_sq, write_field
-from .interface import extract_interface, radius_estimate
+from .interface import InterfaceSet, extract_interface, radius_estimate
 from .potential import DoubleWell
-from .scenario import ScenarioConfig, build_initial_phase
+from .scenario import ConfigError, ScenarioConfig, build_initial_phase
 
 PHI_ABORT = 1.1  # just outside the wells' basin; past this the run is garbage
 
@@ -282,6 +283,18 @@ def _default_probe(cfg: ScenarioConfig, phi0: ScalarField) -> measures.HuiskenPr
     return probe_at(cfg, [mesh[idx] for mesh in cfg.grid.meshgrid()])
 
 
+def ratio_radii(cfg: ScenarioConfig) -> list[float]:
+    """The density-ratio radius ladder of the rows; ``ConfigError`` if it is empty
+    (2h above the cap min(inset_prime/2, 1/4))."""
+    radii = measures.ratio_lattice_radii(cfg.grid, cfg.inset_prime)
+    if not radii:
+        raise ConfigError(
+            f"density-ratio radius ladder is empty: 2h = {2 * cfg.grid.h:g} exceeds the cap "
+            f"min(inset_prime/2, 1/4) = {measures.probe_radius(cfg.inset_prime):g}"
+        )
+    return radii
+
+
 def _sup_speed(cfg: ScenarioConfig, u2: np.ndarray | None) -> float:
     """sup |u| for the advective limit: the max over the nodes of a static
     transport's |u|^2 ``u2``, the transport's analytic bound over [0, T] for a
@@ -304,10 +317,12 @@ def run(
     earlier fields are in the snapshot files. On abort, partial outputs are
     flushed before the exception propagates (carrying the rows computed so
     far). Before the first step, a shape too close to the cutoff collar
-    (``MarginError``) raises ``ConfigError``.
+    (``MarginError``) or an empty density-ratio radius ladder raises
+    ``ConfigError``.
     """
     solver = solver or SolverConfig()
     phi0 = build_initial_phase(cfg)
+    radii = ratio_radii(cfg)
     pts = np.stack(cfg.grid.meshgrid(), axis=-1)
     # a static transport's velocity, evaluated once: the step's u, |u|^2 and sup |u|
     static_u: VectorField | None = None
@@ -331,7 +346,6 @@ def run(
     center = tuple(0.5 * (l + h) for l, h in zip(cfg.grid.lo, cfg.grid.hi))
     omega_p = cfg.omega_prime()
     mask_p = measures.region_mask(cfg.grid, omega_p)
-    ratio_radii = measures.ratio_lattice_radii(cfg.grid, cfg.inset_prime)
     g_weight = None
     if cfg.transport.is_gradient and not cfg.transport.time_dependent:
         g_weight = measures.gronwall_weight(cfg.transport, pts, 0.0)
@@ -341,14 +355,14 @@ def run(
 
     prev_kernel: list[tuple[float, ...]] = []  # (t, i_rho, i_u, i_xi) of the previous row
 
-    def make_row(state: SimState, running_max: float) -> measures.DiagnosticsRow:
+    def make_row(state: SimState, running_max: float) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
         phi = state.phi
         t = state.t
         ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, drive=True)
         vel = measures.velocity_sq(ff, omega_p)
         ff.drive = None  # release it before the density ratio
         mu = ff.measure()
-        ratio = measures.density_ratio(mu, region=omega_p, stride=4, radii=ratio_radii)
+        ratio = measures.density_ratio(mu, region=omega_p, stride=4, radii=radii)
         iset = extract_interface(phi)
         radius = -1.0
         if not iset.is_empty:
@@ -368,7 +382,7 @@ def run(
             resid = (i_rho - rho0) - 0.5 * (t - t0) * (i_u + u0 + i_xi + xi0)
         prev_kernel.append((t, i_rho, i_u, i_xi))
         xi_p = np.maximum(ff.xi.values, 0.0)
-        return measures.DiagnosticsRow(
+        row = measures.DiagnosticsRow(
             t=t,
             total_energy=mu.total,
             density_ratio_max=ratio.max_ratio,
@@ -381,6 +395,7 @@ def run(
             velocity_sq=vel,
             max_abs_phi=running_max,
         )
+        return row, iset
 
     def snapshot(state: SimState) -> None:
         if out_dir is None:
@@ -390,7 +405,8 @@ def run(
 
     state = SimState(0.0, phi0, 0)
     running_max = float(np.max(np.abs(phi0.values)))
-    rows.append(make_row(state, running_max))
+    row, iset = make_row(state, running_max)
+    rows.append(row)
     snapshot(state)
 
     try:
@@ -408,7 +424,8 @@ def run(
             state = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=solver.scheme)
             running_max = max(running_max, state.max_abs_phi)
             if k % d == 0:
-                rows.append(make_row(state, running_max))
+                row, iset = make_row(state, running_max)
+                rows.append(row)
                 running_max = state.max_abs_phi
             if (solver.snap_every and k % solver.snap_every == 0) or k == n_steps:
                 snapshot(state)
@@ -418,6 +435,8 @@ def run(
     finally:  # an abort flushes the rows computed so far
         if out_dir is not None:
             _write_rows(out_dir, rows)
+    if out_dir is not None:
+        _write_interface(out_dir, iset)
     return RunResult(cfg, solver, dt, n_steps, Trajectory(cfg, [state.t], [state.phi]), rows, probe)
 
 
@@ -427,3 +446,11 @@ def _write_rows(out_dir: str, rows: list[measures.DiagnosticsRow]) -> None:
         fh.write(measures.DiagnosticsRow.CSV_HEADER + "\n")
         for row in rows:
             fh.write(row.to_csv_line() + "\n")
+
+
+def _write_interface(out_dir: str, iset: InterfaceSet) -> None:
+    path = os.path.join(out_dir, "interface_final.csv")
+    with open(path, "w") as fh:
+        fh.write("x0,y0,x1,y1\n" if iset.dim == 2 else "x0,y0,z0,x1,y1,z1,x2,y2,z2\n")
+        for element in iset.elements:  # a segment (2D) or a triangle (3D)
+            fh.write(",".join(repr(float(v)) for v in element.reshape(-1)) + "\n")

@@ -110,6 +110,21 @@ class TestRunCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ") and "measured margin" in err[0]
 
+    @pytest.mark.filterwarnings("ignore:epsilon=0.08 is below 6h")
+    def test_empty_ratio_ladder_exits_one(self, tmp_path, capsys):
+        # 2h = 0.04 exceeds the ladder cap min(inset_prime/2, 1/4) = 0.025; diagnose rejects it too
+        p = tmp_path / "ladder.cfg"
+        p.write_text(CONFIG.replace("cells = 96", "cells = 80").replace("epsilon = 0.1", "epsilon = 0.08")
+                     .replace("inset_prime = 0.12", "inset_prime = 0.05")
+                     .replace("inset_dprime = 0.06", "inset_dprime = 0.025"))
+        out = tmp_path / "o"
+        for args in (["run", "--out", str(out)], ["diagnose", "--snapshot", str(out / "missing.afld")]):
+            assert main([args[0], "--config", str(p), *args[1:]]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: ")
+            assert "2h = 0.04" in err[0] and "0.025" in err[0]
+        assert not (out / "snapshots").exists() and not (out / "run-manifest").exists()
+
     def test_manifest_records_transport_bounds(self, artifact):
         _, _, out = artifact
         meta, _ = _parse_manifest(str(out / "run-manifest"))
@@ -380,6 +395,30 @@ class TestSweepCommand:
         rows = _sweep_rows(out)
         assert [(r["cells"], r["status"]) for r in rows] == [("80", "FAILED"), ("128", "ok")]
 
+    def test_rung_config_that_does_not_load_is_a_failed_row(self, tmp_path, capsys):
+        # eps = 8 h: rung 4 gets epsilon = 3.2, which its config rejects
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 4 128")
+                        .replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
+        out = tmp_path / "s"
+        assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: epsilon must lie in (0,1), got 3.2"]
+        rows = _sweep_rows(out)
+        assert [(r["cells"], r["epsilon"], r["status"]) for r in rows] == [
+            ("4", "3.2", "FAILED"), ("128", "0.1", "ok")]
+
+    def test_empty_initial_interface_exits_one(self, tmp_path, capsys):
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN.replace("(ball 0.8 0.8 0.25)", "(ball 5 5 0.1)")
+                        .replace("rungs = 128 192", "rungs = 96 128")
+                        .replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
+        out = tmp_path / "s"
+        assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(out / "rung_0096") in err[0]
+        assert "initial interface is empty" in err[0]
+
     @pytest.mark.parametrize("line", ["dim = 3", "rungs = 64 96"])
     def test_plan_duplicate_key_cites_line(self, tmp_path, capsys, line):
         plan = tmp_path / "plan.cfg"
@@ -423,6 +462,23 @@ class TestDiagnoseCommand:
         out_text = capsys.readouterr().out
         assert "density_ratio_max" in out_text
         assert "monotonicity" in out_text
+
+    def test_matches_the_rows_at_every_snapshot(self, tmp_path, capsys):
+        p = tmp_path / "every.cfg"
+        p.write_text(CONFIG.replace("snap_every = 200", "snap_every = 50"))
+        out = tmp_path / "art"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+        rows = read_rows(str(out))
+        snaps = sorted((out / "snapshots").iterdir())
+        assert len(snaps) == len(rows) > 1
+        capsys.readouterr()
+        assert main(["diagnose", "--config", str(p), *[a for s in snaps for a in ("--snapshot", str(s))]]) == 0
+        printed = [dict(f.split("=", 1) for f in line.split()[:4])
+                   for line in capsys.readouterr().out.splitlines()]
+        assert len(printed) == len(rows)
+        for got, row in zip(printed, rows):
+            assert got == {"t": repr(row.t), "energy": repr(row.total_energy), "sup_xi": repr(row.sup_xi),
+                           "density_ratio_max": repr(row.density_ratio_max)}
 
     def test_frames_ordered_by_time(self, artifact, capsys):
         d, cfg_path, out = artifact

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from actx._mc_tables import EDGE_VERTICES, TRIANGLE_TABLE
 from actx.grid import GridSpec, ScalarField
 from actx.interface import (
     InterfaceError,
@@ -69,6 +72,163 @@ class TestExtract:
         iset = extract_interface(f)
         assert np.max(np.abs(iset.vertices[:, 2] - 0.5)) < 1e-12
         assert iset.total_measure() == pytest.approx(1.0, abs=1e-10)
+
+
+
+# ---------------------------------------------------------------------------
+# Reference: the separate marching-squares and marching-cubes extractors that
+# the table-driven extractor replaced; it must reproduce their elements bit
+# for bit and in the same order.
+# ---------------------------------------------------------------------------
+
+_MS_SEGMENTS = {
+    0: (), 15: (),
+    1: ((3, 0),), 2: ((0, 1),), 4: ((1, 2),), 8: ((2, 3),),
+    3: ((3, 1),), 6: ((0, 2),), 12: ((1, 3),), 9: ((2, 0),),
+    7: ((3, 2),), 11: ((2, 1),), 13: ((1, 0),), 14: ((0, 3),),
+}
+
+
+def _edge_crossing(xa, ya, fa, xb, yb, fb):
+    t = fa / (fa - fb)
+    return xa + t * (xb - xa), ya + t * (yb - ya)
+
+
+def _marching_squares(phi):
+    v = phi.values
+    x, y = phi.spec.axes()
+    c0, c1, c2, c3 = v[:-1, :-1], v[1:, :-1], v[1:, 1:], v[:-1, 1:]
+    inside = lambda a: (a < 0.0).astype(np.int8)
+    code = inside(c0) + 2 * inside(c1) + 4 * inside(c2) + 8 * inside(c3)
+    segs = []
+
+    def crossings(ii, jj, edge):
+        if edge == 0:
+            fa, fb = v[ii, jj], v[ii + 1, jj]
+            xa, ya, xb, yb = x[ii], y[jj], x[ii + 1], y[jj]
+        elif edge == 1:
+            fa, fb = v[ii + 1, jj], v[ii + 1, jj + 1]
+            xa, ya, xb, yb = x[ii + 1], y[jj], x[ii + 1], y[jj + 1]
+        elif edge == 2:
+            fa, fb = v[ii + 1, jj + 1], v[ii, jj + 1]
+            xa, ya, xb, yb = x[ii + 1], y[jj + 1], x[ii], y[jj + 1]
+        else:
+            fa, fb = v[ii, jj + 1], v[ii, jj]
+            xa, ya, xb, yb = x[ii], y[jj + 1], x[ii], y[jj]
+        return np.stack(_edge_crossing(xa, ya, fa, xb, yb, fb), axis=-1)
+
+    for case, pairs in _MS_SEGMENTS.items():
+        ii, jj = np.nonzero(code == case)
+        if not pairs or ii.size == 0:
+            continue
+        for ea, eb in pairs:
+            segs.append(np.stack([crossings(ii, jj, ea), crossings(ii, jj, eb)], axis=1))
+    for case in (5, 10):
+        ii, jj = np.nonzero(code == case)
+        if ii.size == 0:
+            continue
+        center_in = 0.25 * (c0[ii, jj] + c1[ii, jj] + c2[ii, jj] + c3[ii, jj]) < 0.0
+        if case == 5:
+            joined = (((0, 1), (2, 3)), ((3, 0), (1, 2)))
+        else:
+            joined = (((3, 0), (1, 2)), ((0, 1), (2, 3)))
+        for sel, pairs in zip((center_in, ~center_in), joined):
+            si, sj = ii[sel], jj[sel]
+            if si.size == 0:
+                continue
+            for ea, eb in pairs:
+                segs.append(np.stack([crossings(si, sj, ea), crossings(si, sj, eb)], axis=1))
+    return np.concatenate(segs, axis=0) if segs else np.zeros((0, 2, 2))
+
+
+_MC_OFFSETS = (
+    (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+    (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
+)
+
+
+def _marching_cubes(phi):
+    spec, v = phi.spec, phi.values
+    x, y, z = spec.axes()
+    corner = [v[o[0]:, o[1]:, o[2]:][: spec.cells[0], : spec.cells[1], : spec.cells[2]]
+              for o in _MC_OFFSETS]
+    code = np.zeros(tuple(spec.cells), dtype=np.int16)
+    for bit, c in enumerate(corner):
+        code |= ((c < 0.0).astype(np.int16)) << bit
+    active = np.nonzero((code != 0) & (code != 255))
+    if active[0].size == 0:
+        return np.zeros((0, 3, 3))
+    codes_active = code[active]
+    ii, jj, kk = active
+
+    def edge_points(sel, edge):
+        a, b = EDGE_VERTICES[edge]
+        oa, ob = _MC_OFFSETS[a], _MC_OFFSETS[b]
+        ia, ja, ka = ii[sel] + oa[0], jj[sel] + oa[1], kk[sel] + oa[2]
+        ib, jb, kb = ii[sel] + ob[0], jj[sel] + ob[1], kk[sel] + ob[2]
+        fa, fb = v[ia, ja, ka], v[ib, jb, kb]
+        t = fa / (fa - fb)
+        px = x[ia] + t * (x[ib] - x[ia])
+        py = y[ja] + t * (y[jb] - y[ja])
+        pz = z[ka] + t * (z[kb] - z[ka])
+        return np.stack([px, py, pz], axis=-1)
+
+    tris = []
+    for case in np.unique(codes_active):
+        sel = codes_active == case
+        row = TRIANGLE_TABLE[case]
+        for m in range(0, 16, 3):
+            if row[m] < 0:
+                break
+            tris.append(np.stack([edge_points(sel, row[m + d]) for d in range(3)], axis=1))
+    return np.concatenate(tris, axis=0) if tris else np.zeros((0, 3, 3))
+
+
+def _field(dim, cells, kind, seed):
+    """A test field: normal noise, noise rounded to exact zeros, a sign
+    checkerboard (every square cell a saddle, code 5 or 10), a shifted saddle
+    x y (z), or a constant (empty interface)."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(dim, (0.0,) * dim, (1.0,) * dim, (cells,) * dim)
+    if kind == "normal":
+        vals = rng.normal(size=spec.nodes)
+    elif kind == "zeros":
+        vals = np.round(rng.normal(size=spec.nodes))
+    elif kind == "checker":
+        parity = np.indices(spec.nodes).sum(axis=0) % 2
+        vals = np.where(parity == 0, 1.0, -1.0) * rng.uniform(0.1, 2.0, spec.nodes)
+    elif kind == "saddle":
+        vals = np.prod(np.stack(spec.meshgrid()) - 0.5, axis=0) + rng.choice([-1e-9, 0.0, 1e-9])
+    else:
+        vals = np.full(spec.nodes, rng.choice([-1.0, 0.0, 1.0]))
+    return ScalarField(spec, vals)
+
+
+class TestAgainstReference:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(
+        dim=st.sampled_from([2, 3]),
+        cells=st.integers(1, 9),
+        kind=st.sampled_from(["normal", "zeros", "checker", "saddle", "empty"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_elements_bit_identical_in_order(self, dim, cells, kind, seed):
+        f = _field(dim, cells, kind, seed)
+        want = (_marching_squares if dim == 2 else _marching_cubes)(f)
+        got = extract_interface(f).elements
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_all_saddle_cases_covered(self):
+        # the checkerboard gives codes 5 and 10 with cell averages of both signs
+        f = _field(2, 9, "checker", 0)
+        v = f.values
+        avg = 0.25 * (v[:-1, :-1] + v[1:, :-1] + v[1:, 1:] + v[:-1, 1:])
+        code5 = v[:-1, :-1] < 0
+        assert {(bool(c), bool(a)) for c, a in zip(code5.ravel(), (avg < 0).ravel())} == {
+            (True, True), (True, False), (False, True), (False, False)}
+        assert np.array_equal(extract_interface(f).elements, _marching_squares(f))
 
 
 class TestRadiusEstimate:

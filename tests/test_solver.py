@@ -153,6 +153,24 @@ class TestRun:
         assert [r.to_csv_line() for r in r1.rows] == [r.to_csv_line() for r in r2.rows]
         assert np.array_equal(r1.final_phi.values, r2.final_phi.values)
 
+    def test_one_extraction_per_row(self, tmp_path, monkeypatch):
+        import actx.solver
+        from actx.interface import extract_interface
+
+        calls = []
+
+        def counted(phi):
+            calls.append(phi)
+            return extract_interface(phi)
+
+        monkeypatch.setattr(actx.solver, "extract_interface", counted)
+        res = run(circle_config(96, 16, t_end=0.002, tau=0.001), SolverConfig(diag_every=10),
+                  out_dir=str(tmp_path))
+        assert len(res.rows) > 2 and len(calls) == len(res.rows)
+        assert calls[-1] is res.final_phi
+        lines = (tmp_path / "interface_final.csv").read_text().splitlines()
+        assert len(lines) == 1 + extract_interface(res.final_phi).elements.shape[0]
+
     def test_snapshots_bit_identical(self, tmp_path):
         cfg = circle_config(128, 16, t_end=0.002, tau=0.001)
         out = []
@@ -286,11 +304,13 @@ def test_fused_step_bit_identical_to_reference(dim, transport_kind, scheme):
     assert np.max(np.abs(state.phi.values - phi.values)) > 0.01  # the steps did move phi
 
 
-def _diagnostics_digest(cfg, sol, tmp_path):
+def _digests(cfg, sol, tmp_path):
+    """sha256 of the run's diagnostics.csv and interface_final.csv."""
     import hashlib
 
     run(cfg, sol, out_dir=str(tmp_path))
-    return hashlib.sha256((tmp_path / "diagnostics.csv").read_bytes()).hexdigest()
+    return tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("diagnostics.csv", "interface_final.csv"))
 
 
 def test_diagnostics_digest_2d_rk2_pulsed(tmp_path):
@@ -299,12 +319,14 @@ def test_diagnostics_digest_2d_rk2_pulsed(tmp_path):
         warnings.simplefilter("ignore")
         cfg = circle_config(96, 16, t_end=0.002, tau=0.001,
                             transport=RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0))
-        got = _diagnostics_digest(cfg, SolverConfig(scheme="rk2", diag_every=10), tmp_path)
+        got, interface = _digests(cfg, SolverConfig(scheme="rk2", diag_every=10), tmp_path)
     # re-pinned for the exact lattice ball sums: only density_ratio_max moved
     # (9 of 13 rows, at most 6.3e-16 relative); re-pinned for the probe-local
     # kernel sums: only monotonicity_residual moved (7 of 13 rows, at most
     # 1.3e-13 relative)
     assert got == "d01ec575072e8a0a3c6098907bd2b5844b792da6830c536688743db2a1b5bfae"
+    # recorded with the separate marching-squares extractor, run again on the final field
+    assert interface == "2b9b90870f34f1845d1a70c8dd61a0e87025ed2d074b1cc0bcc7d2eb80a4a117"
 
 
 def test_diagnostics_digest_3d_euler(tmp_path):
@@ -318,11 +340,13 @@ def test_diagnostics_digest_3d_euler(tmp_path):
         cfg = ScenarioConfig(grid=spec, shape=Ball((0.8, 0.8, 0.8), 0.25), transport=ZeroTransport(),
                              epsilon=4 * spec.h, t_end=0.0006, tau=0.0003,
                              inset_prime=0.12, inset_dprime=0.06)
-        got = _diagnostics_digest(cfg, SolverConfig(diag_every=10), tmp_path)
+        got, interface = _digests(cfg, SolverConfig(diag_every=10), tmp_path)
     # recorded with the unfused step (grid.laplacian/gradient + DoubleWell.eval), re-pinned
     # for the exact lattice ball sums: only density_ratio_max moved (4 of 4 rows, at most
     # 5.8e-16 relative); the probe-local kernel sums left every column unchanged
     assert got == "7b3677b0563add9bedf3db2d99188d35f653eee5e8cb980a5347789110c3b8e6"
+    # recorded with the separate marching-cubes extractor, run again on the final field
+    assert interface == "2292874c4c4ef37b1d0513e8754636a19c1353a5b1e2663460680b4ea9fb7718"
 
 
 class TestAbortParity:
