@@ -161,15 +161,18 @@ class SweepPlan:
             raise ConfigError("a sweep plan needs at least 2 rungs")
         if self.eps_over_h < 4.0:
             raise ConfigError(f"eps_over_h must be >= 4 for a resolved interface, got {self.eps_over_h}")
+        for key in scenario.REQUIRED_KEYS:
+            if key not in ("cells", "epsilon") and key not in self.base_conf:  # rungs set those two
+                raise ConfigError(f"missing required key {key!r}")
 
     def rung_config_text(self, cells: int) -> str:
         conf = dict(self.base_conf)
         lo, hi = scenario.config_box(conf, int(conf["dim"]))
         h = min(b - a for a, b in zip(lo, hi)) / cells
-        conf["cells"] = str(cells)
         conf["epsilon"] = repr(self.eps_over_h * h)
+        conf["cells"] = str(cells)
         if "snap_every" not in conf:
-            conf["snap_every"] = conf.get("diag_every", "50")
+            conf["snap_every"] = conf.get("diag_every", str(SolverConfig.diag_every))
         return "\n".join(f"{k} = {v}" for k, v in conf.items()) + "\n"
 
 
@@ -188,8 +191,6 @@ def load_plan(path: str) -> SweepPlan:
             base[key] = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    if "epsilon" not in base:
-        base["epsilon"] = "0.1"  # placeholder; each rung overrides it
     return SweepPlan(base, rungs, eps_over_h)
 
 
@@ -428,13 +429,13 @@ def diagnose(args) -> int:
             print(f"probe error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
 
-    mask = measures.region_mask(cfg.grid, cfg.omega_prime())
+    box = cfg.grid.box_slices(cfg.omega_prime())
     for t, phi in zip(traj.times, traj.frames):
         ff = measures.frame_fields(phi, cfg.epsilon, cfg.well)
         mu = ff.measure()
         ratio = measures.density_ratio(mu, region=cfg.omega_prime(), stride=4, radii=radii)
         print(
-            f"t={t!r} energy={mu.total!r} sup_xi={float(np.max(ff.xi.values[mask]))!r} "
+            f"t={t!r} energy={mu.total!r} sup_xi={float(np.max(ff.xi.values[box]))!r} "
             f"density_ratio_max={ratio.max_ratio!r} at center={ratio.center} r={ratio.radius!r}"
         )
     if probe is None:

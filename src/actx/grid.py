@@ -7,6 +7,10 @@ call returns a fresh field. Dirichlet boundaries are handled through ghost
 nodes extrapolated as ``ghost = 2*boundary_value - interior_neighbor``, which
 is second-order accurate about the boundary node.
 
+The node geometry lives on ``GridSpec``: one cached, read-only coordinate
+array (``points``, with ``meshgrid`` as its component views) and one rule for
+the nodes of a closed box (``box_slices``, faces moved out by 1e-9 h).
+
 Reductions rely on numpy's pairwise summation, so repeated evaluation of the
 same reduction is bit-reproducible.
 """
@@ -81,9 +85,25 @@ class GridSpec:
         """1D node coordinate arrays, one per axis; shared and read-only."""
         return _axes_cached(self)
 
+    def points(self) -> np.ndarray:
+        """Node coordinates, shape ``nodes + (dim,)``; shared and read-only."""
+        return _points_cached(self)
+
     def meshgrid(self) -> tuple[np.ndarray, ...]:
-        """Node coordinate arrays of shape ``nodes``, 'ij' indexing."""
-        return _meshgrid_cached(self)
+        """Node coordinate arrays of shape ``nodes``, 'ij' indexing: views of ``points()``."""
+        pts = self.points()
+        return tuple(pts[..., k] for k in range(self.dim))
+
+    def box_slices(self, box: tuple[Sequence[float], Sequence[float]]) -> tuple[slice, ...]:
+        """Index slices of the nodes in the closed box (lo, hi), with its faces
+        moved out by 1e-9 h; an axis without such nodes gets an empty slice."""
+        tol = 1e-9 * self.h
+        out = []
+        for ax, lo, hi in zip(self.axes(), *box):
+            i0 = int(np.searchsorted(ax, lo - tol, side="left"))
+            i1 = int(np.searchsorted(ax, hi + tol, side="right"))
+            out.append(slice(i0, max(i0, i1)))
+        return tuple(out)
 
     def contains_box(self, lo: Sequence[float], hi: Sequence[float], tol: float = 1e-12) -> bool:
         return all(
@@ -101,8 +121,12 @@ def _axes_cached(spec: GridSpec) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=8)
-def _meshgrid_cached(spec: GridSpec) -> tuple[np.ndarray, ...]:
-    return tuple(np.meshgrid(*spec.axes(), indexing="ij"))
+def _points_cached(spec: GridSpec) -> np.ndarray:
+    pts = np.empty(spec.nodes + (spec.dim,))
+    for k, ax in enumerate(spec.axes()):
+        pts[..., k] = ax.reshape((-1,) + (1,) * (spec.dim - 1 - k))
+    pts.flags.writeable = False
+    return pts
 
 
 def _check_finite(values: np.ndarray, name: str) -> None:
@@ -181,6 +205,16 @@ def sum_sq(v: np.ndarray) -> np.ndarray:
     for k in range(1, v.shape[-1]):
         out += v[..., k] * v[..., k]
     return out
+
+
+def outer_sum_sq(offsets: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_k offsets[k]^2 over the outer product of the 1D offset arrays, shape
+    (len(offsets[0]), len(offsets[1]), ...): the squared distances on a sub-box,
+    summed axis by axis in axis order, so every caller gets the same bits."""
+    d2 = offsets[0] ** 2
+    for off in offsets[1:]:
+        d2 = d2[..., None] + off**2
+    return d2
 
 
 def _padded(f: ScalarField, boundary_value: float | None) -> np.ndarray:
@@ -267,37 +301,28 @@ def advection_term(u: VectorField, f: ScalarField, boundary_value: float = -1.0)
 def integrate(f: ScalarField, region: tuple[Sequence[float], Sequence[float]] | None = None) -> float:
     """Trapezoid-consistent integral: node sum x h^n, half-weights on region edges.
 
-    ``region=(lo, hi)`` restricts to the node-aligned sub-box inside the given
-    bounds (bounds are snapped inward to the node lattice). An empty region
-    integrates to 0.0 with a warning.
+    ``region=(lo, hi)`` restricts to the nodes of ``spec.box_slices(region)``.
+    A region with fewer than two nodes along an axis integrates to 0.0 with a
+    warning.
     """
     spec = f.spec
-    h = spec.h
-    if region is None:
-        windows = [(0, spec.cells[k]) for k in range(spec.dim)]
-    else:
+    window = (slice(None),) * spec.dim
+    if region is not None:
         lo, hi = region
-        if not spec.contains_box(lo, hi, tol=1e-9 * h):
+        if not spec.contains_box(lo, hi, tol=1e-9 * spec.h):
             raise GridError(f"region {lo}..{hi} is not contained in the domain box")
-        axes = spec.axes()
-        windows = []
-        for k in range(spec.dim):
-            tol = 1e-9 * h
-            idx = np.nonzero((axes[k] >= lo[k] - tol) & (axes[k] <= hi[k] + tol))[0]
-            if idx.size <= 1:
-                warnings.warn(
-                    "integration region contains no grid nodes (or a zero-volume slice)",
-                    stacklevel=2,
-                )
-                return 0.0
-            windows.append((int(idx[0]), int(idx[-1])))
-    total = f.values[tuple(slice(a, b + 1) for a, b in windows)].copy()
-    for k, (a, b) in enumerate(windows):
-        if b == a:
-            continue
+        window = spec.box_slices(region)
+        if any(sl.stop - sl.start <= 1 for sl in window):
+            warnings.warn(
+                "integration region contains no grid nodes (or a zero-volume slice)",
+                stacklevel=2,
+            )
+            return 0.0
+    total = f.values[window].copy()
+    for k in range(spec.dim):
         for edge in (0, -1):  # halve the two edge slices of this axis in place
             total[(slice(None),) * k + (edge,)] *= 0.5
-    return float(np.sum(total) * h**spec.dim)
+    return float(np.sum(total) * spec.h**spec.dim)
 
 
 def ball_integrate(
@@ -345,10 +370,7 @@ def ball_window(
         i0 = int(np.searchsorted(axes[k], center[k] - radius, side="left"))
         i1 = int(np.searchsorted(axes[k], center[k] + radius, side="right"))
         sl.append(slice(max(i0, 0), min(i1, spec.cells[k] + 1)))
-    sub_axes = [axes[k][sl[k]] - center[k] for k in range(spec.dim)]
-    d2 = sub_axes[0][:, None] ** 2 + sub_axes[1][None, :] ** 2
-    if spec.dim == 3:
-        d2 = d2[:, :, None] + sub_axes[2][None, None, :] ** 2
+    d2 = outer_sum_sq([axes[k][sl[k]] - center[k] for k in range(spec.dim)])
     # strict inequality with a relative guard band, so nodes at exactly the
     # radius resolve the same way regardless of coordinate rounding
     return tuple(sl), d2 < radius**2 * (1.0 - 1e-12)

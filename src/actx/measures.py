@@ -45,6 +45,7 @@ from .grid import (
     gradient,
     integrate,
     laplacian,
+    outer_sum_sq,
     sum_sq,
     window_integral,
 )
@@ -150,31 +151,16 @@ def discrepancy_sup(
     cfg = traj.cfg
     region = region or cfg.omega_prime()
     t_min = cfg.tau if t_min is None else t_min
-    mask = region_mask(cfg.grid, region)
+    box = cfg.grid.box_slices(region)
     sup_xi = -math.inf
     for t, phi in zip(traj.times, traj.frames):
         if t < t_min - 1e-12:
             continue
         xi = discrepancy_field(phi, cfg.epsilon, cfg.well)
-        sup_xi = max(sup_xi, float(np.max(xi.values[mask])))
+        sup_xi = max(sup_xi, float(np.max(xi.values[box])))
     if sup_xi == -math.inf:
         raise MeasureError(f"no retained frames at or after t_min = {t_min:g}")
     return sup_xi, max(sup_xi, 0.0)
-
-
-def _axis_window(spec: GridSpec, box: tuple[Sequence[float], Sequence[float]], k: int) -> np.ndarray:
-    """Boolean mask of the axis-k nodes inside the box's closed interval, to 1e-9 h."""
-    ax = spec.axes()[k]
-    tol = 1e-9 * spec.h
-    return (ax >= box[0][k] - tol) & (ax <= box[1][k] + tol)
-
-
-def region_mask(spec: GridSpec, box: tuple[Sequence[float], Sequence[float]]) -> np.ndarray:
-    """Boolean node mask of the given closed sub-box."""
-    m = np.ones(spec.nodes, dtype=bool)
-    for k in range(spec.dim):
-        m &= _axis_window(spec, box, k).reshape((-1,) + (1,) * (spec.dim - 1 - k))
-    return m
 
 
 def positive_discrepancy_ball(
@@ -210,10 +196,7 @@ def _ball_lines(spec: GridSpec, radius: float) -> tuple[int, list[tuple[int, tup
     nodes at exactly the radius stay out, as in ``ball_integrate``.
     """
     m = int(math.ceil(radius / spec.h))
-    sq = (np.arange(-m, m + 1) * spec.h) ** 2
-    d2 = sq
-    for _ in range(1, spec.dim):
-        d2 = d2[..., None] + sq
+    d2 = outer_sum_sq([np.arange(-m, m + 1) * spec.h] * spec.dim)
     # nodes per offset line; the ball is symmetric along axis 0, so 2a + 1
     count = np.count_nonzero(d2 < radius**2 * (1.0 - 1e-12), axis=0)
     return m, [(int(count[off]) // 2, tuple(int(i) - m for i in off)) for off in zip(*np.nonzero(count))]
@@ -268,14 +251,11 @@ def ratio_lattice_radii(spec: GridSpec, inset: float) -> list[float]:
     return dyadic_radii(spec, probe_radius(inset))
 
 
-def _index_slice(keep: np.ndarray, stride: int) -> slice | None:
-    """The nodes with index a multiple of ``stride`` where ``keep`` holds (an
-    index interval along one axis) as a slice, or None if there are none."""
-    idx = np.nonzero(keep)[0]
-    if idx.size == 0:
-        return None
-    start = -(-int(idx[0]) // stride) * stride
-    return slice(start, int(idx[-1]) + 1, stride) if start <= idx[-1] else None
+def _index_slice(sl: slice, stride: int) -> slice | None:
+    """The indices of the step-1 slice ``sl`` that are multiples of ``stride``,
+    as a slice, or None if there are none."""
+    start = -(-sl.start // stride) * stride
+    return slice(start, sl.stop, stride) if start < sl.stop else None
 
 
 def _lattice_argmax(vals: np.ndarray, axes: Sequence[np.ndarray], centres: Sequence[slice]):
@@ -286,7 +266,6 @@ def _lattice_argmax(vals: np.ndarray, axes: Sequence[np.ndarray], centres: Seque
 
 def density_ratio(
     measure: EnergyMeasure,
-    centers: np.ndarray | None = None,
     radii: Sequence[float] | None = None,
     region: tuple[Sequence[float], Sequence[float]] | None = None,
     stride: int = 4,
@@ -294,8 +273,7 @@ def density_ratio(
 ) -> DensityRatioResult:
     """Max of mu(B_r(x)) / r^{n-1} over a (center, radius) lattice.
 
-    With explicit ``centers`` the balls are integrated directly; otherwise
-    centers run over every ``stride``-th node of ``region`` (default the whole
+    Centers run over every ``stride``-th node of ``region`` (default the whole
     box), keeping only centers whose ball fits inside the region when
     ``require_fit``. Radii default to the dyadic ladder 2h, 4h, ... capped at
     a quarter of the region extent; radii below 2h are rejected as noise.
@@ -315,32 +293,18 @@ def density_ratio(
     power = spec.dim - 1
     best = (-math.inf, (math.nan,) * spec.dim, math.nan)
     sampled = False
-
-    if centers is not None:
-        centers = np.asarray(centers, dtype=np.float64).reshape(-1, spec.dim)
-        if centers.shape[0] == 0:
-            raise MeasureError("empty center set")
-        for r in radii:
-            vals = np.array(
-                [ball_integrate(measure.density, c, r, clip_ok=True) / r**power for c in centers]
-            )
-            sampled = True
-            i = int(np.argmax(vals))
-            if vals[i] > best[0]:
-                best = (float(vals[i]), tuple(centers[i]), r)
-    else:
-        axes = spec.axes()
-        for r in radii:
-            pad = r if require_fit else 0.0
-            fit = ([lo + pad for lo in region[0]], [hi - pad for hi in region[1]])
-            centres = [_index_slice(_axis_window(spec, fit, k), stride) for k in range(spec.dim)]
-            if None in centres:
-                continue
-            vals = ball_masses(measure, r, centres) / r**power
-            sampled = True
-            val, center = _lattice_argmax(vals, axes, centres)
-            if val > best[0]:
-                best = (val, center, r)
+    axes = spec.axes()
+    for r in radii:
+        pad = r if require_fit else 0.0
+        fit = ([lo + pad for lo in region[0]], [hi - pad for hi in region[1]])
+        centres = [_index_slice(sl, stride) for sl in spec.box_slices(fit)]
+        if None in centres:
+            continue
+        vals = ball_masses(measure, r, centres) / r**power
+        sampled = True
+        val, center = _lattice_argmax(vals, axes, centres)
+        if val > best[0]:
+            best = (val, center, r)
 
     if not sampled:
         raise MeasureError("no admissible (center, radius) samples in the region")
@@ -375,7 +339,8 @@ def scaled_density_ratio(
         mu = EnergyMeasure.from_phase(phi, eps, cfg.well)
         l_time = math.sqrt(t - eps * eps)
         for r in radii:
-            centres = [_index_slice(d >= 2.0 * r - 1e-12, stride) for d in dist]
+            fit = ([lo + eps + 2.0 * r for lo in spec.lo], [hi - eps - 2.0 * r for hi in spec.hi])
+            centres = [_index_slice(sl, stride) for sl in spec.box_slices(fit)]
             if None in centres:
                 continue
             found = True
@@ -464,14 +429,11 @@ def probe_geometry(probe: HuiskenProbe, spec: GridSpec) -> ProbeGeometry:
     a probe whose ball leaves the box raises ``MeasureError``."""
     probe.validate(spec)
     box = []
-    r2 = None
     for ax, y in zip(spec.axes(), probe.y):
         # r >= |x_k - y_k| at every node, so the kernel vanishes off these nodes
         idx = np.nonzero(np.abs(ax - y) < probe.r_outer)[0]
-        sl = slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
-        box.append(sl)
-        d2 = (ax[sl] - y) ** 2
-        r2 = d2 if r2 is None else r2[..., None] + d2
+        box.append(slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0))
+    r2 = outer_sum_sq([ax[sl] - y for ax, sl, y in zip(spec.axes(), box, probe.y)])
     cutoff = probe.cutoff(np.sqrt(r2))
     tail = ball_window(spec, probe.y, TAIL_RADIUS)
     for arr in (r2, cutoff, tail[1]):
@@ -595,7 +557,7 @@ def monotonicity_check(
         tails.append(probe_geometry(probe, cfg.grid).tail)  # validates the probe's ball
         if not t0 < t1 < probe.s:
             raise MeasureError(f"need t0 < t1 < s, got {t0:g}, {t1:g}, {probe.s:g}")
-    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+    pts = cfg.grid.points()
 
     def per_frame(t, ff):
         u2 = speed_sq(cfg.transport, pts, t)
@@ -627,7 +589,7 @@ def transport_kernel_integral(
     """Space-time integral of the kernel against |u|^2 dmu over [t0, t1]."""
     cfg = traj.cfg
     probe.validate(cfg.grid)
-    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+    pts = cfg.grid.points()
     times, vals = _window_series(  # kernel_terms carries half of this integrand
         traj, t0, t1, lambda t, ff: kernel_terms(ff, probe, t, speed_sq(cfg.transport, pts, t))[1]
     )
@@ -694,14 +656,13 @@ def meyers_ziemer_check(
     if k_density <= 0.0:
         return MeyersZiemerReport(0.0, k_density, trials, seed)
     rng = np.random.default_rng(seed)
-    mesh = spec.meshgrid()
     ext = min(hi - lo for lo, hi in zip(spec.lo, spec.hi))
     r_lo, r_hi = 8.0 * spec.h, ext / 4.0
     best = 0.0
     for _ in range(trials):
         rho = rng.uniform(r_lo, r_hi)
         c = [rng.uniform(spec.lo[k] + rho, spec.hi[k] - rho) for k in range(spec.dim)]
-        r = np.sqrt(sum((mesh[k] - c[k]) ** 2 for k in range(spec.dim)))
+        r = np.sqrt(outer_sum_sq([ax - ck for ax, ck in zip(spec.axes(), c)]))
         t = np.clip(1.0 - r / rho, 0.0, 1.0)
         bump = _smoothstep(t)
         dq = 30.0 * t**2 * (1.0 - t) ** 2 / rho  # |d bump / d r|
@@ -757,7 +718,7 @@ def gronwall_check(traj: "Trajectory") -> GronwallReport:
     if not cfg.transport.is_gradient:
         raise MeasureError("weighted-energy check needs a gradient transport (u = grad g)")
     spec = cfg.grid
-    pts = np.stack(spec.meshgrid(), axis=-1)
+    pts = spec.points()
     times = np.asarray(traj.times)
     vals = np.empty(times.size)
     for i, (t, phi) in enumerate(zip(traj.times, traj.frames)):

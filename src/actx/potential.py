@@ -75,8 +75,8 @@ class DoubleWell:
     def _locate_gamma(self) -> float:
         # W' > 0 left of gamma and < 0 right of it, so bisect the sign change.
         lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
-        flo = self.eval(lo)[1]
-        fhi = self.eval(hi)[1]
+        flo = float(self.wprime(lo))
+        fhi = float(self.wprime(hi))
         if not (flo > 0 > fhi):
             raise PotentialError(
                 f"W' does not change sign from + to - inside (-1,1): W'({lo:.3g})={flo:.3g}, "
@@ -84,7 +84,7 @@ class DoubleWell:
             )
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self.eval(mid)[1] > 0:
+            if self.wprime(mid) > 0:
                 lo = mid
             else:
                 hi = mid
@@ -99,7 +99,8 @@ class DoubleWell:
         return c, cp, cpp
 
     def wprime(self, s) -> np.ndarray:
-        """W'(s) alone, for the explicit step; ``eval`` takes its W' from here.
+        """W'(s) alone, for the explicit step and the search for gamma; ``eval``
+        takes its W' from here.
 
         The quartic's -2 s (1 - s^2) is evaluated into two explicit arrays,
         in the operation order of the expression. The expression itself
@@ -117,7 +118,8 @@ class DoubleWell:
         return wp
 
     def w(self, s) -> np.ndarray:
-        """W(s) alone, for the per-frame diagnostics; ``eval`` takes its W from here.
+        """W(s) alone, for the per-frame diagnostics, the profile psi and the
+        surface tension; ``eval`` takes its W from here.
 
         The quartic's (1 - s^2)^2 / 2 is evaluated as 0.5 (1 - s^2) (1 - s^2)
         into two explicit arrays, in the operation order of the expression,
@@ -156,7 +158,7 @@ class DoubleWell:
         """RK4 solution of psi' = sqrt(2W(psi)) on [-PSI_CUT, PSI_CUT]."""
 
         def f(p: float) -> float:
-            return float(np.sqrt(max(2.0 * self.eval(p)[0], 0.0)))
+            return float(np.sqrt(max(2.0 * float(self.w(p)), 0.0)))
 
         m = int(round(PSI_CUT / _RK4_STEP))
         fwd = np.empty(m + 1)
@@ -198,8 +200,8 @@ def profile_psi(w: DoubleWell, s):
         s0 = s_grid[idx]
         p0 = table[idx]
         p1 = table[idx + 1]
-        m0 = np.sqrt(np.maximum(2.0 * w.eval(p0)[0], 0.0))
-        m1 = np.sqrt(np.maximum(2.0 * w.eval(p1)[0], 0.0))
+        m0 = np.sqrt(np.maximum(2.0 * w.w(p0), 0.0))
+        m1 = np.sqrt(np.maximum(2.0 * w.w(p1), 0.0))
         t = (sc - s0) / _RK4_STEP
         h00 = (1 + 2 * t) * (1 - t) ** 2
         h10 = t * (1 - t) ** 2
@@ -288,7 +290,7 @@ def surface_tension(w: DoubleWell) -> float:
     """sigma = integral of sqrt(2W) over [-1,1], relative error <= 1e-8."""
     from scipy.integrate import quad  # local, so importing actx does not load scipy.integrate
 
-    val, err = quad(lambda s: np.sqrt(max(2.0 * w.eval(s)[0], 0.0)), -1.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
+    val, err = quad(lambda s: np.sqrt(max(2.0 * float(w.w(s)), 0.0)), -1.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200)
     if val <= 0.0 or err > 1e-8 * val:
         raise PotentialError(f"surface tension quadrature did not converge (value {val}, err {err})")
     return float(val)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec, ScalarField, integrate, sum_sq
-from .potential import DoubleWell, _smoothstep, profile_psi
+from .potential import DoubleWell, _smoothstep, profile_psi, validate_conditions
 from .shapes import Ball, Box, Complement, HalfSpace, Intersection, Shape, Union
 
 
@@ -285,7 +285,7 @@ def cutoff_field(cfg: ScenarioConfig) -> ScalarField:
     Built from the two box distances with a quintic ramp across the collar;
     smooth away from box-corner diagonals, which is enough at grid tolerance.
     """
-    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+    pts = cfg.grid.points()
     dp = Box(*cfg.omega_prime()).sdf(pts)
     dd = Box(*cfg.omega_dprime()).sdf(pts)
     l = np.ones(pts.shape[:-1])
@@ -301,7 +301,7 @@ def build_initial_phase(cfg: ScenarioConfig) -> ScalarField:
     Requires the interface (zero set of the shape distance) to clear the
     cutoff collar by at least 4 eps, otherwise the cutoff would distort it.
     """
-    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+    pts = cfg.grid.points()
     d = cfg.shape.sdf(pts)
     l = cutoff_field(cfg).values
     off_core = l < 1.0
@@ -336,7 +336,7 @@ def transport_report(cfg: ScenarioConfig) -> TransportReport:
     transport is sampled at t = 0 and its norm is that times T^{1/q}; otherwise
     65 equispaced times over [0, T] give the L^q time norm by trapezoid.
     """
-    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+    pts = cfg.grid.points()
     cap_u = cfg.epsilon ** (-cfg.beta)
     cap_ju = cfg.epsilon ** (-(cfg.beta + 1.0))
     static = not cfg.transport.time_dependent
@@ -497,7 +497,8 @@ def config_box(conf: dict[str, str], dim: int) -> tuple[tuple[float, ...], tuple
 
 def scenario_from_config(conf: dict[str, str]) -> ScenarioConfig:
     """The scenario a parsed config describes; a key the config does not set
-    keeps the default of ``ScenarioConfig`` or ``DoubleWell``."""
+    keeps the default of ``ScenarioConfig`` or ``DoubleWell``. A well that
+    fails a structural condition of ``validate_conditions`` is rejected."""
     for key in REQUIRED_KEYS:
         if key not in conf:
             raise ConfigError(f"missing required key {key!r}")
@@ -507,14 +508,20 @@ def scenario_from_config(conf: dict[str, str]) -> ScenarioConfig:
     grid = GridSpec(dim, *config_box(conf, dim), cells)
     shape = shape_from_sexpr(parse_sexpr(conf["shape"]), dim)
     transport = transport_from_sexpr(parse_sexpr(conf.get("transport", "zero")), dim)
-    pot = conf.get("potential", "quartic").split()
+    kind, *coeffs = conf.get("potential", "quartic").split() or [""]
     params = {key: float(conf[key]) for key in ("alpha", "kappa") if key in conf}
-    if pot[0] == "quartic":
+    if kind == "quartic" and not coeffs:
         well = DoubleWell.quartic(**params)
-    elif pot[0] == "poly":
-        well = DoubleWell.from_coeffs([float(c) for c in pot[1:]], **params)
+    elif kind == "poly":
+        well = DoubleWell.from_coeffs([float(c) for c in coeffs], **params)
+    elif kind == "quartic":
+        raise ConfigError(f"potential 'quartic' takes no coefficients, got {' '.join(coeffs)!r}")
     else:
-        raise ConfigError(f"unknown potential {pot[0]!r}")
+        raise ConfigError(f"unknown potential {kind!r}")
+    report = validate_conditions(well)
+    for name, cond in zip("abc", (report.condition_a, report.condition_b, report.condition_c)):
+        if not cond.passed:
+            raise ConfigError(f"potential fails well condition ({name}): {cond.detail}")
     keys = ("beta", "tau", "p", "q", "lambda0", "inset_prime", "inset_dprime")
     return ScenarioConfig(
         grid=grid,

@@ -276,11 +276,10 @@ def probe_at(cfg: ScenarioConfig, y) -> measures.HuiskenProbe:
     return measures.HuiskenProbe.standard(y, cfg.t_end + 0.01, cfg.inset_prime)
 
 
-def _default_probe(cfg: ScenarioConfig, phi0: ScalarField) -> measures.HuiskenProbe:
-    """Probe at the strongest initial energy node."""
-    mu = measures.EnergyMeasure.from_phase(phi0, cfg.epsilon, cfg.well)
-    idx = np.unravel_index(int(np.argmax(mu.density.values)), cfg.grid.nodes)
-    return probe_at(cfg, [mesh[idx] for mesh in cfg.grid.meshgrid()])
+def _default_probe(cfg: ScenarioConfig, density: ScalarField) -> measures.HuiskenProbe:
+    """Probe at the strongest node of the energy density ``density``."""
+    idx = np.unravel_index(int(np.argmax(density.values)), cfg.grid.nodes)
+    return probe_at(cfg, cfg.grid.points()[idx])
 
 
 def ratio_radii(cfg: ScenarioConfig) -> list[float]:
@@ -323,7 +322,7 @@ def run(
     solver = solver or SolverConfig()
     phi0 = build_initial_phase(cfg)
     radii = ratio_radii(cfg)
-    pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+    pts = cfg.grid.points()
     # a static transport's velocity, evaluated once: the step's u, |u|^2 and sup |u|
     static_u: VectorField | None = None
     u2_static = u2 = None
@@ -340,12 +339,12 @@ def run(
     n_steps = d * math.ceil(cfg.t_end / (dt0 * d))
     dt = cfg.t_end / n_steps
 
-    probe = _default_probe(cfg, phi0)
+    probe: measures.HuiskenProbe | None = None  # placed by the first row
     rows: list[measures.DiagnosticsRow] = []
 
     center = tuple(0.5 * (l + h) for l, h in zip(cfg.grid.lo, cfg.grid.hi))
     omega_p = cfg.omega_prime()
-    mask_p = measures.region_mask(cfg.grid, omega_p)
+    box_p = cfg.grid.box_slices(omega_p)
     g_weight = None
     if cfg.transport.is_gradient and not cfg.transport.time_dependent:
         g_weight = measures.gronwall_weight(cfg.transport, pts, 0.0)
@@ -356,9 +355,12 @@ def run(
     prev_kernel: list[tuple[float, ...]] = []  # (t, i_rho, i_u, i_xi) of the previous row
 
     def make_row(state: SimState, running_max: float) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
+        nonlocal probe
         phi = state.phi
         t = state.t
         ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, drive=True)
+        if probe is None:  # the default probe sits at the strongest initial energy node
+            probe = _default_probe(cfg, ff.density)
         vel = measures.velocity_sq(ff, omega_p)
         ff.drive = None  # release it before the density ratio
         mu = ff.measure()
@@ -381,14 +383,14 @@ def run(
             t0, rho0, u0, xi0 = prev_kernel.pop()
             resid = (i_rho - rho0) - 0.5 * (t - t0) * (i_u + u0 + i_xi + xi0)
         prev_kernel.append((t, i_rho, i_u, i_xi))
-        xi_p = np.maximum(ff.xi.values, 0.0)
+        sup_xi = float(np.max(ff.xi.values[box_p]))
         row = measures.DiagnosticsRow(
             t=t,
             total_energy=mu.total,
             density_ratio_max=ratio.max_ratio,
-            sup_xi=float(np.max(ff.xi.values[mask_p])),
-            sup_xi_pos=float(np.max(xi_p[mask_p])),
-            pos_xi_integral=integrate(ScalarField(cfg.grid, xi_p), omega_p),
+            sup_xi=sup_xi,
+            sup_xi_pos=max(sup_xi, 0.0),
+            pos_xi_integral=integrate(ScalarField(cfg.grid, np.maximum(ff.xi.values, 0.0)), omega_p),
             interface_radius=radius,
             monotonicity_residual=resid,
             gronwall_factor=gron,

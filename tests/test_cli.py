@@ -110,6 +110,21 @@ class TestRunCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ") and "measured margin" in err[0]
 
+    @pytest.mark.parametrize("line, reason", [
+        ("potential = quartic 2 0 -4", "'quartic' takes no coefficients, got '2 0 -4'"),
+        ("alpha = 0.3", "well condition (c): W''(-0.3) = -1.46 < kappa=1"),
+        ("kappa = 2", "well condition (c): W''(-0.8) = 1.84 < kappa=2"),
+    ], ids=["quartic-coefficients", "alpha", "kappa"])
+    def test_well_key_that_would_do_nothing_exits_one(self, tmp_path, capsys, line, reason):
+        # the run reads only W: tokens after quartic, and alpha/kappa that break
+        # condition (c), are rejected rather than ignored
+        p = tmp_path / "well.cfg"
+        p.write_text(CONFIG + line + "\n")
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and reason in err[0]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("ignore:epsilon=0.08 is below 6h")
     def test_empty_ratio_ladder_exits_one(self, tmp_path, capsys):
         # 2h = 0.04 exceeds the ladder cap min(inset_prime/2, 1/4) = 0.025; diagnose rejects it too
@@ -427,6 +442,16 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         key = line.split(" = ")[0]
         assert f"line {len(PLAN.splitlines()) + 1}: duplicate key {key!r}" in err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("key", ["dim", "shape", "T"])
+    def test_plan_missing_required_key_exits_one(self, tmp_path, capsys, key):
+        # each rung sets cells and epsilon; the plan must carry the other required keys
+        plan = tmp_path / "plan.cfg"
+        plan.write_text("".join(l + "\n" for l in PLAN.splitlines() if not l.startswith(f"{key} = ")))
+        assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: missing required key {key!r}"]
         assert not (tmp_path / "s").exists()
 
     def test_plan_needs_two_rungs(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from actx.grid import (
     gradient,
     integrate,
     laplacian,
+    outer_sum_sq,
     read_field,
     sum_sq,
     write_field,
@@ -335,3 +336,75 @@ class TestGridSpec:
             err = laplacian(f, 0.0).values - exact.values
             errs.append(np.max(np.abs(err[1:-1, 1:-1])))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+
+
+def _window_mask(spec, box):
+    """Reference for ``box_slices``: the nodes within 1e-9 h of the closed box
+    along every axis, as a mask built from one boolean window per axis."""
+    tol = 1e-9 * spec.h
+    m = np.ones(spec.nodes, dtype=bool)
+    for k, ax in enumerate(spec.axes()):
+        keep = (ax >= box[0][k] - tol) & (ax <= box[1][k] + tol)
+        m &= keep.reshape((-1,) + (1,) * (spec.dim - 1 - k))
+    return m
+
+
+# a box face at node index i plus a fraction of h: on the node, on either side of
+# the 1e-9 h band and half a cell away, measured from lo + i h or from the node's
+# own coordinate (where face -+ 1e-9 h can round back onto the node); indices
+# past either end give clipped or empty boxes, unordered faces empty ones
+_FACE = st.tuples(
+    st.integers(-3, 27),
+    st.sampled_from([0.0, 1e-12, -1e-12, 0.999e-9, -0.999e-9, 1e-9, -1e-9, 1.001e-9, -1.001e-9,
+                     0.5, -0.5]),
+    st.booleans(),
+)
+
+
+class TestNodeGeometry:
+    SPEC3 = GridSpec(3, (-0.5, -0.5, -0.5), (0.25, 0.25, 0.25), (6, 6, 6))
+
+    @pytest.mark.parametrize("spec", [SPEC, SPEC3])
+    def test_points_shared_and_read_only(self, spec):
+        pts = spec.points()
+        assert pts.shape == spec.nodes + (spec.dim,)
+        assert GridSpec(spec.dim, spec.lo, spec.hi, spec.cells).points() is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[(0,) * spec.dim] = 1.0
+        mesh = spec.meshgrid()
+        for got, want in zip(mesh, np.meshgrid(*spec.axes(), indexing="ij"), strict=True):
+            assert np.array_equal(got, want)
+            assert np.shares_memory(got, pts)
+
+    @given(
+        cells=st.lists(st.integers(1, 24), min_size=2, max_size=3),
+        origin=st.floats(-2.0, 2.0),
+        faces=st.lists(_FACE, min_size=6, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_box_slices_select_the_window_nodes(self, cells, origin, faces):
+        h = 0.1
+        dim = len(cells)
+        spec = GridSpec(dim, (origin,) * dim, tuple(origin + c * h for c in cells), tuple(cells))
+        axes = spec.axes()
+
+        def face(k, i, frac, on_node):
+            if on_node:
+                return float(axes[k][min(max(i, 0), spec.cells[k])]) + frac * spec.h
+            return spec.lo[k] + (i + frac) * spec.h
+
+        box = tuple(tuple(face(k, *f) for k, f in enumerate(faces[j::2][:dim])) for j in (0, 1))
+        slices = spec.box_slices(box)
+        assert all(sl.step is None and 0 <= sl.start <= sl.stop <= n
+                   for sl, n in zip(slices, spec.nodes))
+        got = np.zeros(spec.nodes, dtype=bool)
+        got[slices] = True
+        assert np.array_equal(got, _window_mask(spec, box))
+
+    def test_outer_sum_sq_same_bits_as_broadcast_sum(self):
+        rng = np.random.default_rng(3)
+        a, b, c = (rng.standard_normal(n) for n in (5, 7, 4))
+        assert np.array_equal(outer_sum_sq([a, b]), a[:, None] ** 2 + b[None, :] ** 2)
+        want = (a[:, None] ** 2 + b[None, :] ** 2)[:, :, None] + c[None, None, :] ** 2
+        assert np.array_equal(outer_sum_sq([a, b, c]), want)

@@ -153,15 +153,16 @@ class TestInitialPhase:
     def test_construction_discrepancy_bounds(self):
         # construction-side: the profile identity is exact on the inner box;
         # on the grid, away from the interface core, xi stays under 1e-3/eps
-        from actx.measures import discrepancy_field, region_mask
+        from actx.measures import discrepancy_field
 
         cfg = circle_config(256, 8)
         phi = build_initial_phase(cfg)
         xi = discrepancy_field(phi, cfg.epsilon, cfg.well)
         x, y = cfg.grid.meshgrid()
         d = np.sqrt((x - CENTER[0]) ** 2 + (y - CENTER[1]) ** 2) - 0.25
-        mask = region_mask(cfg.grid, cfg.omega_prime()) & (np.abs(d) >= 2 * cfg.epsilon)
-        assert np.max(np.abs(xi.values[mask])) <= 1e-3 / cfg.epsilon
+        box = cfg.grid.box_slices(cfg.omega_prime())
+        core = np.abs(xi.values[box])[np.abs(d[box]) >= 2 * cfg.epsilon]
+        assert np.max(core) <= 1e-3 / cfg.epsilon
         # in the cutoff collar the distortion stays under 0.02/eps
         l = cutoff_field(cfg).values
         collar = (l > 0) & (l < 1)
