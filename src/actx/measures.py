@@ -6,10 +6,10 @@ its two halves, ball density ratios, truncated backward heat kernels and the
 near-monotonicity of their energy integrals, transport/velocity space-time
 integrals, a Meyers-Ziemer ratio probe, and weighted-energy growth checks.
 
-Per-frame quantities are computed once: ``frame_fields`` (one gradient, W,
-and W' with the Laplacian only for the drive) plus the per-frame scalars
-built on it. The rows of ``solver.run``, ``actx diagnose`` and the windowed
-checks (trapezoids over retained frames) all share this computation;
+Per-frame quantities are computed once: ``frame_fields`` (|grad phi|^2, W,
+and for the drive the step's own ``grid.stencil_rhs``) plus the per-frame
+scalars built on it. The rows of ``solver.run``, ``actx diagnose`` and the
+windowed checks (trapezoids over retained frames) all share this computation;
 ``monotonicity_check`` builds each frame's fields once for all its probes.
 
 The truncated backward kernel of a probe vanishes off B_{r_outer}(y), so it
@@ -42,10 +42,10 @@ from .grid import (
     ScalarField,
     ball_integrate,
     ball_window,
-    gradient,
+    grad_sq,
     integrate,
-    laplacian,
     outer_sum_sq,
+    stencil_rhs,
     sum_sq,
     window_integral,
 )
@@ -70,7 +70,7 @@ class FrameFields:
     """Pointwise fields of one frame.
 
     density = eps |grad phi|^2/2 + W(phi)/eps, xi = eps |grad phi|^2/2 - W(phi)/eps
-    and, when requested, the drive lap phi - W'(phi)/eps^2.
+    and, when requested, the drive lap phi - W'(phi)/eps^2 (0 on the box faces).
     """
 
     eps: float
@@ -85,21 +85,19 @@ class FrameFields:
 def frame_fields(
     phi: ScalarField, eps: float, well: DoubleWell, drive: bool = False
 ) -> FrameFields:
-    """One gradient and W; W' and the Laplacian only with ``drive``.
-
-    The gradient and the two halves are released before the Laplacian runs.
-    """
-    grad_half = 0.5 * eps * sum_sq(gradient(phi, None).values)
+    """``grid.grad_sq`` and W; the drive, the step's ``grid.stencil_rhs``
+    without transport, only with ``drive``."""
+    grad_half = grad_sq(phi)
+    grad_half *= 0.5 * eps
     well_half = well.w(phi.values)
     well_half /= eps
-    out = FrameFields(
-        eps,
-        ScalarField(phi.spec, grad_half + well_half),
-        ScalarField(phi.spec, grad_half - well_half),
-    )
+    density = ScalarField(phi.spec, grad_half + well_half)
+    np.subtract(grad_half, well_half, out=grad_half)
+    out = FrameFields(eps, density, ScalarField(phi.spec, grad_half))
     if drive:
-        del grad_half, well_half
-        out.drive = laplacian(phi, -1.0).values - well.wprime(phi.values) / eps**2
+        del well_half
+        out.drive = np.empty(phi.spec.nodes)
+        stencil_rhs(phi.values, None, phi.spec.h, eps, well, out.drive)
     return out
 
 
@@ -122,8 +120,13 @@ def discrepancy_field(phi: ScalarField, eps: float, well: DoubleWell) -> ScalarF
 
 
 def velocity_sq(fields: FrameFields, region: tuple[Sequence[float], Sequence[float]]) -> float:
-    """int_region eps (lap phi - W'(phi)/eps^2)^2 dx; needs fields built with the drive."""
-    return integrate(ScalarField(fields.density.spec, fields.eps * fields.drive**2), region)
+    """int_region eps (lap phi - W'(phi)/eps^2)^2 dx; needs fields built with the drive.
+    The drive is not formed on the box faces, so a region reaching them raises."""
+    spec = fields.density.spec
+    if any(sl.start == 0 or sl.stop == n for sl, n in zip(spec.box_slices(region), spec.nodes)):
+        lo, hi = (tuple(c) for c in region)
+        raise MeasureError(f"region {lo}..{hi} reaches the box faces, where the drive is not formed")
+    return integrate(ScalarField(spec, fields.eps * fields.drive**2), region)
 
 
 def speed_sq(transport: "Transport", pts: np.ndarray, t: float) -> np.ndarray | None:
@@ -648,16 +651,20 @@ def meyers_ziemer_check(
 
     K(mu) defaults to the full-lattice density ratio (every node, clipped
     balls, dyadic radii). Bump centers/radii are drawn from a seeded
-    generator, so the result is reproducible.
+    generator, so the result is reproducible. Bump radii lie in [8h, ext/4],
+    ext the shortest box side, so up to 32 cells across it raise ``MeasureError``.
     """
     spec = measure.spec
+    ext = min(hi - lo for lo, hi in zip(spec.lo, spec.hi))
+    r_lo, r_hi = 8.0 * spec.h, ext / 4.0
+    if r_lo >= r_hi:
+        raise MeasureError(f"bump radii need 8h < ext/4 (over 32 cells across the shortest "
+                           f"side), got 8h = {r_lo:g} >= ext/4 = {r_hi:g}")
     if k_density is None:
         k_density = density_ratio(measure, stride=1, require_fit=False).max_ratio
     if k_density <= 0.0:
         return MeyersZiemerReport(0.0, k_density, trials, seed)
     rng = np.random.default_rng(seed)
-    ext = min(hi - lo for lo, hi in zip(spec.lo, spec.hi))
-    r_lo, r_hi = 8.0 * spec.h, ext / 4.0
     best = 0.0
     for _ in range(trials):
         rho = rng.uniform(r_lo, r_hi)

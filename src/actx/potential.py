@@ -98,22 +98,24 @@ class DoubleWell:
         cpp = (cp * np.arange(len(cp)))[1:]
         return c, cp, cpp
 
-    def wprime(self, s) -> np.ndarray:
+    def wprime(self, s, out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """W'(s) alone, for the explicit step and the search for gamma; ``eval``
         takes its W' from here.
 
         The quartic's -2 s (1 - s^2) is evaluated into two explicit arrays,
-        in the operation order of the expression. The expression itself
-        makes up to four field-sized temporaries, and on a 257^2 field the
-        fresh memory for them cost several times the arithmetic.
+        ``out`` = (result, scratch) or fresh ones, in the operation order of
+        the expression. The expression itself makes up to four field-sized
+        temporaries, and on a 257^2 field the fresh memory for them cost
+        several times the arithmetic. A polynomial's W' is always fresh.
         """
         s = np.asarray(s, dtype=np.float64)
         if self.family == "poly":
             cp = self._poly_derivs[1]
             return np.polynomial.polynomial.polyval(s, cp) if cp.size else np.zeros_like(s)
-        one_m = np.multiply(s, s, out=np.empty(s.shape))
+        wp, one_m = out if out is not None else (np.empty(s.shape), np.empty(s.shape))
+        np.multiply(s, s, out=one_m)
         np.subtract(1.0, one_m, out=one_m)
-        wp = np.multiply(s, -2.0, out=np.empty(s.shape))
+        np.multiply(s, -2.0, out=wp)
         wp *= one_m
         return wp
 

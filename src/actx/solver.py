@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .grid import GridError, ScalarField, VectorField, integrate, read_field, sum_sq, write_field
+from .grid import GridError, ScalarField, VectorField, integrate, read_field, stencil_rhs, sum_sq
+from .grid import write_field
 from .interface import InterfaceSet, extract_interface, radius_estimate
 from .potential import DoubleWell
 from .scenario import ConfigError, ScenarioConfig, build_initial_phase
@@ -96,7 +97,7 @@ class Trajectory:
 
     def append(self, t: float, phi: ScalarField) -> None:
         self.times.append(t)
-        self.frames.append(phi)  # fields are never mutated: ``step`` returns a new one
+        self.frames.append(phi)  # by reference: ``step`` without ``out`` returns a fresh field
 
 
 def stable_dt(h: float, eps: float, u_max: float, w: DoubleWell, n: int, cfl: float = 0.5) -> float:
@@ -107,49 +108,6 @@ def stable_dt(h: float, eps: float, u_max: float, w: DoubleWell, n: int, cfl: fl
         eps * eps / wpp,
         h / (2.0 * max(u_max, 1e-12)),
     )
-
-
-def _rhs(
-    f: np.ndarray, u: np.ndarray | None, h: float, eps: float, well: DoubleWell, out: np.ndarray
-) -> None:
-    """lap f - W'(f)/eps^2 - u . grad f on the nodes of ``f[1:-1]``, into the flat ``out``.
-
-    ``f[1:-1]`` (every node off the two axis-0 faces) is one contiguous run
-    of the flattened field, and its neighbours along axis k are the same run
-    shifted by +-stride_k, so every term is a contiguous 1D operation and no
-    ghost layer is built. The nodes of the other axes' faces in that run get
-    wrapped-around neighbours; the caller does not keep their values. The
-    operation order is that of ``grid.laplacian``, ``grid.gradient`` and
-    ``DoubleWell.eval``, so the interior values are bit-identical to
-    ``laplacian(f) - eval(f)[1] / (eps*eps) - np.sum(u * gradient(f), -1)``:
-    (-2n f + up_0 + dn_0 + up_1 + dn_1 ...) / h^2, then W' / (eps*eps), then
-    sum_k u_k (up_k - dn_k) / (2h) in axis order.
-    """
-    flat = f.reshape(-1)
-    steps = [st // f.itemsize for st in f.strides]
-    lo, hi = steps[0], flat.size - steps[0]
-    np.multiply(flat[lo:hi], -2.0 * f.ndim, out=out)
-    for st in steps:
-        out += flat[lo + st : hi + st]
-        out += flat[lo - st : hi - st]
-    out /= h**2
-    wp = well.wprime(flat[lo:hi])
-    wp /= eps * eps
-    out -= wp
-    del wp
-    if u is None:
-        return
-    uf = u.reshape(-1, f.ndim)[lo:hi]
-    acc = None
-    for ax, st in enumerate(steps):
-        g = np.subtract(flat[lo + st : hi + st], flat[lo - st : hi - st])
-        g /= 2.0 * h
-        g *= uf[:, ax]
-        if acc is None:
-            acc = g
-        else:
-            acc += g
-    out -= acc
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -187,40 +145,37 @@ def step(
     u: VectorField | None = None,
     u_mid: VectorField | None = None,
     scheme: str = "euler",
+    out: np.ndarray | None = None,
+    mid: np.ndarray | None = None,
 ) -> SimState:
     """One explicit step; boundary nodes keep their current (initial-trace) values.
 
     ``u``/``u_mid`` are the velocity samples at t and t + dt/2 (midpoint rule);
-    omit them for transport-free runs. The input state is not modified. Each
-    update is written into a fresh copy of phi, so the boundary nodes carry
-    over untouched, and is checked by one max |phi| scan, which the returned
-    state keeps as ``max_abs_phi``. Aborts with the step index and the first
-    non-finite (else the largest) node when the update leaves the physical
-    range; the rk2 midpoint is only checked for non-finite values.
+    omit them for transport-free runs. The input state is not modified:
+    ``grid.stencil_rhs`` writes each update, with phi's boundary nodes, into
+    ``out`` (rk2's midpoint into ``mid``), fields that share no memory with
+    phi or each other, or into fresh ones. The update is checked by one max
+    |phi| scan, which the returned state keeps as ``max_abs_phi``. Aborts
+    with the step index and the first non-finite (else the largest) node
+    when the update leaves the physical range; the rk2 midpoint is only
+    checked for non-finite values.
     """
     v = state.phi.values
     h, eps, well = state.phi.spec.h, cfg.epsilon, cfg.well
 
-    def update(f: np.ndarray, vel: VectorField | None, scale: float) -> np.ndarray:
-        """phi + scale * rhs(f) on the interior, phi on the boundary."""
-        out = v.copy()
-        r = out[1:-1].reshape(-1)
-        _rhs(f, None if vel is None else vel.values, h, eps, well, r)
-        r *= scale
-        r += v[1:-1].reshape(-1)
-        for ax in range(1, v.ndim):  # the faces that _rhs swept along with the interior
-            for face in (0, -1):
-                sl = (slice(None),) * ax + (face,)
-                out[sl] = v[sl]
-        return out
+    def update(f: np.ndarray, vel: VectorField | None, scale: float, dst: np.ndarray | None) -> np.ndarray:
+        """phi + scale * rhs(f) on the interior, phi on the boundary, into ``dst``."""
+        dst = np.empty_like(v) if dst is None else dst
+        stencil_rhs(f, None if vel is None else vel.values, h, eps, well, dst, v, scale)
+        return dst
 
     f = v
     if scheme != "euler":
-        f = update(v, u, 0.5 * dt)
+        f = update(v, u, 0.5 * dt, mid)
         if not math.isfinite(_max_abs(f)):
             raise _abort(state, f, state.t + 0.5 * dt, midpoint=True)
         u = u_mid if u_mid is not None else u
-    new = update(f, u, dt)
+    new = update(f, u, dt, out)
     m = _max_abs(new)
     if not m <= PHI_ABORT:  # also catches nan and inf
         raise _abort(state, new, state.t + dt, midpoint=False)
@@ -411,6 +366,9 @@ def run(
     rows.append(row)
     snapshot(state)
 
+    # the steps write into phi0's array and one more field in turn, rk2's midpoint into a third
+    spare = np.empty_like(phi0.values)
+    mid = np.empty_like(spare) if solver.scheme == "rk2" else None
     try:
         for k in range(1, n_steps + 1):
             if cfg.transport.time_dependent:
@@ -423,7 +381,9 @@ def run(
             else:
                 u = static_u
                 u_mid = static_u
-            state = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=solver.scheme)
+            prev = state.phi.values
+            state = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=solver.scheme, out=spare, mid=mid)
+            spare = prev
             running_max = max(running_max, state.max_abs_phi)
             if k % d == 0:
                 row, iset = make_row(state, running_max)

@@ -82,13 +82,60 @@ class TestDiscrepancy:
     def test_gradient_saturation_bound(self, ladder):
         # eps |grad phi| <= 1.2 max sqrt(2W) on the inner box, along the flow
         cfg, res, traj, _ = ladder[128]
-        from actx.grid import gradient
+        from reference_ops import gradient
 
         box = cfg.grid.box_slices(cfg.omega_prime())
         for phi in traj.frames:
             g = gradient(phi, None)
             mag = cfg.epsilon * np.sqrt(np.sum(g.values**2, axis=-1))
             assert np.max(mag[box]) <= 1.2 * 1.0
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestFrameFields:
+    """The stride-shifted frame fields against the padded reference operators."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("well", [WELL, DoubleWell.from_coeffs([2.0, 0.0, -4.0, 0.0, 2.0], kappa=4.0)],
+                             ids=["quartic", "poly"])
+    @pytest.mark.parametrize("chunk", [7, None])
+    def test_matches_padded_reference(self, dim, well, chunk, monkeypatch):
+        import actx.grid
+        from actx.grid import sum_sq
+        from actx.measures import frame_fields
+        from reference_ops import gradient, laplacian
+
+        if chunk is not None:
+            monkeypatch.setattr(actx.grid, "CHUNK", chunk)
+        cells = (23, 20) if dim == 2 else (13, 11, 10)
+        spec = GridSpec(dim, (0.0,) * dim, tuple(0.1 * c for c in cells), cells)
+        eps = 0.4
+        phi = ScalarField(spec, np.random.default_rng(dim).uniform(-1.05, 1.05, spec.nodes))
+        ff = frame_fields(phi, eps, well, drive=True)
+
+        grad_half = 0.5 * eps * sum_sq(gradient(phi, None).values)
+        well_half = well.w(phi.values) / eps
+        drive = laplacian(phi, -1.0).values - well.wprime(phi.values) / eps**2
+        assert np.array_equal(_bits(ff.density.values), _bits(grad_half + well_half))
+        assert np.array_equal(_bits(ff.xi.values), _bits(grad_half - well_half))
+        core = (slice(1, -1),) * dim
+        assert np.array_equal(_bits(ff.drive[core]), _bits(drive[core]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_velocity_sq_rejects_a_region_on_the_faces(self, dim):
+        from actx.measures import frame_fields, velocity_sq
+
+        spec = GridSpec(dim, (0.0,) * dim, (1.0,) * dim, (16,) * dim)
+        phi = ScalarField.sample(spec, lambda *x: np.tanh((x[0] - 0.5) / 0.25))
+        ff = frame_fields(phi, 0.25, WELL, drive=True)
+        inner = ((0.1,) * dim, (0.9,) * dim)
+        assert velocity_sq(ff, inner) > 0.0
+        for lo, hi in (((0.0,) * dim, (0.9,) * dim), ((0.1,) * dim, (0.9,) * (dim - 1) + (1.0,))):
+            with pytest.raises(MeasureError, match="region .* reaches the box faces"):
+                velocity_sq(ff, (lo, hi))
 
 
 class TestPositiveDiscrepancyBall:
@@ -526,6 +573,12 @@ class TestVelocityL2:
             vals[cells] = velocity_l2(traj, cfg.tau, cfg.t_end) / (cfg.t_end - cfg.tau)
         assert max(vals.values()) / min(vals.values()) < 2.0
 
+    def test_region_on_the_faces_named(self, ladder):
+        cfg, _res, traj, _ = ladder[128]
+        box = (cfg.grid.lo, cfg.grid.hi)
+        with pytest.raises(MeasureError, match=r"region \(0\.0, 0\.0\)\.\.\(1\.6, 1\.6\) reaches"):
+            velocity_l2(traj, cfg.tau, cfg.t_end, region=box)
+
 
 class TestMeyersZiemer:
     def test_zero_measure(self):
@@ -537,6 +590,15 @@ class TestMeyersZiemer:
         mu = EnergyMeasure(SPEC, ScalarField.full(SPEC, 1.0), 1.0)
         rep = meyers_ziemer_check(mu, trials=50, seed=0)
         assert 0 < rep.max_ratio <= 1.0
+
+    def test_small_grid_rejected(self):
+        # 20 cells across: 8h = 0.4 >= ext/4 = 0.25 leaves no bump radius
+        spec = GridSpec(3, (0.0,) * 3, (1.0,) * 3, (20,) * 3)
+        phi = ScalarField.sample(spec, lambda x, y, z: np.tanh(
+            (0.3 - np.sqrt((x - 0.5) ** 2 + (y - 0.5) ** 2 + (z - 0.5) ** 2)) / 0.2))
+        mu = EnergyMeasure.from_phase(phi, 0.2, WELL)
+        with pytest.raises(MeasureError, match=r"8h = 0\.4 >= ext/4 = 0\.25"):
+            meyers_ziemer_check(mu, trials=10, seed=0, k_density=1.0)
 
     def test_flat_interface_seed_stability(self):
         mu = EnergyMeasure.from_phase(flat_field(), EPS, WELL)

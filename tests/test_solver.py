@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from actx.grid import ScalarField, read_field
+from actx.grid import ScalarField, read_field, sum_sq
 from actx.potential import DoubleWell
 from actx.scenario import RadialGradient
 from actx.solver import SimState, SolverAbort, SolverConfig, run, stable_dt, step
@@ -221,8 +221,8 @@ class TestThreeDimensions:
 
 
 def _reference_step(state, cfg, dt, u=None, u_mid=None, scheme="euler"):
-    """The explicit step written with grid.laplacian, grid.gradient and DoubleWell.eval."""
-    from actx.grid import gradient, laplacian
+    """The explicit step written with the reference laplacian, gradient and DoubleWell.eval."""
+    from reference_ops import gradient, laplacian
 
     def rhs(f, vel):
         out = laplacian(f, -1.0).values - cfg.well.eval(f.values)[1] / (cfg.epsilon * cfg.epsilon)
@@ -304,6 +304,83 @@ def test_fused_step_bit_identical_to_reference(dim, transport_kind, scheme):
     assert np.max(np.abs(state.phi.values - phi.values)) > 0.01  # the steps did move phi
 
 
+def _chunk_case(dim, transport_kind, scheme):
+    """(cfg, solver config, phi0) on a small box with uneven axes, so that
+    chunk edges fall both mid-row and on faces; phi0 is noisy everywhere,
+    faces included, so a face that is not restored shows."""
+    from actx.grid import GridSpec
+    from actx.scenario import ScenarioConfig, ZeroTransport
+    from actx.shapes import Ball
+
+    h = 0.1 if dim == 2 else 0.125
+    cells = (20, 19) if dim == 2 else (16, 15, 14)
+    spec = GridSpec(dim, (0.0,) * dim, tuple(h * c for c in cells), cells)
+    c = tuple(0.5 * h * n for n in cells)
+    transport = {
+        "zero": ZeroTransport(),
+        "static": RadialGradient(16.0, c),
+        "pulsed": RadialGradient(1.2, c, mod_amp=0.3125, mod_freq=5.0),
+    }[transport_kind]
+    eps = 4 * h
+    dt0 = 0.5 * h * h / (4.0 * dim)  # the diffusive limit binds on this box
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # eps = 4h is marginally resolved, which is fine here
+        cfg = ScenarioConfig(grid=spec, shape=Ball(c, 0.5), transport=transport, epsilon=eps,
+                             t_end=3.5 * dt0, tau=dt0, inset_prime=4 * h, inset_dprime=2 * h)
+    r = np.sqrt(sum_sq(spec.points() - np.asarray(c)))
+    noise = np.random.default_rng(dim).uniform(-0.05, 0.05, spec.nodes)
+    phi0 = ScalarField(spec, np.tanh((0.5 - r) / eps) + noise)
+    return cfg, SolverConfig(scheme=scheme, diag_every=2), phi0
+
+
+def _chunk_edges(shape, chunk):
+    """(on a face, mid-row) counts of the chunk edges inside the swept run."""
+    nodes = np.arange(int(np.prod(shape))).reshape(shape)
+    face = np.zeros(shape, dtype=bool)
+    for ax in range(len(shape)):
+        face[(slice(None),) * ax + (0,)] = face[(slice(None),) * ax + (-1,)] = True
+    lo, hi = nodes[1].min(), nodes[-1].min()
+    edges = np.arange(lo + chunk, hi, chunk)
+    on_face = int(np.count_nonzero(face.reshape(-1)[edges]))
+    return on_face, len(edges) - on_face
+
+
+@pytest.mark.parametrize("transport_kind", ["zero", "static", "pulsed"])
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@pytest.mark.parametrize(  # one node per chunk only in 2D, where it stays fast
+    "dim, chunk", [(2, 1), (2, 7), (2, 64), (2, 10**6), (3, 7), (3, 64), (3, 10**6)]
+)
+def test_run_buffered_steps_bit_identical_across_chunks(
+    dim, chunk, transport_kind, scheme, tmp_path, monkeypatch
+):
+    import actx.grid
+    import actx.solver
+
+    cfg, sol, phi0 = _chunk_case(dim, transport_kind, scheme)
+    if chunk in (7, 64):
+        assert all(_chunk_edges(cfg.grid.nodes, chunk))  # edges on faces and mid-row
+    monkeypatch.setattr(actx.grid, "CHUNK", chunk)
+    monkeypatch.setattr(actx.solver, "build_initial_phase", lambda _cfg: phi0)
+    seen = []
+
+    def checked(state, cfg, dt, u=None, u_mid=None, scheme="euler", **buffers):
+        want = _reference_step(state, cfg, dt, u, u_mid, scheme)
+        out = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=scheme, **buffers)
+        assert out.phi.values is buffers["out"]
+        assert np.array_equal(_bits(out.phi.values), _bits(want))
+        seen.append(out.phi.values)
+        return out
+
+    monkeypatch.setattr(actx.solver, "step", checked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = run(cfg, sol, out_dir=str(tmp_path))
+    assert res.n_steps == len(seen) == 4
+    assert len({id(v) for v in seen}) == 2  # two fields, written in turn
+    last, _ = read_field(tmp_path / "snapshots" / f"step_{res.n_steps:08d}.afld")
+    assert np.array_equal(_bits(res.final_phi.values), _bits(last.values))
+
+
 def _digests(cfg, sol, tmp_path):
     """sha256 of the run's diagnostics.csv and interface_final.csv."""
     import hashlib
@@ -314,7 +391,7 @@ def _digests(cfg, sol, tmp_path):
 
 
 def test_diagnostics_digest_2d_rk2_pulsed(tmp_path):
-    # recorded with the unfused step (grid.laplacian/gradient + DoubleWell.eval)
+    # recorded with the unfused step (reference_ops.laplacian/gradient + DoubleWell.eval)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = circle_config(96, 16, t_end=0.002, tau=0.001,
@@ -341,7 +418,7 @@ def test_diagnostics_digest_3d_euler(tmp_path):
                              epsilon=4 * spec.h, t_end=0.0006, tau=0.0003,
                              inset_prime=0.12, inset_dprime=0.06)
         got, interface = _digests(cfg, SolverConfig(diag_every=10), tmp_path)
-    # recorded with the unfused step (grid.laplacian/gradient + DoubleWell.eval), re-pinned
+    # recorded with the unfused step (reference_ops.laplacian/gradient + DoubleWell.eval), re-pinned
     # for the exact lattice ball sums: only density_ratio_max moved (4 of 4 rows, at most
     # 5.8e-16 relative); the probe-local kernel sums left every column unchanged
     assert got == "7b3677b0563add9bedf3db2d99188d35f653eee5e8cb980a5347789110c3b8e6"
