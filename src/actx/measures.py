@@ -50,9 +50,9 @@ from .grid import (
     window_integral,
 )
 from .potential import DoubleWell, _smoothstep
+from .scenario import Transport, transport_field
 
 if TYPE_CHECKING:
-    from .scenario import Transport
     from .solver import Trajectory
 
 
@@ -129,20 +129,26 @@ def velocity_sq(fields: FrameFields, region: tuple[Sequence[float], Sequence[flo
     return integrate(ScalarField(spec, fields.eps * fields.drive**2), region)
 
 
-def speed_sq(transport: "Transport", pts: np.ndarray, t: float) -> np.ndarray | None:
-    """|u|^2 at the nodes ``pts`` (shape nodes + (dim,)) and time t; None if u vanishes."""
-    u = transport.velocity(pts, t)
-    return sum_sq(u) if np.any(u) else None
+def speed_sq(transport: Transport, spec: GridSpec, t: float) -> np.ndarray | None:
+    """|u|^2 = |m(t) U|^2 at the nodes of ``spec`` from the grid's cached U
+    (``scenario.transport_field``); None for a transport without U."""
+    u = transport_field(transport, spec).u
+    return None if u is None else sum_sq(u * transport.m(t))
 
 
-def gronwall_weight(transport: "Transport", pts: np.ndarray, t: float) -> np.ndarray:
-    """exp(-g) at the nodes, for a gradient transport u = grad g."""
-    return np.exp(-transport.g(pts, t))
+def gronwall_weight(transport: Transport, spec: GridSpec, t: float) -> np.ndarray | None:
+    """exp(-g) = exp(-m(t) G) at the nodes of ``spec`` from the grid's cached G,
+    for a gradient transport u = grad g; None (weight 1) for one without G."""
+    g = transport_field(transport, spec).g
+    return None if g is None else np.exp(-(transport.m(t) * g))
 
 
-def weighted_energy(fields: FrameFields, weight) -> float:
-    """int weight dmu; the Groenwall factor F(t) for weight = ``gronwall_weight``."""
-    return integrate(ScalarField(fields.density.spec, weight * fields.density.values))
+def weighted_energy(mu: EnergyMeasure, weight: np.ndarray | None) -> float:
+    """int weight dmu, the Groenwall factor F(t) for weight = ``gronwall_weight``;
+    ``mu.total`` for weight None."""
+    if weight is None:
+        return mu.total
+    return integrate(ScalarField(mu.spec, weight * mu.density.values))
 
 
 def discrepancy_sup(
@@ -560,10 +566,9 @@ def monotonicity_check(
         tails.append(probe_geometry(probe, cfg.grid).tail)  # validates the probe's ball
         if not t0 < t1 < probe.s:
             raise MeasureError(f"need t0 < t1 < s, got {t0:g}, {t1:g}, {probe.s:g}")
-    pts = cfg.grid.points()
 
     def per_frame(t, ff):
-        u2 = speed_sq(cfg.transport, pts, t)
+        u2 = speed_sq(cfg.transport, cfg.grid, t)
         rows = []
         for probe, tail in zip(probes, tails):
             leak = math.exp(-1.0 / (128.0 * (probe.s - t)))
@@ -592,9 +597,8 @@ def transport_kernel_integral(
     """Space-time integral of the kernel against |u|^2 dmu over [t0, t1]."""
     cfg = traj.cfg
     probe.validate(cfg.grid)
-    pts = cfg.grid.points()
     times, vals = _window_series(  # kernel_terms carries half of this integrand
-        traj, t0, t1, lambda t, ff: kernel_terms(ff, probe, t, speed_sq(cfg.transport, pts, t))[1]
+        traj, t0, t1, lambda t, ff: kernel_terms(ff, probe, t, speed_sq(cfg.transport, cfg.grid, t))[1]
     )
     return float(2.0 * np.trapezoid(vals, times))
 
@@ -725,12 +729,11 @@ def gronwall_check(traj: "Trajectory") -> GronwallReport:
     if not cfg.transport.is_gradient:
         raise MeasureError("weighted-energy check needs a gradient transport (u = grad g)")
     spec = cfg.grid
-    pts = spec.points()
     times = np.asarray(traj.times)
     vals = np.empty(times.size)
     for i, (t, phi) in enumerate(zip(traj.times, traj.frames)):
-        ff = frame_fields(phi, cfg.epsilon, cfg.well)
-        vals[i] = weighted_energy(ff, gronwall_weight(cfg.transport, pts, t))
+        mu = frame_fields(phi, cfg.epsilon, cfg.well).measure()
+        vals[i] = weighted_energy(mu, gronwall_weight(cfg.transport, spec, t))
     sup_dtg = cfg.transport.sup_dt_g(spec, float(times[0]), float(times[-1]))
     return gronwall_report(times, vals, sup_dtg, traj.steps_between)
 

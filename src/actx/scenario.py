@@ -7,11 +7,13 @@ boundary and the pure 1D profile sits on the inner box. The sign flip -d puts
 the +1 phase inside the shape.
 
 Transport fields come from a small analytic catalog (zero, constant,
-rotation, radial gradient with optional sinusoidal time modulation); velocity
-and Jacobian are evaluated in closed form, never by differencing. Every entry
-is affine, so its Jacobian is one n x n matrix, returned with singleton node
-axes that broadcast against the grid. Gradient entries also expose g and dt_g
-so weighted-energy diagnostics can reuse them.
+rotation, radial gradient with optional sinusoidal time modulation). Each is
+u(x, t) = m(t) U(x): a scalar time factor (1 except for the pulsed radial
+entry) times a spatial part stated once per entry, in closed form and never
+by differencing. Every entry is affine, so grad U is one n x n matrix, and a
+gradient entry u = grad g has g = m(t) G with a potential G. The grid's U and
+G are evaluated once and cached (``transport_field``); the run, its rows, the
+offline checks and ``transport_report`` scale them by m(t).
 
 Config files are flat ``key = value`` text with shapes and transports given
 as s-expressions, e.g. ``shape = (union (ball 0.5 0.5 0.25) (box 0 0 1 1))``.
@@ -19,9 +21,12 @@ as s-expressions, e.g. ``shape = (union (ball 0.5 0.5 0.25) (box 0 0 1 1))``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
 import numpy as np
 
 from .grid import GridSpec, ScalarField, integrate, sum_sq
@@ -43,105 +48,93 @@ class MarginError(ConfigError):
 
 
 class Transport:
-    """Analytic velocity field; catalog entries subclass this."""
+    """u(x, t) = m(t) U(x). An entry states U, the potential G of a gradient entry
+    (u = grad g, g = m G) and the constant matrix grad U once; the base class
+    scales them by m(t), with dt_g = m'(t) G, and is itself the zero field."""
 
     is_gradient = False
     time_dependent = False
 
+    def m(self, t: float) -> float:
+        return 1.0
+
+    def dm(self, t: float) -> float:
+        return 0.0
+
+    def spatial(self, pts: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(U, G) at the nodes ``pts`` as fresh arrays; None for one that is 0 or does not exist."""
+        return None, None
+
+    def spatial_jacobian(self, n: int) -> np.ndarray:
+        return np.zeros((n, n))
+
     def velocity(self, pts: np.ndarray, t: float) -> np.ndarray:
-        raise NotImplementedError
+        u = self.spatial(pts)[0]
+        return np.zeros(pts.shape) if u is None else np.multiply(u, self.m(t), out=u)
 
     def jacobian(self, pts: np.ndarray, t: float) -> np.ndarray:
-        """grad u at the nodes: shape pts.shape[:-1] + (n, n), or broadcastable to it."""
-        raise NotImplementedError
+        """m(t) grad U with a singleton axis per node axis, broadcasting against pts."""
+        return np.expand_dims(self.m(t) * self.spatial_jacobian(pts.shape[-1]), tuple(range(pts.ndim - 1)))
+
+    def _potential(self, pts: np.ndarray) -> np.ndarray:
+        if not self.is_gradient:
+            raise NotImplementedError("transport is not a gradient field")
+        pot = self.spatial(pts)[1]
+        return np.zeros(pts.shape[:-1]) if pot is None else pot
 
     def g(self, pts: np.ndarray, t: float) -> np.ndarray:
-        raise NotImplementedError("transport is not a gradient field")
+        return self.m(t) * self._potential(pts)
 
     def dt_g(self, pts: np.ndarray, t: float) -> np.ndarray:
-        raise NotImplementedError("transport is not a gradient field")
+        return self.dm(t) * self._potential(pts)
 
     def sup_dt_g(self, spec: GridSpec, t0: float, t1: float) -> float:
-        """Bound on |dt_g| over the box and time window."""
-        raise NotImplementedError("transport is not a gradient field")
+        """Bound on |dt_g| over the box and time window: 0 while m is constant."""
+        return 0.0
 
     def sup_speed(self, spec: GridSpec, t0: float, t1: float) -> float:
-        """Bound on |u| over the box and time window (time-dependent transports)."""
-        raise NotImplementedError("transport has no analytic speed bound")
+        """Bound on |u| over the box and time window: for a static transport, max over the nodes."""
+        u = transport_field(self, spec).u
+        return 0.0 if u is None else math.sqrt(float(np.max(sum_sq(u * self.m(t0)))))
 
 
-def _constant_jacobian(pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """The n x n matrix jac with one singleton axis per node axis of pts."""
-    return jac.reshape((1,) * (pts.ndim - 1) + jac.shape)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ZeroTransport(Transport):
     is_gradient = True
 
-    def velocity(self, pts, t):
-        return np.zeros_like(pts)
 
-    def jacobian(self, pts, t):
-        return _constant_jacobian(pts, np.zeros((pts.shape[-1],) * 2))
-
-    def g(self, pts, t):
-        return np.zeros(pts.shape[:-1])
-
-    def dt_g(self, pts, t):
-        return np.zeros(pts.shape[:-1])
-
-    def sup_dt_g(self, spec, t0, t1):
-        return 0.0
-
-
-@dataclass
+@dataclass(frozen=True)
 class ConstantTransport(Transport):
     """u = a everywhere; the gradient of the linear g = a . x."""
 
     vector: tuple[float, ...]
     is_gradient = True
 
-    def velocity(self, pts, t):
-        return np.broadcast_to(np.asarray(self.vector), pts.shape).copy()
-
-    def jacobian(self, pts, t):
-        return _constant_jacobian(pts, np.zeros((pts.shape[-1],) * 2))
-
-    def g(self, pts, t):
-        return np.sum(pts * np.asarray(self.vector), axis=-1)
-
-    def dt_g(self, pts, t):
-        return np.zeros(pts.shape[:-1])
-
-    def sup_dt_g(self, spec, t0, t1):
-        return 0.0
+    def spatial(self, pts):
+        a = np.asarray(self.vector)
+        return np.broadcast_to(a, pts.shape).copy(), np.sum(pts * a, axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RotationTransport(Transport):
     """Rigid rotation u = omega * (x2 - c2, -(x1 - c1)); divergence-free, not a gradient."""
 
     omega: float
     center: tuple[float, ...] = (0.5, 0.5)
 
-    def velocity(self, pts, t):
+    def spatial(self, pts):
         if pts.shape[-1] != 2:
             raise ConfigError("rotation transport is 2D only")
         d = pts - np.asarray(self.center)
-        return self.omega * np.stack([d[..., 1], -d[..., 0]], axis=-1)
+        return self.omega * np.stack([d[..., 1], -d[..., 0]], axis=-1), None
 
-    def jacobian(self, pts, t):
-        return _constant_jacobian(pts, np.array([[0.0, self.omega], [-self.omega, 0.0]]))
+    def spatial_jacobian(self, n):
+        return np.array([[0.0, self.omega], [-self.omega, 0.0]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialGradient(Transport):
-    """u = m(t) (x - x0), the gradient of g = m(t) |x - x0|^2 / 2.
-
-    m(t) = strength + mod_amp * sin(mod_freq * t); the unmodulated case is
-    time-independent.
-    """
+    """u = m(t) (x - x0) = grad (m(t) |x - x0|^2 / 2), m(t) = strength + mod_amp sin(mod_freq t)."""
 
     strength: float
     center: tuple[float, ...] = (0.5, 0.5)
@@ -149,38 +142,27 @@ class RadialGradient(Transport):
     mod_freq: float = 0.0
     is_gradient = True
 
-    def __post_init__(self):
-        self.time_dependent = self.mod_amp != 0.0 and self.mod_freq != 0.0
+    @property
+    def time_dependent(self) -> bool:
+        return self.mod_amp != 0.0 and self.mod_freq != 0.0
 
-    def _m(self, t: float) -> float:
+    def m(self, t):
         return self.strength + self.mod_amp * math.sin(self.mod_freq * t)
 
-    def _offset(self, pts: np.ndarray) -> np.ndarray:
-        """x - x0, formed one axis at a time (a broadcast over the short
-        component axis costs several times the subtraction)."""
+    def dm(self, t):
+        return self.mod_amp * self.mod_freq * math.cos(self.mod_freq * t)
+
+    def spatial(self, pts):
+        """x - x0 one axis at a time (cheaper than a broadcast over the component axis), |x - x0|^2 / 2."""
         if len(self.center) != pts.shape[-1]:
-            raise ConfigError(
-                f"radial transport center {self.center} does not match dim {pts.shape[-1]}"
-            )
+            raise ConfigError(f"radial transport center {self.center} does not match dim {pts.shape[-1]}")
         d = np.empty(pts.shape)
         for k, c in enumerate(self.center):
             np.subtract(pts[..., k], c, out=d[..., k])
-        return d
+        return d, 0.5 * sum_sq(d)
 
-    def velocity(self, pts, t):
-        u = self._offset(pts)
-        u *= self._m(t)
-        return u
-
-    def jacobian(self, pts, t):
-        return _constant_jacobian(pts, self._m(t) * np.eye(pts.shape[-1]))
-
-    def g(self, pts, t):
-        return 0.5 * self._m(t) * sum_sq(self._offset(pts))
-
-    def dt_g(self, pts, t):
-        d2 = sum_sq(self._offset(pts))
-        return 0.5 * self.mod_amp * self.mod_freq * math.cos(self.mod_freq * t) * d2
+    def spatial_jacobian(self, n):
+        return np.eye(n)
 
     def _far2(self, spec: GridSpec) -> float:
         """max |x - x0|^2 over the box, attained at a corner."""
@@ -190,8 +172,31 @@ class RadialGradient(Transport):
         return 0.5 * abs(self.mod_amp * self.mod_freq) * self._far2(spec)
 
     def sup_speed(self, spec, t0, t1):
-        """(|strength| + |mod_amp|) max |x - x0|: holds at every t, between samples too."""
+        """Pulsed: (|strength| + |mod_amp|) max |x - x0|, which holds between samples too."""
+        if not self.time_dependent:
+            return super().sup_speed(spec, t0, t1)
         return (abs(self.strength) + abs(self.mod_amp)) * math.sqrt(self._far2(spec))
+
+
+class TransportField(NamedTuple):
+    """A transport's ``spatial`` (U, G) at the nodes of one grid; shared and read-only."""
+
+    u: np.ndarray | None
+    g: np.ndarray | None
+
+
+def transport_field(transport: Transport, spec: GridSpec) -> TransportField:
+    """The transport's ``TransportField`` on ``spec``, evaluated once per (transport, grid)."""
+    return _transport_field_cached(transport, spec)
+
+
+@functools.lru_cache(maxsize=8)
+def _transport_field_cached(transport: Transport, spec: GridSpec) -> TransportField:
+    parts = TransportField(*transport.spatial(spec.points()))
+    for a in parts:
+        if a is not None:
+            a.flags.writeable = False
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +339,10 @@ def transport_report(cfg: ScenarioConfig) -> TransportReport:
 
     Spatial norm: (integral of |u|^p + |grad u|^p)^{1/p} by trapezoid. A static
     transport is sampled at t = 0 and its norm is that times T^{1/q}; otherwise
-    65 equispaced times over [0, T] give the L^q time norm by trapezoid.
+    65 equispaced times over [0, T] give the L^q time norm by trapezoid. Each
+    sample scales the grid's cached U (``transport_field``) by m(t).
     """
-    pts = cfg.grid.points()
+    pts, u_field = cfg.grid.points(), transport_field(cfg.transport, cfg.grid).u
     cap_u = cfg.epsilon ** (-cfg.beta)
     cap_ju = cfg.epsilon ** (-(cfg.beta + 1.0))
     static = not cfg.transport.time_dependent
@@ -345,7 +351,7 @@ def transport_report(cfg: ScenarioConfig) -> TransportReport:
     sup_u = sup_ju = 0.0
     first = None
     for i, t in enumerate(times):
-        abs_u = sum_sq(cfg.transport.velocity(pts, float(t)))
+        abs_u = np.zeros(cfg.grid.nodes) if u_field is None else sum_sq(u_field * cfg.transport.m(float(t)))
         np.sqrt(abs_u, out=abs_u)
         jac = cfg.transport.jacobian(pts, float(t))
         abs_ju = np.sqrt(np.sum(jac * jac, axis=(-2, -1)))
@@ -444,6 +450,8 @@ def transport_from_sexpr(node, dim: int) -> Transport:
             raise ConfigError(f"(constant ...) needs {dim} components")
         return ConstantTransport(tuple(vals))
     if head == "rotation":
+        if dim != 2:
+            raise ConfigError("rotation transport is 2D only")
         if len(vals) not in (1, 1 + dim):
             raise ConfigError("(rotation omega [center...])")
         center = tuple(vals[1:]) if len(vals) > 1 else (0.5,) * dim

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .grid import GridError, ScalarField, VectorField, integrate, read_field, stencil_rhs, sum_sq
+from .grid import GridError, ScalarField, VectorField, integrate, read_field, stencil_rhs
 from .grid import write_field
 from .interface import InterfaceSet, extract_interface, radius_estimate
 from .potential import DoubleWell
-from .scenario import ConfigError, ScenarioConfig, build_initial_phase
+from .scenario import ConfigError, ScenarioConfig, build_initial_phase, transport_field
 
 PHI_ABORT = 1.1  # just outside the wells' basin; past this the run is garbage
 
@@ -249,15 +249,6 @@ def ratio_radii(cfg: ScenarioConfig) -> list[float]:
     return radii
 
 
-def _sup_speed(cfg: ScenarioConfig, u2: np.ndarray | None) -> float:
-    """sup |u| for the advective limit: the max over the nodes of a static
-    transport's |u|^2 ``u2``, the transport's analytic bound over [0, T] for a
-    time-dependent one (``u2`` None)."""
-    if cfg.transport.time_dependent:
-        return cfg.transport.sup_speed(cfg.grid, 0.0, cfg.t_end)
-    return float(np.max(np.sqrt(u2)))
-
-
 def run(
     cfg: ScenarioConfig,
     solver: SolverConfig | None = None,
@@ -273,22 +264,18 @@ def run(
     far). Before the first step, a shape too close to the cutoff collar
     (``MarginError``) or an empty density-ratio radius ladder raises
     ``ConfigError``.
+
+    The transport u = m(t) U takes U from ``scenario.transport_field``. A step's
+    velocity is written into one of two buffers (the step's start and its rk2
+    midpoint), and a row's |u|^2 and Groenwall weight exp(-m G) are formed anew,
+    only when m changes: a static transport fills one buffer once.
     """
     solver = solver or SolverConfig()
     phi0 = build_initial_phase(cfg)
     radii = ratio_radii(cfg)
-    pts = cfg.grid.points()
-    # a static transport's velocity, evaluated once: the step's u, |u|^2 and sup |u|
-    static_u: VectorField | None = None
-    u2_static = u2 = None
-    if not cfg.transport.time_dependent:
-        u0 = cfg.transport.velocity(pts, 0.0)
-        u2 = sum_sq(u0)
-        if np.any(u0):
-            static_u, u2_static = VectorField(cfg.grid, u0), u2
-        del u0
-    u_max = _sup_speed(cfg, u2)
-    del u2
+    tr = cfg.transport
+    u_field = transport_field(tr, cfg.grid).u
+    u_max = tr.sup_speed(cfg.grid, 0.0, cfg.t_end)
     dt0 = stable_dt(cfg.grid.h, cfg.epsilon, u_max, cfg.well, cfg.grid.dim, solver.cfl)
     d = solver.diag_every
     n_steps = d * math.ceil(cfg.t_end / (dt0 * d))
@@ -300,9 +287,20 @@ def run(
     center = tuple(0.5 * (l + h) for l, h in zip(cfg.grid.lo, cfg.grid.hi))
     omega_p = cfg.omega_prime()
     box_p = cfg.grid.box_slices(omega_p)
-    g_weight = None
-    if cfg.transport.is_gradient and not cfg.transport.time_dependent:
-        g_weight = measures.gronwall_weight(cfg.transport, pts, 0.0)
+    u_bufs = [[math.nan, None], [math.nan, None]]  # [m, m U] at a step's start and its midpoint
+    row_terms = [math.nan, None, None]  # [m, |u|^2, exp(-m G)] of the latest row
+
+    def velocity(t: float, slot: int) -> VectorField | None:
+        """m(t) U in the slot's buffer, refilled only when m changes (the midpoint
+        reads the start's buffer while their m agree); None without U."""
+        if u_field is None:
+            return None
+        m = tr.m(t)
+        if m == u_bufs[0][0]:
+            slot = 0
+        elif m != u_bufs[slot][0]:
+            u_bufs[slot] = [m, np.multiply(u_field, m, out=u_bufs[slot][1])]
+        return VectorField(cfg.grid, u_bufs[slot][1])
 
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
@@ -310,7 +308,7 @@ def run(
     prev_kernel: list[tuple[float, ...]] = []  # (t, i_rho, i_u, i_xi) of the previous row
 
     def make_row(state: SimState, running_max: float) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
-        nonlocal probe
+        nonlocal probe, row_terms
         phi = state.phi
         t = state.t
         ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, drive=True)
@@ -324,14 +322,10 @@ def run(
         radius = -1.0
         if not iset.is_empty:
             radius = radius_estimate(iset, center)[0]
-        if g_weight is not None:
-            weight = g_weight
-        elif cfg.transport.is_gradient:
-            weight = measures.gronwall_weight(cfg.transport, pts, t)
-        else:
-            weight = 1.0
-        gron = measures.weighted_energy(ff, weight)
-        u2 = measures.speed_sq(cfg.transport, pts, t) if cfg.transport.time_dependent else u2_static
+        m = tr.m(t)
+        if m != row_terms[0]:
+            row_terms = [m, measures.speed_sq(tr, cfg.grid, t), measures.gronwall_weight(tr, cfg.grid, t)]
+        _, u2, weight = row_terms
         i_rho, i_u, i_xi = measures.kernel_terms(ff, probe, t, u2)
         resid = 0.0
         if prev_kernel:
@@ -348,7 +342,7 @@ def run(
             pos_xi_integral=integrate(ScalarField(cfg.grid, np.maximum(ff.xi.values, 0.0)), omega_p),
             interface_radius=radius,
             monotonicity_residual=resid,
-            gronwall_factor=gron,
+            gronwall_factor=measures.weighted_energy(mu, weight),
             velocity_sq=vel,
             max_abs_phi=running_max,
         )
@@ -371,16 +365,8 @@ def run(
     mid = np.empty_like(spare) if solver.scheme == "rk2" else None
     try:
         for k in range(1, n_steps + 1):
-            if cfg.transport.time_dependent:
-                u = VectorField(cfg.grid, cfg.transport.velocity(pts, state.t))
-                u_mid = (
-                    VectorField(cfg.grid, cfg.transport.velocity(pts, state.t + 0.5 * dt))
-                    if solver.scheme == "rk2"
-                    else None
-                )
-            else:
-                u = static_u
-                u_mid = static_u
+            u = velocity(state.t, 0)
+            u_mid = velocity(state.t + 0.5 * dt, 1) if solver.scheme == "rk2" else None
             prev = state.phi.values
             state = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=solver.scheme, out=spare, mid=mid)
             spare = prev

@@ -25,6 +25,7 @@ from actx.scenario import (
     parse_sexpr,
     scenario_from_config,
     shape_from_sexpr,
+    transport_field,
     transport_report,
 )
 from actx.shapes import Ball, Box, Complement, HalfSpace, Intersection, Union
@@ -248,7 +249,7 @@ def _old_jacobian_field(tr, pts, t):
     """The Jacobian as the catalog built it node by node before it became a broadcast value."""
     n = pts.shape[-1]
     if isinstance(tr, RadialGradient):
-        return tr._m(t) * np.broadcast_to(np.eye(n), pts.shape[:-1] + (n, n)).copy()
+        return tr.m(t) * np.broadcast_to(np.eye(n), pts.shape[:-1] + (n, n)).copy()
     j = np.zeros(pts.shape[:-1] + (n, n))
     if isinstance(tr, RotationTransport):
         j[..., 0, 1] = tr.omega
@@ -281,6 +282,37 @@ class TestRadialGradientBits:
         _spec, pts = _lattice(3, 4)
         with pytest.raises(ConfigError, match="center"):
             RadialGradient(1.0, (0.5, 0.5)).velocity(pts, 0.0)
+
+
+class TestTransportField:
+    def test_spatial_part_once_per_grid(self, monkeypatch):
+        # a pulsed rk2 run and the manifest's transport report share one evaluation of U and G
+        from actx import scenario
+        from actx.solver import SolverConfig, run
+
+        calls = []
+        spatial = RadialGradient.spatial
+
+        def counted(self, pts):
+            calls.append(pts.shape)
+            return spatial(self, pts)
+
+        monkeypatch.setattr(RadialGradient, "spatial", counted)
+        scenario._transport_field_cached.cache_clear()
+        tr = RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)
+        cfg = circle_config(96, 16, t_end=0.002, tau=0.001, transport=tr)
+        run(cfg, SolverConfig(scheme="rk2", diag_every=10))
+        transport_report(cfg)
+        assert calls == [cfg.grid.points().shape]
+        for arr in transport_field(tr, cfg.grid):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_zero_transport_holds_no_array(self, dim):
+        spec = GridSpec(dim, (0.0,) * dim, (1.0,) * dim, (8,) * dim)
+        assert tuple(transport_field(ZeroTransport(), spec)) == (None, None)
 
 
 class TestTransportNorm:
@@ -410,6 +442,12 @@ tau = 0.005
         cfg = scenario_from_config(parse_config(text))
         assert cfg.grid.dim == 3 and cfg.p == 3.0
         assert scenario_from_config(parse_config(self.GOOD)).p == 2.0
+
+    @pytest.mark.parametrize("transport", ["(rotation 1.5)", "(rotation 1.5 0.5 0.5 0.5)"])
+    def test_3d_rotation_rejected_at_load(self, transport):
+        text = self.GOOD.replace("dim = 2", "dim = 3").replace("0.5 0.5 0.2", "0.5 0.5 0.5 0.2")
+        with pytest.raises(ConfigError, match="rotation transport is 2D only"):
+            scenario_from_config(parse_config(text + f"transport = {transport}\n"))
 
     def test_missing_required_key(self):
         conf = parse_config(self.GOOD.replace("epsilon = 0.125", ""))

@@ -248,8 +248,7 @@ def _bits(a):
 
 
 def _step_case(dim, transport_kind):
-    from actx.grid import GridSpec, VectorField, sum_sq
-    from actx.solver import _sup_speed
+    from actx.grid import GridSpec, VectorField
     from actx.scenario import ScenarioConfig, ZeroTransport
     from actx.shapes import Ball
 
@@ -276,8 +275,7 @@ def _step_case(dim, transport_kind):
             return None
         return VectorField(spec, transport.velocity(pts, t))
 
-    u2 = None if transport.time_dependent else sum_sq(transport.velocity(pts, 0.0))
-    dt = stable_dt(spec.h, eps, _sup_speed(cfg, u2), WELL, dim, 0.5)
+    dt = stable_dt(spec.h, eps, cfg.transport.sup_speed(cfg.grid, 0.0, cfg.t_end), WELL, dim, 0.5)
     return cfg, phi, velocity, dt
 
 
@@ -474,21 +472,17 @@ class TestSpeedBound:
     PULSED = RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)
 
     def test_bound_covers_every_time(self):
-        from actx.solver import _sup_speed
-
         cfg = circle_config(96, 16, t_end=0.002, tau=0.001, transport=self.PULSED)
         pts = np.stack(cfg.grid.meshgrid(), axis=-1)
         sampled = max(
             float(np.max(np.linalg.norm(self.PULSED.velocity(pts, t), axis=-1)))
             for t in np.linspace(0.0, 2 * np.pi / 5.0, 257)
         )
-        bound = _sup_speed(cfg, None)
+        bound = cfg.transport.sup_speed(cfg.grid, 0.0, cfg.t_end)
         assert bound == (1.2 + 0.3125) * np.sqrt(2 * 0.8**2)
         assert sampled <= bound <= sampled * (1 + 1e-9)
 
     def test_bound_catches_a_peak_between_samples(self):
-        from actx.solver import _sup_speed
-
         # sin(freq * t) vanishes at all 9 sample times of [0, T] and peaks between them
         t_end = 0.002
         tr = RadialGradient(1.2, CENTER, mod_amp=50.0, mod_freq=8 * np.pi / t_end)
@@ -501,10 +495,24 @@ class TestSpeedBound:
         nine = max(speed(float(t)) for t in np.linspace(0.0, t_end, 9))
         peak = speed(t_end / 16)
         assert nine < 1.01 * 1.2 * np.sqrt(2 * 0.8**2) < peak
-        assert _sup_speed(cfg, None) >= peak
+        assert cfg.transport.sup_speed(cfg.grid, 0.0, cfg.t_end) >= peak
 
     def test_diffusive_limit_still_binds_on_pulsed_runs(self, gronwall_runs):
         cfg, res, _ = gronwall_runs["modulated"]
         dt0 = stable_dt(cfg.grid.h, cfg.epsilon, 0.0, cfg.well, 2, 0.5)
         n = res.solver.diag_every * int(np.ceil(cfg.t_end / (dt0 * res.solver.diag_every)))
         assert res.n_steps == n and res.dt == cfg.t_end / n
+
+
+class TestGronwallFactor:
+    @pytest.mark.parametrize("kind", ["zero", "rotation"])
+    def test_total_energy_without_potential(self, kind):
+        # rotation has no potential G and zero transport has G = 0: the weight is 1
+        from actx.scenario import RotationTransport, ZeroTransport
+
+        transport = ZeroTransport() if kind == "zero" else RotationTransport(1.5, CENTER)
+        cfg = circle_config(96, 16, t_end=0.002, tau=0.001, transport=transport)
+        rows = run(cfg, SolverConfig(diag_every=10)).rows
+        assert len(rows) > 2
+        assert np.array_equal(_bits(np.array([r.gronwall_factor for r in rows])),
+                              _bits(np.array([r.total_energy for r in rows])))
