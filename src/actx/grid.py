@@ -7,10 +7,12 @@ stored row-major.
 The finite differences are stride shifts of the flattened field: the
 neighbours of a contiguous run of nodes along axis k are the same run moved
 by +-stride_k, so every stencil term is one contiguous 1D operation and no
-padded copy is built. ``stencil_rhs`` is the explicit step's right-hand side
-on the interior nodes, swept in cache-sized blocks into a caller's array;
-``grad_sq`` is |grad f|^2 at every node, where a face node takes the ghost
-node ``2 f_face - f_inner``.
+padded copy is built. ``stencil_rhs`` is the explicit step's update on the
+interior nodes in a folded, division-free form (the neighbour sum times one
+constant plus one polynomial in f), swept in cache-sized blocks into a
+caller's array; it returns max |out|, taken block by block in the same
+sweep. ``grad_sq`` is |grad f|^2 at every node, where a face node takes the
+ghost node ``2 f_face - f_inner``.
 
 The node geometry lives on ``GridSpec``: one cached, read-only coordinate
 array (``points``, with ``meshgrid`` as its component views) and one rule for
@@ -252,6 +254,40 @@ def grad_sq(f: ScalarField) -> np.ndarray:
 CHUNK = 32 * 1024
 
 
+def _fold_coeffs(wprime: Sequence[float], h: float, eps: float, n: int, scale: float) -> tuple[float, ...]:
+    """Ascending coefficients of q(s) = -(scale/eps^2) W'(s) - (2n scale/h^2) s,
+    from W'(s)'s ascending ``wprime`` (at least two of them); zero coefficients
+    above degree 1 are dropped from the top, so ``_horner`` starts at the highest
+    non-zero one (or at degree 1)."""
+    k = scale / (eps * eps)
+    q = [-k * c for c in wprime]
+    q[1] -= 2 * n * (scale / h**2)
+    while len(q) > 2 and not q[-1]:
+        q.pop()
+    return tuple(q)
+
+
+def _horner(q: Sequence[float], s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_j q_j s^j into ``out`` by Horner's rule, ((q_top s + ...) s + q_1) s
+    + q_0, skipping the additions of zero coefficients."""
+    np.multiply(s, q[-1], out=out)
+    for c in q[-2:0:-1]:
+        if c:
+            out += c
+        out *= s
+    if q[0]:
+        out += q[0]
+    return out
+
+
+def _restore_faces(out: np.ndarray, base: np.ndarray | None, slabs: slice) -> None:
+    """The faces of axes >= 1 in the axis-0 slabs ``slabs`` of ``out``: base's there, or 0."""
+    for ax in range(1, out.ndim):
+        for e in (0, -1):
+            face = (slabs,) + (slice(None),) * (ax - 1) + (e,)
+            out[face] = 0.0 if base is None else base[face]
+
+
 def stencil_rhs(
     f: np.ndarray,
     u: np.ndarray | None,
@@ -261,53 +297,65 @@ def stencil_rhs(
     out: np.ndarray,
     base: np.ndarray | None = None,
     scale: float = 1.0,
-) -> None:
-    """Into ``out``: lap f - W'(f)/eps^2 - u . grad f (W' from the ``DoubleWell``
-    ``well``) at the interior nodes and 0 on the faces; with ``base``,
-    base + scale * that inside and base on the faces. ``out`` shares no
-    memory with ``f`` or ``base``.
+) -> float:
+    """Into ``out``: base + scale (lap f - W'(f)/eps^2 - u . grad f) at the
+    interior nodes (W' from the ``DoubleWell`` ``well``) and base on the faces;
+    without ``base``, scale times that inside and 0 on the faces. Returns max
+    |out| over every node, nan if any node is nan. ``out`` shares no memory
+    with ``f`` or ``base``.
+
+    The update is folded and division free: per node,
+    c1 sum_k (up_k + dn_k) + q(f) + cu sum_k u_k (up_k - dn_k) + base, with
+    c1 = scale/h^2, cu = -scale/(2h) and the centre's -2n c1 f folded into
+    the polynomial q(s) = -(scale/eps^2) W'(s) - 2n c1 s (``_fold_coeffs``),
+    evaluated by ``_horner``. The sums run in axis order and the terms are
+    added left to right.
 
     ``f[1:-1]`` (every node off the two axis-0 faces) is one contiguous run
     of the flattened field, and its neighbours along axis k are the run
     shifted by +-stride_k. The run is swept in blocks of ``CHUNK`` nodes,
-    each through every term before the next, with W' and the transport
-    products in two block-sized scratch arrays. Per node the order is
-    (-2n f + up_0 + dn_0 + up_1 + dn_1 ...) / h^2, minus W' / (eps*eps),
-    minus sum_k u_k (up_k - dn_k) / (2h) in axis order, then the scale and
-    the base: the bits of the whole-field expression, whatever the blocks.
-    The faces of axes >= 1 get wrapped-around neighbours in the sweep and
-    are overwritten after it.
+    each through every term before the next, with q and the transport
+    products in two block-sized scratch arrays: the same bits whatever the
+    blocks. The faces of axes >= 1 get wrapped-around neighbours in the
+    sweep; each block restores them in the axis-0 slabs it touched and then
+    takes its own max and min, so the extrema need no pass of their own.
     """
     flat, dst = f.reshape(-1), out.reshape(-1)
+    n = f.ndim
     steps = [st // f.itemsize for st in f.strides]
-    lo, hi = steps[0], flat.size - steps[0]
+    s0 = steps[0]
+    lo, hi = s0, flat.size - s0
+    c1, cu = scale / h**2, -scale / (2.0 * h)
+    q = _fold_coeffs(well.wprime_coeffs(), h, eps, n, scale)
     scratch = np.empty((2, min(CHUNK, hi - lo)))
-    for a in range(lo, hi, CHUNK):
+    starts = range(lo, hi, CHUNK)
+    ext = np.empty((len(starts) + 2, 2))  # (max, min) of each block, then of the two axis-0 faces
+    for i, a in enumerate(starts):
         b = min(a + CHUNK, hi)
         r, w1, w2 = dst[a:b], scratch[0, : b - a], scratch[1, : b - a]
-        np.multiply(flat[a:b], -2.0 * f.ndim, out=r)
-        for st in steps:
+        np.add(flat[a + s0 : b + s0], flat[a - s0 : b - s0], out=r)
+        for st in steps[1:]:
             r += flat[a + st : b + st]
             r += flat[a - st : b - st]
-        r /= h**2
-        wp = well.wprime(flat[a:b], out=(w1, w2))
-        wp /= eps * eps
-        r -= wp
+        r *= c1
+        r += _horner(q, flat[a:b], w1)
         if u is not None:
             for ax, st in enumerate(steps):
                 g = w1 if ax == 0 else w2
                 np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=g)
-                g /= 2.0 * h
-                g *= u.reshape(-1, f.ndim)[a:b, ax]
+                g *= u.reshape(-1, n)[a:b, ax]
                 if ax:
                     w1 += g
-            r -= w1
+            w1 *= cu
+            r += w1
         if base is not None:
-            r *= scale
             r += base.reshape(-1)[a:b]
-    for ax in range(f.ndim):
-        for face in ((slice(None),) * ax + (0,), (slice(None),) * ax + (-1,)):
-            out[face] = 0.0 if base is None else base[face]
+        _restore_faces(out, base, slice(a // s0, (b - 1) // s0 + 1))
+        ext[i] = r.max(), r.min()
+    for i, e in ((-2, 0), (-1, -1)):
+        out[e] = 0.0 if base is None else base[e]
+        ext[i] = out[e].max(), out[e].min()
+    return float(np.max(np.abs(ext)))  # numpy's max keeps a nan, where Python's max() may drop it
 
 
 def integrate(f: ScalarField, region: tuple[Sequence[float], Sequence[float]] | None = None) -> float:

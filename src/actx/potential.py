@@ -98,34 +98,28 @@ class DoubleWell:
         cpp = (cp * np.arange(len(cp)))[1:]
         return c, cp, cpp
 
-    def wprime(self, s, out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        """W'(s) alone, for the explicit step and the search for gamma; ``eval``
-        takes its W' from here.
+    def wprime_coeffs(self) -> tuple[float, ...]:
+        """Ascending coefficients of W': (0, -2, 0, 2) for the quartic."""
+        if self.family == "poly":
+            return tuple(float(c) for c in self._poly_derivs[1])
+        return (0.0, -2.0, 0.0, 2.0)
 
-        The quartic's -2 s (1 - s^2) is evaluated into two explicit arrays,
-        ``out`` = (result, scratch) or fresh ones, in the operation order of
-        the expression. The expression itself makes up to four field-sized
-        temporaries, and on a 257^2 field the fresh memory for them cost
-        several times the arithmetic. A polynomial's W' is always fresh.
-        """
+    def wprime(self, s) -> np.ndarray:
+        """W'(s) alone, for the search for gamma; ``eval`` takes its W' from here.
+        The explicit step evaluates W' from ``wprime_coeffs`` instead."""
         s = np.asarray(s, dtype=np.float64)
         if self.family == "poly":
-            cp = self._poly_derivs[1]
-            return np.polynomial.polynomial.polyval(s, cp) if cp.size else np.zeros_like(s)
-        wp, one_m = out if out is not None else (np.empty(s.shape), np.empty(s.shape))
-        np.multiply(s, s, out=one_m)
-        np.subtract(1.0, one_m, out=one_m)
-        np.multiply(s, -2.0, out=wp)
-        wp *= one_m
-        return wp
+            return np.polynomial.polynomial.polyval(s, self._poly_derivs[1])
+        return -2.0 * s * (1.0 - s * s)
 
     def w(self, s) -> np.ndarray:
         """W(s) alone, for the per-frame diagnostics, the profile psi and the
         surface tension; ``eval`` takes its W from here.
 
         The quartic's (1 - s^2)^2 / 2 is evaluated as 0.5 (1 - s^2) (1 - s^2)
-        into two explicit arrays, in the operation order of the expression,
-        for the same reason as ``wprime``.
+        into two explicit arrays, in the operation order of the expression:
+        the expression makes field-sized temporaries, whose fresh memory
+        costs several times the arithmetic on a 257^2 field.
         """
         s = np.asarray(s, dtype=np.float64)
         if self.family == "poly":

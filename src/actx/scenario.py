@@ -408,22 +408,36 @@ def parse_sexpr(text: str):
     return node
 
 
+def _form(node) -> str:
+    """An s-expression node written back as text."""
+    return node if isinstance(node, str) else "(" + " ".join(_form(a) for a in node) + ")"
+
+
+def _numbers(head, args) -> list[float]:
+    """The arguments of a ``(head ...)`` form as floats; a nested form where a
+    number belongs raises ``ConfigError``, a non-numeric atom ``ValueError``."""
+    for a in args:
+        if not isinstance(a, str):
+            raise ConfigError(f"({_form(head)} ...) takes numbers, got the form {_form(a)}")
+    return [float(a) for a in args]
+
+
 def shape_from_sexpr(node, dim: int) -> Shape:
     if isinstance(node, str):
         raise ConfigError(f"shape must be a parenthesized form, got {node!r}")
     head, *args = node
     if head == "ball":
-        vals = [float(a) for a in args]
+        vals = _numbers(head, args)
         if len(vals) != dim + 1:
             raise ConfigError(f"(ball ...) needs {dim} center coords + radius, got {len(vals)}")
         return Ball(tuple(vals[:dim]), vals[dim])
     if head == "box":
-        vals = [float(a) for a in args]
+        vals = _numbers(head, args)
         if len(vals) != 2 * dim:
             raise ConfigError(f"(box ...) needs {2 * dim} numbers, got {len(vals)}")
         return Box(tuple(vals[:dim]), tuple(vals[dim:]))
     if head == "halfspace":
-        vals = [float(a) for a in args]
+        vals = _numbers(head, args)
         if len(vals) != dim + 1:
             raise ConfigError(f"(halfspace ...) needs {dim} normal coords + offset")
         return HalfSpace(tuple(vals[:dim]), vals[dim])
@@ -442,8 +456,10 @@ def transport_from_sexpr(node, dim: int) -> Transport:
     if isinstance(node, str):
         node = [node]
     head, *args = node
-    vals = [float(a) for a in args]
+    vals = _numbers(head, args)
     if head == "zero":
+        if vals:
+            raise ConfigError(f"(zero) takes no arguments, got {len(vals)}")
         return ZeroTransport()
     if head == "constant":
         if len(vals) != dim:

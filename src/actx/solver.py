@@ -110,11 +110,6 @@ def stable_dt(h: float, eps: float, u_max: float, w: DoubleWell, n: int, cfl: fl
     )
 
 
-def _max_abs(a: np.ndarray) -> float:
-    """max |a| in two reductions and no temporary; nan if any entry is nan."""
-    return max(abs(float(a.max())), abs(float(a.min())))
-
-
 def _abort(state: SimState, vals: np.ndarray, t: float, midpoint: bool) -> SolverAbort:
     """The abort for an update that failed the max |phi| check, at its first bad node."""
     bad = ~np.isfinite(vals)
@@ -154,8 +149,9 @@ def step(
     omit them for transport-free runs. The input state is not modified:
     ``grid.stencil_rhs`` writes each update, with phi's boundary nodes, into
     ``out`` (rk2's midpoint into ``mid``), fields that share no memory with
-    phi or each other, or into fresh ones. The update is checked by one max
-    |phi| scan, which the returned state keeps as ``max_abs_phi``. Aborts
+    phi or each other, or into fresh ones. The update is checked by the max
+    |phi| that ``stencil_rhs`` takes in its sweep, which the returned state
+    keeps as ``max_abs_phi``. Aborts
     with the step index and the first non-finite (else the largest) node
     when the update leaves the physical range; the rk2 midpoint is only
     checked for non-finite values.
@@ -163,20 +159,20 @@ def step(
     v = state.phi.values
     h, eps, well = state.phi.spec.h, cfg.epsilon, cfg.well
 
-    def update(f: np.ndarray, vel: VectorField | None, scale: float, dst: np.ndarray | None) -> np.ndarray:
-        """phi + scale * rhs(f) on the interior, phi on the boundary, into ``dst``."""
+    def update(f: np.ndarray, vel: VectorField | None, scale: float, dst: np.ndarray | None):
+        """(phi + scale * rhs(f) on the interior and phi on the boundary, in
+        ``dst``; its max |phi|)."""
         dst = np.empty_like(v) if dst is None else dst
-        stencil_rhs(f, None if vel is None else vel.values, h, eps, well, dst, v, scale)
-        return dst
+        m = stencil_rhs(f, None if vel is None else vel.values, h, eps, well, dst, v, scale)
+        return dst, m
 
     f = v
     if scheme != "euler":
-        f = update(v, u, 0.5 * dt, mid)
-        if not math.isfinite(_max_abs(f)):
+        f, m = update(v, u, 0.5 * dt, mid)
+        if not math.isfinite(m):
             raise _abort(state, f, state.t + 0.5 * dt, midpoint=True)
         u = u_mid if u_mid is not None else u
-    new = update(f, u, dt, out)
-    m = _max_abs(new)
+    new, m = update(f, u, dt, out)
     if not m <= PHI_ABORT:  # also catches nan and inf
         raise _abort(state, new, state.t + dt, midpoint=False)
     return SimState(state.t + dt, ScalarField.from_checked(state.phi.spec, new), state.step_index + 1, m)
@@ -400,5 +396,6 @@ def _write_interface(out_dir: str, iset: InterfaceSet) -> None:
     path = os.path.join(out_dir, "interface_final.csv")
     with open(path, "w") as fh:
         fh.write("x0,y0,x1,y1\n" if iset.dim == 2 else "x0,y0,z0,x1,y1,z1,x2,y2,z2\n")
-        for element in iset.elements:  # a segment (2D) or a triangle (3D)
-            fh.write(",".join(repr(float(v)) for v in element.reshape(-1)) + "\n")
+        # a segment (2D) or a triangle (3D) per line: dim points of dim coordinates
+        for row in iset.elements.reshape(len(iset.elements), iset.dim * iset.dim).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")

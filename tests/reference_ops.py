@@ -1,5 +1,6 @@
 """Reference stencil operators for the tests: a padded copy with one ghost
-layer per face, and the Laplacian, gradient and advection term built on it.
+layer per face, the Laplacian, gradient and advection term built on it, and
+the explicit step's folded update as one whole-field expression.
 
 The program forms these stencils by stride shifts (``grid.stencil_rhs``,
 ``grid.grad_sq``); the tests hold those to the operators here, bit for bit
@@ -90,3 +91,58 @@ def advection_term(u: VectorField, f: ScalarField, boundary_value: float = -1.0)
         )
     g = gradient(f, boundary_value)
     return ScalarField(f.spec, np.sum(u.values * g.values, axis=-1))
+
+
+def folded_update(
+    f: ScalarField,
+    u: VectorField | None,
+    eps: float,
+    well,
+    scale: float = 1.0,
+    base: np.ndarray | None = None,
+) -> np.ndarray:
+    """base + scale (lap f - W'(f)/eps^2 - u . grad f) at every node, in the
+    folded, division-free form of ``grid.stencil_rhs``:
+
+        c1 sum_k (up_k + dn_k) + q(f) + cu sum_k u_k (up_k - dn_k) + base,
+
+    c1 = scale/h^2, cu = -scale/(2h), q(s) = -(scale/eps^2) W'(s) - 2n c1 s by
+    Horner's rule from the top non-zero coefficient (degree 1 at least), with
+    additions of zero coefficients skipped. Sums run in axis order and terms
+    are added left to right, whole field at a time on the padded copy (ghosts
+    at -1): the interior nodes are those of the program; the faces are not.
+    """
+    h, n = f.spec.h, f.values.ndim
+    pad = _padded(f, -1.0)
+    core = tuple(slice(1, -1) for _ in range(n))
+
+    def shifted(ax, by):
+        sl = list(core)
+        sl[ax] = slice(1 + by, pad.shape[ax] - 1 + by)
+        return pad[tuple(sl)]
+
+    c1, cu = scale / h**2, -scale / (2.0 * h)
+    q = [-(scale / (eps * eps)) * c for c in well.wprime_coeffs()]
+    q[1] -= 2 * n * c1
+    top = max([1] + [j for j, c in enumerate(q) if c])
+    s = f.values
+    poly = s * q[top]
+    for j in range(top - 1, 0, -1):
+        if q[j]:
+            poly = poly + q[j]
+        poly = poly * s
+    if q[0]:
+        poly = poly + q[0]
+
+    total = shifted(0, 1) + shifted(0, -1)
+    for ax in range(1, n):
+        total = total + shifted(ax, 1) + shifted(ax, -1)
+    out = c1 * total + poly
+    if u is not None:
+        adv = (shifted(0, 1) - shifted(0, -1)) * u.values[..., 0]
+        for ax in range(1, n):
+            adv = adv + (shifted(ax, 1) - shifted(ax, -1)) * u.values[..., ax]
+        out = out + cu * adv
+    if base is not None:
+        out = out + base
+    return out

@@ -90,6 +90,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "'epsilon'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("transport = zero", "transport = (radial (1) 0.8 0.8)"),
+        ("shape = (ball 0.8 0.8 0.25)", "shape = (ball (0.8) 0.8 0.25)"),
+        ("transport = zero", "transport = (zero 5)"),
+    ], ids=["nested-transport-arg", "nested-shape-arg", "zero-with-arg"])
+    def test_malformed_form_is_a_config_error(self, tmp_path, capsys, old, new):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CONFIG.replace(old, new))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("config error: (")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_cites_line(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("bogus = 1\n" + CONFIG)

@@ -407,3 +407,33 @@ class TestNodeGeometry:
         assert np.array_equal(outer_sum_sq([a, b]), a[:, None] ** 2 + b[None, :] ** 2)
         want = (a[:, None] ** 2 + b[None, :] ** 2)[:, :, None] + c[None, None, :] ** 2
         assert np.array_equal(outer_sum_sq([a, b, c]), want)
+
+
+class TestStencilRhs:
+    """The folded kernel's faces and its max |out|, taken block by block."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 10**6])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("with_base", [True, False], ids=["base", "drive"])
+    def test_max_over_every_node_with_spikes_on_faces(self, dim, chunk, with_base, monkeypatch):
+        # 50 on the axis >= 1 faces of slab 5 makes the sweep's wrapped-around
+        # value there the largest by far; each block restores the faces of the
+        # slabs it touched before taking its extrema
+        import actx.grid
+        from actx.grid import stencil_rhs
+        from actx.potential import DoubleWell
+
+        monkeypatch.setattr(actx.grid, "CHUNK", chunk)
+        shape = (21, 20) if dim == 2 else (10, 9, 8)
+        f = np.random.default_rng(dim).uniform(-1.0, 1.0, shape)
+        for ax in range(1, dim):
+            for e in (0, -1):
+                f[(5,) + (slice(None),) * (ax - 1) + (e,)] = 50.0
+        base = f.copy() if with_base else None
+        out = np.empty(shape)
+        m = stencil_rhs(f, None, 0.1, 0.4, DoubleWell.quartic(), out, base, 1e-3)
+        assert m == float(np.max(np.abs(out)))
+        for ax in range(dim):
+            for e in (0, -1):
+                face = (slice(None),) * ax + (e,)
+                assert np.array_equal(out[face], f[face] if with_base else np.zeros(shape[:ax] + shape[ax + 1 :]))

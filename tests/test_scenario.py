@@ -459,6 +459,17 @@ tau = 0.005
         with pytest.raises(ConfigError, match="exponent condition"):
             scenario_from_config(conf)
 
+    @pytest.mark.parametrize("line, match", [
+        ("transport = (radial (1) 0.5 0.5)", r"\(radial \.\.\.\) takes numbers, got the form \(1\)"),
+        ("shape = (ball (0.5) 0.5 0.2)", r"\(ball \.\.\.\) takes numbers, got the form \(0\.5\)"),
+        ("transport = (zero 5)", r"\(zero\) takes no arguments, got 1"),
+    ], ids=["nested-transport-arg", "nested-shape-arg", "zero-with-arg"])
+    def test_malformed_form_rejected(self, line, match):
+        key = line.split()[0]
+        text = "\n".join(ln for ln in self.GOOD.splitlines() if not ln.startswith(key))
+        with pytest.raises(ConfigError, match=match):
+            scenario_from_config(parse_config(text + "\n" + line + "\n"))
+
     def test_nested_shape_sexpr(self):
         node = parse_sexpr("(union (ball 0 0 0.25) (intersection (box 0 0 1 1) (halfspace 1 0 0.5)))")
         shape = shape_from_sexpr(node, 2)

@@ -220,8 +220,33 @@ class TestThreeDimensions:
 # ---------------------------------------------------------------------------
 
 
-def _reference_step(state, cfg, dt, u=None, u_mid=None, scheme="euler"):
-    """The explicit step written with the reference laplacian, gradient and DoubleWell.eval."""
+def _reference_step(state, cfg, dt, u=None, u_mid=None, scheme="euler", rhs=None):
+    """The explicit step as whole-field expressions: the folded update of
+    ``reference_ops.folded_update``, or phi + scale * rhs(f, u) with ``rhs``."""
+    from reference_ops import folded_update
+
+    phi = state.phi
+
+    def update(f, vel, scale):
+        if rhs is None:
+            return folded_update(f, vel, cfg.epsilon, cfg.well, scale, phi.values)
+        return phi.values + scale * rhs(f, vel)
+
+    bmask = np.ones(phi.values.shape, dtype=bool)
+    bmask[(slice(1, -1),) * phi.values.ndim] = False
+    if scheme == "euler":
+        new = update(phi, u, dt)
+    else:
+        mid_vals = update(phi, u, 0.5 * dt)
+        mid_vals[bmask] = phi.values[bmask]
+        new = update(ScalarField(phi.spec, mid_vals), u_mid if u_mid is not None else u, dt)
+    new[bmask] = phi.values[bmask]
+    return new
+
+
+def _unfolded_rhs(cfg):
+    """lap f - W'(f)/eps^2 - u . grad f from the reference laplacian, gradient and
+    ``DoubleWell.eval``: the expression before it was folded."""
     from reference_ops import gradient, laplacian
 
     def rhs(f, vel):
@@ -230,17 +255,7 @@ def _reference_step(state, cfg, dt, u=None, u_mid=None, scheme="euler"):
             out -= np.sum(vel.values * gradient(f, -1.0).values, axis=-1)
         return out
 
-    phi = state.phi
-    bmask = np.ones(phi.values.shape, dtype=bool)
-    bmask[(slice(1, -1),) * phi.values.ndim] = False
-    if scheme == "euler":
-        new = phi.values + dt * rhs(phi, u)
-    else:
-        mid_vals = phi.values + 0.5 * dt * rhs(phi, u)
-        mid_vals[bmask] = phi.values[bmask]
-        new = phi.values + dt * rhs(ScalarField(phi.spec, mid_vals), u_mid if u_mid is not None else u)
-    new[bmask] = phi.values[bmask]
-    return new
+    return rhs
 
 
 def _bits(a):
@@ -300,6 +315,23 @@ def test_fused_step_bit_identical_to_reference(dim, transport_kind, scheme):
         assert out.step_index == state.step_index + 1 and out.t == state.t + dt
         state = out
     assert np.max(np.abs(state.phi.values - phi.values)) > 0.01  # the steps did move phi
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("transport_kind", ["zero", "static", "pulsed"])
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_folded_step_within_four_ulps_of_unfolded(dim, transport_kind, scheme):
+    # one step from the same state, along 30 steps of the folded update
+    cfg, phi, velocity, dt = _step_case(dim, transport_kind)
+    state = SimState(0.0, phi, 0)
+    rhs = _unfolded_rhs(cfg)
+    for _ in range(30):
+        u = velocity(state.t)
+        u_mid = velocity(state.t + 0.5 * dt) if scheme == "rk2" else None
+        out = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=scheme)
+        old = _reference_step(state, cfg, dt, u, u_mid, scheme, rhs=rhs)
+        assert np.max(np.abs(out.phi.values - old)) <= 4 * np.spacing(out.max_abs_phi)
+        state = out
 
 
 def _chunk_case(dim, transport_kind, scheme):
@@ -366,6 +398,7 @@ def test_run_buffered_steps_bit_identical_across_chunks(
         out = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=scheme, **buffers)
         assert out.phi.values is buffers["out"]
         assert np.array_equal(_bits(out.phi.values), _bits(want))
+        assert out.max_abs_phi == float(np.max(np.abs(out.phi.values)))  # the faces restored per block
         seen.append(out.phi.values)
         return out
 
@@ -398,10 +431,15 @@ def test_diagnostics_digest_2d_rk2_pulsed(tmp_path):
     # re-pinned for the exact lattice ball sums: only density_ratio_max moved
     # (9 of 13 rows, at most 6.3e-16 relative); re-pinned for the probe-local
     # kernel sums: only monotonicity_residual moved (7 of 13 rows, at most
-    # 1.3e-13 relative)
-    assert got == "d01ec575072e8a0a3c6098907bd2b5844b792da6830c536688743db2a1b5bfae"
-    # recorded with the separate marching-squares extractor, run again on the final field
-    assert interface == "2b9b90870f34f1845d1a70c8dd61a0e87025ed2d074b1cc0bcc7d2eb80a4a117"
+    # 1.3e-13 relative); re-pinned for the folded, division-free step, largest
+    # relative moves per column: pos_xi_integral 1.7e-11 (12 of 13 rows),
+    # sup_xi and sup_xi_pos 4.8e-12 (11), monotonicity_residual 7.6e-14 (12),
+    # velocity_sq 3.2e-15 (13), density_ratio_max 1.1e-15 (9), gronwall_factor
+    # 2.3e-16 (2), total_energy 2.2e-16 (2)
+    assert got == "c9fd0e1a806ea81c34a1236c9ece1a72a5ae835ecf132111f97a55b4659027dc"
+    # recorded with the separate marching-squares extractor, run again on the final field;
+    # re-pinned for the folded step: the same 116 segments, one coordinate moved by 1.1e-16
+    assert interface == "550e5c60dc759f1740dab455903888f9f3ed1edc110efed0b00cb55a78e9e253"
 
 
 def test_diagnostics_digest_3d_euler(tmp_path):
@@ -418,14 +456,19 @@ def test_diagnostics_digest_3d_euler(tmp_path):
         got, interface = _digests(cfg, SolverConfig(diag_every=10), tmp_path)
     # recorded with the unfused step (reference_ops.laplacian/gradient + DoubleWell.eval), re-pinned
     # for the exact lattice ball sums: only density_ratio_max moved (4 of 4 rows, at most
-    # 5.8e-16 relative); the probe-local kernel sums left every column unchanged
-    assert got == "7b3677b0563add9bedf3db2d99188d35f653eee5e8cb980a5347789110c3b8e6"
-    # recorded with the separate marching-cubes extractor, run again on the final field
-    assert interface == "2292874c4c4ef37b1d0513e8754636a19c1353a5b1e2663460680b4ea9fb7718"
+    # 5.8e-16 relative); the probe-local kernel sums left every column unchanged; re-pinned
+    # for the folded, division-free step, largest relative moves per column: pos_xi_integral
+    # 9.8e-13 (3 of 4 rows), sup_xi and sup_xi_pos 3.1e-13 (3), monotonicity_residual 2e-14
+    # (3), velocity_sq 4.7e-15 (4), density_ratio_max 4.4e-16 (3), interface_radius 1.1e-16 (1)
+    assert got == "f2e3c9baee727afddbe0301a972d18f8422cbf7ddaee7986c61f9093d545979c"
+    # recorded with the separate marching-cubes extractor, run again on the final field;
+    # re-pinned for the folded step: the same 3512 triangles, 171 coordinates moved by <= 2.2e-16
+    assert interface == "a3d03eff5ad5b96e9c89c24d132dfaeeed435749e77803c22fc506e27ea55c0e"
 
 
 class TestAbortParity:
-    """Abort step, node and message as the unfused step reported them."""
+    """Abort step, node and message as the unfused step reported them, except
+    where the folded update's arithmetic differs (noted per test)."""
 
     def setup_method(self):
         self.cfg = circle_config(128, 16)
@@ -443,11 +486,12 @@ class TestAbortParity:
         return exc_info.value
 
     def test_nan(self):
-        # 0 * inf: W'(-1e200) overflows and dt = 0
+        # the unfused step formed 0 * inf here (W'(-1e200) overflowed, dt = 0); at
+        # dt = 0 every folded coefficient is 0, so the update is phi itself
         exc = self._abort((30, 70), -1e200, 0.0)
         assert (exc.step_index, exc.location) == (5, (30, 70))
-        assert str(exc) == "non-finite value at node (30, 70) after step 5"
-        assert np.isnan(exc.value) and exc.t == 0.25
+        assert str(exc) == f"|phi| = {1e200:.4f} > 1.1 at node (30, 70) after step 5: stability lost"
+        assert exc.value == 1e200 and exc.t == 0.25
 
     def test_positive_infinity(self):
         exc = self._abort((30, 70), -1e300, self.dt)
@@ -456,9 +500,11 @@ class TestAbortParity:
         assert exc.value == np.inf and exc.t == 0.25 + self.dt
 
     def test_runaway_past_threshold(self):
+        # four neighbours reach |phi| = 1.5625; the folded rounding puts the first
+        # largest at (39, 40), where the unfused step's was (40, 39)
         exc = self._abort((40, 40), 1.09, 100 * self.dt)
-        assert (exc.step_index, exc.location) == (5, (40, 39))
-        assert str(exc) == "|phi| = 1.5625 > 1.1 at node (40, 39) after step 5: stability lost"
+        assert (exc.step_index, exc.location) == (5, (39, 40))
+        assert str(exc) == "|phi| = 1.5625 > 1.1 at node (39, 40) after step 5: stability lost"
         assert f"{exc.value:.4f}" == "1.5625" and exc.t == 0.25 + 100 * self.dt
 
     def test_non_finite_rk2_midpoint(self):
@@ -466,6 +512,36 @@ class TestAbortParity:
         assert (exc.step_index, exc.location) == (5, (50, 20))
         assert str(exc) == "non-finite midpoint at node (50, 20)"
         assert exc.value == np.inf and exc.t == 0.25 + 0.5 * self.dt
+
+
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+@pytest.mark.parametrize("kind", ["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("chunk", [7, None])
+def test_non_finite_update_aborts_at_its_node(kind, scheme, chunk, monkeypatch):
+    # blocks of 7 nodes put (30, 70) in a middle block (the default CHUNK makes
+    # one block); its nan or inf must survive the reduction of the per-block extrema
+    import actx.grid
+
+    if chunk is not None:
+        monkeypatch.setattr(actx.grid, "CHUNK", chunk)
+    cfg = circle_config(128, 16)
+    dt = stable_dt(cfg.grid.h, cfg.epsilon, 0.0, WELL, 2, 0.5)
+    vals = np.full(cfg.grid.nodes, 1.0)
+    if kind == "nan":  # dt = 0: 0 * (1e308 + 1e308) at the node between the two
+        vals[30, 69] = vals[30, 71] = 1e308
+        dt = 0.0
+    else:  # W' of a huge value overflows to -+inf
+        vals[30, 70] = -1e300 if kind == "+inf" else 1e300
+    state = SimState(0.25, ScalarField(cfg.grid, vals), 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SolverAbort) as exc_info:
+            step(state, cfg, dt, scheme=scheme)
+    exc = exc_info.value
+    want = "non-finite midpoint at node (30, 70)" if scheme == "rk2" else \
+        "non-finite value at node (30, 70) after step 5"
+    assert (exc.location, str(exc)) == ((30, 70), want)
+    assert np.isnan(exc.value) if kind == "nan" else exc.value == np.inf
 
 
 class TestSpeedBound:
