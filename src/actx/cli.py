@@ -12,7 +12,8 @@ step, such as an empty density-ratio radius ladder), unreadable snapshot, bad
 ``diagnose`` probe, bad run-manifest value or a sweep rung without an initial
 interface to place probes on, 2 solver abort or a failed sweep rung (a FAILED
 row in ``sweep.csv``). The environment variable ACTX_THREADS caps sweep-rung
-parallelism (default serial). Artifact directories contain a manifest
+parallelism (default serial); a value that is not a positive integer is a
+configuration error. Artifact directories contain a manifest
 listing every output file with its sha256 and the transport bounds; an
 aborted run's manifest also records the abort's step, node, time and |phi|.
 """
@@ -25,7 +26,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -285,13 +285,24 @@ def sweep(plan_path: str, out_dir: str) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    threads = os.environ.get("ACTX_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        print(f"config error: ACTX_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
+        return EXIT_CONFIG
     os.makedirs(out_dir, exist_ok=True)
     jobs = [
         (plan.rung_config_text(cells), os.path.join(out_dir, f"rung_{cells:04d}"))
         for cells in plan.rungs
     ]
-    workers = int(os.environ.get("ACTX_THREADS", "1"))
     if workers > 1:
+        # imported here: the process pool's module is a noticeable part of every
+        # invocation's import time, and only a parallel sweep needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_run_rung, jobs))
     else:

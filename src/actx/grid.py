@@ -14,9 +14,13 @@ caller's array; it returns max |out|, taken block by block in the same
 sweep. ``grad_sq`` is |grad f|^2 at every node, where a face node takes the
 ghost node ``2 f_face - f_inner``.
 
-The node geometry lives on ``GridSpec``: one cached, read-only coordinate
-array (``points``, with ``meshgrid`` as its component views) and one rule for
-the nodes of a closed box (``box_slices``, faces moved out by 1e-9 h).
+The node geometry lives on ``GridSpec`` and is separable: the cached 1D
+node coordinates per axis (``axes``), the same as an open mesh that
+broadcasts to the node shape (``coords``, axis k shaped (1,...,N_k,...,1);
+``meshgrid`` broadcasts it without copying), and one rule for the nodes of a
+closed box (``box_slices``, faces moved out by 1e-9 h). No (nodes, dim)
+coordinate array is ever built: geometry on the grid is summed axis by axis
+over ``coords``.
 
 Reductions rely on numpy's pairwise summation, so repeated evaluation of the
 same reduction is bit-reproducible.
@@ -92,14 +96,17 @@ class GridSpec:
         """1D node coordinate arrays, one per axis; shared and read-only."""
         return _axes_cached(self)
 
-    def points(self) -> np.ndarray:
-        """Node coordinates, shape ``nodes + (dim,)``; shared and read-only."""
-        return _points_cached(self)
+    def coords(self) -> tuple[np.ndarray, ...]:
+        """Node coordinates as an open mesh, like ``np.ix_``: read-only views of
+        ``axes()``, axis k shaped (1,...,N_k,...,1), broadcasting to ``nodes``."""
+        return tuple(
+            ax.reshape((1,) * k + (-1,) + (1,) * (self.dim - 1 - k)) for k, ax in enumerate(self.axes())
+        )
 
     def meshgrid(self) -> tuple[np.ndarray, ...]:
-        """Node coordinate arrays of shape ``nodes``, 'ij' indexing: views of ``points()``."""
-        pts = self.points()
-        return tuple(pts[..., k] for k in range(self.dim))
+        """Node coordinate arrays of shape ``nodes``, 'ij' indexing: read-only
+        broadcasts of ``coords()``, without a copy."""
+        return tuple(np.broadcast_to(c, self.nodes) for c in self.coords())
 
     def box_slices(self, box: tuple[Sequence[float], Sequence[float]]) -> tuple[slice, ...]:
         """Index slices of the nodes in the closed box (lo, hi), with its faces
@@ -125,15 +132,6 @@ def _axes_cached(spec: GridSpec) -> tuple[np.ndarray, ...]:
     for ax in axes:
         ax.flags.writeable = False
     return axes
-
-
-@lru_cache(maxsize=8)
-def _points_cached(spec: GridSpec) -> np.ndarray:
-    pts = np.empty(spec.nodes + (spec.dim,))
-    for k, ax in enumerate(spec.axes()):
-        pts[..., k] = ax.reshape((-1,) + (1,) * (spec.dim - 1 - k))
-    pts.flags.writeable = False
-    return pts
 
 
 def _check_finite(values: np.ndarray, name: str) -> None:
@@ -372,17 +370,24 @@ def integrate(f: ScalarField, region: tuple[Sequence[float], Sequence[float]] | 
         if not spec.contains_box(lo, hi, tol=1e-9 * spec.h):
             raise GridError(f"region {lo}..{hi} is not contained in the domain box")
         window = spec.box_slices(region)
-        if any(sl.stop - sl.start <= 1 for sl in window):
-            warnings.warn(
-                "integration region contains no grid nodes (or a zero-volume slice)",
-                stacklevel=2,
-            )
-            return 0.0
-    total = f.values[window].copy()
-    for k in range(spec.dim):
+    return trapezoid(f.values[window].copy(), spec.h)
+
+
+def trapezoid(values: np.ndarray, h: float) -> float:
+    """``integrate``'s rule on the node values of one box window: their sum x h^n
+    with half weights on the two edge slices of every axis. ``values`` must be
+    a fresh array; it is halved in place. A window with fewer than two nodes
+    along an axis integrates to 0.0 with a warning."""
+    if any(n <= 1 for n in values.shape):
+        warnings.warn(
+            "integration region contains no grid nodes (or a zero-volume slice)",
+            stacklevel=3,
+        )
+        return 0.0
+    for k in range(values.ndim):
         for edge in (0, -1):  # halve the two edge slices of this axis in place
-            total[(slice(None),) * k + (edge,)] *= 0.5
-    return float(np.sum(total) * spec.h**spec.dim)
+            values[(slice(None),) * k + (edge,)] *= 0.5
+    return float(np.sum(values) * h**values.ndim)
 
 
 def ball_integrate(

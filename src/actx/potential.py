@@ -205,8 +205,9 @@ def profile_psi(w: DoubleWell, s):
         h11 = t * t * (t - 1)
         core = h00 * p0 + h10 * _RK4_STEP * m0 + h01 * p1 + h11 * _RK4_STEP * m1
 
-    # C^2 blend to exactly +-1 on [8,10], constant beyond.
-    out = core.copy()
+    # C^2 blend to exactly +-1 on [8,10], constant beyond. core is a fresh
+    # array and the two bands are disjoint, so the blend writes into it.
+    out = core
     for sign in (1.0, -1.0):
         band = (sign * s_arr >= PSI_BLEND_START) & (sign * s_arr < PSI_CUT)
         if np.any(band):

@@ -10,10 +10,12 @@ Transport fields come from a small analytic catalog (zero, constant,
 rotation, radial gradient with optional sinusoidal time modulation). Each is
 u(x, t) = m(t) U(x): a scalar time factor (1 except for the pulsed radial
 entry) times a spatial part stated once per entry, in closed form and never
-by differencing. Every entry is affine, so grad U is one n x n matrix, and a
-gradient entry u = grad g has g = m(t) G with a potential G. The grid's U and
-G are evaluated once and cached (``transport_field``); the run, its rows, the
-offline checks and ``transport_report`` scale them by m(t).
+by differencing, one axis at a time over the grid's open mesh of node
+coordinates (``GridSpec.coords``). Every entry is affine, so grad U is one
+n x n matrix, and a gradient entry u = grad g has g = m(t) G with a potential
+G. The grid's U and G are evaluated once and cached (``transport_field``);
+the run, its rows, the offline checks and ``transport_report`` scale them by
+m(t).
 
 Config files are flat ``key = value`` text with shapes and transports given
 as s-expressions, e.g. ``shape = (union (ball 0.5 0.5 0.25) (box 0 0 1 1))``.
@@ -61,15 +63,21 @@ class Transport:
     def dm(self, t: float) -> float:
         return 0.0
 
-    def spatial(self, pts: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """(U, G) at the nodes ``pts`` as fresh arrays; None for one that is 0 or does not exist."""
+    def spatial(self, x) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(U, G) as fresh arrays at the nodes of the coordinate sequence ``x``
+        (``GridSpec.coords()``, or anything indexed by axis whose entries
+        broadcast), U with a trailing component axis; None for one that is 0
+        or does not exist."""
         return None, None
 
     def spatial_jacobian(self, n: int) -> np.ndarray:
         return np.zeros((n, n))
 
+    # The methods below take stacked points, shape (..., n), and hand
+    # ``spatial`` their component views.
+
     def velocity(self, pts: np.ndarray, t: float) -> np.ndarray:
-        u = self.spatial(pts)[0]
+        u = self.spatial(np.moveaxis(pts, -1, 0))[0]
         return np.zeros(pts.shape) if u is None else np.multiply(u, self.m(t), out=u)
 
     def jacobian(self, pts: np.ndarray, t: float) -> np.ndarray:
@@ -79,7 +87,7 @@ class Transport:
     def _potential(self, pts: np.ndarray) -> np.ndarray:
         if not self.is_gradient:
             raise NotImplementedError("transport is not a gradient field")
-        pot = self.spatial(pts)[1]
+        pot = self.spatial(np.moveaxis(pts, -1, 0))[1]
         return np.zeros(pts.shape[:-1]) if pot is None else pot
 
     def g(self, pts: np.ndarray, t: float) -> np.ndarray:
@@ -110,9 +118,14 @@ class ConstantTransport(Transport):
     vector: tuple[float, ...]
     is_gradient = True
 
-    def spatial(self, pts):
+    def spatial(self, x):
         a = np.asarray(self.vector)
-        return np.broadcast_to(a, pts.shape).copy(), np.sum(pts * a, axis=-1)
+        g = x[0] * a[0]
+        for k in range(1, a.size):
+            g = g + x[k] * a[k]
+        u = np.empty(np.shape(g) + a.shape)
+        u[...] = a
+        return u, g
 
 
 @dataclass(frozen=True)
@@ -122,11 +135,14 @@ class RotationTransport(Transport):
     omega: float
     center: tuple[float, ...] = (0.5, 0.5)
 
-    def spatial(self, pts):
-        if pts.shape[-1] != 2:
+    def spatial(self, x):
+        if len(x) != 2:
             raise ConfigError("rotation transport is 2D only")
-        d = pts - np.asarray(self.center)
-        return self.omega * np.stack([d[..., 1], -d[..., 0]], axis=-1), None
+        (c0, c1), w = self.center, self.omega
+        u = np.empty(np.broadcast_shapes(np.shape(x[0]), np.shape(x[1])) + (2,))
+        np.multiply(w, x[1] - c1, out=u[..., 0])
+        np.multiply(w, -(x[0] - c0), out=u[..., 1])
+        return u, None
 
     def spatial_jacobian(self, n):
         return np.array([[0.0, self.omega], [-self.omega, 0.0]])
@@ -152,14 +168,18 @@ class RadialGradient(Transport):
     def dm(self, t):
         return self.mod_amp * self.mod_freq * math.cos(self.mod_freq * t)
 
-    def spatial(self, pts):
-        """x - x0 one axis at a time (cheaper than a broadcast over the component axis), |x - x0|^2 / 2."""
-        if len(self.center) != pts.shape[-1]:
-            raise ConfigError(f"radial transport center {self.center} does not match dim {pts.shape[-1]}")
-        d = np.empty(pts.shape)
-        for k, c in enumerate(self.center):
-            np.subtract(pts[..., k], c, out=d[..., k])
-        return d, 0.5 * sum_sq(d)
+    def spatial(self, x):
+        """x - x0 and |x - x0|^2 / 2, one axis at a time."""
+        if len(self.center) != len(x):
+            raise ConfigError(f"radial transport center {self.center} does not match dim {len(x)}")
+        d = [x[k] - c for k, c in enumerate(self.center)]
+        g = d[0] * d[0]
+        for dk in d[1:]:
+            g = g + dk * dk
+        u = np.empty(np.shape(g) + (len(d),))
+        for k, dk in enumerate(d):
+            u[..., k] = dk
+        return u, 0.5 * g
 
     def spatial_jacobian(self, n):
         return np.eye(n)
@@ -192,7 +212,7 @@ def transport_field(transport: Transport, spec: GridSpec) -> TransportField:
 
 @functools.lru_cache(maxsize=8)
 def _transport_field_cached(transport: Transport, spec: GridSpec) -> TransportField:
-    parts = TransportField(*transport.spatial(spec.points()))
+    parts = TransportField(*transport.spatial(spec.coords()))
     for a in parts:
         if a is not None:
             a.flags.writeable = False
@@ -290,10 +310,10 @@ def cutoff_field(cfg: ScenarioConfig) -> ScalarField:
     Built from the two box distances with a quintic ramp across the collar;
     smooth away from box-corner diagonals, which is enough at grid tolerance.
     """
-    pts = cfg.grid.points()
-    dp = Box(*cfg.omega_prime()).sdf(pts)
-    dd = Box(*cfg.omega_dprime()).sdf(pts)
-    l = np.ones(pts.shape[:-1])
+    x = cfg.grid.coords()
+    dp = Box(*cfg.omega_prime()).sdf(x)
+    dd = Box(*cfg.omega_dprime()).sdf(x)
+    l = np.ones(cfg.grid.nodes)
     collar = (dp > 0) & (dd < 0)
     l[collar] = 1.0 - _smoothstep(dp[collar] / (dp[collar] - dd[collar]))
     l[dd >= 0] = 0.0
@@ -306,8 +326,7 @@ def build_initial_phase(cfg: ScenarioConfig) -> ScalarField:
     Requires the interface (zero set of the shape distance) to clear the
     cutoff collar by at least 4 eps, otherwise the cutoff would distort it.
     """
-    pts = cfg.grid.points()
-    d = cfg.shape.sdf(pts)
+    d = cfg.shape.sdf(cfg.grid.coords())
     l = cutoff_field(cfg).values
     off_core = l < 1.0
     if np.any(off_core):
@@ -317,8 +336,13 @@ def build_initial_phase(cfg: ScenarioConfig) -> ScalarField:
                 f"shape must clear the cutoff collar by 4*eps = {4 * cfg.epsilon:g}; "
                 f"measured margin {margin:g}"
             )
-    psi = profile_psi(cfg.well, -d / cfg.epsilon)
-    return ScalarField(cfg.grid, l * psi + l - 1.0)
+    # l * psi(-d / eps) + l - 1 in place, in the same operation order
+    d /= -cfg.epsilon
+    psi = profile_psi(cfg.well, d)
+    psi *= l
+    psi += l
+    psi -= 1.0
+    return ScalarField(cfg.grid, psi)
 
 
 @dataclass
@@ -342,7 +366,7 @@ def transport_report(cfg: ScenarioConfig) -> TransportReport:
     65 equispaced times over [0, T] give the L^q time norm by trapezoid. Each
     sample scales the grid's cached U (``transport_field``) by m(t).
     """
-    pts, u_field = cfg.grid.points(), transport_field(cfg.transport, cfg.grid).u
+    u_field = transport_field(cfg.transport, cfg.grid).u
     cap_u = cfg.epsilon ** (-cfg.beta)
     cap_ju = cfg.epsilon ** (-(cfg.beta + 1.0))
     static = not cfg.transport.time_dependent
@@ -353,8 +377,8 @@ def transport_report(cfg: ScenarioConfig) -> TransportReport:
     for i, t in enumerate(times):
         abs_u = np.zeros(cfg.grid.nodes) if u_field is None else sum_sq(u_field * cfg.transport.m(float(t)))
         np.sqrt(abs_u, out=abs_u)
-        jac = cfg.transport.jacobian(pts, float(t))
-        abs_ju = np.sqrt(np.sum(jac * jac, axis=(-2, -1)))
+        jac = cfg.transport.m(float(t)) * cfg.transport.spatial_jacobian(cfg.grid.dim)
+        abs_ju = np.sqrt(np.sum(jac * jac, keepdims=True))
         su, sj = float(np.max(abs_u)), float(np.max(abs_ju))
         sup_u, sup_ju = max(sup_u, su), max(sup_ju, sj)
         if first is None and (su > cap_u or sj > cap_ju):
@@ -423,6 +447,10 @@ def _numbers(head, args) -> list[float]:
 
 
 def shape_from_sexpr(node, dim: int) -> Shape:
+    """The shape a ``(ball ...)``, ``(box ...)``, ``(halfspace ...)``, ``(union ...)``,
+    ``(intersection ...)`` or ``(complement ...)`` form describes. A form whose
+    shape would be empty or undefined (radius <= 0, lo >= hi on an axis, a zero
+    normal, a union or intersection of nothing) raises ``ConfigError``."""
     if isinstance(node, str):
         raise ConfigError(f"shape must be a parenthesized form, got {node!r}")
     head, *args = node
@@ -430,21 +458,28 @@ def shape_from_sexpr(node, dim: int) -> Shape:
         vals = _numbers(head, args)
         if len(vals) != dim + 1:
             raise ConfigError(f"(ball ...) needs {dim} center coords + radius, got {len(vals)}")
+        if not vals[dim] > 0.0:
+            raise ConfigError(f"(ball ...) radius must be positive, got {vals[dim]:g}")
         return Ball(tuple(vals[:dim]), vals[dim])
     if head == "box":
         vals = _numbers(head, args)
         if len(vals) != 2 * dim:
             raise ConfigError(f"(box ...) needs {2 * dim} numbers, got {len(vals)}")
+        if not all(lo < hi for lo, hi in zip(vals[:dim], vals[dim:])):
+            raise ConfigError(f"(box lo... hi...) needs lo < hi on every axis, got {_form(node)}")
         return Box(tuple(vals[:dim]), tuple(vals[dim:]))
     if head == "halfspace":
         vals = _numbers(head, args)
         if len(vals) != dim + 1:
             raise ConfigError(f"(halfspace ...) needs {dim} normal coords + offset")
+        if not 0.0 < float(np.linalg.norm(vals[:dim])) < math.inf:
+            raise ConfigError(f"(halfspace ...) normal must have a finite nonzero length, got {_form(node)}")
         return HalfSpace(tuple(vals[:dim]), vals[dim])
-    if head == "union":
-        return Union(*[shape_from_sexpr(a, dim) for a in args])
-    if head == "intersection":
-        return Intersection(*[shape_from_sexpr(a, dim) for a in args])
+    if head in ("union", "intersection"):
+        if not args:
+            raise ConfigError(f"({head} ...) takes at least one shape")
+        parts = [shape_from_sexpr(a, dim) for a in args]
+        return Union(*parts) if head == "union" else Intersection(*parts)
     if head == "complement":
         if len(args) != 1:
             raise ConfigError("(complement ...) takes exactly one shape")

@@ -4,6 +4,14 @@ Sign convention: negative inside, positive outside, zero on the boundary.
 Primitives (ball, box, half-space) are exact 1-Lipschitz distances; min/max
 composites may under-estimate the true distance but never flip the sign,
 which is all the phase construction needs.
+
+``sdf(x)`` takes the coordinates as a sequence indexed by axis: a grid's open
+mesh (``GridSpec.coords()``, entries that broadcast against each other) or a
+single point (entries that are scalars). Every primitive works one axis at a
+time and sums the per-axis terms in axis order, so the bits equal the forms
+that broadcast over a trailing component axis and reduce it with ``np.sum``
+or ``np.max`` (kept as references in ``tests/reference_ops.py``), while only
+the last sum is as large as the grid.
 """
 
 from __future__ import annotations
@@ -14,10 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class Shape:
-    """Base class; subclasses implement sdf(points) for (..., n) arrays."""
+def _out(a):
+    """``a`` as a ufunc's output when it is an array (the caller's fresh result);
+    None, a new result, when it is a scalar from a single point."""
+    return a if isinstance(a, np.ndarray) else None
 
-    def sdf(self, pts: np.ndarray) -> np.ndarray:
+
+class Shape:
+    """Base class; subclasses implement sdf(x) for a coordinate sequence x."""
+
+    def sdf(self, x) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -26,9 +40,14 @@ class Ball(Shape):
     center: tuple[float, ...]
     radius: float
 
-    def sdf(self, pts):
-        d = pts - np.asarray(self.center)
-        return np.sqrt(np.sum(d * d, axis=-1)) - self.radius
+    def sdf(self, x):
+        d = [x[k] - c for k, c in enumerate(self.center)]
+        dist = d[0] * d[0]
+        for dk in d[1:]:
+            dist = dist + dk * dk
+        dist = np.sqrt(dist, out=_out(dist))
+        dist -= self.radius
+        return dist
 
 
 @dataclass
@@ -36,17 +55,19 @@ class Box(Shape):
     lo: tuple[float, ...]
     hi: tuple[float, ...]
 
-    def sdf(self, pts):
-        # one axis at a time, like grid.sum_sq: the same bits as broadcasting
-        # over the component axis and reducing it with np.sum and np.max
+    def sdf(self, x):
         q = [
-            np.abs(pts[..., k] - 0.5 * (lo + hi)) - 0.5 * (hi - lo)
+            np.abs(x[k] - 0.5 * (lo + hi)) - 0.5 * (hi - lo)
             for k, (lo, hi) in enumerate(zip(self.lo, self.hi))
         ]
         outside = np.maximum(q[0], 0.0) ** 2
         for qk in q[1:]:
             outside = outside + np.maximum(qk, 0.0) ** 2
-        return np.sqrt(outside) + np.minimum(functools.reduce(np.maximum, q), 0.0)
+        inside = functools.reduce(np.maximum, q)
+        inside = np.minimum(inside, 0.0, out=_out(inside))
+        outside = np.sqrt(outside, out=_out(outside))
+        outside += inside
+        return outside
 
 
 @dataclass
@@ -56,12 +77,17 @@ class HalfSpace(Shape):
     normal: tuple[float, ...]
     offset: float
 
-    def sdf(self, pts):
+    def sdf(self, x):
         n = np.asarray(self.normal, dtype=np.float64)
         norm = np.linalg.norm(n)
         if norm == 0:
             raise ValueError("half-space normal must be nonzero")
-        return (np.sum(pts * n, axis=-1) - self.offset) / norm
+        s = x[0] * n[0]
+        for k in range(1, n.size):
+            s = s + x[k] * n[k]
+        s -= self.offset
+        s /= norm
+        return s
 
 
 @dataclass
@@ -71,9 +97,8 @@ class Union(Shape):
     def __init__(self, *parts: Shape):
         self.parts = tuple(parts)
 
-    def sdf(self, pts):
-        vals = [p.sdf(pts) for p in self.parts]
-        return np.minimum.reduce(vals)
+    def sdf(self, x):
+        return functools.reduce(np.minimum, (p.sdf(x) for p in self.parts))
 
 
 @dataclass
@@ -83,14 +108,13 @@ class Intersection(Shape):
     def __init__(self, *parts: Shape):
         self.parts = tuple(parts)
 
-    def sdf(self, pts):
-        vals = [p.sdf(pts) for p in self.parts]
-        return np.maximum.reduce(vals)
+    def sdf(self, x):
+        return functools.reduce(np.maximum, (p.sdf(x) for p in self.parts))
 
 
 @dataclass
 class Complement(Shape):
     part: Shape
 
-    def sdf(self, pts):
-        return -self.part.sdf(pts)
+    def sdf(self, x):
+        return -self.part.sdf(x)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .grid import GridError, ScalarField, VectorField, integrate, read_field, stencil_rhs
+from .grid import GridError, ScalarField, VectorField, read_field, stencil_rhs, trapezoid
 from .grid import write_field
 from .interface import InterfaceSet, extract_interface, radius_estimate
 from .potential import DoubleWell
@@ -230,7 +230,7 @@ def probe_at(cfg: ScenarioConfig, y) -> measures.HuiskenProbe:
 def _default_probe(cfg: ScenarioConfig, density: ScalarField) -> measures.HuiskenProbe:
     """Probe at the strongest node of the energy density ``density``."""
     idx = np.unravel_index(int(np.argmax(density.values)), cfg.grid.nodes)
-    return probe_at(cfg, cfg.grid.points()[idx])
+    return probe_at(cfg, [ax[i] for ax, i in zip(cfg.grid.axes(), idx)])
 
 
 def ratio_radii(cfg: ScenarioConfig) -> list[float]:
@@ -335,7 +335,7 @@ def run(
             density_ratio_max=ratio.max_ratio,
             sup_xi=sup_xi,
             sup_xi_pos=max(sup_xi, 0.0),
-            pos_xi_integral=integrate(ScalarField(cfg.grid, np.maximum(ff.xi.values, 0.0)), omega_p),
+            pos_xi_integral=trapezoid(np.maximum(ff.xi.values[box_p], 0.0), cfg.grid.h),
             interface_radius=radius,
             monotonicity_residual=resid,
             gronwall_factor=measures.weighted_energy(mu, weight),
@@ -396,6 +396,8 @@ def _write_interface(out_dir: str, iset: InterfaceSet) -> None:
     path = os.path.join(out_dir, "interface_final.csv")
     with open(path, "w") as fh:
         fh.write("x0,y0,x1,y1\n" if iset.dim == 2 else "x0,y0,z0,x1,y1,z1,x2,y2,z2\n")
-        # a segment (2D) or a triangle (3D) per line: dim points of dim coordinates
-        for row in iset.elements.reshape(len(iset.elements), iset.dim * iset.dim).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        # a segment (2D) or a triangle (3D) per line: dim points of dim coordinates,
+        # turned into Python floats a block of lines at a time
+        lines = iset.elements.reshape(len(iset.elements), iset.dim * iset.dim)
+        for i in range(0, len(lines), 512):
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in lines[i : i + 512].tolist())

@@ -1,15 +1,19 @@
-"""Reference stencil operators for the tests: a padded copy with one ghost
-layer per face, the Laplacian, gradient and advection term built on it, and
-the explicit step's folded update as one whole-field expression.
+"""Reference operators for the tests: a padded copy with one ghost layer per
+face, the Laplacian, gradient and advection term built on it, the explicit
+step's folded update as one whole-field expression, and the shapes' signed
+distances and the transports' spatial parts over stacked points.
 
 The program forms these stencils by stride shifts (``grid.stencil_rhs``,
-``grid.grad_sq``); the tests hold those to the operators here, bit for bit
+``grid.grad_sq``) and its geometry one axis at a time over an open mesh
+(``GridSpec.coords``); the tests hold those to the forms here, bit for bit
 where the arithmetic is the same.
 """
 
 import numpy as np
 
 from actx.grid import GridError, ScalarField, VectorField, _check_finite
+from actx.scenario import ConstantTransport, RadialGradient, RotationTransport, ZeroTransport
+from actx.shapes import Ball, Box, Complement, HalfSpace, Intersection, Union
 
 
 def _padded(f: ScalarField, boundary_value: float | None) -> np.ndarray:
@@ -146,3 +150,43 @@ def folded_update(
     if base is not None:
         out = out + base
     return out
+
+
+def stacked_sdf(shape, pts: np.ndarray) -> np.ndarray:
+    """The shape's signed distance at stacked points (..., n): each primitive
+    broadcast over the component axis and reduced over it with np.sum or
+    np.max, the composites reduced over a stack of their parts' distances."""
+    if isinstance(shape, Ball):
+        d = pts - np.asarray(shape.center)
+        return np.sqrt(np.sum(d * d, axis=-1)) - shape.radius
+    if isinstance(shape, Box):
+        lo, hi = np.asarray(shape.lo), np.asarray(shape.hi)
+        q = np.abs(pts - 0.5 * (lo + hi)) - 0.5 * (hi - lo)
+        return np.sqrt(np.sum(np.maximum(q, 0.0) ** 2, axis=-1)) + np.minimum(np.max(q, axis=-1), 0.0)
+    if isinstance(shape, HalfSpace):
+        n = np.asarray(shape.normal, dtype=np.float64)
+        return (np.sum(pts * n, axis=-1) - shape.offset) / np.linalg.norm(n)
+    if isinstance(shape, Union):
+        return np.minimum.reduce([stacked_sdf(p, pts) for p in shape.parts])
+    if isinstance(shape, Intersection):
+        return np.maximum.reduce([stacked_sdf(p, pts) for p in shape.parts])
+    if isinstance(shape, Complement):
+        return -stacked_sdf(shape.part, pts)
+    raise TypeError(f"no stacked form for {shape!r}")
+
+
+def stacked_spatial(transport, pts: np.ndarray):
+    """The transport's (U, G) at stacked points (..., n), broadcast over the
+    component axis; None where the entry has no such part."""
+    if isinstance(transport, ZeroTransport):
+        return None, None
+    if isinstance(transport, ConstantTransport):
+        a = np.asarray(transport.vector)
+        return np.broadcast_to(a, pts.shape).copy(), np.sum(pts * a, axis=-1)
+    if isinstance(transport, RotationTransport):
+        d = pts - np.asarray(transport.center)
+        return transport.omega * np.stack([d[..., 1], -d[..., 0]], axis=-1), None
+    if isinstance(transport, RadialGradient):
+        d = pts - np.asarray(transport.center)
+        return d, 0.5 * np.sum(d * d, axis=-1)
+    raise TypeError(f"no stacked form for {transport!r}")

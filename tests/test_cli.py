@@ -94,7 +94,16 @@ class TestRunCommand:
         ("transport = zero", "transport = (radial (1) 0.8 0.8)"),
         ("shape = (ball 0.8 0.8 0.25)", "shape = (ball (0.8) 0.8 0.25)"),
         ("transport = zero", "transport = (zero 5)"),
-    ], ids=["nested-transport-arg", "nested-shape-arg", "zero-with-arg"])
+        ("shape = (ball 0.8 0.8 0.25)", "shape = (halfspace 0 0 0.5)"),
+        ("shape = (ball 0.8 0.8 0.25)", "shape = (union)"),
+        ("shape = (ball 0.8 0.8 0.25)", "shape = (intersection)"),
+        ("shape = (ball 0.8 0.8 0.25)", "shape = (ball 0.8 0.8 -0.25)"),
+        ("shape = (ball 0.8 0.8 0.25)", "shape = (ball 0.8 0.8 0)"),
+        ("shape = (ball 0.8 0.8 0.25)", "shape = (box 1.0 1.0 0.6 0.6)"),
+        ("shape = (ball 0.8 0.8 0.25)", "shape = (box 0.6 1.0 1.0 1.0)"),
+    ], ids=["nested-transport-arg", "nested-shape-arg", "zero-with-arg", "zero-normal",
+            "empty-union", "empty-intersection", "negative-radius", "zero-radius",
+            "inverted-box", "flat-box"])
     def test_malformed_form_is_a_config_error(self, tmp_path, capsys, old, new):
         p = tmp_path / "bad.cfg"
         p.write_text(CONFIG.replace(old, new))
@@ -471,6 +480,16 @@ class TestSweepCommand:
         plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 128"))
         assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "s")]) == 1
 
+    @pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-1"])
+    def test_bad_actx_threads_is_a_config_error(self, tmp_path, capsys, monkeypatch, threads):
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN)
+        monkeypatch.setenv("ACTX_THREADS", threads)
+        assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: ACTX_THREADS must be a positive integer, got {threads!r}"]
+        assert not (tmp_path / "s").exists()
+
     def test_parallel_rungs_match_serial(self, tmp_path, monkeypatch):
         plan = tmp_path / "plan.cfg"
         plan.write_text(PLAN)
@@ -600,7 +619,8 @@ class TestRowsCsv:
 
 class TestImportFootprint:
     def test_cli_import_loads_neither_scipy_signal_nor_integrate(self):
-        # a fresh interpreter: importing the CLI loads numpy and no scipy module;
+        # a fresh interpreter: importing the CLI loads numpy and no scipy module,
+        # nor the process pool (only a parallel sweep imports it);
         # surface_tension brings scipy.integrate in through its local import
         import subprocess
         import sys
@@ -610,7 +630,7 @@ class TestImportFootprint:
         code = (
             "import sys\n"
             "import actx.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent'))))\n"
             "from actx.potential import DoubleWell, surface_tension\n"
             "print(round(surface_tension(DoubleWell.quartic()), 12))\n"
             "print('scipy.integrate' in sys.modules)\n"

@@ -364,17 +364,23 @@ class TestNodeGeometry:
     SPEC3 = GridSpec(3, (-0.5, -0.5, -0.5), (0.25, 0.25, 0.25), (6, 6, 6))
 
     @pytest.mark.parametrize("spec", [SPEC, SPEC3])
-    def test_points_shared_and_read_only(self, spec):
-        pts = spec.points()
-        assert pts.shape == spec.nodes + (spec.dim,)
-        assert GridSpec(spec.dim, spec.lo, spec.hi, spec.cells).points() is pts
-        assert not pts.flags.writeable
-        with pytest.raises(ValueError):
-            pts[(0,) * spec.dim] = 1.0
+    def test_coords_shared_and_read_only(self, spec):
+        x = spec.coords()
+        axes = GridSpec(spec.dim, spec.lo, spec.hi, spec.cells).axes()
+        assert len(x) == spec.dim
+        for k, (xk, ax) in enumerate(zip(x, axes, strict=True)):
+            assert xk.shape == tuple(n if j == k else 1 for j, n in enumerate(spec.nodes))
+            assert np.array_equal(xk.ravel(), ax)
+            assert np.shares_memory(xk, ax)
+            assert not xk.flags.writeable
+            with pytest.raises(ValueError):
+                xk[(0,) * spec.dim] = 1.0
         mesh = spec.meshgrid()
-        for got, want in zip(mesh, np.meshgrid(*spec.axes(), indexing="ij"), strict=True):
+        for got, xk, want in zip(mesh, x, np.meshgrid(*spec.axes(), indexing="ij"), strict=True):
+            assert got.shape == spec.nodes
             assert np.array_equal(got, want)
-            assert np.shares_memory(got, pts)
+            assert np.shares_memory(got, xk)
+            assert not got.flags.writeable
 
     @given(
         cells=st.lists(st.integers(1, 24), min_size=2, max_size=3),

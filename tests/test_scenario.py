@@ -71,7 +71,7 @@ class TestShapes:
         c = 0.5 * (np.asarray(lo) + np.asarray(hi))
         q = np.abs(pts - c) - 0.5 * (np.asarray(hi) - np.asarray(lo))
         ref = np.sqrt(np.sum(np.maximum(q, 0.0) ** 2, axis=-1)) + np.minimum(np.max(q, axis=-1), 0.0)
-        got = Box(lo, hi).sdf(pts)
+        got = Box(lo, hi).sdf(np.moveaxis(pts, -1, 0))
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_halfspace(self):
@@ -101,7 +101,99 @@ class TestShapes:
         assert (inter.sdf(p) < 0) == truly_inside
 
 
+_coord = st.floats(-1.0, 2.0)
+
+
+@st.composite
+def _open_mesh(draw):
+    """(spec, its coords(), the same nodes stacked (..., n)) on a small random lattice."""
+    dim = draw(st.sampled_from([2, 3]))
+    cells = tuple(draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim)))
+    h = draw(st.floats(0.05, 0.4))
+    lo = tuple(draw(st.lists(st.floats(-1.0, 0.5), min_size=dim, max_size=dim)))
+    spec = GridSpec(dim, lo, tuple(l + c * h for l, c in zip(lo, cells)), cells)
+    return spec, spec.coords(), np.stack(spec.meshgrid(), axis=-1)
+
+
+def _shapes(dim):
+    point = st.tuples(*[_coord] * dim)
+    ball = st.builds(Ball, point, st.floats(0.01, 1.5))
+    box = st.builds(lambda a, b: Box(tuple(map(min, a, b)), tuple(map(max, a, b))), point, point)
+    normal = point.filter(lambda n: np.linalg.norm(n) > 0)
+    half = st.builds(HalfSpace, normal, _coord)
+    return st.recursive(
+        st.one_of(ball, box, half),
+        lambda parts: st.one_of(
+            st.lists(parts, min_size=1, max_size=3).map(lambda ps: Union(*ps)),
+            st.lists(parts, min_size=1, max_size=3).map(lambda ps: Intersection(*ps)),
+            parts.map(Complement),
+        ),
+        max_leaves=5,
+    )
+
+
+def _transports(dim):
+    point = st.tuples(*[_coord] * dim)
+    amount = st.floats(-20.0, 20.0)
+    entries = [
+        st.just(ZeroTransport()),
+        st.builds(ConstantTransport, point),
+        st.builds(RadialGradient, amount, point),
+        st.builds(RadialGradient, amount, point, amount, amount),
+    ]
+    if dim == 2:
+        entries.append(st.builds(RotationTransport, amount, point))
+    return st.one_of(*entries)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestOpenMeshGeometry:
+    """Shapes and transports on ``coords()`` against the stacked forms of reference_ops."""
+
+    @given(mesh=_open_mesh(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sdf_same_bits_as_stacked_form(self, mesh, data):
+        from reference_ops import stacked_sdf
+
+        spec, x, pts = mesh
+        shape = data.draw(_shapes(spec.dim))
+        assert _same_bits(shape.sdf(x), stacked_sdf(shape, pts))
+
+    @given(mesh=_open_mesh(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_spatial_same_bits_as_stacked_form(self, mesh, data):
+        from reference_ops import stacked_spatial
+
+        spec, x, pts = mesh
+        tr = data.draw(_transports(spec.dim))
+        for got, want in zip(tr.spatial(x), stacked_spatial(tr, pts), strict=True):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _same_bits(got, want)
+
+
 class TestInitialPhase:
+    def test_3d_build_peaks_at_six_fields(self):
+        # the shape and the cutoff work on the open mesh, not on a (nodes, 3)
+        # coordinate array, and the profile is scaled and shifted in place
+        import tracemalloc
+
+        spec = GridSpec(3, (0.0,) * 3, (1.6,) * 3, (64,) * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # eps = 4h is marginally resolved, which is fine here
+            cfg = ScenarioConfig(grid=spec, shape=Ball((0.8,) * 3, 0.25), transport=ZeroTransport(),
+                                 epsilon=0.1, t_end=0.01, tau=0.005, inset_prime=0.12, inset_dprime=0.06)
+        tracemalloc.start()
+        try:
+            phi = build_initial_phase(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * phi.values.nbytes
+
     def test_values_stay_in_range(self):
         cfg = circle_config(128, 16)
         phi = build_initial_phase(cfg)
@@ -293,9 +385,9 @@ class TestTransportField:
         calls = []
         spatial = RadialGradient.spatial
 
-        def counted(self, pts):
-            calls.append(pts.shape)
-            return spatial(self, pts)
+        def counted(self, x):
+            calls.append(tuple(np.shape(xk) for xk in x))
+            return spatial(self, x)
 
         monkeypatch.setattr(RadialGradient, "spatial", counted)
         scenario._transport_field_cached.cache_clear()
@@ -303,7 +395,7 @@ class TestTransportField:
         cfg = circle_config(96, 16, t_end=0.002, tau=0.001, transport=tr)
         run(cfg, SolverConfig(scheme="rk2", diag_every=10))
         transport_report(cfg)
-        assert calls == [cfg.grid.points().shape]
+        assert calls == [tuple(xk.shape for xk in cfg.grid.coords())]
         for arr in transport_field(tr, cfg.grid):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from actx.grid import ScalarField, read_field, sum_sq
+from actx.grid import ScalarField, read_field
 from actx.potential import DoubleWell
 from actx.scenario import RadialGradient
 from actx.solver import SimState, SolverAbort, SolverConfig, run, stable_dt, step
@@ -357,7 +357,7 @@ def _chunk_case(dim, transport_kind, scheme):
         warnings.simplefilter("ignore")  # eps = 4h is marginally resolved, which is fine here
         cfg = ScenarioConfig(grid=spec, shape=Ball(c, 0.5), transport=transport, epsilon=eps,
                              t_end=3.5 * dt0, tau=dt0, inset_prime=4 * h, inset_dprime=2 * h)
-    r = np.sqrt(sum_sq(spec.points() - np.asarray(c)))
+    r = np.sqrt(sum((xk - ck) ** 2 for xk, ck in zip(spec.coords(), c)))
     noise = np.random.default_rng(dim).uniform(-0.05, 0.05, spec.nodes)
     phi0 = ScalarField(spec, np.tanh((0.5 - r) / eps) + noise)
     return cfg, SolverConfig(scheme=scheme, diag_every=2), phi0
