@@ -8,12 +8,13 @@ Subcommands:
   report    validate an artifact directory and summarize its checks
 
 Exit codes: 0 clean, 1 configuration error (also one found before the first
-step, such as an empty density-ratio radius ladder), unreadable snapshot, bad
-``diagnose`` probe, bad run-manifest value or a sweep rung without an initial
-interface to place probes on, 2 solver abort or a failed sweep rung (a FAILED
-row in ``sweep.csv``). The environment variable ACTX_THREADS caps sweep-rung
-parallelism (default serial); a value that is not a positive integer is a
-configuration error. Artifact directories contain a manifest
+step, such as an empty density-ratio radius ladder), unreadable snapshot or
+diagnostics file, bad ``diagnose`` probe, bad ``report`` run-manifest value,
+or a sweep rung whose monotonicity probes cannot be evaluated (no initial
+interface to place them on, or fewer than two snapshot frames in [tau, T]),
+2 solver abort or a failed sweep rung (a FAILED row in ``sweep.csv``). The
+environment variable ACTX_THREADS caps sweep-rung parallelism (default
+serial); a value that is not a positive integer is a configuration error. Artifact directories contain a manifest
 listing every output file with its sha256 and the transport bounds; an
 aborted run's manifest also records the abort's step, node, time and |phi|.
 """
@@ -66,7 +67,7 @@ def _sha256(path: str) -> str:
 
 def _write_manifest(out_dir: str, cfg: ScenarioConfig, sol: SolverConfig, config_text: str,
                     dt: float, n_steps: int, status: str, abort: SolverAbort | None = None) -> None:
-    sup_dtg = cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end) if cfg.transport.is_gradient else 0.0
+    sup_dtg = cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end)
     tr = scenario.transport_report(cfg)
     if tr.norm > cfg.lambda0:
         print(
@@ -312,10 +313,11 @@ def sweep(plan_path: str, out_dir: str) -> int:
     table: list[dict] = []
     for (text, rung_dir), code, cells in zip(jobs, codes, plan.rungs):
         # a failed rung's config may not even load, so the epsilon comes from its text
-        epsilon = float(scenario.parse_config(text)["epsilon"])
-        entry: dict = {"cells": cells, "epsilon": epsilon, "status": "ok" if code == 0 else "FAILED"}
+        conf = scenario.parse_config(text)
+        entry: dict = {"cells": cells, "epsilon": float(conf["epsilon"]),
+                       "status": "ok" if code == 0 else "FAILED"}
         if code == 0:
-            cfg, _sol, _ = load_experiment(os.path.join(rung_dir, "config.txt"))
+            cfg = scenario.scenario_from_config(conf)
             try:
                 rows = read_rows(rung_dir)
             except (OSError, ValueError) as exc:
@@ -336,16 +338,14 @@ def sweep(plan_path: str, out_dir: str) -> int:
             except (GridError, OSError) as exc:
                 print(f"snapshot error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            try:
+            try:  # no interface to place probes on, or fewer than two frames in [tau, T]
                 entry["fitted_c"], _ = fitted_monotonicity_c(traj)
-            except ConfigError as exc:
+            except (ConfigError, MeasureError) as exc:
                 print(f"probe error: {rung_dir}: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            try:
-                rep = _gronwall(rows, _parse_manifest(os.path.join(rung_dir, "run-manifest"))[0])
-            except ConfigError as exc:
-                print(f"manifest error: {rung_dir}: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
+            # the same sup |dt g| and row spacing as the rung's run-manifest
+            rep = measures.gronwall_report(rows, cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end),
+                                           solver_from_config(conf).diag_every)
             entry["gronwall_margin"] = rep.rate_bound - rep.growth_rate
         table.append(entry)
 
@@ -516,13 +516,6 @@ _REPORT_KEYS = ("dt", "epsilon", "beta", "tau", "T", "sup_dt_g", "diag_every", "
                 "transport_cap_grad_u", "transport_first_violation")
 
 
-def _gronwall(rows: list[DiagnosticsRow], meta: dict[str, str]) -> measures.GronwallReport:
-    """The weighted-energy growth check on the rows' F(t), with the manifest's sup |dt g|."""
-    times, values = np.array([(r.t, r.gronwall_factor) for r in rows]).T
-    return measures.gronwall_report(times, values, _manifest_value(meta, "sup_dt_g"),
-                                    _manifest_value(meta, "diag_every", int))
-
-
 def emit_report(art_dir: str) -> tuple[str, int, int]:
     """Validate an artifact directory; returns (text, passed, total).
 
@@ -575,7 +568,7 @@ def emit_report(art_dir: str) -> tuple[str, int, int]:
             "" if not bad else f"max|phi|={bad[0].max_abs_phi:.6f} > 1+10dt at t={bad[0].t:g}",
         ))
 
-        gron = _gronwall(rows, meta)
+        gron = measures.gronwall_report(rows, m["sup_dt_g"], m["diag_every"])
         mu0 = rows[0].total_energy
         energy_cap = 1.25 * mu0 * math.exp(gron.rate_bound * m["T"])
         worst = max(r.total_energy for r in rows)

@@ -470,7 +470,8 @@ def write_field(path, f: ScalarField, time: float) -> None:
         fh.write(_MAGIC)
         fh.write(header)
         fh.write(b"\n")
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        # the array's own buffer: no copy of a contiguous little-endian field
+        fh.write(memoryview(np.ascontiguousarray(f.values, dtype="<f8")).cast("B"))
 
 
 def read_field(path) -> tuple[ScalarField, float]:

@@ -1,16 +1,19 @@
 """Geometric-measure diagnostics for diffuse-interface energies.
 
-Everything here is a pure function of phase-field snapshots: the energy
-measure (density eps |grad phi|^2 / 2 + W(phi)/eps), the discrepancy between
-its two halves, ball density ratios, truncated backward heat kernels and the
-near-monotonicity of their energy integrals, transport/velocity space-time
-integrals, a Meyers-Ziemer ratio probe, and weighted-energy growth checks.
+Everything here is a pure function of phase-field snapshots or of the rows
+a run wrote: the energy measure (density eps |grad phi|^2 / 2 + W(phi)/eps),
+the discrepancy between its two halves, ball density ratios, truncated
+backward heat kernels and the near-monotonicity of their energy integrals, a
+Meyers-Ziemer ratio probe, and the weighted-energy growth check.
 
 Per-frame quantities are computed once: ``frame_fields`` (|grad phi|^2, W,
 and for the drive the step's own ``grid.stencil_rhs``) plus the per-frame
-scalars built on it. The rows of ``solver.run``, ``actx diagnose`` and the
-windowed checks (trapezoids over retained frames) all share this computation;
-``monotonicity_check`` builds each frame's fields once for all its probes.
+scalars built on it, which ``solver.run`` writes into its rows and ``actx
+diagnose`` prints. The rows are the record of every per-frame diagnostic:
+the growth check (``gronwall_report``) reads them. Snapshot frames are read
+back only for what the rows cannot hold: ``monotonicity_check`` for probes
+chosen after the run (it builds each frame's fields once for all its
+probes), the scaled density ratio and the Meyers-Ziemer probe.
 
 The truncated backward kernel of a probe vanishes off B_{r_outer}(y), so it
 and the integrals it weights are evaluated on the probe's bounding sub-box
@@ -153,27 +156,6 @@ def weighted_energy(mu: EnergyMeasure, weight: np.ndarray | None) -> float:
     if weight is None:
         return mu.total
     return integrate(ScalarField(mu.spec, weight * mu.density.values))
-
-
-def discrepancy_sup(
-    traj: "Trajectory",
-    region: tuple[Sequence[float], Sequence[float]] | None = None,
-    t_min: float | None = None,
-) -> tuple[float, float]:
-    """(sup xi, sup xi_+) over the region and retained times from t_min on."""
-    cfg = traj.cfg
-    region = region or cfg.omega_prime()
-    t_min = cfg.tau if t_min is None else t_min
-    box = cfg.grid.box_slices(region)
-    sup_xi = -math.inf
-    for t, phi in zip(traj.times, traj.frames):
-        if t < t_min - 1e-12:
-            continue
-        xi = discrepancy_field(phi, cfg.epsilon, cfg.well)
-        sup_xi = max(sup_xi, float(np.max(xi.values[box])))
-    if sup_xi == -math.inf:
-        raise MeasureError(f"no retained frames at or after t_min = {t_min:g}")
-    return sup_xi, max(sup_xi, 0.0)
 
 
 def positive_discrepancy_ball(
@@ -537,21 +519,6 @@ class MonotonicityReport:
         return self.residual <= c * self.tail_factor + slack * abs(self.scale)
 
 
-def _window_series(traj: "Trajectory", t0: float, t1: float, per_frame, drive: bool = False):
-    """(times, values): ``per_frame(t, frame fields)`` at each retained frame in [t0, t1]."""
-    idx = [i for i, t in enumerate(traj.times) if t0 - 1e-12 <= t <= t1 + 1e-12]
-    if len(idx) < 2:
-        raise MeasureError(
-            f"window [{t0:g}, {t1:g}] covers {len(idx)} retained frames; need at least 2"
-        )
-    cfg = traj.cfg
-    vals = [
-        per_frame(traj.times[i], frame_fields(traj.frames[i], cfg.epsilon, cfg.well, drive))
-        for i in idx
-    ]
-    return np.asarray([traj.times[i] for i in idx]), np.asarray(vals)
-
-
 def monotonicity_check(
     traj: "Trajectory", probes: Sequence[HuiskenProbe], t0: float, t1: float
 ) -> list[MonotonicityReport]:
@@ -571,16 +538,22 @@ def monotonicity_check(
         if not t0 < t1 < probe.s:
             raise MeasureError(f"need t0 < t1 < s, got {t0:g}, {t1:g}, {probe.s:g}")
 
-    def per_frame(t, ff):
+    window = [(t, phi) for t, phi in zip(traj.times, traj.frames) if t0 - 1e-12 <= t <= t1 + 1e-12]
+    if len(window) < 2:
+        raise MeasureError(
+            f"window [{t0:g}, {t1:g}] covers {len(window)} retained frames; need at least 2"
+        )
+    vals = []  # (frame, probe, term)
+    for t, phi in window:
+        ff = frame_fields(phi, cfg.epsilon, cfg.well)
         u2 = speed_sq(cfg.transport, cfg.grid, t)
         rows = []
         for probe, tail in zip(probes, tails):
             leak = math.exp(-1.0 / (128.0 * (probe.s - t)))
             mass = window_integral(ff.density, tail)  # ball_integrate over B_{1/4}(y)
             rows.append(kernel_terms(ff, probe, t, u2) + (leak * mass,))
-        return rows
-
-    times, vals = _window_series(traj, t0, t1, per_frame)  # (frame, probe, term)
+        vals.append(rows)
+    times, vals = np.asarray([t for t, _ in window]), np.asarray(vals)
     return [
         MonotonicityReport(
             t0=float(times[0]),
@@ -593,18 +566,6 @@ def monotonicity_check(
         )
         for v in (vals[:, j] for j in range(len(probes)))
     ]
-
-
-def transport_kernel_integral(
-    traj: "Trajectory", probe: HuiskenProbe, t0: float, t1: float
-) -> float:
-    """Space-time integral of the kernel against |u|^2 dmu over [t0, t1]."""
-    cfg = traj.cfg
-    probe.validate(cfg.grid)
-    times, vals = _window_series(  # kernel_terms carries half of this integrand
-        traj, t0, t1, lambda t, ff: kernel_terms(ff, probe, t, speed_sq(cfg.transport, cfg.grid, t))[1]
-    )
-    return float(2.0 * np.trapezoid(vals, times))
 
 
 def hat_p(p: float, q: float, n: int, margin: float = 0.0) -> float:
@@ -622,18 +583,6 @@ def hat_p(p: float, q: float, n: int, margin: float = 0.0) -> float:
     if p == n:
         return (q - 2.0) / q - margin
     return (q - 2.0) / q
-
-
-def velocity_l2(
-    traj: "Trajectory",
-    t0: float,
-    t1: float,
-    region: tuple[Sequence[float], Sequence[float]] | None = None,
-) -> float:
-    """Time integral of ``velocity_sq`` over [t0, t1] (region default Omega')."""
-    region = region or traj.cfg.omega_prime()
-    times, vals = _window_series(traj, t0, t1, lambda t, ff: velocity_sq(ff, region), drive=True)
-    return float(np.trapezoid(vals, times))
 
 
 # ---------------------------------------------------------------------------
@@ -714,32 +663,19 @@ class GronwallReport:
 
 
 def gronwall_report(
-    times: np.ndarray, values: np.ndarray, sup_dt_g: float, steps_between: int
+    rows: Sequence["DiagnosticsRow"], sup_dt_g: float, diag_every: int
 ) -> GronwallReport:
-    """The growth check on F(t) = integral exp(-g) dmu_t sampled from t = 0,
-    ``steps_between`` steps apart; with static g, F must not rise."""
+    """The growth check on the rows' F(t) = integral exp(-g) dmu_t (their
+    ``gronwall_factor``), sampled from t = 0 every ``diag_every`` steps;
+    with static g, F must not rise."""
+    times, values = np.array([(r.t, r.gronwall_factor) for r in rows]).T
     f0 = values[0]
-    diffs = np.diff(values) / max(steps_between, 1)
+    diffs = np.diff(values) / max(diag_every, 1)
     max_step_inc = float(np.max(diffs) / f0) if diffs.size else 0.0
     with np.errstate(divide="ignore"):
         rates = np.log(values[1:] / f0) / times[1:]
     growth = float(np.max(rates)) if rates.size else 0.0
     return GronwallReport(times, values, sup_dt_g, max_step_inc, growth)
-
-
-def gronwall_check(traj: "Trajectory") -> GronwallReport:
-    """``gronwall_report`` on F(t) recomputed from the retained frames; needs u = grad g."""
-    cfg = traj.cfg
-    if not cfg.transport.is_gradient:
-        raise MeasureError("weighted-energy check needs a gradient transport (u = grad g)")
-    spec = cfg.grid
-    times = np.asarray(traj.times)
-    vals = np.empty(times.size)
-    for i, (t, phi) in enumerate(zip(traj.times, traj.frames)):
-        mu = frame_fields(phi, cfg.epsilon, cfg.well).measure()
-        vals[i] = weighted_energy(mu, gronwall_weight(cfg.transport, spec, t))
-    sup_dtg = cfg.transport.sup_dt_g(spec, float(times[0]), float(times[-1]))
-    return gronwall_report(times, vals, sup_dtg, traj.steps_between)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,9 @@ class MarginError(ConfigError):
 
 class Transport:
     """u(x, t) = m(t) U(x). An entry states U, the potential G of a gradient entry
-    (u = grad g, g = m G) and the constant matrix grad U once; the base class
-    scales them by m(t), with dt_g = m'(t) G, and is itself the zero field."""
+    (u = grad g, g = m G, dt g = m'(t) G) and the constant matrix grad U once;
+    callers scale them by m(t) or m'(t). The base class is the zero field."""
 
-    is_gradient = False
     time_dependent = False
 
     def m(self, t: float) -> float:
@@ -73,28 +72,11 @@ class Transport:
     def spatial_jacobian(self, n: int) -> np.ndarray:
         return np.zeros((n, n))
 
-    # The methods below take stacked points, shape (..., n), and hand
-    # ``spatial`` their component views.
-
     def velocity(self, pts: np.ndarray, t: float) -> np.ndarray:
+        """m(t) U at stacked points, shape (..., n), through ``spatial`` on their
+        component views."""
         u = self.spatial(np.moveaxis(pts, -1, 0))[0]
         return np.zeros(pts.shape) if u is None else np.multiply(u, self.m(t), out=u)
-
-    def jacobian(self, pts: np.ndarray, t: float) -> np.ndarray:
-        """m(t) grad U with a singleton axis per node axis, broadcasting against pts."""
-        return np.expand_dims(self.m(t) * self.spatial_jacobian(pts.shape[-1]), tuple(range(pts.ndim - 1)))
-
-    def _potential(self, pts: np.ndarray) -> np.ndarray:
-        if not self.is_gradient:
-            raise NotImplementedError("transport is not a gradient field")
-        pot = self.spatial(np.moveaxis(pts, -1, 0))[1]
-        return np.zeros(pts.shape[:-1]) if pot is None else pot
-
-    def g(self, pts: np.ndarray, t: float) -> np.ndarray:
-        return self.m(t) * self._potential(pts)
-
-    def dt_g(self, pts: np.ndarray, t: float) -> np.ndarray:
-        return self.dm(t) * self._potential(pts)
 
     def sup_dt_g(self, spec: GridSpec, t0: float, t1: float) -> float:
         """Bound on |dt_g| over the box and time window: 0 while m is constant."""
@@ -108,7 +90,7 @@ class Transport:
 
 @dataclass(frozen=True)
 class ZeroTransport(Transport):
-    is_gradient = True
+    """u = 0 everywhere, the gradient of g = 0."""
 
 
 @dataclass(frozen=True)
@@ -116,12 +98,11 @@ class ConstantTransport(Transport):
     """u = a everywhere; the gradient of the linear g = a . x."""
 
     vector: tuple[float, ...]
-    is_gradient = True
 
     def spatial(self, x):
         a = np.asarray(self.vector)
-        g = x[0] * a[0]
-        for k in range(1, a.size):
+        g = 0.0  # where np.sum starts, so a sum of -0.0 terms is +0.0 as in the stacked form
+        for k in range(a.size):
             g = g + x[k] * a[k]
         u = np.empty(np.shape(g) + a.shape)
         u[...] = a
@@ -156,7 +137,6 @@ class RadialGradient(Transport):
     center: tuple[float, ...] = (0.5, 0.5)
     mod_amp: float = 0.0
     mod_freq: float = 0.0
-    is_gradient = True
 
     @property
     def time_dependent(self) -> bool:

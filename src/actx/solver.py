@@ -12,10 +12,12 @@ simultaneously.
 diagnostics) and writes snapshot files ``snapshots/step_<8-digit step>.afld``:
 the first and final fields and every ``snap_every``-th. Each row's frame is
 extracted once, and the last row's interface is written to
-``interface_final.csv``. It keeps only the final field; with ``snap_every =
-diag_every`` the snapshots are the fields on the diagnostics schedule, and
-``load_trajectory`` reads them back bit for bit as the trajectory the offline
-checks take. Identical configs produce bit-identical outputs.
+``interface_final.csv``. It keeps only the final field. The rows are the
+run's record of every per-frame diagnostic; ``load_trajectory`` reads the
+snapshot files back bit for bit, for the offline checks that need the fields
+themselves (probes chosen after the run, the scaled density ratio). With
+``snap_every = diag_every`` the snapshots are the fields on the diagnostics
+schedule. Identical configs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -88,12 +90,11 @@ class SimState:
 
 @dataclass
 class Trajectory:
-    """Fields at increasing times, ``steps_between`` steps apart, plus run context."""
+    """Fields at increasing times, plus run context."""
 
     cfg: ScenarioConfig
     times: list[float] = field(default_factory=list)
     frames: list[ScalarField] = field(default_factory=list)
-    steps_between: int = 1
 
     def append(self, t: float, phi: ScalarField) -> None:
         self.times.append(t)
@@ -202,22 +203,14 @@ def read_trajectory(paths, cfg: ScenarioConfig) -> Trajectory:
 
 
 def load_trajectory(art_dir: str, cfg: ScenarioConfig) -> Trajectory:
-    """The trajectory in an artifact directory's snapshot files, ``steps_between``
-    taken from the first two step indices; a file not named like a snapshot
-    raises ``GridError`` naming it."""
+    """The trajectory in an artifact directory's snapshot files; a file not
+    named like a snapshot raises ``GridError`` naming it."""
     snap_dir = os.path.join(art_dir, "snapshots")
-    names = sorted(os.listdir(snap_dir))
-    steps = []
-    for name in names:
-        match = re.fullmatch(r"step_(\d+)\.afld", name)
-        if match is None:
-            path = os.path.join(snap_dir, name)
+    paths = [os.path.join(snap_dir, name) for name in sorted(os.listdir(snap_dir))]
+    for path in paths:
+        if re.fullmatch(r"step_\d+\.afld", os.path.basename(path)) is None:
             raise GridError(f"{path}: not a snapshot file (expected step_<digits>.afld)")
-        steps.append(int(match.group(1)))
-    traj = read_trajectory([os.path.join(snap_dir, name) for name in names], cfg)
-    if len(steps) >= 2:
-        traj.steps_between = steps[1] - steps[0]
-    return traj
+    return read_trajectory(paths, cfg)
 
 
 def probe_at(cfg: ScenarioConfig, y) -> measures.HuiskenProbe:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from actx.grid import GridSpec, ScalarField
+from actx.measures import gronwall_report
 from actx.potential import DoubleWell
 from actx.scenario import RadialGradient, ScenarioConfig, ZeroTransport
 from actx.shapes import Ball
@@ -54,6 +55,19 @@ def run_with_frames(tmp_path_factory, cfg: ScenarioConfig, sol: SolverConfig):
     out = str(tmp_path_factory.mktemp("run"))
     res = run(cfg, dataclasses.replace(sol, snap_every=sol.diag_every), out_dir=out)
     return res, load_trajectory(out, cfg)
+
+
+def row_gronwall(cfg: ScenarioConfig, res):
+    """The weighted-energy growth check on a run's rows, with the sup |dt g| and
+    row spacing its run-manifest records."""
+    return gronwall_report(res.rows, cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end),
+                           res.solver.diag_every)
+
+
+def row_velocity_l2(rows, t0: float, t1: float) -> float:
+    """Trapezoid of the rows' ``velocity_sq`` over the rows in [t0, t1]."""
+    window = [r for r in rows if t0 - 1e-12 <= r.t <= t1 + 1e-12]
+    return float(np.trapezoid([r.velocity_sq for r in window], [r.t for r in window]))
 
 
 @pytest.fixture(scope="session")

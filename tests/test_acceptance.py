@@ -18,15 +18,13 @@ from actx.measures import (
     HuiskenProbe,
     density_ratio,
     discrepancy_field,
-    gronwall_check,
     meyers_ziemer_check,
     monotonicity_check,
     ratio_lattice_radii,
-    velocity_l2,
 )
 from actx.potential import surface_tension
 
-from conftest import CENTER, L
+from conftest import CENTER, L, row_gronwall, row_velocity_l2
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -207,8 +205,8 @@ class TestAcceptance:
         static_incs = []
         scenarios = [gronwall_runs["modulated"], gronwall_runs["static"],
                      ladder[128]] + list(transport_equilibrium_runs.values())
-        for _cfg, _res, traj, *_ in scenarios:
-            rep = gronwall_check(traj)
+        for cfg, res, *_ in scenarios:
+            rep = row_gronwall(cfg, res)
             rates.append(rep.growth_rate <= rep.sup_dt_g + 0.05)
             if rep.sup_dt_g == 0.0:
                 static_incs.append(rep.max_step_increase)
@@ -224,8 +222,8 @@ class TestAcceptance:
     def test_09_velocity_square_stability(self, ladder):
         vals = {}
         for cells in (128, 192, 256):
-            cfg, _res, traj, _ = ladder[cells]
-            vals[cells] = velocity_l2(traj, cfg.tau, cfg.t_end) / (cfg.t_end - cfg.tau)
+            cfg, res, _traj, _ = ladder[cells]
+            vals[cells] = row_velocity_l2(res.rows, cfg.tau, cfg.t_end) / (cfg.t_end - cfg.tau)
         factor = max(vals.values()) / min(vals.values())
         ok = factor < 2.0
         report(9, "velocity square stability", ok,

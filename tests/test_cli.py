@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from actx.cli import _parse_manifest, emit_report, load_experiment, main, read_rows
-from actx.measures import DiagnosticsRow, gronwall_check
+from actx.measures import DiagnosticsRow, frame_fields, gronwall_weight, weighted_energy
 from actx.solver import load_trajectory
 
 CONFIG = """\
@@ -392,14 +392,58 @@ class TestSweepCommand:
         for row in _sweep_rows(out):
             rung = out / f"rung_{int(row['cells']):04d}"
             cfg, _sol, _ = load_experiment(str(rung / "config.txt"))
-            # the margin as computed from the reloaded snapshots before it came from the rows
-            rep = gronwall_check(load_trajectory(str(rung), cfg))
-            assert row["gronwall_margin"] == repr(rep.sup_dt_g + 0.05 - rep.growth_rate)
-            assert rep.sup_dt_g > 0
+            # F(t) recomputed from the reloaded snapshots with the per-frame primitives
+            traj = load_trajectory(str(rung), cfg)
+            times = np.asarray(traj.times)
+            values = np.array([
+                weighted_energy(frame_fields(phi, cfg.epsilon, cfg.well).measure(),
+                                gronwall_weight(cfg.transport, cfg.grid, t))
+                for t, phi in zip(traj.times, traj.frames)
+            ])
+            assert list(values) == [r.gronwall_factor for r in read_rows(str(rung))]
+            # sup |dt g| as the rung's run-manifest records it
+            meta, _ = _parse_manifest(str(rung / "run-manifest"))
+            sup_dt_g = float(meta["sup_dt_g"])
+            assert sup_dt_g == cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end) > 0
             # and the growth-rate arithmetic spelled out on those recomputed F values
             with np.errstate(divide="ignore"):
-                growth = float(np.max(np.log(rep.values[1:] / rep.values[0]) / rep.times[1:]))
-            assert row["gronwall_margin"] == repr(rep.sup_dt_g + 0.05 - growth)
+                growth = float(np.max(np.log(values[1:] / values[0]) / times[1:]))
+            assert row["gronwall_margin"] == repr(sup_dt_g + 0.05 - growth)
+
+    def test_sweep_reads_no_manifest(self, tmp_path, monkeypatch):
+        # the sweep takes sup |dt g| and diag_every from the rung's config, not its run-manifest
+        import actx.cli
+
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PULSED_PLAN)
+        assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "kept")]) == 0
+        run_rung = actx.cli._run_rung
+
+        def run_then_delete_manifest(job):
+            code = run_rung(job)
+            os.remove(os.path.join(job[1], "run-manifest"))
+            return code
+
+        monkeypatch.setattr(actx.cli, "_run_rung", run_then_delete_manifest)
+        assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "deleted")]) == 0
+        assert not (tmp_path / "deleted" / "rung_0096" / "run-manifest").exists()
+        assert (tmp_path / "deleted" / "sweep.csv").read_bytes() == (
+            tmp_path / "kept" / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("setting", ["diag_every = 25\nsnap_every = 0", "diag_every = 1000"])
+    def test_probe_window_without_two_frames_exits_one(self, tmp_path, capsys, setting):
+        # only the final frame lies in [tau, T]: snapshots only at the ends, or a
+        # diagnostics interval longer than the run (the rungs then snapshot on it)
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 96 128")
+                        .replace("eps_over_h = 8", "eps_over_h = 6")
+                        .replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025")
+                        .replace("diag_every = 25", setting))
+        out = tmp_path / "s"
+        assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"probe error: {out / 'rung_0096'}: window [0.00025, 0.0005] covers 1 "
+                       f"retained frames; need at least 2"]
 
     def test_rotation_sweep_finishes(self, tmp_path, capsys):
         plan = tmp_path / "plan.cfg"

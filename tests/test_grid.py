@@ -274,6 +274,25 @@ class TestSnapshotIO:
         f2, t2 = read_field(tmp_path / "f.afld")
         assert np.array_equal(f.values, f2.values) and t2 == 0.25
 
+    def test_write_makes_no_copy_of_the_field(self, tmp_path):
+        import tracemalloc
+
+        spec = GridSpec(3, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (64, 64, 64))
+        f = ScalarField(spec, np.random.default_rng(3).standard_normal(spec.nodes))
+        path = tmp_path / "f.afld"
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                write_field(path, f, 0.5)
+                assert tracemalloc.get_traced_memory()[1] - base < 0.1 * f.values.nbytes
+        finally:
+            tracemalloc.stop()
+        blob = path.read_bytes()
+        assert blob.endswith(f.values.astype("<f8").tobytes())
+        assert len(blob) == blob.index(b"\n", 5) + 1 + f.values.nbytes
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.afld"
         p.write_bytes(b"JUNK\nwhatever\n")

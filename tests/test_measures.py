@@ -16,7 +16,8 @@ from actx.measures import (
     ball_masses,
     density_ratio,
     discrepancy_field,
-    gronwall_check,
+    frame_fields,
+    gronwall_weight,
     hat_p,
     heat_kernel,
     kernel_field,
@@ -24,13 +25,13 @@ from actx.measures import (
     monotonicity_check,
     positive_discrepancy_ball,
     scaled_density_ratio,
-    transport_kernel_integral,
-    velocity_l2,
+    velocity_sq,
+    weighted_energy,
 )
 from actx.potential import DoubleWell, surface_tension
 from actx.solver import Trajectory
 
-from conftest import CENTER, INSET, L, circle_config, run_with_frames
+from conftest import CENTER, L, circle_config, row_gronwall, row_velocity_l2, run_with_frames
 
 WELL = DoubleWell.quartic()
 SPEC = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (128, 128))
@@ -55,24 +56,21 @@ class TestDiscrepancy:
         assert np.allclose(xi.values, -0.5 / EPS)
 
     def test_trajectory_sup_matches_rows(self, ladder):
-        # the run's rows and the offline checks share one per-frame computation
-        from actx.measures import discrepancy_sup, frame_fields, velocity_sq
-
+        # the run's rows and the per-frame primitives on the reloaded snapshots
+        # share one per-frame computation
         cfg, res, traj, _ = ladder[128]
-        sup_xi, sup_pos = discrepancy_sup(traj)
-        tail = [r for r in res.rows if r.t >= cfg.tau - 1e-12]
-        assert sup_xi == pytest.approx(max(r.sup_xi for r in tail), rel=1e-12)
-        assert sup_pos >= 0.0
-
         assert traj.times == [r.t for r in res.rows]
-        assert [r.gronwall_factor for r in res.rows] == list(gronwall_check(traj).values)
-
-        per_frame = [
-            velocity_sq(frame_fields(phi, cfg.epsilon, cfg.well, drive=True), cfg.omega_prime())
-            for phi in traj.frames
-        ]
-        assert [r.velocity_sq for r in res.rows] == per_frame
-        assert velocity_l2(traj, 0.0, cfg.t_end) == np.trapezoid(per_frame, traj.times)
+        box = cfg.grid.box_slices(cfg.omega_prime())
+        sups = []
+        for row, t, phi in zip(res.rows, traj.times, traj.frames):
+            ff = frame_fields(phi, cfg.epsilon, cfg.well, drive=True)
+            sups.append(float(np.max(ff.xi.values[box])))
+            assert row.sup_xi == sups[-1]
+            assert row.velocity_sq == velocity_sq(ff, cfg.omega_prime())
+            assert row.gronwall_factor == weighted_energy(
+                ff.measure(), gronwall_weight(cfg.transport, cfg.grid, t))
+        tail = [i for i, r in enumerate(res.rows) if r.t >= cfg.tau - 1e-12]
+        assert max(sups[i] for i in tail) == max(res.rows[i].sup_xi for i in tail)
 
         for prev, row in zip(res.rows, res.rows[1:]):
             (rep,) = monotonicity_check(traj, [res.probe], prev.t, row.t)
@@ -231,7 +229,7 @@ class TestScaledDensityRatio:
         # the scaled ratio then equals dist^{n-1} mass / r^{n-1} computed by hand
         cfg, res, _, _ = ladder[128]
         late = 10.0 + cfg.epsilon**2  # sqrt(t - eps^2) > diam
-        traj = Trajectory(cfg, steps_between=1)
+        traj = Trajectory(cfg)
         traj.append(late, res.final_phi)
         val, center, radius, t = scaled_density_ratio(traj, stride=4, radii=[0.05])
         mu = EnergyMeasure.from_phase(res.final_phi, cfg.epsilon, cfg.well)
@@ -405,7 +403,7 @@ class TestMonotonicity:
         phi = ScalarField.sample(cfg.grid, lambda x, y: np.tanh((x - CENTER[0]) / cfg.epsilon))
         dt = stable_dt(cfg.grid.h, cfg.epsilon, 0.0, WELL, 2, 0.5)
         st = SimState(0.0, phi, 0)
-        traj = Trajectory(cfg, steps_between=100)
+        traj = Trajectory(cfg)
         traj.append(0.0, st.phi)
         for k in range(400):
             st = step(st, cfg, dt)
@@ -512,7 +510,8 @@ class TestTransportKernel:
     def test_zero_velocity(self, ladder):
         cfg, res, traj, _ = ladder[128]
         probe = HuiskenProbe(CENTER, cfg.t_end + 0.01, 0.0875, 0.175)
-        assert transport_kernel_integral(traj, probe, cfg.tau, cfg.t_end) == 0.0
+        # the space-time integral of the kernel against |u|^2 dmu: twice the transport term
+        assert 2 * monotonicity_check(traj, [probe], cfg.tau, cfg.t_end)[0].transport_term == 0.0
 
     def test_hat_p_closed_form(self):
         assert hat_p(2.0, 4.0, 2) == pytest.approx(0.5)
@@ -533,11 +532,21 @@ class TestTransportKernel:
         cfg, _res, traj = gronwall_runs["static"]
         probe = HuiskenProbe((CENTER[0] + 0.25, CENTER[1]), cfg.t_end + 0.01, 0.0875, 0.175)
         t1 = cfg.t_end
-        full = transport_kernel_integral(traj, probe, cfg.tau, t1)
-        half = transport_kernel_integral(traj, probe, (cfg.tau + t1) / 2, t1)
+        full = 2 * monotonicity_check(traj, [probe], cfg.tau, t1)[0].transport_term
+        half = 2 * monotonicity_check(traj, [probe], (cfg.tau + t1) / 2, t1)[0].transport_term
         phat = hat_p(cfg.p, cfg.q, 2)
         window_ratio = (t1 - (cfg.tau + t1) / 2) / (t1 - cfg.tau)
         assert half <= full * window_ratio**phat * 1.5 + 1e-12
+
+
+def _frames_velocity_l2(traj, t0, t1):
+    """Trapezoid over the frames in [t0, t1] of ``velocity_sq`` on Omega', the
+    row column, recomputed frame by frame."""
+    cfg = traj.cfg
+    window = [(t, phi) for t, phi in zip(traj.times, traj.frames) if t0 - 1e-12 <= t <= t1 + 1e-12]
+    vals = [velocity_sq(frame_fields(phi, cfg.epsilon, cfg.well, drive=True), cfg.omega_prime())
+            for _, phi in window]
+    return float(np.trapezoid(vals, [t for t, _ in window]))
 
 
 class TestVelocityL2:
@@ -546,7 +555,7 @@ class TestVelocityL2:
         traj = Trajectory(cfg)
         for t in (cfg.tau, cfg.tau + 0.002):
             traj.append(t, ScalarField.full(cfg.grid, 1.0))
-        assert velocity_l2(traj, cfg.tau, cfg.tau + 0.002) == 0.0
+        assert _frames_velocity_l2(traj, cfg.tau, cfg.tau + 0.002) == 0.0
 
     def test_standing_wave_noise_floor(self, standing):
         cfg, phi0, state, dt, _secs = standing
@@ -564,21 +573,22 @@ class TestVelocityL2:
             EnergyMeasure.from_phase(state.phi, cfg.epsilon, cfg.well).density,
             cfg.omega_prime(),
         )
-        val = velocity_l2(traj, 0.0, 40 * dt)
+        val = _frames_velocity_l2(traj, 0.0, 40 * dt)
         assert val <= 1e-4 * (40 * dt) * mu_prime
 
     def test_cross_epsilon_stability(self, ladder):
         vals = {}
         for cells in (128, 192, 256):
-            cfg, res, traj, _ = ladder[cells]
-            vals[cells] = velocity_l2(traj, cfg.tau, cfg.t_end) / (cfg.t_end - cfg.tau)
+            cfg, res, _traj, _ = ladder[cells]
+            vals[cells] = row_velocity_l2(res.rows, cfg.tau, cfg.t_end) / (cfg.t_end - cfg.tau)
         assert max(vals.values()) / min(vals.values()) < 2.0
 
     def test_region_on_the_faces_named(self, ladder):
         cfg, _res, traj, _ = ladder[128]
         box = (cfg.grid.lo, cfg.grid.hi)
+        ff = frame_fields(traj.frames[0], cfg.epsilon, cfg.well, drive=True)
         with pytest.raises(MeasureError, match=r"region \(0\.0, 0\.0\)\.\.\(1\.6, 1\.6\) reaches"):
-            velocity_l2(traj, cfg.tau, cfg.t_end, region=box)
+            velocity_sq(ff, box)
 
 
 class TestMeyersZiemer:
@@ -609,20 +619,20 @@ class TestMeyersZiemer:
 
 class TestGronwall:
     def test_static_weight_non_increasing(self, gronwall_runs):
-        cfg, _res, traj = gronwall_runs["static"]
-        rep = gronwall_check(traj)
+        cfg, res, _traj = gronwall_runs["static"]
+        rep = row_gronwall(cfg, res)
         assert rep.sup_dt_g == 0.0
         assert rep.max_step_increase <= 1e-9
 
     def test_zero_weight_reduces_to_energy(self, ladder):
-        cfg, res, traj, _ = ladder[128]
-        rep = gronwall_check(traj)
-        assert rep.values[0] == pytest.approx(res.rows[0].total_energy, rel=1e-12)
+        cfg, res, _traj, _ = ladder[128]
+        rep = row_gronwall(cfg, res)
+        assert list(rep.values) == [r.total_energy for r in res.rows]
         assert rep.max_step_increase <= 1e-9
 
     def test_modulated_rate_bound(self, gronwall_runs):
-        cfg, _res, traj = gronwall_runs["modulated"]
-        rep = gronwall_check(traj)
+        cfg, res, _traj = gronwall_runs["modulated"]
+        rep = row_gronwall(cfg, res)
         assert rep.sup_dt_g == pytest.approx(1.0, abs=0.01)
         assert rep.rate_bound_ok()
         # pairwise form of the growth bound between consecutive samples
@@ -630,21 +640,6 @@ class TestGronwall:
             zip(rep.times, rep.values), zip(rep.times[1:], rep.values[1:])
         ):
             assert f1 <= f0 * math.exp((rep.sup_dt_g + 0.05) * (t1 - t0)) + 1e-12
-
-    def test_requires_gradient_transport(self, ladder):
-        from actx.scenario import RotationTransport, ScenarioConfig
-        from actx.shapes import Ball
-
-        cfg, _res, run_traj, _ = ladder[128]
-        cfg_rot = ScenarioConfig(
-            grid=cfg.grid, shape=Ball(CENTER, 0.25), transport=RotationTransport(1.0, CENTER),
-            epsilon=cfg.epsilon, t_end=cfg.t_end, tau=cfg.tau,
-            inset_prime=INSET, inset_dprime=INSET / 2,
-        )
-        traj = Trajectory(cfg_rot)
-        traj.append(0.0, run_traj.frames[0])
-        with pytest.raises(MeasureError, match="gradient"):
-            gronwall_check(traj)
 
 
 class TestEnergyCap:

@@ -174,6 +174,18 @@ class TestOpenMeshGeometry:
             if got is not None:
                 assert _same_bits(got, want)
 
+    @pytest.mark.parametrize("vector", [(-0.0, -0.0), (-0.0, -0.5)])
+    def test_signed_zero_potential_same_bits_as_stacked_form(self, vector):
+        # a potential whose terms are all -0.0 at a node sums to +0.0 in the stacked form
+        from reference_ops import stacked_spatial
+
+        dim = len(vector)
+        spec = GridSpec(dim, (0.0,) * dim, (0.25,) * dim, (1,) * dim)
+        tr = ConstantTransport(vector)
+        pts = np.stack(spec.meshgrid(), axis=-1)
+        for got, want in zip(tr.spatial(spec.coords()), stacked_spatial(tr, pts), strict=True):
+            assert _same_bits(got, want)
+
 
 class TestInitialPhase:
     def test_3d_build_peaks_at_six_fields(self):
@@ -275,7 +287,7 @@ def _old_bounds(cfg, times):
     first = None
     for t in times:
         u = cfg.transport.velocity(pts, float(t))
-        jac = cfg.transport.jacobian(pts, float(t))
+        jac = cfg.transport.m(float(t)) * cfg.transport.spatial_jacobian(pts.shape[-1])
         su = float(np.max(np.sqrt(np.sum(u * u, axis=-1))))
         sj = float(np.max(np.sqrt(np.sum(jac * jac, axis=(-2, -1)))))
         sup_u, sup_ju = max(sup_u, su), max(sup_ju, sj)
@@ -360,15 +372,16 @@ class TestRadialGradientBits:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("t", [0.0, 0.0123, 0.31])
     def test_velocity_g_dt_g(self, dim, t):
-        _spec, pts = _lattice(dim)
+        spec, pts = _lattice(dim)
         c = (0.8, 0.7, 0.75)[:dim]
         for tr in (RadialGradient(16.0, c), RadialGradient(1.2, c, mod_amp=0.3125, mod_freq=5.0)):
             d = pts - np.asarray(c)
             m = tr.strength + tr.mod_amp * math.sin(tr.mod_freq * t)
             assert np.array_equal(tr.velocity(pts, t), m * d)
-            assert np.array_equal(tr.g(pts, t), 0.5 * m * np.sum(d * d, axis=-1))
+            pot = tr.spatial(spec.coords())[1]  # G, with g = m G and dt g = m' G
+            assert np.array_equal(tr.m(t) * pot, 0.5 * m * np.sum(d * d, axis=-1))
             dt_g = 0.5 * tr.mod_amp * tr.mod_freq * math.cos(tr.mod_freq * t) * np.sum(d * d, axis=-1)
-            assert np.array_equal(tr.dt_g(pts, t), dt_g)
+            assert np.array_equal(tr.dm(t) * pot, dt_g)
 
     def test_center_must_match_dim(self):
         _spec, pts = _lattice(3, 4)
@@ -416,8 +429,8 @@ class TestTransportNorm:
         if dim == 2:
             entries.append(RotationTransport(1.5, c))
         for tr in entries:
-            jac = tr.jacobian(pts, 0.2)
-            assert jac.shape == (1,) * dim + (dim, dim)
+            jac = tr.m(0.2) * tr.spatial_jacobian(dim)
+            assert jac.shape == (dim, dim)
             assert np.array_equal(np.broadcast_to(jac, pts.shape[:-1] + (dim, dim)),
                                   _old_jacobian_field(tr, pts, 0.2))
 
