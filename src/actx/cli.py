@@ -3,13 +3,15 @@
 Subcommands:
   run       integrate one scenario config into an artifact directory
   sweep     run a refinement ladder and report cross-rung convergence
-  diagnose  recompute diagnostics offline from snapshot files
+  diagnose  print the diagnostics rows of snapshot files, and a probe's report
   oracle    print the exact radial-flow reference trajectory
   report    validate an artifact directory and summarize its checks
 
 Exit codes: 0 clean, 1 configuration error (also one found before the first
-step, such as an empty density-ratio radius ladder), unreadable snapshot or
-diagnostics file, bad ``diagnose`` probe, bad ``report`` run-manifest value,
+step, such as an empty density-ratio radius ladder, and bad ``oracle``
+arguments), unreadable snapshot or diagnostics file, bad ``diagnose`` probe
+(also a snapshot at or after the default probe's time T + 0.01), bad
+``report`` run-manifest value,
 or a sweep rung whose monotonicity probes cannot be evaluated (no initial
 interface to place them on, or fewer than two snapshot frames in [tau, T]),
 2 solver abort or a failed sweep rung (a FAILED row in ``sweep.csv``). The
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import __version__, measures, scenario, solver
 from .grid import GridError
-from .interface import extract_interface, mcf_oracle
+from .interface import InterfaceError, extract_interface, mcf_oracle
 from .measures import DiagnosticsRow, HuiskenProbe, MeasureError
 from .scenario import ConfigError, RadialGradient, ScenarioConfig, ZeroTransport
 from .shapes import Ball
@@ -127,7 +129,7 @@ def run_experiment(config_path: str, out_dir: str) -> int:
     """Run one scenario; returns the process exit code."""
     try:
         cfg, sol, text = load_experiment(config_path)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and malformed numbers alike
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(out_dir, exist_ok=True)
@@ -165,6 +167,9 @@ class SweepPlan:
         for key in scenario.REQUIRED_KEYS:
             if key not in ("cells", "epsilon") and key not in self.base_conf:  # rungs set those two
                 raise ConfigError(f"missing required key {key!r}")
+        dim = int(self.base_conf["dim"])
+        if any(len(corner) != dim for corner in scenario.config_box(self.base_conf, dim)):
+            raise ConfigError("lo and hi must each have length dim")
 
     def rung_config_text(self, cells: int) -> str:
         conf = dict(self.base_conf)
@@ -177,17 +182,30 @@ class SweepPlan:
         return "\n".join(f"{k} = {v}" for k, v in conf.items()) + "\n"
 
 
+_PLAN_NUMBERS = {"rungs": int, "dim": int, "eps_over_h": float, "lo": float, "hi": float}
+
+
 def load_plan(path: str) -> SweepPlan:
+    """The sweep plan in ``path``; ``ConfigError`` names the line of an unknown
+    key or of a bad number the plan reads itself (``_PLAN_NUMBERS``)."""
     with open(path) as fh:
         text = fh.read()
     base: dict[str, str] = {}
     rungs: tuple[int, ...] = ()
     eps_over_h = 8.0
     for lineno, key, value in scenario.config_entries(text):
+        if key in _PLAN_NUMBERS:
+            try:
+                nums = [_PLAN_NUMBERS[key](v) for v in value.split()]
+            except ValueError:
+                nums = []
+            single = key in ("dim", "eps_over_h")
+            if not nums or (single and len(nums) > 1) or (key == "rungs" and min(nums) < 1):
+                raise ConfigError(f"line {lineno}: bad {key} value {value!r}")
         if key == "rungs":
-            rungs = tuple(int(v) for v in value.split())
+            rungs = tuple(nums)
         elif key == "eps_over_h":
-            eps_over_h = float(value)
+            eps_over_h = nums[0]
         elif key in scenario.KNOWN_KEYS:
             base[key] = value
         else:
@@ -209,21 +227,17 @@ def interface_probes(traj: Trajectory, count: int = 10) -> list[HuiskenProbe]:
     return [solver.probe_at(cfg, verts[i]) for i in picks]
 
 
-def fitted_monotonicity_c(traj: Trajectory, count: int = 10) -> tuple[float, list[float]]:
-    """Per-rung fitted constant: 9th-smallest of the probes' required constants.
+def fitted_monotonicity_c(traj: Trajectory, count: int = 10) -> float:
+    """Per-rung fitted constant: 9th-smallest of the probes' ``fitted_c``.
 
-    Each probe's required constant absorbs the residual beyond a 5%-of-scale
-    slack; the 9th-smallest realizes the 9-of-10 acceptance reading.
+    Each probe's constant absorbs the residual beyond the
+    ``measures.MONOTONICITY_SLACK`` share of its scale; the 9th-smallest
+    realizes the 9-of-10 acceptance reading.
     """
     cfg = traj.cfg
-    cs = []
-    for rep in measures.monotonicity_check(traj, interface_probes(traj, count), cfg.tau, cfg.t_end):
-        if rep.tail_factor > 0:
-            cs.append(max(0.0, (rep.residual - 0.05 * abs(rep.scale)) / rep.tail_factor))
-        else:
-            cs.append(0.0)
-    cs_sorted = sorted(cs)
-    return cs_sorted[min(8, len(cs_sorted) - 1)], cs
+    reps = measures.monotonicity_check(traj, interface_probes(traj, count), cfg.tau, cfg.t_end)
+    cs = sorted(rep.fitted_c for rep in reps)
+    return cs[min(8, len(cs) - 1)]
 
 
 def _radius_error_vs_oracle(cfg: ScenarioConfig, rows: list[DiagnosticsRow], n_times: int = 10):
@@ -339,7 +353,7 @@ def sweep(plan_path: str, out_dir: str) -> int:
                 print(f"snapshot error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
             try:  # no interface to place probes on, or fewer than two frames in [tau, T]
-                entry["fitted_c"], _ = fitted_monotonicity_c(traj)
+                entry["fitted_c"] = fitted_monotonicity_c(traj)
             except (ConfigError, MeasureError) as exc:
                 print(f"probe error: {rung_dir}: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
@@ -420,10 +434,13 @@ def _parse_probe(spec_str: str, cfg: ScenarioConfig) -> HuiskenProbe:
 
 
 def diagnose(args) -> int:
+    """Print each snapshot's ``solver.RowBuilder`` row in time order (``max_abs_phi``:
+    the frame's own max |phi|), then the ``--probe`` report. The rows stop at a
+    frame the default probe cannot evaluate (exit code 1); the report still runs."""
     try:
         cfg, _sol, _ = load_experiment(args.config)
         radii = solver.ratio_radii(cfg)
-    except (ConfigError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and malformed numbers alike
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -440,21 +457,25 @@ def diagnose(args) -> int:
             print(f"probe error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
 
-    box = cfg.grid.box_slices(cfg.omega_prime())
+    build_row = solver.RowBuilder(cfg, radii)
+    code = EXIT_OK
+    print(DiagnosticsRow.CSV_HEADER)
     for t, phi in zip(traj.times, traj.frames):
-        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well)
-        mu = ff.measure()
-        ratio = measures.density_ratio(mu, region=cfg.omega_prime(), stride=4, radii=radii)
-        print(
-            f"t={t!r} energy={mu.total!r} sup_xi={float(np.max(ff.xi.values[box]))!r} "
-            f"density_ratio_max={ratio.max_ratio!r} at center={ratio.center} r={ratio.radius!r}"
-        )
+        try:  # the default probe needs t < s = T + 0.01, so no later frame has a row
+            row, _ = build_row(phi, t, float(np.max(np.abs(phi.values))))
+        except MeasureError as exc:
+            print(f"probe error: default probe: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+            break
+        print(row.to_csv_line())
     if probe is None:
-        return EXIT_OK
+        return code
     try:  # the probe's times: t < s, and a window of at least two frames
         if len(traj.times) == 1:
+            t, phi = traj.times[0], traj.frames[0]
+            ff = measures.frame_fields(phi, cfg.epsilon, cfg.well)
             print(f"kernel energy at t={t!r}: {measures.kernel_terms(ff, probe, t, None)[0]!r}")
-            return EXIT_OK
+            return code
         t0 = args.t0 if args.t0 is not None else traj.times[0]
         t1 = args.t1 if args.t1 is not None else traj.times[-1]
         (rep,) = measures.monotonicity_check(traj, [probe], t0, t1)
@@ -466,11 +487,15 @@ def diagnose(args) -> int:
         f"transport={rep.transport_term!r} discrepancy={rep.discrepancy_term!r} "
         f"tail_factor={rep.tail_factor!r} residual={rep.residual!r} fitted_c={rep.fitted_c!r}"
     )
-    return EXIT_OK
+    return code
 
 
 def oracle_cmd(args) -> int:
-    traj = mcf_oracle(args.r0, args.c, args.n, args.t_end, n_samples=args.samples)
+    try:
+        traj = mcf_oracle(args.r0, args.c, args.n, args.t_end, n_samples=args.samples)
+    except InterfaceError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print("t,radius")
     for t, r in zip(traj.times, traj.radii):
         print(f"{float(t)!r},{float(r)!r}")
@@ -653,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--plan", required=True)
     p_sweep.add_argument("--out", required=True)
 
-    p_diag = sub.add_parser("diagnose", help="recompute diagnostics from snapshots")
+    p_diag = sub.add_parser("diagnose", help="print the diagnostics rows of snapshots")
     p_diag.add_argument("--config", required=True)
     p_diag.add_argument("--snapshot", action="append", required=True)
     p_diag.add_argument("--probe", default=None, help="e.g. 'y=0.5,0.5 s=0.05'")

@@ -170,11 +170,16 @@ def mcf_oracle(r0: float, c: float, n: int, t_end: float, n_samples: int = 257) 
 
     Solved as the RK4 sequence for y = R^2 with step 1e-6 * t_end; sample
     times snap to the step lattice (off by at most half a step). Extinction
-    (y reaching 0) is reported and later radii are NaN.
+    (y reaching 0) is reported and later radii are NaN. An r0 or t_end that
+    is not positive, n below 2 or fewer than 2 samples raises ``InterfaceError``.
     """
-    if r0 <= 0.0:
+    if n < 2:
+        raise InterfaceError(f"dimension n must be at least 2, got {n}")
+    if n_samples < 2:
+        raise InterfaceError(f"need at least 2 samples, got {n_samples}")
+    if not r0 > 0.0:
         raise InterfaceError(f"initial radius must be positive, got {r0}")
-    if t_end <= 0.0:
+    if not t_end > 0.0:
         raise InterfaceError(f"t_end must be positive, got {t_end}")
     a = 2.0 * c
     b = -2.0 * (n - 1)

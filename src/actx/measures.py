@@ -6,9 +6,10 @@ the discrepancy between its two halves, ball density ratios, truncated
 backward heat kernels and the near-monotonicity of their energy integrals, a
 Meyers-Ziemer ratio probe, and the weighted-energy growth check.
 
-Per-frame quantities are computed once: ``frame_fields`` (|grad phi|^2, W,
-and for the drive the step's own ``grid.stencil_rhs``) plus the per-frame
-scalars built on it, which ``solver.run`` writes into its rows and ``actx
+Per-frame quantities are computed once: ``frame_fields`` (|grad phi|^2 and
+W) plus the per-frame scalars built on it and ``velocity_sq`` (whose drive
+is the step's own ``grid.stencil_rhs``). ``solver.RowBuilder`` assembles
+them into the diagnostics row, which ``solver.run`` writes and ``actx
 diagnose`` prints. The rows are the record of every per-frame diagnostic:
 the growth check (``gronwall_report``) reads them. Snapshot frames are read
 back only for what the rows cannot hold: ``monotonicity_check`` for probes
@@ -71,38 +72,25 @@ class MeasureError(ValueError):
 
 @dataclass
 class FrameFields:
-    """Pointwise fields of one frame.
+    """Pointwise fields of one frame: density = eps |grad phi|^2/2 + W(phi)/eps
+    and xi = eps |grad phi|^2/2 - W(phi)/eps."""
 
-    density = eps |grad phi|^2/2 + W(phi)/eps, xi = eps |grad phi|^2/2 - W(phi)/eps
-    and, when requested, the drive lap phi - W'(phi)/eps^2 (0 on the box faces).
-    """
-
-    eps: float
     density: ScalarField
     xi: ScalarField
-    drive: np.ndarray | None = None
 
     def measure(self) -> "EnergyMeasure":
         return EnergyMeasure(self.density.spec, self.density, integrate(self.density))
 
 
-def frame_fields(
-    phi: ScalarField, eps: float, well: DoubleWell, drive: bool = False
-) -> FrameFields:
-    """``grid.grad_sq`` and W; the drive, the step's ``grid.stencil_rhs``
-    without transport, only with ``drive``."""
+def frame_fields(phi: ScalarField, eps: float, well: DoubleWell) -> FrameFields:
+    """``grid.grad_sq`` and W."""
     grad_half = grad_sq(phi)
     grad_half *= 0.5 * eps
     well_half = well.w(phi.values)
     well_half /= eps
     density = ScalarField(phi.spec, grad_half + well_half)
     np.subtract(grad_half, well_half, out=grad_half)
-    out = FrameFields(eps, density, ScalarField(phi.spec, grad_half))
-    if drive:
-        del well_half
-        out.drive = np.empty(phi.spec.nodes)
-        stencil_rhs(phi.values, None, phi.spec.h, eps, well, out.drive)
-    return out
+    return FrameFields(density, ScalarField(phi.spec, grad_half))
 
 
 @dataclass
@@ -123,16 +111,22 @@ def discrepancy_field(phi: ScalarField, eps: float, well: DoubleWell) -> ScalarF
     return frame_fields(phi, eps, well).xi
 
 
-def velocity_sq(fields: FrameFields, region: tuple[Sequence[float], Sequence[float]]) -> float:
-    """int_region eps (lap phi - W'(phi)/eps^2)^2 dx; needs fields built with the drive.
-    The drive is not formed on the box faces, so a region reaching them raises."""
-    spec = fields.density.spec
+def velocity_sq(
+    phi: ScalarField, eps: float, well: DoubleWell, region: tuple[Sequence[float], Sequence[float]]
+) -> float:
+    """int_region eps (lap phi - W'(phi)/eps^2)^2 dx, with the drive formed by the
+    step's own ``grid.stencil_rhs`` without transport. The drive is not formed
+    on the box faces, so a region reaching them raises."""
+    spec = phi.spec
     window = spec.box_slices(region)
     if any(sl.start == 0 or sl.stop == n for sl, n in zip(window, spec.nodes)):
         lo, hi = (tuple(c) for c in region)
         raise MeasureError(f"region {lo}..{hi} reaches the box faces, where the drive is not formed")
-    vals = np.square(fields.drive[window])
-    vals *= fields.eps
+    drive = np.empty(spec.nodes)
+    stencil_rhs(phi.values, None, spec.h, eps, well, drive)
+    vals = np.square(drive[window])
+    del drive
+    vals *= eps
     return trapezoid(vals, spec.h)
 
 
@@ -398,6 +392,7 @@ class HuiskenProbe:
 
 
 TAIL_RADIUS = 0.25  # the ball B_{1/4}(y) of the monotonicity check's tail term
+MONOTONICITY_SLACK = 0.05  # share of the kernel-energy scale the residual may exceed c * tail by
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,7 +493,9 @@ class MonotonicityReport:
     lhs is the change of the kernel-weighted energy over [t0, t1]; transport
     and discrepancy are the time quadratures of the two structural terms;
     tail_factor multiplies the unknown constant of the cutoff-boundary term.
-    fitted_c is the smallest constant making lhs <= rhs.
+    fitted_c is the residual beyond MONOTONICITY_SLACK |scale| per unit of
+    tail factor (0 if none): up to rounding, the smallest c >= 0 with which
+    ``holds_with`` holds.
     """
 
     t0: float
@@ -513,10 +510,13 @@ class MonotonicityReport:
 
     def __post_init__(self):
         self.residual = self.lhs - self.transport_term - self.discrepancy_term
-        self.fitted_c = max(0.0, self.residual / self.tail_factor) if self.tail_factor > 0 else 0.0
+        self.fitted_c = 0.0
+        if self.tail_factor > 0:
+            self.fitted_c = max(0.0, (self.residual - MONOTONICITY_SLACK * abs(self.scale)) / self.tail_factor)
 
-    def holds_with(self, c: float, slack: float = 0.05) -> bool:
-        return self.residual <= c * self.tail_factor + slack * abs(self.scale)
+    def holds_with(self, c: float) -> bool:
+        """residual <= c tail_factor + MONOTONICITY_SLACK |scale|."""
+        return self.residual <= c * self.tail_factor + MONOTONICITY_SLACK * abs(self.scale)
 
 
 def monotonicity_check(

@@ -10,14 +10,16 @@ simultaneously.
 ``run`` integrates a scenario from 0 to T, records a diagnostics row every
 ``diag_every`` steps (the quadrature schedule for all time-integrated
 diagnostics) and writes snapshot files ``snapshots/step_<8-digit step>.afld``:
-the first and final fields and every ``snap_every``-th. Each row's frame is
-extracted once, and the last row's interface is written to
-``interface_final.csv``. It keeps only the final field. The rows are the
-run's record of every per-frame diagnostic; ``load_trajectory`` reads the
-snapshot files back bit for bit, for the offline checks that need the fields
-themselves (probes chosen after the run, the scaled density ratio). With
-``snap_every = diag_every`` the snapshots are the fields on the diagnostics
-schedule. Identical configs produce bit-identical outputs.
+the first and final fields and every ``snap_every``-th. A ``RowBuilder``
+makes each row from its frame, which it extracts once; the last row's
+interface is written to ``interface_final.csv``. The run keeps only the
+final field. The rows are the run's record of every per-frame diagnostic;
+``load_trajectory`` reads the snapshot files back bit for bit, for the
+offline checks that need the fields themselves (probes chosen after the run,
+the scaled density ratio). With ``snap_every = diag_every`` the snapshots
+are the fields on the diagnostics schedule, and a ``RowBuilder`` fed them
+in order rebuilds the run's rows (``actx diagnose``). Identical configs
+produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -220,12 +222,6 @@ def probe_at(cfg: ScenarioConfig, y) -> measures.HuiskenProbe:
     return measures.HuiskenProbe.standard(y, cfg.t_end + 0.01, cfg.inset_prime)
 
 
-def _default_probe(cfg: ScenarioConfig, density: ScalarField) -> measures.HuiskenProbe:
-    """Probe at the strongest node of the energy density ``density``."""
-    idx = np.unravel_index(int(np.argmax(density.values)), cfg.grid.nodes)
-    return probe_at(cfg, [ax[i] for ax, i in zip(cfg.grid.axes(), idx)])
-
-
 def ratio_radii(cfg: ScenarioConfig) -> list[float]:
     """The density-ratio radius ladder of the rows; ``ConfigError`` if it is empty
     (2h above the cap min(inset_prime/2, 1/4))."""
@@ -236,6 +232,67 @@ def ratio_radii(cfg: ScenarioConfig) -> list[float]:
             f"min(inset_prime/2, 1/4) = {measures.probe_radius(cfg.inset_prime):g}"
         )
     return radii
+
+
+class RowBuilder:
+    """``(phi, t, max_abs_phi) -> (DiagnosticsRow, InterfaceSet)`` for the frames
+    of one scenario in time order, with ``radii`` from ``ratio_radii``.
+
+    The first frame places the default ``probe`` at its strongest energy node;
+    a later row's ``monotonicity_residual`` is the trapezoid surplus of that
+    probe's kernel terms since the previous frame. The transport's |u|^2 and
+    exp(-m G) are formed once if static, else at every row.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, radii: list[float]):
+        self.cfg = cfg
+        self.radii = radii
+        self.probe: measures.HuiskenProbe | None = None
+        self.kernel: tuple[float, ...] | None = None  # (t, i_rho, i_u, i_xi) of the last frame
+        self.transport_terms: tuple | None = None  # (|u|^2, exp(-m G)) of the last row
+        self.center = tuple(0.5 * (lo + hi) for lo, hi in zip(cfg.grid.lo, cfg.grid.hi))
+        self.omega_p = cfg.omega_prime()
+        self.box_p = cfg.grid.box_slices(self.omega_p)
+
+    def __call__(self, phi: ScalarField, t: float,
+                 max_abs_phi: float) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
+        cfg = self.cfg
+        tr, spec = cfg.transport, cfg.grid
+        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well)
+        if self.probe is None:
+            idx = np.unravel_index(int(np.argmax(ff.density.values)), spec.nodes)
+            self.probe = probe_at(cfg, [ax[i] for ax, i in zip(spec.axes(), idx)])
+        vel = measures.velocity_sq(phi, cfg.epsilon, cfg.well, self.omega_p)
+        mu = ff.measure()
+        ratio = measures.density_ratio(mu, region=self.omega_p, stride=4, radii=self.radii)
+        iset = extract_interface(phi)
+        radius = -1.0
+        if not iset.is_empty:
+            radius = radius_estimate(iset, self.center)[0]
+        if self.transport_terms is None or tr.time_dependent:
+            self.transport_terms = (measures.speed_sq(tr, spec, t), measures.gronwall_weight(tr, spec, t))
+        u2, weight = self.transport_terms
+        i_rho, i_u, i_xi = measures.kernel_terms(ff, self.probe, t, u2)
+        resid = 0.0
+        if self.kernel is not None:
+            t0, rho0, u0, xi0 = self.kernel
+            resid = (i_rho - rho0) - 0.5 * (t - t0) * (i_u + u0 + i_xi + xi0)
+        self.kernel = (t, i_rho, i_u, i_xi)
+        sup_xi = float(np.max(ff.xi.values[self.box_p]))
+        row = measures.DiagnosticsRow(
+            t=t,
+            total_energy=mu.total,
+            density_ratio_max=ratio.max_ratio,
+            sup_xi=sup_xi,
+            sup_xi_pos=max(sup_xi, 0.0),
+            pos_xi_integral=trapezoid(np.maximum(ff.xi.values[self.box_p], 0.0), spec.h),
+            interface_radius=radius,
+            monotonicity_residual=resid,
+            gronwall_factor=measures.weighted_energy(mu, weight),
+            velocity_sq=vel,
+            max_abs_phi=max_abs_phi,
+        )
+        return row, iset
 
 
 def run(
@@ -254,14 +311,14 @@ def run(
     (``MarginError``) or an empty density-ratio radius ladder raises
     ``ConfigError``.
 
-    The transport u = m(t) U takes U from ``scenario.transport_field``. A step's
-    velocity is written into one of two buffers (the step's start and its rk2
-    midpoint), and a row's |u|^2 and Groenwall weight exp(-m G) are formed anew,
-    only when m changes: a static transport fills one buffer once.
+    The transport u = m(t) U takes U from ``scenario.transport_field``. A
+    static transport's velocity U m(0) is formed once; a time-dependent one
+    is written in place into one buffer at each step's start and, for rk2,
+    into a second at its midpoint.
     """
     solver = solver or SolverConfig()
     phi0 = build_initial_phase(cfg)
-    radii = ratio_radii(cfg)
+    build_row = RowBuilder(cfg, ratio_radii(cfg))
     tr = cfg.transport
     u_field = transport_field(tr, cfg.grid).u
     u_max = tr.sup_speed(cfg.grid, 0.0, cfg.t_end)
@@ -270,72 +327,15 @@ def run(
     n_steps = d * math.ceil(cfg.t_end / (dt0 * d))
     dt = cfg.t_end / n_steps
 
-    probe: measures.HuiskenProbe | None = None  # placed by the first row
-    rows: list[measures.DiagnosticsRow] = []
-
-    center = tuple(0.5 * (l + h) for l, h in zip(cfg.grid.lo, cfg.grid.hi))
-    omega_p = cfg.omega_prime()
-    box_p = cfg.grid.box_slices(omega_p)
-    u_bufs = [[math.nan, None], [math.nan, None]]  # [m, m U] at a step's start and its midpoint
-    row_terms = [math.nan, None, None]  # [m, |u|^2, exp(-m G)] of the latest row
-
-    def velocity(t: float, slot: int) -> VectorField | None:
-        """m(t) U in the slot's buffer, refilled only when m changes (the midpoint
-        reads the start's buffer while their m agree); None without U."""
-        if u_field is None:
-            return None
-        m = tr.m(t)
-        if m == u_bufs[0][0]:
-            slot = 0
-        elif m != u_bufs[slot][0]:
-            u_bufs[slot] = [m, np.multiply(u_field, m, out=u_bufs[slot][1])]
-        return VectorField(cfg.grid, u_bufs[slot][1])
+    u = u_mid = None
+    if u_field is not None:
+        u = VectorField(cfg.grid, u_field * tr.m(0.0))
+        if tr.time_dependent and solver.scheme == "rk2":
+            u_mid = VectorField(cfg.grid, np.empty_like(u_field))
+    refill = u is not None and tr.time_dependent
 
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
-
-    prev_kernel: list[tuple[float, ...]] = []  # (t, i_rho, i_u, i_xi) of the previous row
-
-    def make_row(state: SimState, running_max: float) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
-        nonlocal probe, row_terms
-        phi = state.phi
-        t = state.t
-        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, drive=True)
-        if probe is None:  # the default probe sits at the strongest initial energy node
-            probe = _default_probe(cfg, ff.density)
-        vel = measures.velocity_sq(ff, omega_p)
-        ff.drive = None  # release it before the density ratio
-        mu = ff.measure()
-        ratio = measures.density_ratio(mu, region=omega_p, stride=4, radii=radii)
-        iset = extract_interface(phi)
-        radius = -1.0
-        if not iset.is_empty:
-            radius = radius_estimate(iset, center)[0]
-        m = tr.m(t)
-        if m != row_terms[0]:
-            row_terms = [m, measures.speed_sq(tr, cfg.grid, t), measures.gronwall_weight(tr, cfg.grid, t)]
-        _, u2, weight = row_terms
-        i_rho, i_u, i_xi = measures.kernel_terms(ff, probe, t, u2)
-        resid = 0.0
-        if prev_kernel:
-            t0, rho0, u0, xi0 = prev_kernel.pop()
-            resid = (i_rho - rho0) - 0.5 * (t - t0) * (i_u + u0 + i_xi + xi0)
-        prev_kernel.append((t, i_rho, i_u, i_xi))
-        sup_xi = float(np.max(ff.xi.values[box_p]))
-        row = measures.DiagnosticsRow(
-            t=t,
-            total_energy=mu.total,
-            density_ratio_max=ratio.max_ratio,
-            sup_xi=sup_xi,
-            sup_xi_pos=max(sup_xi, 0.0),
-            pos_xi_integral=trapezoid(np.maximum(ff.xi.values[box_p], 0.0), cfg.grid.h),
-            interface_radius=radius,
-            monotonicity_residual=resid,
-            gronwall_factor=measures.weighted_energy(mu, weight),
-            velocity_sq=vel,
-            max_abs_phi=running_max,
-        )
-        return row, iset
 
     def snapshot(state: SimState) -> None:
         if out_dir is None:
@@ -345,8 +345,8 @@ def run(
 
     state = SimState(0.0, phi0, 0)
     running_max = float(np.max(np.abs(phi0.values)))
-    row, iset = make_row(state, running_max)
-    rows.append(row)
+    row, iset = build_row(phi0, 0.0, running_max)
+    rows = [row]
     snapshot(state)
 
     # the steps write into phi0's array and one more field in turn, rk2's midpoint into a third
@@ -354,14 +354,16 @@ def run(
     mid = np.empty_like(spare) if solver.scheme == "rk2" else None
     try:
         for k in range(1, n_steps + 1):
-            u = velocity(state.t, 0)
-            u_mid = velocity(state.t + 0.5 * dt, 1) if solver.scheme == "rk2" else None
+            if refill:
+                np.multiply(u_field, tr.m(state.t), out=u.values)
+                if u_mid is not None:
+                    np.multiply(u_field, tr.m(state.t + 0.5 * dt), out=u_mid.values)
             prev = state.phi.values
             state = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=solver.scheme, out=spare, mid=mid)
             spare = prev
             running_max = max(running_max, state.max_abs_phi)
             if k % d == 0:
-                row, iset = make_row(state, running_max)
+                row, iset = build_row(state.phi, state.t, running_max)
                 rows.append(row)
                 running_max = state.max_abs_phi
             if (solver.snap_every and k % solver.snap_every == 0) or k == n_steps:
@@ -374,7 +376,7 @@ def run(
             _write_rows(out_dir, rows)
     if out_dir is not None:
         _write_interface(out_dir, iset)
-    return RunResult(cfg, solver, dt, n_steps, Trajectory(cfg, [state.t], [state.phi]), rows, probe)
+    return RunResult(cfg, solver, dt, n_steps, Trajectory(cfg, [state.t], [state.phi]), rows, build_row.probe)
 
 
 def _write_rows(out_dir: str, rows: list[measures.DiagnosticsRow]) -> None:

@@ -63,6 +63,27 @@ rungs = 96 128
 eps_over_h = 6
 """
 
+# a pulsed rk2 run and a 3D euler run, each with a snapshot on every diagnostics row
+PULSED_EVERY = (CONFIG.replace("transport = zero", "transport = (radial-pulsed 1.2 0.3125 5.0 0.8 0.8)\nscheme = rk2")
+                .replace("diag_every = 50", "diag_every = 10").replace("snap_every = 200", "snap_every = 10")
+                .replace("tau = 0.002", "tau = 0.0005").replace("T = 0.004", "T = 0.0015"))
+BALL_3D = """\
+dim = 3
+cells = 64
+lo = 0 0 0
+hi = 1.6 1.6 1.6
+epsilon = 0.1
+shape = (ball 0.8 0.8 0.8 0.25)
+transport = zero
+tau = 0.0003
+T = 0.0006
+p = 3
+inset_prime = 0.12
+inset_dprime = 0.06
+diag_every = 10
+snap_every = 10
+"""
+
 # the ball is 0.8 - 0.12 - 0.297 = 0.383 from the collar; eps = 0.1 needs 4 eps = 0.4
 TOO_CLOSE = CONFIG.replace("(ball 0.8 0.8 0.25)", "(ball 0.8 0.8 0.297)")
 
@@ -519,6 +540,32 @@ class TestSweepCommand:
             f"config error: missing required key {key!r}"]
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("rungs = 128 192", "rungs = 96 1x8"),
+        ("rungs = 128 192", "rungs = 0 96"),
+        ("eps_over_h = 8", "eps_over_h = eight"),
+        ("dim = 2", "dim = two"),
+        ("hi = 1.6 1.6", "hi = 1.6 oops"),
+    ])
+    def test_plan_malformed_number_cites_line(self, tmp_path, capsys, old, new):
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN.replace(old, new))
+        assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "s")]) == 1
+        lineno = PLAN.splitlines().index(old) + 1
+        key, value = new.split(" = ")
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: line {lineno}: bad {key} value {value!r}"]
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("old, new", [("hi = 1.6 1.6", "hi = 1.6"), ("lo = 0 0", "lo = 0 0 0")])
+    def test_plan_box_of_another_dimension_exits_one(self, tmp_path, capsys, old, new):
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN.replace(old, new))
+        assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: lo and hi must each have length dim"]
+        assert not (tmp_path / "s").exists()
+
     def test_plan_needs_two_rungs(self, tmp_path, capsys):
         plan = tmp_path / "plan.cfg"
         plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 128"))
@@ -563,22 +610,26 @@ class TestDiagnoseCommand:
         assert "density_ratio_max" in out_text
         assert "monotonicity" in out_text
 
+    @pytest.mark.filterwarnings("ignore:epsilon=.* interface marginally resolved")
     def test_matches_the_rows_at_every_snapshot(self, tmp_path, capsys):
-        p = tmp_path / "every.cfg"
-        p.write_text(CONFIG.replace("snap_every = 200", "snap_every = 50"))
-        out = tmp_path / "art"
-        assert main(["run", "--config", str(p), "--out", str(out)]) == 0
-        rows = read_rows(str(out))
-        snaps = sorted((out / "snapshots").iterdir())
-        assert len(snaps) == len(rows) > 1
-        capsys.readouterr()
-        assert main(["diagnose", "--config", str(p), *[a for s in snaps for a in ("--snapshot", str(s))]]) == 0
-        printed = [dict(f.split("=", 1) for f in line.split()[:4])
-                   for line in capsys.readouterr().out.splitlines()]
-        assert len(printed) == len(rows)
-        for got, row in zip(printed, rows):
-            assert got == {"t": repr(row.t), "energy": repr(row.total_energy), "sup_xi": repr(row.sup_xi),
-                           "density_ratio_max": repr(row.density_ratio_max)}
+        # diagnose over every snapshot prints the run's diagnostics.csv, except
+        # max_abs_phi: the run's is the max over every step since the last row
+        for name, text in (("pulsed", PULSED_EVERY), ("ball3d", BALL_3D)):
+            p = tmp_path / f"{name}.cfg"
+            p.write_text(text)
+            out = tmp_path / name
+            assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+            want = (out / "diagnostics.csv").read_text().splitlines()
+            snaps = sorted((out / "snapshots").iterdir())
+            assert len(snaps) == len(want) - 1 > 2
+            capsys.readouterr()
+            assert main(["diagnose", "--config", str(p), *[a for s in snaps for a in ("--snapshot", str(s))]]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            assert len(printed) == len(want) and printed[0] == want[0] == DiagnosticsRow.CSV_HEADER
+            for got, row in zip(printed[1:], want[1:]):
+                (got, got_max), (row, row_max) = got.rsplit(",", 1), row.rsplit(",", 1)
+                assert got == row
+                assert float(got_max) <= float(row_max)
 
     def test_frames_ordered_by_time(self, artifact, capsys):
         d, cfg_path, out = artifact
@@ -588,8 +639,38 @@ class TestDiagnoseCommand:
         for snap in reversed(snaps):
             args += ["--snapshot", str(snap)]
         assert main(args) == 0
-        times = [float(l.split()[0][2:]) for l in capsys.readouterr().out.splitlines()]
+        times = [float(l.split(",")[0]) for l in capsys.readouterr().out.splitlines()[1:]]
         assert len(times) == len(snaps) and times == sorted(times) and times[0] == 0.0
+
+    def test_snapshot_past_the_default_probe_exits_one(self, artifact, tmp_path, capsys):
+        # the default probe sits at s = T + 0.01 = 0.014; a frame at t = 0.02, as a
+        # longer run would write it, is past it: it gets no row, and a --probe whose
+        # s is later still gets its report
+        from actx.grid import read_field, write_field
+
+        _, cfg_path, out = artifact
+        snaps = sorted((out / "snapshots").iterdir())
+        late = tmp_path / "step_99999999.afld"
+        write_field(str(late), read_field(str(snaps[-1]))[0], 0.02)
+        args = ["diagnose", "--config", str(cfg_path), "--snapshot", str(snaps[0]), "--snapshot", str(late)]
+        for probe in ([], ["--probe", "y=1.05,0.8 s=0.05 d=0.2"]):
+            assert main(args + probe) == 1
+            captured = capsys.readouterr()
+            assert captured.err.strip().splitlines() == [
+                "probe error: default probe: kernel needs t < s, got t=0.02, s=0.014"]
+            lines = captured.out.splitlines()
+            assert lines[0] == DiagnosticsRow.CSV_HEADER
+            assert DiagnosticsRow.from_csv_line(lines[1]).t == 0.0
+            assert [line.partition(":")[0] for line in lines[2:]] == (["monotonicity [0.0,0.02]"] if probe else [])
+
+    def test_malformed_number_in_config_exits_one(self, artifact, tmp_path, capsys):
+        _, cfg_path, out = artifact
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(CONFIG.replace("cells = 96", "cells = 12x8"))
+        snap = sorted((out / "snapshots").iterdir())[0]
+        assert main(["diagnose", "--config", str(bad), "--snapshot", str(snap)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "12x8" in err[0]
 
     def test_corrupt_snapshot_exits_one(self, artifact, tmp_path, capsys):
         _, cfg_path, out = artifact
@@ -653,6 +734,19 @@ class TestOracleCommand:
         main(["oracle", "--r0", "0.1", "--t-end", "0.01", "--samples", "3"])
         assert "extinction" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args, reason", [
+        (["--r0", "-1", "--t-end", "0.01"], "initial radius must be positive, got -1.0"),
+        (["--r0", "nan", "--t-end", "0.01"], "initial radius must be positive, got nan"),
+        (["--r0", "0.25", "--t-end", "0"], "t_end must be positive, got 0.0"),
+        (["--r0", "0.25", "--t-end", "0.01", "--samples", "0"], "need at least 2 samples, got 0"),
+        (["--r0", "0.25", "--t-end", "0.01", "--samples", "1"], "need at least 2 samples, got 1"),
+        (["--r0", "0.25", "--t-end", "0.01", "--n", "1"], "dimension n must be at least 2, got 1"),
+    ])
+    def test_bad_argument_exits_one(self, capsys, args, reason):
+        assert main(["oracle", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"config error: {reason}"] and captured.out == ""
+
 
 class TestRowsCsv:
     def test_round_trip(self):
@@ -684,3 +778,25 @@ class TestImportFootprint:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout.splitlines()
         assert out == ["[]", repr(round(4.0 / 3.0, 12)), "True"]
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script, args", [
+        ("shrinking_circle.py", ["--cells", "128", "--out", "{out}"]),
+        ("transport_forcing.py", ["--cells", "160", "--t-end", "0.002"]),
+        ("epsilon_sweep.py", ["--rungs", "128 160", "--out", "{out}"]),
+    ])
+    def test_runs_at_its_smallest_size(self, tmp_path, script, args):
+        # each script in a fresh interpreter, as run from the command line
+        import subprocess
+        import sys
+
+        import actx
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(actx.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [a.format(out=tmp_path / "out") for a in args]
+        proc = subprocess.run([sys.executable, os.path.join(root, "scripts", script), *argv],
+                              env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]

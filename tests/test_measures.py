@@ -63,10 +63,10 @@ class TestDiscrepancy:
         box = cfg.grid.box_slices(cfg.omega_prime())
         sups = []
         for row, t, phi in zip(res.rows, traj.times, traj.frames):
-            ff = frame_fields(phi, cfg.epsilon, cfg.well, drive=True)
+            ff = frame_fields(phi, cfg.epsilon, cfg.well)
             sups.append(float(np.max(ff.xi.values[box])))
             assert row.sup_xi == sups[-1]
-            assert row.velocity_sq == velocity_sq(ff, cfg.omega_prime())
+            assert row.velocity_sq == velocity_sq(phi, cfg.epsilon, cfg.well, cfg.omega_prime())
             assert row.gronwall_factor == weighted_energy(
                 ff.measure(), gronwall_weight(cfg.transport, cfg.grid, t))
         tail = [i for i, r in enumerate(res.rows) if r.t >= cfg.tau - 1e-12]
@@ -102,7 +102,7 @@ class TestFrameFields:
     @pytest.mark.parametrize("chunk", [7, None])
     def test_matches_padded_reference(self, dim, well, chunk, monkeypatch):
         import actx.grid
-        from actx.grid import sum_sq
+        from actx.grid import stencil_rhs, sum_sq, trapezoid
         from actx.measures import frame_fields
         from reference_ops import folded_update, gradient
 
@@ -112,28 +112,34 @@ class TestFrameFields:
         spec = GridSpec(dim, (0.0,) * dim, tuple(0.1 * c for c in cells), cells)
         eps = 0.4
         phi = ScalarField(spec, np.random.default_rng(dim).uniform(-1.05, 1.05, spec.nodes))
-        ff = frame_fields(phi, eps, well, drive=True)
+        ff = frame_fields(phi, eps, well)
 
         grad_half = 0.5 * eps * sum_sq(gradient(phi, None).values)
         well_half = well.w(phi.values) / eps
-        drive = folded_update(phi, None, eps, well)
         assert np.array_equal(_bits(ff.density.values), _bits(grad_half + well_half))
         assert np.array_equal(_bits(ff.xi.values), _bits(grad_half - well_half))
+        # the drive velocity_sq forms (stencil_rhs without transport) at every
+        # interior node, and velocity_sq as its window trapezoid of eps drive^2 over
+        # a window of every interior node
+        drive = folded_update(phi, None, eps, well)
+        out = np.empty(spec.nodes)
+        stencil_rhs(phi.values, None, spec.h, eps, well, out)
         core = (slice(1, -1),) * dim
-        assert np.array_equal(_bits(ff.drive[core]), _bits(drive[core]))
+        assert np.array_equal(_bits(out[core]), _bits(drive[core]))
+        region = ((0.1,) * dim, tuple(0.1 * (c - 1) for c in cells))
+        window = spec.box_slices(region)
+        assert all(sl.start == 1 and sl.stop == n - 1 for sl, n in zip(window, spec.nodes))
+        assert velocity_sq(phi, eps, well, region) == trapezoid(eps * drive[window] ** 2, spec.h)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_velocity_sq_rejects_a_region_on_the_faces(self, dim):
-        from actx.measures import frame_fields, velocity_sq
-
         spec = GridSpec(dim, (0.0,) * dim, (1.0,) * dim, (16,) * dim)
         phi = ScalarField.sample(spec, lambda *x: np.tanh((x[0] - 0.5) / 0.25))
-        ff = frame_fields(phi, 0.25, WELL, drive=True)
         inner = ((0.1,) * dim, (0.9,) * dim)
-        assert velocity_sq(ff, inner) > 0.0
+        assert velocity_sq(phi, 0.25, WELL, inner) > 0.0
         for lo, hi in (((0.0,) * dim, (0.9,) * dim), ((0.1,) * dim, (0.9,) * (dim - 1) + (1.0,))):
             with pytest.raises(MeasureError, match="region .* reaches the box faces"):
-                velocity_sq(ff, (lo, hi))
+                velocity_sq(phi, 0.25, WELL, (lo, hi))
 
 
 class TestPositiveDiscrepancyBall:
@@ -384,6 +390,17 @@ class TestProbeLocalKernel:
 
 
 class TestMonotonicity:
+    @pytest.mark.parametrize("lhs, scale, want", [(0.5, 2.0, 1 / 3), (0.05, 2.0, 0.0), (0.5, -2.0, 1 / 3)])
+    def test_fitted_c_absorbs_the_residual_beyond_the_slack(self, lhs, scale, want):
+        from actx.measures import MONOTONICITY_SLACK, MonotonicityReport
+
+        # residual = lhs - 0.1 - 0.1, slack 0.05 |scale| = 0.1, tail factor 0.6
+        rep = MonotonicityReport(0.0, 1.0, lhs, 0.1, 0.1, 0.6, scale)
+        assert rep.fitted_c == max(0.0, (rep.residual - MONOTONICITY_SLACK * abs(scale)) / 0.6)
+        assert rep.fitted_c == pytest.approx(want, abs=1e-15)
+        assert rep.holds_with(rep.fitted_c)
+        assert not rep.holds_with(rep.fitted_c - 0.01) or rep.fitted_c == 0.0
+
     def test_pure_phase_trivial(self, ladder):
         cfg, _res, _, _ = ladder[128]
         traj = Trajectory(cfg)
@@ -418,9 +435,10 @@ class TestMonotonicity:
         probe = HuiskenProbe((CENTER[0] + 0.25, CENTER[1]), cfg.t_end + 0.01, 0.0875, 0.175)
         (rep,) = monotonicity_check(traj, [probe], cfg.tau, cfg.t_end)
         # the kernel-energy inequality holds with the fitted constant by construction;
-        # the content is that the fit is small against the 5%-of-scale floor
+        # the content is that the residual per unit of tail factor is small against
+        # the 5%-of-scale floor
         floor_c = 0.05 * abs(rep.scale) / rep.tail_factor
-        assert rep.fitted_c <= 10 * max(floor_c, 1e-12)
+        assert rep.residual / rep.tail_factor <= 10 * max(floor_c, 1e-12)
         assert rep.holds_with(rep.fitted_c)
 
     def test_window_validation(self, ladder):
@@ -544,8 +562,7 @@ def _frames_velocity_l2(traj, t0, t1):
     row column, recomputed frame by frame."""
     cfg = traj.cfg
     window = [(t, phi) for t, phi in zip(traj.times, traj.frames) if t0 - 1e-12 <= t <= t1 + 1e-12]
-    vals = [velocity_sq(frame_fields(phi, cfg.epsilon, cfg.well, drive=True), cfg.omega_prime())
-            for _, phi in window]
+    vals = [velocity_sq(phi, cfg.epsilon, cfg.well, cfg.omega_prime()) for _, phi in window]
     return float(np.trapezoid(vals, [t for t, _ in window]))
 
 
@@ -586,9 +603,8 @@ class TestVelocityL2:
     def test_region_on_the_faces_named(self, ladder):
         cfg, _res, traj, _ = ladder[128]
         box = (cfg.grid.lo, cfg.grid.hi)
-        ff = frame_fields(traj.frames[0], cfg.epsilon, cfg.well, drive=True)
         with pytest.raises(MeasureError, match=r"region \(0\.0, 0\.0\)\.\.\(1\.6, 1\.6\) reaches"):
-            velocity_sq(ff, box)
+            velocity_sq(traj.frames[0], cfg.epsilon, cfg.well, box)
 
 
 class TestMeyersZiemer:

@@ -183,6 +183,20 @@ class TestRun:
             assert fa.read_bytes() == fb.read_bytes()
 
 
+class TestRowBuilder:
+    def test_rebuilds_the_rows_from_the_snapshots(self, gronwall_runs):
+        # fed a run's snapshot frames and each row's max_abs_phi outside the run,
+        # a RowBuilder returns the run's rows and places its default probe
+        from actx.solver import RowBuilder, ratio_radii
+
+        for cfg, res, traj in gronwall_runs.values():
+            build = RowBuilder(cfg, ratio_radii(cfg))
+            assert traj.times == [r.t for r in res.rows]
+            rows = [build(phi, t, r.max_abs_phi)[0] for t, phi, r in zip(traj.times, traj.frames, res.rows)]
+            assert rows == res.rows
+            assert build.probe == res.probe
+
+
 class TestThreeDimensions:
     def test_stepping_dissipates_energy(self):
         # diffuse ball in 3D, stepped directly on a synthetic profile
