@@ -182,12 +182,21 @@ class SweepPlan:
         return "\n".join(f"{k} = {v}" for k, v in conf.items()) + "\n"
 
 
-_PLAN_NUMBERS = {"rungs": int, "dim": int, "eps_over_h": float, "lo": float, "hi": float}
+# Every number a plan sets, its own and its rungs' configs', with its type: parsed
+# at load, so a malformed one fails once, naming its line, before any rung runs.
+# A value that parses but does not suit a rung still fails that rung. ``rungs``,
+# ``lo`` and ``hi`` take several numbers, the others one.
+_PLAN_NUMBERS = {
+    "rungs": int, "dim": int, "eps_over_h": float, "lo": float, "hi": float,
+    "T": float, "beta": float, "tau": float, "p": float, "q": float, "lambda0": float,
+    "inset_prime": float, "inset_dprime": float, "alpha": float, "kappa": float,
+    "cfl": float, "diag_every": int, "snap_every": int,
+}
 
 
 def load_plan(path: str) -> SweepPlan:
     """The sweep plan in ``path``; ``ConfigError`` names the line of an unknown
-    key or of a bad number the plan reads itself (``_PLAN_NUMBERS``)."""
+    key or of a bad number (``_PLAN_NUMBERS``)."""
     with open(path) as fh:
         text = fh.read()
     base: dict[str, str] = {}
@@ -199,7 +208,7 @@ def load_plan(path: str) -> SweepPlan:
                 nums = [_PLAN_NUMBERS[key](v) for v in value.split()]
             except ValueError:
                 nums = []
-            single = key in ("dim", "eps_over_h")
+            single = key not in ("rungs", "lo", "hi")
             if not nums or (single and len(nums) > 1) or (key == "rungs" and min(nums) < 1):
                 raise ConfigError(f"line {lineno}: bad {key} value {value!r}")
         if key == "rungs":
@@ -436,7 +445,11 @@ def _parse_probe(spec_str: str, cfg: ScenarioConfig) -> HuiskenProbe:
 def diagnose(args) -> int:
     """Print each snapshot's ``solver.RowBuilder`` row in time order (``max_abs_phi``:
     the frame's own max |phi|), then the ``--probe`` report. The rows stop at a
-    frame the default probe cannot evaluate (exit code 1); the report still runs."""
+    frame the default probe cannot evaluate (exit code 1); the report still runs.
+    ``--t0`` and ``--t1`` bound the report's window, so they need ``--probe``."""
+    if not args.probe and (args.t0 is not None or args.t1 is not None):
+        print("config error: --t0 and --t1 need --probe", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfg, _sol, _ = load_experiment(args.config)
         radii = solver.ratio_radii(cfg)

@@ -11,8 +11,7 @@ padded copy is built. ``stencil_rhs`` is the explicit step's update on the
 interior nodes in a folded, division-free form (the neighbour sum times one
 constant plus one polynomial in f), swept in cache-sized blocks into a
 caller's array; it returns max |out|, taken block by block in the same
-sweep. ``grad_sq`` is |grad f|^2 at every node, where a face node takes the
-ghost node ``2 f_face - f_inner``.
+sweep. ``measures.frame_fields`` sweeps the same blocks.
 
 The node geometry lives on ``GridSpec`` and is separable: the cached 1D
 node coordinates per axis (``axes``), the same as an open mesh that
@@ -222,33 +221,9 @@ def outer_sum_sq(offsets: Sequence[np.ndarray]) -> np.ndarray:
     return d2
 
 
-def grad_sq(f: ScalarField) -> np.ndarray:
-    """|grad f|^2 at every node from second-order central differences.
-
-    Along each axis one contiguous subtraction of the flattened field
-    shifted by +-stride gives every node's difference; the two faces, where
-    the shift wraps around, are redone with the ghost node ``2 f_face -
-    f_inner``. The squares are summed in axis order.
-    """
-    v, h = f.values, f.spec.h
-    flat, out, g = v.reshape(-1), np.empty(v.shape), np.empty(v.shape)
-    for ax, st in enumerate(st // v.itemsize for st in v.strides):
-        np.subtract(flat[2 * st :], flat[: flat.size - 2 * st], out=g.reshape(-1)[st : flat.size - st])
-        va, ga = np.moveaxis(v, ax, 0), np.moveaxis(g, ax, 0)
-        np.subtract(va[1], 2.0 * va[0] - va[1], out=ga[0])
-        np.subtract(2.0 * va[-1] - va[-2], va[-2], out=ga[-1])
-        g /= 2.0 * h
-        if ax == 0:
-            np.multiply(g, g, out=out)
-        else:
-            g *= g
-            out += g
-    return out
-
-
-# Nodes per block of ``stencil_rhs``: a block's ~10 operands stay in L2, where
-# whole-field passes stream each field through it once per operation.
-# 16-64 Ki nodes measured best at both 97^3 and 257^2.
+# Nodes per block of ``stencil_rhs`` and ``measures.frame_fields``: a block's
+# ~10 operands stay in L2, where whole-field passes stream each field through
+# it once per operation. 16-64 Ki nodes measured best at both 97^3 and 257^2.
 CHUNK = 32 * 1024
 
 

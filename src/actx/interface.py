@@ -108,18 +108,27 @@ def extract_interface(phi: ScalarField) -> InterfaceSet:
     """
     spec, v, n = phi.spec, phi.values, phi.spec.dim
     offsets = [o[:n] for o in _CORNERS[: 2**n]]
-    corner = [v[tuple(slice(o, o + c) for o, c in zip(off, spec.cells))] for off in offsets]
-    code = np.zeros(spec.cells, dtype=np.int16)
-    for bit, c in enumerate(corner):
-        code |= (c < 0.0).astype(np.int16) << bit
-    cells = np.nonzero((code != 0) & (code != (1 << len(corner)) - 1))
-    codes = code[cells]
-    f = [c[cells] for c in corner]
+    # a cell is active if some corner is negative and not all are: one bool
+    # pass over the nodes, reduced axis by axis with | and &
+    neg = v < 0.0
+    some, every = neg, neg
+    for k in range(n):
+        lo, hi = (slice(None),) * k + (slice(None, -1),), (slice(None),) * k + (slice(1, None),)
+        some, every = some[lo] | some[hi], every[lo] & every[hi]
+    cells = np.unravel_index(np.flatnonzero(some ^ every), spec.cells)  # every implies some
+    # corner codes and values at the active cells only, from flat node indices
+    base = np.ravel_multi_index(cells, spec.nodes)
+    steps = [st // v.itemsize for st in v.strides]
+    corner = [base + sum(o * st for o, st in zip(off, steps)) for off in offsets]
+    codes = np.zeros(base.size, dtype=np.int16)
+    for bit, idx in enumerate(corner):
+        codes |= neg.reshape(-1)[idx].astype(np.int16) << bit
+    f = [v.reshape(-1)[idx] for idx in corner]
     if n == 2:
         avg = 0.25 * (f[0] + f[1] + f[2] + f[3])
         codes[((codes == 5) | (codes == 10)) & ~(avg < 0.0)] |= 16
     axes = spec.axes()
-    pairs = [ab for ab in EDGE_VERTICES if max(ab) < len(corner)]
+    pairs = [ab for ab in EDGE_VERTICES if max(ab) < len(offsets)]
     pts = np.empty((codes.size, len(pairs), n))  # the crossing on every cell edge
     with np.errstate(divide="ignore", invalid="ignore"):  # edges without a sign change
         for e, (a, b) in enumerate(pairs):

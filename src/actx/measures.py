@@ -40,13 +40,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from . import grid
 from .grid import (
     GridError,
     GridSpec,
     ScalarField,
+    _check_finite,
     ball_integrate,
     ball_window,
-    grad_sq,
     integrate,
     outer_sum_sq,
     stencil_rhs,
@@ -79,18 +80,83 @@ class FrameFields:
     xi: ScalarField
 
     def measure(self) -> "EnergyMeasure":
-        return EnergyMeasure(self.density.spec, self.density, integrate(self.density))
+        return EnergyMeasure.of(self.density)
 
 
 def frame_fields(phi: ScalarField, eps: float, well: DoubleWell) -> FrameFields:
-    """``grid.grad_sq`` and W."""
-    grad_half = grad_sq(phi)
-    grad_half *= 0.5 * eps
-    well_half = well.w(phi.values)
+    """|grad phi|^2 and W in one sweep over the flattened frame, in the blocks of
+    ``grid.stencil_rhs`` (``grid.CHUNK`` nodes), each through every term before
+    the next: density and xi are written straight into their two fields.
+
+    |grad phi|^2 is sum_k ((up_k - dn_k) / 2h)^2 in axis order, where a face
+    node takes the ghost node 2 f_face - f_inner along the face's axis. The
+    sweep covers the nodes off the two axis-0 faces, as ``stencil_rhs`` does,
+    and wraps around on the faces of the other axes; every face is then
+    redone, the two faces of an axis together. A non-finite node, found from
+    the blocks' sums, raises ``GridError`` with its index.
+    """
+    v, h = phi.values, phi.spec.h
+    density, xi = np.empty(v.shape), np.empty(v.shape)
+    flat, dens_flat, xi_flat = v.reshape(-1), density.reshape(-1), xi.reshape(-1)
+    steps = [st // v.itemsize for st in v.strides]
+    lo, hi = steps[0], flat.size - steps[0]
+    chunk = grid.CHUNK
+    scratch = np.empty(min(chunk, hi - lo))
+    starts = range(lo, hi, chunk)
+    sums = np.empty(len(starts) + v.ndim)  # of each block's density and xi, then of each axis's faces
+    for i, a in enumerate(starts):
+        b = min(a + chunk, hi)
+        g = scratch[: b - a]
+        diffs = (np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=g) for st in steps)
+        _fields_into(diffs, flat[a:b], h, eps, well, dens_flat[a:b], xi_flat[a:b])
+        sums[i] = dens_flat[a:b].sum() + xi_flat[a:b].sum()
+
+    for ax in range(v.ndim):
+        # the two faces of the axis and their inner neighbours, copied (a face
+        # of the last axes is strided); the ghost rule gives the differences
+        # along the axis at both ends of those four rows
+        rows = v.swapaxes(0, ax)[[0, 1, -2, -1]]
+        f = rows[::3]
+        diffs = (_ghost_diff(rows, 0)[::3] if k == ax else _ghost_diff(f, ax if k == 0 else k)
+                 for k in range(v.ndim))
+        dens_face, xi_face = np.empty(f.shape), np.empty(f.shape)
+        _fields_into(diffs, f, h, eps, well, dens_face, xi_face)
+        density.swapaxes(0, ax)[[0, -1]], xi.swapaxes(0, ax)[[0, -1]] = dens_face, xi_face
+        sums[len(starts) + ax] = dens_face.sum() + xi_face.sum()
+    if not np.all(np.isfinite(sums)):  # a non-finite node, or only an overflowing sum or wrapped face
+        _check_finite(density, "scalar field")
+        _check_finite(xi, "scalar field")
+    return FrameFields(ScalarField.from_checked(phi.spec, density), ScalarField.from_checked(phi.spec, xi))
+
+
+def _fields_into(diffs, f: np.ndarray, h: float, eps: float, well: DoubleWell,
+                 density: np.ndarray, xi: np.ndarray) -> None:
+    """density = eps |grad|^2/2 + W(f)/eps and xi = eps |grad|^2/2 - W(f)/eps into
+    the two arrays, from the values ``f`` and ``diffs``, which yields up_k - dn_k
+    for each axis k in turn, in an array the sum may overwrite."""
+    for k, g in enumerate(diffs):
+        g /= 2.0 * h
+        if k == 0:
+            np.multiply(g, g, out=density)
+        else:
+            g *= g
+            density += g
+    density *= 0.5 * eps
+    well_half = well.w(f)
     well_half /= eps
-    density = ScalarField(phi.spec, grad_half + well_half)
-    np.subtract(grad_half, well_half, out=grad_half)
-    return FrameFields(density, ScalarField(phi.spec, grad_half))
+    np.subtract(density, well_half, out=xi)
+    density += well_half
+
+
+def _ghost_diff(s: np.ndarray, axis: int) -> np.ndarray:
+    """up - dn along ``axis`` at every node of ``s``, a node on either end taking
+    the ghost node 2 f_end - f_inner."""
+    sa = s.swapaxes(0, axis)
+    g = np.empty(sa.shape)
+    np.subtract(sa[2:], sa[:-2], out=g[1:-1])
+    np.subtract(sa[1:2], 2.0 * sa[:1] - sa[1:2], out=g[:1])
+    np.subtract(2.0 * sa[-1:] - sa[-2:-1], sa[-2:-1], out=g[-1:])
+    return g.swapaxes(0, axis)
 
 
 @dataclass
@@ -100,6 +166,11 @@ class EnergyMeasure:
     spec: GridSpec
     density: ScalarField
     total: float
+
+    @classmethod
+    def of(cls, density: ScalarField) -> "EnergyMeasure":
+        """The measure with this density: the field and its ``grid.integrate``."""
+        return cls(density.spec, density, integrate(density))
 
     @classmethod
     def from_phase(cls, phi: ScalarField, eps: float, well: DoubleWell) -> "EnergyMeasure":

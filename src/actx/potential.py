@@ -206,15 +206,19 @@ def profile_psi(w: DoubleWell, s):
         core = h00 * p0 + h10 * _RK4_STEP * m0 + h01 * p1 + h11 * _RK4_STEP * m1
 
     # C^2 blend to exactly +-1 on [8,10], constant beyond. core is a fresh
-    # array and the two bands are disjoint, so the blend writes into it.
+    # array and the two bands are disjoint, so the blend writes into it. The
+    # masks compare s against +-bounds (negation is exact, so sign s >= b is
+    # s >= b or s <= -b); only the band's entries are scaled by the sign.
     out = core
-    for sign in (1.0, -1.0):
-        band = (sign * s_arr >= PSI_BLEND_START) & (sign * s_arr < PSI_CUT)
+    for sign, band, beyond in (
+        (1.0, (s_arr >= PSI_BLEND_START) & (s_arr < PSI_CUT), s_arr >= PSI_CUT),
+        (-1.0, (s_arr <= -PSI_BLEND_START) & (s_arr > -PSI_CUT), s_arr <= -PSI_CUT),
+    ):
         if np.any(band):
             t = (sign * s_arr[band] - PSI_BLEND_START) / (PSI_CUT - PSI_BLEND_START)
             wgt = _smoothstep(t)
             out[band] = (1 - wgt) * core[band] + wgt * sign
-        out[sign * s_arr >= PSI_CUT] = sign
+        out[beyond] = sign
     return float(out[0]) if scalar else out
 
 

@@ -344,18 +344,21 @@ def transport_report(cfg: ScenarioConfig) -> TransportReport:
     Spatial norm: (integral of |u|^p + |grad u|^p)^{1/p} by trapezoid. A static
     transport is sampled at t = 0 and its norm is that times T^{1/q}; otherwise
     65 equispaced times over [0, T] give the L^q time norm by trapezoid. Each
-    sample scales the grid's cached U (``transport_field``) by m(t).
+    sample scales the grid's cached U (``transport_field``) by m(t). A
+    transport without U is zero, with a zero norm and bounds, and forms no field.
     """
     u_field = transport_field(cfg.transport, cfg.grid).u
     cap_u = cfg.epsilon ** (-cfg.beta)
     cap_ju = cfg.epsilon ** (-(cfg.beta + 1.0))
+    if u_field is None:
+        return TransportReport(0.0, 0.0, 0.0, cap_u, cap_ju, None)
     static = not cfg.transport.time_dependent
     times = np.zeros(1) if static else np.linspace(0.0, cfg.t_end, 65)
     norms = np.empty(times.size)
     sup_u = sup_ju = 0.0
     first = None
     for i, t in enumerate(times):
-        abs_u = np.zeros(cfg.grid.nodes) if u_field is None else sum_sq(u_field * cfg.transport.m(float(t)))
+        abs_u = sum_sq(u_field * cfg.transport.m(float(t)))
         np.sqrt(abs_u, out=abs_u)
         jac = cfg.transport.m(float(t)) * cfg.transport.spatial_jacobian(cfg.grid.dim)
         abs_ju = np.sqrt(np.sum(jac * jac, keepdims=True))

@@ -82,8 +82,8 @@ class HalfSpace(Shape):
         norm = np.linalg.norm(n)
         if norm == 0:
             raise ValueError("half-space normal must be nonzero")
-        s = x[0] * n[0]
-        for k in range(1, n.size):
+        s = 0.0  # where np.sum starts, so a sum of -0.0 terms is +0.0 as in the stacked form
+        for k in range(n.size):
             s = s + x[k] * n[k]
         s -= self.offset
         s /= norm

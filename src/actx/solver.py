@@ -258,17 +258,14 @@ class RowBuilder:
                  max_abs_phi: float) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
         cfg = self.cfg
         tr, spec = cfg.transport, cfg.grid
+        # the drive is freed before the frame fields exist, and xi before the
+        # density's integral and ratio: at most phi, the step's spare buffer,
+        # density, xi and the Omega' window of xi are live at once
+        vel = measures.velocity_sq(phi, cfg.epsilon, cfg.well, self.omega_p)
         ff = measures.frame_fields(phi, cfg.epsilon, cfg.well)
         if self.probe is None:
             idx = np.unravel_index(int(np.argmax(ff.density.values)), spec.nodes)
             self.probe = probe_at(cfg, [ax[i] for ax, i in zip(spec.axes(), idx)])
-        vel = measures.velocity_sq(phi, cfg.epsilon, cfg.well, self.omega_p)
-        mu = ff.measure()
-        ratio = measures.density_ratio(mu, region=self.omega_p, stride=4, radii=self.radii)
-        iset = extract_interface(phi)
-        radius = -1.0
-        if not iset.is_empty:
-            radius = radius_estimate(iset, self.center)[0]
         if self.transport_terms is None or tr.time_dependent:
             self.transport_terms = (measures.speed_sq(tr, spec, t), measures.gronwall_weight(tr, spec, t))
         u2, weight = self.transport_terms
@@ -278,14 +275,23 @@ class RowBuilder:
             t0, rho0, u0, xi0 = self.kernel
             resid = (i_rho - rho0) - 0.5 * (t - t0) * (i_u + u0 + i_xi + xi0)
         self.kernel = (t, i_rho, i_u, i_xi)
-        sup_xi = float(np.max(ff.xi.values[self.box_p]))
+        xi = ff.xi.values[self.box_p]
+        sup_xi, pos_xi = float(np.max(xi)), trapezoid(np.maximum(xi, 0.0), spec.h)
+        density = ff.density
+        del ff, xi
+        mu = measures.EnergyMeasure.of(density)
+        ratio = measures.density_ratio(mu, region=self.omega_p, stride=4, radii=self.radii)
+        iset = extract_interface(phi)
+        radius = -1.0
+        if not iset.is_empty:
+            radius = radius_estimate(iset, self.center)[0]
         row = measures.DiagnosticsRow(
             t=t,
             total_energy=mu.total,
             density_ratio_max=ratio.max_ratio,
             sup_xi=sup_xi,
             sup_xi_pos=max(sup_xi, 0.0),
-            pos_xi_integral=trapezoid(np.maximum(ff.xi.values[self.box_p], 0.0), spec.h),
+            pos_xi_integral=pos_xi,
             interface_radius=radius,
             monotonicity_residual=resid,
             gronwall_factor=measures.weighted_energy(mu, weight),
@@ -392,7 +398,10 @@ def _write_interface(out_dir: str, iset: InterfaceSet) -> None:
     with open(path, "w") as fh:
         fh.write("x0,y0,x1,y1\n" if iset.dim == 2 else "x0,y0,z0,x1,y1,z1,x2,y2,z2\n")
         # a segment (2D) or a triangle (3D) per line: dim points of dim coordinates,
-        # turned into Python floats a block of lines at a time
-        lines = iset.elements.reshape(len(iset.elements), iset.dim * iset.dim)
-        for i in range(0, len(lines), 512):
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in lines[i : i + 512].tolist())
+        # each distinct value's repr taken once (by its bits, so 0.0 and -0.0 keep their own)
+        values = iset.elements.reshape(-1)
+        bits, which = np.unique(values.view(np.uint64), return_inverse=True)
+        texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        which = which.reshape(len(iset.elements), iset.dim * iset.dim)
+        for i in range(0, len(which), 512):
+            fh.writelines(",".join(row) + "\n" for row in texts[which[i : i + 512]].tolist())

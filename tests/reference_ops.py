@@ -3,10 +3,11 @@ face, the Laplacian, gradient and advection term built on it, the explicit
 step's folded update as one whole-field expression, and the shapes' signed
 distances and the transports' spatial parts over stacked points.
 
-The program forms these stencils by stride shifts (``grid.stencil_rhs``,
-``grid.grad_sq``) and its geometry one axis at a time over an open mesh
-(``GridSpec.coords``); the tests hold those to the forms here, bit for bit
-where the arithmetic is the same.
+The program forms these stencils by stride shifts in blocks
+(``grid.stencil_rhs``, ``measures.frame_fields``) and its geometry one axis
+at a time over an open mesh (``GridSpec.coords``); the tests hold those to
+the forms here, bit for bit where the arithmetic is the same. ``grad_sq``
+is |grad f|^2 by whole-field stride shifts, the frame fields' reference.
 """
 
 import numpy as np
@@ -149,6 +150,30 @@ def folded_update(
         out = out + cu * adv
     if base is not None:
         out = out + base
+    return out
+
+
+def grad_sq(f: ScalarField) -> np.ndarray:
+    """|grad f|^2 at every node from second-order central differences.
+
+    Along each axis one contiguous subtraction of the flattened field
+    shifted by +-stride gives every node's difference; the two faces, where
+    the shift wraps around, are redone with the ghost node ``2 f_face -
+    f_inner``. The squares are summed in axis order.
+    """
+    v, h = f.values, f.spec.h
+    flat, out, g = v.reshape(-1), np.empty(v.shape), np.empty(v.shape)
+    for ax, st in enumerate(st // v.itemsize for st in v.strides):
+        np.subtract(flat[2 * st :], flat[: flat.size - 2 * st], out=g.reshape(-1)[st : flat.size - st])
+        va, ga = np.moveaxis(v, ax, 0), np.moveaxis(g, ax, 0)
+        np.subtract(va[1], 2.0 * va[0] - va[1], out=ga[0])
+        np.subtract(2.0 * va[-1] - va[-2], va[-2], out=ga[-1])
+        g /= 2.0 * h
+        if ax == 0:
+            np.multiply(g, g, out=out)
+        else:
+            g *= g
+            out += g
     return out
 
 

@@ -546,6 +546,10 @@ class TestSweepCommand:
         ("eps_over_h = 8", "eps_over_h = eight"),
         ("dim = 2", "dim = two"),
         ("hi = 1.6 1.6", "hi = 1.6 oops"),
+        ("T = 0.004", "T = abc"),
+        ("tau = 0.002", "tau = 0.001 0.002"),
+        ("diag_every = 25", "diag_every = 2.5"),
+        ("inset_prime = 0.12", "inset_prime = 0.12x"),
     ])
     def test_plan_malformed_number_cites_line(self, tmp_path, capsys, old, new):
         plan = tmp_path / "plan.cfg"
@@ -556,6 +560,16 @@ class TestSweepCommand:
         assert capsys.readouterr().err.strip().splitlines() == [
             f"config error: line {lineno}: bad {key} value {value!r}"]
         assert not (tmp_path / "s").exists()
+
+    def test_plan_number_that_no_rung_accepts_fails_every_rung(self, tmp_path, capsys):
+        # cfl = 1.5 parses, so the plan loads; each rung's config then rejects it
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 96 128") + "cfl = 1.5\n")
+        out = tmp_path / "s"
+        assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: cfl safety factor must lie in (0,1], got 1.5"] * 2
+        assert [(r["cells"], r["status"]) for r in _sweep_rows(out)] == [("96", "FAILED"), ("128", "FAILED")]
 
     @pytest.mark.parametrize("old, new", [("hi = 1.6 1.6", "hi = 1.6"), ("lo = 0 0", "lo = 0 0 0")])
     def test_plan_box_of_another_dimension_exits_one(self, tmp_path, capsys, old, new):
@@ -662,6 +676,15 @@ class TestDiagnoseCommand:
             assert lines[0] == DiagnosticsRow.CSV_HEADER
             assert DiagnosticsRow.from_csv_line(lines[1]).t == 0.0
             assert [line.partition(":")[0] for line in lines[2:]] == (["monotonicity [0.0,0.02]"] if probe else [])
+
+    @pytest.mark.parametrize("window", [["--t0", "0.001"], ["--t1", "0.004"], ["--t0", "5", "--t1", "7"]])
+    def test_window_without_probe_exits_one(self, artifact, capsys, window):
+        _, cfg_path, out = artifact
+        snap = sorted((out / "snapshots").iterdir())[0]
+        assert main(["diagnose", "--config", str(cfg_path), "--snapshot", str(snap), *window]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == ["config error: --t0 and --t1 need --probe"]
+        assert captured.out == ""
 
     def test_malformed_number_in_config_exits_one(self, artifact, tmp_path, capsys):
         _, cfg_path, out = artifact

@@ -220,6 +220,22 @@ class TestAgainstReference:
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("cells", [(9, 7), (9, 7, 5), (2, 2), (2, 2, 2)])
+    def test_active_cells_on_every_face(self, cells):
+        # a sphere about the box centre that crosses every face but passes no
+        # corner, on boxes of unequal sides: the active cells reach every face
+        dim, h = len(cells), 0.1
+        hi = tuple(h * c for c in cells)
+        spec = GridSpec(dim, (0.0,) * dim, hi, cells)
+        r2 = (0.5 * max(hi) + 0.25 * h) ** 2
+        f = ScalarField.sample(spec, lambda *x: sum((c - 0.5 * b) ** 2 for c, b in zip(x, hi)) - r2)
+        got = extract_interface(f).elements
+        want = (_marching_squares if dim == 2 else _marching_cubes)(f)
+        assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        pts = got.reshape(-1, dim)
+        for k in range(dim):
+            assert pts[:, k].min() <= h and pts[:, k].max() >= hi[k] - h
+
     def test_all_saddle_cases_covered(self):
         # the checkerboard gives codes 5 and 10 with cell averages of both signs
         f = _field(2, 9, "checker", 0)

@@ -1,6 +1,7 @@
 """Diagnostics: discrepancy, density ratios, kernels, inequalities, weighted energy."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -99,12 +100,12 @@ class TestFrameFields:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("well", [WELL, DoubleWell.from_coeffs([2.0, 0.0, -4.0, 0.0, 2.0], kappa=4.0)],
                              ids=["quartic", "poly"])
-    @pytest.mark.parametrize("chunk", [7, None])
+    @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_matches_padded_reference(self, dim, well, chunk, monkeypatch):
         import actx.grid
         from actx.grid import stencil_rhs, sum_sq, trapezoid
         from actx.measures import frame_fields
-        from reference_ops import folded_update, gradient
+        from reference_ops import folded_update, grad_sq, gradient
 
         if chunk is not None:
             monkeypatch.setattr(actx.grid, "CHUNK", chunk)
@@ -114,10 +115,11 @@ class TestFrameFields:
         phi = ScalarField(spec, np.random.default_rng(dim).uniform(-1.05, 1.05, spec.nodes))
         ff = frame_fields(phi, eps, well)
 
-        grad_half = 0.5 * eps * sum_sq(gradient(phi, None).values)
+        # every node, the faces and edges among them, against both references
         well_half = well.w(phi.values) / eps
-        assert np.array_equal(_bits(ff.density.values), _bits(grad_half + well_half))
-        assert np.array_equal(_bits(ff.xi.values), _bits(grad_half - well_half))
+        for grad_half in (0.5 * eps * sum_sq(gradient(phi, None).values), grad_sq(phi) * (0.5 * eps)):
+            assert np.array_equal(_bits(ff.density.values), _bits(grad_half + well_half))
+            assert np.array_equal(_bits(ff.xi.values), _bits(grad_half - well_half))
         # the drive velocity_sq forms (stencil_rhs without transport) at every
         # interior node, and velocity_sq as its window trapezoid of eps drive^2 over
         # a window of every interior node
@@ -130,6 +132,26 @@ class TestFrameFields:
         window = spec.box_slices(region)
         assert all(sl.start == 1 and sl.stop == n - 1 for sl, n in zip(window, spec.nodes))
         assert velocity_sq(phi, eps, well, region) == trapezoid(eps * drive[window] ** 2, spec.h)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("where", ["interior", "face", "corner"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflow_names_the_first_non_finite_node(self, dim, where, monkeypatch):
+        import actx.grid
+        from actx.grid import GridError
+        from reference_ops import grad_sq
+
+        monkeypatch.setattr(actx.grid, "CHUNK", 7)
+        spec = GridSpec(dim, (0.0,) * dim, (1.0,) * dim, (9,) * dim)
+        vals = np.random.default_rng(dim).uniform(-1.0, 1.0, spec.nodes)
+        node = {"interior": (4, 5, 3), "face": (3, 9, 6), "corner": (9, 0, 9)}[where][:dim]
+        vals[node] = 1e200  # finite, but W and |grad|^2 overflow around it
+        phi = ScalarField(spec, vals)
+        density = grad_sq(phi) * (0.5 * 0.3) + WELL.w(vals) / 0.3
+        first = tuple(int(i) for i in np.argwhere(~np.isfinite(density))[0])
+        with pytest.raises(GridError, match=re.escape(f"non-finite entry at node index {first}")):
+            frame_fields(phi, 0.3, WELL)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_velocity_sq_rejects_a_region_on_the_faces(self, dim):

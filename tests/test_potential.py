@@ -100,6 +100,27 @@ class TestProfile:
         resid = np.abs(0.5 * dpsi**2 - well.eval(psi)[0])
         assert np.max(resid) < 1e-8
 
+    def test_blend_bits_of_the_signed_expression(self):
+        # the band masks compare s with +-bounds; the blend used to form sign * s
+        # for every mask: the same bits, on both bands, their ends and beyond
+        from actx.potential import PSI_BLEND_START, PSI_CUT, _smoothstep
+
+        rng = np.random.default_rng(7)
+        s = np.concatenate([rng.uniform(-12.0, 12.0, (40, 50)).ravel(),
+                            [8.0, -8.0, 10.0, -10.0, 12.0, -12.0, 0.0, -0.0, np.nextafter(8.0, 0.0),
+                             np.nextafter(-10.0, 0.0), np.nextafter(10.0, 11.0)]])
+        want = np.tanh(s)
+        core = want.copy()
+        for sign in (1.0, -1.0):
+            band = (sign * s >= PSI_BLEND_START) & (sign * s < PSI_CUT)
+            wgt = _smoothstep((sign * s[band] - PSI_BLEND_START) / (PSI_CUT - PSI_BLEND_START))
+            want[band] = (1 - wgt) * core[band] + wgt * sign
+            want[sign * s >= PSI_CUT] = sign
+        got = profile_psi(QUARTIC, s)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got[np.isin(s, [10.0, 12.0])].tolist() == [1.0, 1.0]
+        assert got[np.isin(s, [-10.0, -12.0])].tolist() == [-1.0, -1.0]
+
     def test_monotone(self):
         s = np.linspace(-11, 11, 2000)
         dpsi = np.diff(profile_psi(SCALED4, s))

@@ -473,6 +473,20 @@ class TestTransportNorm:
     def test_zero_field(self):
         assert transport_report(circle_config(128, 16)).norm == 0.0
 
+    def test_zero_field_forms_no_field(self):
+        import tracemalloc
+
+        cfg = circle_config(128, 16)
+        tracemalloc.start()
+        try:
+            rep = transport_report(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cfg.grid.n_nodes
+        assert [repr(v) for v in (rep.norm, rep.sup_u, rep.sup_grad_u)] == ["0.0"] * 3
+        assert rep.first_violation is None
+
     def test_constant_field_closed_form(self):
         # |Omega|^{1/p} * T^{1/q} with |Omega| = 1, T = 1, p = 2, q = 4
         spec = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (64, 64))

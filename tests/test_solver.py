@@ -171,6 +171,24 @@ class TestRun:
         lines = (tmp_path / "interface_final.csv").read_text().splitlines()
         assert len(lines) == 1 + extract_interface(res.final_phi).elements.shape[0]
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_interface_file_is_the_repr_of_every_coordinate(self, tmp_path, dim):
+        # 0.0 and -0.0 compare equal but print apart; repeated values, the
+        # extremes and a subnormal are there too
+        from actx.interface import InterfaceSet
+        from actx.solver import _write_interface
+
+        rng = np.random.default_rng(dim)
+        pool = np.array([0.0, -0.0, 0.1, -0.1, 1 / 3, 5e-324, -1.7976931348623157e308, 1e22, 0.30000000000000004])
+        elements = np.concatenate([rng.choice(pool, size=(40, dim, dim)), rng.uniform(-2, 2, (10, dim, dim))])
+        assert np.any(np.signbit(elements) & (elements == 0.0)) and np.any(~np.signbit(elements) & (elements == 0.0))
+        _write_interface(str(tmp_path), InterfaceSet(dim, elements))
+        header = "x0,y0,x1,y1" if dim == 2 else "x0,y0,z0,x1,y1,z1,x2,y2,z2"
+        want = header + "\n" + "".join(",".join(repr(float(x)) for x in el.ravel()) + "\n" for el in elements)
+        assert (tmp_path / "interface_final.csv").read_text() == want
+        _write_interface(str(tmp_path), InterfaceSet(dim, np.zeros((0, dim, dim))))
+        assert (tmp_path / "interface_final.csv").read_text() == header + "\n"
+
     def test_snapshots_bit_identical(self, tmp_path):
         cfg = circle_config(128, 16, t_end=0.002, tau=0.001)
         out = []
