@@ -48,8 +48,8 @@ EXIT_ABORT = 2
 
 def solver_from_config(conf: dict[str, str]) -> SolverConfig:
     """The solver settings a parsed config sets; the others keep their defaults."""
-    kinds = {"scheme": str, "cfl": float, "diag_every": int, "snap_every": int}
-    return SolverConfig(**{key: kind(conf[key]) for key, kind in kinds.items() if key in conf})
+    keys = ("scheme", "cfl", "diag_every", "snap_every")
+    return SolverConfig(**{key: scenario.NUMBERS.get(key, str)(conf[key]) for key in keys if key in conf})
 
 
 def load_experiment(path: str) -> tuple[ScenarioConfig, SolverConfig, str]:
@@ -182,43 +182,25 @@ class SweepPlan:
         return "\n".join(f"{k} = {v}" for k, v in conf.items()) + "\n"
 
 
-# Every number a plan sets, its own and its rungs' configs', with its type: parsed
-# at load, so a malformed one fails once, naming its line, before any rung runs.
-# A value that parses but does not suit a rung still fails that rung. ``rungs``,
-# ``lo`` and ``hi`` take several numbers, the others one.
-_PLAN_NUMBERS = {
-    "rungs": int, "dim": int, "eps_over_h": float, "lo": float, "hi": float,
-    "T": float, "beta": float, "tau": float, "p": float, "q": float, "lambda0": float,
-    "inset_prime": float, "inset_dprime": float, "alpha": float, "kappa": float,
-    "cfl": float, "diag_every": int, "snap_every": int,
-}
-
-
 def load_plan(path: str) -> SweepPlan:
-    """The sweep plan in ``path``; ``ConfigError`` names the line of an unknown
-    key or of a bad number (``_PLAN_NUMBERS``)."""
+    """The sweep plan in ``path``: ``rungs``, ``eps_over_h`` and its rungs' keys,
+    checked as a config's (``scenario.check_entry``), so a malformed number fails
+    naming its line before any rung runs; one that does not suit a rung fails it."""
     with open(path) as fh:
         text = fh.read()
     base: dict[str, str] = {}
     rungs: tuple[int, ...] = ()
     eps_over_h = 8.0
     for lineno, key, value in scenario.config_entries(text):
-        if key in _PLAN_NUMBERS:
-            try:
-                nums = [_PLAN_NUMBERS[key](v) for v in value.split()]
-            except ValueError:
-                nums = []
-            single = key not in ("rungs", "lo", "hi")
-            if not nums or (single and len(nums) > 1) or (key == "rungs" and min(nums) < 1):
-                raise ConfigError(f"line {lineno}: bad {key} value {value!r}")
         if key == "rungs":
-            rungs = tuple(nums)
+            rungs = tuple(scenario.numbers(lineno, key, value, int, several=True))
+            if min(rungs) < 1:
+                raise ConfigError(f"line {lineno}: bad {key} value {value!r}")
         elif key == "eps_over_h":
-            eps_over_h = nums[0]
-        elif key in scenario.KNOWN_KEYS:
-            base[key] = value
+            eps_over_h = scenario.numbers(lineno, key, value, float)[0]
         else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            scenario.check_entry(lineno, key, value)
+            base[key] = value
     return SweepPlan(base, rungs, eps_over_h)
 
 
@@ -484,11 +466,6 @@ def diagnose(args) -> int:
     if probe is None:
         return code
     try:  # the probe's times: t < s, and a window of at least two frames
-        if len(traj.times) == 1:
-            t, phi = traj.times[0], traj.frames[0]
-            ff = measures.frame_fields(phi, cfg.epsilon, cfg.well)
-            print(f"kernel energy at t={t!r}: {measures.kernel_terms(ff, probe, t, None)[0]!r}")
-            return code
         t0 = args.t0 if args.t0 is not None else traj.times[0]
         t1 = args.t1 if args.t1 is not None else traj.times[-1]
         (rep,) = measures.monotonicity_check(traj, [probe], t0, t1)

@@ -270,16 +270,17 @@ def stencil_rhs(
     out: np.ndarray,
     base: np.ndarray | None = None,
     scale: float = 1.0,
+    m: float = 1.0,
 ) -> float:
-    """Into ``out``: base + scale (lap f - W'(f)/eps^2 - u . grad f) at the
+    """Into ``out``: base + scale (lap f - W'(f)/eps^2 - m u . grad f) at the
     interior nodes (W' from the ``DoubleWell`` ``well``) and base on the faces;
     without ``base``, scale times that inside and 0 on the faces. Returns max
     |out| over every node, nan if any node is nan. ``out`` shares no memory
-    with ``f`` or ``base``.
+    with ``f`` or ``base``. For a velocity m(t) U, ``u`` is U and ``m`` is m(t).
 
     The update is folded and division free: per node,
     c1 sum_k (up_k + dn_k) + q(f) + cu sum_k u_k (up_k - dn_k) + base, with
-    c1 = scale/h^2, cu = -scale/(2h) and the centre's -2n c1 f folded into
+    c1 = scale/h^2, cu = -scale m/(2h) and the centre's -2n c1 f folded into
     the polynomial q(s) = -(scale/eps^2) W'(s) - 2n c1 s (``_fold_coeffs``),
     evaluated by ``_horner``. The sums run in axis order and the terms are
     added left to right.
@@ -298,7 +299,7 @@ def stencil_rhs(
     steps = [st // f.itemsize for st in f.strides]
     s0 = steps[0]
     lo, hi = s0, flat.size - s0
-    c1, cu = scale / h**2, -scale / (2.0 * h)
+    c1, cu = scale / h**2, -scale * m / (2.0 * h)
     q = _fold_coeffs(well.wprime_coeffs(), h, eps, n, scale)
     scratch = np.empty((2, min(CHUNK, hi - lo)))
     starts = range(lo, hi, CHUNK)

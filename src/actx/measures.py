@@ -20,7 +20,8 @@ The truncated backward kernel of a probe vanishes off B_{r_outer}(y), so it
 and the integrals it weights are evaluated on the probe's bounding sub-box
 only. Each probe's geometry on a grid (the sub-box, r^2 and the cutoff on it,
 and the B_{1/4}(y) window of the tail term) is built once and cached; per
-frame only amp exp(-r^2/(4(s - t))) is computed.
+frame only amp exp(-r^2/(4(s - t))) is computed. A transport m(t) U enters
+as |U|^2 on that box, with m(t)^2 scaling its integral.
 
 Ball masses over a lattice of centres are exact lattice sums: after one
 prefix sum along the first axis, the mass of a ball is the sum of one chord
@@ -199,13 +200,6 @@ def velocity_sq(
     del drive
     vals *= eps
     return trapezoid(vals, spec.h)
-
-
-def speed_sq(transport: Transport, spec: GridSpec, t: float) -> np.ndarray | None:
-    """|u|^2 = |m(t) U|^2 at the nodes of ``spec`` from the grid's cached U
-    (``scenario.transport_field``); None for a transport without U."""
-    u = transport_field(transport, spec).u
-    return None if u is None else sum_sq(u * transport.m(t))
 
 
 def gronwall_weight(transport: Transport, spec: GridSpec, t: float) -> np.ndarray | None:
@@ -539,20 +533,22 @@ def _box_integral(values: np.ndarray, geo: ProbeGeometry, spec: GridSpec) -> flo
 
 
 def kernel_terms(
-    fields: FrameFields, probe: HuiskenProbe, t: float, u2: np.ndarray | None
+    fields: FrameFields, probe: HuiskenProbe, t: float, transport: Transport
 ) -> tuple[float, float, float]:
     """The probe-weighted scalars of one frame at time t.
 
     (int rho dmu, 1/2 int rho |u|^2 dmu, int xi rho / (2(s - t))) for the probe's
-    kernel rho; ``u2`` is ``speed_sq`` at t (None: no transport). The products
-    are formed and summed on the probe's box only.
+    kernel rho and the transport u = m(t) U. The products are formed and summed
+    on the probe's box only; |U|^2 comes from the grid's cached U
+    (``scenario.transport_field``) and m(t)^2 scales its integral.
     """
     spec = fields.density.spec
     geo = probe_geometry(probe, spec)
     rho = _kernel(probe, geo.r2, geo.cutoff, t, spec.dim)
     dens = fields.density.values[geo.box]
     i_rho = _box_integral(rho * dens, geo, spec)
-    i_u = 0.0 if u2 is None else 0.5 * _box_integral(rho * u2[geo.box] * dens, geo, spec)
+    u, m = transport_field(transport, spec).u, transport.m(t)
+    i_u = 0.0 if u is None else 0.5 * m * m * _box_integral(rho * sum_sq(u[geo.box]) * dens, geo, spec)
     i_xi = _box_integral(fields.xi.values[geo.box] * rho, geo, spec) / (2.0 * (probe.s - t))
     return i_rho, i_u, i_xi
 
@@ -598,7 +594,8 @@ def monotonicity_check(
     Trapezoid quadrature of ``kernel_terms`` on the retained-frame schedule;
     the discrepancy term uses the signed discrepancy, and the tail term is
     the kernel-cutoff leakage factor integral exp(-1/(128(s-t))) mu_t(B_{1/4}(y)) dt.
-    Each frame's fields and |u|^2 are built once and shared by all probes.
+    Each frame's fields are built once and shared by all probes. Checked in
+    turn: t1 < s for every probe, two frames in the window, t0 < t1.
     """
     cfg = traj.cfg
     if not probes:
@@ -606,23 +603,24 @@ def monotonicity_check(
     tails = []
     for probe in probes:
         tails.append(probe_geometry(probe, cfg.grid).tail)  # validates the probe's ball
-        if not t0 < t1 < probe.s:
-            raise MeasureError(f"need t0 < t1 < s, got {t0:g}, {t1:g}, {probe.s:g}")
+        if not t1 < probe.s:
+            raise MeasureError(f"kernel needs t < s: need t0 < t1 < s, got {t0:g}, {t1:g}, {probe.s:g}")
 
     window = [(t, phi) for t, phi in zip(traj.times, traj.frames) if t0 - 1e-12 <= t <= t1 + 1e-12]
     if len(window) < 2:
         raise MeasureError(
             f"window [{t0:g}, {t1:g}] covers {len(window)} retained frames; need at least 2"
         )
+    if not t0 < t1:
+        raise MeasureError(f"need t0 < t1, got {t0:g}, {t1:g}")
     vals = []  # (frame, probe, term)
     for t, phi in window:
         ff = frame_fields(phi, cfg.epsilon, cfg.well)
-        u2 = speed_sq(cfg.transport, cfg.grid, t)
         rows = []
         for probe, tail in zip(probes, tails):
             leak = math.exp(-1.0 / (128.0 * (probe.s - t)))
             mass = window_integral(ff.density, tail)  # ball_integrate over B_{1/4}(y)
-            rows.append(kernel_terms(ff, probe, t, u2) + (leak * mass,))
+            rows.append(kernel_terms(ff, probe, t, cfg.transport) + (leak * mass,))
         vals.append(rows)
     times, vals = np.asarray([t for t, _ in window]), np.asarray(vals)
     return [

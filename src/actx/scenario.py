@@ -13,9 +13,9 @@ entry) times a spatial part stated once per entry, in closed form and never
 by differencing, one axis at a time over the grid's open mesh of node
 coordinates (``GridSpec.coords``). Every entry is affine, so grad U is one
 n x n matrix, and a gradient entry u = grad g has g = m(t) G with a potential
-G. The grid's U and G are evaluated once and cached (``transport_field``);
-the run, its rows, the offline checks and ``transport_report`` scale them by
-m(t).
+G. The grid's U and G are evaluated once and cached (``transport_field``,
+one grid at a time); m(t) scales the numbers built on U (the step's
+transport sum, a kernel integral, the bounds), never U itself.
 
 Config files are flat ``key = value`` text with shapes and transports given
 as s-expressions, e.g. ``shape = (union (ball 0.5 0.5 0.25) (box 0 0 1 1))``.
@@ -83,9 +83,9 @@ class Transport:
         return 0.0
 
     def sup_speed(self, spec: GridSpec, t0: float, t1: float) -> float:
-        """Bound on |u| over the box and time window: for a static transport, max over the nodes."""
+        """Bound on |u| over the box and time window: static, |m(t0)| max |U| over the nodes."""
         u = transport_field(self, spec).u
-        return 0.0 if u is None else math.sqrt(float(np.max(sum_sq(u * self.m(t0)))))
+        return 0.0 if u is None else abs(self.m(t0)) * math.sqrt(float(np.max(sum_sq(u))))
 
 
 @dataclass(frozen=True)
@@ -186,11 +186,11 @@ class TransportField(NamedTuple):
 
 
 def transport_field(transport: Transport, spec: GridSpec) -> TransportField:
-    """The transport's ``TransportField`` on ``spec``, evaluated once per (transport, grid)."""
+    """The transport's ``TransportField`` on ``spec``; the last one evaluated is kept."""
     return _transport_field_cached(transport, spec)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _transport_field_cached(transport: Transport, spec: GridSpec) -> TransportField:
     parts = TransportField(*transport.spatial(spec.coords()))
     for a in parts:
@@ -339,12 +339,14 @@ class TransportReport:
 
 
 def transport_report(cfg: ScenarioConfig) -> TransportReport:
-    """One pass over the sample times for the norm and the bounds (never clamped).
+    """The norm and the bounds from one spatial integral (never clamped).
 
-    Spatial norm: (integral of |u|^p + |grad u|^p)^{1/p} by trapezoid. A static
-    transport is sampled at t = 0 and its norm is that times T^{1/q}; otherwise
-    65 equispaced times over [0, T] give the L^q time norm by trapezoid. Each
-    sample scales the grid's cached U (``transport_field``) by m(t). A
+    For u = m(t) U, a sample's spatial norm (integral of |u|^p + |grad u|_F^p)^{1/p}
+    is |m(t)| N with N = (integral of |U|^p + |grad U|_F^p)^{1/p}, integrated once
+    by trapezoid over the grid's cached U (``transport_field``); its sup |u| and
+    sup |grad u|_F are |m(t)| max |U| and |m(t)| |grad U|_F. A static transport
+    is sampled at t = 0 and its norm is that times T^{1/q}; otherwise 65
+    equispaced times over [0, T] give the L^q time norm by trapezoid. A
     transport without U is zero, with a zero norm and bounds, and forms no field.
     """
     u_field = transport_field(cfg.transport, cfg.grid).u
@@ -352,27 +354,19 @@ def transport_report(cfg: ScenarioConfig) -> TransportReport:
     cap_ju = cfg.epsilon ** (-(cfg.beta + 1.0))
     if u_field is None:
         return TransportReport(0.0, 0.0, 0.0, cap_u, cap_ju, None)
+    abs_u = np.sqrt(sum_sq(u_field))
+    jac = cfg.transport.spatial_jacobian(cfg.grid.dim)
+    max_u, abs_ju = float(np.max(abs_u)), math.sqrt(float(np.sum(jac * jac)))
+    n_u = integrate(ScalarField(cfg.grid, abs_u**cfg.p + abs_ju**cfg.p)) ** (1.0 / cfg.p)
     static = not cfg.transport.time_dependent
     times = np.zeros(1) if static else np.linspace(0.0, cfg.t_end, 65)
-    norms = np.empty(times.size)
-    sup_u = sup_ju = 0.0
-    first = None
-    for i, t in enumerate(times):
-        abs_u = sum_sq(u_field * cfg.transport.m(float(t)))
-        np.sqrt(abs_u, out=abs_u)
-        jac = cfg.transport.m(float(t)) * cfg.transport.spatial_jacobian(cfg.grid.dim)
-        abs_ju = np.sqrt(np.sum(jac * jac, keepdims=True))
-        su, sj = float(np.max(abs_u)), float(np.max(abs_ju))
-        sup_u, sup_ju = max(sup_u, su), max(sup_ju, sj)
-        if first is None and (su > cap_u or sj > cap_ju):
-            first = float(t)
-        abs_u **= cfg.p  # in place: one field-sized array per sample
-        abs_u += abs_ju**cfg.p
-        norms[i] = integrate(ScalarField(cfg.grid, abs_u)) ** (1.0 / cfg.p)
-        del abs_u  # before the next sample's velocity
-    norm = (norms[0] * cfg.t_end ** (1.0 / cfg.q) if static
-            else np.trapezoid(norms**cfg.q, times) ** (1.0 / cfg.q))
-    return TransportReport(float(norm), sup_u, sup_ju, cap_u, cap_ju, first)
+    ms = np.abs([cfg.transport.m(float(t)) for t in times])
+    over = np.flatnonzero((ms * max_u > cap_u) | (ms * abs_ju > cap_ju))
+    norm = (ms[0] * n_u * cfg.t_end ** (1.0 / cfg.q) if static
+            else np.trapezoid((ms * n_u) ** cfg.q, times) ** (1.0 / cfg.q))
+    top = float(np.max(ms))  # max(ms) c = max(ms c) for c >= 0: rounding is monotone
+    return TransportReport(float(norm), top * max_u, top * abs_ju, cap_u, cap_ju,
+                           float(times[over[0]]) if over.size else None)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +381,14 @@ KNOWN_KEYS = {
 }
 
 REQUIRED_KEYS = ("dim", "cells", "epsilon", "shape", "T")
+
+# Every numeric key with its type; ``cells``, ``lo`` and ``hi`` take several numbers.
+NUMBERS = {
+    "dim": int, "cells": int, "epsilon": float, "lo": float, "hi": float,
+    "T": float, "beta": float, "tau": float, "p": float, "q": float, "lambda0": float,
+    "inset_prime": float, "inset_dprime": float, "alpha": float, "kappa": float,
+    "cfl": float, "diag_every": int, "snap_every": int,
+}
 
 
 def parse_sexpr(text: str):
@@ -520,12 +522,31 @@ def config_entries(text: str):
         yield lineno, key, value
 
 
+def numbers(lineno: int, key: str, value: str, kind: type, several: bool = False) -> list:
+    """``value``'s numbers as ``kind``; ``ConfigError`` naming the line if one does
+    not parse, there are none, or several where one is due."""
+    try:
+        nums = [kind(v) for v in value.split()]
+    except ValueError:
+        nums = []
+    if not nums or (len(nums) > 1 and not several):
+        raise ConfigError(f"line {lineno}: bad {key} value {value!r}")
+    return nums
+
+
+def check_entry(lineno: int, key: str, value: str) -> None:
+    """Reject an unknown key or a malformed number (``NUMBERS``), naming the line."""
+    if key not in KNOWN_KEYS:
+        raise ConfigError(f"line {lineno}: unknown key {key!r}")
+    if key in NUMBERS:
+        numbers(lineno, key, value, NUMBERS[key], key in ("cells", "lo", "hi"))
+
+
 def parse_config(text: str) -> dict[str, str]:
-    """key = value lines into a dict; unknown keys are rejected with their line."""
+    """key = value lines into a dict, each checked by ``check_entry``."""
     out: dict[str, str] = {}
     for lineno, key, value in config_entries(text):
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        check_entry(lineno, key, value)
         out[key] = value
     return out
 

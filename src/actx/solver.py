@@ -1,10 +1,11 @@
 """Explicit time integration of the transported phase-field equation.
 
 One step advances phi by dt * (laplacian phi - W'(phi)/eps^2 - u . grad phi)
-with forward Euler or midpoint RK2; boundary nodes are pinned to their
-initial trace, which realizes the -1 Dirichlet condition for scenario-built
-data (whose trace is identically -1) while keeping synthetic profiles
-consistent. The timestep obeys the diffusive, reactive and advective limits
+with forward Euler or midpoint RK2; a transport u = m(t) U enters as the
+grid's cached U, and m at each update's time scales its transport sum.
+Boundary nodes are pinned to their initial trace, which realizes the -1
+Dirichlet condition for scenario-built data (whose trace is identically -1)
+while keeping synthetic profiles consistent. The timestep obeys the diffusive, reactive and advective limits
 simultaneously.
 
 ``run`` integrates a scenario from 0 to T, records a diagnostics row every
@@ -80,6 +81,8 @@ class SolverConfig:
             raise ValueError(f"cfl safety factor must lie in (0,1], got {self.cfl}")
         if self.diag_every < 1:
             raise ValueError("diag_every must be >= 1")
+        if self.snap_every < 0:
+            raise ValueError(f"snap_every must be >= 0, got {self.snap_every}")
 
 
 @dataclass
@@ -145,11 +148,15 @@ def step(
     scheme: str = "euler",
     out: np.ndarray | None = None,
     mid: np.ndarray | None = None,
+    m: float = 1.0,
+    m_mid: float | None = None,
 ) -> SimState:
     """One explicit step; boundary nodes keep their current (initial-trace) values.
 
     ``u``/``u_mid`` are the velocity samples at t and t + dt/2 (midpoint rule);
-    omit them for transport-free runs. The input state is not modified:
+    omit them for transport-free runs. Each is scaled by its time factor,
+    ``m`` or ``m_mid`` (default ``m``; ``u_mid`` defaults to ``u``), so a
+    transport m(t) U passes U itself. The input state is not modified:
     ``grid.stencil_rhs`` writes each update, with phi's boundary nodes, into
     ``out`` (rk2's midpoint into ``mid``), fields that share no memory with
     phi or each other, or into fresh ones. The update is checked by the max
@@ -162,23 +169,23 @@ def step(
     v = state.phi.values
     h, eps, well = state.phi.spec.h, cfg.epsilon, cfg.well
 
-    def update(f: np.ndarray, vel: VectorField | None, scale: float, dst: np.ndarray | None):
+    def update(f: np.ndarray, vel: VectorField | None, m: float, scale: float, dst: np.ndarray | None):
         """(phi + scale * rhs(f) on the interior and phi on the boundary, in
         ``dst``; its max |phi|)."""
         dst = np.empty_like(v) if dst is None else dst
-        m = stencil_rhs(f, None if vel is None else vel.values, h, eps, well, dst, v, scale)
-        return dst, m
+        return dst, stencil_rhs(f, None if vel is None else vel.values, h, eps, well, dst, v, scale, m)
 
     f = v
     if scheme != "euler":
-        f, m = update(v, u, 0.5 * dt, mid)
-        if not math.isfinite(m):
+        f, top = update(v, u, m, 0.5 * dt, mid)
+        if not math.isfinite(top):
             raise _abort(state, f, state.t + 0.5 * dt, midpoint=True)
         u = u_mid if u_mid is not None else u
-    new, m = update(f, u, dt, out)
-    if not m <= PHI_ABORT:  # also catches nan and inf
+        m = m_mid if m_mid is not None else m
+    new, top = update(f, u, m, dt, out)
+    if not top <= PHI_ABORT:  # also catches nan and inf
         raise _abort(state, new, state.t + dt, midpoint=False)
-    return SimState(state.t + dt, ScalarField.from_checked(state.phi.spec, new), state.step_index + 1, m)
+    return SimState(state.t + dt, ScalarField.from_checked(state.phi.spec, new), state.step_index + 1, top)
 
 
 @dataclass
@@ -240,8 +247,8 @@ class RowBuilder:
 
     The first frame places the default ``probe`` at its strongest energy node;
     a later row's ``monotonicity_residual`` is the trapezoid surplus of that
-    probe's kernel terms since the previous frame. The transport's |u|^2 and
-    exp(-m G) are formed once if static, else at every row.
+    probe's kernel terms since the previous frame. The Groenwall weight
+    exp(-m G) is formed once if static, else at every row.
     """
 
     def __init__(self, cfg: ScenarioConfig, radii: list[float]):
@@ -249,7 +256,7 @@ class RowBuilder:
         self.radii = radii
         self.probe: measures.HuiskenProbe | None = None
         self.kernel: tuple[float, ...] | None = None  # (t, i_rho, i_u, i_xi) of the last frame
-        self.transport_terms: tuple | None = None  # (|u|^2, exp(-m G)) of the last row
+        self.weight: np.ndarray | None = None  # exp(-m G) of the last row
         self.center = tuple(0.5 * (lo + hi) for lo, hi in zip(cfg.grid.lo, cfg.grid.hi))
         self.omega_p = cfg.omega_prime()
         self.box_p = cfg.grid.box_slices(self.omega_p)
@@ -266,10 +273,9 @@ class RowBuilder:
         if self.probe is None:
             idx = np.unravel_index(int(np.argmax(ff.density.values)), spec.nodes)
             self.probe = probe_at(cfg, [ax[i] for ax, i in zip(spec.axes(), idx)])
-        if self.transport_terms is None or tr.time_dependent:
-            self.transport_terms = (measures.speed_sq(tr, spec, t), measures.gronwall_weight(tr, spec, t))
-        u2, weight = self.transport_terms
-        i_rho, i_u, i_xi = measures.kernel_terms(ff, self.probe, t, u2)
+        if self.weight is None or tr.time_dependent:  # without G it stays None, at no cost
+            self.weight = measures.gronwall_weight(tr, spec, t)
+        i_rho, i_u, i_xi = measures.kernel_terms(ff, self.probe, t, tr)
         resid = 0.0
         if self.kernel is not None:
             t0, rho0, u0, xi0 = self.kernel
@@ -294,7 +300,7 @@ class RowBuilder:
             pos_xi_integral=pos_xi,
             interface_radius=radius,
             monotonicity_residual=resid,
-            gronwall_factor=measures.weighted_energy(mu, weight),
+            gronwall_factor=measures.weighted_energy(mu, self.weight),
             velocity_sq=vel,
             max_abs_phi=max_abs_phi,
         )
@@ -317,28 +323,21 @@ def run(
     (``MarginError``) or an empty density-ratio radius ladder raises
     ``ConfigError``.
 
-    The transport u = m(t) U takes U from ``scenario.transport_field``. A
-    static transport's velocity U m(0) is formed once; a time-dependent one
-    is written in place into one buffer at each step's start and, for rk2,
-    into a second at its midpoint.
+    The transport u = m(t) U: every step reads the grid's cached U
+    (``scenario.transport_field``) and scales its transport sum by m at the
+    step's start and rk2 midpoint; no velocity field is formed.
     """
     solver = solver or SolverConfig()
     phi0 = build_initial_phase(cfg)
     build_row = RowBuilder(cfg, ratio_radii(cfg))
     tr = cfg.transport
     u_field = transport_field(tr, cfg.grid).u
+    u = None if u_field is None else VectorField(cfg.grid, u_field)  # no copy: U itself
     u_max = tr.sup_speed(cfg.grid, 0.0, cfg.t_end)
     dt0 = stable_dt(cfg.grid.h, cfg.epsilon, u_max, cfg.well, cfg.grid.dim, solver.cfl)
     d = solver.diag_every
     n_steps = d * math.ceil(cfg.t_end / (dt0 * d))
     dt = cfg.t_end / n_steps
-
-    u = u_mid = None
-    if u_field is not None:
-        u = VectorField(cfg.grid, u_field * tr.m(0.0))
-        if tr.time_dependent and solver.scheme == "rk2":
-            u_mid = VectorField(cfg.grid, np.empty_like(u_field))
-    refill = u is not None and tr.time_dependent
 
     if out_dir is not None:
         os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
@@ -360,12 +359,9 @@ def run(
     mid = np.empty_like(spare) if solver.scheme == "rk2" else None
     try:
         for k in range(1, n_steps + 1):
-            if refill:
-                np.multiply(u_field, tr.m(state.t), out=u.values)
-                if u_mid is not None:
-                    np.multiply(u_field, tr.m(state.t + 0.5 * dt), out=u_mid.values)
             prev = state.phi.values
-            state = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=solver.scheme, out=spare, mid=mid)
+            state = step(state, cfg, dt, u=u, scheme=solver.scheme, out=spare, mid=mid,
+                         m=tr.m(state.t), m_mid=tr.m(state.t + 0.5 * dt))
             spare = prev
             running_max = max(running_max, state.max_abs_phi)
             if k % d == 0:

@@ -105,13 +105,14 @@ def folded_update(
     well,
     scale: float = 1.0,
     base: np.ndarray | None = None,
+    m: float = 1.0,
 ) -> np.ndarray:
-    """base + scale (lap f - W'(f)/eps^2 - u . grad f) at every node, in the
+    """base + scale (lap f - W'(f)/eps^2 - m u . grad f) at every node, in the
     folded, division-free form of ``grid.stencil_rhs``:
 
         c1 sum_k (up_k + dn_k) + q(f) + cu sum_k u_k (up_k - dn_k) + base,
 
-    c1 = scale/h^2, cu = -scale/(2h), q(s) = -(scale/eps^2) W'(s) - 2n c1 s by
+    c1 = scale/h^2, cu = -scale m/(2h), q(s) = -(scale/eps^2) W'(s) - 2n c1 s by
     Horner's rule from the top non-zero coefficient (degree 1 at least), with
     additions of zero coefficients skipped. Sums run in axis order and terms
     are added left to right, whole field at a time on the padded copy (ghosts
@@ -126,7 +127,7 @@ def folded_update(
         sl[ax] = slice(1 + by, pad.shape[ax] - 1 + by)
         return pad[tuple(sl)]
 
-    c1, cu = scale / h**2, -scale / (2.0 * h)
+    c1, cu = scale / h**2, -scale * m / (2.0 * h)
     q = [-(scale / (eps * eps)) * c for c in well.wprime_coeffs()]
     q[1] -= 2 * n * c1
     top = max([1] + [j for j, c in enumerate(q) if c])

@@ -139,6 +139,35 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "line 1" in err and "bogus" in err
 
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("old, new", [
+        ("epsilon = 0.1", "epsilon = 0.1x"),
+        ("diag_every = 50", "diag_every = 2.5"),
+        ("cells = 96", "cells = 96 9x6"),
+        ("tau = 0.002", "tau = 0.001 0.002"),
+        ("dim = 2", "dim = two"),
+        ("snap_every = 200", "snap_every ="),
+    ])
+    def test_malformed_number_cites_line(self, tmp_path, capsys, command, old, new):
+        # the same line as a sweep plan's: checked against scenario.NUMBERS as the config is parsed
+        p = tmp_path / "bad.cfg"
+        p.write_text(CONFIG.replace(old, new))
+        where = ["--out", str(tmp_path / "o")] if command == "run" else ["--snapshot", str(tmp_path / "x.afld")]
+        assert main([command, "--config", str(p), *where]) == 1
+        key, value = (v.strip() for v in new.split("="))
+        lineno = CONFIG.splitlines().index(old) + 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"config error: line {lineno}: bad {key} value {value!r}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_snap_every_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CONFIG.replace("snap_every = 200", "snap_every = -3"))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: snap_every must be >= 0, got -3"]
+        assert not (tmp_path / "o").exists()
+
     def test_exponent_violation_exits_one(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text(CONFIG.replace("p = 2\n", "p = 0.7\n").replace("q = 4\n", "q = 3\n"))
@@ -716,6 +745,22 @@ class TestDiagnoseCommand:
         assert len(err) == 1 and err[0].startswith("probe error: ") and "leaves the domain box" in err[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("args, message", [
+        ([], "window [0.004, 0.004] covers 1 retained frames; need at least 2"),
+        (["--t0", "0.003", "--t1", "0.005"], "window [0.003, 0.005] covers 1 retained frames; need at least 2"),
+        (["--t0", "5", "--t1", "7"], "kernel needs t < s: need t0 < t1 < s, got 5, 7, 0.05"),
+    ], ids=["default-window", "window", "window-past-s"])
+    def test_one_frame_probe_report_exits_one(self, artifact, capsys, args, message):
+        # one snapshot has a row, but no probe report: the report's window needs two frames
+        _, cfg_path, out = artifact
+        last = sorted((out / "snapshots").iterdir())[-1]
+        code = main(["diagnose", "--config", str(cfg_path), "--snapshot", str(last),
+                     "--probe", "y=0.8,0.8 s=0.05", *args])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [f"probe error: {message}"]
+        assert len(captured.out.strip().splitlines()) == 2  # the header and the frame's row
+
     def test_probe_time_not_after_snapshot_exits_one(self, artifact, capsys):
         _, cfg_path, out = artifact
         last = sorted((out / "snapshots").iterdir())[-1]
@@ -823,3 +868,48 @@ class TestScripts:
         proc = subprocess.run([sys.executable, os.path.join(root, "scripts", script), *argv],
                               env=env, cwd=tmp_path, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+class TestBenchmarkApi:
+    """The benchmark under ``perfbench/`` drives actx through ``probe.py`` (config
+    loading, ``build_initial_phase``, ``Transport.velocity``, ``VectorField`` and
+    ``solver.step``'s keywords) and ``spans.install`` (the public functions, and
+    ``DoubleWell.eval``, ``EnergyMeasure.from_phase`` and ``Transport.velocity``
+    as methods). Each runs here in a fresh interpreter, as the benchmark runs it,
+    so a change to what they use fails this test; nothing under ``perfbench/``
+    is edited."""
+
+    @staticmethod
+    def _python(tmp_path, script, *args):
+        import subprocess
+        import sys
+
+        import actx
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(actx.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, os.path.join(root, "perfbench", script), *args],
+                              env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return proc.stdout
+
+    def test_probe_setup_and_alloc_on_a_pulsed_rk2_plan(self, tmp_path):
+        import json
+
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PULSED_PLAN)
+        setup = json.loads(self._python(tmp_path, "probe.py", "setup", "sweep", str(plan)))
+        assert set(setup) == {"import_s", "load_s", "build_s"}
+        alloc = json.loads(self._python(tmp_path, "probe.py", "alloc", "sweep", str(plan), "2"))
+        assert alloc["peak_fields"] > 0.0
+
+    def test_spans_install_traces_a_pulsed_rk2_run(self, tmp_path):
+        import json
+
+        cfg = tmp_path / "pulsed.cfg"
+        cfg.write_text(PULSED_EVERY)
+        self._python(tmp_path, "traced_actx.py", "spans.json", "toy", "run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out"))
+        names = {span[0] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]}
+        assert {"import", "cli.main", "solver.run", "solver.step", "solver.row"} <= names

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from actx.measures import (
     weighted_energy,
 )
 from actx.potential import DoubleWell, surface_tension
+from actx.scenario import Transport, ZeroTransport
 from actx.solver import Trajectory
 
 from conftest import CENTER, L, circle_config, row_gronwall, row_velocity_l2, run_with_frames
@@ -316,6 +318,20 @@ def _whole_grid_kernel(probe, spec, t):
     return amp * np.exp(-r2 / (4.0 * tau)) * probe.cutoff(np.sqrt(r2))
 
 
+@dataclass(frozen=True, eq=False)  # hashed by identity, as the transport_field cache needs
+class _ArrayTransport(Transport):
+    """u = factor U for a given node array U."""
+
+    u: np.ndarray
+    factor: float = 1.0
+
+    def m(self, t):
+        return self.factor
+
+    def spatial(self, x):
+        return self.u.copy(), None
+
+
 def _whole_grid_terms(ff, probe, t, u2):
     """``kernel_terms`` as whole-grid trapezoid integrals, with the scale of each
     (the integral of the absolute integrand).
@@ -363,7 +379,11 @@ class TestProbeLocalKernel:
         y = tuple({"lo": r_outer, "mid": 0.4, "hi": 0.8 - r_outer}[f] for f in faces[:dim])
         probe = HuiskenProbe(y, 0.05, 0.5 * r_outer, r_outer)
         ff = frame_fields(ScalarField(spec, rng.uniform(-1.2, 1.2, spec.nodes)), 0.1, WELL)
-        u2 = rng.uniform(0.0, 4.0, spec.nodes) if with_u else None
+        transport, u2 = ZeroTransport(), None
+        if with_u:  # the reference takes the field |m U|^2, kernel_terms m^2 times the sum of |U|^2
+            transport = _ArrayTransport(rng.uniform(-2.0, 2.0, spec.nodes + (dim,)), rng.uniform(-3.0, 3.0))
+            u = transport.factor * transport.u
+            u2 = np.sum(u * u, axis=-1)
         box = probe_geometry(probe, spec).box
         outside = np.ones(spec.nodes, dtype=bool)
         outside[box] = False
@@ -372,9 +392,30 @@ class TestProbeLocalKernel:
             ref = _whole_grid_kernel(probe, spec, t)
             assert np.all(ref[outside] == 0.0)
             assert np.array_equal(kernel_field(probe, spec, t).values, ref)
-            got = kernel_terms(ff, probe, t, u2)
+            got = kernel_terms(ff, probe, t, transport)
             for value, (want, scale) in zip(got, _whole_grid_terms(ff, probe, t, u2)):
                 assert abs(value - want) <= 1e-13 * scale, (t, value, want)
+
+    def test_transport_term_forms_no_whole_grid_field(self):
+        # |U|^2 is formed on the probe's box and m(t)^2 scales its integral
+        import tracemalloc
+
+        import actx.measures
+        from actx.measures import frame_fields, kernel_terms
+        from actx.scenario import RadialGradient
+
+        assert not hasattr(actx.measures, "speed_sq")
+        ff = frame_fields(flat_field(), EPS, WELL)
+        probe = HuiskenProbe((0.5, 0.5), 0.05, 0.1, 0.2)
+        tr = RadialGradient(1.2, (0.5, 0.5), mod_amp=0.3125, mod_freq=5.0)
+        kernel_terms(ff, probe, 0.01, tr)  # the grid's U is cached from here on
+        tracemalloc.start()
+        try:
+            i_u = kernel_terms(ff, probe, 0.02, tr)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert i_u > 0.0 and peak < 8 * SPEC.n_nodes
 
     def test_probe_leaving_box_raises_before_evaluation(self):
         from actx.measures import frame_fields, kernel_terms
@@ -382,7 +423,7 @@ class TestProbeLocalKernel:
         ff = frame_fields(flat_field(), EPS, WELL)
         probe = HuiskenProbe((0.1, 0.5), 0.05, 0.1, 0.2)
         with pytest.raises(MeasureError, match="leaves the domain"):
-            kernel_terms(ff, probe, 0.06, None)  # t > s as well: the ball is checked first
+            kernel_terms(ff, probe, 0.06, ZeroTransport())  # t > s as well: the ball is checked first
         with pytest.raises(MeasureError, match="leaves the domain"):
             kernel_field(probe, SPEC, 0.01)
 
@@ -393,7 +434,7 @@ class TestProbeLocalKernel:
         probe = HuiskenProbe((0.5, 0.5), 0.05, 0.1, 0.2)
         for t in (0.05, 0.06):
             with pytest.raises(MeasureError, match="t < s"):
-                kernel_terms(ff, probe, t, None)
+                kernel_terms(ff, probe, t, ZeroTransport())
 
     def test_non_finite_product_raises(self):
         from actx.grid import GridError
@@ -401,14 +442,14 @@ class TestProbeLocalKernel:
 
         ff = frame_fields(flat_field(), EPS, WELL)
         probe = HuiskenProbe((0.5, 0.5), 0.05, 0.1, 0.2)
-        u2 = np.ones(SPEC.nodes)
-        u2[64, 70] = np.nan
+        u = np.ones(SPEC.nodes + (2,))
+        u[64, 70, 1] = np.nan
         with pytest.raises(GridError, match=r"non-finite entry at node index \(64, 70\)"):
-            kernel_terms(ff, probe, 0.01, u2)
+            kernel_terms(ff, probe, 0.01, _ArrayTransport(u))
         box = probe_geometry(probe, SPEC).box
-        u2[64, 70] = 1.0
-        u2[box[0].stop, 64] = np.inf  # off the box: not a node of the kernel's support
-        assert np.isfinite(kernel_terms(ff, probe, 0.01, u2)[1])
+        u[64, 70, 1] = 1.0
+        u[box[0].stop, 64, 0] = np.inf  # off the box: not a node of the kernel's support
+        assert np.isfinite(kernel_terms(ff, probe, 0.01, _ArrayTransport(u))[1])
 
 
 class TestMonotonicity:
@@ -489,7 +530,6 @@ class TestMonotonicity:
         from actx.measures import MonotonicityReport, frame_fields, kernel_terms
 
         cfg = traj.cfg
-        pts = np.stack(cfg.grid.meshgrid(), axis=-1)
         idx = [i for i, t in enumerate(traj.times) if t0 - 1e-12 <= t <= t1 + 1e-12]
         vals = []
         for i in idx:
@@ -497,8 +537,7 @@ class TestMonotonicity:
             ff = frame_fields(traj.frames[i], cfg.epsilon, cfg.well)
             leak = math.exp(-1.0 / (128.0 * (probe.s - t)))
             mass = ball_integrate(ff.density, probe.y, 0.25, clip_ok=True)
-            u = cfg.transport.velocity(pts, t)
-            vals.append(kernel_terms(ff, probe, t, np.sum(u * u, axis=-1)) + (leak * mass,))
+            vals.append(kernel_terms(ff, probe, t, cfg.transport) + (leak * mass,))
         times = np.asarray([traj.times[i] for i in idx])
         vals = np.asarray(vals)
         return MonotonicityReport(

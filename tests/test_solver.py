@@ -15,6 +15,22 @@ from conftest import CENTER, circle_config
 WELL = DoubleWell.quartic()
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"scheme": "rk4"}, "unknown scheme"),
+        ({"cfl": 0.0}, "cfl safety factor"),
+        ({"cfl": 1.5}, "cfl safety factor"),
+        ({"diag_every": 0}, "diag_every must be >= 1"),
+        ({"snap_every": -3}, "snap_every must be >= 0, got -3"),
+    ])
+    def test_rejects(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**kwargs)
+
+    def test_defaults_are_valid(self):
+        assert SolverConfig() == SolverConfig("euler", 0.5, 50, 0)
+
+
 class TestStableDt:
     def test_diffusive_branch_dominates(self):
         # n = 2, h = 1/256, eps = 8h, u = 0: dt = cfl * h^2/8
@@ -153,6 +169,33 @@ class TestRun:
         assert [r.to_csv_line() for r in r1.rows] == [r.to_csv_line() for r in r2.rows]
         assert np.array_equal(r1.final_phi.values, r2.final_phi.values)
 
+    @pytest.mark.parametrize("scheme", ["euler", "rk2"])
+    @pytest.mark.parametrize("tr", [RadialGradient(16.0, CENTER),
+                                    RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)],
+                             ids=["static", "pulsed"])
+    def test_steps_read_the_cached_transport(self, monkeypatch, scheme, tr):
+        # m(t) scales the transport sum: every update gets the grid's cached U itself,
+        # read-only, with the time factor at its own time; no velocity field is formed
+        import actx.solver
+        from actx.grid import stencil_rhs
+        from actx.scenario import transport_field
+
+        seen = []
+
+        def spy(f, u, h, eps, well, out, base, scale, m):
+            seen.append((u, m))
+            return stencil_rhs(f, u, h, eps, well, out, base, scale, m)
+
+        monkeypatch.setattr(actx.solver, "stencil_rhs", spy)
+        cfg = circle_config(96, 16, t_end=0.002, tau=0.001, transport=tr)
+        res = run(cfg, SolverConfig(scheme=scheme, diag_every=10))
+        u = transport_field(tr, cfg.grid).u
+        assert not u.flags.writeable
+        assert all(arr is u for arr, _ in seen)
+        per_step = 1 if scheme == "euler" else 2  # the update at t, then rk2's at t + dt/2
+        want = [tr.m((k + 0.5 * j) * res.dt) for k in range(res.n_steps) for j in range(per_step)]
+        assert [m for _, m in seen] == pytest.approx(want, rel=1e-12)
+
     def test_one_extraction_per_row(self, tmp_path, monkeypatch):
         import actx.solver
         from actx.interface import extract_interface
@@ -252,26 +295,28 @@ class TestThreeDimensions:
 # ---------------------------------------------------------------------------
 
 
-def _reference_step(state, cfg, dt, u=None, u_mid=None, scheme="euler", rhs=None):
+def _reference_step(state, cfg, dt, u=None, u_mid=None, scheme="euler", rhs=None, m=1.0, m_mid=None):
     """The explicit step as whole-field expressions: the folded update of
-    ``reference_ops.folded_update``, or phi + scale * rhs(f, u) with ``rhs``."""
+    ``reference_ops.folded_update``, or phi + scale * rhs(f, u) with ``rhs``;
+    ``m``/``m_mid`` are ``step``'s time factors of ``u``/``u_mid``."""
     from reference_ops import folded_update
 
     phi = state.phi
 
-    def update(f, vel, scale):
+    def update(f, vel, scale, factor):
         if rhs is None:
-            return folded_update(f, vel, cfg.epsilon, cfg.well, scale, phi.values)
+            return folded_update(f, vel, cfg.epsilon, cfg.well, scale, phi.values, factor)
         return phi.values + scale * rhs(f, vel)
 
     bmask = np.ones(phi.values.shape, dtype=bool)
     bmask[(slice(1, -1),) * phi.values.ndim] = False
     if scheme == "euler":
-        new = update(phi, u, dt)
+        new = update(phi, u, dt, m)
     else:
-        mid_vals = update(phi, u, 0.5 * dt)
+        mid_vals = update(phi, u, 0.5 * dt, m)
         mid_vals[bmask] = phi.values[bmask]
-        new = update(ScalarField(phi.spec, mid_vals), u_mid if u_mid is not None else u, dt)
+        new = update(ScalarField(phi.spec, mid_vals), u_mid if u_mid is not None else u, dt,
+                     m_mid if m_mid is not None else m)
     new[bmask] = phi.values[bmask]
     return new
 
@@ -425,9 +470,9 @@ def test_run_buffered_steps_bit_identical_across_chunks(
     monkeypatch.setattr(actx.solver, "build_initial_phase", lambda _cfg: phi0)
     seen = []
 
-    def checked(state, cfg, dt, u=None, u_mid=None, scheme="euler", **buffers):
-        want = _reference_step(state, cfg, dt, u, u_mid, scheme)
-        out = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=scheme, **buffers)
+    def checked(state, cfg, dt, u=None, u_mid=None, scheme="euler", m=1.0, m_mid=None, **buffers):
+        want = _reference_step(state, cfg, dt, u, u_mid, scheme, m=m, m_mid=m_mid)
+        out = step(state, cfg, dt, u=u, u_mid=u_mid, scheme=scheme, m=m, m_mid=m_mid, **buffers)
         assert out.phi.values is buffers["out"]
         assert np.array_equal(_bits(out.phi.values), _bits(want))
         assert out.max_abs_phi == float(np.max(np.abs(out.phi.values)))  # the faces restored per block
@@ -467,11 +512,13 @@ def test_diagnostics_digest_2d_rk2_pulsed(tmp_path):
     # relative moves per column: pos_xi_integral 1.7e-11 (12 of 13 rows),
     # sup_xi and sup_xi_pos 4.8e-12 (11), monotonicity_residual 7.6e-14 (12),
     # velocity_sq 3.2e-15 (13), density_ratio_max 1.1e-15 (9), gronwall_factor
-    # 2.3e-16 (2), total_energy 2.2e-16 (2)
-    assert got == "c9fd0e1a806ea81c34a1236c9ece1a72a5ae835ecf132111f97a55b4659027dc"
+    # 2.3e-16 (2), total_energy 2.2e-16 (2); re-pinned for m(t) scaling the transport
+    # sums of the cached U: only velocity_sq moved (3 of 13 rows, at most 3.9e-16 relative)
+    assert got == "fe96462e0d685ca02ac648a3dd3760c706a9a0a781b20c129602853d0cbfe028"
     # recorded with the separate marching-squares extractor, run again on the final field;
-    # re-pinned for the folded step: the same 116 segments, one coordinate moved by 1.1e-16
-    assert interface == "550e5c60dc759f1740dab455903888f9f3ed1edc110efed0b00cb55a78e9e253"
+    # re-pinned for the folded step: the same 116 segments, one coordinate moved by 1.1e-16;
+    # re-pinned for m(t) scaling the transport sums: one x1 moved by 1.9e-16
+    assert interface == "610fd8f613ec342caa0042892c8c45d826694f04caf14f1d016365c61530c41b"
 
 
 def test_diagnostics_digest_3d_euler(tmp_path):
@@ -604,6 +651,15 @@ class TestSpeedBound:
         peak = speed(t_end / 16)
         assert nine < 1.01 * 1.2 * np.sqrt(2 * 0.8**2) < peak
         assert cfg.transport.sup_speed(cfg.grid, 0.0, cfg.t_end) >= peak
+
+    @pytest.mark.parametrize("strength", [16.0, -16.0])
+    def test_static_bound_is_the_node_maximum(self, strength):
+        # |m(0)| max |U| against max |u| over the nodes, u formed whole
+        tr = RadialGradient(strength, CENTER)
+        cfg = circle_config(96, 16, transport=tr)
+        pts = np.stack(cfg.grid.meshgrid(), axis=-1)
+        nodes = float(np.max(np.linalg.norm(tr.velocity(pts, 0.0), axis=-1)))
+        assert tr.sup_speed(cfg.grid, 0.0, cfg.t_end) == pytest.approx(nodes, rel=1e-14)
 
     def test_diffusive_limit_still_binds_on_pulsed_runs(self, gronwall_runs):
         cfg, res, _ = gronwall_runs["modulated"]
