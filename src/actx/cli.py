@@ -14,9 +14,14 @@ arguments), unreadable snapshot or diagnostics file, bad ``diagnose`` probe
 ``report`` run-manifest value,
 or a sweep rung whose monotonicity probes cannot be evaluated (no initial
 interface to place them on, or fewer than two snapshot frames in [tau, T]),
-2 solver abort or a failed sweep rung (a FAILED row in ``sweep.csv``). The
-environment variable ACTX_THREADS caps sweep-rung parallelism (default
-serial); a value that is not a positive integer is a configuration error. Artifact directories contain a manifest
+2 solver abort or a failed sweep rung (a FAILED row in ``sweep.csv``).
+
+The environment variable ACTX_THREADS caps sweep-rung parallelism (default:
+the CPUs the process may run on); a value that is not a positive integer is
+a configuration error. Each distinct rung is one job, its run and its offline
+checks, in a forked worker process, the largest rung first; a rung named twice
+in a plan runs once. Messages come in plan order, so the output does not
+depend on ACTX_THREADS. Artifact directories contain a manifest
 listing every output file with its sha256 and the transport bounds; an
 aborted run's manifest also records the abort's step, node, time and |phi|.
 """
@@ -25,10 +30,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import math
 import os
 import re
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -284,6 +292,58 @@ def read_rows(art_dir: str) -> list[DiagnosticsRow]:
     return rows
 
 
+def _rung_checks(text: str, rung_dir: str, code: int) -> tuple[dict, str | None]:
+    """A rung's ``sweep.csv`` entry from its finished run (exit ``code``), and the
+    one-line message of the first offline check that could not be made, if any."""
+    # a failed rung's config may not even load, so the epsilon comes from its text
+    conf = scenario.parse_config(text)
+    entry: dict = {"cells": int(conf["cells"]), "epsilon": float(conf["epsilon"]),
+                   "status": "ok" if code == 0 else "FAILED"}
+    if code != 0:
+        return entry, None
+    cfg = scenario.scenario_from_config(conf)
+    try:
+        rows = read_rows(rung_dir)
+    except (OSError, ValueError) as exc:
+        return entry, f"diagnostics error: {exc}"
+    tail = [r for r in rows if r.t >= cfg.tau - 1e-12]
+    entry["e_max"] = max(r.density_ratio_max for r in tail)
+    entry["sup_xi_pos"] = max(r.sup_xi_pos for r in tail)
+    err = _radius_error_vs_oracle(cfg, rows)
+    entry["interface_err"] = err[0] if err else math.nan
+    if err:
+        with open(os.path.join(rung_dir, "radius_vs_oracle.csv"), "w") as fh:
+            fh.write("t,radius_sim,radius_oracle,rel_err\n")
+            for t, rs, rr, e in err[1]:
+                fh.write(f"{t!r},{rs!r},{rr!r},{e!r}\n")
+    try:
+        traj = solver.load_trajectory(rung_dir, cfg)
+    except (GridError, OSError) as exc:
+        return entry, f"snapshot error: {exc}"
+    try:  # no interface to place probes on, or fewer than two frames in [tau, T]
+        entry["fitted_c"] = fitted_monotonicity_c(traj)
+    except (ConfigError, MeasureError) as exc:
+        return entry, f"probe error: {rung_dir}: {exc}"
+    # the same sup |dt g| and row spacing as the rung's run-manifest
+    rep = measures.gronwall_report(rows, cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end),
+                                   solver_from_config(conf).diag_every)
+    entry["gronwall_margin"] = rep.rate_bound - rep.growth_rate
+    return entry, None
+
+
+def _rung_job(job: tuple[str, str]) -> tuple[dict, str, str, str | None]:
+    """One sweep rung, in whichever process runs it: ``_run_rung`` (looked up at
+    call time, so a replaced hook also runs in forked workers), then its offline
+    checks. Returns the rung's entry, the stdout and stderr text it wrote and its
+    check error (``_rung_checks``), so that the caller prints them in plan order."""
+    out, err = io.StringIO(), io.StringIO()
+    # catch_warnings resets the once-per-location warning registries, so a rung
+    # prints the same warnings whichever process ran the rungs before it
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        entry, error = _rung_checks(job[0], job[1], _run_rung(job))
+    return entry, out.getvalue(), err.getvalue(), error
+
+
 def sweep(plan_path: str, out_dir: str) -> int:
     """Run every rung, then emit the cross-rung convergence table."""
     try:
@@ -291,68 +351,45 @@ def sweep(plan_path: str, out_dir: str) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    threads = os.environ.get("ACTX_THREADS", "1")
+    threads = os.environ.get("ACTX_THREADS")
     try:
-        workers = int(threads)
+        workers = len(os.sched_getaffinity(0)) if threads is None else int(threads)
     except ValueError:
         workers = 0
     if workers < 1:
         print(f"config error: ACTX_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
         return EXIT_CONFIG
     os.makedirs(out_dir, exist_ok=True)
-    jobs = [
-        (plan.rung_config_text(cells), os.path.join(out_dir, f"rung_{cells:04d}"))
-        for cells in plan.rungs
-    ]
+    # one job per distinct rung (two jobs must never write one directory),
+    # the largest first: it takes longest
+    cells = sorted(set(plan.rungs), reverse=True)
+    jobs = [(plan.rung_config_text(c), os.path.join(out_dir, f"rung_{c:04d}")) for c in cells]
+    workers = min(workers, len(jobs))
     if workers > 1:
-        # imported here: the process pool's module is a noticeable part of every
-        # invocation's import time, and only a parallel sweep needs it
+        # imported here: the process pool's modules are a noticeable part of every
+        # invocation's import time, and only a parallel sweep needs them
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_run_rung, jobs))
+        # forked workers inherit the imports and the ``_run_rung`` hook; the pool
+        # forks them all before it starts its own thread, and multiprocessing
+        # flushes stdout and stderr first, so no worker writes the parent's text
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_rung_job, jobs))
     else:
-        codes = [_run_rung(j) for j in jobs]
+        results = list(map(_rung_job, jobs))
+    done = dict(zip(cells, results))
 
-    header = "cells,epsilon,status,interface_err,order,e_max,sup_xi_pos,fitted_c,gronwall_margin"
-    table: list[dict] = []
-    for (text, rung_dir), code, cells in zip(jobs, codes, plan.rungs):
-        # a failed rung's config may not even load, so the epsilon comes from its text
-        conf = scenario.parse_config(text)
-        entry: dict = {"cells": cells, "epsilon": float(conf["epsilon"]),
-                       "status": "ok" if code == 0 else "FAILED"}
-        if code == 0:
-            cfg = scenario.scenario_from_config(conf)
-            try:
-                rows = read_rows(rung_dir)
-            except (OSError, ValueError) as exc:
-                print(f"diagnostics error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            tail = [r for r in rows if r.t >= cfg.tau - 1e-12]
-            entry["e_max"] = max(r.density_ratio_max for r in tail)
-            entry["sup_xi_pos"] = max(r.sup_xi_pos for r in tail)
-            err = _radius_error_vs_oracle(cfg, rows)
-            entry["interface_err"] = err[0] if err else math.nan
-            if err:
-                with open(os.path.join(rung_dir, "radius_vs_oracle.csv"), "w") as fh:
-                    fh.write("t,radius_sim,radius_oracle,rel_err\n")
-                    for t, rs, rr, e in err[1]:
-                        fh.write(f"{t!r},{rs!r},{rr!r},{e!r}\n")
-            try:
-                traj = solver.load_trajectory(rung_dir, cfg)
-            except (GridError, OSError) as exc:
-                print(f"snapshot error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            try:  # no interface to place probes on, or fewer than two frames in [tau, T]
-                entry["fitted_c"] = fitted_monotonicity_c(traj)
-            except (ConfigError, MeasureError) as exc:
-                print(f"probe error: {rung_dir}: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-            # the same sup |dt g| and row spacing as the rung's run-manifest
-            rep = measures.gronwall_report(rows, cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end),
-                                           solver_from_config(conf).diag_every)
-            entry["gronwall_margin"] = rep.rate_bound - rep.growth_rate
-        table.append(entry)
+    for c in dict.fromkeys(plan.rungs):  # each distinct rung once, in plan order
+        _, out_text, err_text, _ = done[c]
+        sys.stdout.write(out_text)
+        sys.stderr.write(err_text)
+    for c in plan.rungs:
+        error = done[c][3]
+        if error is not None:
+            print(error, file=sys.stderr)
+            return EXIT_CONFIG
+    table = [done[c][0] for c in plan.rungs]
 
     # observed order between consecutive successful rungs (eps decreasing)
     orders: list[float | None] = [None]
@@ -372,7 +409,7 @@ def sweep(plan_path: str, out_dir: str) -> int:
         else:
             orders.append(None)
 
-    lines = [header]
+    lines = ["cells,epsilon,status,interface_err,order,e_max,sup_xi_pos,fitted_c,gronwall_margin"]
     for entry, order in zip(table, orders):
         lines.append(
             ",".join(
@@ -393,7 +430,7 @@ def sweep(plan_path: str, out_dir: str) -> int:
     with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
         fh.write(out_text)
     print(out_text, end="")
-    return EXIT_OK if all(c == 0 for c in codes) else EXIT_ABORT
+    return EXIT_OK if all(entry["status"] == "ok" for entry in table) else EXIT_ABORT
 
 
 # ---------------------------------------------------------------------------

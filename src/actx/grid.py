@@ -194,9 +194,6 @@ class VectorField:
         out = np.stack([np.asarray(c, dtype=np.float64) + np.zeros(spec.nodes) for c in comps], axis=-1)
         return cls(spec, out)
 
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(sum_sq(self.values))
-
 
 def sum_sq(v: np.ndarray) -> np.ndarray:
     """Sum of squares over the last (component) axis, one component at a time.

@@ -51,16 +51,13 @@ class MarginError(ConfigError):
 
 class Transport:
     """u(x, t) = m(t) U(x). An entry states U, the potential G of a gradient entry
-    (u = grad g, g = m G, dt g = m'(t) G) and the constant matrix grad U once;
-    callers scale them by m(t) or m'(t). The base class is the zero field."""
+    (u = grad g, g = m G) and the constant matrix grad U once; callers scale
+    them by m(t). The base class is the zero field."""
 
     time_dependent = False
 
     def m(self, t: float) -> float:
         return 1.0
-
-    def dm(self, t: float) -> float:
-        return 0.0
 
     def spatial(self, x) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(U, G) as fresh arrays at the nodes of the coordinate sequence ``x``
@@ -144,9 +141,6 @@ class RadialGradient(Transport):
 
     def m(self, t):
         return self.strength + self.mod_amp * math.sin(self.mod_freq * t)
-
-    def dm(self, t):
-        return self.mod_amp * self.mod_freq * math.cos(self.mod_freq * t)
 
     def spatial(self, x):
         """x - x0 and |x - x0|^2 / 2, one axis at a time."""
@@ -422,13 +416,17 @@ def _form(node) -> str:
     return node if isinstance(node, str) else "(" + " ".join(_form(a) for a in node) + ")"
 
 
-def _numbers(head, args) -> list[float]:
-    """The arguments of a ``(head ...)`` form as floats; a nested form where a
-    number belongs raises ``ConfigError``, a non-numeric atom ``ValueError``."""
+def _numbers(key: str, head, args) -> list[float]:
+    """The arguments of a ``(head ...)`` form in ``key``'s value as floats;
+    ``ConfigError`` naming the key and the argument if one is not a number."""
+    vals = []
     for a in args:
-        if not isinstance(a, str):
-            raise ConfigError(f"({_form(head)} ...) takes numbers, got the form {_form(a)}")
-    return [float(a) for a in args]
+        try:
+            vals.append(float(a))
+        except (TypeError, ValueError):  # a nested form, or an atom such as '0.8x'
+            what = f"the form {_form(a)}" if isinstance(a, list) else repr(a)
+            raise ConfigError(f"({_form(head)} ...) takes numbers, got {what} in {key}") from None
+    return vals
 
 
 def shape_from_sexpr(node, dim: int) -> Shape:
@@ -440,21 +438,21 @@ def shape_from_sexpr(node, dim: int) -> Shape:
         raise ConfigError(f"shape must be a parenthesized form, got {node!r}")
     head, *args = node
     if head == "ball":
-        vals = _numbers(head, args)
+        vals = _numbers("shape", head, args)
         if len(vals) != dim + 1:
             raise ConfigError(f"(ball ...) needs {dim} center coords + radius, got {len(vals)}")
         if not vals[dim] > 0.0:
             raise ConfigError(f"(ball ...) radius must be positive, got {vals[dim]:g}")
         return Ball(tuple(vals[:dim]), vals[dim])
     if head == "box":
-        vals = _numbers(head, args)
+        vals = _numbers("shape", head, args)
         if len(vals) != 2 * dim:
             raise ConfigError(f"(box ...) needs {2 * dim} numbers, got {len(vals)}")
         if not all(lo < hi for lo, hi in zip(vals[:dim], vals[dim:])):
             raise ConfigError(f"(box lo... hi...) needs lo < hi on every axis, got {_form(node)}")
         return Box(tuple(vals[:dim]), tuple(vals[dim:]))
     if head == "halfspace":
-        vals = _numbers(head, args)
+        vals = _numbers("shape", head, args)
         if len(vals) != dim + 1:
             raise ConfigError(f"(halfspace ...) needs {dim} normal coords + offset")
         if not 0.0 < float(np.linalg.norm(vals[:dim])) < math.inf:
@@ -476,7 +474,7 @@ def transport_from_sexpr(node, dim: int) -> Transport:
     if isinstance(node, str):
         node = [node]
     head, *args = node
-    vals = _numbers(head, args)
+    vals = _numbers("transport", head, args)
     if head == "zero":
         if vals:
             raise ConfigError(f"(zero) takes no arguments, got {len(vals)}")
@@ -576,7 +574,7 @@ def scenario_from_config(conf: dict[str, str]) -> ScenarioConfig:
     if kind == "quartic" and not coeffs:
         well = DoubleWell.quartic(**params)
     elif kind == "poly":
-        well = DoubleWell.from_coeffs([float(c) for c in coeffs], **params)
+        well = DoubleWell.from_coeffs(_numbers("potential", kind, coeffs), **params)
     elif kind == "quartic":
         raise ConfigError(f"potential 'quartic' takes no coefficients, got {' '.join(coeffs)!r}")
     else:

@@ -132,6 +132,21 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("config error: (")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("shape = (ball 0.8 0.8 0.25)", "shape = (ball 0.8 0.8x 0.25)",
+         "(ball ...) takes numbers, got '0.8x' in shape"),
+        ("transport = zero", "transport = (radial 1 0.8 0.8y)",
+         "(radial ...) takes numbers, got '0.8y' in transport"),
+        ("transport = zero", "potential = poly 0.25 0 -0.5x 0 0.25",
+         "(poly ...) takes numbers, got '-0.5x' in potential"),
+    ], ids=["shape", "transport", "potential"])
+    def test_malformed_number_in_form_names_key(self, tmp_path, capsys, old, new, message):
+        p = tmp_path / "bad.cfg"
+        p.write_text(CONFIG.replace(old, new))
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_cites_line(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("bogus = 1\n" + CONFIG)
@@ -394,19 +409,22 @@ class TestSweepCommand:
         assert table[2].split(",")[4] == "n/a"
 
     def test_corrupt_snapshot_exits_one(self, tmp_path, monkeypatch, capsys):
-        # a truncated snapshot, and a diagnostics.csv row that does not parse
+        # a truncated snapshot, and a diagnostics.csv row that does not parse; the
+        # rungs may run in worker processes, so the expected file is named from
+        # the out dir: the first rung's last snapshot, or its diagnostics.csv
         import actx.cli
 
         run_rung = actx.cli._run_rung
 
+        def last_snapshot(rung_dir):
+            return os.path.join(rung_dir, "snapshots", sorted(os.listdir(os.path.join(rung_dir, "snapshots")))[-1])
+
         def truncate_snapshot(rung_dir):
-            snap = sorted(os.listdir(os.path.join(rung_dir, "snapshots")))[-1]
-            path = os.path.join(rung_dir, "snapshots", snap)
+            path = last_snapshot(rung_dir)
             with open(path, "rb") as fh:
                 head = fh.read(2000)
             with open(path, "wb") as fh:
                 fh.write(head)
-            return path, "truncated payload"
 
         def corrupt_row(rung_dir):
             path = os.path.join(rung_dir, "diagnostics.csv")
@@ -415,23 +433,24 @@ class TestSweepCommand:
             lines[2] = "x" + lines[2]
             with open(path, "w") as fh:
                 fh.writelines(lines)
-            return path, "line 3: could not convert string to float"
 
         plan = tmp_path / "plan.cfg"
         plan.write_text(PLAN.replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
-        for corrupt in (truncate_snapshot, corrupt_row):
-            named = []
-
+        for corrupt, named, reason in (
+            (truncate_snapshot, last_snapshot, "truncated payload"),
+            (corrupt_row, lambda d: os.path.join(d, "diagnostics.csv"),
+             "line 3: could not convert string to float"),
+        ):
             def run_then_corrupt(job):
                 code = run_rung(job)
-                named.append(corrupt(job[1]))
+                corrupt(job[1])
                 return code
 
             monkeypatch.setattr(actx.cli, "_run_rung", run_then_corrupt)
             out = tmp_path / corrupt.__name__
             assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 1
             err = capsys.readouterr().err.strip().splitlines()
-            path, reason = named[0]
+            path = named(str(out / "rung_0128"))
             assert len(err) == 1 and "rung_0128" in path and path in err[0] and reason in err[0]
 
     def test_margin_from_rows_matches_trajectory_check(self, tmp_path):
@@ -624,19 +643,115 @@ class TestSweepCommand:
             f"config error: ACTX_THREADS must be a positive integer, got {threads!r}"]
         assert not (tmp_path / "s").exists()
 
-    def test_parallel_rungs_match_serial(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _sweep_at(threads, plan, where, monkeypatch, capsys):
+        """(exit code, stdout, stderr, {path: bytes}) of one sweep into ``sweep/``
+        under the new directory ``where``, at an ACTX_THREADS setting (None: unset),
+        after checking that no worker process is left."""
+        import multiprocessing
+
+        where.mkdir()
+        monkeypatch.chdir(where)  # the same relative out dir in every message
+        out = where / "sweep"
+        if threads is None:
+            monkeypatch.delenv("ACTX_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ACTX_THREADS", threads)
+        capsys.readouterr()
+        code = main(["sweep", "--plan", str(plan), "--out", "sweep"])
+        captured = capsys.readouterr()
+        assert multiprocessing.active_children() == []
+        files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        return code, captured.out, captured.err, files
+
+    def test_parallel_rungs_match_serial(self, tmp_path, monkeypatch, capsys):
+        # three rungs, so that 3 workers meet one rung each and the default does not
         plan = tmp_path / "plan.cfg"
-        plan.write_text(PLAN)
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        assert main(["sweep", "--plan", str(plan), "--out", str(serial)]) == 0
-        monkeypatch.setenv("ACTX_THREADS", "2")
-        assert main(["sweep", "--plan", str(plan), "--out", str(parallel)]) == 0
-        assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
-        for rung in ("rung_0128", "rung_0192"):
-            assert (serial / rung / "diagnostics.csv").read_bytes() == (
-                parallel / rung / "diagnostics.csv"
-            ).read_bytes()
+        plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 96 128 160")
+                        .replace("eps_over_h = 8", "eps_over_h = 6"))
+        serial = self._sweep_at("1", plan, tmp_path / "t1", monkeypatch, capsys)
+        assert serial[0] == 0 and serial[2] == "" and serial[1].count("run complete") == 3
+        assert {"sweep.csv", "rung_0160/diagnostics.csv", "rung_0160/radius_vs_oracle.csv"} <= set(serial[3])
+        for threads in (None, "3"):
+            assert self._sweep_at(threads, plan, tmp_path / f"t{threads}", monkeypatch, capsys) == serial
+
+    def test_failed_and_probe_errors_in_plan_order(self, tmp_path, monkeypatch, capsys):
+        # two FAILED rungs (the collar margin) around one that runs, largest first,
+        # and two rungs that both fail their probe window
+        short = PLAN.replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025")
+        failed = tmp_path / "failed.cfg"
+        failed.write_text(short.replace("rungs = 128 192", "rungs = 80 128 96"))
+        windows = tmp_path / "windows.cfg"
+        windows.write_text(short.replace("rungs = 128 192", "rungs = 96 128")
+                           .replace("eps_over_h = 8", "eps_over_h = 6").replace("diag_every = 25", "diag_every = 1000"))
+        for plan, code, err in (
+            (failed, 2, ["config error: shape must clear the cutoff collar by 4*eps = 0.64; measured margin 0.45",
+                         "config error: shape must clear the cutoff collar by 4*eps = 0.533333; "
+                         "measured margin 0.433333"]),
+            (windows, 1, ["probe error: sweep/rung_0096: window [0.00025, 0.0005] covers 1 "
+                          "retained frames; need at least 2"]),
+        ):
+            serial = self._sweep_at("1", plan, tmp_path / f"{plan.stem}1", monkeypatch, capsys)
+            assert serial[0] == code and serial[2].splitlines() == err
+            assert self._sweep_at(None, plan, tmp_path / f"{plan.stem}N", monkeypatch, capsys) == serial
+
+    def test_duplicate_rung_runs_once_largest_rung_first(self, tmp_path, monkeypatch, capsys):
+        import actx.cli
+
+        run_rung = actx.cli._run_rung
+        ran = []
+
+        def record(job):
+            ran.append(os.path.basename(job[1]))
+            return run_rung(job)
+
+        monkeypatch.setattr(actx.cli, "_run_rung", record)
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 128 192 128")
+                        .replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
+        code, out, _err, _files = self._sweep_at("1", plan, tmp_path / "s", monkeypatch, capsys)
+        assert code == 0 and ran == ["rung_0192", "rung_0128"]
+        assert out.count("run complete") == 2
+        rows = _sweep_rows(tmp_path / "s" / "sweep")
+        assert [r["cells"] for r in rows] == ["128", "192", "128"]
+        assert rows[0] == dict(rows[2], order="n/a")  # one entry for both rows
+
+
+    def test_fresh_process_output_same_at_one_and_two_workers(self, tmp_path):
+        # a real process, with stdout block-buffered into a pipe: text the caller
+        # wrote before the sweep is printed once (the workers inherit its buffer),
+        # and a warning that each rung raises is shown once per rung
+        import subprocess
+        import sys
+
+        import actx
+
+        (tmp_path / "plan.cfg").write_text(
+            PLAN.replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
+        code = (
+            "import sys, warnings\n"
+            "import actx.cli\n"
+            "run_rung = actx.cli._run_rung\n"
+            "def warn_then_run(job):\n"
+            "    warnings.warn('the same warning in every rung')\n"
+            "    return run_rung(job)\n"
+            "actx.cli._run_rung = warn_then_run\n"
+            "print('before the sweep')\n"
+            "sys.exit(actx.cli.main(['sweep', '--plan', 'plan.cfg', '--out', 'sweep']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(actx.__file__)))
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, ACTX_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+            shutil.rmtree(tmp_path / "sweep")
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 0 and out.count("before the sweep") == 1 and out.count("run complete") == 2
+        assert err.count("UserWarning: the same warning in every rung") == 2
 
 
 class TestDiagnoseCommand:

@@ -212,10 +212,6 @@ class TestSumSq:
         v = np.random.default_rng(len(shape)).standard_normal(shape) * 1e3
         assert np.array_equal(sum_sq(v), np.sum(v * v, axis=-1))
 
-    def test_vector_magnitude(self):
-        u = VectorField.sample(SPEC, lambda x, y: (x - 0.3, 2.0 * y))
-        assert np.array_equal(u.magnitude(), np.sqrt(np.sum(u.values**2, axis=-1)))
-
 
 class TestBallIntegrate:
     def test_disk_area(self):
