@@ -16,12 +16,16 @@ or a sweep rung whose monotonicity probes cannot be evaluated (no initial
 interface to place them on, or fewer than two snapshot frames in [tau, T]),
 2 solver abort or a failed sweep rung (a FAILED row in ``sweep.csv``).
 
-The environment variable ACTX_THREADS caps sweep-rung parallelism (default:
-the CPUs the process may run on); a value that is not a positive integer is
-a configuration error. Each distinct rung is one job, its run and its offline
-checks, in a forked worker process, the largest rung first; a rung named twice
-in a plan runs once. Messages come in plan order, so the output does not
-depend on ACTX_THREADS. Artifact directories contain a manifest
+The environment variable ACTX_THREADS caps the CPUs one invocation uses
+(default: the CPUs the process may run on; ``grid.cpu_budget``): the forked
+workers of a sweep, and the threads of the block sweeps (``grid.stencil_rhs``
+and ``measures.frame_fields`` on grids above ``grid.THREAD_NODES``); each
+sweep worker gets an equal share of at least one. For ``run``, ``sweep`` and
+``diagnose`` a value that is not a positive integer is a configuration error.
+Each distinct rung is one job, its run and its offline checks, in a forked
+worker process, the largest rung first; a rung named twice in a plan runs
+once. Messages come in plan order and a threaded block sweep gives the serial
+bits, so no output depends on ACTX_THREADS. Artifact directories contain a manifest
 listing every output file with its sha256 and the transport bounds; an
 aborted run's manifest also records the abort's step, node, time and |phi|.
 """
@@ -42,7 +46,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import __version__, measures, scenario, solver
-from .grid import GridError
+from .grid import GridError, cpu_budget
 from .interface import InterfaceError, extract_interface, mcf_oracle
 from .measures import DiagnosticsRow, HuiskenProbe, MeasureError
 from .scenario import ConfigError, RadialGradient, ScenarioConfig, ZeroTransport
@@ -344,6 +348,11 @@ def _rung_job(job: tuple[str, str]) -> tuple[dict, str, str, str | None]:
     return entry, out.getvalue(), err.getvalue(), error
 
 
+def _set_cpu_budget(cpus: int) -> None:
+    """A forked sweep worker's share of the CPU budget (``grid.cpu_budget``)."""
+    os.environ["ACTX_THREADS"] = str(cpus)
+
+
 def sweep(plan_path: str, out_dir: str) -> int:
     """Run every rung, then emit the cross-rung convergence table."""
     try:
@@ -351,20 +360,13 @@ def sweep(plan_path: str, out_dir: str) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    threads = os.environ.get("ACTX_THREADS")
-    try:
-        workers = len(os.sched_getaffinity(0)) if threads is None else int(threads)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        print(f"config error: ACTX_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-        return EXIT_CONFIG
     os.makedirs(out_dir, exist_ok=True)
     # one job per distinct rung (two jobs must never write one directory),
     # the largest first: it takes longest
     cells = sorted(set(plan.rungs), reverse=True)
     jobs = [(plan.rung_config_text(c), os.path.join(out_dir, f"rung_{c:04d}")) for c in cells]
-    workers = min(workers, len(jobs))
+    budget = cpu_budget()
+    workers = min(budget, len(jobs))
     if workers > 1:
         # imported here: the process pool's modules are a noticeable part of every
         # invocation's import time, and only a parallel sweep needs them
@@ -373,8 +375,10 @@ def sweep(plan_path: str, out_dir: str) -> int:
 
         # forked workers inherit the imports and the ``_run_rung`` hook; the pool
         # forks them all before it starts its own thread, and multiprocessing
-        # flushes stdout and stderr first, so no worker writes the parent's text
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        # flushes stdout and stderr first, so no worker writes the parent's text.
+        # The workers share the CPU budget for their block sweeps.
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_set_cpu_budget, initargs=(max(1, budget // workers),)) as pool:
             results = list(pool.map(_rung_job, jobs))
     else:
         results = list(map(_rung_job, jobs))
@@ -723,6 +727,12 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("--dir", required=True)
 
     args = parser.parse_args(argv)
+    if args.command in ("run", "sweep", "diagnose"):
+        try:
+            cpu_budget()
+        except GridError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     if args.command == "run":
         return run_experiment(args.config, args.out)
     if args.command == "sweep":

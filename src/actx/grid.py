@@ -13,6 +13,26 @@ constant plus one polynomial in f), swept in cache-sized blocks into a
 caller's array; it returns max |out|, taken block by block in the same
 sweep. ``measures.frame_fields`` sweeps the same blocks.
 
+A block sweep of at least ``THREAD_NODES`` interior nodes (80 Ki: 289^2 or
+49^3 and up) splits its blocks among up to ``cpu_budget()`` threads
+(``ACTX_THREADS``): the calling thread and a pool made by the first such
+sweep of the process. Each thread takes a run of whole axis-0 slabs, so no
+two threads restore faces in the same slab, and each block writes only its
+own nodes and its own row of extrema or sums: every output has the serial
+bits at any thread count. The rule depends on the node count alone. On a
+2-CPU host (numpy ufuncs release the GIL, the Python between them does not):
+one 97^3 ``stencil_rhs`` call took 5.1 ms serial and 3.6 ms on two threads
+with 64 Ki-node blocks (``THREAD_CHUNK``), but 4.5 ms with 32 Ki blocks,
+whose threads hand the GIL back and forth more often; 289^2 went
+0.49 -> 0.37 ms, while 257^2 (64 Ki interior nodes, two 32 Ki halves)
+gained nothing (0.37 ms either way). A one-thread sweep keeps 32 Ki blocks
+(``CHUNK``): 64 Ki ones were 2-10% slower with a transport at 257^2 and
+513^2. Worker threads allocate nothing, since glibc gives each thread its
+own malloc arena (W's two block temporaries made in the workers raised the
+97^3 run's peak RSS 72.5 -> 76.5 MiB): the caller hands them their scratch.
+They call no public function of the package either: the benchmark's span
+tracer (``perfbench/spans.py``) keeps one stack for the whole process.
+
 The node geometry lives on ``GridSpec`` and is separable: the cached 1D
 node coordinates per axis (``axes``), the same as an open mesh that
 broadcasts to the node shape (``coords``, axis k shaped (1,...,N_k,...,1);
@@ -27,6 +47,7 @@ same reduction is bit-reproducible.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -223,6 +244,99 @@ def outer_sum_sq(offsets: Sequence[np.ndarray]) -> np.ndarray:
 # it once per operation. 16-64 Ki nodes measured best at both 97^3 and 257^2.
 CHUNK = 32 * 1024
 
+# A sweep of at least THREAD_NODES interior nodes (the run off the two axis-0
+# faces) splits its blocks among threads, in blocks of THREAD_CHUNK nodes; see
+# the module docstring for the measurements behind both.
+THREAD_NODES = 80 * 1024
+THREAD_CHUNK = 64 * 1024
+
+
+def cpu_budget() -> int:
+    """The CPUs one invocation may use: ``ACTX_THREADS``, or the CPUs this
+    process may run on when it is unset. A value that is not a positive
+    integer raises ``GridError``."""
+    raw = os.environ.get("ACTX_THREADS")
+    if raw is None:
+        return len(os.sched_getaffinity(0))
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise GridError(f"ACTX_THREADS must be a positive integer, got {raw!r}")
+    return n
+
+
+def _block_plan(lo: int, hi: int, s0: int) -> list[list[tuple[int, int, int]]]:
+    """The blocks (index, start, end) of one sweep over the nodes [lo, hi) of a
+    flattened field whose axis-0 slabs hold ``s0`` nodes, one list per thread.
+    Below ``THREAD_NODES`` nodes, or with a budget of one CPU, one thread takes
+    every block, of ``CHUNK`` nodes; otherwise up to ``cpu_budget()`` threads
+    take runs of whole slabs, cut into blocks of ``THREAD_CHUNK`` nodes, so no
+    two threads write in the same slab."""
+    slabs = (hi - lo) // s0
+    threads = 1 if hi - lo < THREAD_NODES else min(cpu_budget(), slabs)
+    size = CHUNK if threads == 1 else THREAD_CHUNK
+    cuts = [lo + slabs * t // threads * s0 for t in range(threads)] + [hi]
+    plan, i = [], 0
+    for a0, b0 in zip(cuts, cuts[1:]):
+        part = [(i + j, a, min(a + size, b0)) for j, a in enumerate(range(a0, b0, size))]
+        plan.append(part)
+        i += len(part)
+    return plan
+
+
+def _block_scratch(plan: list[list[tuple[int, int, int]]], rows: int) -> np.ndarray:
+    """Scratch for a sweep of ``plan``: ``rows`` block-sized arrays per thread."""
+    return np.empty((len(plan), rows, max((b - a for part in plan for _, a, b in part), default=0)))
+
+
+_pool = None  # (workers, ThreadPoolExecutor) of the block sweeps, made by the first threaded one
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+# a forked child has none of its parent's threads: it makes its own pool
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _thread_pool(workers: int):
+    """The process's block-sweep pool, with at least ``workers`` threads."""
+    global _pool
+    if _pool is None or _pool[0] < workers:
+        # imported here: only sweeps above THREAD_NODES nodes need a pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (workers, ThreadPoolExecutor(workers, "actx-block"))
+    return _pool[1]
+
+
+def _run_part(block, t: int, part) -> None:
+    for i, a, b in part:
+        block(t, i, a, b)
+
+
+def _run_blocks(plan: list[list[tuple[int, int, int]]], block) -> None:
+    """``block(t, i, a, b)`` for every block (i, a, b) of ``plan[t]``: the calling
+    thread takes ``plan[0]`` and a pool the other lists, and the call returns
+    once every block is done. A block runs numpy operations into arrays the
+    caller made (``t`` picks its thread's scratch): it allocates nothing and
+    calls no public function of the package, whose tracing assumes one thread."""
+    pool = _thread_pool(len(plan) - 1) if len(plan) > 1 else None
+    futures = [pool.submit(_run_part, block, t, part) for t, part in enumerate(plan[1:], 1)]
+    try:
+        _run_part(block, 0, plan[0])
+    finally:  # the caller's arrays stay in use until every thread is done with them
+        for fut in futures:
+            fut.exception()
+    for fut in futures:
+        fut.result()
+
 
 def _fold_coeffs(wprime: Sequence[float], h: float, eps: float, n: int, scale: float) -> tuple[float, ...]:
     """Ascending coefficients of q(s) = -(scale/eps^2) W'(s) - (2n scale/h^2) s,
@@ -284,10 +398,11 @@ def stencil_rhs(
 
     ``f[1:-1]`` (every node off the two axis-0 faces) is one contiguous run
     of the flattened field, and its neighbours along axis k are the run
-    shifted by +-stride_k. The run is swept in blocks of ``CHUNK`` nodes,
-    each through every term before the next, with q and the transport
-    products in two block-sized scratch arrays: the same bits whatever the
-    blocks. The faces of axes >= 1 get wrapped-around neighbours in the
+    shifted by +-stride_k. The run is swept in the blocks of ``_block_plan``
+    (on several threads above ``THREAD_NODES`` nodes), each through every
+    term before the next, with q and the transport products in two
+    block-sized scratch arrays per thread: the same bits whatever the blocks
+    and threads. The faces of axes >= 1 get wrapped-around neighbours in the
     sweep; each block restores them in the axis-0 slabs it touched and then
     takes its own max and min, so the extrema need no pass of their own.
     """
@@ -295,34 +410,37 @@ def stencil_rhs(
     n = f.ndim
     steps = [st // f.itemsize for st in f.strides]
     s0 = steps[0]
-    lo, hi = s0, flat.size - s0
     c1, cu = scale / h**2, -scale * m / (2.0 * h)
     q = _fold_coeffs(well.wprime_coeffs(), h, eps, n, scale)
-    scratch = np.empty((2, min(CHUNK, hi - lo)))
-    starts = range(lo, hi, CHUNK)
-    ext = np.empty((len(starts) + 2, 2))  # (max, min) of each block, then of the two axis-0 faces
-    for i, a in enumerate(starts):
-        b = min(a + CHUNK, hi)
-        r, w1, w2 = dst[a:b], scratch[0, : b - a], scratch[1, : b - a]
+    uf = None if u is None else u.reshape(-1, n)
+    bf = None if base is None else base.reshape(-1)
+    plan = _block_plan(s0, flat.size - s0, s0)
+    scratch = _block_scratch(plan, 2)
+    ext = np.empty((sum(map(len, plan)) + 2, 2))  # (max, min) of each block, then of the two axis-0 faces
+
+    def block(t: int, i: int, a: int, b: int) -> None:
+        r, w1, w2 = dst[a:b], scratch[t, 0, : b - a], scratch[t, 1, : b - a]
         np.add(flat[a + s0 : b + s0], flat[a - s0 : b - s0], out=r)
         for st in steps[1:]:
             r += flat[a + st : b + st]
             r += flat[a - st : b - st]
         r *= c1
         r += _horner(q, flat[a:b], w1)
-        if u is not None:
+        if uf is not None:
             for ax, st in enumerate(steps):
                 g = w1 if ax == 0 else w2
                 np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=g)
-                g *= u.reshape(-1, n)[a:b, ax]
+                g *= uf[a:b, ax]
                 if ax:
                     w1 += g
             w1 *= cu
             r += w1
-        if base is not None:
-            r += base.reshape(-1)[a:b]
+        if bf is not None:
+            r += bf[a:b]
         _restore_faces(out, base, slice(a // s0, (b - 1) // s0 + 1))
         ext[i] = r.max(), r.min()
+
+    _run_blocks(plan, block)
     for i, e in ((-2, 0), (-1, -1)):
         out[e] = 0.0 if base is None else base[e]
         ext[i] = out[e].max(), out[e].min()

@@ -112,23 +112,34 @@ class DoubleWell:
             return np.polynomial.polynomial.polyval(s, self._poly_derivs[1])
         return -2.0 * s * (1.0 - s * s)
 
-    def w(self, s) -> np.ndarray:
+    def w(self, s, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
         """W(s) alone, for the per-frame diagnostics, the profile psi and the
-        surface tension; ``eval`` takes its W from here.
+        surface tension; ``eval`` takes its W from here. With ``out`` (and, for
+        the quartic, ``work``: arrays of s's shape), W goes into ``out`` and
+        nothing is allocated.
 
         The quartic's (1 - s^2)^2 / 2 is evaluated as 0.5 (1 - s^2) (1 - s^2)
         into two explicit arrays, in the operation order of the expression:
         the expression makes field-sized temporaries, whose fresh memory
-        costs several times the arithmetic on a 257^2 field.
+        costs several times the arithmetic on a 257^2 field. A polynomial is
+        evaluated by Horner's rule in ``polyval``'s operation order, with the
+        same bits at every finite s.
         """
         s = np.asarray(s, dtype=np.float64)
+        out = np.empty(s.shape) if out is None else out
         if self.family == "poly":
-            return np.polynomial.polynomial.polyval(s, self._poly_derivs[0])
-        one_m = np.multiply(s, s, out=np.empty(s.shape))
+            c = self._poly_derivs[0]
+            np.multiply(s, c[-1], out=out)
+            out += c[-2]
+            for ci in c[-3::-1]:
+                out *= s
+                out += ci
+            return out
+        one_m = np.multiply(s, s, out=np.empty(s.shape) if work is None else work)
         np.subtract(1.0, one_m, out=one_m)
-        w = np.multiply(one_m, 0.5, out=np.empty(s.shape))
-        w *= one_m
-        return w
+        np.multiply(one_m, 0.5, out=out)
+        out *= one_m
+        return out
 
     def eval(self, s):
         """(W, W', W'') at s; accepts scalars or arrays, total on all of R."""

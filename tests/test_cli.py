@@ -31,6 +31,8 @@ diag_every = 50
 snap_every = 200
 """
 
+BAD_THREADS = ["abc", "2.5", "0", "-1"]
+
 PLAN = """\
 dim = 2
 lo = 0 0
@@ -105,6 +107,27 @@ def artifact(tmp_path_factory):
 
 
 class TestRunCommand:
+    @pytest.mark.filterwarnings("ignore:epsilon=.* interface marginally resolved")
+    def test_3d_run_same_bytes_at_one_and_two_threads(self, tmp_path, monkeypatch, capsys):
+        # 65^3 is above grid.THREAD_NODES: at ACTX_THREADS=2 the step, the drive
+        # and the frame fields split their blocks between two threads
+        from actx.grid import _block_plan
+
+        (tmp_path / "ball.cfg").write_text(BALL_3D)
+        monkeypatch.chdir(tmp_path)  # the same relative out dir in every message
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ACTX_THREADS", threads)
+            assert len(_block_plan(65 * 65, 64 * 65 * 65, 65 * 65)) == int(threads)
+            code = main(["run", "--config", "ball.cfg", "--out", "out"])
+            files = {str(p.relative_to(tmp_path / "out")): p.read_bytes()
+                     for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()}
+            runs.append((code, capsys.readouterr(), files))
+            shutil.rmtree(tmp_path / "out")
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and len([f for f in runs[0][2] if f.startswith("snapshots")]) > 2
+        assert {"diagnostics.csv", "interface_final.csv", "run-manifest"} <= set(runs[0][2])
+
     def test_missing_required_key(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text(CONFIG.replace("epsilon = 0.1\n", ""))
@@ -622,12 +645,14 @@ class TestSweepCommand:
         plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 128"))
         assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "s")]) == 1
 
-    @pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-1"])
-    def test_bad_actx_threads_is_a_config_error(self, tmp_path, capsys, monkeypatch, threads):
-        plan = tmp_path / "plan.cfg"
-        plan.write_text(PLAN)
+    @pytest.mark.parametrize("command, threads", [(c, t) for c in ("sweep", "run") for t in BAD_THREADS],
+                             ids=[*BAD_THREADS, *(f"run-{t}" for t in BAD_THREADS)])
+    def test_bad_actx_threads_is_a_config_error(self, tmp_path, capsys, monkeypatch, command, threads):
+        given = tmp_path / "given.cfg"
+        given.write_text(PLAN if command == "sweep" else CONFIG)
         monkeypatch.setenv("ACTX_THREADS", threads)
-        assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "s")]) == 1
+        flag = "--plan" if command == "sweep" else "--config"
+        assert main([command, flag, str(given), "--out", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [
             f"config error: ACTX_THREADS must be a positive integer, got {threads!r}"]
         assert not (tmp_path / "s").exists()
@@ -683,6 +708,20 @@ class TestSweepCommand:
             serial = self._sweep_at("1", plan, tmp_path / f"{plan.stem}1", monkeypatch, capsys)
             assert serial[0] == code and serial[2].splitlines() == err
             assert self._sweep_at(None, plan, tmp_path / f"{plan.stem}N", monkeypatch, capsys) == serial
+
+    @pytest.mark.parametrize("threads, share", [("3", "1"), ("4", "2")])
+    def test_forked_workers_share_the_cpu_budget(self, tmp_path, monkeypatch, capsys, threads, share):
+        # two distinct rungs, so two forked workers; each prints the budget its
+        # block sweeps would use, and runs nothing (so the sweep's checks fail)
+        import actx.cli
+        from actx.grid import cpu_budget
+
+        monkeypatch.setattr(actx.cli, "_run_rung", lambda job: print(f"cpus {cpu_budget()}") or 0)
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN)
+        code, out, _err, _files = self._sweep_at(threads, plan, tmp_path / "s", monkeypatch, capsys)
+        assert code == 1 and out.splitlines() == [f"cpus {share}"] * 2
+        assert os.environ["ACTX_THREADS"] == threads  # the parent's own budget is unchanged
 
     def test_duplicate_rung_runs_once_largest_rung_first(self, tmp_path, monkeypatch, capsys):
         import actx.cli

@@ -1,5 +1,6 @@
 """Grid operators against stencil-exact cases, analytic oracles, and invariants."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from actx.grid import (
     write_field,
 )
 
-from reference_ops import advection_term, gradient, laplacian
+from reference_ops import advection_term, grad_sq, gradient, laplacian
 
 SPEC = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (64, 64))
 
@@ -458,3 +459,111 @@ class TestStencilRhs:
             for e in (0, -1):
                 face = (slice(None),) * ax + (e,)
                 assert np.array_equal(out[face], f[face] if with_base else np.zeros(shape[:ax] + shape[ax + 1 :]))
+
+
+class TestThreadedSweep:
+    """Block sweeps whose blocks are split among threads (``grid._block_plan``,
+    with THREAD_NODES patched low and blocks of several hundred nodes, over
+    which numpy lets go of the GIL, so the threads do run at once): the same
+    bits, the same max |out| and the same non-finite node at 1, 2 and 3 threads."""
+
+    # 65 and 25 slabs: 3 threads take 21/22/22 and 8/8/9 of them, in 2/3/3 and
+    # 2/2/3 blocks, and 2 threads 3/4 blocks
+    SHAPES = {2: (67, 64), 3: (27, 12, 12)}
+    BLOCK = {2: 700, 3: 600}
+    PLANTED = {2: (30, 3), 3: (12, 3, 4)}  # in the second of three threads' slabs
+
+    @pytest.fixture(autouse=True)
+    def fast_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it goes
+        yield
+        sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _field(dim, planted):
+        # 50 on the axis >= 1 faces of slab 5, so the sweep's wrapped-around values
+        # there are the largest unless each thread restores its own slabs' faces
+        shape = TestThreadedSweep.SHAPES[dim]
+        f = np.random.default_rng(dim).uniform(-1.05, 1.05, shape)
+        for ax in range(1, dim):
+            for e in (0, -1):
+                f[(5,) + (slice(None),) * (ax - 1) + (e,)] = 50.0
+        if planted:
+            f[TestThreadedSweep.PLANTED[dim]] = np.nan
+        return f
+
+    @staticmethod
+    def _at_threads(monkeypatch, threads, shape):
+        import actx.grid
+
+        monkeypatch.setattr(actx.grid, "THREAD_NODES", 0)
+        monkeypatch.setattr(actx.grid, "THREAD_CHUNK", TestThreadedSweep.BLOCK[len(shape)])
+        monkeypatch.setenv("ACTX_THREADS", str(threads))
+        s0 = int(np.prod(shape[1:]))
+        plan = actx.grid._block_plan(s0, int(np.prod(shape)) - s0, s0)
+        assert len(plan) == threads
+        if threads > 1:
+            assert len({len(part) for part in plan}) == 2  # the blocks do not divide evenly
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("transport", [False, True], ids=["zero", "transport"])
+    @pytest.mark.parametrize("style", ["drive", "euler", "rk2"])
+    @pytest.mark.parametrize("planted", [False, True], ids=["finite", "nan"])
+    def test_stencil_rhs_same_at_1_2_3_threads(self, dim, transport, style, planted, monkeypatch):
+        from actx.grid import stencil_rhs
+        from actx.potential import DoubleWell
+
+        f = self._field(dim, planted)
+        rng = np.random.default_rng(10 + dim)
+        u = rng.uniform(-1.0, 1.0, f.shape + (dim,)) if transport else None
+        # the drive; an euler step (base f); rk2's second update (f the midpoint, base phi)
+        base, scale = {"drive": (None, 1.0), "euler": (f, 1e-3),
+                       "rk2": (rng.uniform(-1.0, 1.0, f.shape), 1e-3)}[style]
+        got = []
+        for threads in (1, 2, 3):
+            self._at_threads(monkeypatch, threads, f.shape)
+            out = np.empty(f.shape)
+            top = stencil_rhs(f, u, 0.1, 0.4, DoubleWell.quartic(), out, base, scale, m=0.7)
+            got.append((np.ascontiguousarray(out).view(np.uint64), top))
+        (ref, top1), rest = got[0], got[1:]
+        for bits, top in rest:
+            assert np.array_equal(bits, ref)
+            assert top == top1 or (planted and np.isnan(top) and np.isnan(top1))
+        assert np.isnan(top1) if planted else top1 == float(np.max(np.abs(ref.view(np.float64))))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("family", ["quartic", "poly"])
+    def test_frame_fields_same_at_1_2_3_threads(self, dim, family, monkeypatch):
+        from actx.measures import frame_fields
+        from actx.potential import DoubleWell
+
+        well = DoubleWell.quartic() if family == "quartic" else \
+            DoubleWell.from_coeffs([2.0, 0.0, -4.0, 0.0, 2.0], kappa=4.0)
+        f = self._field(dim, False)
+        spec = GridSpec(dim, (0.0,) * dim, tuple(0.1 * (n - 1) for n in f.shape), tuple(n - 1 for n in f.shape))
+        planted = self._field(dim, True)
+        got, errors = [], []
+        for threads in (1, 2, 3):
+            self._at_threads(monkeypatch, threads, f.shape)
+            ff = frame_fields(ScalarField(spec, f), 0.4, well)
+            got.append([np.ascontiguousarray(a.values).view(np.uint64) for a in (ff.density, ff.xi)])
+            with pytest.raises(GridError) as exc:
+                frame_fields(ScalarField.from_checked(spec, planted), 0.4, well)
+            errors.append(str(exc.value))
+        for bits in got[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(bits, got[0]))
+        # the first non-finite node, row-major, is the planted one's axis-0 neighbour before it
+        ref = grad_sq(ScalarField.from_checked(spec, planted))
+        first = tuple(int(i) for i in np.argwhere(~np.isfinite(ref))[0])
+        assert first == (self.PLANTED[dim][0] - 1,) + self.PLANTED[dim][1:]
+        assert errors == [f"scalar field contains a non-finite entry at node index {first}"] * 3
+
+    def test_size_rule_keeps_small_grids_on_one_thread(self, monkeypatch):
+        # 257^2 (circle-2d) and the ladder's rungs stay serial; 97^3 takes both CPUs
+        from actx.grid import _block_plan
+
+        monkeypatch.setenv("ACTX_THREADS", "2")
+        for nodes, threads in (((161, 161), 1), ((257, 257), 1), ((289, 289), 2), ((97, 97, 97), 2)):
+            s0 = int(np.prod(nodes[1:]))
+            assert len(_block_plan(s0, int(np.prod(nodes)) - s0, s0)) == threads
