@@ -15,8 +15,8 @@ sweep. ``measures.frame_fields`` sweeps the same blocks.
 
 A block sweep of at least ``THREAD_NODES`` interior nodes (80 Ki: 289^2 or
 49^3 and up) splits its blocks among up to ``cpu_budget()`` threads
-(``ACTX_THREADS``): the calling thread and a pool made by the first such
-sweep of the process. Each thread takes a run of whole axis-0 slabs, so no
+(``ACTX_THREADS``), each with at least 40 Ki nodes: the calling thread and
+a pool made by the first such sweep of the process. Each thread takes a run of whole axis-0 slabs, so no
 two threads restore faces in the same slab, and each block writes only its
 own nodes and its own row of extrema or sums: every output has the serial
 bits at any thread count. The rule depends on the node count alone. On a
@@ -271,11 +271,12 @@ def _block_plan(lo: int, hi: int, s0: int) -> list[list[tuple[int, int, int]]]:
     """The blocks (index, start, end) of one sweep over the nodes [lo, hi) of a
     flattened field whose axis-0 slabs hold ``s0`` nodes, one list per thread.
     Below ``THREAD_NODES`` nodes, or with a budget of one CPU, one thread takes
-    every block, of ``CHUNK`` nodes; otherwise up to ``cpu_budget()`` threads
-    take runs of whole slabs, cut into blocks of ``THREAD_CHUNK`` nodes, so no
-    two threads write in the same slab."""
+    every block, of ``CHUNK`` nodes; otherwise up to ``cpu_budget()`` threads,
+    each with at least half of THREAD_NODES nodes, take runs of whole slabs,
+    cut into blocks of ``THREAD_CHUNK`` nodes, so no two threads write in the
+    same slab."""
     slabs = (hi - lo) // s0
-    threads = 1 if hi - lo < THREAD_NODES else min(cpu_budget(), slabs)
+    threads = 1 if hi - lo < THREAD_NODES else min(cpu_budget(), slabs, 2 * (hi - lo) // THREAD_NODES)
     size = CHUNK if threads == 1 else THREAD_CHUNK
     cuts = [lo + slabs * t // threads * s0 for t in range(threads)] + [hi]
     plan, i = [], 0
@@ -400,9 +401,9 @@ def stencil_rhs(
     of the flattened field, and its neighbours along axis k are the run
     shifted by +-stride_k. The run is swept in the blocks of ``_block_plan``
     (on several threads above ``THREAD_NODES`` nodes), each through every
-    term before the next, with q and the transport products in two
-    block-sized scratch arrays per thread: the same bits whatever the blocks
-    and threads. The faces of axes >= 1 get wrapped-around neighbours in the
+    term before the next, with q and the transport products in one
+    block-sized scratch array per thread, two with a transport: the same bits
+    whatever the blocks and threads. The faces of axes >= 1 get wrapped-around neighbours in the
     sweep; each block restores them in the axis-0 slabs it touched and then
     takes its own max and min, so the extrema need no pass of their own.
     """
@@ -415,11 +416,11 @@ def stencil_rhs(
     uf = None if u is None else u.reshape(-1, n)
     bf = None if base is None else base.reshape(-1)
     plan = _block_plan(s0, flat.size - s0, s0)
-    scratch = _block_scratch(plan, 2)
+    scratch = _block_scratch(plan, 1 if uf is None else 2)
     ext = np.empty((sum(map(len, plan)) + 2, 2))  # (max, min) of each block, then of the two axis-0 faces
 
     def block(t: int, i: int, a: int, b: int) -> None:
-        r, w1, w2 = dst[a:b], scratch[t, 0, : b - a], scratch[t, 1, : b - a]
+        r, w1 = dst[a:b], scratch[t, 0, : b - a]
         np.add(flat[a + s0 : b + s0], flat[a - s0 : b - s0], out=r)
         for st in steps[1:]:
             r += flat[a + st : b + st]
@@ -428,7 +429,7 @@ def stencil_rhs(
         r += _horner(q, flat[a:b], w1)
         if uf is not None:
             for ax, st in enumerate(steps):
-                g = w1 if ax == 0 else w2
+                g = w1 if ax == 0 else scratch[t, 1, : b - a]
                 np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=g)
                 g *= uf[a:b, ax]
                 if ax:

@@ -104,12 +104,12 @@ def frame_fields(phi: ScalarField, eps: float, well: DoubleWell) -> FrameFields:
     flat, dens_flat, xi_flat = v.reshape(-1), density.reshape(-1), xi.reshape(-1)
     steps = [st // v.itemsize for st in v.strides]
     plan = _block_plan(steps[0], flat.size - steps[0], steps[0])
-    scratch = _block_scratch(plan, 2)
+    scratch = _block_scratch(plan, 1)
     sums = np.empty(sum(map(len, plan)) + 1)  # of each block's density and xi, then of the faces'
 
     def block(t: int, i: int, a: int, b: int) -> None:
-        work = scratch[t, :, : b - a]
-        diffs = (np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=work[0]) for st in steps)
+        work = scratch[t, 0, : b - a]
+        diffs = (np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=work) for st in steps)
         _fields_into(diffs, flat[a:b], h, eps, well, dens_flat[a:b], xi_flat[a:b], work)
         sums[i] = dens_flat[a:b].sum() + xi_flat[a:b].sum()
 
@@ -125,8 +125,9 @@ def _fields_into(diffs, f: np.ndarray, h: float, eps: float, well: DoubleWell,
                  density: np.ndarray, xi: np.ndarray, work: np.ndarray) -> None:
     """density = eps |grad|^2/2 + W(f)/eps and xi = eps |grad|^2/2 - W(f)/eps into
     the two arrays, from the values ``f`` and ``diffs``, which yields up_k - dn_k
-    for each axis k in turn, in an array the sum may overwrite. ``work`` is two
-    arrays of f's shape, the first of which may hold the diffs."""
+    for each axis k in turn, in an array the sum may overwrite. ``work`` is an
+    array of f's shape, which may hold the diffs; W goes there, while xi holds
+    1 - f^2 until it gets its value."""
     for k, g in enumerate(diffs):
         g /= 2.0 * h
         if k == 0:
@@ -135,7 +136,7 @@ def _fields_into(diffs, f: np.ndarray, h: float, eps: float, well: DoubleWell,
             g *= g
             density += g
     density *= 0.5 * eps
-    well_half = well.w(f, out=work[1], work=work[0])
+    well_half = well.w(f, out=work, work=xi)
     well_half /= eps
     np.subtract(density, well_half, out=xi)
     density += well_half
@@ -174,7 +175,7 @@ def _faces_2d(v: np.ndarray, h: float, eps: float, well: DoubleWell,
     np.subtract(f2, g_up, out=g_dn, where=first)
     np.subtract(g_up, g_dn, out=g_up)
     dens_b, xi_b = np.empty(f.shape), np.empty(f.shape)
-    _fields_into(iter(g_up), f, h, eps, well, dens_b, xi_b, np.empty((2,) + f.shape))
+    _fields_into(iter(g_up), f, h, eps, well, dens_b, xi_b, np.empty(f.shape))
     density.reshape(-1)[c], xi.reshape(-1)[c] = dens_b, xi_b
     return dens_b.sum() + xi_b.sum()
 
@@ -195,7 +196,7 @@ def _faces_by_axis(v: np.ndarray, h: float, eps: float, well: DoubleWell,
         diffs = (_ghost_diff(rows, 0)[::3] if k == ax else _ghost_diff(f, ax if k == 0 else k)
                  for k in range(v.ndim))
         dens_face, xi_face = np.empty(f.shape), np.empty(f.shape)
-        _fields_into(diffs, f, h, eps, well, dens_face, xi_face, np.empty((2,) + f.shape))
+        _fields_into(diffs, f, h, eps, well, dens_face, xi_face, np.empty(f.shape))
         density.swapaxes(0, ax)[[0, -1]], xi.swapaxes(0, ax)[[0, -1]] = dens_face, xi_face
         total += dens_face.sum() + xi_face.sum()
     return total

@@ -497,7 +497,7 @@ class TestThreadedSweep:
     def _at_threads(monkeypatch, threads, shape):
         import actx.grid
 
-        monkeypatch.setattr(actx.grid, "THREAD_NODES", 0)
+        monkeypatch.setattr(actx.grid, "THREAD_NODES", 2)  # a thread takes at least one node
         monkeypatch.setattr(actx.grid, "THREAD_CHUNK", TestThreadedSweep.BLOCK[len(shape)])
         monkeypatch.setenv("ACTX_THREADS", str(threads))
         s0 = int(np.prod(shape[1:]))
@@ -559,11 +559,16 @@ class TestThreadedSweep:
         assert first == (self.PLANTED[dim][0] - 1,) + self.PLANTED[dim][1:]
         assert errors == [f"scalar field contains a non-finite entry at node index {first}"] * 3
 
-    def test_size_rule_keeps_small_grids_on_one_thread(self, monkeypatch):
-        # 257^2 (circle-2d) and the ladder's rungs stay serial; 97^3 takes both CPUs
+    @pytest.mark.parametrize("budget, sizes", [
+        ("2", (((161, 161), 1), ((257, 257), 1), ((289, 289), 2), ((97, 97, 97), 2))),
+        ("64", (((257, 257), 1), ((289, 289), 2), ((513, 513), 6), ((97, 97, 97), 21))),
+    ])
+    def test_size_rule(self, monkeypatch, budget, sizes):
+        # 257^2 (circle-2d) and the ladder's rungs stay serial and 97^3 takes both
+        # CPUs; no thread gets fewer than THREAD_NODES / 2 interior nodes
         from actx.grid import _block_plan
 
-        monkeypatch.setenv("ACTX_THREADS", "2")
-        for nodes, threads in (((161, 161), 1), ((257, 257), 1), ((289, 289), 2), ((97, 97, 97), 2)):
+        monkeypatch.setenv("ACTX_THREADS", budget)
+        for nodes, threads in sizes:
             s0 = int(np.prod(nodes[1:]))
             assert len(_block_plan(s0, int(np.prod(nodes)) - s0, s0)) == threads
