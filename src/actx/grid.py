@@ -267,29 +267,34 @@ def cpu_budget() -> int:
     return n
 
 
-def _block_plan(lo: int, hi: int, s0: int) -> list[list[tuple[int, int, int]]]:
+def _block_plan(lo: int, hi: int, s0: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The blocks (index, start, end) of one sweep over the nodes [lo, hi) of a
-    flattened field whose axis-0 slabs hold ``s0`` nodes, one list per thread.
+    flattened field whose axis-0 slabs hold ``s0`` nodes, one tuple per thread.
     Below ``THREAD_NODES`` nodes, or with a budget of one CPU, one thread takes
     every block, of ``CHUNK`` nodes; otherwise up to ``cpu_budget()`` threads,
     each with at least half of THREAD_NODES nodes, take runs of whole slabs,
     cut into blocks of ``THREAD_CHUNK`` nodes, so no two threads write in the
     same slab."""
+    threads = 1 if hi - lo < THREAD_NODES else min(cpu_budget(), (hi - lo) // s0, 2 * (hi - lo) // THREAD_NODES)
+    return _plan(lo, hi, s0, threads, CHUNK if threads == 1 else THREAD_CHUNK)
+
+
+@lru_cache(maxsize=32)
+def _plan(lo: int, hi: int, s0: int, threads: int, size: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """``_block_plan``'s blocks for a given thread count and block size."""
     slabs = (hi - lo) // s0
-    threads = 1 if hi - lo < THREAD_NODES else min(cpu_budget(), slabs, 2 * (hi - lo) // THREAD_NODES)
-    size = CHUNK if threads == 1 else THREAD_CHUNK
     cuts = [lo + slabs * t // threads * s0 for t in range(threads)] + [hi]
     plan, i = [], 0
     for a0, b0 in zip(cuts, cuts[1:]):
-        part = [(i + j, a, min(a + size, b0)) for j, a in enumerate(range(a0, b0, size))]
-        plan.append(part)
-        i += len(part)
-    return plan
+        plan.append(tuple((i + j, a, min(a + size, b0)) for j, a in enumerate(range(a0, b0, size))))
+        i += len(plan[-1])
+    return tuple(plan)
 
 
-def _block_scratch(plan: list[list[tuple[int, int, int]]], rows: int) -> np.ndarray:
-    """Scratch for a sweep of ``plan``: ``rows`` block-sized arrays per thread."""
-    return np.empty((len(plan), rows, max((b - a for part in plan for _, a, b in part), default=0)))
+def _block_scratch(plan, rows: int) -> np.ndarray:
+    """Scratch for a sweep of ``plan``: ``rows`` block-sized arrays per thread
+    (a thread's first block is its largest)."""
+    return np.empty((len(plan), rows, max((part[0][2] - part[0][1] for part in plan if part), default=0)))
 
 
 _pool = None  # (workers, ThreadPoolExecutor) of the block sweeps, made by the first threaded one
@@ -322,13 +327,16 @@ def _run_part(block, t: int, part) -> None:
         block(t, i, a, b)
 
 
-def _run_blocks(plan: list[list[tuple[int, int, int]]], block) -> None:
+def _run_blocks(plan, block) -> None:
     """``block(t, i, a, b)`` for every block (i, a, b) of ``plan[t]``: the calling
     thread takes ``plan[0]`` and a pool the other lists, and the call returns
     once every block is done. A block runs numpy operations into arrays the
     caller made (``t`` picks its thread's scratch): it allocates nothing and
     calls no public function of the package, whose tracing assumes one thread."""
-    pool = _thread_pool(len(plan) - 1) if len(plan) > 1 else None
+    if len(plan) == 1:
+        _run_part(block, 0, plan[0])
+        return
+    pool = _thread_pool(len(plan) - 1)
     futures = [pool.submit(_run_part, block, t, part) for t, part in enumerate(plan[1:], 1)]
     try:
         _run_part(block, 0, plan[0])
