@@ -329,7 +329,7 @@ def _run_part(block, t: int, part) -> None:
 
 def _run_blocks(plan, block) -> None:
     """``block(t, i, a, b)`` for every block (i, a, b) of ``plan[t]``: the calling
-    thread takes ``plan[0]`` and a pool the other lists, and the call returns
+    thread takes ``plan[0]`` and a pool the others, and the call returns
     once every block is done. A block runs numpy operations into arrays the
     caller made (``t`` picks its thread's scratch): it allocates nothing and
     calls no public function of the package, whose tracing assumes one thread."""
