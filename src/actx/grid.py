@@ -13,25 +13,26 @@ constant plus one polynomial in f), swept in cache-sized blocks into a
 caller's array; it returns max |out|, taken block by block in the same
 sweep. ``measures.frame_fields`` sweeps the same blocks.
 
-A block sweep of at least ``THREAD_NODES`` interior nodes (80 Ki: 289^2 or
-49^3 and up) splits its blocks among up to ``cpu_budget()`` threads
-(``ACTX_THREADS``), each with at least 40 Ki nodes: the calling thread and
-a pool made by the first such sweep of the process. Each thread takes a run of whole axis-0 slabs, so no
-two threads restore faces in the same slab, and each block writes only its
-own nodes and its own row of extrema or sums: every output has the serial
-bits at any thread count. The rule depends on the node count alone. On a
-2-CPU host (numpy ufuncs release the GIL, the Python between them does not):
-one 97^3 ``stencil_rhs`` call took 5.1 ms serial and 3.6 ms on two threads
-with 64 Ki-node blocks (``THREAD_CHUNK``), but 4.5 ms with 32 Ki blocks,
-whose threads hand the GIL back and forth more often; 289^2 went
-0.49 -> 0.37 ms, while 257^2 (64 Ki interior nodes, two 32 Ki halves)
-gained nothing (0.37 ms either way). A one-thread sweep keeps 32 Ki blocks
-(``CHUNK``): 64 Ki ones were 2-10% slower with a transport at 257^2 and
-513^2. Worker threads allocate nothing, since glibc gives each thread its
-own malloc arena (W's two block temporaries made in the workers raised the
-97^3 run's peak RSS 72.5 -> 76.5 MiB): the caller hands them their scratch.
-They call no public function of the package either: the benchmark's span
-tracer (``perfbench/spans.py``) keeps one stack for the whole process.
+A block sweep of at least ``THREAD_NODES`` interior nodes (80 Ki: 288^2 or
+45^3 and up) splits its blocks among up to ``cpu_budget()`` threads
+(``ACTX_THREADS``), each with at least 40 Ki nodes: the calling thread and a
+pool made by the first such sweep of the process. Each thread takes a run of
+whole axis-0 slabs, so no two threads restore faces in the same slab, and
+each block writes only its own nodes and its own row of extrema or sums:
+every output has the serial bits at any thread count. The rule depends on
+the node count alone. On a 2-CPU host (numpy ufuncs release the GIL, the
+Python between them does not): one 97^3 ``stencil_rhs`` call took 5.1 ms
+serial and 3.6 ms on two threads with 64 Ki-node blocks (``THREAD_CHUNK``),
+but 4.5 ms with 32 Ki blocks, whose threads hand the GIL back and forth more
+often; 289^2 went 0.49 -> 0.37 ms, while 257^2 (64 Ki interior nodes, two 32
+Ki halves) gained nothing (0.37 ms either way). A one-thread sweep keeps 32
+Ki blocks (``CHUNK``): 64 Ki ones were 2-10% slower with a transport at
+257^2 and 513^2. Worker threads allocate nothing, since glibc gives each
+thread its own malloc arena (W's two block temporaries made in the workers
+raised the 97^3 run's peak RSS 72.5 -> 76.5 MiB): the caller hands them
+their scratch. They call no public function of the package either: the
+benchmark's span tracer (``perfbench/spans.py``) keeps one stack for the
+whole process.
 
 The node geometry lives on ``GridSpec`` and is separable: the cached 1D
 node coordinates per axis (``axes``), the same as an open mesh that
