@@ -16,7 +16,10 @@ sweep. ``measures.frame_fields`` sweeps the same blocks.
 A block sweep of at least ``THREAD_NODES`` interior nodes (80 Ki: 288^2 or
 45^3 and up) splits its blocks among up to ``cpu_budget()`` threads
 (``ACTX_THREADS``), each with at least 40 Ki nodes: the calling thread and a
-pool made by the first such sweep of the process. Each thread takes a run of
+pool made by the first such sweep of the process, with a thread for each
+further CPU the process may run on, and stopped before the process forks
+(a sweep's rung workers, say), so no fork copies a live thread. Each thread
+takes a run of
 whole axis-0 slabs, so no two threads restore faces in the same slab, and
 each block writes only its own nodes and its own row of extrema or sums:
 every output has the serial bits at any thread count. The rule depends on
@@ -298,29 +301,31 @@ def _block_scratch(plan, rows: int) -> np.ndarray:
     return np.empty((len(plan), rows, max((part[0][2] - part[0][1] for part in plan if part), default=0)))
 
 
-_pool = None  # (workers, ThreadPoolExecutor) of the block sweeps, made by the first threaded one
+_pool = None  # the block sweeps' ThreadPoolExecutor, made by the first threaded one
 
 
-def _forget_pool() -> None:
+def _drop_pool() -> None:
+    """Stop the idle pool's threads and forget it, so that a fork copies none."""
     global _pool
-    _pool = None
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
 
 
-# a forked child has none of its parent's threads: it makes its own pool
-os.register_at_fork(after_in_child=_forget_pool)
+os.register_at_fork(before=_drop_pool)
 
 
-def _thread_pool(workers: int):
-    """The process's block-sweep pool, with at least ``workers`` threads."""
+def _thread_pool():
+    """The process's block-sweep pool: one thread per CPU the process may run
+    on besides the calling one, each started by the first task that finds no
+    idle thread."""
     global _pool
-    if _pool is None or _pool[0] < workers:
+    if _pool is None:
         # imported here: only sweeps above THREAD_NODES nodes need a pool
         from concurrent.futures import ThreadPoolExecutor
 
-        if _pool is not None:
-            _pool[1].shutdown()
-        _pool = (workers, ThreadPoolExecutor(workers, "actx-block"))
-    return _pool[1]
+        _pool = ThreadPoolExecutor(max(1, len(os.sched_getaffinity(0)) - 1), "actx-block")
+    return _pool
 
 
 def _run_part(block, t: int, part) -> None:
@@ -337,7 +342,7 @@ def _run_blocks(plan, block) -> None:
     if len(plan) == 1:
         _run_part(block, 0, plan[0])
         return
-    pool = _thread_pool(len(plan) - 1)
+    pool = _thread_pool()
     futures = [pool.submit(_run_part, block, t, part) for t, part in enumerate(plan[1:], 1)]
     try:
         _run_part(block, 0, plan[0])

@@ -572,3 +572,31 @@ class TestThreadedSweep:
         for nodes, threads in sizes:
             s0 = int(np.prod(nodes[1:]))
             assert len(_block_plan(s0, int(np.prod(nodes)) - s0, s0)) == threads
+
+    def test_no_block_thread_survives_a_fork(self, monkeypatch):
+        # a threaded sweep starts the pool; the fork stops it first, so the
+        # child copies no thread of it and the parent makes a new one later
+        import os
+        import threading
+
+        import actx.grid
+        from actx.grid import stencil_rhs
+        from actx.potential import DoubleWell
+
+        f = self._field(3, False)
+        self._at_threads(monkeypatch, 2, f.shape)
+
+        def sweep():
+            out = np.empty(f.shape)
+            return stencil_rhs(f, None, 0.1, 0.4, DoubleWell.quartic(), out), out
+
+        ref = sweep()
+        assert actx.grid._pool is not None
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if not any(t.name.startswith("actx-block") for t in threading.enumerate()) else 1)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert actx.grid._pool is None
+        assert not any(t.name.startswith("actx-block") for t in threading.enumerate())
+        top, out = sweep()
+        assert top == ref[0] and np.array_equal(out, ref[1])
