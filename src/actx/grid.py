@@ -55,7 +55,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -271,34 +271,36 @@ def cpu_budget() -> int:
     return n
 
 
-def _block_plan(lo: int, hi: int, s0: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """The blocks (index, start, end) of one sweep over the nodes [lo, hi) of a
-    flattened field whose axis-0 slabs hold ``s0`` nodes, one tuple per thread.
-    Below ``THREAD_NODES`` nodes, or with a budget of one CPU, one thread takes
-    every block, of ``CHUNK`` nodes; otherwise up to ``cpu_budget()`` threads,
-    each with at least half of THREAD_NODES nodes, take runs of whole slabs,
-    cut into blocks of ``THREAD_CHUNK`` nodes, so no two threads write in the
-    same slab."""
+class BlockPlan(NamedTuple):
+    """The blocks of one sweep: per thread, its blocks (index, start, end) in
+    order; the nodes of the largest block; the number of blocks."""
+
+    parts: tuple[tuple[tuple[int, int, int], ...], ...]
+    width: int
+    blocks: int
+
+
+def _block_plan(lo: int, hi: int, s0: int) -> BlockPlan:
+    """The blocks of one sweep over the nodes [lo, hi) of a flattened field whose
+    axis-0 slabs hold ``s0`` nodes. Below ``THREAD_NODES`` nodes, or with a
+    budget of one CPU, one thread takes every block, of ``CHUNK`` nodes;
+    otherwise up to ``cpu_budget()`` threads, each with at least half of
+    THREAD_NODES nodes, take runs of whole slabs, cut into blocks of
+    ``THREAD_CHUNK`` nodes, so no two threads write in the same slab."""
     threads = 1 if hi - lo < THREAD_NODES else min(cpu_budget(), (hi - lo) // s0, 2 * (hi - lo) // THREAD_NODES)
     return _plan(lo, hi, s0, threads, CHUNK if threads == 1 else THREAD_CHUNK)
 
 
 @lru_cache(maxsize=32)
-def _plan(lo: int, hi: int, s0: int, threads: int, size: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+def _plan(lo: int, hi: int, s0: int, threads: int, size: int) -> BlockPlan:
     """``_block_plan``'s blocks for a given thread count and block size."""
     slabs = (hi - lo) // s0
     cuts = [lo + slabs * t // threads * s0 for t in range(threads)] + [hi]
-    plan, i = [], 0
+    parts, i = [], 0
     for a0, b0 in zip(cuts, cuts[1:]):
-        plan.append(tuple((i + j, a, min(a + size, b0)) for j, a in enumerate(range(a0, b0, size))))
-        i += len(plan[-1])
-    return tuple(plan)
-
-
-def _block_scratch(plan, rows: int) -> np.ndarray:
-    """Scratch for a sweep of ``plan``: ``rows`` block-sized arrays per thread
-    (a thread's first block is its largest)."""
-    return np.empty((len(plan), rows, max((part[0][2] - part[0][1] for part in plan if part), default=0)))
+        parts.append(tuple((i + j, a, min(a + size, b0)) for j, a in enumerate(range(a0, b0, size))))
+        i += len(parts[-1])
+    return BlockPlan(tuple(parts), min(size, max(b0 - a0 for a0, b0 in zip(cuts, cuts[1:]))), i)
 
 
 _pool = None  # the block sweeps' ThreadPoolExecutor, made by the first threaded one
@@ -333,19 +335,21 @@ def _run_part(block, t: int, part) -> None:
         block(t, i, a, b)
 
 
-def _run_blocks(plan, block) -> None:
-    """``block(t, i, a, b)`` for every block (i, a, b) of ``plan[t]``: the calling
-    thread takes ``plan[0]`` and a pool the others, and the call returns
-    once every block is done. A block runs numpy operations into arrays the
-    caller made (``t`` picks its thread's scratch): it allocates nothing and
-    calls no public function of the package, whose tracing assumes one thread."""
-    if len(plan) == 1:
-        _run_part(block, 0, plan[0])
+def _run_blocks(plan: BlockPlan, block) -> None:
+    """``block(t, i, a, b)`` for every block (i, a, b) of ``plan.parts[t]``: the
+    calling thread takes the first part and a pool the others, and the call
+    returns once every block is done. A block runs numpy operations into
+    arrays the caller made (``t`` picks its thread's scratch): it allocates
+    nothing and calls no public function of the package, whose tracing
+    assumes one thread."""
+    first, *rest = plan.parts
+    if not rest:
+        _run_part(block, 0, first)
         return
     pool = _thread_pool()
-    futures = [pool.submit(_run_part, block, t, part) for t, part in enumerate(plan[1:], 1)]
+    futures = [pool.submit(_run_part, block, t, part) for t, part in enumerate(rest, 1)]
     try:
-        _run_part(block, 0, plan[0])
+        _run_part(block, 0, first)
     finally:  # the caller's arrays stay in use until every thread is done with them
         for fut in futures:
             fut.exception()
@@ -430,8 +434,8 @@ def stencil_rhs(
     uf = None if u is None else u.reshape(-1, n)
     bf = None if base is None else base.reshape(-1)
     plan = _block_plan(s0, flat.size - s0, s0)
-    scratch = _block_scratch(plan, 1 if uf is None else 2)
-    ext = np.empty((sum(map(len, plan)) + 2, 2))  # (max, min) of each block, then of the two axis-0 faces
+    scratch = np.empty((len(plan.parts), 1 if uf is None else 2, plan.width))
+    ext = np.empty((plan.blocks + 2, 2))  # (max, min) of each block, then of the two axis-0 faces
 
     def block(t: int, i: int, a: int, b: int) -> None:
         r, w1 = dst[a:b], scratch[t, 0, : b - a]

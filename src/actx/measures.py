@@ -46,7 +46,6 @@ from .grid import (
     GridSpec,
     ScalarField,
     _block_plan,
-    _block_scratch,
     _check_finite,
     _run_blocks,
     ball_integrate,
@@ -104,8 +103,8 @@ def frame_fields(phi: ScalarField, eps: float, well: DoubleWell) -> FrameFields:
     flat, dens_flat, xi_flat = v.reshape(-1), density.reshape(-1), xi.reshape(-1)
     steps = [st // v.itemsize for st in v.strides]
     plan = _block_plan(steps[0], flat.size - steps[0], steps[0])
-    scratch = _block_scratch(plan, 1)
-    sums = np.empty(sum(map(len, plan)) + 1)  # of each block's density and xi, then of the faces'
+    scratch = np.empty((len(plan.parts), 1, plan.width))
+    sums = np.empty(plan.blocks + 1)  # of each block's density and xi, then of the faces'
 
     def block(t: int, i: int, a: int, b: int) -> None:
         work = scratch[t, 0, : b - a]

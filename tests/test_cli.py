@@ -118,7 +118,7 @@ class TestRunCommand:
         runs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("ACTX_THREADS", threads)
-            assert len(_block_plan(65 * 65, 64 * 65 * 65, 65 * 65)) == int(threads)
+            assert len(_block_plan(65 * 65, 64 * 65 * 65, 65 * 65).parts) == int(threads)
             code = main(["run", "--config", "ball.cfg", "--out", "out"])
             files = {str(p.relative_to(tmp_path / "out")): p.read_bytes()
                      for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()}

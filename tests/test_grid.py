@@ -501,10 +501,10 @@ class TestThreadedSweep:
         monkeypatch.setattr(actx.grid, "THREAD_CHUNK", TestThreadedSweep.BLOCK[len(shape)])
         monkeypatch.setenv("ACTX_THREADS", str(threads))
         s0 = int(np.prod(shape[1:]))
-        plan = actx.grid._block_plan(s0, int(np.prod(shape)) - s0, s0)
-        assert len(plan) == threads
+        parts = actx.grid._block_plan(s0, int(np.prod(shape)) - s0, s0).parts
+        assert len(parts) == threads
         if threads > 1:
-            assert len({len(part) for part in plan}) == 2  # the blocks do not divide evenly
+            assert len({len(part) for part in parts}) == 2  # the blocks do not divide evenly
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("transport", [False, True], ids=["zero", "transport"])
@@ -571,7 +571,7 @@ class TestThreadedSweep:
         monkeypatch.setenv("ACTX_THREADS", budget)
         for nodes, threads in sizes:
             s0 = int(np.prod(nodes[1:]))
-            assert len(_block_plan(s0, int(np.prod(nodes)) - s0, s0)) == threads
+            assert len(_block_plan(s0, int(np.prod(nodes)) - s0, s0).parts) == threads
 
     def test_no_block_thread_survives_a_fork(self, monkeypatch):
         # a threaded sweep starts the pool; the fork stops it first, so the
