@@ -465,7 +465,9 @@ class TestThreadedSweep:
     """Block sweeps whose blocks are split among threads (``grid._block_plan``,
     with THREAD_NODES patched low and blocks of several hundred nodes, over
     which numpy lets go of the GIL, so the threads do run at once): the same
-    bits, the same max |out| and the same non-finite node at 1, 2 and 3 threads."""
+    bits, the same max |out| and the same non-finite node at 1, 2 and 3 threads.
+    The pool has a thread for each further CPU, so on a 2-CPU host a third
+    thread's blocks run after the second's on the one pool thread."""
 
     # 65 and 25 slabs: 3 threads take 21/22/22 and 8/8/9 of them, in 2/3/3 and
     # 2/2/3 blocks, and 2 threads 3/4 blocks
