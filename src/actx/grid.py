@@ -248,6 +248,12 @@ def outer_sum_sq(offsets: Sequence[np.ndarray]) -> np.ndarray:
 # it once per operation. 16-64 Ki nodes measured best at both 97^3 and 257^2.
 CHUNK = 32 * 1024
 
+# Nodes per slab of the passes that go through a whole field one axis-0 slab
+# (or, in ``measures.ball_masses``, one column slab) at a time: the initial
+# phase, the ball masses' prefix sums and the interface's cell search. Their
+# temporaries stay small next to the fields themselves.
+SLAB_NODES = 64 * 1024
+
 # A sweep of at least THREAD_NODES interior nodes (the run off the two axis-0
 # faces) splits its blocks among threads, in blocks of THREAD_CHUNK nodes; see
 # the module docstring for the measurements behind both.
@@ -466,12 +472,18 @@ def stencil_rhs(
     return float(np.max(np.abs(ext)))  # numpy's max keeps a nan, where Python's max() may drop it
 
 
-def integrate(f: ScalarField, region: tuple[Sequence[float], Sequence[float]] | None = None) -> float:
+def integrate(
+    f: ScalarField,
+    region: tuple[Sequence[float], Sequence[float]] | None = None,
+    out: np.ndarray | None = None,
+) -> float:
     """Trapezoid-consistent integral: node sum x h^n, half-weights on region edges.
 
     ``region=(lo, hi)`` restricts to the nodes of ``spec.box_slices(region)``.
     A region with fewer than two nodes along an axis integrates to 0.0 with a
-    warning.
+    warning. The window's values are copied into a fresh array, or into the
+    first elements of ``out`` (a C-contiguous array of at least as many
+    elements that shares no memory with f), and halved there by ``trapezoid``.
     """
     spec = f.spec
     window = (slice(None),) * spec.dim
@@ -480,14 +492,20 @@ def integrate(f: ScalarField, region: tuple[Sequence[float], Sequence[float]] | 
         if not spec.contains_box(lo, hi, tol=1e-9 * spec.h):
             raise GridError(f"region {lo}..{hi} is not contained in the domain box")
         window = spec.box_slices(region)
-    return trapezoid(f.values[window].copy(), spec.h)
+    vals = f.values[window]
+    if out is None:
+        return trapezoid(vals.copy(), spec.h)
+    dst = out.reshape(-1)[: vals.size].reshape(vals.shape)
+    np.copyto(dst, vals)
+    return trapezoid(dst, spec.h)
 
 
 def trapezoid(values: np.ndarray, h: float) -> float:
     """``integrate``'s rule on the node values of one box window: their sum x h^n
     with half weights on the two edge slices of every axis. ``values`` must be
-    a fresh array; it is halved in place. A window with fewer than two nodes
-    along an axis integrates to 0.0 with a warning."""
+    a C-contiguous array the caller may overwrite (a fresh one, or ``pack``'s);
+    it is halved in place. A window with fewer than two nodes along an axis
+    integrates to 0.0 with a warning."""
     if any(n <= 1 for n in values.shape):
         warnings.warn(
             "integration region contains no grid nodes (or a zero-volume slice)",
@@ -498,6 +516,35 @@ def trapezoid(values: np.ndarray, h: float) -> float:
         for edge in (0, -1):  # halve the two edge slices of this axis in place
             values[(slice(None),) * k + (edge,)] *= 0.5
     return float(np.sum(values) * h**values.ndim)
+
+
+def pack(buf: np.ndarray, window: tuple[slice, ...]) -> np.ndarray:
+    """``buf[window]`` moved to the front of the C-contiguous ``buf``: returns the
+    C-contiguous array of the window's shape on buf's first elements, the same
+    values that a copy of the window holds (so its ``np.sum`` has a copy's
+    bits), with no array of the window's size allocated.
+
+    The window's axis-0 slabs are copied in order, in runs whose destination
+    ends at or below the run's first source element. Packed slab j ends at
+    element (j + 1) W, W the elements of a window slab, and window slab j
+    starts at element (a0 + j) S or later, S >= W the elements of an axis-0
+    slab of buf and a0 the window's first one, so no copy overwrites a value
+    still to be read. A run of one slab may overlap itself when a0 is 0, and
+    numpy then copies it through a slab-sized buffer. Every slice's step must
+    be 1.
+    """
+    src = buf[window]
+    dst = buf.reshape(-1)[: src.size].reshape(src.shape)
+    if src.size == 0:
+        return dst
+    a0 = range(*window[0].indices(buf.shape[0])).start
+    per_slab, packed_slab = buf.size // buf.shape[0], src.size // src.shape[0]
+    j = 0
+    while j < src.shape[0]:
+        end = min(src.shape[0], max(j + 1, (a0 + j) * per_slab // packed_slab))
+        np.copyto(dst[j:end], src[j:end])
+        j = end
+    return dst
 
 
 def ball_integrate(

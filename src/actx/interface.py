@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._mc_tables import EDGE_VERTICES, TRIANGLE_TABLE
-from .grid import ScalarField
+from .grid import SLAB_NODES, ScalarField
 
 
 class InterfaceError(ValueError):
@@ -109,21 +109,26 @@ def extract_interface(phi: ScalarField) -> InterfaceSet:
     spec, v, n = phi.spec, phi.values, phi.spec.dim
     offsets = [o[:n] for o in _CORNERS[: 2**n]]
     # a cell is active if some corner is negative and not all are: one bool
-    # pass over the nodes, reduced axis by axis with | and &
-    neg = v < 0.0
-    some, every = neg, neg
-    for k in range(n):
-        lo, hi = (slice(None),) * k + (slice(None, -1),), (slice(None),) * k + (slice(1, None),)
-        some, every = some[lo] | some[hi], every[lo] & every[hi]
-    cells = np.unravel_index(np.flatnonzero(some ^ every), spec.cells)  # every implies some
-    # corner codes and values at the active cells only, from flat node indices
+    # pass over the nodes, reduced axis by axis with | and &, for one axis-0
+    # slab of cells (and its nodes) at a time, so no mask is field-sized
+    per_slab = math.prod(spec.cells[1:])  # cells per axis-0 slab
+    rows = max(1, SLAB_NODES // per_slab)
+    active = []
+    for i in range(0, spec.cells[0], rows):
+        some = every = v[i : i + rows + 1] < 0.0
+        for k in range(n):
+            lo, hi = (slice(None),) * k + (slice(None, -1),), (slice(None),) * k + (slice(1, None),)
+            some, every = some[lo] | some[hi], every[lo] & every[hi]
+        active.append(np.flatnonzero(some ^ every) + i * per_slab)  # every implies some
+    cells = np.unravel_index(np.concatenate(active), spec.cells)
+    # corner values and codes at the active cells only, from flat node indices
     base = np.ravel_multi_index(cells, spec.nodes)
     steps = [st // v.itemsize for st in v.strides]
     corner = [base + sum(o * st for o, st in zip(off, steps)) for off in offsets]
-    codes = np.zeros(base.size, dtype=np.int16)
-    for bit, idx in enumerate(corner):
-        codes |= neg.reshape(-1)[idx].astype(np.int16) << bit
     f = [v.reshape(-1)[idx] for idx in corner]
+    codes = np.zeros(base.size, dtype=np.int16)
+    for bit, fk in enumerate(f):
+        codes |= (fk < 0.0).astype(np.int16) << bit
     if n == 2:
         avg = 0.25 * (f[0] + f[1] + f[2] + f[3])
         codes[((codes == 5) | (codes == 10)) & ~(avg < 0.0)] |= 16

@@ -23,8 +23,9 @@ and the B_{1/4}(y) window of the tail term) is built once and cached; per
 frame only amp exp(-r^2/(4(s - t))) is computed. A transport m(t) U enters
 as |U|^2 on that box, with m(t)^2 scaling its integral.
 
-Ball masses over a lattice of centres are exact lattice sums: after one
-prefix sum along the first axis, the mass of a ball is the sum of one chord
+Ball masses over a lattice of centres are exact lattice sums: after a
+prefix sum along the first axis (built one slab of columns at a time), the
+mass of a ball is the sum of one chord
 difference per offset line of the ball (a summed-area table), so it counts
 exactly the nodes that the direct ``ball_integrate`` counts and differs from
 it only by rounding; only the centres asked for are computed. Inequality
@@ -43,6 +44,7 @@ import numpy as np
 
 from .grid import (
     GridError,
+    SLAB_NODES,
     GridSpec,
     ScalarField,
     _block_plan,
@@ -52,6 +54,7 @@ from .grid import (
     ball_window,
     integrate,
     outer_sum_sq,
+    pack,
     stencil_rhs,
     sum_sq,
     trapezoid,
@@ -85,11 +88,13 @@ class FrameFields:
         return EnergyMeasure.of(self.density)
 
 
-def frame_fields(phi: ScalarField, eps: float, well: DoubleWell) -> FrameFields:
+def frame_fields(phi: ScalarField, eps: float, well: DoubleWell,
+                 out: tuple[np.ndarray, np.ndarray] | None = None) -> FrameFields:
     """|grad phi|^2 and W in one sweep over the flattened frame, in the blocks of
     ``grid.stencil_rhs`` (``grid._block_plan``, threads included), each through
     every term before the next: density and xi are written straight into their
-    two fields.
+    two fields, fresh ones or the (density, xi) arrays ``out`` (C-contiguous,
+    of phi's shape, sharing no memory with phi or each other).
 
     |grad phi|^2 is sum_k ((up_k - dn_k) / 2h)^2 in axis order, where a face
     node takes the ghost node 2 f_face - f_inner along the face's axis. The
@@ -99,7 +104,7 @@ def frame_fields(phi: ScalarField, eps: float, well: DoubleWell) -> FrameFields:
     the blocks' sums, raises ``GridError`` with its index.
     """
     v, h = phi.values, phi.spec.h
-    density, xi = np.empty(v.shape), np.empty(v.shape)
+    density, xi = (np.empty(v.shape), np.empty(v.shape)) if out is None else out
     flat, dens_flat, xi_flat = v.reshape(-1), density.reshape(-1), xi.reshape(-1)
     steps = [st // v.itemsize for st in v.strides]
     plan = _block_plan(steps[0], flat.size - steps[0], steps[0])
@@ -221,9 +226,10 @@ class EnergyMeasure:
     total: float
 
     @classmethod
-    def of(cls, density: ScalarField) -> "EnergyMeasure":
-        """The measure with this density: the field and its ``grid.integrate``."""
-        return cls(density.spec, density, integrate(density))
+    def of(cls, density: ScalarField, scratch: np.ndarray | None = None) -> "EnergyMeasure":
+        """The measure with this density: the field and its ``grid.integrate``,
+        which copies the density into ``scratch`` when given."""
+        return cls(density.spec, density, integrate(density, out=scratch))
 
     @classmethod
     def from_phase(cls, phi: ScalarField, eps: float, well: DoubleWell) -> "EnergyMeasure":
@@ -236,22 +242,27 @@ def discrepancy_field(phi: ScalarField, eps: float, well: DoubleWell) -> ScalarF
 
 
 def velocity_sq(
-    phi: ScalarField, eps: float, well: DoubleWell, region: tuple[Sequence[float], Sequence[float]]
+    phi: ScalarField, eps: float, well: DoubleWell, region: tuple[Sequence[float], Sequence[float]],
+    out: np.ndarray | None = None,
 ) -> float:
     """int_region eps (lap phi - W'(phi)/eps^2)^2 dx, with the drive formed by the
     step's own ``grid.stencil_rhs`` without transport. The drive is not formed
-    on the box faces, so a region reaching them raises."""
+    on the box faces, so a region reaching them raises.
+
+    The drive goes into a fresh field or into ``out`` (C-contiguous, of phi's
+    shape, not phi's memory), which then holds eps drive^2 on the region's
+    window, packed to its front (``grid.pack``) for the trapezoid."""
     spec = phi.spec
     window = spec.box_slices(region)
     if any(sl.start == 0 or sl.stop == n for sl, n in zip(window, spec.nodes)):
         lo, hi = (tuple(c) for c in region)
         raise MeasureError(f"region {lo}..{hi} reaches the box faces, where the drive is not formed")
-    drive = np.empty(spec.nodes)
+    drive = np.empty(spec.nodes) if out is None else out
     stencil_rhs(phi.values, None, spec.h, eps, well, drive)
-    vals = np.square(drive[window])
-    del drive
+    vals = drive[window]
+    np.square(vals, out=vals)
     vals *= eps
-    return trapezoid(vals, spec.h)
+    return trapezoid(pack(drive, window), spec.h)
 
 
 def gronwall_weight(transport: Transport, spec: GridSpec, t: float) -> np.ndarray | None:
@@ -261,12 +272,14 @@ def gronwall_weight(transport: Transport, spec: GridSpec, t: float) -> np.ndarra
     return None if g is None else np.exp(-(transport.m(t) * g))
 
 
-def weighted_energy(mu: EnergyMeasure, weight: np.ndarray | None) -> float:
+def weighted_energy(mu: EnergyMeasure, weight: np.ndarray | None, out: np.ndarray | None = None) -> float:
     """int weight dmu, the Groenwall factor F(t) for weight = ``gronwall_weight``;
-    ``mu.total`` for weight None."""
+    ``mu.total`` for weight None. The product is formed in a fresh field or in
+    ``out`` (of the density's shape) and summed there."""
     if weight is None:
         return mu.total
-    return integrate(ScalarField(mu.spec, weight * mu.density.values))
+    prod = ScalarField(mu.spec, np.multiply(weight, mu.density.values, out=out))
+    return trapezoid(prod.values, mu.spec.h)
 
 
 def positive_discrepancy_ball(
@@ -312,29 +325,50 @@ def ball_masses(measure: EnergyMeasure, radius: float, centres: Sequence[slice])
     """mu(B_radius(x)) at the nodes x of the sub-lattice ``centres`` (one index
     slice per axis); balls are clipped at the box.
 
-    One prefix sum along axis 0, padded by m = ceil(r/h) rows clamped to its
-    end values and m zero columns on the other axes, turns the ball mass into
-    a sum of chord differences, one per offset line of the ball.
+    A prefix sum along axis 0, padded by m = ceil(r/h) rows clamped to its end
+    values and m zero columns on the other axes, turns the ball mass into a
+    sum of chord differences, one per offset line of the ball, added in the
+    order of ``_ball_lines``. The prefix sum is built for one slab of axis-1
+    centre columns at a time, with the m columns on either side that its
+    balls reach: a slab holds about ``SLAB_NODES`` nodes, and at least 4m + 1
+    columns, so that the halo is at most about half of it. A column's prefix
+    sum and a centre's chords do not depend on the slab, so the masses have
+    the bits of one whole-box prefix sum.
     """
     spec = measure.spec
     vals = measure.density.values
     m, lines = _ball_lines(spec, radius)
-    cum = np.zeros((vals.shape[0] + 2 * m + 1,) + tuple(n + 2 * m for n in vals.shape[1:]))
-    inner = tuple(slice(m, m + n) for n in vals.shape[1:])
-    np.cumsum(vals, axis=0, out=cum[(slice(m + 1, m + 1 + vals.shape[0]),) + inner])
-    cum[m + 1 + vals.shape[0] :] = cum[m + vals.shape[0]]
     sub = [range(*sl.indices(n)) for sl, n in zip(centres, vals.shape)]
     out = np.zeros(tuple(len(r) for r in sub))
-    chord = np.empty_like(out)
+    if out.size == 0:
+        return out
+    n0, n1 = vals.shape[:2]
+    rest = tuple(slice(m, m + n) for n in vals.shape[2:])
+    column = (n0 + 2 * m + 1) * math.prod(n + 2 * m for n in vals.shape[2:])
+    span = max(SLAB_NODES // column, 4 * m + 1) - 2 * m  # centre columns' extent per slab
+    per = max(1, (span - 1) // sub[1].step + 1)  # centres per slab
+    width = (min(len(sub[1]), per) - 1) * sub[1].step + 2 * m + 1  # the widest slab's columns
+    cum = np.zeros((n0 + 2 * m + 1, width) + tuple(n + 2 * m for n in vals.shape[2:]))
 
-    def shifted(axis: int, by: int) -> slice:
-        r = sub[axis]
+    def shifted(r: range, by: int) -> slice:
         return slice(r.start + by, r.start + by + (len(r) - 1) * r.step + 1, r.step)
 
-    for a, off in lines:
-        rest = tuple(shifted(k + 1, m + b) for k, b in enumerate(off))
-        np.subtract(cum[(shifted(0, m + a + 1),) + rest], cum[(shifted(0, m - a),) + rest], out=chord)
-        out += chord
+    for s in range(0, len(sub[1]), per):
+        cols = sub[1][s : s + per]
+        lo = cols.start - m  # the slab's first column; columns off the box are zero
+        a, b = max(lo, 0), min(cols[-1] + m + 1, n1)
+        cum[:, : a - lo] = 0.0
+        cum[:, b - lo :] = 0.0
+        np.cumsum(vals[:, a:b], axis=0, out=cum[(slice(m + 1, m + 1 + n0), slice(a - lo, b - lo)) + rest])
+        cum[m + 1 + n0 :] = cum[m + n0]
+        local = [sub[0], range(0, len(cols) * cols.step, cols.step)] + sub[2:]
+        dst = out[:, s : s + per]
+        chord = np.empty(dst.shape)
+        for a_len, off in lines:
+            offs = tuple(shifted(r, m + k) for r, k in zip(local[1:], off))
+            np.subtract(cum[(shifted(local[0], m + a_len + 1),) + offs],
+                        cum[(shifted(local[0], m - a_len),) + offs], out=chord)
+            dst += chord
     return out * spec.h**spec.dim
 
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, integrate, sum_sq
+from .grid import SLAB_NODES, GridSpec, ScalarField, integrate, sum_sq
 from .potential import DoubleWell, _smoothstep, profile_psi, validate_conditions
 from .shapes import Ball, Box, Complement, HalfSpace, Intersection, Shape, Union
 
@@ -279,19 +279,28 @@ class ScenarioConfig:
 
 
 def cutoff_field(cfg: ScenarioConfig) -> ScalarField:
-    """C^2 cutoff: 1 on the inner inset box, 0 outside the outer one.
+    """C^2 cutoff: 1 on the inner inset box, 0 outside the outer one (``_cutoff``
+    on the whole grid)."""
+    return ScalarField(cfg.grid, _cutoff(cfg, cfg.grid.coords()))
+
+
+def _cutoff(cfg: ScenarioConfig, x, out: np.ndarray | None = None) -> np.ndarray:
+    """The cutoff at the nodes of the open mesh ``x`` (the grid's, or a slab of
+    it), in a fresh array or in ``out``.
 
     Built from the two box distances with a quintic ramp across the collar;
     smooth away from box-corner diagonals, which is enough at grid tolerance.
     """
-    x = cfg.grid.coords()
     dp = Box(*cfg.omega_prime()).sdf(x)
     dd = Box(*cfg.omega_dprime()).sdf(x)
-    l = np.ones(cfg.grid.nodes)
-    collar = (dp > 0) & (dd < 0)
-    l[collar] = 1.0 - _smoothstep(dp[collar] / (dp[collar] - dd[collar]))
-    l[dd >= 0] = 0.0
-    return ScalarField(cfg.grid, l)
+    collar, outer = (dp > 0) & (dd < 0), dd >= 0
+    ramp = 1.0 - _smoothstep(dp[collar] / (dp[collar] - dd[collar]))
+    del dp, dd
+    l = np.empty(collar.shape) if out is None else out
+    l.fill(1.0)
+    l[collar] = ramp
+    l[outer] = 0.0
+    return l
 
 
 def build_initial_phase(cfg: ScenarioConfig) -> ScalarField:
@@ -299,24 +308,40 @@ def build_initial_phase(cfg: ScenarioConfig) -> ScalarField:
 
     Requires the interface (zero set of the shape distance) to clear the
     cutoff collar by at least 4 eps, otherwise the cutoff would distort it.
+
+    The field is built by axis-0 slabs of about ``grid.SLAB_NODES`` nodes,
+    each written into the one result: per slab the cutoff (``_cutoff``), the
+    shape's distance d, the smallest d where the cutoff is below 1 (the
+    margin) and the profile. Every step is pointwise, so the bits are those of
+    the whole-field form, while no temporary is larger than a slab.
     """
-    d = cfg.shape.sdf(cfg.grid.coords())
-    l = cutoff_field(cfg).values
-    off_core = l < 1.0
-    if np.any(off_core):
-        margin = float(np.min(d[off_core]))
-        if margin < 4.0 * cfg.epsilon:
-            raise MarginError(
-                f"shape must clear the cutoff collar by 4*eps = {4 * cfg.epsilon:g}; "
-                f"measured margin {margin:g}"
-            )
+    spec = cfg.grid
+    x = spec.coords()
+    phi = np.empty(spec.nodes)
+    rows = max(1, SLAB_NODES // (spec.n_nodes // spec.nodes[0]))
+    margin = min(_phase_slab(cfg, (x[0][i : i + rows],) + x[1:], phi[i : i + rows])
+                 for i in range(0, spec.nodes[0], rows))
+    if margin < 4.0 * cfg.epsilon:
+        raise MarginError(
+            f"shape must clear the cutoff collar by 4*eps = {4 * cfg.epsilon:g}; "
+            f"measured margin {margin:g}"
+        )
+    return ScalarField(spec, phi)
+
+
+def _phase_slab(cfg: ScenarioConfig, x, out: np.ndarray) -> float:
+    """phi0 at the nodes of the mesh slab ``x``, into ``out``; returns the smallest
+    shape distance where the cutoff is below 1 (inf where there is none)."""
+    l = _cutoff(cfg, x, out)  # in out until phi0 replaces it there
+    d = cfg.shape.sdf(x)
+    margin = float(np.min(d, initial=math.inf, where=l < 1.0))
     # l * psi(-d / eps) + l - 1 in place, in the same operation order
     d /= -cfg.epsilon
     psi = profile_psi(cfg.well, d)
     psi *= l
     psi += l
-    psi -= 1.0
-    return ScalarField(cfg.grid, psi)
+    np.subtract(psi, 1.0, out=out)
+    return margin
 
 
 @dataclass

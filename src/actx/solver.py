@@ -14,7 +14,12 @@ diagnostics) and writes snapshot files ``snapshots/step_<8-digit step>.afld``:
 the first and final fields and every ``snap_every``-th. A ``RowBuilder``
 makes each row from its frame, which it extracts once; the last row's
 interface is written to ``interface_final.csv``. The run keeps only the
-final field. The rows are the run's record of every per-frame diagnostic;
+final field, and allocates its fields once: phi0 (built by slabs) and a spare
+field, which the steps write in turn, rk2's midpoint, and the row builder's
+density; each row borrows the spare field as its scratch. Besides these (and
+a transport's cached U and G and Groenwall weight), what a run allocates is
+the size of a slab, a block or the interface. The rows are the run's record
+of every per-frame diagnostic;
 ``load_trajectory`` reads the snapshot files back bit for bit, for the
 offline checks that need the fields themselves (probes chosen after the run,
 the scaled density ratio). With ``snap_every = diag_every`` the snapshots
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .grid import GridError, ScalarField, VectorField, read_field, stencil_rhs, trapezoid
+from .grid import GridError, ScalarField, VectorField, pack, read_field, stencil_rhs, trapezoid
 from .grid import write_field
 from .interface import InterfaceSet, extract_interface, radius_estimate
 from .potential import DoubleWell
@@ -249,6 +254,16 @@ class RowBuilder:
     a later row's ``monotonicity_residual`` is the trapezoid surplus of that
     probe's kernel terms since the previous frame. The Groenwall weight
     exp(-m G) is formed once if static, else at every row.
+
+    A row needs two fields besides phi: the density, in a buffer the builder
+    allocates once, and one scratch field, which the caller may lend
+    (``run`` lends the step's spare field) and which the builder otherwise
+    allocates once. The scratch holds in turn the drive, xi, the density's
+    copy for its integral and the Groenwall product; each window that a
+    trapezoid sums is packed to its front (``grid.pack``). So at the row's
+    peak phi, the scratch, the density and block-sized temporaries are live:
+    the block sweeps' scratch rows, ``ball_masses``' column slabs, the probe's
+    box and ``extract_interface``'s node masks and active cells.
     """
 
     def __init__(self, cfg: ScenarioConfig, radii: list[float]):
@@ -260,16 +275,21 @@ class RowBuilder:
         self.center = tuple(0.5 * (lo + hi) for lo, hi in zip(cfg.grid.lo, cfg.grid.hi))
         self.omega_p = cfg.omega_prime()
         self.box_p = cfg.grid.box_slices(self.omega_p)
+        self.density = np.empty(cfg.grid.nodes)
+        self.scratch: np.ndarray | None = None  # allocated by the first call that lends none
 
-    def __call__(self, phi: ScalarField, t: float,
-                 max_abs_phi: float) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
+    def __call__(self, phi: ScalarField, t: float, max_abs_phi: float,
+                 scratch: np.ndarray | None = None) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
+        """The frame's row and interface; ``scratch`` is a C-contiguous field of
+        phi's shape that shares no memory with phi, overwritten here."""
         cfg = self.cfg
         tr, spec = cfg.transport, cfg.grid
-        # the drive is freed before the frame fields exist, and xi before the
-        # density's integral and ratio: at most phi, the step's spare buffer,
-        # density, xi and the Omega' window of xi are live at once
-        vel = measures.velocity_sq(phi, cfg.epsilon, cfg.well, self.omega_p)
-        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well)
+        if scratch is None:
+            if self.scratch is None:
+                self.scratch = np.empty(spec.nodes)
+            scratch = self.scratch
+        vel = measures.velocity_sq(phi, cfg.epsilon, cfg.well, self.omega_p, out=scratch)
+        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, out=(self.density, scratch))
         if self.probe is None:
             idx = np.unravel_index(int(np.argmax(ff.density.values)), spec.nodes)
             self.probe = probe_at(cfg, [ax[i] for ax, i in zip(spec.axes(), idx)])
@@ -282,10 +302,11 @@ class RowBuilder:
             resid = (i_rho - rho0) - 0.5 * (t - t0) * (i_u + u0 + i_xi + xi0)
         self.kernel = (t, i_rho, i_u, i_xi)
         xi = ff.xi.values[self.box_p]
-        sup_xi, pos_xi = float(np.max(xi)), trapezoid(np.maximum(xi, 0.0), spec.h)
-        density = ff.density
+        sup_xi = float(np.max(xi))
+        np.maximum(xi, 0.0, out=xi)
+        pos_xi = trapezoid(pack(scratch, self.box_p), spec.h)
+        mu = measures.EnergyMeasure.of(ff.density, scratch)
         del ff, xi
-        mu = measures.EnergyMeasure.of(density)
         ratio = measures.density_ratio(mu, region=self.omega_p, stride=4, radii=self.radii)
         iset = extract_interface(phi)
         radius = -1.0
@@ -300,7 +321,7 @@ class RowBuilder:
             pos_xi_integral=pos_xi,
             interface_radius=radius,
             monotonicity_residual=resid,
-            gronwall_factor=measures.weighted_energy(mu, self.weight),
+            gronwall_factor=measures.weighted_energy(mu, self.weight, out=scratch),
             velocity_sq=vel,
             max_abs_phi=max_abs_phi,
         )
@@ -348,15 +369,16 @@ def run(
         path = os.path.join(out_dir, "snapshots", f"step_{state.step_index:08d}.afld")
         write_field(path, state.phi, state.t)
 
+    # the steps write into phi0's array and one more field in turn, rk2's midpoint
+    # into a third; the rows borrow the field the last step left free
+    spare = np.empty_like(phi0.values)
+    mid = np.empty_like(spare) if solver.scheme == "rk2" else None
     state = SimState(0.0, phi0, 0)
-    running_max = float(np.max(np.abs(phi0.values)))
-    row, iset = build_row(phi0, 0.0, running_max)
+    running_max = max(float(np.max(phi0.values)), -float(np.min(phi0.values)))  # max |phi0|, no |phi0| field
+    row, iset = build_row(phi0, 0.0, running_max, spare)
     rows = [row]
     snapshot(state)
 
-    # the steps write into phi0's array and one more field in turn, rk2's midpoint into a third
-    spare = np.empty_like(phi0.values)
-    mid = np.empty_like(spare) if solver.scheme == "rk2" else None
     try:
         for k in range(1, n_steps + 1):
             prev = state.phi.values
@@ -365,7 +387,7 @@ def run(
             spare = prev
             running_max = max(running_max, state.max_abs_phi)
             if k % d == 0:
-                row, iset = build_row(state.phi, state.t, running_max)
+                row, iset = build_row(state.phi, state.t, running_max, spare)
                 rows.append(row)
                 running_max = state.max_abs_phi
             if (solver.snap_every and k % solver.snap_every == 0) or k == n_steps:

@@ -8,12 +8,24 @@ The program forms these stencils by stride shifts in blocks
 at a time over an open mesh (``GridSpec.coords``); the tests hold those to
 the forms here, bit for bit where the arithmetic is the same. ``grad_sq``
 is |grad f|^2 by whole-field stride shifts, the frame fields' reference.
+``whole_field_cutoff``, ``whole_field_phase`` and ``whole_box_ball_masses``
+build the cutoff, the initial phase and the ball masses over the whole
+field at once, where the program goes slab by slab.
 """
+
+import math
 
 import numpy as np
 
-from actx.grid import GridError, ScalarField, VectorField, _check_finite
-from actx.scenario import ConstantTransport, RadialGradient, RotationTransport, ZeroTransport
+from actx.grid import GridError, ScalarField, VectorField, _check_finite, outer_sum_sq
+from actx.potential import _smoothstep, profile_psi
+from actx.scenario import (
+    ConstantTransport,
+    MarginError,
+    RadialGradient,
+    RotationTransport,
+    ZeroTransport,
+)
 from actx.shapes import Ball, Box, Complement, HalfSpace, Intersection, Union
 
 
@@ -216,3 +228,61 @@ def stacked_spatial(transport, pts: np.ndarray):
         d = pts - np.asarray(transport.center)
         return d, 0.5 * np.sum(d * d, axis=-1)
     raise TypeError(f"no stacked form for {transport!r}")
+
+
+def whole_field_cutoff(cfg) -> np.ndarray:
+    """The C^2 cutoff on the whole grid: 1, the quintic ramp of the two box
+    distances on the collar, 0 on and off the outer box's faces."""
+    x = cfg.grid.coords()
+    dp = Box(*cfg.omega_prime()).sdf(x)
+    dd = Box(*cfg.omega_dprime()).sdf(x)
+    l = np.ones(cfg.grid.nodes)
+    collar = (dp > 0) & (dd < 0)
+    l[collar] = 1.0 - _smoothstep(dp[collar] / (dp[collar] - dd[collar]))
+    l[dd >= 0] = 0.0
+    return l
+
+
+def whole_field_phase(cfg) -> ScalarField:
+    """phi0 = l psi(-d/eps) + l - 1 with the shape's distance d, the cutoff l and
+    the collar margin each formed on the whole grid at once; ``MarginError``
+    with the smallest d where l < 1 when it is below 4 eps."""
+    d = cfg.shape.sdf(cfg.grid.coords())
+    l = whole_field_cutoff(cfg)
+    off_core = l < 1.0
+    if np.any(off_core):
+        margin = float(np.min(d[off_core]))
+        if margin < 4.0 * cfg.epsilon:
+            raise MarginError(
+                f"shape must clear the cutoff collar by 4*eps = {4 * cfg.epsilon:g}; "
+                f"measured margin {margin:g}"
+            )
+    return ScalarField(cfg.grid, l * profile_psi(cfg.well, d / -cfg.epsilon) + l - 1.0)
+
+
+def whole_box_ball_masses(measure, radius: float, centres) -> np.ndarray:
+    """mu(B_radius(x)) at the sub-lattice ``centres`` from one prefix sum along
+    axis 0 over the whole box, padded by m = ceil(r/h) rows clamped to its end
+    values and m zero columns on the other axes: one chord difference per
+    offset line of the ball (|k h|^2 < r^2 (1 - 1e-12)), the lines in the order
+    of their offsets on axes 1.. (row-major), as the program adds them."""
+    spec, vals = measure.spec, measure.density.values
+    m = int(math.ceil(radius / spec.h))
+    d2 = outer_sum_sq([np.arange(-m, m + 1) * spec.h] * spec.dim)
+    count = np.count_nonzero(d2 < radius**2 * (1.0 - 1e-12), axis=0)
+    lines = [(int(count[off]) // 2, tuple(int(i) - m for i in off)) for off in zip(*np.nonzero(count))]
+    cum = np.zeros((vals.shape[0] + 2 * m + 1,) + tuple(n + 2 * m for n in vals.shape[1:]))
+    inner = tuple(slice(m, m + n) for n in vals.shape[1:])
+    np.cumsum(vals, axis=0, out=cum[(slice(m + 1, m + 1 + vals.shape[0]),) + inner])
+    cum[m + 1 + vals.shape[0] :] = cum[m + vals.shape[0]]
+    sub = [range(*sl.indices(n)) for sl, n in zip(centres, vals.shape)]
+    out = np.zeros(tuple(len(r) for r in sub))
+
+    def shifted(axis, by):
+        r = sub[axis]
+        return slice(r.start + by, r.start + by + (len(r) - 1) * r.step + 1, r.step)
+
+    for a, off in lines:
+        rest = tuple(shifted(k + 1, m + b) for k, b in enumerate(off))
+        out += cum[(shifted(0, m + a + 1),) + rest] - cum[(shifted(0, m - a),) + rest]
+    return out * spec.h**spec.dim

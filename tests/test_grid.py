@@ -16,6 +16,7 @@ from actx.grid import (
     ball_integrate,
     integrate,
     outer_sum_sq,
+    pack,
     read_field,
     sum_sq,
     write_field,
@@ -204,7 +205,46 @@ class TestIntegrate:
             )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # regions without two nodes per axis integrate to 0.0
-            assert integrate(f, region) == self._weight_vector_form(f, region)
+            want = self._weight_vector_form(f, region)
+            assert integrate(f, region) == want
+            assert integrate(f, region, out=np.full(spec.nodes, np.nan)) == want  # the copy in a kept buffer
+
+
+class TestPack:
+    @given(
+        cells=st.lists(st.integers(1, 12), min_size=2, max_size=3),
+        ends=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=3, max_size=3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_array_as_a_copy_of_the_window(self, cells, ends, seed):
+        # windows anywhere in the field, the first axis-0 slab included (where a
+        # slab's copy overlaps itself), empty ones too
+        shape = tuple(c + 1 for c in cells)
+        buf = np.random.default_rng(seed).standard_normal(shape)
+        window = tuple(slice(int(min(e) * n), int(max(e) * n)) for (e, n) in zip(ends, shape))
+        want = buf[window].copy()
+        got = pack(buf, window)
+        assert got.flags.c_contiguous and got.shape == want.shape and np.array_equal(got, want)
+        assert got.size == 0 or np.shares_memory(got, buf.reshape(-1)[:1])  # at the front
+        if got.ndim and all(n > 1 for n in got.shape):
+            assert np.sum(got) == np.sum(want)  # a copy's pairwise sum
+
+    @pytest.mark.parametrize("start", [0, 1, 7])
+    def test_allocates_no_window(self, start):
+        import tracemalloc
+
+        buf = np.random.default_rng(start).standard_normal((60, 61, 62))
+        window = (slice(start, start + 50), slice(3, 58), slice(1, 60))
+        want = buf[window].copy()
+        tracemalloc.start()
+        try:
+            got = pack(buf, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 0.05 * want.nbytes  # at most one slab, when the first one overlaps itself
 
 
 class TestSumSq:

@@ -204,6 +204,15 @@ def _field(dim, cells, kind, seed):
     return ScalarField(spec, vals)
 
 
+def test_triangle_table_unpacks_to_the_tabulated_cases():
+    # the sha256 of the tuple literals' repr that the packed string replaced
+    import hashlib
+
+    assert len(TRIANGLE_TABLE) == 256 and {len(row) for row in TRIANGLE_TABLE} == {16}
+    digest = hashlib.sha256(repr(TRIANGLE_TABLE).encode()).hexdigest()
+    assert digest == "7315c99a0fb313cb250ff30e3363052e87603c57bc2ee31cb5db1aaf7e4e2ce4"
+
+
 class TestAgainstReference:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(
@@ -235,6 +244,20 @@ class TestAgainstReference:
         pts = got.reshape(-1, dim)
         for k in range(dim):
             assert pts[:, k].min() <= h and pts[:, k].max() >= hi[k] - h
+
+    @pytest.mark.parametrize("dim, cells", [(2, 9), (3, 7)])
+    @pytest.mark.parametrize("kind", ["normal", "checker", "saddle"])
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_cell_slabs_keep_the_elements(self, dim, cells, kind, rows, monkeypatch):
+        # the active cells found one axis-0 slab of ``rows`` cell rows at a time
+        # (4 leaves a shorter last slab) against the reference
+        import actx.interface
+
+        monkeypatch.setattr(actx.interface, "SLAB_NODES", rows * cells ** (dim - 1))
+        f = _field(dim, cells, kind, 7)
+        got = extract_interface(f).elements
+        want = (_marching_squares if dim == 2 else _marching_cubes)(f)
+        assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_all_saddle_cases_covered(self):
         # the checkerboard gives codes 5 and 10 with cell averages of both signs

@@ -240,6 +240,31 @@ class TestDensityRatio:
                 direct = ball_integrate(mu.density, c, r, clip_ok=True)
                 assert abs(masses[i] - direct) <= 1e-13 * mu.total, (r, c)
 
+    @pytest.mark.parametrize("dim, cells", [(2, (40, 33)), (3, (21, 18, 14))])
+    @pytest.mark.parametrize("stride", [1, 4])
+    @pytest.mark.parametrize("slab", [1, 5, None])
+    def test_ball_masses_same_bits_as_whole_box_prefix_sum(self, dim, cells, stride, slab, monkeypatch):
+        # column slabs against reference_ops.whole_box_ball_masses: centres on
+        # every face (halos past the box) and on an inner band, radii from 2h
+        # to past the box; ``slab`` asks for slabs about that many columns
+        # wide (None: the default, one slab on these grids)
+        import actx.measures
+        from reference_ops import whole_box_ball_masses
+
+        spec = GridSpec(dim, (0.0,) * dim, tuple(c / 40 for c in cells), cells)
+        rng = np.random.default_rng(dim * 10 + stride)
+        mu = EnergyMeasure.of(ScalarField(spec, rng.uniform(0.0, 3.0, spec.nodes)))
+        bands = [[slice(None, None, stride)] * dim,
+                 [slice(3, None, stride), slice(2, -4, stride)] + [slice(None, None, stride)] * (dim - 2)]
+        for r in (2 * spec.h, 3.5 * spec.h, 7 * spec.h, 0.6):
+            m = math.ceil(r / spec.h)
+            if slab is not None:
+                column = (cells[0] + 2 * m + 2) * math.prod(c + 1 + 2 * m for c in cells[2:])
+                monkeypatch.setattr(actx.measures, "SLAB_NODES", (slab + 2 * m) * column)
+            for centres in bands:
+                got, want = ball_masses(mu, r, centres), whole_box_ball_masses(mu, r, centres)
+                assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_small_radii_rejected(self):
         mu = EnergyMeasure.from_phase(flat_field(), EPS, WELL)
         with pytest.raises(MeasureError, match="2h"):

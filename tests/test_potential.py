@@ -143,6 +143,24 @@ class TestSurfaceTension:
         half, _ = quad(lambda s: np.sqrt(2 * QUARTIC.eval(s)[0]), 0.0, 1.0, epsabs=1e-14)
         assert 2 * half == pytest.approx(full, abs=1e-10)
 
+    def test_gauss_legendre_matches_quad_off_the_polynomials(self):
+        # W = (1 - s^2)^2 (1 + s^2) / 2: sqrt(2W) is no polynomial, so the rule
+        # is not exact; scipy's adaptive quad is the independent reference
+        from scipy.integrate import quad
+
+        w = DoubleWell.from_coeffs([0.5, 0.0, -0.5, 0.0, -0.5, 0.0, 0.5])
+        want, _ = quad(lambda s: np.sqrt(2 * w.eval(s)[0]), -1.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert surface_tension(w) == pytest.approx(want, rel=1e-12)
+
+    def test_rules_that_disagree_raise(self, monkeypatch):
+        # 8 and 16 nodes differ by 6.6e-8 relative on that integrand
+        import actx.potential
+
+        monkeypatch.setattr(actx.potential, "SIGMA_NODES", 8)
+        w = DoubleWell.from_coeffs([0.5, 0.0, -0.5, 0.0, -0.5, 0.0, 0.5])
+        with pytest.raises(PotentialError, match="did not converge"):
+            surface_tension(w)
+
     def test_positive_for_valid_wells(self):
         for scale in (0.5, 1.0, 3.0, 10.0):
             w = DoubleWell.from_coeffs(

@@ -258,6 +258,37 @@ class TestRowBuilder:
             assert build.probe == res.probe
 
 
+class TestFieldBudget:
+    @pytest.mark.parametrize("scheme, bound", [("euler", 4.25), ("rk2", 5.25)])
+    def test_3d_run_peaks_at_its_fields(self, scheme, bound, monkeypatch):
+        # a 65^3 run holds phi, the step's spare field (lent to the rows as
+        # their scratch), rk2's midpoint and the rows' density; the rest is a
+        # slab or block at a time, and the last row's interface. On one thread
+        # the peak read 3.94 fields (4.93 with rk2); before the slab builds and
+        # the lent scratch it read 4.77 (5.76)
+        import tracemalloc
+
+        from actx.grid import GridSpec
+        from actx.scenario import ScenarioConfig, ZeroTransport
+        from actx.shapes import Ball
+
+        monkeypatch.setenv("ACTX_THREADS", "1")  # the block scratch rows grow with the threads
+        spec = GridSpec(3, (0.0,) * 3, (1.6,) * 3, (64,) * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # eps = 4h is marginally resolved, which is fine here
+            cfg = ScenarioConfig(grid=spec, shape=Ball((0.8,) * 3, 0.25), transport=ZeroTransport(),
+                                 epsilon=0.1, t_end=0.0006, tau=0.0003, p=3.0,
+                                 inset_prime=0.12, inset_dprime=0.06)
+        tracemalloc.start()
+        try:
+            res = run(cfg, SolverConfig(scheme=scheme, diag_every=10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.rows) > 2
+        assert peak < bound * res.final_phi.values.nbytes
+
+
 class TestThreeDimensions:
     def test_stepping_dissipates_energy(self):
         # diffuse ball in 3D, stepped directly on a synthetic profile
