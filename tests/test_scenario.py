@@ -205,7 +205,7 @@ def _slab_config(dim: int, kind: str) -> ScenarioConfig:
         "halfspace": Intersection(Ball(c, 0.06), HalfSpace(n, sum(a * b for a, b in zip(n, c)))),
         "poly": Ball(c, 0.06),
     }[kind]
-    spec = GridSpec(dim, (0.0,) * dim, tuple(n / 48 for n in cells), cells)
+    spec = GridSpec(dim, (0.0,) * dim, tuple(k / 48 for k in cells), cells)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # eps = 4h is marginally resolved, which is fine here
         return ScenarioConfig(grid=spec, shape=shape, transport=ZeroTransport(), epsilon=4.0 / 48,
@@ -266,7 +266,7 @@ class TestInitialPhase:
     def test_3d_build_peaks_below_two_fields(self):
         # phi0 is built slab by slab: beside the one field, only a slab's
         # distances, cutoff and profile are live (64 Ki nodes, 0.23 of a field
-        # here). The whole-field build peaked at 4.6 fields.
+        # here); the peak read 1.80 fields
         import tracemalloc
 
         spec = GridSpec(3, (0.0,) * 3, (1.6,) * 3, (64,) * 3)

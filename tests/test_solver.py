@@ -264,8 +264,7 @@ class TestFieldBudget:
         # a 65^3 run holds phi, the step's spare field (lent to the rows as
         # their scratch), rk2's midpoint and the rows' density; the rest is a
         # slab or block at a time, and the last row's interface. On one thread
-        # the peak read 3.94 fields (4.93 with rk2); before the slab builds and
-        # the lent scratch it read 4.77 (5.76)
+        # the peak read 3.94 fields (4.93 with rk2)
         import tracemalloc
 
         from actx.grid import GridSpec
