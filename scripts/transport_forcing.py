@@ -15,7 +15,7 @@ import numpy as np
 
 from actx.grid import GridSpec
 from actx.interface import mcf_oracle
-from actx.scenario import RadialGradient, ScenarioConfig
+from actx.scenario import ScenarioConfig, parse_sexpr, transport_from_sexpr
 from actx.shapes import Ball
 from actx.solver import SolverConfig, run
 
@@ -28,7 +28,7 @@ def main_script(cells: int, c: float, t_end: float) -> int:
         cfg = ScenarioConfig(
             grid=spec,
             shape=Ball((0.8, 0.8), r0),
-            transport=RadialGradient(c, (0.8, 0.8)),
+            transport=transport_from_sexpr(parse_sexpr(f"(radial {c!r} 0.8 0.8)"), 2),
             epsilon=8 * 1.6 / cells,
             t_end=t_end,
             tau=t_end / 5,

@@ -49,7 +49,7 @@ from . import __version__, measures, scenario, solver
 from .grid import GridError, cpu_budget
 from .interface import InterfaceError, extract_interface, mcf_oracle
 from .measures import DiagnosticsRow, HuiskenProbe, MeasureError
-from .scenario import ConfigError, RadialGradient, ScenarioConfig, ZeroTransport
+from .scenario import ConfigError, ScenarioConfig
 from .shapes import Ball
 from .solver import SolverAbort, SolverConfig, Trajectory
 
@@ -245,13 +245,8 @@ def fitted_monotonicity_c(traj: Trajectory, count: int = 10) -> float:
 
 def _radius_error_vs_oracle(cfg: ScenarioConfig, rows: list[DiagnosticsRow], n_times: int = 10):
     """(max relative radius error at matched times, matched list) or None without an oracle."""
-    if not isinstance(cfg.shape, Ball):
-        return None
-    if isinstance(cfg.transport, ZeroTransport):
-        c = 0.0
-    elif isinstance(cfg.transport, RadialGradient) and not cfg.transport.time_dependent:
-        c = cfg.transport.strength
-    else:
+    c = cfg.transport.radial_rate()
+    if not isinstance(cfg.shape, Ball) or c is None:
         return None
     oracle = mcf_oracle(cfg.shape.radius, c, cfg.grid.dim, cfg.t_end)
     ts = np.linspace(cfg.tau, cfg.t_end, n_times)

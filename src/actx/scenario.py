@@ -6,16 +6,16 @@ inner inset box and 0 outside the outer one, so phi0 = -1 along the domain
 boundary and the pure 1D profile sits on the inner box. The sign flip -d puts
 the +1 phase inside the shape.
 
-Transport fields come from a small analytic catalog (zero, constant,
-rotation, radial gradient with optional sinusoidal time modulation). Each is
-u(x, t) = m(t) U(x): a scalar time factor (1 except for the pulsed radial
-entry) times a spatial part stated once per entry, in closed form and never
-by differencing, one axis at a time over the grid's open mesh of node
-coordinates (``GridSpec.coords``). Every entry is affine, so grad U is one
-n x n matrix, and a gradient entry u = grad g has g = m(t) G with a potential
-G. The grid's U and G are evaluated once and cached (``transport_field``,
-one grid at a time); m(t) scales the numbers built on U (the step's
-transport sum, a kernel integral, the bounds), never U itself.
+Every transport of the config catalog (zero, constant, rotation, radial
+gradient with optional sinusoidal time modulation) is one affine field
+u(x, t) = m(t) (A (x - x0) + b) (``Transport``): a scalar time factor m
+(1 except for the radial entries) times a spatial part U in closed form,
+never differenced, evaluated one axis at a time over the grid's open mesh of
+node coordinates (``GridSpec.coords``). grad U = A is one n x n matrix, and
+a gradient entry u = grad g has g = m(t) G with a potential G. The grid's U
+and G are evaluated once and cached (``transport_field``, one grid at a
+time); m(t) scales the numbers built on U (the step's transport sum, a
+kernel integral, the bounds), never U itself.
 
 Config files are flat ``key = value`` text with shapes and transports given
 as s-expressions, e.g. ``shape = (union (ball 0.5 0.5 0.25) (box 0 0 1 1))``.
@@ -49,25 +49,78 @@ class MarginError(ConfigError):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Transport:
-    """u(x, t) = m(t) U(x). An entry states U, the potential G of a gradient entry
-    (u = grad g, g = m G) and the constant matrix grad U once; callers scale
-    them by m(t). The base class is the zero field."""
+    """u(x, t) = m(t) U(x), U = A (x - x0) + b, m(t) = c + amp sin(freq t); the
+    default is u = 0.
 
-    time_dependent = False
+    A is its listed entries (i, k, A_ik), b its components (none: no shift) and
+    x0 the centre (none: the origin). U's rows and G sum the listed terms alone,
+    so an unlisted entry adds no +0.0 that would flip a -0.0. A gradient entry
+    u = grad g, g = m G, has a diagonal A and the potential
+    G = (x - x0)^T A (x - x0) / 2 + b . (x - x0); an off-diagonal entry (the
+    skew rotation) leaves u without one. Callers scale U, G and the constant
+    matrix grad U = A by m(t)."""
+
+    entries: tuple[tuple[int, int, float], ...] = ()
+    shift: tuple[float, ...] = ()
+    center: tuple[float, ...] = ()
+    c: float = 1.0
+    amp: float = 0.0
+    freq: float = 0.0
+
+    @property
+    def time_dependent(self) -> bool:
+        return self.amp != 0.0 and self.freq != 0.0
+
+    @property
+    def gradient(self) -> bool:
+        """Whether u has a potential G: A is diagonal."""
+        return all(i == k for i, k, _ in self.entries)
 
     def m(self, t: float) -> float:
-        return 1.0
+        return self.c + self.amp * math.sin(self.freq * t)
 
     def spatial(self, x) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(U, G) as fresh arrays at the nodes of the coordinate sequence ``x``
         (``GridSpec.coords()``, or anything indexed by axis whose entries
         broadcast), U with a trailing component axis; None for one that is 0
         or does not exist."""
-        return None, None
+        if not (self.entries or self.shift):
+            return None, None
+        d = self._offsets(x)
+        u = np.empty(np.broadcast_shapes(*(np.shape(dk) for dk in d)) + (len(d),))
+        for row, ui in enumerate(self._rows(d)):
+            u[..., row] = ui
+        if not self.gradient:
+            return u, None
+        # +0.0 starts the sums, as np.sum does, so -0.0 terms sum to +0.0
+        quad = sum((a * d[i] * d[i] for i, _, a in self.entries), 0.0)
+        return u, sum((b * dk for b, dk in zip(self.shift, d)), 0.5 * quad)
+
+    def _rows(self, d) -> list:
+        """U's components at the offsets d = x - x0, each the sum of its listed
+        terms in order (A's entries in the row, then b's component), 0.0 if none."""
+        rows = [[a * d[k] for i, k, a in self.entries if i == row] for row in range(len(d))]
+        for row, b in enumerate(self.shift):
+            rows[row].append(b)
+        return [sum(terms[1:], terms[0]) if terms else 0.0 for terms in rows]
+
+    def _offsets(self, x) -> list:
+        """x - x0 for each axis of the coordinate sequence ``x``."""
+        if self.center and len(self.center) != len(x):
+            raise ConfigError(f"transport center {self.center} does not match dim {len(x)}")
+        return [xk - x0 for xk, x0 in zip(x, self.center or (0.0,) * len(x))]
+
+    def _corner_offsets(self, spec: GridSpec) -> list:
+        """x - x0 at the box's corners, as an open mesh of two values per axis."""
+        return self._offsets(np.ix_(*zip(spec.lo, spec.hi)))
 
     def spatial_jacobian(self, n: int) -> np.ndarray:
-        return np.zeros((n, n))
+        jac = np.zeros((n, n))
+        for i, k, a in self.entries:
+            jac[i, k] = a
+        return jac
 
     def velocity(self, pts: np.ndarray, t: float) -> np.ndarray:
         """m(t) U at stacked points, shape (..., n), through ``spatial`` on their
@@ -75,101 +128,39 @@ class Transport:
         u = self.spatial(np.moveaxis(pts, -1, 0))[0]
         return np.zeros(pts.shape) if u is None else np.multiply(u, self.m(t), out=u)
 
+    def radial_rate(self) -> float | None:
+        """a when u = a (x - x0) at all times (A = I or 0, b = 0, m constant), the
+        transport of the sphere law ``interface.mcf_oracle``; None otherwise."""
+        if self.time_dependent or self.shift or self.entries not in ((), _identity(len(self.center))):
+            return None
+        return self.c if self.entries else 0.0
+
     def sup_dt_g(self, spec: GridSpec, t0: float, t1: float) -> float:
-        """Bound on |dt_g| over the box and time window: 0 while m is constant."""
-        return 0.0
+        """Bound on |dt g| = |m'(t) G| over the box and time window: |amp freq|
+        times the sum of G's terms at their largest on the box; 0 while m is
+        constant or without G."""
+        if not (self.time_dependent and self.gradient):
+            return 0.0
+        far = [max(float(v) ** 2 for v in dk.flat) for dk in self._corner_offsets(spec)]
+        size = (sum(0.5 * abs(a) * far[i] for i, _, a in self.entries)
+                + sum(abs(b) * math.sqrt(far[i]) for i, b in enumerate(self.shift)))
+        return abs(self.amp * self.freq) * size
 
     def sup_speed(self, spec: GridSpec, t0: float, t1: float) -> float:
-        """Bound on |u| over the box and time window: static, |m(t0)| max |U| over the nodes."""
-        u = transport_field(self, spec).u
-        return 0.0 if u is None else abs(self.m(t0)) * math.sqrt(float(np.max(sum_sq(u))))
-
-
-@dataclass(frozen=True)
-class ZeroTransport(Transport):
-    """u = 0 everywhere, the gradient of g = 0."""
-
-
-@dataclass(frozen=True)
-class ConstantTransport(Transport):
-    """u = a everywhere; the gradient of the linear g = a . x."""
-
-    vector: tuple[float, ...]
-
-    def spatial(self, x):
-        a = np.asarray(self.vector)
-        g = 0.0  # where np.sum starts, so a sum of -0.0 terms is +0.0 as in the stacked form
-        for k in range(a.size):
-            g = g + x[k] * a[k]
-        u = np.empty(np.shape(g) + a.shape)
-        u[...] = a
-        return u, g
-
-
-@dataclass(frozen=True)
-class RotationTransport(Transport):
-    """Rigid rotation u = omega * (x2 - c2, -(x1 - c1)); divergence-free, not a gradient."""
-
-    omega: float
-    center: tuple[float, ...] = (0.5, 0.5)
-
-    def spatial(self, x):
-        if len(x) != 2:
-            raise ConfigError("rotation transport is 2D only")
-        (c0, c1), w = self.center, self.omega
-        u = np.empty(np.broadcast_shapes(np.shape(x[0]), np.shape(x[1])) + (2,))
-        np.multiply(w, x[1] - c1, out=u[..., 0])
-        np.multiply(w, -(x[0] - c0), out=u[..., 1])
-        return u, None
-
-    def spatial_jacobian(self, n):
-        return np.array([[0.0, self.omega], [-self.omega, 0.0]])
-
-
-@dataclass(frozen=True)
-class RadialGradient(Transport):
-    """u = m(t) (x - x0) = grad (m(t) |x - x0|^2 / 2), m(t) = strength + mod_amp sin(mod_freq t)."""
-
-    strength: float
-    center: tuple[float, ...] = (0.5, 0.5)
-    mod_amp: float = 0.0
-    mod_freq: float = 0.0
-
-    @property
-    def time_dependent(self) -> bool:
-        return self.mod_amp != 0.0 and self.mod_freq != 0.0
-
-    def m(self, t):
-        return self.strength + self.mod_amp * math.sin(self.mod_freq * t)
-
-    def spatial(self, x):
-        """x - x0 and |x - x0|^2 / 2, one axis at a time."""
-        if len(self.center) != len(x):
-            raise ConfigError(f"radial transport center {self.center} does not match dim {len(x)}")
-        d = [x[k] - c for k, c in enumerate(self.center)]
-        g = d[0] * d[0]
-        for dk in d[1:]:
-            g = g + dk * dk
-        u = np.empty(np.shape(g) + (len(d),))
-        for k, dk in enumerate(d):
-            u[..., k] = dk
-        return u, 0.5 * g
-
-    def spatial_jacobian(self, n):
-        return np.eye(n)
-
-    def _far2(self, spec: GridSpec) -> float:
-        """max |x - x0|^2 over the box, attained at a corner."""
-        return sum(max((c - l) ** 2, (c - h) ** 2) for c, l, h in zip(self.center, spec.lo, spec.hi))
-
-    def sup_dt_g(self, spec, t0, t1):
-        return 0.5 * abs(self.mod_amp * self.mod_freq) * self._far2(spec)
-
-    def sup_speed(self, spec, t0, t1):
-        """Pulsed: (|strength| + |mod_amp|) max |x - x0|, which holds between samples too."""
+        """Bound on |u| over the box and time window. Static: |m(t0)| max |U| over
+        the nodes. Pulsed: |c| + |amp| times the root of the sum over components
+        of max U_i^2 at the box's corners (an affine U_i peaks at one), which
+        holds between samples too."""
         if not self.time_dependent:
-            return super().sup_speed(spec, t0, t1)
-        return (abs(self.strength) + abs(self.mod_amp)) * math.sqrt(self._far2(spec))
+            u = transport_field(self, spec).u
+            return 0.0 if u is None else abs(self.m(t0)) * math.sqrt(float(np.max(sum_sq(u))))
+        rows = self._rows(self._corner_offsets(spec))
+        peak = sum(max(float(v) ** 2 for v in np.ravel(ui)) for ui in rows)
+        return (abs(self.c) + abs(self.amp)) * math.sqrt(peak)
+
+
+def _identity(n: int) -> tuple[tuple[int, int, float], ...]:
+    return tuple((i, i, 1.0) for i in range(n))
 
 
 class TransportField(NamedTuple):
@@ -496,6 +487,8 @@ def shape_from_sexpr(node, dim: int) -> Shape:
 
 
 def transport_from_sexpr(node, dim: int) -> Transport:
+    """The transport a ``(zero)``, ``(constant b...)``, ``(rotation w cx cy)`` (2D),
+    ``(radial c x0...)`` or ``(radial-pulsed c amp freq x0...)`` form describes."""
     if isinstance(node, str):
         node = [node]
     head, *args = node
@@ -503,26 +496,25 @@ def transport_from_sexpr(node, dim: int) -> Transport:
     if head == "zero":
         if vals:
             raise ConfigError(f"(zero) takes no arguments, got {len(vals)}")
-        return ZeroTransport()
+        return Transport()
     if head == "constant":
         if len(vals) != dim:
             raise ConfigError(f"(constant ...) needs {dim} components")
-        return ConstantTransport(tuple(vals))
+        return Transport(shift=tuple(vals))
     if head == "rotation":
         if dim != 2:
             raise ConfigError("rotation transport is 2D only")
-        if len(vals) not in (1, 1 + dim):
-            raise ConfigError("(rotation omega [center...])")
-        center = tuple(vals[1:]) if len(vals) > 1 else (0.5,) * dim
-        return RotationTransport(vals[0], center)
+        if len(vals) != 3:
+            raise ConfigError("(rotation omega cx cy) needs 3 numbers")
+        return Transport(((0, 1, vals[0]), (1, 0, -vals[0])), center=tuple(vals[1:]))
     if head == "radial":
         if len(vals) != 1 + dim:
             raise ConfigError(f"(radial c center...) needs 1 + {dim} numbers")
-        return RadialGradient(vals[0], tuple(vals[1:]))
+        return Transport(_identity(dim), center=tuple(vals[1:]), c=vals[0])
     if head == "radial-pulsed":
         if len(vals) != 3 + dim:
             raise ConfigError(f"(radial-pulsed c amp freq center...) needs 3 + {dim} numbers")
-        return RadialGradient(vals[0], tuple(vals[3:]), mod_amp=vals[1], mod_freq=vals[2])
+        return Transport(_identity(dim), center=tuple(vals[3:]), c=vals[0], amp=vals[1], freq=vals[2])
     raise ConfigError(f"unknown transport kind {head!r}")
 
 

@@ -19,13 +19,24 @@ import pytest
 from actx.grid import GridSpec, ScalarField
 from actx.measures import gronwall_report
 from actx.potential import DoubleWell
-from actx.scenario import RadialGradient, ScenarioConfig, ZeroTransport
+from actx.scenario import ScenarioConfig, Transport, parse_sexpr, transport_from_sexpr
 from actx.shapes import Ball
 from actx.solver import SimState, SolverConfig, load_trajectory, run, stable_dt, step
 
 L = 1.6
 CENTER = (0.8, 0.8)
 INSET = 0.12
+PULSED = "(radial-pulsed 1.2 0.3125 5.0 0.8 0.8)"
+
+
+def form_transport(form: str, dim: int = 2) -> Transport:
+    """The transport a config form describes, e.g. ``(radial 16 0.8 0.8)``."""
+    return transport_from_sexpr(parse_sexpr(form), dim)
+
+
+def at(center) -> str:
+    """A centre's coordinates as they read in a config form."""
+    return " ".join(map(repr, center))
 
 
 def circle_config(
@@ -40,7 +51,7 @@ def circle_config(
     return ScenarioConfig(
         grid=spec,
         shape=Ball(CENTER, radius),
-        transport=transport or ZeroTransport(),
+        transport=transport or Transport(),
         epsilon=eps_mult * L / 256,
         t_end=t_end,
         tau=tau,
@@ -120,8 +131,8 @@ def gronwall_runs(tmp_path_factory):
         # modulated weight calibrated so sup |dt g| = a*w*max|x-x0|^2/2 = 1 exactly:
         # a*w = 1.5625 against max|x-x0|^2 = 2*(0.8)^2 = 1.28 on this box
         for tag, tr in (
-            ("static", RadialGradient(1.5, CENTER)),
-            ("modulated", RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)),
+            ("static", form_transport("(radial 1.5 0.8 0.8)")),
+            ("modulated", form_transport(PULSED)),
         ):
             cfg = circle_config(128, 16, t_end=0.008, tau=0.002, transport=tr)
             out[tag] = (cfg, *run_with_frames(tmp_path_factory, cfg, SolverConfig(diag_every=50)))
@@ -137,7 +148,7 @@ def transport_equilibrium_runs(tmp_path_factory):
         warnings.simplefilter("ignore")
         for r0 in (0.2, 0.3):
             cfg = circle_config(192, 8, radius=r0, t_end=0.05, tau=0.01,
-                                transport=RadialGradient(16.0, CENTER))
+                                transport=form_transport("(radial 16.0 0.8 0.8)"))
             t0 = time.perf_counter()
             res, traj = run_with_frames(tmp_path_factory, cfg, SolverConfig(diag_every=100))
             out[r0] = (cfg, res, traj, time.perf_counter() - t0)

@@ -19,13 +19,7 @@ import numpy as np
 
 from actx.grid import GridError, ScalarField, VectorField, _check_finite, outer_sum_sq
 from actx.potential import _smoothstep, profile_psi
-from actx.scenario import (
-    ConstantTransport,
-    MarginError,
-    RadialGradient,
-    RotationTransport,
-    ZeroTransport,
-)
+from actx.scenario import MarginError
 from actx.shapes import Ball, Box, Complement, HalfSpace, Intersection, Union
 
 
@@ -213,21 +207,24 @@ def stacked_sdf(shape, pts: np.ndarray) -> np.ndarray:
     raise TypeError(f"no stacked form for {shape!r}")
 
 
-def stacked_spatial(transport, pts: np.ndarray):
-    """The transport's (U, G) at stacked points (..., n), broadcast over the
-    component axis; None where the entry has no such part."""
-    if isinstance(transport, ZeroTransport):
+def stacked_spatial(form: str, pts: np.ndarray):
+    """(U, G) of the transport a config form such as ``(radial 16 0.8 0.8)``
+    describes, from its head and numbers, at stacked points (..., n), broadcast
+    over the component axis; None where the entry has no such part."""
+    head, *nums = form.strip("()").split()
+    vals = [float(v) for v in nums]
+    if head == "zero":
         return None, None
-    if isinstance(transport, ConstantTransport):
-        a = np.asarray(transport.vector)
+    if head == "constant":
+        a = np.asarray(vals)
         return np.broadcast_to(a, pts.shape).copy(), np.sum(pts * a, axis=-1)
-    if isinstance(transport, RotationTransport):
-        d = pts - np.asarray(transport.center)
-        return transport.omega * np.stack([d[..., 1], -d[..., 0]], axis=-1), None
-    if isinstance(transport, RadialGradient):
-        d = pts - np.asarray(transport.center)
+    if head == "rotation":
+        d = pts - np.asarray(vals[1:])
+        return vals[0] * np.stack([d[..., 1], -d[..., 0]], axis=-1), None
+    if head in ("radial", "radial-pulsed"):
+        d = pts - np.asarray(vals[-pts.shape[-1]:])
         return d, 0.5 * np.sum(d * d, axis=-1)
-    raise TypeError(f"no stacked form for {transport!r}")
+    raise ValueError(f"no stacked form for {form!r}")
 
 
 def whole_field_cutoff(cfg) -> np.ndarray:

@@ -31,10 +31,11 @@ from actx.measures import (
     weighted_energy,
 )
 from actx.potential import DoubleWell, surface_tension
-from actx.scenario import Transport, ZeroTransport
+from actx.scenario import Transport
 from actx.solver import Trajectory
 
-from conftest import CENTER, L, circle_config, row_gronwall, row_velocity_l2, run_with_frames
+from conftest import (CENTER, PULSED, L, circle_config, form_transport, row_gronwall,
+                      row_velocity_l2, run_with_frames)
 
 WELL = DoubleWell.quartic()
 SPEC = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (128, 128))
@@ -344,7 +345,7 @@ def _whole_grid_kernel(probe, spec, t):
 
 
 @dataclass(frozen=True, eq=False)  # hashed by identity, as the transport_field cache needs
-class _ArrayTransport(Transport):
+class _ArrayTransport:
     """u = factor U for a given node array U."""
 
     u: np.ndarray
@@ -404,7 +405,7 @@ class TestProbeLocalKernel:
         y = tuple({"lo": r_outer, "mid": 0.4, "hi": 0.8 - r_outer}[f] for f in faces[:dim])
         probe = HuiskenProbe(y, 0.05, 0.5 * r_outer, r_outer)
         ff = frame_fields(ScalarField(spec, rng.uniform(-1.2, 1.2, spec.nodes)), 0.1, WELL)
-        transport, u2 = ZeroTransport(), None
+        transport, u2 = Transport(), None
         if with_u:  # the reference takes the field |m U|^2, kernel_terms m^2 times the sum of |U|^2
             transport = _ArrayTransport(rng.uniform(-2.0, 2.0, spec.nodes + (dim,)), rng.uniform(-3.0, 3.0))
             u = transport.factor * transport.u
@@ -427,12 +428,11 @@ class TestProbeLocalKernel:
 
         import actx.measures
         from actx.measures import frame_fields, kernel_terms
-        from actx.scenario import RadialGradient
 
         assert not hasattr(actx.measures, "speed_sq")
         ff = frame_fields(flat_field(), EPS, WELL)
         probe = HuiskenProbe((0.5, 0.5), 0.05, 0.1, 0.2)
-        tr = RadialGradient(1.2, (0.5, 0.5), mod_amp=0.3125, mod_freq=5.0)
+        tr = form_transport("(radial-pulsed 1.2 0.3125 5.0 0.5 0.5)")
         kernel_terms(ff, probe, 0.01, tr)  # the grid's U is cached from here on
         tracemalloc.start()
         try:
@@ -448,7 +448,7 @@ class TestProbeLocalKernel:
         ff = frame_fields(flat_field(), EPS, WELL)
         probe = HuiskenProbe((0.1, 0.5), 0.05, 0.1, 0.2)
         with pytest.raises(MeasureError, match="leaves the domain"):
-            kernel_terms(ff, probe, 0.06, ZeroTransport())  # t > s as well: the ball is checked first
+            kernel_terms(ff, probe, 0.06, Transport())  # t > s as well: the ball is checked first
         with pytest.raises(MeasureError, match="leaves the domain"):
             kernel_field(probe, SPEC, 0.01)
 
@@ -459,7 +459,7 @@ class TestProbeLocalKernel:
         probe = HuiskenProbe((0.5, 0.5), 0.05, 0.1, 0.2)
         for t in (0.05, 0.06):
             with pytest.raises(MeasureError, match="t < s"):
-                kernel_terms(ff, probe, t, ZeroTransport())
+                kernel_terms(ff, probe, t, Transport())
 
     def test_non_finite_product_raises(self):
         from actx.grid import GridError
@@ -539,10 +539,9 @@ class TestMonotonicity:
     def pulsed(self, tmp_path_factory):
         """A short pulsed-transport rk2 run and the 10 interface probes of its first frame."""
         from actx.cli import interface_probes
-        from actx.scenario import RadialGradient
         from actx.solver import SolverConfig
 
-        tr = RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)
+        tr = form_transport(PULSED)
         cfg = circle_config(96, 16, t_end=0.004, tau=0.001, transport=tr)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

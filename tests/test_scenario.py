@@ -12,12 +12,9 @@ from actx.grid import GridSpec, ScalarField, integrate
 from actx.potential import DoubleWell, surface_tension
 from actx.scenario import (
     ConfigError,
-    ConstantTransport,
     MarginError,
-    RadialGradient,
-    RotationTransport,
     ScenarioConfig,
-    ZeroTransport,
+    Transport,
     build_initial_phase,
     cutoff_field,
     exponent_condition,
@@ -30,7 +27,7 @@ from actx.scenario import (
 )
 from actx.shapes import Ball, Box, Complement, HalfSpace, Intersection, Union
 
-from conftest import CENTER, INSET, L, circle_config
+from conftest import CENTER, INSET, PULSED, L, at, circle_config, form_transport
 
 pts = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(np.array)
 
@@ -132,18 +129,24 @@ def _shapes(dim):
     )
 
 
+def _form(head, *nums):
+    return f"({head} {at(nums)})"
+
+
 def _transports(dim):
+    """Config forms of every catalog entry; repr writes each drawn number with
+    all its bits, -0.0 included."""
     point = st.tuples(*[_coord] * dim)
     amount = st.floats(-20.0, 20.0)
-    entries = [
-        st.just(ZeroTransport()),
-        st.builds(ConstantTransport, point),
-        st.builds(RadialGradient, amount, point),
-        st.builds(RadialGradient, amount, point, amount, amount),
+    forms = [
+        st.just("(zero)"),
+        point.map(lambda b: _form("constant", *b)),
+        st.tuples(amount, point).map(lambda a: _form("radial", a[0], *a[1])),
+        st.tuples(amount, amount, amount, point).map(lambda a: _form("radial-pulsed", *a[:3], *a[3])),
     ]
     if dim == 2:
-        entries.append(st.builds(RotationTransport, amount, point))
-    return st.one_of(*entries)
+        forms.append(st.tuples(amount, point).map(lambda a: _form("rotation", a[0], *a[1])))
+    return st.one_of(*forms)
 
 
 def _same_bits(got, want):
@@ -168,8 +171,9 @@ class TestOpenMeshGeometry:
         from reference_ops import stacked_spatial
 
         spec, x, pts = mesh
-        tr = data.draw(_transports(spec.dim))
-        for got, want in zip(tr.spatial(x), stacked_spatial(tr, pts), strict=True):
+        form = data.draw(_transports(spec.dim))
+        tr = form_transport(form, spec.dim)
+        for got, want in zip(tr.spatial(x), stacked_spatial(form, pts), strict=True):
             assert (got is None) == (want is None)
             if got is not None:
                 assert _same_bits(got, want)
@@ -181,9 +185,10 @@ class TestOpenMeshGeometry:
 
         dim = len(vector)
         spec = GridSpec(dim, (0.0,) * dim, (0.25,) * dim, (1,) * dim)
-        tr = ConstantTransport(vector)
+        form = _form("constant", *vector)
         pts = np.stack(spec.meshgrid(), axis=-1)
-        for got, want in zip(tr.spatial(spec.coords()), stacked_spatial(tr, pts), strict=True):
+        tr = form_transport(form, dim)
+        for got, want in zip(tr.spatial(spec.coords()), stacked_spatial(form, pts), strict=True):
             assert _same_bits(got, want)
 
 
@@ -208,7 +213,7 @@ def _slab_config(dim: int, kind: str) -> ScenarioConfig:
     spec = GridSpec(dim, (0.0,) * dim, tuple(k / 48 for k in cells), cells)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # eps = 4h is marginally resolved, which is fine here
-        return ScenarioConfig(grid=spec, shape=shape, transport=ZeroTransport(), epsilon=4.0 / 48,
+        return ScenarioConfig(grid=spec, shape=shape, transport=Transport(), epsilon=4.0 / 48,
                               t_end=0.01, tau=0.005, inset_prime=0.04, inset_dprime=0.02,
                               **({"well": WELL4} if kind == "poly" else {}))
 
@@ -272,7 +277,7 @@ class TestInitialPhase:
         spec = GridSpec(3, (0.0,) * 3, (1.6,) * 3, (64,) * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # eps = 4h is marginally resolved, which is fine here
-            cfg = ScenarioConfig(grid=spec, shape=Ball((0.8,) * 3, 0.25), transport=ZeroTransport(),
+            cfg = ScenarioConfig(grid=spec, shape=Ball((0.8,) * 3, 0.25), transport=Transport(),
                                  epsilon=0.1, t_end=0.01, tau=0.005, inset_prime=0.12, inset_dprime=0.06)
         tracemalloc.start()
         try:
@@ -374,7 +379,7 @@ def _old_bounds(cfg, times):
 
 class TestTransport:
     def test_radial_gradient_is_exact(self):
-        cfg = circle_config(128, 16, transport=RadialGradient(16.0, CENTER))
+        cfg = circle_config(128, 16, transport=form_transport("(radial 16.0 0.8 0.8)"))
         u = cfg.transport.velocity(_nodes(cfg), 0.0)
         x, y = cfg.grid.meshgrid()
         assert np.array_equal(u[..., 0], 16.0 * (x - CENTER[0]))
@@ -389,7 +394,7 @@ class TestTransport:
     def test_rotation_is_divergence_free(self):
         from reference_ops import gradient
 
-        cfg = circle_config(128, 16, transport=RotationTransport(1.5, CENTER))
+        cfg = circle_config(128, 16, transport=form_transport("(rotation 1.5 0.8 0.8)"))
         u = cfg.transport.velocity(_nodes(cfg), 0.0)
         dux = gradient(ScalarField(cfg.grid, u[..., 0]), 0.0).values[..., 0]
         duy = gradient(ScalarField(cfg.grid, u[..., 1]), 0.0).values[..., 1]
@@ -398,14 +403,14 @@ class TestTransport:
 
     def test_bound_violation_warns_not_clamps(self):
         # the report flags the static violation at t = 0 (the run warns from it)
-        cfg = circle_config(128, 16, transport=RadialGradient(50.0, CENTER))
+        cfg = circle_config(128, 16, transport=form_transport("(radial 50.0 0.8 0.8)"))
         rep = transport_report(cfg)
         assert rep.first_violation == 0.0
         assert rep.sup_u > rep.cap_u and rep.sup_grad_u > rep.cap_grad_u
         assert rep.sup_u == pytest.approx(50.0 * 0.8 * math.sqrt(2), rel=1e-12)  # unclamped
 
     def test_bounds_report_flags_first_violation(self):
-        tr = RadialGradient(0.5, CENTER, mod_amp=40.0, mod_freq=200.0)
+        tr = form_transport("(radial-pulsed 0.5 40.0 200.0 0.8 0.8)")
         cfg = circle_config(128, 16, transport=tr)
         rep = transport_report(cfg)
         assert rep.first_violation is not None and rep.first_violation > 0.0
@@ -420,7 +425,7 @@ class TestTransport:
         # on a small box |u| stays under eps^-beta while |grad u|_F = sqrt(2) m exceeds eps^-(beta+1)
         spec = GridSpec(2, (0.0, 0.0), (0.4, 0.4), (64, 64))
         cfg = ScenarioConfig(grid=spec, shape=Ball((0.2, 0.2), 0.1),
-                             transport=RadialGradient(4.0, (0.2, 0.2)), epsilon=0.3, t_end=0.05, tau=0.01)
+                             transport=form_transport("(radial 4.0 0.2 0.2)"), epsilon=0.3, t_end=0.05, tau=0.01)
         rep = transport_report(cfg)
         assert rep.sup_u <= rep.cap_u and rep.sup_grad_u > rep.cap_grad_u
         assert rep.first_violation == 0.0
@@ -430,15 +435,20 @@ class TestTransport:
         assert rep.first_violation == first
 
 
-def _old_jacobian_field(tr, pts, t):
-    """The Jacobian as the catalog built it node by node before it became a broadcast value."""
+def _old_jacobian_field(form, pts, t):
+    """The Jacobian of a config form's transport as the catalog built it node by
+    node before it became a broadcast value."""
+    head, *nums = form.strip("()").split()
+    vals = [float(v) for v in nums]
     n = pts.shape[-1]
-    if isinstance(tr, RadialGradient):
-        return tr.m(t) * np.broadcast_to(np.eye(n), pts.shape[:-1] + (n, n)).copy()
+    if head.startswith("radial"):
+        c, amp, freq = vals[:3] if head == "radial-pulsed" else (vals[0], 0.0, 0.0)
+        m = c + amp * math.sin(freq * t)
+        return m * np.broadcast_to(np.eye(n), pts.shape[:-1] + (n, n)).copy()
     j = np.zeros(pts.shape[:-1] + (n, n))
-    if isinstance(tr, RotationTransport):
-        j[..., 0, 1] = tr.omega
-        j[..., 1, 0] = -tr.omega
+    if head == "rotation":
+        j[..., 0, 1] = vals[0]
+        j[..., 1, 0] = -vals[0]
     return j
 
 
@@ -455,9 +465,11 @@ class TestRadialGradientBits:
     def test_velocity_g_dt_g(self, dim, t):
         spec, pts = _lattice(dim)
         c = (0.8, 0.7, 0.75)[:dim]
-        for tr in (RadialGradient(16.0, c), RadialGradient(1.2, c, mod_amp=0.3125, mod_freq=5.0)):
+        for form, (strength, amp, freq) in ((f"(radial 16.0 {at(c)})", (16.0, 0.0, 0.0)),
+                                            (f"(radial-pulsed 1.2 0.3125 5.0 {at(c)})", (1.2, 0.3125, 5.0))):
+            tr = form_transport(form, dim)
             d = pts - np.asarray(c)
-            m = tr.strength + tr.mod_amp * math.sin(tr.mod_freq * t)
+            m = strength + amp * math.sin(freq * t)
             assert np.array_equal(tr.velocity(pts, t), m * d)
             pot = tr.spatial(spec.coords())[1]  # G, with g = m G
             assert np.array_equal(tr.m(t) * pot, 0.5 * m * np.sum(d * d, axis=-1))
@@ -465,7 +477,7 @@ class TestRadialGradientBits:
     def test_center_must_match_dim(self):
         _spec, pts = _lattice(3, 4)
         with pytest.raises(ConfigError, match="center"):
-            RadialGradient(1.0, (0.5, 0.5)).velocity(pts, 0.0)
+            form_transport("(radial 1.0 0.5 0.5)").velocity(pts, 0.0)
 
 
 class TestTransportField:
@@ -475,15 +487,15 @@ class TestTransportField:
         from actx.solver import SolverConfig, run
 
         calls = []
-        spatial = RadialGradient.spatial
+        spatial = Transport.spatial
 
         def counted(self, x):
             calls.append(tuple(np.shape(xk) for xk in x))
             return spatial(self, x)
 
-        monkeypatch.setattr(RadialGradient, "spatial", counted)
+        monkeypatch.setattr(Transport, "spatial", counted)
         scenario._transport_field_cached.cache_clear()
-        tr = RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)
+        tr = form_transport(PULSED)
         cfg = circle_config(96, 16, t_end=0.002, tau=0.001, transport=tr)
         run(cfg, SolverConfig(scheme="rk2", diag_every=10))
         transport_report(cfg)
@@ -496,7 +508,7 @@ class TestTransportField:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_zero_transport_holds_no_array(self, dim):
         spec = GridSpec(dim, (0.0,) * dim, (1.0,) * dim, (8,) * dim)
-        assert tuple(transport_field(ZeroTransport(), spec)) == (None, None)
+        assert tuple(transport_field(Transport(), spec)) == (None, None)
 
 
 class TestTransportNorm:
@@ -504,14 +516,15 @@ class TestTransportNorm:
     def test_jacobian_broadcasts_to_old_field(self, dim):
         _spec, pts = _lattice(dim, 8)
         c = (0.8,) * dim
-        entries = [ZeroTransport(), ConstantTransport((0.3,) * dim), RadialGradient(1.2, c, 0.3, 5.0)]
+        forms = ["(zero)", _form("constant", *(0.3,) * dim), f"(radial-pulsed 1.2 0.3 5.0 {at(c)})"]
         if dim == 2:
-            entries.append(RotationTransport(1.5, c))
-        for tr in entries:
+            forms.append(f"(rotation 1.5 {at(c)})")
+        for form in forms:
+            tr = form_transport(form, dim)
             jac = tr.m(0.2) * tr.spatial_jacobian(dim)
             assert jac.shape == (dim, dim)
             assert np.array_equal(np.broadcast_to(jac, pts.shape[:-1] + (dim, dim)),
-                                  _old_jacobian_field(tr, pts, 0.2))
+                                  _old_jacobian_field(form, pts, 0.2))
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("p", [None, 2.5, 3.0, 4.5])
@@ -520,23 +533,24 @@ class TestTransportNorm:
         # field form it replaced: the same up to rounding, the same first violation
         spec, pts = _lattice(dim)
         c = (0.8,) * dim
-        entries = [
-            ZeroTransport(),
-            ConstantTransport((0.4, -0.1, 0.2)[:dim]),
-            RadialGradient(16.0, c),
-            RadialGradient(1.2, c, mod_amp=0.3125, mod_freq=5.0),
-            RadialGradient(-16.0, c),  # m < 0: the bounds and the norm take |m|
-            RadialGradient(-0.2, c, mod_amp=1.5, mod_freq=80.0),  # m changes sign
+        forms = [
+            "(zero)",
+            _form("constant", *(0.4, -0.1, 0.2)[:dim]),
+            f"(radial 16.0 {at(c)})",
+            f"(radial-pulsed 1.2 0.3125 5.0 {at(c)})",
+            f"(radial -16.0 {at(c)})",  # m < 0: the bounds and the norm take |m|
+            f"(radial-pulsed -0.2 1.5 80.0 {at(c)})",  # m changes sign
         ]
         if dim == 2:
-            entries.append(RotationTransport(1.5, c))
-        for tr in entries:
+            forms.append(f"(rotation 1.5 {at(c)})")
+        for form in forms:
+            tr = form_transport(form, dim)
             cfg = ScenarioConfig(grid=spec, shape=Ball(c, 0.5), transport=tr, epsilon=0.45,
                                  t_end=0.05, tau=0.01, p=p)
 
             def spatial(t):
                 u = tr.velocity(pts, t)
-                jac = _old_jacobian_field(tr, pts, t)
+                jac = _old_jacobian_field(form, pts, t)
                 dens = (np.sqrt(np.sum(u * u, axis=-1)) ** cfg.p
                         + np.sqrt(np.sum(jac * jac, axis=(-2, -1))) ** cfg.p)
                 return integrate(ScalarField(spec, dens)) ** (1.0 / cfg.p)
@@ -558,8 +572,7 @@ class TestTransportNorm:
     def test_zero_field(self):
         assert transport_report(circle_config(128, 16)).norm == 0.0
 
-    @pytest.mark.parametrize("tr", [RadialGradient(16.0, CENTER),
-                                    RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)],
+    @pytest.mark.parametrize("tr", [form_transport("(radial 16.0 0.8 0.8)"), form_transport(PULSED)],
                              ids=["static", "pulsed"])
     def test_one_spatial_integral(self, monkeypatch, tr):
         # m(t) scales the numbers of one spatial norm, whatever the number of sample times
@@ -594,7 +607,7 @@ class TestTransportNorm:
         # |Omega|^{1/p} * T^{1/q} with |Omega| = 1, T = 1, p = 2, q = 4
         spec = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (64, 64))
         cfg = ScenarioConfig(
-            grid=spec, shape=Ball((0.5, 0.5), 0.2), transport=ConstantTransport((1.0, 0.0)),
+            grid=spec, shape=Ball((0.5, 0.5), 0.2), transport=form_transport("(constant 1.0 0.0)"),
             epsilon=8 / 64, t_end=1.0, p=2.0, q=4.0,
         )
         assert transport_report(cfg).norm == pytest.approx(1.0, abs=1e-3)
@@ -604,7 +617,7 @@ class TestTransportNorm:
 
         def cfg_with(vec):
             return ScenarioConfig(
-                grid=spec, shape=Ball((0.5, 0.5), 0.2), transport=ConstantTransport(vec),
+                grid=spec, shape=Ball((0.5, 0.5), 0.2), transport=form_transport(_form("constant", *vec)),
                 epsilon=8 / 64, t_end=0.5, p=2.5, q=3.0,
             )
 
@@ -618,7 +631,7 @@ class TestTransportNorm:
 
         def norm_at(t_end):
             cfg = ScenarioConfig(
-                grid=spec, shape=Ball((0.5, 0.5), 0.2), transport=ConstantTransport((1.0, 0.0)),
+                grid=spec, shape=Ball((0.5, 0.5), 0.2), transport=form_transport("(constant 1.0 0.0)"),
                 epsilon=8 / 64, t_end=t_end, p=2.0, q=4.0,
             )
             return transport_report(cfg).norm / t_end ** (1 / 4)
@@ -665,11 +678,16 @@ tau = 0.005
         assert cfg.grid.dim == 3 and cfg.p == 3.0
         assert scenario_from_config(parse_config(self.GOOD)).p == 2.0
 
-    @pytest.mark.parametrize("transport", ["(rotation 1.5)", "(rotation 1.5 0.5 0.5 0.5)"])
+    @pytest.mark.parametrize("transport", ["(rotation 1.5 0.5 0.5)", "(rotation 1.5 0.5 0.5 0.5)"])
     def test_3d_rotation_rejected_at_load(self, transport):
         text = self.GOOD.replace("dim = 2", "dim = 3").replace("0.5 0.5 0.2", "0.5 0.5 0.5 0.2")
         with pytest.raises(ConfigError, match="rotation transport is 2D only"):
             scenario_from_config(parse_config(text + f"transport = {transport}\n"))
+
+    def test_rotation_needs_its_center(self):
+        # the (rotation w) short form, centred at (0.5, 0.5), fitted the unit box alone
+        with pytest.raises(ConfigError, match=r"\(rotation omega cx cy\) needs 3 numbers"):
+            scenario_from_config(parse_config(self.GOOD + "transport = (rotation 1.5)\n"))
 
     def test_missing_required_key(self):
         conf = parse_config(self.GOOD.replace("epsilon = 0.125", ""))
@@ -716,7 +734,7 @@ tau = 0.005
             circle_config_bad = ScenarioConfig(
                 grid=GridSpec(2, (0, 0), (1, 1), (64, 64)),
                 shape=Ball((0.5, 0.5), 0.2),
-                transport=ZeroTransport(),
+                transport=Transport(),
                 epsilon=0.125, t_end=0.01, beta=0.7,
             )
 
@@ -725,6 +743,6 @@ tau = 0.005
             ScenarioConfig(
                 grid=GridSpec(2, (0, 0), (1, 1), (32, 32)),
                 shape=Ball((0.5, 0.5), 0.2),
-                transport=ZeroTransport(),
+                transport=Transport(),
                 epsilon=0.06, t_end=0.01, tau=0.001,
             )

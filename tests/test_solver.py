@@ -7,10 +7,9 @@ import pytest
 
 from actx.grid import ScalarField, read_field
 from actx.potential import DoubleWell
-from actx.scenario import RadialGradient
 from actx.solver import SimState, SolverAbort, SolverConfig, run, stable_dt, step
 
-from conftest import CENTER, circle_config
+from conftest import PULSED, at, circle_config, form_transport
 
 WELL = DoubleWell.quartic()
 
@@ -138,7 +137,7 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = circle_config(192, 8, radius=0.25, t_end=0.02, tau=0.01,
-                                transport=RadialGradient(16.0, CENTER))
+                                transport=form_transport("(radial 16.0 0.8 0.8)"))
             res = run(cfg, SolverConfig(diag_every=100))
         for row in res.rows:
             if row.t >= cfg.tau:
@@ -170,8 +169,8 @@ class TestRun:
         assert np.array_equal(r1.final_phi.values, r2.final_phi.values)
 
     @pytest.mark.parametrize("scheme", ["euler", "rk2"])
-    @pytest.mark.parametrize("tr", [RadialGradient(16.0, CENTER),
-                                    RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)],
+    @pytest.mark.parametrize("tr", [form_transport("(radial 16.0 0.8 0.8)"),
+                                    form_transport(PULSED)],
                              ids=["static", "pulsed"])
     def test_steps_read_the_cached_transport(self, monkeypatch, scheme, tr):
         # m(t) scales the transport sum: every update gets the grid's cached U itself,
@@ -268,14 +267,14 @@ class TestFieldBudget:
         import tracemalloc
 
         from actx.grid import GridSpec
-        from actx.scenario import ScenarioConfig, ZeroTransport
+        from actx.scenario import ScenarioConfig, Transport
         from actx.shapes import Ball
 
         monkeypatch.setenv("ACTX_THREADS", "1")  # the block scratch rows grow with the threads
         spec = GridSpec(3, (0.0,) * 3, (1.6,) * 3, (64,) * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # eps = 4h is marginally resolved, which is fine here
-            cfg = ScenarioConfig(grid=spec, shape=Ball((0.8,) * 3, 0.25), transport=ZeroTransport(),
+            cfg = ScenarioConfig(grid=spec, shape=Ball((0.8,) * 3, 0.25), transport=Transport(),
                                  epsilon=0.1, t_end=0.0006, tau=0.0003, p=3.0,
                                  inset_prime=0.12, inset_dprime=0.06)
         tracemalloc.start()
@@ -293,13 +292,13 @@ class TestThreeDimensions:
         # diffuse ball in 3D, stepped directly on a synthetic profile
         from actx.grid import GridSpec
         from actx.measures import EnergyMeasure
-        from actx.scenario import ScenarioConfig, ZeroTransport
+        from actx.scenario import ScenarioConfig, Transport
         from actx.shapes import Ball
 
         spec = GridSpec(3, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (48, 48, 48))
         eps = 6.0 / 48
         cfg = ScenarioConfig(
-            grid=spec, shape=Ball((0.5, 0.5, 0.5), 0.3), transport=ZeroTransport(),
+            grid=spec, shape=Ball((0.5, 0.5, 0.5), 0.3), transport=Transport(),
             epsilon=eps, t_end=1.0, tau=0.5, p=2.5, q=4.0,
             inset_prime=0.01, inset_dprime=0.005,
         )
@@ -371,16 +370,16 @@ def _bits(a):
 
 def _step_case(dim, transport_kind):
     from actx.grid import GridSpec, VectorField
-    from actx.scenario import ScenarioConfig, ZeroTransport
+    from actx.scenario import ScenarioConfig, Transport
     from actx.shapes import Ball
 
     cells = 64 if dim == 2 else 24
     spec = GridSpec(dim, (0.0,) * dim, (1.6,) * dim, (cells,) * dim)
     c = (0.8,) * dim
     transport = {
-        "zero": ZeroTransport(),
-        "static": RadialGradient(16.0, c),
-        "pulsed": RadialGradient(1.2, c, mod_amp=0.3125, mod_freq=5.0),
+        "zero": Transport(),
+        "static": form_transport(f"(radial 16.0 {at(c)})", dim),
+        "pulsed": form_transport(f"(radial-pulsed 1.2 0.3125 5.0 {at(c)})", dim),
     }[transport_kind]
     eps = 4 * spec.h
     with warnings.catch_warnings():
@@ -446,7 +445,7 @@ def _chunk_case(dim, transport_kind, scheme):
     chunk edges fall both mid-row and on faces; phi0 is noisy everywhere,
     faces included, so a face that is not restored shows."""
     from actx.grid import GridSpec
-    from actx.scenario import ScenarioConfig, ZeroTransport
+    from actx.scenario import ScenarioConfig, Transport
     from actx.shapes import Ball
 
     h = 0.1 if dim == 2 else 0.125
@@ -454,9 +453,9 @@ def _chunk_case(dim, transport_kind, scheme):
     spec = GridSpec(dim, (0.0,) * dim, tuple(h * c for c in cells), cells)
     c = tuple(0.5 * h * n for n in cells)
     transport = {
-        "zero": ZeroTransport(),
-        "static": RadialGradient(16.0, c),
-        "pulsed": RadialGradient(1.2, c, mod_amp=0.3125, mod_freq=5.0),
+        "zero": Transport(),
+        "static": form_transport(f"(radial 16.0 {at(c)})", dim),
+        "pulsed": form_transport(f"(radial-pulsed 1.2 0.3125 5.0 {at(c)})", dim),
     }[transport_kind]
     eps = 4 * h
     dt0 = 0.5 * h * h / (4.0 * dim)  # the diffusive limit binds on this box
@@ -533,7 +532,7 @@ def test_diagnostics_digest_2d_rk2_pulsed(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = circle_config(96, 16, t_end=0.002, tau=0.001,
-                            transport=RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0))
+                            transport=form_transport(PULSED))
         got, interface = _digests(cfg, SolverConfig(scheme="rk2", diag_every=10), tmp_path)
     # re-pinned for the exact lattice ball sums: only density_ratio_max moved
     # (9 of 13 rows, at most 6.3e-16 relative); re-pinned for the probe-local
@@ -553,13 +552,13 @@ def test_diagnostics_digest_2d_rk2_pulsed(tmp_path):
 
 def test_diagnostics_digest_3d_euler(tmp_path):
     from actx.grid import GridSpec
-    from actx.scenario import ScenarioConfig, ZeroTransport
+    from actx.scenario import ScenarioConfig, Transport
     from actx.shapes import Ball
 
     spec = GridSpec(3, (0.0,) * 3, (1.6,) * 3, (64,) * 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cfg = ScenarioConfig(grid=spec, shape=Ball((0.8, 0.8, 0.8), 0.25), transport=ZeroTransport(),
+        cfg = ScenarioConfig(grid=spec, shape=Ball((0.8, 0.8, 0.8), 0.25), transport=Transport(),
                              epsilon=4 * spec.h, t_end=0.0006, tau=0.0003,
                              inset_prime=0.12, inset_dprime=0.06)
         got, interface = _digests(cfg, SolverConfig(diag_every=10), tmp_path)
@@ -654,13 +653,13 @@ def test_non_finite_update_aborts_at_its_node(kind, scheme, chunk, monkeypatch):
 
 
 class TestSpeedBound:
-    PULSED = RadialGradient(1.2, CENTER, mod_amp=0.3125, mod_freq=5.0)
+    TRANSPORT = form_transport(PULSED)
 
     def test_bound_covers_every_time(self):
-        cfg = circle_config(96, 16, t_end=0.002, tau=0.001, transport=self.PULSED)
+        cfg = circle_config(96, 16, t_end=0.002, tau=0.001, transport=self.TRANSPORT)
         pts = np.stack(cfg.grid.meshgrid(), axis=-1)
         sampled = max(
-            float(np.max(np.linalg.norm(self.PULSED.velocity(pts, t), axis=-1)))
+            float(np.max(np.linalg.norm(self.TRANSPORT.velocity(pts, t), axis=-1)))
             for t in np.linspace(0.0, 2 * np.pi / 5.0, 257)
         )
         bound = cfg.transport.sup_speed(cfg.grid, 0.0, cfg.t_end)
@@ -670,7 +669,7 @@ class TestSpeedBound:
     def test_bound_catches_a_peak_between_samples(self):
         # sin(freq * t) vanishes at all 9 sample times of [0, T] and peaks between them
         t_end = 0.002
-        tr = RadialGradient(1.2, CENTER, mod_amp=50.0, mod_freq=8 * np.pi / t_end)
+        tr = form_transport(f"(radial-pulsed 1.2 50.0 {8 * np.pi / t_end!r} 0.8 0.8)")
         cfg = circle_config(96, 16, t_end=t_end, tau=0.001, transport=tr)
         pts = np.stack(cfg.grid.meshgrid(), axis=-1)
 
@@ -685,7 +684,7 @@ class TestSpeedBound:
     @pytest.mark.parametrize("strength", [16.0, -16.0])
     def test_static_bound_is_the_node_maximum(self, strength):
         # |m(0)| max |U| against max |u| over the nodes, u formed whole
-        tr = RadialGradient(strength, CENTER)
+        tr = form_transport(f"(radial {strength!r} 0.8 0.8)")
         cfg = circle_config(96, 16, transport=tr)
         pts = np.stack(cfg.grid.meshgrid(), axis=-1)
         nodes = float(np.max(np.linalg.norm(tr.velocity(pts, 0.0), axis=-1)))
@@ -702,9 +701,7 @@ class TestGronwallFactor:
     @pytest.mark.parametrize("kind", ["zero", "rotation"])
     def test_total_energy_without_potential(self, kind):
         # rotation has no potential G and zero transport has G = 0: the weight is 1
-        from actx.scenario import RotationTransport, ZeroTransport
-
-        transport = ZeroTransport() if kind == "zero" else RotationTransport(1.5, CENTER)
+        transport = form_transport("(zero)" if kind == "zero" else "(rotation 1.5 0.8 0.8)")
         cfg = circle_config(96, 16, t_end=0.002, tau=0.001, transport=transport)
         rows = run(cfg, SolverConfig(diag_every=10)).rows
         assert len(rows) > 2

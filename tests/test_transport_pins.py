@@ -28,6 +28,10 @@ GRIDS = {
     3: GridSpec(3, (-0.25, 0.125, 0.0), (0.95, 1.025, 0.9), (8, 6, 6)),
 }
 CENTRES = {2: (0.55, 0.7), 3: (0.55, 0.7, 0.45)}
+# centres whose squared offsets to the far box corners differ between x ** 2
+# and x * x in the last bit, in the sum and its root too: the pulsed bounds
+# square by ** 2
+SQUARE_BITS = {2: (0.56475, 0.76215), 3: (0.56475, 0.70456, 0.45998)}
 EPSILON = {2: 0.45, 3: 0.65}
 TIMES = (0.0, 0.0123, 0.31)
 T_END = 0.05
@@ -46,6 +50,7 @@ FORMS = [
     "(radial-pulsed 1.2 0.3125 0.0 {c})",
     "(radial-pulsed 1.2 0.3125 5.0 {c})",
     "(radial-pulsed -0.2 1.5 80.0 {c})",
+    "(radial-pulsed 1.2 0.3125 5.0 {s})",
 ]
 
 
@@ -53,7 +58,7 @@ def _form(template: str, dim: int) -> str:
     if template.startswith("(constant"):
         head, *vals = template[1:-1].split()
         return f"({head} {' '.join(vals[:dim])})"
-    return template.format(c=" ".join(repr(v) for v in CENTRES[dim]))
+    return template.format(c=" ".join(map(repr, CENTRES[dim])), s=" ".join(map(repr, SQUARE_BITS[dim])))
 
 
 def _digest(a) -> str:
@@ -385,6 +390,30 @@ PINS = {
         '1.84128521690693',
         '70.38750000000002',
         '(0.8148947346372571, 1.4461711255732543, 2.3126407212661326, 1.1137088245551818, 1.7133981916233565, 0.01171875)',
+        'none',
+    ],
+    (2, '(radial-pulsed 1.2 0.3125 5.0 {s})'): [
+        '(17, 13, 2):9844f2efd0769ba8',
+        '(17, 13):7ebd0d13a26aa4b1',
+        '(17, 13, 2):a27c5228aa2e74b5',
+        '[[1.0, 0.0], [0.0, 1.0]]',
+        '[1.2, 1.219206637271364, 1.512432426309174]',
+        'True',
+        '1.5643796237489098',
+        '0.8357638164062499',
+        '(1.2418630656103165, 1.3211263363405779, 1.8063944106485101, 1.2209471671615688, 2.713215927025708, 0.0)',
+        'none',
+    ],
+    (3, '(radial-pulsed 1.2 0.3125 5.0 {s})'): [
+        '(9, 7, 7, 3):1fe5f20bd558e104',
+        '(9, 7, 7):f705805539b27ec2',
+        '(9, 7, 7, 3):2cb5e350bf2ca8de',
+        '[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]',
+        '[1.2, 1.219206637271364, 1.512432426309174]',
+        'True',
+        '1.664635921723787',
+        '0.9463194972656248',
+        '(1.0196383245565874, 1.405793276275023, 2.2123722901521945, 1.1137088245551818, 1.7133981916233565, 0.0)',
         'none',
     ],
 }
