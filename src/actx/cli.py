@@ -18,14 +18,17 @@ interface to place them on, or fewer than two snapshot frames in [tau, T]),
 
 The environment variable ACTX_THREADS caps the CPUs one invocation uses
 (default: the CPUs the process may run on; ``grid.cpu_budget``): the forked
-workers of a sweep, and the threads of the block sweeps (``grid.stencil_rhs``
-and ``measures.frame_fields`` on grids above ``grid.THREAD_NODES``); each
-sweep worker gets an equal share of at least one. For ``run``, ``sweep`` and
-``diagnose`` a value that is not a positive integer is a configuration error.
-Each distinct rung is one job, its run and its offline checks, in a forked
-worker process, the largest rung first; a rung named twice in a plan runs
-once. Messages come in plan order and a threaded block sweep gives the serial
-bits, so no output depends on ACTX_THREADS. Artifact directories contain a manifest
+workers of a sweep, and the processes of the block sweeps (``grid.stencil_rhs``
+and ``measures.frame_fields`` on grids of at least ``grid.PROC_NODES``
+interior nodes), the caller and a helper forked by ``run`` and ``diagnose``
+for each further CPU (``grid.open_team``); each sweep worker gets an equal share
+of at least one. For ``run``, ``sweep`` and ``diagnose`` a value that is not
+a positive integer is a configuration error. Each distinct rung is one job,
+its run and its offline checks, in a forked worker process, the largest rung
+first; a rung named twice in a plan runs once. Messages come in plan order
+and a block sweep split among processes gives the serial bits, so no output
+depends on ACTX_THREADS. Every helper and worker is reaped before the command
+returns, also after an abort or an error. Artifact directories contain a manifest
 listing every output file with its sha256 and the transport bounds; an
 aborted run's manifest also records the abort's step, node, time and |phi|.
 """
@@ -46,7 +49,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import __version__, measures, scenario, solver
-from .grid import GridError, cpu_budget
+from .grid import GridError, ScalarField, cpu_budget, open_team
 from .interface import InterfaceError, extract_interface, mcf_oracle
 from .measures import DiagnosticsRow, HuiskenProbe, MeasureError
 from .scenario import ConfigError, ScenarioConfig
@@ -491,14 +494,19 @@ def diagnose(args) -> int:
     build_row = solver.RowBuilder(cfg, radii)
     code = EXIT_OK
     print(DiagnosticsRow.CSV_HEADER)
-    for t, phi in zip(traj.times, traj.frames):
-        try:  # the default probe needs t < s = T + 0.01, so no later frame has a row
-            row, _ = build_row(phi, t, float(np.max(np.abs(phi.values))))
-        except MeasureError as exc:
-            print(f"probe error: default probe: {exc}", file=sys.stderr)
-            code = EXIT_CONFIG
-            break
-        print(row.to_csv_line())
+    # each frame is copied into the fields that the block sweeps' helpers share
+    with open_team(cfg.grid.nodes, 3) as team:
+        frame, scratch, density = team.field(), team.field(), team.field()
+        for t, phi in zip(traj.times, traj.frames):
+            np.copyto(frame, phi.values)
+            try:  # the default probe needs t < s = T + 0.01, so no later frame has a row
+                row, _ = build_row(ScalarField.from_checked(phi.spec, frame), t,
+                                   float(np.max(np.abs(frame))), scratch, density)
+            except MeasureError as exc:
+                print(f"probe error: default probe: {exc}", file=sys.stderr)
+                code = EXIT_CONFIG
+                break
+            print(row.to_csv_line())
     if probe is None:
         return code
     try:  # the probe's times: t < s, and a window of at least two frames

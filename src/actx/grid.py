@@ -13,29 +13,11 @@ constant plus one polynomial in f), swept in cache-sized blocks into a
 caller's array; it returns max |out|, taken block by block in the same
 sweep. ``measures.frame_fields`` sweeps the same blocks.
 
-A block sweep of at least ``THREAD_NODES`` interior nodes (80 Ki: 288^2 or
-45^3 and up) splits its blocks among up to ``cpu_budget()`` threads
-(``ACTX_THREADS``), each with at least 40 Ki nodes: the calling thread and a
-pool made by the first such sweep of the process, with a thread for each
-further CPU the process may run on, and stopped before the process forks
-(a sweep's rung workers, say), so no fork copies a live thread. Each thread
-takes a run of
-whole axis-0 slabs, so no two threads restore faces in the same slab, and
-each block writes only its own nodes and its own row of extrema or sums:
-every output has the serial bits at any thread count. The rule depends on
-the node count alone. On a 2-CPU host (numpy ufuncs release the GIL, the
-Python between them does not): one 97^3 ``stencil_rhs`` call took 5.1 ms
-serial and 3.6 ms on two threads with 64 Ki-node blocks (``THREAD_CHUNK``),
-but 4.5 ms with 32 Ki blocks, whose threads hand the GIL back and forth more
-often; 289^2 went 0.49 -> 0.37 ms, while 257^2 (64 Ki interior nodes, two 32
-Ki halves) gained nothing (0.37 ms either way). A one-thread sweep keeps 32
-Ki blocks (``CHUNK``): 64 Ki ones were 2-10% slower with a transport at
-257^2 and 513^2. Worker threads allocate nothing, since glibc gives each
-thread its own malloc arena (W's two block temporaries made in the workers
-raised the 97^3 run's peak RSS 72.5 -> 76.5 MiB): the caller hands them
-their scratch. They call no public function of the package either: the
-benchmark's span tracer (``perfbench/spans.py``) keeps one stack for the
-whole process.
+A block sweep of at least ``PROC_NODES`` interior nodes (24 Ki: 161^2 or
+31^3 and up) splits its blocks among the processes of an open ``team.Team``,
+the caller and forked helpers, when every array it reads or writes is a
+field of the team (``_sweep``); each process takes a run of whole axis-0
+slabs, and the outputs have the serial bits at any process count.
 
 The node geometry lives on ``GridSpec`` and is separable: the cached 1D
 node coordinates per axis (``axes``), the same as an open mesh that
@@ -51,6 +33,7 @@ same reduction is bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -254,11 +237,10 @@ CHUNK = 32 * 1024
 # temporaries stay small next to the fields themselves.
 SLAB_NODES = 64 * 1024
 
-# A sweep of at least THREAD_NODES interior nodes (the run off the two axis-0
-# faces) splits its blocks among threads, in blocks of THREAD_CHUNK nodes; see
-# the module docstring for the measurements behind both.
-THREAD_NODES = 80 * 1024
-THREAD_CHUNK = 64 * 1024
+# A sweep of at least PROC_NODES interior nodes (the run off the two axis-0
+# faces) splits its blocks among the processes of an open ``team.Team``; see
+# the docstring of ``team`` for the measurements behind it.
+PROC_NODES = 24 * 1024
 
 
 def cpu_budget() -> int:
@@ -278,89 +260,122 @@ def cpu_budget() -> int:
 
 
 class BlockPlan(NamedTuple):
-    """The blocks of one sweep: per thread, its blocks (index, start, end) in
-    order; the nodes of the largest block; the number of blocks."""
+    """The blocks of one sweep: per process, its blocks (index, start, end) in
+    order; the number of blocks."""
 
     parts: tuple[tuple[tuple[int, int, int], ...], ...]
-    width: int
     blocks: int
 
 
-def _block_plan(lo: int, hi: int, s0: int) -> BlockPlan:
-    """The blocks of one sweep over the nodes [lo, hi) of a flattened field whose
-    axis-0 slabs hold ``s0`` nodes. Below ``THREAD_NODES`` nodes, or with a
-    budget of one CPU, one thread takes every block, of ``CHUNK`` nodes;
-    otherwise up to ``cpu_budget()`` threads, each with at least half of
-    THREAD_NODES nodes, take runs of whole slabs, cut into blocks of
-    ``THREAD_CHUNK`` nodes, so no two threads write in the same slab."""
-    threads = 1 if hi - lo < THREAD_NODES else min(cpu_budget(), (hi - lo) // s0, 2 * (hi - lo) // THREAD_NODES)
-    return _plan(lo, hi, s0, threads, CHUNK if threads == 1 else THREAD_CHUNK)
+def _procs(nodes: int, s0: int, procs: int) -> int:
+    """The processes among which a sweep of ``nodes`` nodes in axis-0 slabs of
+    ``s0`` nodes splits: one below ``PROC_NODES`` nodes, else up to ``procs``,
+    each with at least one slab and half of PROC_NODES nodes."""
+    return 1 if nodes < PROC_NODES else min(procs, nodes // s0, 2 * nodes // PROC_NODES)
+
+
+def _block_plan(lo: int, hi: int, s0: int, procs: int = 1) -> BlockPlan:
+    """The blocks of ``CHUNK`` nodes of one sweep over the nodes [lo, hi) of a
+    flattened field whose axis-0 slabs hold ``s0`` nodes, split among up to
+    ``procs`` processes (``_procs``): each takes a run of whole slabs, so no two
+    processes write in the same slab."""
+    return _plan(lo, hi, s0, _procs(hi - lo, s0, procs), CHUNK)
 
 
 @lru_cache(maxsize=32)
-def _plan(lo: int, hi: int, s0: int, threads: int, size: int) -> BlockPlan:
-    """``_block_plan``'s blocks for a given thread count and block size."""
+def _plan(lo: int, hi: int, s0: int, procs: int, size: int) -> BlockPlan:
+    """``_block_plan``'s blocks for a given process count and block size."""
     slabs = (hi - lo) // s0
-    cuts = [lo + slabs * t // threads * s0 for t in range(threads)] + [hi]
+    cuts = [lo + slabs * t // procs * s0 for t in range(procs)] + [hi]
     parts, i = [], 0
     for a0, b0 in zip(cuts, cuts[1:]):
-        parts.append(tuple((i + j, a, min(a + size, b0)) for j, a in enumerate(range(a0, b0, size))))
+        starts = list(range(a0, b0, size))
+        if len(starts) > 1 and b0 - starts[-1] < size // 16:
+            # a last block this short costs more in its ~15 numpy calls than in
+            # arithmetic, so it joins the one before: at 257^2 on two processes,
+            # the second part's last block of 128 nodes took 8 us of its 89
+            starts.pop()
+        parts.append(tuple((i + j, a, b) for j, (a, b) in enumerate(zip(starts, starts[1:] + [b0]))))
         i += len(parts[-1])
-    return BlockPlan(tuple(parts), min(size, max(b0 - a0 for a0, b0 in zip(cuts, cuts[1:]))), i)
+    return BlockPlan(tuple(parts), i)
 
 
-_pool = None  # the block sweeps' ThreadPoolExecutor, made by the first threaded one
+def helper_count() -> int:
+    """The helper processes a team plans for a sweep of many slabs: one for each
+    CPU of ``cpu_budget()`` besides the calling process, and no more than the
+    other CPUs this process may run on."""
+    return min(cpu_budget(), len(os.sched_getaffinity(0))) - 1
 
 
-def _drop_pool() -> None:
-    """Stop the idle pool's threads and forget it, so that a fork copies none."""
-    global _pool
-    if _pool is not None:
-        _pool.shutdown()
-        _pool = None
+class FieldSet:
+    """The fields of a run's block sweeps without helper processes: numpy's own
+    arrays, swept by the calling process alone. ``team.Team`` adds forked
+    helpers over shared memory; ``open_team`` picks one of the two."""
+
+    def __init__(self, nodes: tuple[int, ...]):
+        self.nodes = tuple(nodes)
+
+    def field(self, shape: tuple[int, ...] | None = None) -> np.ndarray:
+        """A new float64 array of ``shape`` (default: the nodes)."""
+        return np.empty(self.nodes if shape is None else shape)
+
+    def share(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as a field the sweeps can split: here ``values`` itself."""
+        return values
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-os.register_at_fork(before=_drop_pool)
+def open_team(nodes: tuple[int, ...], fields: int, helpers: int | None = None) -> FieldSet:
+    """The fields of ``fields`` float64 fields of shape ``nodes`` (a vector field
+    of n components counts n): a ``team.Team`` with ``helpers`` forked helper
+    processes, by default as many as a sweep over such a field can use
+    (``helper_count()`` from ``PROC_NODES`` interior nodes on), or a
+    ``FieldSet`` when that is none. Use it as a context manager: leaving it
+    reaps the helpers."""
+    if helpers is None:
+        n = math.prod(nodes)
+        s0 = n // nodes[0]
+        helpers = _procs(n - 2 * s0, s0, 1 + helper_count()) - 1
+    if helpers < 1:
+        return FieldSet(nodes)
+    from .team import Team  # imported here: see its docstring
+
+    return Team(nodes, fields, helpers)
 
 
-def _thread_pool():
-    """The process's block-sweep pool: one thread per CPU the process may run
-    on besides the calling one, each started by the first task that finds no
-    idle thread."""
-    global _pool
-    if _pool is None:
-        # imported here: only sweeps above THREAD_NODES nodes need a pool
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(max(1, len(os.sched_getaffinity(0)) - 1), "actx-block")
-    return _pool
+# The open ``team.Team``s, which add and remove themselves; the sweeps use the
+# last. Kept here, so that a sweep needs no import of ``team``.
+_teams: list = []
 
 
-def _run_part(block, t: int, part) -> None:
-    for i, a, b in part:
-        block(t, i, a, b)
-
-
-def _run_blocks(plan: BlockPlan, block) -> None:
-    """``block(t, i, a, b)`` for every block (i, a, b) of ``plan.parts[t]``: the
-    calling thread takes the first part and a pool the others, and the call
-    returns once every block is done. A block runs numpy operations into
-    arrays the caller made (``t`` picks its thread's scratch): it allocates
-    nothing and calls no public function of the package, whose tracing
-    assumes one thread."""
-    first, *rest = plan.parts
-    if not rest:
-        _run_part(block, 0, first)
-        return
-    pool = _thread_pool()
-    futures = [pool.submit(_run_part, block, t, part) for t, part in enumerate(rest, 1)]
-    try:
-        _run_part(block, 0, first)
-    finally:  # the caller's arrays stay in use until every thread is done with them
-        for fut in futures:
-            fut.exception()
-    for fut in futures:
-        fut.result()
+def _sweep(kernel, lo: int, hi: int, s0: int, arrays: tuple, scalars: tuple) -> np.ndarray:
+    """``kernel(blocks, arrays, scalars, rows)`` over the blocks of ``_block_plan``
+    for the nodes [lo, hi) of flattened fields with axis-0 slabs of ``s0``
+    nodes: the kernel writes block i's row of two floats into ``rows[i]``.
+    With the last open ``team.Team``, if every array is one of its fields, each of
+    its processes takes a part of the plan; otherwise the calling process takes
+    every block. Returns the rows, with two more after the blocks' for the
+    caller; with a team they are its shared rows, valid until its next sweep.
+    The kernel computes every node and every block's row on its own, so the
+    bits are the same whatever the split."""
+    team = _teams[-1] if _teams else None
+    refs = None if team is None else team.refs(arrays)
+    plan_args = (lo, hi, s0, _procs(hi - lo, s0, 1 if refs is None else 1 + len(team.procs)), CHUNK)
+    plan = _plan(*plan_args)
+    if len(plan.parts) == 1:
+        rows = np.empty((plan.blocks + 2, 2))
+        kernel(plan.parts[0], arrays, scalars, rows)
+        return rows
+    team.sweep(kernel, plan_args, refs, arrays, scalars)
+    return team.results[: plan.blocks + 2]
 
 
 def _fold_coeffs(wprime: Sequence[float], h: float, eps: float, n: int, scale: float) -> tuple[float, ...]:
@@ -424,27 +439,38 @@ def stencil_rhs(
     ``f[1:-1]`` (every node off the two axis-0 faces) is one contiguous run
     of the flattened field, and its neighbours along axis k are the run
     shifted by +-stride_k. The run is swept in the blocks of ``_block_plan``
-    (on several threads above ``THREAD_NODES`` nodes), each through every
-    term before the next, with q and the transport products in one
-    block-sized scratch array per thread, two with a transport: the same bits
-    whatever the blocks and threads. The faces of axes >= 1 get wrapped-around neighbours in the
-    sweep; each block restores them in the axis-0 slabs it touched and then
-    takes its own max and min, so the extrema need no pass of their own.
+    (``_sweep``: split among a ``team.Team``'s processes when f, u, base and out
+    are its fields), each through every term before the next, with q and
+    the transport products in one block-sized scratch array per process, two
+    with a transport: the same bits whatever the blocks and processes. The
+    faces of axes >= 1 get wrapped-around neighbours in the sweep; each block
+    restores them in the axis-0 slabs it touched and then takes its own max
+    and min, so the extrema need no pass of their own.
     """
+    s0 = f.strides[0] // f.itemsize
+    q = _fold_coeffs(well.wprime_coeffs(), h, eps, f.ndim, scale)
+    ext = _sweep(_rhs_blocks, s0, f.size - s0, s0, (f, u, base, out), (scale / h**2, -scale * m / (2.0 * h), q))
+    for i, e in ((-2, 0), (-1, -1)):  # the two axis-0 faces take the caller's two rows
+        out[e] = 0.0 if base is None else base[e]
+        ext[i] = out[e].max(), out[e].min()
+    return float(np.max(np.abs(ext)))  # numpy's max keeps a nan, where Python's max() may drop it
+
+
+def _rhs_blocks(blocks, arrays: tuple, scalars: tuple, ext: np.ndarray) -> None:
+    """``stencil_rhs``'s sweep over ``blocks`` (index, start, end) of the arrays
+    (f, u, base, out) with the scalars (c1, cu, q): each block's nodes into
+    out, its faces restored, and its (max, min) into ``ext``. A ``_sweep``
+    kernel, which runs in a helper process too."""
+    f, u, base, out = arrays
+    c1, cu, q = scalars
     flat, dst = f.reshape(-1), out.reshape(-1)
-    n = f.ndim
     steps = [st // f.itemsize for st in f.strides]
     s0 = steps[0]
-    c1, cu = scale / h**2, -scale * m / (2.0 * h)
-    q = _fold_coeffs(well.wprime_coeffs(), h, eps, n, scale)
-    uf = None if u is None else u.reshape(-1, n)
+    uf = None if u is None else u.reshape(-1, f.ndim)
     bf = None if base is None else base.reshape(-1)
-    plan = _block_plan(s0, flat.size - s0, s0)
-    scratch = np.empty((len(plan.parts), 1 if uf is None else 2, plan.width))
-    ext = np.empty((plan.blocks + 2, 2))  # (max, min) of each block, then of the two axis-0 faces
-
-    def block(t: int, i: int, a: int, b: int) -> None:
-        r, w1 = dst[a:b], scratch[t, 0, : b - a]
+    scratch = np.empty((1 if uf is None else 2, max(b - a for _, a, b in blocks)))
+    for i, a, b in blocks:
+        r, w1 = dst[a:b], scratch[0, : b - a]
         np.add(flat[a + s0 : b + s0], flat[a - s0 : b - s0], out=r)
         for st in steps[1:]:
             r += flat[a + st : b + st]
@@ -453,7 +479,7 @@ def stencil_rhs(
         r += _horner(q, flat[a:b], w1)
         if uf is not None:
             for ax, st in enumerate(steps):
-                g = w1 if ax == 0 else scratch[t, 1, : b - a]
+                g = w1 if ax == 0 else scratch[1, : b - a]
                 np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=g)
                 g *= uf[a:b, ax]
                 if ax:
@@ -464,12 +490,6 @@ def stencil_rhs(
             r += bf[a:b]
         _restore_faces(out, base, slice(a // s0, (b - 1) // s0 + 1))
         ext[i] = r.max(), r.min()
-
-    _run_blocks(plan, block)
-    for i, e in ((-2, 0), (-1, -1)):
-        out[e] = 0.0 if base is None else base[e]
-        ext[i] = out[e].max(), out[e].min()
-    return float(np.max(np.abs(ext)))  # numpy's max keeps a nan, where Python's max() may drop it
 
 
 def integrate(

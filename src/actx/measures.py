@@ -47,9 +47,8 @@ from .grid import (
     SLAB_NODES,
     GridSpec,
     ScalarField,
-    _block_plan,
     _check_finite,
-    _run_blocks,
+    _sweep,
     ball_integrate,
     ball_window,
     integrate,
@@ -91,10 +90,11 @@ class FrameFields:
 def frame_fields(phi: ScalarField, eps: float, well: DoubleWell,
                  out: tuple[np.ndarray, np.ndarray] | None = None) -> FrameFields:
     """|grad phi|^2 and W in one sweep over the flattened frame, in the blocks of
-    ``grid.stencil_rhs`` (``grid._block_plan``, threads included), each through
-    every term before the next: density and xi are written straight into their
-    two fields, fresh ones or the (density, xi) arrays ``out`` (C-contiguous,
-    of phi's shape, sharing no memory with phi or each other).
+    ``grid.stencil_rhs`` (``grid._sweep``: split among a team's processes when
+    phi and ``out`` are its fields), each through every term before the next:
+    density and xi are written straight into their two fields, fresh ones or
+    the (density, xi) arrays ``out`` (C-contiguous, of phi's shape, sharing no
+    memory with phi or each other).
 
     |grad phi|^2 is sum_k ((up_k - dn_k) / 2h)^2 in axis order, where a face
     node takes the ghost node 2 f_face - f_inner along the face's axis. The
@@ -105,24 +105,31 @@ def frame_fields(phi: ScalarField, eps: float, well: DoubleWell,
     """
     v, h = phi.values, phi.spec.h
     density, xi = (np.empty(v.shape), np.empty(v.shape)) if out is None else out
-    flat, dens_flat, xi_flat = v.reshape(-1), density.reshape(-1), xi.reshape(-1)
-    steps = [st // v.itemsize for st in v.strides]
-    plan = _block_plan(steps[0], flat.size - steps[0], steps[0])
-    scratch = np.empty((len(plan.parts), 1, plan.width))
-    sums = np.empty(plan.blocks + 1)  # of each block's density and xi, then of the faces'
-
-    def block(t: int, i: int, a: int, b: int) -> None:
-        work = scratch[t, 0, : b - a]
-        diffs = (np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=work) for st in steps)
-        _fields_into(diffs, flat[a:b], h, eps, well, dens_flat[a:b], xi_flat[a:b], work)
-        sums[i] = dens_flat[a:b].sum() + xi_flat[a:b].sum()
-
-    _run_blocks(plan, block)
-    sums[-1] = (_faces_2d if v.ndim == 2 else _faces_by_axis)(v, h, eps, well, density, xi)
+    s0 = v.strides[0] // v.itemsize
+    # the sums of each block's density and xi, then of the faces'
+    sums = _sweep(_fields_blocks, s0, v.size - s0, s0, (v, density, xi), (h, eps, well))
+    sums[-2:] = (_faces_2d if v.ndim == 2 else _faces_by_axis)(v, h, eps, well, density, xi), 0.0
     if not np.all(np.isfinite(sums)):  # a non-finite node, or only an overflowing sum or wrapped face
         _check_finite(density, "scalar field")
         _check_finite(xi, "scalar field")
     return FrameFields(ScalarField.from_checked(phi.spec, density), ScalarField.from_checked(phi.spec, xi))
+
+
+def _fields_blocks(blocks, arrays: tuple, scalars: tuple, sums: np.ndarray) -> None:
+    """``frame_fields``'s sweep over ``blocks`` (index, start, end) of the arrays
+    (phi, density, xi) with the scalars (h, eps, well): each block's density
+    and xi, and their sums into ``sums``. A ``grid._sweep`` kernel, which runs
+    in a helper process too."""
+    v, density, xi = arrays
+    h, eps, well = scalars
+    flat, dens_flat, xi_flat = v.reshape(-1), density.reshape(-1), xi.reshape(-1)
+    steps = [st // v.itemsize for st in v.strides]
+    scratch = np.empty(max(b - a for _, a, b in blocks))
+    for i, a, b in blocks:
+        work = scratch[: b - a]
+        diffs = (np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=work) for st in steps)
+        _fields_into(diffs, flat[a:b], h, eps, well, dens_flat[a:b], xi_flat[a:b], work)
+        sums[i] = dens_flat[a:b].sum(), xi_flat[a:b].sum()
 
 
 def _fields_into(diffs, f: np.ndarray, h: float, eps: float, well: DoubleWell,

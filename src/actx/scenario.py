@@ -171,12 +171,14 @@ class TransportField(NamedTuple):
 
 
 def transport_field(transport: Transport, spec: GridSpec) -> TransportField:
-    """The transport's ``TransportField`` on ``spec``; the last one evaluated is kept."""
-    return _transport_field_cached(transport, spec)
+    """The transport's ``TransportField`` on ``spec``; the last one evaluated is
+    kept, by the transport and its repr: == takes -0.0 for 0.0, where U and G
+    differ in the sign bits of their zeros."""
+    return _transport_field_cached(transport, repr(transport), spec)
 
 
 @functools.lru_cache(maxsize=1)
-def _transport_field_cached(transport: Transport, spec: GridSpec) -> TransportField:
+def _transport_field_cached(transport: Transport, _repr: str, spec: GridSpec) -> TransportField:
     parts = TransportField(*transport.spatial(spec.coords()))
     for a in parts:
         if a is not None:
@@ -294,8 +296,9 @@ def _cutoff(cfg: ScenarioConfig, x, out: np.ndarray | None = None) -> np.ndarray
     return l
 
 
-def build_initial_phase(cfg: ScenarioConfig) -> ScalarField:
-    """phi0 = l * psi(-d/eps) + l - 1: +1 inside the shape, -1 off the outer inset.
+def build_initial_phase(cfg: ScenarioConfig, out: np.ndarray | None = None) -> ScalarField:
+    """phi0 = l * psi(-d/eps) + l - 1: +1 inside the shape, -1 off the outer inset;
+    in a fresh field, or in ``out`` (C-contiguous float64, of the grid's shape).
 
     Requires the interface (zero set of the shape distance) to clear the
     cutoff collar by at least 4 eps, otherwise the cutoff would distort it.
@@ -308,7 +311,7 @@ def build_initial_phase(cfg: ScenarioConfig) -> ScalarField:
     """
     spec = cfg.grid
     x = spec.coords()
-    phi = np.empty(spec.nodes)
+    phi = np.empty(spec.nodes) if out is None else out
     rows = max(1, SLAB_NODES // (spec.n_nodes // spec.nodes[0]))
     margin = min(_phase_slab(cfg, (x[0][i : i + rows],) + x[1:], phi[i : i + rows])
                  for i in range(0, spec.nodes[0], rows))

@@ -14,10 +14,12 @@ diagnostics) and writes snapshot files ``snapshots/step_<8-digit step>.afld``:
 the first and final fields and every ``snap_every``-th. A ``RowBuilder``
 makes each row from its frame, which it extracts once; the last row's
 interface is written to ``interface_final.csv``. The run keeps only the
-final field, and allocates its fields once: phi0 (built by slabs) and a spare
-field, which the steps write in turn, rk2's midpoint, and the row builder's
-density; each row borrows the spare field as its scratch. Besides these (and
-a transport's cached U and G and Groenwall weight), what a run allocates is
+final field, and allocates its fields once, from ``grid.open_team`` (shared
+with the block sweeps' helper processes on a grid large enough for them):
+phi0 (built by slabs) and a spare field, which the steps write in
+turn, rk2's midpoint, and the rows' density; each row borrows the spare field
+as its scratch. Besides these (and a transport's cached U and G, U's copy
+among the team's fields, and the Groenwall weight), what a run allocates is
 the size of a slab, a block or the interface. The rows are the run's record
 of every per-frame diagnostic;
 ``load_trajectory`` reads the snapshot files back bit for bit, for the
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .grid import GridError, ScalarField, VectorField, pack, read_field, stencil_rhs, trapezoid
+from .grid import GridError, ScalarField, VectorField, open_team, pack, read_field, stencil_rhs, trapezoid
 from .grid import write_field
 from .interface import InterfaceSet, extract_interface, radius_estimate
 from .potential import DoubleWell
@@ -255,12 +257,13 @@ class RowBuilder:
     probe's kernel terms since the previous frame. The Groenwall weight
     exp(-m G) is formed once if static, else at every row.
 
-    A row needs two fields besides phi: the density, in a buffer the builder
-    allocates once, and one scratch field, which the caller may lend
-    (``run`` lends the step's spare field) and which the builder otherwise
-    allocates once. The scratch holds in turn the drive, xi, the density's
-    copy for its integral and the Groenwall product; each window that a
-    trapezoid sums is packed to its front (``grid.pack``). So at the row's
+    A row needs two fields besides phi, a scratch field and the density, which
+    the caller may lend and which the builder otherwise allocates once. ``run``
+    lends the step's spare field and its team's density field, ``actx
+    diagnose`` its team's fields: the block sweeps over phi and these split
+    among the team's processes. The scratch holds in turn the drive, xi, the
+    density's copy for its integral and the Groenwall product; each window
+    that a trapezoid sums is packed to its front (``grid.pack``). So at the row's
     peak phi, the scratch, the density and block-sized temporaries are live:
     the block sweeps' scratch rows, ``ball_masses``' column slabs, the probe's
     box and ``extract_interface``'s node masks and active cells.
@@ -275,21 +278,19 @@ class RowBuilder:
         self.center = tuple(0.5 * (lo + hi) for lo, hi in zip(cfg.grid.lo, cfg.grid.hi))
         self.omega_p = cfg.omega_prime()
         self.box_p = cfg.grid.box_slices(self.omega_p)
-        self.density = np.empty(cfg.grid.nodes)
-        self.scratch: np.ndarray | None = None  # allocated by the first call that lends none
+        self.own: dict[str, np.ndarray] = {}  # the builder's scratch and density, if a call lends none
 
-    def __call__(self, phi: ScalarField, t: float, max_abs_phi: float,
-                 scratch: np.ndarray | None = None) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
-        """The frame's row and interface; ``scratch`` is a C-contiguous field of
-        phi's shape that shares no memory with phi, overwritten here."""
+    def __call__(self, phi: ScalarField, t: float, max_abs_phi: float, scratch: np.ndarray | None = None,
+                 density: np.ndarray | None = None) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
+        """The frame's row and interface; ``scratch`` and ``density`` are
+        C-contiguous fields of phi's shape that share no memory with phi or
+        each other, overwritten here."""
         cfg = self.cfg
         tr, spec = cfg.transport, cfg.grid
-        if scratch is None:
-            if self.scratch is None:
-                self.scratch = np.empty(spec.nodes)
-            scratch = self.scratch
+        scratch = self._own("scratch") if scratch is None else scratch
+        density = self._own("density") if density is None else density
         vel = measures.velocity_sq(phi, cfg.epsilon, cfg.well, self.omega_p, out=scratch)
-        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, out=(self.density, scratch))
+        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, out=(density, scratch))
         if self.probe is None:
             idx = np.unravel_index(int(np.argmax(ff.density.values)), spec.nodes)
             self.probe = probe_at(cfg, [ax[i] for ax, i in zip(spec.axes(), idx)])
@@ -327,6 +328,12 @@ class RowBuilder:
         )
         return row, iset
 
+    def _own(self, name: str) -> np.ndarray:
+        """The builder's own field ``name``, allocated by the first call that needs it."""
+        if name not in self.own:
+            self.own[name] = np.empty(self.cfg.grid.nodes)
+        return self.own[name]
+
 
 def run(
     cfg: ScenarioConfig,
@@ -345,59 +352,70 @@ def run(
     ``ConfigError``.
 
     The transport u = m(t) U: every step reads the grid's cached U
-    (``scenario.transport_field``) and scales its transport sum by m at the
-    step's start and rk2 midpoint; no velocity field is formed.
+    (``scenario.transport_field``), or its copy among the team's fields, and
+    scales its transport sum by m at the step's start and rk2 midpoint; no
+    velocity field is formed.
+
+    The run's fields come from ``grid.open_team``, opened before the build, so
+    that its helper processes, forked then, inherit little of the caller's
+    memory (the benchmark's peak RSS is the largest of the process tree). The
+    team is closed, and its helpers reaped, on every way out of the run.
     """
     solver = solver or SolverConfig()
-    phi0 = build_initial_phase(cfg)
-    build_row = RowBuilder(cfg, ratio_radii(cfg))
-    tr = cfg.transport
-    u_field = transport_field(tr, cfg.grid).u
-    u = None if u_field is None else VectorField(cfg.grid, u_field)  # no copy: U itself
-    u_max = tr.sup_speed(cfg.grid, 0.0, cfg.t_end)
-    dt0 = stable_dt(cfg.grid.h, cfg.epsilon, u_max, cfg.well, cfg.grid.dim, solver.cfl)
-    d = solver.diag_every
-    n_steps = d * math.ceil(cfg.t_end / (dt0 * d))
-    dt = cfg.t_end / n_steps
+    tr, spec = cfg.transport, cfg.grid
+    u_field = transport_field(tr, spec).u
+    # phi0 and the spare field, which the steps write in turn, rk2's midpoint, the
+    # rows' density and U: made before the first step, and shared with the block
+    # sweeps' helpers (opened before the build, so that they inherit little)
+    fields = 3 + (solver.scheme == "rk2") + (0 if u_field is None else spec.dim)
+    with open_team(spec.nodes, fields) as team:
+        phi0 = build_initial_phase(cfg, out=team.field())
+        build_row = RowBuilder(cfg, ratio_radii(cfg))
+        u = None if u_field is None else VectorField(spec, team.share(u_field))  # U, or its copy in the arena
+        u_max = tr.sup_speed(spec, 0.0, cfg.t_end)
+        dt0 = stable_dt(spec.h, cfg.epsilon, u_max, cfg.well, spec.dim, solver.cfl)
+        d = solver.diag_every
+        n_steps = d * math.ceil(cfg.t_end / (dt0 * d))
+        dt = cfg.t_end / n_steps
 
-    if out_dir is not None:
-        os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
-
-    def snapshot(state: SimState) -> None:
-        if out_dir is None:
-            return
-        path = os.path.join(out_dir, "snapshots", f"step_{state.step_index:08d}.afld")
-        write_field(path, state.phi, state.t)
-
-    # the steps write into phi0's array and one more field in turn, rk2's midpoint
-    # into a third; the rows borrow the field the last step left free
-    spare = np.empty_like(phi0.values)
-    mid = np.empty_like(spare) if solver.scheme == "rk2" else None
-    state = SimState(0.0, phi0, 0)
-    running_max = max(float(np.max(phi0.values)), -float(np.min(phi0.values)))  # max |phi0|, no |phi0| field
-    row, iset = build_row(phi0, 0.0, running_max, spare)
-    rows = [row]
-    snapshot(state)
-
-    try:
-        for k in range(1, n_steps + 1):
-            prev = state.phi.values
-            state = step(state, cfg, dt, u=u, scheme=solver.scheme, out=spare, mid=mid,
-                         m=tr.m(state.t), m_mid=tr.m(state.t + 0.5 * dt))
-            spare = prev
-            running_max = max(running_max, state.max_abs_phi)
-            if k % d == 0:
-                row, iset = build_row(state.phi, state.t, running_max, spare)
-                rows.append(row)
-                running_max = state.max_abs_phi
-            if (solver.snap_every and k % solver.snap_every == 0) or k == n_steps:
-                snapshot(state)
-    except SolverAbort as exc:
-        exc.dt, exc.n_steps = dt, n_steps
-        raise
-    finally:  # an abort flushes the rows computed so far
         if out_dir is not None:
-            _write_rows(out_dir, rows)
+            os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)
+
+        def snapshot(state: SimState) -> None:
+            if out_dir is None:
+                return
+            path = os.path.join(out_dir, "snapshots", f"step_{state.step_index:08d}.afld")
+            write_field(path, state.phi, state.t)
+
+        # the steps write into phi0's array and the spare field in turn, rk2's
+        # midpoint into a third; the rows borrow the field the last step left free
+        spare, density = team.field(), team.field()
+        mid = team.field() if solver.scheme == "rk2" else None
+        state = SimState(0.0, phi0, 0)
+        running_max = max(float(np.max(phi0.values)), -float(np.min(phi0.values)))  # max |phi0|, no |phi0| field
+        row, iset = build_row(phi0, 0.0, running_max, spare, density)
+        rows = [row]
+        snapshot(state)
+
+        try:
+            for k in range(1, n_steps + 1):
+                prev = state.phi.values
+                state = step(state, cfg, dt, u=u, scheme=solver.scheme, out=spare, mid=mid,
+                             m=tr.m(state.t), m_mid=tr.m(state.t + 0.5 * dt))
+                spare = prev
+                running_max = max(running_max, state.max_abs_phi)
+                if k % d == 0:
+                    row, iset = build_row(state.phi, state.t, running_max, spare, density)
+                    rows.append(row)
+                    running_max = state.max_abs_phi
+                if (solver.snap_every and k % solver.snap_every == 0) or k == n_steps:
+                    snapshot(state)
+        except SolverAbort as exc:
+            exc.dt, exc.n_steps = dt, n_steps
+            raise
+        finally:  # an abort flushes the rows computed so far
+            if out_dir is not None:
+                _write_rows(out_dir, rows)
     if out_dir is not None:
         _write_interface(out_dir, iset)
     return RunResult(cfg, solver, dt, n_steps, Trajectory(cfg, [state.t], [state.phi]), rows, build_row.probe)

@@ -10,6 +10,7 @@ margin. The ladder keeps eps/h = 8 with eps = {16, 8} * h0, h0 = 1.6/256.
 """
 
 import dataclasses
+import glob
 import time
 import warnings
 
@@ -79,6 +80,29 @@ def row_velocity_l2(rows, t0: float, t1: float) -> float:
     """Trapezoid of the rows' ``velocity_sq`` over the rows in [t0, t1]."""
     window = [r for r in rows if t0 - 1e-12 <= r.t <= t1 + 1e-12]
     return float(np.trapezoid([r.velocity_sq for r in window], [r.t for r in window]))
+
+
+def live_children() -> set[int]:
+    """The pids of this process's child processes, from the children lists of
+    all its threads; unreaped ones included, and none reaped here."""
+    pids: set[int] = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            with open(path) as fh:
+                pids.update(int(pid) for pid in fh.read().split())
+        except OSError:  # a thread that ended meanwhile
+            pass
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind: a block sweep's helper, a
+    sweep's worker or anything else it started and did not reap."""
+    before = live_children()
+    yield
+    left = live_children() - before
+    assert not left, f"the test left child processes {sorted(left)}"
 
 
 @pytest.fixture(scope="session")

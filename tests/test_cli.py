@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +87,11 @@ diag_every = 10
 snap_every = 10
 """
 
+# 257^2 (circle-2d's grid) for eight steps, with a snapshot on every row
+CIRCLE_257 = (CONFIG.replace("cells = 96", "cells = 256").replace("epsilon = 0.1", "epsilon = 0.05")
+              .replace("tau = 0.002", "tau = 0.00001").replace("T = 0.004", "T = 0.00002")
+              .replace("diag_every = 50", "diag_every = 4").replace("snap_every = 200", "snap_every = 4"))
+
 # the ball is 0.8 - 0.12 - 0.297 = 0.383 from the collar; eps = 0.1 needs 4 eps = 0.4
 TOO_CLOSE = CONFIG.replace("(ball 0.8 0.8 0.25)", "(ball 0.8 0.8 0.297)")
 
@@ -108,25 +114,35 @@ def artifact(tmp_path_factory):
 
 class TestRunCommand:
     @pytest.mark.filterwarnings("ignore:epsilon=.* interface marginally resolved")
-    def test_3d_run_same_bytes_at_one_and_two_threads(self, tmp_path, monkeypatch, capsys):
-        # 65^3 is above grid.THREAD_NODES: at ACTX_THREADS=2 the step, the drive
-        # and the frame fields split their blocks between two threads
-        from actx.grid import _block_plan
+    def test_run_and_diagnose_same_bytes_at_1_2_3_threads(self, tmp_path, monkeypatch, capsys):
+        # 257^2 and 65^3 are above grid.PROC_NODES: at ACTX_THREADS=2 and 3 the
+        # step, the drive and the frame fields split their blocks between the
+        # caller and a helper process per further CPU, for run and diagnose alike
+        from actx.grid import helper_count
+        from actx.team import Team
 
-        (tmp_path / "ball.cfg").write_text(BALL_3D)
-        monkeypatch.chdir(tmp_path)  # the same relative out dir in every message
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ACTX_THREADS", threads)
-            assert len(_block_plan(65 * 65, 64 * 65 * 65, 65 * 65).parts) == int(threads)
-            code = main(["run", "--config", "ball.cfg", "--out", "out"])
-            files = {str(p.relative_to(tmp_path / "out")): p.read_bytes()
-                     for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()}
-            runs.append((code, capsys.readouterr(), files))
-            shutil.rmtree(tmp_path / "out")
-        assert runs[0] == runs[1]
-        assert runs[0][0] == 0 and len([f for f in runs[0][2] if f.startswith("snapshots")]) > 2
-        assert {"diagnostics.csv", "interface_final.csv", "run-manifest"} <= set(runs[0][2])
+        fork = Team._fork
+        forks = []
+        monkeypatch.setattr(Team, "_fork", lambda team: forks.append(1) or fork(team))
+        monkeypatch.chdir(tmp_path)  # the same relative paths in every message
+        for name, text in (("circle.cfg", CIRCLE_257), ("ball.cfg", BALL_3D)):
+            (tmp_path / name).write_text(text)
+            runs = []
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("ACTX_THREADS", threads)
+                forks.clear()
+                code = main(["run", "--config", name, "--out", "out"])
+                files = {str(p.relative_to(tmp_path / "out")): p.read_bytes()
+                         for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()}
+                snaps = [a for f in files if f.startswith("snapshots") for a in ("--snapshot", "out/" + f)]
+                diag = main(["diagnose", "--config", name, *snaps])
+                assert len(forks) == 2 * helper_count()  # one team for the run, one for diagnose
+                runs.append((code, diag, capsys.readouterr(), files))
+                shutil.rmtree(tmp_path / "out")
+            assert runs[0] == runs[1] == runs[2]
+            assert runs[0][:2] == (0, 0) and len([f for f in runs[0][3] if f.startswith("snapshots")]) > 2
+            assert {"diagnostics.csv", "interface_final.csv", "run-manifest"} <= set(runs[0][3])
+            assert runs[0][2].out.count("\n") == 1 + len(snaps) // 2 + 1  # "run complete", the header, a row per frame
 
     def test_missing_required_key(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -322,6 +338,106 @@ class TestRunCommand:
         in_manifest = {l.split("  ", 1)[1] for l in files}
         assert in_manifest == on_disk
         assert all(len(l.split("  ", 1)[0]) == 64 for l in files)
+
+
+class TestHelperLifecycle:
+    """``run`` forks its block sweeps' helper before the build, and every way
+    out of it reaps the helper: a complete run, a solver abort, an exception
+    in a row and a configuration error before the first step. Each test ends
+    with no child process left (``conftest.no_child_left``)."""
+
+    @pytest.fixture
+    def forked(self, tmp_path, monkeypatch):
+        """The circle at 257^2 and ACTX_THREADS=2; the list of the child
+        processes alive after each helper's fork and at each row."""
+        import actx.solver
+        from actx.team import Team
+
+        from conftest import live_children
+
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a helper needs a second CPU")
+        monkeypatch.setenv("ACTX_THREADS", "2")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "circle.cfg").write_text(CIRCLE_257)
+        seen = []
+        fork, row = Team._fork, actx.solver.RowBuilder.__call__
+
+        def fork_and_see(team):
+            fork(team)
+            seen.append(("fork", live_children()))
+
+        def row_and_see(builder, *args, **kwargs):
+            seen.append(("row", live_children()))
+            return row(builder, *args, **kwargs)
+
+        monkeypatch.setattr(Team, "_fork", fork_and_see)
+        monkeypatch.setattr(actx.solver.RowBuilder, "__call__", row_and_see)
+        return seen
+
+    @staticmethod
+    def _one_helper(seen, rows):
+        from conftest import live_children
+
+        assert [kind for kind, _ in seen] == ["fork"] + ["row"] * rows
+        assert len(seen[0][1]) == 1 and all(pids == seen[0][1] for _, pids in seen)
+        assert live_children() == set()
+
+    @pytest.mark.filterwarnings("ignore:epsilon=.* interface marginally resolved")
+    def test_complete_run(self, forked):
+        assert main(["run", "--config", "circle.cfg", "--out", "out"]) == 0
+        self._one_helper(forked, 4)
+
+    def test_solver_abort(self, forked, monkeypatch, capsys):
+        import actx.solver
+
+        # four steps of 0.005 each: the first row's step runs away
+        Path("circle.cfg").write_text(CIRCLE_257.replace("T = 0.00002", "T = 0.02").replace("tau = 0.00001", "tau = 0.01"))
+        monkeypatch.setattr(actx.solver, "stable_dt", lambda *a, **k: 1.0)
+        assert main(["run", "--config", "circle.cfg", "--out", "out"]) == 2
+        assert "solver abort" in capsys.readouterr().err
+        self._one_helper(forked, 1)
+
+    @pytest.mark.filterwarnings("ignore:epsilon=.* interface marginally resolved")
+    def test_exception_in_a_row(self, forked, monkeypatch):
+        import actx.solver
+
+        row = actx.solver.RowBuilder.__call__
+
+        def fail_second(builder, *args, **kwargs):
+            if len(forked) == 2:
+                raise RuntimeError("a row failed")
+            return row(builder, *args, **kwargs)
+
+        monkeypatch.setattr(actx.solver.RowBuilder, "__call__", fail_second)
+        with pytest.raises(RuntimeError, match="a row failed"):
+            main(["run", "--config", "circle.cfg", "--out", "out"])
+        self._one_helper(forked, 1)
+
+    def test_config_error_before_the_first_step(self, forked, capsys):
+        Path("circle.cfg").write_text(CIRCLE_257.replace("(ball 0.8 0.8 0.25)", "(ball 0.8 0.8 0.55)"))
+        assert main(["run", "--config", "circle.cfg", "--out", "out"]) == 1
+        assert capsys.readouterr().err.startswith("config error: shape must clear the cutoff collar")
+        self._one_helper(forked, 0)
+
+    @pytest.mark.filterwarnings("ignore:epsilon=.* interface marginally resolved")
+    def test_helper_killed_mid_run(self, forked, monkeypatch):
+        import signal
+
+        import actx.solver
+        from actx.grid import GridError
+
+        row = actx.solver.RowBuilder.__call__
+
+        def kill_at_third(builder, *args, **kwargs):  # whose first sweep then raises
+            if len(forked) == 3:
+                os.kill(next(iter(forked[0][1])), signal.SIGKILL)
+            return row(builder, *args, **kwargs)
+
+        monkeypatch.setattr(actx.solver.RowBuilder, "__call__", kill_at_third)
+        with pytest.raises(GridError, match="block sweep helper"):
+            main(["run", "--config", "circle.cfg", "--out", "out"])
+        self._one_helper(forked, 3)
 
 
 class TestReportCommand:

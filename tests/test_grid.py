@@ -1,6 +1,5 @@
 """Grid operators against stencil-exact cases, analytic oracles, and invariants."""
 
-import sys
 import warnings
 
 import numpy as np
@@ -502,30 +501,22 @@ class TestStencilRhs:
 
 
 class TestThreadedSweep:
-    """Block sweeps whose blocks are split among threads (``grid._block_plan``,
-    with THREAD_NODES patched low and blocks of several hundred nodes, over
-    which numpy lets go of the GIL, so the threads do run at once): the same
-    bits, the same max |out| and the same non-finite node at 1, 2 and 3 threads.
-    The pool has a thread for each further CPU, so on a 2-CPU host a third
-    thread's blocks run after the second's on the one pool thread."""
+    """Block sweeps whose blocks are split among the processes of a ``team.Team``
+    (``grid._sweep``, with PROC_NODES patched low and blocks of a few hundred
+    nodes): the same bits, the same max |out| and the same non-finite node at
+    1, 2 and 3 processes, the caller and 0, 1 or 2 forked helpers. On a 2-CPU
+    host the three processes of the last take turns."""
 
-    # 65 and 25 slabs: 3 threads take 21/22/22 and 8/8/9 of them, in 2/3/3 and
-    # 2/2/3 blocks, and 2 threads 3/4 blocks
-    SHAPES = {2: (67, 64), 3: (27, 12, 12)}
+    # 67 and 25 slabs: 3 processes take 22/22/23 and 8/8/9 of them, in 2/2/3
+    # blocks, and 2 processes 3/4 blocks
+    SHAPES = {2: (69, 64), 3: (27, 12, 12)}
     BLOCK = {2: 700, 3: 600}
-    PLANTED = {2: (30, 3), 3: (12, 3, 4)}  # in the second of three threads' slabs
-
-    @pytest.fixture(autouse=True)
-    def fast_switching(self):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it goes
-        yield
-        sys.setswitchinterval(interval)
+    PLANTED = {2: (30, 3), 3: (12, 3, 4)}  # in the second of three processes' slabs
 
     @staticmethod
     def _field(dim, planted):
         # 50 on the axis >= 1 faces of slab 5, so the sweep's wrapped-around values
-        # there are the largest unless each thread restores its own slabs' faces
+        # there are the largest unless each process restores its own slabs' faces
         shape = TestThreadedSweep.SHAPES[dim]
         f = np.random.default_rng(dim).uniform(-1.05, 1.05, shape)
         for ax in range(1, dim):
@@ -536,17 +527,21 @@ class TestThreadedSweep:
         return f
 
     @staticmethod
-    def _at_threads(monkeypatch, threads, shape):
+    def _team(monkeypatch, procs, shape, fields):
+        """An open team of ``procs`` processes over ``fields`` fields of ``shape``,
+        whose sweeps split among all of them, in blocks that do not divide evenly."""
         import actx.grid
 
-        monkeypatch.setattr(actx.grid, "THREAD_NODES", 2)  # a thread takes at least one node
-        monkeypatch.setattr(actx.grid, "THREAD_CHUNK", TestThreadedSweep.BLOCK[len(shape)])
-        monkeypatch.setenv("ACTX_THREADS", str(threads))
+        monkeypatch.setattr(actx.grid, "PROC_NODES", 2)  # a process takes at least one node
+        monkeypatch.setattr(actx.grid, "CHUNK", TestThreadedSweep.BLOCK[len(shape)])
         s0 = int(np.prod(shape[1:]))
-        parts = actx.grid._block_plan(s0, int(np.prod(shape)) - s0, s0).parts
-        assert len(parts) == threads
-        if threads > 1:
-            assert len({len(part) for part in parts}) == 2  # the blocks do not divide evenly
+        parts = actx.grid._block_plan(s0, int(np.prod(shape)) - s0, s0, procs).parts
+        assert len(parts) == procs
+        if procs > 1:
+            assert len({len(part) for part in parts}) == 2
+        team = actx.grid.open_team(shape, fields, helpers=procs - 1)
+        assert len(getattr(team, "procs", ())) == procs - 1
+        return team
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("transport", [False, True], ids=["zero", "transport"])
@@ -563,11 +558,14 @@ class TestThreadedSweep:
         base, scale = {"drive": (None, 1.0), "euler": (f, 1e-3),
                        "rk2": (rng.uniform(-1.0, 1.0, f.shape), 1e-3)}[style]
         got = []
-        for threads in (1, 2, 3):
-            self._at_threads(monkeypatch, threads, f.shape)
-            out = np.empty(f.shape)
-            top = stencil_rhs(f, u, 0.1, 0.4, DoubleWell.quartic(), out, base, scale, m=0.7)
-            got.append((np.ascontiguousarray(out).view(np.uint64), top))
+        for procs in (1, 2, 3):
+            with self._team(monkeypatch, procs, f.shape, 3 + dim) as team:
+                shared = [None if a is None else team.share(a) for a in (f, u, base)]
+                if style == "euler":
+                    shared[2] = shared[0]
+                out = team.field()
+                top = stencil_rhs(shared[0], shared[1], 0.1, 0.4, DoubleWell.quartic(), out, shared[2], scale, m=0.7)
+                got.append((np.ascontiguousarray(out).view(np.uint64).copy(), top))
         (ref, top1), rest = got[0], got[1:]
         for bits, top in rest:
             assert np.array_equal(bits, ref)
@@ -586,13 +584,16 @@ class TestThreadedSweep:
         spec = GridSpec(dim, (0.0,) * dim, tuple(0.1 * (n - 1) for n in f.shape), tuple(n - 1 for n in f.shape))
         planted = self._field(dim, True)
         got, errors = [], []
-        for threads in (1, 2, 3):
-            self._at_threads(monkeypatch, threads, f.shape)
-            ff = frame_fields(ScalarField(spec, f), 0.4, well)
-            got.append([np.ascontiguousarray(a.values).view(np.uint64) for a in (ff.density, ff.xi)])
-            with pytest.raises(GridError) as exc:
-                frame_fields(ScalarField.from_checked(spec, planted), 0.4, well)
-            errors.append(str(exc.value))
+        for procs in (1, 2, 3):
+            with self._team(monkeypatch, procs, f.shape, 4) as team:
+                phi, out = team.field(), (team.field(), team.field())
+                np.copyto(phi, f)
+                ff = frame_fields(ScalarField(spec, phi), 0.4, well, out=out)
+                got.append([np.ascontiguousarray(a.values).view(np.uint64).copy() for a in (ff.density, ff.xi)])
+                np.copyto(phi, planted)
+                with pytest.raises(GridError) as exc:
+                    frame_fields(ScalarField.from_checked(spec, phi), 0.4, well, out=out)
+                errors.append(str(exc.value))
         for bits in got[1:]:
             assert all(np.array_equal(a, b) for a, b in zip(bits, got[0]))
         # the first non-finite node, row-major, is the planted one's axis-0 neighbour before it
@@ -602,43 +603,101 @@ class TestThreadedSweep:
         assert errors == [f"scalar field contains a non-finite entry at node index {first}"] * 3
 
     @pytest.mark.parametrize("budget, sizes", [
-        ("2", (((161, 161), 1), ((257, 257), 1), ((289, 289), 2), ((97, 97, 97), 2))),
-        ("64", (((257, 257), 1), ((289, 289), 2), ((513, 513), 6), ((97, 97, 97), 21))),
+        ("2", (((153, 153), 1), ((161, 161), 2), ((257, 257), 2), ((29, 29, 29), 1), ((97, 97, 97), 2))),
+        ("64", (((153, 153), 1), ((161, 161), 2), ((257, 257), 5), ((513, 513), 21), ((97, 97, 97), 64))),
     ])
     def test_size_rule(self, monkeypatch, budget, sizes):
-        # 257^2 (circle-2d) and the ladder's rungs stay serial and 97^3 takes both
-        # CPUs; no thread gets fewer than THREAD_NODES / 2 interior nodes
-        from actx.grid import _block_plan
+        # 257^2 (circle-2d) takes both CPUs, 153^2 stays serial; no process gets
+        # fewer than PROC_NODES / 2 interior nodes. The processes a sweep may use
+        # are counted here with as many helpers as the budget asks for
+        from actx.grid import _block_plan, cpu_budget
 
         monkeypatch.setenv("ACTX_THREADS", budget)
-        for nodes, threads in sizes:
+        for nodes, procs in sizes:
             s0 = int(np.prod(nodes[1:]))
-            assert len(_block_plan(s0, int(np.prod(nodes)) - s0, s0).parts) == threads
+            assert len(_block_plan(s0, int(np.prod(nodes)) - s0, s0, cpu_budget()).parts) == procs
 
-    def test_no_block_thread_survives_a_fork(self, monkeypatch):
-        # a threaded sweep starts the pool; the fork stops it first, so the
-        # child copies no thread of it and the parent makes a new one later
+    def test_plans_at_most_one_helper_per_further_cpu(self, monkeypatch):
+        # a budget above the CPUs this process may run on plans no more helpers
+        # than those CPUs, and none on a grid below PROC_NODES; nothing is started
         import os
-        import threading
 
-        import actx.grid
+        from actx.grid import PROC_NODES, helper_count
+
+        cpus = len(os.sched_getaffinity(0))
+        for budget, want in (("64", cpus - 1), ("1", 0), ("2", min(2, cpus) - 1)):
+            monkeypatch.setenv("ACTX_THREADS", budget)
+            assert helper_count() == want
+        assert PROC_NODES > 95 * 97  # the 97^2 interior, where two processes were slower
+
+
+class TestTeamLifecycle:
+    """A ``team.Team``'s helpers: forgotten by a forked child, reaped by ``close``,
+    and a helper that died makes the next sweep raise. Each test ends with no
+    child process left (``conftest.no_child_left``)."""
+
+    SHAPE = (129, 130)
+
+    @staticmethod
+    def _sweep(team, f):
         from actx.grid import stencil_rhs
         from actx.potential import DoubleWell
 
-        f = self._field(3, False)
-        self._at_threads(monkeypatch, 2, f.shape)
+        out = team.field()
+        return stencil_rhs(f, None, 0.1, 0.4, DoubleWell.quartic(), out), out
 
-        def sweep():
-            out = np.empty(f.shape)
-            return stencil_rhs(f, None, 0.1, 0.4, DoubleWell.quartic(), out), out
+    def test_forked_child_forgets_the_team(self, monkeypatch):
+        # the child closes its copies of the pipe ends at the fork, so it never
+        # talks to the helper and the helper still leaves when the parent closes
+        import os
 
-        ref = sweep()
-        assert actx.grid._pool is not None
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0 if not any(t.name.startswith("actx-block") for t in threading.enumerate()) else 1)
-        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        assert actx.grid._pool is None
-        assert not any(t.name.startswith("actx-block") for t in threading.enumerate())
-        top, out = sweep()
-        assert top == ref[0] and np.array_equal(out, ref[1])
+        import actx.grid
+
+        from conftest import live_children
+
+        monkeypatch.setattr(actx.grid, "PROC_NODES", 2)
+        with actx.grid.open_team(self.SHAPE, 3, helpers=1) as team:
+            f = team.share(np.random.default_rng(3).uniform(-1.0, 1.0, self.SHAPE))
+            top, ref = self._sweep(team, f)
+            (helper,) = team.procs
+            assert live_children() == {helper.pid}
+            pid = os.fork()
+            if pid == 0:
+                ok = actx.grid._teams == [] and team.procs == []
+                for fd in (helper.cmd, helper.ack):
+                    try:
+                        os.fstat(fd)
+                        ok = False
+                    except OSError:
+                        pass
+                # without a team, the sweep runs in the child alone, with the same bits
+                got = self._sweep(team, f) if ok else None
+                os._exit(0 if ok and got[0] == top and np.array_equal(got[1], ref) else 1)
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            assert self._sweep(team, f)[0] == top  # the parent's team still works
+        assert actx.grid._teams == [] and team.procs == []
+
+    def test_killed_helper_makes_the_next_sweep_raise(self, monkeypatch):
+        import os
+        import signal
+
+        import actx.grid
+
+        monkeypatch.setattr(actx.grid, "PROC_NODES", 2)
+        with actx.grid.open_team(self.SHAPE, 4, helpers=1) as team:
+            f = team.share(np.random.default_rng(4).uniform(-1.0, 1.0, self.SHAPE))
+            self._sweep(team, f)
+            os.kill(team.procs[0].pid, signal.SIGKILL)
+            with pytest.raises(GridError, match="block sweep helper"):
+                self._sweep(team, f)
+
+    def test_team_below_the_threshold_starts_nothing(self, monkeypatch):
+        from actx.grid import FieldSet, open_team
+
+        from conftest import live_children
+
+        monkeypatch.setenv("ACTX_THREADS", "64")
+        for nodes in ((97, 97), (153, 153), (29, 29, 29)):
+            with open_team(nodes, 2) as team:
+                assert type(team) is FieldSet and live_children() == set()
+                assert type(team.field()) is np.ndarray

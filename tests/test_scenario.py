@@ -505,6 +505,18 @@ class TestTransportField:
             with pytest.raises(ValueError):
                 arr[...] = 0.0
 
+    @pytest.mark.parametrize("forms", [("(rotation 0.0 0.5 0.5)", "(rotation -0.0 0.5 0.5)"),
+                                       ("(constant 0.0 1.0)", "(constant -0.0 1.0)")], ids=["rotation", "constant"])
+    def test_signed_zero_forms_keep_their_own_field(self, forms):
+        # the two forms compare equal, but their U (and G) differ in the signs of zeros
+        spec = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (16, 16))
+        plus, minus = (form_transport(form) for form in forms)
+        assert plus == minus
+        for tr in (plus, minus, plus):
+            for got, want in zip(transport_field(tr, spec), tr.spatial(spec.coords())):
+                assert (got is None and want is None) or np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.array_equal(*(transport_field(tr, spec).u.view(np.uint64) for tr in (plus, minus)))
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_zero_transport_holds_no_array(self, dim):
         spec = GridSpec(dim, (0.0,) * dim, (1.0,) * dim, (8,) * dim)

@@ -262,7 +262,7 @@ class TestFieldBudget:
     def test_3d_run_peaks_at_its_fields(self, scheme, bound, monkeypatch):
         # a 65^3 run holds phi, the step's spare field (lent to the rows as
         # their scratch), rk2's midpoint and the rows' density; the rest is a
-        # slab or block at a time, and the last row's interface. On one thread
+        # slab or block at a time, and the last row's interface. On one CPU
         # the peak read 3.94 fields (4.93 with rk2)
         import tracemalloc
 
@@ -270,7 +270,9 @@ class TestFieldBudget:
         from actx.scenario import ScenarioConfig, Transport
         from actx.shapes import Ball
 
-        monkeypatch.setenv("ACTX_THREADS", "1")  # the block scratch rows grow with the threads
+        # one CPU: no helper, so the run's fields are numpy's own, which tracemalloc
+        # counts; a helper's team keeps them in a shared mmap, which it does not
+        monkeypatch.setenv("ACTX_THREADS", "1")
         spec = GridSpec(3, (0.0,) * 3, (1.6,) * 3, (64,) * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # eps = 4h is marginally resolved, which is fine here
@@ -496,7 +498,7 @@ def test_run_buffered_steps_bit_identical_across_chunks(
     if chunk in (7, 64):
         assert all(_chunk_edges(cfg.grid.nodes, chunk))  # edges on faces and mid-row
     monkeypatch.setattr(actx.grid, "CHUNK", chunk)
-    monkeypatch.setattr(actx.solver, "build_initial_phase", lambda _cfg: phi0)
+    monkeypatch.setattr(actx.solver, "build_initial_phase", lambda _cfg, out=None: phi0)
     seen = []
 
     def checked(state, cfg, dt, u=None, u_mid=None, scheme="euler", m=1.0, m_mid=None, **buffers):
