@@ -14,7 +14,8 @@ arguments), unreadable snapshot or diagnostics file, bad ``diagnose`` probe
 ``report`` run-manifest value,
 or a sweep rung whose monotonicity probes cannot be evaluated (no initial
 interface to place them on, or fewer than two snapshot frames in [tau, T]),
-2 solver abort or a failed sweep rung (a FAILED row in ``sweep.csv``).
+2 solver abort or a failed sweep rung (a FAILED row in ``sweep.csv``; also
+a rung whose sweep worker died).
 
 The environment variable ACTX_THREADS caps the CPUs one invocation uses
 (default: the CPUs the process may run on; ``grid.cpu_budget``): the forked
@@ -24,18 +25,30 @@ interior nodes), the caller and a helper forked by ``run`` and ``diagnose``
 for each further CPU (``grid.open_team``); each sweep worker gets an equal share
 of at least one. For ``run``, ``sweep`` and ``diagnose`` a value that is not
 a positive integer is a configuration error. Each distinct rung is one job,
-its run and its offline checks, in a forked worker process, the largest rung
-first; a rung named twice in a plan runs once. Messages come in plan order
-and a block sweep split among processes gives the serial bits, so no output
-depends on ACTX_THREADS. Every helper and worker is reaped before the command
-returns, also after an abort or an error. Artifact directories contain a manifest
-listing every output file with its sha256 and the transport bounds; an
-aborted run's manifest also records the abort's step, node, time and |phi|.
+its run and its offline checks; a rung named twice in a plan runs once. On
+one CPU the jobs run in the calling process. Otherwise ``sweep`` forks up to
+one worker per CPU itself, with no process pool (``workers.run_jobs``): the
+first free worker takes the largest remaining rung and sends its result back
+pickled over a pipe, and a worker that dies leaves its rung FAILED, with one
+stderr line naming its pid, its rungs and how it ended. Messages come in
+plan order and a block sweep split among processes gives the serial bits,
+so no output depends on ACTX_THREADS. Every helper and worker is reaped
+before the command returns, also after an abort or an error.
+
+``main`` freezes the objects the imports made (``gc.freeze``) once per
+process, before any fork: the collector never scans them again, so the exit
+skips collecting them, and forked workers and helpers share their pages
+without the collector writing to them.
+
+Artifact directories contain a manifest listing every output file with its
+sha256 and the transport bounds; an aborted run's manifest also records the
+abort's step, node, time and |phi|.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import io
 import math
@@ -346,9 +359,10 @@ def _rung_job(job: tuple[str, str]) -> tuple[dict, str, str, str | None]:
     return entry, out.getvalue(), err.getvalue(), error
 
 
-def _set_cpu_budget(cpus: int) -> None:
-    """A forked sweep worker's share of the CPU budget (``grid.cpu_budget``)."""
-    os.environ["ACTX_THREADS"] = str(cpus)
+def _failed_rung(job: tuple[str, str], line: str) -> tuple[dict, str, str, None]:
+    """The result of a job whose sweep worker ended before sending its own: the
+    rung's FAILED entry, and ``line`` for stderr."""
+    return _rung_checks(job[0], job[1], 1)[0], "", line + "\n", None
 
 
 def sweep(plan_path: str, out_dir: str) -> int:
@@ -365,19 +379,10 @@ def sweep(plan_path: str, out_dir: str) -> int:
     jobs = [(plan.rung_config_text(c), os.path.join(out_dir, f"rung_{c:04d}")) for c in cells]
     budget = cpu_budget()
     workers = min(budget, len(jobs))
-    if workers > 1:
-        # imported here: the process pool's modules are a noticeable part of every
-        # invocation's import time, and only a parallel sweep needs them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if workers > 1:  # the workers share the CPU budget for their block sweeps
+        from .workers import run_jobs  # imported here: see its docstring
 
-        # forked workers inherit the imports and the ``_run_rung`` hook; the pool
-        # forks them all before it starts its own thread, and multiprocessing
-        # flushes stdout and stderr first, so no worker writes the parent's text.
-        # The workers share the CPU budget for their block sweeps.
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_set_cpu_budget, initargs=(max(1, budget // workers),)) as pool:
-            results = list(pool.map(_rung_job, jobs))
+        results = run_jobs(jobs, workers, max(1, budget // workers), _rung_job, _failed_rung)
     else:
         results = list(map(_rung_job, jobs))
     done = dict(zip(cells, results))
@@ -730,6 +735,8 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("--dir", required=True)
 
     args = parser.parse_args(argv)
+    if not gc.get_freeze_count():  # once per process, before any fork: see the module docstring
+        gc.freeze()
     if args.command in ("run", "sweep", "diagnose"):
         try:
             cpu_budget()

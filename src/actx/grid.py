@@ -7,11 +7,13 @@ stored row-major.
 The finite differences are stride shifts of the flattened field: the
 neighbours of a contiguous run of nodes along axis k are the same run moved
 by +-stride_k, so every stencil term is one contiguous 1D operation and no
-padded copy is built. ``stencil_rhs`` is the explicit step's update on the
-interior nodes in a folded, division-free form (the neighbour sum times one
-constant plus one polynomial in f), swept in cache-sized blocks into a
-caller's array; it returns max |out|, taken block by block in the same
-sweep. ``measures.frame_fields`` sweeps the same blocks.
+padded copy is built. A vector field, such as a transport's U, is stored
+component-major, shape (n,) + nodes (``VectorField.components``), so a block
+of one component is a contiguous run too. ``stencil_rhs`` is the explicit
+step's update on the interior nodes in a folded, division-free form (the
+neighbour sum times one constant plus one polynomial in f), swept in
+cache-sized blocks into a caller's array; it returns max |out|, taken block
+by block in the same sweep. ``measures.frame_fields`` sweeps the same blocks.
 
 A block sweep of at least ``PROC_NODES`` interior nodes (24 Ki: 161^2 or
 31^3 and up) splits its blocks among the processes of an open ``team.Team``,
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -182,37 +184,59 @@ class ScalarField:
         return cls(spec, np.full(spec.nodes, float(value)))
 
 
-@dataclass
 class VectorField:
-    """dim float64 components per node, shape ``spec.nodes + (dim,)``."""
+    """dim float64 components per node, stored component-major: ``components``
+    has shape ``(dim,) + spec.nodes``, one C-contiguous field per component, so
+    that a block sweep reads each component as one contiguous run. The
+    constructor takes the node-major stack, shape ``spec.nodes + (dim,)``, and
+    ``values`` is that view of the components; ``from_components`` wraps
+    component-major data as it is."""
 
-    spec: GridSpec
-    values: np.ndarray
+    def __init__(self, spec: GridSpec, values: np.ndarray):
+        values = np.asarray(values, dtype=np.float64)
+        want = spec.nodes + (spec.dim,)
+        if values.shape != want:
+            raise GridError(f"vector field shape {values.shape} != {want}")
+        self.spec = spec
+        self.components = np.ascontiguousarray(np.moveaxis(values, -1, 0))
 
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        want = self.spec.nodes + (self.spec.dim,)
-        if self.values.shape != want:
-            raise GridError(f"vector field shape {self.values.shape} != {want}")
+    @classmethod
+    def from_components(cls, spec: GridSpec, components: np.ndarray) -> "VectorField":
+        """Wrap a C-contiguous float64 array of shape ``(dim,) + spec.nodes``
+        without a copy."""
+        want = (spec.dim,) + spec.nodes
+        if components.shape != want:
+            raise GridError(f"vector field components shape {components.shape} != {want}")
+        f = cls.__new__(cls)
+        f.spec = spec
+        f.components = components
+        return f
+
+    @property
+    def values(self) -> np.ndarray:
+        """The node-major view of the components, shape ``spec.nodes + (dim,)``."""
+        return np.moveaxis(self.components, 0, -1)
 
     @classmethod
     def sample(cls, spec: GridSpec, fn: Callable[..., Sequence[np.ndarray]]) -> "VectorField":
         mesh = spec.meshgrid()
         comps = fn(*mesh)
-        out = np.stack([np.asarray(c, dtype=np.float64) + np.zeros(spec.nodes) for c in comps], axis=-1)
-        return cls(spec, out)
+        out = np.stack([np.asarray(c, dtype=np.float64) + np.zeros(spec.nodes) for c in comps])
+        return cls.from_components(spec, out)
 
 
-def sum_sq(v: np.ndarray) -> np.ndarray:
-    """Sum of squares over the last (component) axis, one component at a time.
+def sum_sq(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum of squares over the component axis ``axis`` (U's leading one, a
+    node-major stack's last), one component at a time.
 
-    The same bits as ``np.sum(v * v, axis=-1)``, without numpy's reduction
+    The same bits as ``np.sum(v * v, axis=axis)``, without numpy's reduction
     loop over a length-2 or length-3 inner axis, which costs several times
     the arithmetic.
     """
-    out = v[..., 0] * v[..., 0]
-    for k in range(1, v.shape[-1]):
-        out += v[..., k] * v[..., k]
+    comps = np.moveaxis(v, axis, 0)
+    out = comps[0] * comps[0]
+    for c in comps[1:]:
+        out += c * c
     return out
 
 
@@ -427,7 +451,9 @@ def stencil_rhs(
     interior nodes (W' from the ``DoubleWell`` ``well``) and base on the faces;
     without ``base``, scale times that inside and 0 on the faces. Returns max
     |out| over every node, nan if any node is nan. ``out`` shares no memory
-    with ``f`` or ``base``. For a velocity m(t) U, ``u`` is U and ``m`` is m(t).
+    with ``f`` or ``base``. For a velocity m(t) U, ``u`` is U, component-major
+    (shape (n,) + f.shape, as ``VectorField.components``; any other shape
+    raises ``GridError``), and ``m`` is m(t).
 
     The update is folded and division free: per node,
     c1 sum_k (up_k + dn_k) + q(f) + cu sum_k u_k (up_k - dn_k) + base, with
@@ -447,6 +473,9 @@ def stencil_rhs(
     restores them in the axis-0 slabs it touched and then takes its own max
     and min, so the extrema need no pass of their own.
     """
+    if u is not None and u.shape != (f.ndim,) + f.shape:
+        # a node-major U has the same size, and its columns would be read as components
+        raise GridError(f"velocity shape {u.shape} != {(f.ndim,) + f.shape} (component-major)")
     s0 = f.strides[0] // f.itemsize
     q = _fold_coeffs(well.wprime_coeffs(), h, eps, f.ndim, scale)
     ext = _sweep(_rhs_blocks, s0, f.size - s0, s0, (f, u, base, out), (scale / h**2, -scale * m / (2.0 * h), q))
@@ -466,7 +495,7 @@ def _rhs_blocks(blocks, arrays: tuple, scalars: tuple, ext: np.ndarray) -> None:
     flat, dst = f.reshape(-1), out.reshape(-1)
     steps = [st // f.itemsize for st in f.strides]
     s0 = steps[0]
-    uf = None if u is None else u.reshape(-1, f.ndim)
+    uf = None if u is None else u.reshape(f.ndim, -1)
     bf = None if base is None else base.reshape(-1)
     scratch = np.empty((1 if uf is None else 2, max(b - a for _, a, b in blocks)))
     for i, a, b in blocks:
@@ -481,7 +510,7 @@ def _rhs_blocks(blocks, arrays: tuple, scalars: tuple, ext: np.ndarray) -> None:
             for ax, st in enumerate(steps):
                 g = w1 if ax == 0 else scratch[1, : b - a]
                 np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=g)
-                g *= uf[a:b, ax]
+                g *= uf[ax, a:b]
                 if ax:
                     w1 += g
             w1 *= cu

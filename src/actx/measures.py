@@ -632,8 +632,9 @@ def kernel_terms(
 
     (int rho dmu, 1/2 int rho |u|^2 dmu, int xi rho / (2(s - t))) for the probe's
     kernel rho and the transport u = m(t) U. The products are formed and summed
-    on the probe's box only; |U|^2 comes from the grid's cached U
-    (``scenario.transport_field``) and m(t)^2 scales its integral.
+    on the probe's box only; |U|^2 is the sum over the leading (component)
+    axis of the grid's cached U (``scenario.transport_field``) and m(t)^2
+    scales its integral.
     """
     spec = fields.density.spec
     geo = probe_geometry(probe, spec)
@@ -641,7 +642,9 @@ def kernel_terms(
     dens = fields.density.values[geo.box]
     i_rho = _box_integral(rho * dens, geo, spec)
     u, m = transport_field(transport, spec).u, transport.m(t)
-    i_u = 0.0 if u is None else 0.5 * m * m * _box_integral(rho * sum_sq(u[geo.box]) * dens, geo, spec)
+    i_u = 0.0
+    if u is not None:  # U is component-major: the box indexes the axes behind the components
+        i_u = 0.5 * m * m * _box_integral(rho * sum_sq(u[(slice(None),) + geo.box], axis=0) * dens, geo, spec)
     i_xi = _box_integral(fields.xi.values[geo.box] * rho, geo, spec) / (2.0 * (probe.s - t))
     return i_rho, i_u, i_xi
 

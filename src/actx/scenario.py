@@ -15,7 +15,11 @@ node coordinates (``GridSpec.coords``). grad U = A is one n x n matrix, and
 a gradient entry u = grad g has g = m(t) G with a potential G. The grid's U
 and G are evaluated once and cached (``transport_field``, one grid at a
 time); m(t) scales the numbers built on U (the step's transport sum, a
-kernel integral, the bounds), never U itself.
+kernel integral, the bounds), never U itself. U is stored component-major,
+shape (n,) + nodes, so that the step's block sweep (``grid.stencil_rhs``)
+reads each component of a block as one contiguous run; the sums over
+components (|U|^2 in the bounds, the report and ``measures.kernel_terms``)
+run over its leading axis.
 
 Config files are flat ``key = value`` text with shapes and transports given
 as s-expressions, e.g. ``shape = (union (ball 0.5 0.5 0.25) (box 0 0 1 1))``.
@@ -84,14 +88,15 @@ class Transport:
     def spatial(self, x) -> tuple[np.ndarray | None, np.ndarray | None]:
         """(U, G) as fresh arrays at the nodes of the coordinate sequence ``x``
         (``GridSpec.coords()``, or anything indexed by axis whose entries
-        broadcast), U with a trailing component axis; None for one that is 0
-        or does not exist."""
+        broadcast), U component-major: a leading component axis, as
+        ``grid.VectorField.components``; None for one that is 0 or does not
+        exist."""
         if not (self.entries or self.shift):
             return None, None
         d = self._offsets(x)
-        u = np.empty(np.broadcast_shapes(*(np.shape(dk) for dk in d)) + (len(d),))
+        u = np.empty((len(d),) + np.broadcast_shapes(*(np.shape(dk) for dk in d)))
         for row, ui in enumerate(self._rows(d)):
-            u[..., row] = ui
+            u[row] = ui
         if not self.gradient:
             return u, None
         # +0.0 starts the sums, as np.sum does, so -0.0 terms sum to +0.0
@@ -124,9 +129,9 @@ class Transport:
 
     def velocity(self, pts: np.ndarray, t: float) -> np.ndarray:
         """m(t) U at stacked points, shape (..., n), through ``spatial`` on their
-        component views."""
+        component views: the node-major view of a component-major array."""
         u = self.spatial(np.moveaxis(pts, -1, 0))[0]
-        return np.zeros(pts.shape) if u is None else np.multiply(u, self.m(t), out=u)
+        return np.zeros(pts.shape) if u is None else np.moveaxis(np.multiply(u, self.m(t), out=u), 0, -1)
 
     def radial_rate(self) -> float | None:
         """a when u = a (x - x0) at all times (A = I or 0, b = 0, m constant), the
@@ -153,7 +158,7 @@ class Transport:
         holds between samples too."""
         if not self.time_dependent:
             u = transport_field(self, spec).u
-            return 0.0 if u is None else abs(self.m(t0)) * math.sqrt(float(np.max(sum_sq(u))))
+            return 0.0 if u is None else abs(self.m(t0)) * math.sqrt(float(np.max(sum_sq(u, axis=0))))
         rows = self._rows(self._corner_offsets(spec))
         peak = sum(max(float(v) ** 2 for v in np.ravel(ui)) for ui in rows)
         return (abs(self.c) + abs(self.amp)) * math.sqrt(peak)
@@ -367,7 +372,7 @@ def transport_report(cfg: ScenarioConfig) -> TransportReport:
     cap_ju = cfg.epsilon ** (-(cfg.beta + 1.0))
     if u_field is None:
         return TransportReport(0.0, 0.0, 0.0, cap_u, cap_ju, None)
-    abs_u = np.sqrt(sum_sq(u_field))
+    abs_u = np.sqrt(sum_sq(u_field, axis=0))
     jac = cfg.transport.spatial_jacobian(cfg.grid.dim)
     max_u, abs_ju = float(np.max(abs_u)), math.sqrt(float(np.sum(jac * jac)))
     n_u = integrate(ScalarField(cfg.grid, abs_u**cfg.p + abs_ju**cfg.p)) ** (1.0 / cfg.p)

@@ -2,7 +2,8 @@
 
 One step advances phi by dt * (laplacian phi - W'(phi)/eps^2 - u . grad phi)
 with forward Euler or midpoint RK2; a transport u = m(t) U enters as the
-grid's cached U, and m at each update's time scales its transport sum.
+grid's cached U, component-major (``grid.VectorField.components``, shape
+(n,) + nodes), and m at each update's time scales its transport sum.
 Boundary nodes are pinned to their initial trace, which realizes the -1
 Dirichlet condition for scenario-built data (whose trace is identically -1)
 while keeping synthetic profiles consistent. The timestep obeys the diffusive, reactive and advective limits
@@ -161,9 +162,10 @@ def step(
     """One explicit step; boundary nodes keep their current (initial-trace) values.
 
     ``u``/``u_mid`` are the velocity samples at t and t + dt/2 (midpoint rule);
-    omit them for transport-free runs. Each is scaled by its time factor,
-    ``m`` or ``m_mid`` (default ``m``; ``u_mid`` defaults to ``u``), so a
-    transport m(t) U passes U itself. The input state is not modified:
+    omit them for transport-free runs. ``stencil_rhs`` reads their
+    component-major ``components`` as they are, so the step copies neither.
+    Each is scaled by its time factor, ``m`` or ``m_mid`` (default ``m``;
+    ``u_mid`` defaults to ``u``), so a transport m(t) U passes U itself. The input state is not modified:
     ``grid.stencil_rhs`` writes each update, with phi's boundary nodes, into
     ``out`` (rk2's midpoint into ``mid``), fields that share no memory with
     phi or each other, or into fresh ones. The update is checked by the max
@@ -180,7 +182,7 @@ def step(
         """(phi + scale * rhs(f) on the interior and phi on the boundary, in
         ``dst``; its max |phi|)."""
         dst = np.empty_like(v) if dst is None else dst
-        return dst, stencil_rhs(f, None if vel is None else vel.values, h, eps, well, dst, v, scale, m)
+        return dst, stencil_rhs(f, None if vel is None else vel.components, h, eps, well, dst, v, scale, m)
 
     f = v
     if scheme != "euler":
@@ -371,7 +373,8 @@ def run(
     with open_team(spec.nodes, fields) as team:
         phi0 = build_initial_phase(cfg, out=team.field())
         build_row = RowBuilder(cfg, ratio_radii(cfg))
-        u = None if u_field is None else VectorField(spec, team.share(u_field))  # U, or its copy in the arena
+        # U, or its copy in the arena, component-major as the block sweep reads it
+        u = None if u_field is None else VectorField.from_components(spec, team.share(u_field))
         u_max = tr.sup_speed(spec, 0.0, cfg.t_end)
         dt0 = stable_dt(spec.h, cfg.epsilon, u_max, cfg.well, spec.dim, solver.cfl)
         d = solver.diag_every

@@ -13,7 +13,9 @@ and the scalars), sweeps its own part and waits for each helper's one-byte
 answer. Each process takes a run of whole axis-0 slabs, so no two restore
 faces in the same slab, and each block writes only its own nodes and its own
 row of extrema or sums, in the shared rows: every output has the serial bits
-at any process count.
+at any process count. The helpers are forked after ``cli.main`` has frozen
+the import-time objects (``gc.freeze``), so the cyclic collector, in the
+caller or a helper, never scans them and copies none of the pages they share.
 
 Threads gained nothing here, as the Python between the numpy calls holds the
 GIL: at 257^2 two threads took 175 us against 170 us serial. On a 2-CPU host

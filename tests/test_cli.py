@@ -839,6 +839,36 @@ class TestSweepCommand:
         assert code == 1 and out.splitlines() == [f"cpus {share}"] * 2
         assert os.environ["ACTX_THREADS"] == threads  # the parent's own budget is unchanged
 
+    @pytest.mark.parametrize("end, how", [(lambda: os._exit(3), "exited with code 3"),
+                                          (lambda: os.kill(os.getpid(), 9), r"was killed by signal 9 \(SIGKILL\)")],
+                             ids=["exit", "killed"])
+    def test_dead_worker_fails_its_rung(self, tmp_path, monkeypatch, capsys, end, how):
+        # the worker that takes rung 96 ends inside it: that rung gets a FAILED row
+        # and one stderr line naming the worker, its rungs and how it ended; the
+        # other rungs run, the exit code is 2 and no worker is left (no_child_left)
+        import actx.cli
+
+        run_rung = actx.cli._run_rung
+
+        def end_in_96(job):
+            if job[1].endswith("rung_0096"):
+                end()
+            return run_rung(job)
+
+        monkeypatch.setattr(actx.cli, "_run_rung", end_in_96)
+        plan = tmp_path / "plan.cfg"
+        plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 96 128 160")
+                        .replace("eps_over_h = 8", "eps_over_h = 6")
+                        .replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
+        code, out, err, _files = self._sweep_at("2", plan, tmp_path / "s", monkeypatch, capsys)
+        assert code == 2 and out.count("run complete") == 2
+        (line,) = err.splitlines()
+        assert re.fullmatch(rf"rung failed: sweep worker \d+ {how} while running sweep/rung_0096 "
+                            r"\(its rungs: (sweep/rung_0(128|160), )?sweep/rung_0096\)", line), line
+        rows = _sweep_rows(tmp_path / "s" / "sweep")
+        assert [(r["cells"], r["status"]) for r in rows] == [("96", "FAILED"), ("128", "ok"), ("160", "ok")]
+        assert float(rows[0]["epsilon"]) == pytest.approx(0.1)  # eps_over_h h, from the rung's config
+
     def test_duplicate_rung_runs_once_largest_rung_first(self, tmp_path, monkeypatch, capsys):
         import actx.cli
 
@@ -1085,8 +1115,8 @@ class TestRowsCsv:
 class TestImportFootprint:
     def test_cli_import_loads_neither_scipy_signal_nor_integrate(self):
         # a fresh interpreter: importing the CLI loads numpy and no scipy module,
-        # nor the process pool (only a parallel sweep imports it); nor does
-        # surface_tension, whose quadrature is numpy's Gauss-Legendre rule
+        # nor a process pool; nor does surface_tension, whose quadrature is
+        # numpy's Gauss-Legendre rule
         import subprocess
         import sys
 
@@ -1105,6 +1135,35 @@ class TestImportFootprint:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout.splitlines()
         assert out == ["[]", repr(round(4.0 / 3.0, 12)), "[]"]
+
+    def test_sweep_forks_its_workers_and_main_freezes_once(self, tmp_path):
+        # a fresh interpreter: a sweep on two workers loads no multiprocessing or
+        # concurrent module; main freezes the heap's objects (gc.freeze) once, so a
+        # second call freezes nothing more
+        import subprocess
+        import sys
+
+        import actx
+
+        (tmp_path / "plan.cfg").write_text(
+            PLAN.replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
+        code = (
+            "import gc, sys\n"
+            "import actx.cli\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "codes = [actx.cli.main(['sweep', '--plan', 'plan.cfg', '--out', 'sweep'])]\n"
+            "frozen = gc.get_freeze_count()\n"
+            "codes.append(actx.cli.main(['oracle', '--r0', '0.25', '--t-end', '0.01']))\n"
+            "print(codes, frozen > 0, gc.get_freeze_count() == frozen)\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(actx.__file__)))
+        env = dict(os.environ, ACTX_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout.splitlines()
+        assert out[-2:] == ["[0, 0] True True", "[]"]
+        assert sum(line.startswith("run complete:") for line in out) == 2
 
 
 class TestScripts:

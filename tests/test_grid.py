@@ -499,6 +499,27 @@ class TestStencilRhs:
                 face = (slice(None),) * ax + (e,)
                 assert np.array_equal(out[face], f[face] if with_base else np.zeros(shape[:ax] + shape[ax + 1 :]))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_velocity_must_be_component_major(self, dim):
+        # a node-major U has the same size as a component-major one, and its
+        # columns would be read as components without any error
+        from actx.grid import stencil_rhs
+        from actx.potential import DoubleWell
+
+        shape = (21, 20) if dim == 2 else (10, 9, 8)
+        f, out = np.random.default_rng(dim).uniform(-1.0, 1.0, shape), np.empty(shape)
+        u = np.random.default_rng(dim + 1).uniform(-1.0, 1.0, (dim,) + shape)
+        for bad in (np.moveaxis(u, 0, -1).copy(), u[:1], u.reshape(-1)):
+            with pytest.raises(GridError, match=r"velocity shape .* != \(%d, " % dim):
+                stencil_rhs(f, bad, 0.1, 0.4, DoubleWell.quartic(), out)
+        # the step's form: VectorField's components, which its constructor lays out
+        vel = VectorField(GridSpec(dim, (0.0,) * dim, tuple(0.1 * (n - 1) for n in shape),
+                                   tuple(n - 1 for n in shape)), np.moveaxis(u, 0, -1))
+        assert vel.components.flags.c_contiguous and np.array_equal(vel.components, u)
+        assert vel.values.shape == shape + (dim,) and np.shares_memory(vel.values, vel.components)
+        top = stencil_rhs(f, vel.components, 0.1, 0.4, DoubleWell.quartic(), out)
+        assert top == float(np.max(np.abs(out)))
+
 
 class TestThreadedSweep:
     """Block sweeps whose blocks are split among the processes of a ``team.Team``
@@ -553,7 +574,7 @@ class TestThreadedSweep:
 
         f = self._field(dim, planted)
         rng = np.random.default_rng(10 + dim)
-        u = rng.uniform(-1.0, 1.0, f.shape + (dim,)) if transport else None
+        u = rng.uniform(-1.0, 1.0, (dim,) + f.shape) if transport else None  # component-major U
         # the drive; an euler step (base f); rk2's second update (f the midpoint, base phi)
         base, scale = {"drive": (None, 1.0), "euler": (f, 1e-3),
                        "rk2": (rng.uniform(-1.0, 1.0, f.shape), 1e-3)}[style]

@@ -346,7 +346,8 @@ def _whole_grid_kernel(probe, spec, t):
 
 @dataclass(frozen=True, eq=False)  # hashed by identity, as the transport_field cache needs
 class _ArrayTransport:
-    """u = factor U for a given node array U."""
+    """u = factor U for a given node-major array U (nodes + (dim,)); ``spatial``
+    gives it component-major, as ``scenario.Transport.spatial`` does."""
 
     u: np.ndarray
     factor: float = 1.0
@@ -355,7 +356,7 @@ class _ArrayTransport:
         return self.factor
 
     def spatial(self, x):
-        return self.u.copy(), None
+        return np.moveaxis(self.u, -1, 0).copy(), None
 
 
 def _whole_grid_terms(ff, probe, t, u2):

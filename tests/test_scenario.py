@@ -153,6 +153,12 @@ def _same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _node_major(parts):
+    """``spatial``'s (U, G) with U's component axis moved last, as the stacked forms have it."""
+    u, g = parts
+    return (None if u is None else np.moveaxis(u, 0, -1)), g
+
+
 class TestOpenMeshGeometry:
     """Shapes and transports on ``coords()`` against the stacked forms of reference_ops."""
 
@@ -173,7 +179,7 @@ class TestOpenMeshGeometry:
         spec, x, pts = mesh
         form = data.draw(_transports(spec.dim))
         tr = form_transport(form, spec.dim)
-        for got, want in zip(tr.spatial(x), stacked_spatial(form, pts), strict=True):
+        for got, want in zip(_node_major(tr.spatial(x)), stacked_spatial(form, pts), strict=True):
             assert (got is None) == (want is None)
             if got is not None:
                 assert _same_bits(got, want)
@@ -188,7 +194,7 @@ class TestOpenMeshGeometry:
         form = _form("constant", *vector)
         pts = np.stack(spec.meshgrid(), axis=-1)
         tr = form_transport(form, dim)
-        for got, want in zip(tr.spatial(spec.coords()), stacked_spatial(form, pts), strict=True):
+        for got, want in zip(_node_major(tr.spatial(spec.coords())), stacked_spatial(form, pts), strict=True):
             assert _same_bits(got, want)
 
 

@@ -2,7 +2,7 @@
 
 Each form is loaded from its config text, on one fixed 2D and one fixed 3D
 grid (rotation is 2D only), and reduced to one record: sha256 prefixes of the
-bytes of U, G (``spatial`` on the grid's open mesh) and of the velocity at
+bytes of U (node-major), G (``spatial`` on the grid's open mesh) and of the velocity at
 stacked nodes, the Jacobian with its signed zeros, m(t) at three times,
 ``time_dependent``, ``sup_speed``, ``sup_dt_g``, every ``TransportReport``
 field and the rate the sphere oracle is given (``none`` without a law).
@@ -91,6 +91,7 @@ def _record(template: str, dim: int) -> list[str]:
     spec = GRIDS[dim]
     tr = transport_from_sexpr(parse_sexpr(_form(template, dim)), dim)
     u, g = tr.spatial(spec.coords())
+    u = None if u is None else np.moveaxis(u, 0, -1)  # component-major U, pinned node-major
     pts = np.stack(spec.meshgrid(), axis=-1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # eps below 6h on these small grids
