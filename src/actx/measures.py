@@ -176,7 +176,7 @@ def _faces_2d(v: np.ndarray, h: float, eps: float, well: DoubleWell,
     """Density and xi on every boundary node of a 2D frame, in a few calls over one
     gather of those nodes (``_boundary_2d``); returns the sum of both there. On
     a face the difference is f_in - (2 f - f_in) or (2 f - f_in) - f_in, as
-    ``_ghost_diff`` forms it."""
+    ``_end_diff`` forms it."""
     c, up, dn, first, last = _boundary_2d(v.shape)
     flat = v.reshape(-1)
     f = flat[c]
@@ -193,35 +193,51 @@ def _faces_2d(v: np.ndarray, h: float, eps: float, well: DoubleWell,
 
 def _faces_by_axis(v: np.ndarray, h: float, eps: float, well: DoubleWell,
                    density: np.ndarray, xi: np.ndarray) -> float:
-    """Density and xi on every face of a frame, the two faces of an axis together
-    from a copy of their four node rows; returns the sum of both there. In 3D
-    a gather like ``_faces_2d``'s was slower (97^3: 2.4 against 1.8 ms) and
-    would keep index arrays of all 55 Ki boundary nodes."""
+    """Density and xi on every face of a frame, one face at a time and axis by
+    axis (where faces meet, the last axis's value stays); returns the sum of
+    both there. A face takes five arrays of its size: its copy, its density
+    and xi, W and its differences along each axis in turn. In 3D a gather like
+    ``_faces_2d``'s was slower (97^3: 2.4 against 1.8 ms) and would keep index
+    arrays of all 55 Ki boundary nodes."""
     total = 0.0
+    buf = np.empty((5, max(v.size // n for n in v.shape)))
     for ax in range(v.ndim):
-        # the two faces of the axis and their inner neighbours, copied (a face
-        # of the last axes is strided); the ghost rule gives the differences
-        # along the axis at both ends of those four rows
-        rows = v.swapaxes(0, ax)[[0, 1, -2, -1]]
-        f = rows[::3]
-        diffs = (_ghost_diff(rows, 0)[::3] if k == ax else _ghost_diff(f, ax if k == 0 else k)
-                 for k in range(v.ndim))
-        dens_face, xi_face = np.empty(f.shape), np.empty(f.shape)
-        _fields_into(diffs, f, h, eps, well, dens_face, xi_face, np.empty(f.shape))
-        density.swapaxes(0, ax)[[0, -1]], xi.swapaxes(0, ax)[[0, -1]] = dens_face, xi_face
-        total += dens_face.sum() + xi_face.sum()
+        planes = [a.swapaxes(0, ax) for a in (v, density, xi)]
+        shape = planes[0].shape[1:]  # v's axes but ax, with axis 0 in ax's place
+        f, g, work, dens_face, xi_face = (b[: math.prod(shape)].reshape(shape) for b in buf)
+        for e, inner in ((0, 1), (-1, -2)):
+            # the face and its inner neighbours copied (a face of the last axes
+            # is strided), the latter into work, which W takes after the diffs
+            np.copyto(f, planes[0][e])
+            np.copyto(work, planes[0][inner])
+            diffs = (_end_diff(f, work, e == 0, g) if k == ax
+                     else _ghost_diff(f, (ax if k == 0 else k) - 1, g) for k in range(v.ndim))
+            _fields_into(diffs, f, h, eps, well, dens_face, xi_face, work)
+            planes[1][e], planes[2][e] = dens_face, xi_face
+            total += dens_face.sum() + xi_face.sum()
     return total
 
 
-def _ghost_diff(s: np.ndarray, axis: int) -> np.ndarray:
-    """up - dn along ``axis`` at every node of ``s``, a node on either end taking
-    the ghost node 2 f_end - f_inner."""
-    sa = s.swapaxes(0, axis)
-    g = np.empty(sa.shape)
-    np.subtract(sa[2:], sa[:-2], out=g[1:-1])
-    np.subtract(sa[1:2], 2.0 * sa[:1] - sa[1:2], out=g[:1])
-    np.subtract(2.0 * sa[-1:] - sa[-2:-1], sa[-2:-1], out=g[-1:])
-    return g.swapaxes(0, axis)
+def _end_diff(f: np.ndarray, f_in: np.ndarray, first: bool, out: np.ndarray) -> np.ndarray:
+    """up - dn into ``out`` at end nodes f of an axis (its first end if
+    ``first``) with inner neighbours f_in, the ghost node 2 f - f_in standing
+    in for the missing neighbour."""
+    np.multiply(f, 2.0, out=out)
+    out -= f_in
+    return np.subtract(f_in, out, out=out) if first else np.subtract(out, f_in, out=out)
+
+
+def _ghost_diff(s: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """up - dn along ``axis`` at every node of ``s``, into ``out`` (both
+    C-contiguous, of one shape): one flat run of differences st apart, st the
+    axis's stride, then the nodes on either end by ``_end_diff``. A slice off
+    the last axis would be buffered by numpy (97^2: 2.6 arrays of s's size)."""
+    st = s.strides[axis] // s.itemsize
+    np.subtract(s.reshape(-1)[2 * st :], s.reshape(-1)[: -2 * st], out=out.reshape(-1)[st:-st])
+    for sl, inner, first in ((slice(None, 1), slice(1, 2), True), (slice(-1, None), slice(-2, -1), False)):
+        ends = (slice(None),) * axis + (sl,)
+        _end_diff(s[ends], s[(slice(None),) * axis + (inner,)], first, out[ends])
+    return out
 
 
 @dataclass
@@ -337,10 +353,11 @@ def ball_masses(measure: EnergyMeasure, radius: float, centres: Sequence[slice])
     sum of chord differences, one per offset line of the ball, added in the
     order of ``_ball_lines``. The prefix sum is built for one slab of axis-1
     centre columns at a time, with the m columns on either side that its
-    balls reach: a slab holds about ``SLAB_NODES`` nodes, and at least 4m + 1
-    columns, so that the halo is at most about half of it. A column's prefix
-    sum and a centre's chords do not depend on the slab, so the masses have
-    the bits of one whole-box prefix sum.
+    balls reach: a slab holds about ``SLAB_NODES`` nodes, or 2m + 1 columns
+    (one centre column) where that is more, so that the slab stays near
+    ``SLAB_NODES`` on a 97^3 grid too (at least 4m + 1 columns took 0.1 of a
+    field there). A column's prefix sum and a centre's chords do not depend
+    on the slab, so the masses have the bits of one whole-box prefix sum.
     """
     spec = measure.spec
     vals = measure.density.values
@@ -352,7 +369,7 @@ def ball_masses(measure: EnergyMeasure, radius: float, centres: Sequence[slice])
     n0, n1 = vals.shape[:2]
     rest = tuple(slice(m, m + n) for n in vals.shape[2:])
     column = (n0 + 2 * m + 1) * math.prod(n + 2 * m for n in vals.shape[2:])
-    span = max(SLAB_NODES // column, 4 * m + 1) - 2 * m  # centre columns' extent per slab
+    span = max(SLAB_NODES // column, 2 * m + 1) - 2 * m  # centre columns' extent per slab
     per = max(1, (span - 1) // sub[1].step + 1)  # centres per slab
     width = (min(len(sub[1]), per) - 1) * sub[1].step + 2 * m + 1  # the widest slab's columns
     cum = np.zeros((n0 + 2 * m + 1, width) + tuple(n + 2 * m for n in vals.shape[2:]))

@@ -21,7 +21,8 @@ phi0 (built by slabs) and a spare field, which the steps write in
 turn, rk2's midpoint, and the rows' density; each row borrows the spare field
 as its scratch. Besides these (and a transport's cached U and G, U's copy
 among the team's fields, and the Groenwall weight), what a run allocates is
-the size of a slab, a block or the interface. The rows are the run's record
+the size of a slab, a block or one interface: a row drops the previous
+row's interface before it extracts its own. The rows are the run's record
 of every per-frame diagnostic;
 ``load_trajectory`` reads the snapshot files back bit for bit, for the
 offline checks that need the fields themselves (probes chosen after the run,
@@ -48,6 +49,12 @@ from .potential import DoubleWell
 from .scenario import ConfigError, ScenarioConfig, build_initial_phase, transport_field
 
 PHI_ABORT = 1.1  # just outside the wells' basin; past this the run is garbage
+
+# Elements per chunk of interface_final.csv. Each chunk takes the reprs of
+# its distinct values, the grid-line coordinates again among them: at 97^3,
+# 1024 took 8% longer than 2048, and with 4096 the write raised a ball-3d
+# run's peak RSS by 2.6 MiB, against 1.2.
+INTERFACE_CHUNK = 2048
 
 
 class SolverAbort(RuntimeError):
@@ -265,10 +272,14 @@ class RowBuilder:
     diagnose`` its team's fields: the block sweeps over phi and these split
     among the team's processes. The scratch holds in turn the drive, xi, the
     density's copy for its integral and the Groenwall product; each window
-    that a trapezoid sums is packed to its front (``grid.pack``). So at the row's
-    peak phi, the scratch, the density and block-sized temporaries are live:
-    the block sweeps' scratch rows, ``ball_masses``' column slabs, the probe's
-    box and ``extract_interface``'s node masks and active cells.
+    that a trapezoid sums is packed to its front (``grid.pack``). Besides phi,
+    the scratch and the density, a row's temporaries are the size of a block,
+    a slab or the interface, one part at a time: the block sweeps' scratch
+    rows, ``frame_fields``' face planes, ``ball_masses``' prefix-sum slab of
+    columns, the probe's box, ``extract_interface``'s node mask of one slab,
+    its active cells and a piece of their elements, and ``radius_estimate``'s
+    distances. At 97^3 that peaks at 0.07 of a field above the row's inputs
+    and the interface it returns.
     """
 
     def __init__(self, cfg: ScenarioConfig, radii: list[float]):
@@ -408,6 +419,7 @@ def run(
                 spare = prev
                 running_max = max(running_max, state.max_abs_phi)
                 if k % d == 0:
+                    iset = None  # only the last row's interface is written: never two at once
                     row, iset = build_row(state.phi, state.t, running_max, spare, density)
                     rows.append(row)
                     running_max = state.max_abs_phi
@@ -437,10 +449,12 @@ def _write_interface(out_dir: str, iset: InterfaceSet) -> None:
     with open(path, "w") as fh:
         fh.write("x0,y0,x1,y1\n" if iset.dim == 2 else "x0,y0,z0,x1,y1,z1,x2,y2,z2\n")
         # a segment (2D) or a triangle (3D) per line: dim points of dim coordinates,
-        # each distinct value's repr taken once (by its bits, so 0.0 and -0.0 keep their own)
-        values = iset.elements.reshape(-1)
-        bits, which = np.unique(values.view(np.uint64), return_inverse=True)
-        texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        which = which.reshape(len(iset.elements), iset.dim * iset.dim)
-        for i in range(0, len(which), 512):
-            fh.writelines(",".join(row) + "\n" for row in texts[which[i : i + 512]].tolist())
+        # each distinct value's repr taken once per chunk (by its bits, so 0.0 and
+        # -0.0 keep their own)
+        for lo in range(0, len(iset.elements), INTERFACE_CHUNK):
+            values = iset.elements[lo : lo + INTERFACE_CHUNK].reshape(-1)
+            bits, which = np.unique(values.view(np.uint64), return_inverse=True)
+            texts = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+            which = which.reshape(-1, iset.dim * iset.dim)
+            for i in range(0, len(which), 512):
+                fh.write("\n".join(map(",".join, texts[which[i : i + 512]].tolist())) + "\n")
