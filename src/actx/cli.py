@@ -1,4 +1,4 @@
-"""Experiment orchestration: single runs, refinement sweeps, offline diagnostics.
+"""The ``actx`` command line: single runs, and the entry to the offline commands.
 
 Subcommands:
   run       integrate one scenario config into an artifact directory
@@ -6,6 +6,12 @@ Subcommands:
   diagnose  print the diagnostics rows of snapshot files, and a probe's report
   oracle    print the exact radial-flow reference trajectory
   report    validate an artifact directory and summarize its checks
+
+This module holds what a run needs (config loading, the run and its
+manifest) and what the benchmark and scripts import from it (``load_plan``,
+``read_rows``, ``emit_report``). The four offline commands and the
+inequality checks they drive live in ``checks``, which ``main`` imports only
+for those commands, so ``actx run`` never compiles it.
 
 Exit codes: 0 clean, 1 configuration error (also one found before the first
 step, such as an empty density-ratio radius ladder, and bad ``oracle``
@@ -36,9 +42,10 @@ so no output depends on ACTX_THREADS. Every helper and worker is reaped
 before the command returns, also after an abort or an error.
 
 ``main`` freezes the objects the imports made (``gc.freeze``) once per
-process, before any fork: the collector never scans them again, so the exit
-skips collecting them, and forked workers and helpers share their pages
-without the collector writing to them.
+process, before any fork and after importing ``checks`` for an offline
+command: the collector never scans them again, so the exit skips collecting
+them, and forked workers and helpers share their pages without the
+collector writing to them.
 
 Artifact directories contain a manifest listing every output file with its
 sha256 and the transport bounds; an aborted run's manifest also records the
@@ -50,24 +57,18 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
-import io
 import math
 import os
-import re
 import sys
-import warnings
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from . import __version__, measures, scenario, solver
-from .grid import GridError, ScalarField, cpu_budget, open_team
-from .interface import InterfaceError, extract_interface, mcf_oracle
-from .measures import DiagnosticsRow, HuiskenProbe, MeasureError
+from . import __version__, scenario, solver
+from .grid import GridError, cpu_budget
+from .measures import DiagnosticsRow
 from .scenario import ConfigError, ScenarioConfig
-from .shapes import Ball
-from .solver import SolverAbort, SolverConfig, Trajectory
+from .solver import SolverAbort, SolverConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -232,66 +233,6 @@ def load_plan(path: str) -> SweepPlan:
     return SweepPlan(base, rungs, eps_over_h)
 
 
-def interface_probes(traj: Trajectory, count: int = 10) -> list[HuiskenProbe]:
-    """Evenly spread probes along the initial interface, inside the domain."""
-    cfg = traj.cfg
-    iset = extract_interface(traj.frames[0])
-    if iset.is_empty:
-        raise ConfigError("cannot place probes: initial interface is empty")
-    verts = iset.vertices
-    centroid = np.mean(verts, axis=0)
-    ang = np.arctan2(verts[:, 1] - centroid[1], verts[:, 0] - centroid[0])
-    order = np.argsort(ang, kind="stable")
-    picks = [order[int(round(i * len(order) / count)) % len(order)] for i in range(count)]
-    return [solver.probe_at(cfg, verts[i]) for i in picks]
-
-
-def fitted_monotonicity_c(traj: Trajectory, count: int = 10) -> float:
-    """Per-rung fitted constant: 9th-smallest of the probes' ``fitted_c``.
-
-    Each probe's constant absorbs the residual beyond the
-    ``measures.MONOTONICITY_SLACK`` share of its scale; the 9th-smallest
-    realizes the 9-of-10 acceptance reading.
-    """
-    cfg = traj.cfg
-    reps = measures.monotonicity_check(traj, interface_probes(traj, count), cfg.tau, cfg.t_end)
-    cs = sorted(rep.fitted_c for rep in reps)
-    return cs[min(8, len(cs) - 1)]
-
-
-def _radius_error_vs_oracle(cfg: ScenarioConfig, rows: list[DiagnosticsRow], n_times: int = 10):
-    """(max relative radius error at matched times, matched list) or None without an oracle."""
-    c = cfg.transport.radial_rate()
-    if not isinstance(cfg.shape, Ball) or c is None:
-        return None
-    oracle = mcf_oracle(cfg.shape.radius, c, cfg.grid.dim, cfg.t_end)
-    ts = np.linspace(cfg.tau, cfg.t_end, n_times)
-    row_times = np.array([r.t for r in rows])
-    matched = []
-    worst = 0.0
-    for t in ts:
-        i = int(np.argmin(np.abs(row_times - t)))
-        r_sim = rows[i].interface_radius
-        r_ref = oracle.radius(rows[i].t)
-        if r_sim <= 0 or not np.isfinite(r_ref):
-            continue
-        err = abs(r_sim - r_ref) / r_ref
-        worst = max(worst, err)
-        matched.append((rows[i].t, r_sim, r_ref, err))
-    if not matched:
-        return None
-    return worst, matched
-
-
-def _run_rung(args: tuple[str, str]) -> int:
-    text, out_dir = args
-    cfg_path = os.path.join(out_dir, "config.txt")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(cfg_path, "w") as fh:
-        fh.write(text)
-    return run_experiment(cfg_path, out_dir)
-
-
 def read_rows(art_dir: str) -> list[DiagnosticsRow]:
     """The rows of an artifact directory's ``diagnostics.csv``; a row that does not
     parse raises ``ValueError`` naming the file and the line."""
@@ -307,240 +248,9 @@ def read_rows(art_dir: str) -> list[DiagnosticsRow]:
     return rows
 
 
-def _rung_checks(text: str, rung_dir: str, code: int) -> tuple[dict, str | None]:
-    """A rung's ``sweep.csv`` entry from its finished run (exit ``code``), and the
-    one-line message of the first offline check that could not be made, if any."""
-    # a failed rung's config may not even load, so the epsilon comes from its text
-    conf = scenario.parse_config(text)
-    entry: dict = {"cells": int(conf["cells"]), "epsilon": float(conf["epsilon"]),
-                   "status": "ok" if code == 0 else "FAILED"}
-    if code != 0:
-        return entry, None
-    cfg = scenario.scenario_from_config(conf)
-    try:
-        rows = read_rows(rung_dir)
-    except (OSError, ValueError) as exc:
-        return entry, f"diagnostics error: {exc}"
-    tail = [r for r in rows if r.t >= cfg.tau - 1e-12]
-    entry["e_max"] = max(r.density_ratio_max for r in tail)
-    entry["sup_xi_pos"] = max(r.sup_xi_pos for r in tail)
-    err = _radius_error_vs_oracle(cfg, rows)
-    entry["interface_err"] = err[0] if err else math.nan
-    if err:
-        with open(os.path.join(rung_dir, "radius_vs_oracle.csv"), "w") as fh:
-            fh.write("t,radius_sim,radius_oracle,rel_err\n")
-            for t, rs, rr, e in err[1]:
-                fh.write(f"{t!r},{rs!r},{rr!r},{e!r}\n")
-    try:
-        traj = solver.load_trajectory(rung_dir, cfg)
-    except (GridError, OSError) as exc:
-        return entry, f"snapshot error: {exc}"
-    try:  # no interface to place probes on, or fewer than two frames in [tau, T]
-        entry["fitted_c"] = fitted_monotonicity_c(traj)
-    except (ConfigError, MeasureError) as exc:
-        return entry, f"probe error: {rung_dir}: {exc}"
-    # the same sup |dt g| and row spacing as the rung's run-manifest
-    rep = measures.gronwall_report(rows, cfg.transport.sup_dt_g(cfg.grid, 0.0, cfg.t_end),
-                                   solver_from_config(conf).diag_every)
-    entry["gronwall_margin"] = rep.rate_bound - rep.growth_rate
-    return entry, None
-
-
-def _rung_job(job: tuple[str, str]) -> tuple[dict, str, str, str | None]:
-    """One sweep rung, in whichever process runs it: ``_run_rung`` (looked up at
-    call time, so a replaced hook also runs in forked workers), then its offline
-    checks. Returns the rung's entry, the stdout and stderr text it wrote and its
-    check error (``_rung_checks``), so that the caller prints them in plan order."""
-    out, err = io.StringIO(), io.StringIO()
-    # catch_warnings resets the once-per-location warning registries, so a rung
-    # prints the same warnings whichever process ran the rungs before it
-    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
-        entry, error = _rung_checks(job[0], job[1], _run_rung(job))
-    return entry, out.getvalue(), err.getvalue(), error
-
-
-def _failed_rung(job: tuple[str, str], line: str) -> tuple[dict, str, str, None]:
-    """The result of a job whose sweep worker ended before sending its own: the
-    rung's FAILED entry, and ``line`` for stderr."""
-    return _rung_checks(job[0], job[1], 1)[0], "", line + "\n", None
-
-
-def sweep(plan_path: str, out_dir: str) -> int:
-    """Run every rung, then emit the cross-rung convergence table."""
-    try:
-        plan = load_plan(plan_path)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    os.makedirs(out_dir, exist_ok=True)
-    # one job per distinct rung (two jobs must never write one directory),
-    # the largest first: it takes longest
-    cells = sorted(set(plan.rungs), reverse=True)
-    jobs = [(plan.rung_config_text(c), os.path.join(out_dir, f"rung_{c:04d}")) for c in cells]
-    budget = cpu_budget()
-    workers = min(budget, len(jobs))
-    if workers > 1:  # the workers share the CPU budget for their block sweeps
-        from .workers import run_jobs  # imported here: see its docstring
-
-        results = run_jobs(jobs, workers, max(1, budget // workers), _rung_job, _failed_rung)
-    else:
-        results = list(map(_rung_job, jobs))
-    done = dict(zip(cells, results))
-
-    for c in dict.fromkeys(plan.rungs):  # each distinct rung once, in plan order
-        _, out_text, err_text, _ = done[c]
-        sys.stdout.write(out_text)
-        sys.stderr.write(err_text)
-    for c in plan.rungs:
-        error = done[c][3]
-        if error is not None:
-            print(error, file=sys.stderr)
-            return EXIT_CONFIG
-    table = [done[c][0] for c in plan.rungs]
-
-    # observed order between consecutive successful rungs (eps decreasing)
-    orders: list[float | None] = [None]
-    for prev, cur in zip(table, table[1:]):
-        if (
-            prev["status"] == "ok"
-            and cur["status"] == "ok"
-            and np.isfinite(prev.get("interface_err", math.nan))
-            and np.isfinite(cur.get("interface_err", math.nan))
-            and prev["epsilon"] != cur["epsilon"]
-            and cur["interface_err"] > 0
-        ):
-            orders.append(
-                math.log(prev["interface_err"] / cur["interface_err"])
-                / math.log(prev["epsilon"] / cur["epsilon"])
-            )
-        else:
-            orders.append(None)
-
-    lines = ["cells,epsilon,status,interface_err,order,e_max,sup_xi_pos,fitted_c,gronwall_margin"]
-    for entry, order in zip(table, orders):
-        lines.append(
-            ",".join(
-                [
-                    str(entry["cells"]),
-                    repr(entry["epsilon"]),
-                    entry["status"],
-                    repr(entry.get("interface_err", math.nan)),
-                    "n/a" if order is None else repr(order),
-                    repr(entry.get("e_max", math.nan)),
-                    repr(entry.get("sup_xi_pos", math.nan)),
-                    repr(entry.get("fitted_c", math.nan)),
-                    repr(entry.get("gronwall_margin", math.nan)),
-                ]
-            )
-        )
-    out_text = "\n".join(lines) + "\n"
-    with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
-        fh.write(out_text)
-    print(out_text, end="")
-    return EXIT_OK if all(entry["status"] == "ok" for entry in table) else EXIT_ABORT
-
-
 # ---------------------------------------------------------------------------
-# Offline diagnostics, oracle, report
+# Run reports
 # ---------------------------------------------------------------------------
-
-
-def _parse_probe(spec_str: str, cfg: ScenarioConfig) -> HuiskenProbe:
-    """Parse 'y=0.5,0.5 s=0.05' (optionally 'd=0.05'); commas may separate fields."""
-    y = None
-    s = None
-    d = measures.probe_radius(cfg.inset_prime)
-    # split on whitespace/semicolons, or on commas that start a new key=value
-    for tok in re.split(r"[;\s]+|,(?=[A-Za-z]+=)", spec_str.strip()):
-        if not tok:
-            continue
-        key, _, val = tok.partition("=")
-        if key == "y":
-            y = tuple(float(v) for v in val.split(","))
-        elif key == "s":
-            s = float(val)
-        elif key == "d":
-            d = float(val)
-        else:
-            raise ConfigError(f"unknown probe field {key!r}")
-    if y is None or s is None:
-        raise ConfigError("probe needs y=<coords> and s=<time>")
-    return HuiskenProbe(y, s, d / 2.0, d)
-
-
-def diagnose(args) -> int:
-    """Print each snapshot's ``solver.RowBuilder`` row in time order (``max_abs_phi``:
-    the frame's own max |phi|), then the ``--probe`` report. The rows stop at a
-    frame the default probe cannot evaluate (exit code 1); the report still runs.
-    ``--t0`` and ``--t1`` bound the report's window, so they need ``--probe``."""
-    if not args.probe and (args.t0 is not None or args.t1 is not None):
-        print("config error: --t0 and --t1 need --probe", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        cfg, _sol, _ = load_experiment(args.config)
-        radii = solver.ratio_radii(cfg)
-    except (OSError, ValueError) as exc:  # ConfigError and malformed numbers alike
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        traj = solver.read_trajectory(args.snapshot, cfg)
-    except (GridError, OSError) as exc:
-        print(f"snapshot error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    probe = None
-    if args.probe:
-        try:
-            probe = _parse_probe(args.probe, cfg)
-            probe.validate(cfg.grid)
-        except ValueError as exc:  # ConfigError, MeasureError and bad numbers alike
-            print(f"probe error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-
-    build_row = solver.RowBuilder(cfg, radii)
-    code = EXIT_OK
-    print(DiagnosticsRow.CSV_HEADER)
-    # each frame is copied into the fields that the block sweeps' helpers share
-    with open_team(cfg.grid.nodes, 3) as team:
-        frame, scratch, density = team.field(), team.field(), team.field()
-        for t, phi in zip(traj.times, traj.frames):
-            np.copyto(frame, phi.values)
-            try:  # the default probe needs t < s = T + 0.01, so no later frame has a row
-                row, _ = build_row(ScalarField.from_checked(phi.spec, frame), t,
-                                   float(np.max(np.abs(frame))), scratch, density)
-            except MeasureError as exc:
-                print(f"probe error: default probe: {exc}", file=sys.stderr)
-                code = EXIT_CONFIG
-                break
-            print(row.to_csv_line())
-    if probe is None:
-        return code
-    try:  # the probe's times: t < s, and a window of at least two frames
-        t0 = args.t0 if args.t0 is not None else traj.times[0]
-        t1 = args.t1 if args.t1 is not None else traj.times[-1]
-        (rep,) = measures.monotonicity_check(traj, [probe], t0, t1)
-    except MeasureError as exc:
-        print(f"probe error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(
-        f"monotonicity [{rep.t0!r},{rep.t1!r}]: lhs={rep.lhs!r} "
-        f"transport={rep.transport_term!r} discrepancy={rep.discrepancy_term!r} "
-        f"tail_factor={rep.tail_factor!r} residual={rep.residual!r} fitted_c={rep.fitted_c!r}"
-    )
-    return code
-
-
-def oracle_cmd(args) -> int:
-    try:
-        traj = mcf_oracle(args.r0, args.c, args.n, args.t_end, n_samples=args.samples)
-    except InterfaceError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print("t,radius")
-    for t, r in zip(traj.times, traj.radii):
-        print(f"{float(t)!r},{float(r)!r}")
-    if traj.extinction_time is not None:
-        print(f"# extinction at t = {float(traj.extinction_time)!r}")
-    return EXIT_OK
 
 
 def _parse_manifest(path: str) -> tuple[dict[str, str], list[tuple[str, str]]]:
@@ -632,7 +342,9 @@ def emit_report(art_dir: str) -> tuple[str, int, int]:
             "" if not bad else f"max|phi|={bad[0].max_abs_phi:.6f} > 1+10dt at t={bad[0].t:g}",
         ))
 
-        gron = measures.gronwall_report(rows, m["sup_dt_g"], m["diag_every"])
+        from .checks import gronwall_report  # the offline module: see the module docstring
+
+        gron = gronwall_report(rows, m["sup_dt_g"], m["diag_every"])
         mu0 = rows[0].total_energy
         energy_cap = 1.25 * mu0 * math.exp(gron.rate_bound * m["T"])
         worst = max(r.total_energy for r in rows)
@@ -695,16 +407,6 @@ def emit_report(art_dir: str) -> tuple[str, int, int]:
     return text, passed, len(results)
 
 
-def report_cmd(args) -> int:
-    try:
-        text, passed, total = emit_report(args.dir)
-    except ConfigError as exc:
-        print(f"manifest error: {args.dir}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    print(text, end="")
-    return EXIT_OK if total > 0 and passed == total else EXIT_CONFIG
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="actx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -735,6 +437,8 @@ def main(argv: list[str] | None = None) -> int:
     p_rep.add_argument("--dir", required=True)
 
     args = parser.parse_args(argv)
+    if args.command != "run":  # before the freeze, so that forked sweep workers share it
+        from . import checks
     if not gc.get_freeze_count():  # once per process, before any fork: see the module docstring
         gc.freeze()
     if args.command in ("run", "sweep", "diagnose"):
@@ -746,12 +450,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         return run_experiment(args.config, args.out)
     if args.command == "sweep":
-        return sweep(args.plan, args.out)
+        return checks.sweep(args.plan, args.out)
     if args.command == "diagnose":
-        return diagnose(args)
+        return checks.diagnose(args)
     if args.command == "oracle":
-        return oracle_cmd(args)
-    return report_cmd(args)
+        return checks.oracle_cmd(args)
+    return checks.report_cmd(args)
 
 
 if __name__ == "__main__":

@@ -308,40 +308,3 @@ def mcf_oracle(r0: float, c: float, n: int, t_end: float, n_samples: int = 257) 
     if extinct:
         radii[ks >= ext_k] = np.nan
     return RadiusTrajectory(times, radii, ext_k * h if extinct else None)
-
-
-def hausdorff_distance(a: InterfaceSet, b: InterfaceSet) -> float:
-    """Symmetric max over vertices of the min distance to the other's segments.
-
-    For triangle soups the segment set is the triangle edges, so the value can
-    overshoot the true surface distance by at most the in-face sag.
-    """
-    if a.is_empty or b.is_empty:
-        raise InterfaceError("hausdorff distance of an empty interface")
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
-
-
-def _segments_of(s: InterfaceSet) -> tuple[np.ndarray, np.ndarray]:
-    if s.dim == 2:
-        return s.elements[:, 0], s.elements[:, 1]
-    e = s.elements
-    p = np.concatenate([e[:, 0], e[:, 1], e[:, 2]], axis=0)
-    q = np.concatenate([e[:, 1], e[:, 2], e[:, 0]], axis=0)
-    return p, q
-
-
-def _directed_hausdorff(a: InterfaceSet, b: InterfaceSet) -> float:
-    pts = a.vertices
-    p, q = _segments_of(b)
-    d = q - p
-    dd = np.sum(d * d, axis=-1)
-    dd = np.where(dd == 0.0, 1.0, dd)
-    worst = 0.0
-    for lo in range(0, pts.shape[0], 256):
-        blk = pts[lo : lo + 256]
-        w = blk[:, None, :] - p[None, :, :]
-        t = np.clip(np.sum(w * d[None, :, :], axis=-1) / dd[None, :], 0.0, 1.0)
-        proj = p[None, :, :] + t[..., None] * d[None, :, :]
-        dist = np.min(np.sqrt(np.sum((blk[:, None, :] - proj) ** 2, axis=-1)), axis=1)
-        worst = max(worst, float(np.max(dist)))
-    return worst

@@ -1,20 +1,23 @@
-"""Geometric-measure diagnostics for diffuse-interface energies.
+"""Geometric-measure diagnostics for diffuse-interface energies: the per-frame
+formulas of the diagnostics rows.
 
-Everything here is a pure function of phase-field snapshots or of the rows
-a run wrote: the energy measure (density eps |grad phi|^2 / 2 + W(phi)/eps),
-the discrepancy between its two halves, ball density ratios, truncated
-backward heat kernels and the near-monotonicity of their energy integrals, a
-Meyers-Ziemer ratio probe, and the weighted-energy growth check.
+Everything here is a pure function of phase-field snapshots: the energy
+measure (density eps |grad phi|^2 / 2 + W(phi)/eps), the discrepancy between
+its two halves, ball masses and density ratios, the Groenwall weight, and
+the truncated backward heat kernels of the probes with their kernel terms.
+The offline inequality checks built on them (the near-monotonicity of the
+kernel energy, the scaled density ratio, the Meyers-Ziemer probe, the
+weighted-energy growth check) live in ``checks``, which a run never loads.
 
 Per-frame quantities are computed once: ``frame_fields`` (|grad phi|^2 and
 W) plus the per-frame scalars built on it and ``velocity_sq`` (whose drive
 is the step's own ``grid.stencil_rhs``). ``solver.RowBuilder`` assembles
 them into the diagnostics row, which ``solver.run`` writes and ``actx
 diagnose`` prints. The rows are the record of every per-frame diagnostic:
-the growth check (``gronwall_report``) reads them. Snapshot frames are read
-back only for what the rows cannot hold: ``monotonicity_check`` for probes
-chosen after the run (it builds each frame's fields once for all its
-probes), the scaled density ratio and the Meyers-Ziemer probe.
+the growth check (``checks.gronwall_report``) reads them. Snapshot frames
+are read back only for what the rows cannot hold: ``checks.monotonicity_check``
+for probes chosen after the run (it builds each frame's fields once for all
+its probes), the scaled density ratio and the Meyers-Ziemer probe.
 
 The truncated backward kernel of a probe vanishes off B_{r_outer}(y), so it
 and the integrals it weights are evaluated on the probe's bounding sub-box
@@ -28,17 +31,15 @@ prefix sum along the first axis (built one slab of columns at a time), the
 mass of a ball is the sum of one chord
 difference per offset line of the ball (a summed-area table), so it counts
 exactly the nodes that the direct ``ball_integrate`` counts and differs from
-it only by rounding; only the centres asked for are computed. Inequality
-checks report fitted constants instead of asserting universal ones, and
-acceptance pins the stability of those fits across refinement.
+it only by rounding; only the centres asked for are computed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass, field, fields
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import astuple, dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from .grid import (
     ScalarField,
     _check_finite,
     _sweep,
-    ball_integrate,
     ball_window,
     integrate,
     outer_sum_sq,
@@ -57,13 +57,9 @@ from .grid import (
     stencil_rhs,
     sum_sq,
     trapezoid,
-    window_integral,
 )
 from .potential import DoubleWell, _smoothstep
 from .scenario import Transport, transport_field
-
-if TYPE_CHECKING:
-    from .solver import Trajectory
 
 
 class MeasureError(ValueError):
@@ -259,11 +255,6 @@ class EnergyMeasure:
         return frame_fields(phi, eps, well).measure()
 
 
-def discrepancy_field(phi: ScalarField, eps: float, well: DoubleWell) -> ScalarField:
-    """xi = eps |grad phi|^2 / 2 - W(phi)/eps; vanishes on the exact 1D profile."""
-    return frame_fields(phi, eps, well).xi
-
-
 def velocity_sq(
     phi: ScalarField, eps: float, well: DoubleWell, region: tuple[Sequence[float], Sequence[float]],
     out: np.ndarray | None = None,
@@ -305,18 +296,6 @@ def weighted_energy(mu: EnergyMeasure, weight: np.ndarray | None, out: np.ndarra
     return trapezoid(prod.values, mu.spec.h)
 
 
-def positive_discrepancy_ball(
-    phi: ScalarField, eps: float, well: DoubleWell, y: Sequence[float], r: float
-) -> float:
-    """Ball integral of the positive part of the discrepancy; needs B_r(y) inside."""
-    spec = phi.spec
-    if not spec.contains_box([v - r for v in y], [v + r for v in y]):
-        raise MeasureError(f"ball of radius {r:g} at {tuple(y)} is not contained in the domain")
-    xi = discrepancy_field(phi, eps, well)
-    pos = ScalarField(spec, np.maximum(xi.values, 0.0))
-    return ball_integrate(pos, y, r, clip_ok=True)
-
-
 # ---------------------------------------------------------------------------
 # Density ratios
 # ---------------------------------------------------------------------------
@@ -353,11 +332,14 @@ def ball_masses(measure: EnergyMeasure, radius: float, centres: Sequence[slice])
     sum of chord differences, one per offset line of the ball, added in the
     order of ``_ball_lines``. The prefix sum is built for one slab of axis-1
     centre columns at a time, with the m columns on either side that its
-    balls reach: a slab holds about ``SLAB_NODES`` nodes, or 2m + 1 columns
-    (one centre column) where that is more, so that the slab stays near
-    ``SLAB_NODES`` on a 97^3 grid too (at least 4m + 1 columns took 0.1 of a
-    field there). A column's prefix sum and a centre's chords do not depend
-    on the slab, so the masses have the bits of one whole-box prefix sum.
+    balls reach: a slab holds about ``SLAB_NODES`` nodes, or, where that is
+    more, 2m + 1 columns (one centre column) for sampled centres and 4m + 1
+    (2m + 1 centre columns) when the centres are every node along axis 1. A
+    strided slab thus stays near ``SLAB_NODES`` on a 97^3 grid too (at least
+    4m + 1 columns took 0.1 of a field there), while a stride-1 slab sums at
+    most about twice its centre columns, instead of 2m + 1 columns for each
+    one. A column's prefix sum and a centre's chords do not depend on the
+    slab, so the masses have the bits of one whole-box prefix sum.
     """
     spec = measure.spec
     vals = measure.density.values
@@ -369,7 +351,8 @@ def ball_masses(measure: EnergyMeasure, radius: float, centres: Sequence[slice])
     n0, n1 = vals.shape[:2]
     rest = tuple(slice(m, m + n) for n in vals.shape[2:])
     column = (n0 + 2 * m + 1) * math.prod(n + 2 * m for n in vals.shape[2:])
-    span = max(SLAB_NODES // column, 2 * m + 1) - 2 * m  # centre columns' extent per slab
+    least = (4 if sub[1].step == 1 else 2) * m + 1  # a slab's fewest columns
+    span = max(SLAB_NODES // column, least) - 2 * m  # centre columns' extent per slab
     per = max(1, (span - 1) // sub[1].step + 1)  # centres per slab
     width = (min(len(sub[1]), per) - 1) * sub[1].step + 2 * m + 1  # the widest slab's columns
     cum = np.zeros((n0 + 2 * m + 1, width) + tuple(n + 2 * m for n in vals.shape[2:]))
@@ -475,51 +458,6 @@ def density_ratio(
     return DensityRatioResult(*best)
 
 
-def scaled_density_ratio(
-    traj: "Trajectory",
-    stride: int = 4,
-    radii: Sequence[float] | None = None,
-) -> tuple[float, tuple[float, ...], float, float]:
-    """Max over (x, r, t) of l(x,t)^{n-1} mu_t(B_r(x)) / r^{n-1}.
-
-    l(x,t) = min(distance of x to the eps-inset box boundary, sqrt(t - eps^2));
-    centers must satisfy U_{2r}(x) inside the inset box and t > eps^2.
-    Returns (value, center, radius, time).
-    """
-    cfg = traj.cfg
-    spec = cfg.grid
-    eps = cfg.epsilon
-    if radii is None:
-        ext = min(hi - lo for lo, hi in zip(spec.lo, spec.hi))
-        radii = dyadic_radii(spec, ext / 8.0)
-    axes = spec.axes()
-    # each axis's distance to the eps-inset box boundary; the node's is their min
-    dist = [np.minimum(ax - (lo + eps), (hi - eps) - ax) for ax, lo, hi in zip(axes, spec.lo, spec.hi)]
-    best = (-math.inf, (math.nan,) * spec.dim, math.nan, math.nan)
-    found = False
-    for t, phi in zip(traj.times, traj.frames):
-        if t <= eps * eps:
-            continue
-        mu = EnergyMeasure.from_phase(phi, eps, cfg.well)
-        l_time = math.sqrt(t - eps * eps)
-        for r in radii:
-            fit = ([lo + eps + 2.0 * r for lo in spec.lo], [hi - eps - 2.0 * r for hi in spec.hi])
-            centres = [_index_slice(sl, stride) for sl in spec.box_slices(fit)]
-            if None in centres:
-                continue
-            found = True
-            masses = ball_masses(mu, r, centres)
-            dist_inset = functools.reduce(np.minimum, np.ix_(*(d[c] for d, c in zip(dist, centres))))
-            l_field = np.minimum(dist_inset, l_time)
-            vals = np.maximum(l_field, 0.0) ** (spec.dim - 1) * masses / r ** (spec.dim - 1)
-            val, center = _lattice_argmax(vals, axes, centres)
-            if val > best[0]:
-                best = (val, center, r, t)
-    if not found:
-        raise MeasureError("no admissible (center, radius, time) samples for the scaled ratio")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Truncated backward heat kernel and near-monotonicity
 # ---------------------------------------------------------------------------
@@ -567,7 +505,6 @@ class HuiskenProbe:
 
 
 TAIL_RADIUS = 0.25  # the ball B_{1/4}(y) of the monotonicity check's tail term
-MONOTONICITY_SLACK = 0.05  # share of the kernel-energy scale the residual may exceed c * tail by
 
 
 @dataclass(frozen=True, eq=False)
@@ -616,21 +553,6 @@ def _kernel(probe: HuiskenProbe, r2, cutoff, t: float, n: int):
     return amp * np.exp(-r2 / (4.0 * tau)) * cutoff
 
 
-def heat_kernel(probe: HuiskenProbe, x: Sequence[float], t: float, n: int) -> float:
-    """The truncated kernel at a single point."""
-    d = np.asarray(x, dtype=np.float64) - np.asarray(probe.y)
-    r2 = np.sum(d * d)
-    return float(_kernel(probe, r2, probe.cutoff(np.sqrt(r2)), t, n))
-
-
-def kernel_field(probe: HuiskenProbe, spec: GridSpec, t: float) -> ScalarField:
-    """The truncated kernel sampled on the node lattice: zero off the probe's box."""
-    geo = probe_geometry(probe, spec)
-    rho = np.zeros(spec.nodes)
-    rho[geo.box] = _kernel(probe, geo.r2, geo.cutoff, t, spec.dim)
-    return ScalarField(spec, rho)
-
-
 def _box_integral(values: np.ndarray, geo: ProbeGeometry, spec: GridSpec) -> float:
     """Node sum of ``values`` on the probe's box times h^n; a non-finite entry
     raises ``GridError`` with its node index on the whole grid."""
@@ -664,200 +586,6 @@ def kernel_terms(
         i_u = 0.5 * m * m * _box_integral(rho * sum_sq(u[(slice(None),) + geo.box], axis=0) * dens, geo, spec)
     i_xi = _box_integral(fields.xi.values[geo.box] * rho, geo, spec) / (2.0 * (probe.s - t))
     return i_rho, i_u, i_xi
-
-
-@dataclass
-class MonotonicityReport:
-    """Windowed check of the kernel-energy inequality.
-
-    lhs is the change of the kernel-weighted energy over [t0, t1]; transport
-    and discrepancy are the time quadratures of the two structural terms;
-    tail_factor multiplies the unknown constant of the cutoff-boundary term.
-    fitted_c is the residual beyond MONOTONICITY_SLACK |scale| per unit of
-    tail factor (0 if none): up to rounding, the smallest c >= 0 with which
-    ``holds_with`` holds.
-    """
-
-    t0: float
-    t1: float
-    lhs: float
-    transport_term: float
-    discrepancy_term: float
-    tail_factor: float
-    scale: float
-    residual: float = field(init=False)
-    fitted_c: float = field(init=False)
-
-    def __post_init__(self):
-        self.residual = self.lhs - self.transport_term - self.discrepancy_term
-        self.fitted_c = 0.0
-        if self.tail_factor > 0:
-            self.fitted_c = max(0.0, (self.residual - MONOTONICITY_SLACK * abs(self.scale)) / self.tail_factor)
-
-    def holds_with(self, c: float) -> bool:
-        """residual <= c tail_factor + MONOTONICITY_SLACK |scale|."""
-        return self.residual <= c * self.tail_factor + MONOTONICITY_SLACK * abs(self.scale)
-
-
-def monotonicity_check(
-    traj: "Trajectory", probes: Sequence[HuiskenProbe], t0: float, t1: float
-) -> list[MonotonicityReport]:
-    """Evaluate the kernel-energy inequality over [t0, t1], one report per probe.
-
-    Trapezoid quadrature of ``kernel_terms`` on the retained-frame schedule;
-    the discrepancy term uses the signed discrepancy, and the tail term is
-    the kernel-cutoff leakage factor integral exp(-1/(128(s-t))) mu_t(B_{1/4}(y)) dt.
-    Each frame's fields are built once and shared by all probes. Checked in
-    turn: t1 < s for every probe, two frames in the window, t0 < t1.
-    """
-    cfg = traj.cfg
-    if not probes:
-        raise MeasureError("monotonicity check needs at least one probe")
-    tails = []
-    for probe in probes:
-        tails.append(probe_geometry(probe, cfg.grid).tail)  # validates the probe's ball
-        if not t1 < probe.s:
-            raise MeasureError(f"kernel needs t < s: need t0 < t1 < s, got {t0:g}, {t1:g}, {probe.s:g}")
-
-    window = [(t, phi) for t, phi in zip(traj.times, traj.frames) if t0 - 1e-12 <= t <= t1 + 1e-12]
-    if len(window) < 2:
-        raise MeasureError(
-            f"window [{t0:g}, {t1:g}] covers {len(window)} retained frames; need at least 2"
-        )
-    if not t0 < t1:
-        raise MeasureError(f"need t0 < t1, got {t0:g}, {t1:g}")
-    vals = []  # (frame, probe, term)
-    for t, phi in window:
-        ff = frame_fields(phi, cfg.epsilon, cfg.well)
-        rows = []
-        for probe, tail in zip(probes, tails):
-            leak = math.exp(-1.0 / (128.0 * (probe.s - t)))
-            mass = window_integral(ff.density, tail)  # ball_integrate over B_{1/4}(y)
-            rows.append(kernel_terms(ff, probe, t, cfg.transport) + (leak * mass,))
-        vals.append(rows)
-    times, vals = np.asarray([t for t, _ in window]), np.asarray(vals)
-    return [
-        MonotonicityReport(
-            t0=float(times[0]),
-            t1=float(times[-1]),
-            lhs=float(v[-1, 0] - v[0, 0]),
-            transport_term=float(np.trapezoid(v[:, 1], times)),
-            discrepancy_term=float(np.trapezoid(v[:, 2], times)),
-            tail_factor=float(np.trapezoid(v[:, 3], times)),
-            scale=float(np.max(v[:, 0])),
-        )
-        for v in (vals[:, j] for j in range(len(probes)))
-    ]
-
-
-def hat_p(p: float, q: float, n: int, margin: float = 0.0) -> float:
-    """Time-integrability exponent of the kernel-transport bound.
-
-    p < n: the closed form (2pq - 2p - nq)/(pq). p = n: any exponent below
-    (q-2)/q works, so the caller chooses the gap via ``margin``. p > n:
-    (q-2)/q itself.
-    """
-    if p < n:
-        val = (2.0 * p * q - 2.0 * p - n * q) / (p * q)
-        if val <= 0:
-            raise MeasureError(f"exponents p={p:g}, q={q:g} give non-positive hat-p {val:g}")
-        return val
-    if p == n:
-        return (q - 2.0) / q - margin
-    return (q - 2.0) / q
-
-
-# ---------------------------------------------------------------------------
-# Meyers-Ziemer ratio probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MeyersZiemerReport:
-    max_ratio: float
-    k_density: float
-    trials: int
-    seed: int
-
-
-def meyers_ziemer_check(
-    measure: EnergyMeasure,
-    trials: int = 100,
-    seed: int = 0,
-    k_density: float | None = None,
-) -> MeyersZiemerReport:
-    """Max over random C^1 bumps of |integral phi dmu| / (K(mu) integral |grad phi|).
-
-    K(mu) defaults to the full-lattice density ratio (every node, clipped
-    balls, dyadic radii). Bump centers/radii are drawn from a seeded
-    generator, so the result is reproducible. Bump radii lie in [8h, ext/4],
-    ext the shortest box side, so up to 32 cells across it raise ``MeasureError``.
-    """
-    spec = measure.spec
-    ext = min(hi - lo for lo, hi in zip(spec.lo, spec.hi))
-    r_lo, r_hi = 8.0 * spec.h, ext / 4.0
-    if r_lo >= r_hi:
-        raise MeasureError(f"bump radii need 8h < ext/4 (over 32 cells across the shortest "
-                           f"side), got 8h = {r_lo:g} >= ext/4 = {r_hi:g}")
-    if k_density is None:
-        k_density = density_ratio(measure, stride=1, require_fit=False).max_ratio
-    if k_density <= 0.0:
-        return MeyersZiemerReport(0.0, k_density, trials, seed)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(trials):
-        rho = rng.uniform(r_lo, r_hi)
-        c = [rng.uniform(spec.lo[k] + rho, spec.hi[k] - rho) for k in range(spec.dim)]
-        r = np.sqrt(outer_sum_sq([ax - ck for ax, ck in zip(spec.axes(), c)]))
-        t = np.clip(1.0 - r / rho, 0.0, 1.0)
-        bump = _smoothstep(t)
-        dq = 30.0 * t**2 * (1.0 - t) ** 2 / rho  # |d bump / d r|
-        num = abs(integrate(ScalarField(spec, bump * measure.density.values)))
-        den = k_density * integrate(ScalarField(spec, dq))
-        if den > 0:
-            best = max(best, num / den)
-    return MeyersZiemerReport(best, k_density, trials, seed)
-
-
-# ---------------------------------------------------------------------------
-# Weighted-energy growth
-# ---------------------------------------------------------------------------
-
-
-GRONWALL_SLACK = 0.05  # growth rate allowed above sup |dt g|
-
-
-@dataclass
-class GronwallReport:
-    times: np.ndarray
-    values: np.ndarray
-    sup_dt_g: float
-    max_step_increase: float  # max per-step increase of F, normalized by F(0)
-    growth_rate: float  # max over t > 0 of log(F(t)/F(0)) / t
-
-    @property
-    def rate_bound(self) -> float:
-        """sup |dt g| + GRONWALL_SLACK: the largest growth rate the check accepts."""
-        return self.sup_dt_g + GRONWALL_SLACK
-
-    def rate_bound_ok(self) -> bool:
-        return self.growth_rate <= self.rate_bound
-
-
-def gronwall_report(
-    rows: Sequence["DiagnosticsRow"], sup_dt_g: float, diag_every: int
-) -> GronwallReport:
-    """The growth check on the rows' F(t) = integral exp(-g) dmu_t (their
-    ``gronwall_factor``), sampled from t = 0 every ``diag_every`` steps;
-    with static g, F must not rise."""
-    times, values = np.array([(r.t, r.gronwall_factor) for r in rows]).T
-    f0 = values[0]
-    diffs = np.diff(values) / max(diag_every, 1)
-    max_step_inc = float(np.max(diffs) / f0) if diffs.size else 0.0
-    with np.errstate(divide="ignore"):
-        rates = np.log(values[1:] / f0) / times[1:]
-    growth = float(np.max(rates)) if rates.size else 0.0
-    return GronwallReport(times, values, sup_dt_g, max_step_inc, growth)
 
 
 # ---------------------------------------------------------------------------

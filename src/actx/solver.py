@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -357,12 +358,13 @@ def run(
 
     The step count is rounded up to a whole number of diagnostics intervals,
     so the row count is n_steps / diag_every + 1 and the final time lands
-    exactly on T. The result's trajectory holds the final field only; the
-    earlier fields are in the snapshot files. On abort, partial outputs are
-    flushed before the exception propagates (carrying the rows computed so
-    far). Before the first step, a shape too close to the cutoff collar
-    (``MarginError``) or an empty density-ratio radius ladder raises
-    ``ConfigError``.
+    exactly on T; where that takes dt below half the stable dt, one
+    ``warning:`` line on stderr names both before the first step. The
+    result's trajectory holds the final field only; the earlier fields are
+    in the snapshot files. On abort, partial outputs are flushed before the
+    exception propagates (carrying the rows computed so far). Before the
+    first step, a shape too close to the cutoff collar (``MarginError``) or
+    an empty density-ratio radius ladder raises ``ConfigError``.
 
     The transport u = m(t) U: every step reads the grid's cached U
     (``scenario.transport_field``), or its copy among the team's fields, and
@@ -391,6 +393,9 @@ def run(
         d = solver.diag_every
         n_steps = d * math.ceil(cfg.t_end / (dt0 * d))
         dt = cfg.t_end / n_steps
+        if n_steps > math.ceil(cfg.t_end / dt0) and dt < 0.5 * dt0:  # the rounding, not T, shrank dt
+            print(f"warning: diag_every = {d} rounds the run up to {n_steps} steps of dt = {dt:.4g}, "
+                  f"below half the stable dt {dt0:.4g}", file=sys.stderr)
 
         if out_dir is not None:
             os.makedirs(os.path.join(out_dir, "snapshots"), exist_ok=True)

@@ -1,6 +1,6 @@
 """The worker processes of a refinement sweep, forked by the sweep itself.
 
-``cli.sweep`` runs each distinct rung as one job, its run and its offline
+``checks.sweep`` runs each distinct rung as one job, its run and its offline
 checks. On more than one CPU it hands the jobs to ``run_jobs``, which forks
 up to ``workers`` processes directly (no process pool, and no
 ``multiprocessing`` or ``concurrent`` import) and keeps them busy: the first
@@ -18,7 +18,7 @@ waited for.
 A worker that ends while it runs a job (killed, say) leaves that rung
 FAILED, with one stderr line that names its pid, its rungs and how it
 ended, and the other rungs still run. Every worker is reaped before
-``run_jobs`` returns, also after an error. ``cli.sweep`` imports this
+``run_jobs`` returns, also after an error. ``checks.sweep`` imports this
 module only when it forks workers: compiling it costs about a millisecond,
 which every other invocation, and every invocation's set-up, would pay for
 nothing.

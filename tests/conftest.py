@@ -17,8 +17,8 @@ import warnings
 import numpy as np
 import pytest
 
+from actx.checks import gronwall_report
 from actx.grid import GridSpec, ScalarField
-from actx.measures import gronwall_report
 from actx.potential import DoubleWell
 from actx.scenario import ScenarioConfig, Transport, parse_sexpr, transport_from_sexpr
 from actx.shapes import Ball

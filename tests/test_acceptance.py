@@ -11,15 +11,13 @@ never converges to R*. See /root/notes/decisions.md for the full analysis.
 import numpy as np
 import pytest
 
+from actx.checks import discrepancy_field, meyers_ziemer_check, monotonicity_check
 from actx.grid import ScalarField
 from actx.interface import extract_interface, mcf_oracle
 from actx.measures import (
     EnergyMeasure,
     HuiskenProbe,
     density_ratio,
-    discrepancy_field,
-    meyers_ziemer_check,
-    monotonicity_check,
     ratio_lattice_radii,
 )
 from actx.potential import surface_tension

@@ -96,6 +96,12 @@ CIRCLE_257 = (CONFIG.replace("cells = 96", "cells = 256").replace("epsilon = 0.1
 TOO_CLOSE = CONFIG.replace("(ball 0.8 0.8 0.25)", "(ball 0.8 0.8 0.297)")
 
 
+# the stderr of rungs 96 and 128 of PLAN at eps_over_h = 6, T = 0.0005 and
+# diag_every = 1000, where the stable dt needs 29 and 52 steps
+ROUNDED_1000 = [f"warning: diag_every = 1000 rounds the run up to 1000 steps of dt = 5e-07, "
+                f"below half the stable dt {dt0}" for dt0 in ("1.736e-05", "9.766e-06")]
+
+
 def _sweep_rows(out):
     lines = (out / "sweep.csv").read_text().splitlines()
     return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
@@ -277,6 +283,28 @@ class TestRunCommand:
         assert float(meta["transport_sup_u"]) == pytest.approx(50 * 0.8 * math.sqrt(2), rel=1e-12)
         assert main(["report", "--dir", str(out)]) == 0
         assert "; first violation 0.0\n" in capsys.readouterr().out
+
+    def test_oversized_diag_every_warns_before_the_first_step(self, tmp_path, monkeypatch, capsys):
+        # 96^2 to T = 0.0005, where the stable dt needs 29 steps: diag_every = 400
+        # rounds the run up to 400 steps, and one warning names dt and the stable
+        # dt before the first step; the steps and rows are still the rounded ones.
+        # diag_every = 10 rounds 29 up to 30 steps and prints nothing.
+        import actx.solver
+
+        step, seen = actx.solver.step, []
+        monkeypatch.setattr(actx.solver, "step", lambda *a, **k: seen.append(capsys.readouterr().err) or step(*a, **k))
+        short = CONFIG.replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025")
+        for every, want in (("400", ["warning: diag_every = 400 rounds the run up to 400 steps of dt = 1.25e-06, "
+                                     "below half the stable dt 1.736e-05"]), ("10", [])):
+            p = tmp_path / f"every{every}.cfg"
+            p.write_text(short.replace("diag_every = 50", f"diag_every = {every}"))
+            seen.clear()
+            assert main(["run", "--config", str(p), "--out", str(tmp_path / every)]) == 0
+            assert seen[0].splitlines() == want and capsys.readouterr().err == ""
+            meta, _ = _parse_manifest(str(tmp_path / every / "run-manifest"))
+            n_steps = int(meta["n_steps"])
+            assert len(seen) == n_steps == int(every) * math.ceil(29 / int(every))
+            assert len(read_rows(str(tmp_path / every))) == n_steps // int(every) + 1
 
     def test_artifacts_complete(self, artifact):
         _, _, out = artifact
@@ -540,9 +568,9 @@ class TestSweepCommand:
         # a truncated snapshot, and a diagnostics.csv row that does not parse; the
         # rungs may run in worker processes, so the expected file is named from
         # the out dir: the first rung's last snapshot, or its diagnostics.csv
-        import actx.cli
+        import actx.checks
 
-        run_rung = actx.cli._run_rung
+        run_rung = actx.checks._run_rung
 
         def last_snapshot(rung_dir):
             return os.path.join(rung_dir, "snapshots", sorted(os.listdir(os.path.join(rung_dir, "snapshots")))[-1])
@@ -574,7 +602,7 @@ class TestSweepCommand:
                 corrupt(job[1])
                 return code
 
-            monkeypatch.setattr(actx.cli, "_run_rung", run_then_corrupt)
+            monkeypatch.setattr(actx.checks, "_run_rung", run_then_corrupt)
             out = tmp_path / corrupt.__name__
             assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 1
             err = capsys.readouterr().err.strip().splitlines()
@@ -609,19 +637,19 @@ class TestSweepCommand:
 
     def test_sweep_reads_no_manifest(self, tmp_path, monkeypatch):
         # the sweep takes sup |dt g| and diag_every from the rung's config, not its run-manifest
-        import actx.cli
+        import actx.checks
 
         plan = tmp_path / "plan.cfg"
         plan.write_text(PULSED_PLAN)
         assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "kept")]) == 0
-        run_rung = actx.cli._run_rung
+        run_rung = actx.checks._run_rung
 
         def run_then_delete_manifest(job):
             code = run_rung(job)
             os.remove(os.path.join(job[1], "run-manifest"))
             return code
 
-        monkeypatch.setattr(actx.cli, "_run_rung", run_then_delete_manifest)
+        monkeypatch.setattr(actx.checks, "_run_rung", run_then_delete_manifest)
         assert main(["sweep", "--plan", str(plan), "--out", str(tmp_path / "deleted")]) == 0
         assert not (tmp_path / "deleted" / "rung_0096" / "run-manifest").exists()
         assert (tmp_path / "deleted" / "sweep.csv").read_bytes() == (
@@ -639,8 +667,9 @@ class TestSweepCommand:
         out = tmp_path / "s"
         assert main(["sweep", "--plan", str(plan), "--out", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"probe error: {out / 'rung_0096'}: window [0.00025, 0.0005] covers 1 "
-                       f"retained frames; need at least 2"]
+        assert err == ROUNDED_1000 * (setting == "diag_every = 1000") + [
+            f"probe error: {out / 'rung_0096'}: window [0.00025, 0.0005] covers 1 "
+            f"retained frames; need at least 2"]
 
     def test_rotation_sweep_finishes(self, tmp_path, capsys):
         plan = tmp_path / "plan.cfg"
@@ -818,8 +847,8 @@ class TestSweepCommand:
             (failed, 2, ["config error: shape must clear the cutoff collar by 4*eps = 0.64; measured margin 0.45",
                          "config error: shape must clear the cutoff collar by 4*eps = 0.533333; "
                          "measured margin 0.433333"]),
-            (windows, 1, ["probe error: sweep/rung_0096: window [0.00025, 0.0005] covers 1 "
-                          "retained frames; need at least 2"]),
+            (windows, 1, ROUNDED_1000 + ["probe error: sweep/rung_0096: window [0.00025, 0.0005] covers 1 "
+                                         "retained frames; need at least 2"]),
         ):
             serial = self._sweep_at("1", plan, tmp_path / f"{plan.stem}1", monkeypatch, capsys)
             assert serial[0] == code and serial[2].splitlines() == err
@@ -829,10 +858,10 @@ class TestSweepCommand:
     def test_forked_workers_share_the_cpu_budget(self, tmp_path, monkeypatch, capsys, threads, share):
         # two distinct rungs, so two forked workers; each prints the budget its
         # block sweeps would use, and runs nothing (so the sweep's checks fail)
-        import actx.cli
+        import actx.checks
         from actx.grid import cpu_budget
 
-        monkeypatch.setattr(actx.cli, "_run_rung", lambda job: print(f"cpus {cpu_budget()}") or 0)
+        monkeypatch.setattr(actx.checks, "_run_rung", lambda job: print(f"cpus {cpu_budget()}") or 0)
         plan = tmp_path / "plan.cfg"
         plan.write_text(PLAN)
         code, out, _err, _files = self._sweep_at(threads, plan, tmp_path / "s", monkeypatch, capsys)
@@ -846,16 +875,16 @@ class TestSweepCommand:
         # the worker that takes rung 96 ends inside it: that rung gets a FAILED row
         # and one stderr line naming the worker, its rungs and how it ended; the
         # other rungs run, the exit code is 2 and no worker is left (no_child_left)
-        import actx.cli
+        import actx.checks
 
-        run_rung = actx.cli._run_rung
+        run_rung = actx.checks._run_rung
 
         def end_in_96(job):
             if job[1].endswith("rung_0096"):
                 end()
             return run_rung(job)
 
-        monkeypatch.setattr(actx.cli, "_run_rung", end_in_96)
+        monkeypatch.setattr(actx.checks, "_run_rung", end_in_96)
         plan = tmp_path / "plan.cfg"
         plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 96 128 160")
                         .replace("eps_over_h = 8", "eps_over_h = 6")
@@ -870,16 +899,16 @@ class TestSweepCommand:
         assert float(rows[0]["epsilon"]) == pytest.approx(0.1)  # eps_over_h h, from the rung's config
 
     def test_duplicate_rung_runs_once_largest_rung_first(self, tmp_path, monkeypatch, capsys):
-        import actx.cli
+        import actx.checks
 
-        run_rung = actx.cli._run_rung
+        run_rung = actx.checks._run_rung
         ran = []
 
         def record(job):
             ran.append(os.path.basename(job[1]))
             return run_rung(job)
 
-        monkeypatch.setattr(actx.cli, "_run_rung", record)
+        monkeypatch.setattr(actx.checks, "_run_rung", record)
         plan = tmp_path / "plan.cfg"
         plan.write_text(PLAN.replace("rungs = 128 192", "rungs = 128 192 128")
                         .replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
@@ -904,12 +933,12 @@ class TestSweepCommand:
             PLAN.replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
         code = (
             "import sys, warnings\n"
-            "import actx.cli\n"
-            "run_rung = actx.cli._run_rung\n"
+            "import actx.checks, actx.cli\n"
+            "run_rung = actx.checks._run_rung\n"
             "def warn_then_run(job):\n"
             "    warnings.warn('the same warning in every rung')\n"
             "    return run_rung(job)\n"
-            "actx.cli._run_rung = warn_then_run\n"
+            "actx.checks._run_rung = warn_then_run\n"
             "print('before the sweep')\n"
             "sys.exit(actx.cli.main(['sweep', '--plan', 'plan.cfg', '--out', 'sweep']))\n"
         )
@@ -1164,6 +1193,40 @@ class TestImportFootprint:
                              text=True, check=True, timeout=120).stdout.splitlines()
         assert out[-2:] == ["[0, 0] True True", "[]"]
         assert sum(line.startswith("run complete:") for line in out) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--plan", "plan.cfg", "--out", "sweep"],
+        ["diagnose", "--config", "run.cfg", "--snapshot", "art/snapshots/step_00000010.afld"],
+        ["report", "--dir", "art"],
+    ], ids=lambda argv: argv[0])
+    def test_only_the_offline_commands_load_the_checks(self, tmp_path, argv):
+        # a fresh interpreter: neither importing the CLI nor a completed run loads
+        # (so compiles) the offline module; an offline command on the run's
+        # artifacts imports it
+        import subprocess
+        import sys
+
+        import actx
+
+        (tmp_path / "run.cfg").write_text(
+            CONFIG.replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025")
+            .replace("diag_every = 50", "diag_every = 10").replace("snap_every = 200", "snap_every = 10"))
+        (tmp_path / "plan.cfg").write_text(
+            PLAN.replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
+        code = (
+            "import sys\n"
+            "import actx.cli\n"
+            "loaded = ['actx.checks' in sys.modules]\n"
+            "codes = [actx.cli.main(['run', '--config', 'run.cfg', '--out', 'art'])]\n"
+            "loaded.append('actx.checks' in sys.modules)\n"
+            f"codes.append(actx.cli.main({argv!r}))\n"
+            "print(codes, loaded + ['actx.checks' in sys.modules])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(actx.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout.splitlines()
+        assert out[-1] == "[0, 0] [False, False, True]"
 
 
 class TestScripts:

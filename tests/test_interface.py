@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actx._mc_tables import EDGE_VERTICES, TRIANGLE_TABLE
+from actx.checks import hausdorff_distance
 from actx.grid import GridSpec, ScalarField
 from actx.interface import (
     InterfaceError,
     InterfaceSet,
     extract_interface,
-    hausdorff_distance,
     mcf_oracle,
     radius_estimate,
 )

@@ -10,16 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from actx.grid import GridSpec, ScalarField, ball_integrate, integrate
-from actx.measures import (
-    EnergyMeasure,
-    HuiskenProbe,
-    MeasureError,
-    ball_masses,
-    density_ratio,
+from actx.checks import (
     discrepancy_field,
-    frame_fields,
-    gronwall_weight,
     hat_p,
     heat_kernel,
     kernel_field,
@@ -27,6 +19,16 @@ from actx.measures import (
     monotonicity_check,
     positive_discrepancy_ball,
     scaled_density_ratio,
+)
+from actx.grid import GridSpec, ScalarField, ball_integrate, integrate
+from actx.measures import (
+    EnergyMeasure,
+    HuiskenProbe,
+    MeasureError,
+    ball_masses,
+    density_ratio,
+    frame_fields,
+    gronwall_weight,
     velocity_sq,
     weighted_energy,
 )
@@ -266,6 +268,26 @@ class TestDensityRatio:
                 got, want = ball_masses(mu, r, centres), whole_box_ball_masses(mu, r, centres)
                 assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    def test_stride_one_prefix_sums_each_column_about_twice(self, monkeypatch):
+        # every node of a 257^2 box a centre: the slabs of one radius prefix-sum
+        # at most twice the box's columns (2m + 1 columns per centre column were
+        # up to 257 times them); counted at np.cumsum, which only the slabs call
+        from actx.measures import dyadic_radii
+
+        spec = GridSpec(2, (0.0, 0.0), (1.0, 1.0), (256, 256))
+        mu = EnergyMeasure.of(ScalarField(spec, np.random.default_rng(0).uniform(0.0, 1.0, spec.nodes)))
+        cumsum, summed = np.cumsum, []
+
+        def counting(a, *args, **kwargs):
+            summed.append(a.shape[1])
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counting)
+        for r in dyadic_radii(spec, 1.0):
+            summed.clear()
+            density_ratio(mu, [r], stride=1, require_fit=False)
+            assert 257 <= sum(summed) <= 2 * 257, (r, summed)
+
     def test_small_radii_rejected(self):
         mu = EnergyMeasure.from_phase(flat_field(), EPS, WELL)
         with pytest.raises(MeasureError, match="2h"):
@@ -481,7 +503,7 @@ class TestProbeLocalKernel:
 class TestMonotonicity:
     @pytest.mark.parametrize("lhs, scale, want", [(0.5, 2.0, 1 / 3), (0.05, 2.0, 0.0), (0.5, -2.0, 1 / 3)])
     def test_fitted_c_absorbs_the_residual_beyond_the_slack(self, lhs, scale, want):
-        from actx.measures import MONOTONICITY_SLACK, MonotonicityReport
+        from actx.checks import MONOTONICITY_SLACK, MonotonicityReport
 
         # residual = lhs - 0.1 - 0.1, slack 0.05 |scale| = 0.1, tail factor 0.6
         rep = MonotonicityReport(0.0, 1.0, lhs, 0.1, 0.1, 0.6, scale)
@@ -539,7 +561,7 @@ class TestMonotonicity:
     @pytest.fixture(scope="class")
     def pulsed(self, tmp_path_factory):
         """A short pulsed-transport rk2 run and the 10 interface probes of its first frame."""
-        from actx.cli import interface_probes
+        from actx.checks import interface_probes
         from actx.solver import SolverConfig
 
         tr = form_transport(PULSED)
@@ -552,7 +574,8 @@ class TestMonotonicity:
     @staticmethod
     def _one_probe_reference(traj, probe, t0, t1):
         """One probe's report, built frame by frame as a single-probe check does."""
-        from actx.measures import MonotonicityReport, frame_fields, kernel_terms
+        from actx.checks import MonotonicityReport
+        from actx.measures import frame_fields, kernel_terms
 
         cfg = traj.cfg
         idx = [i for i, t in enumerate(traj.times) if t0 - 1e-12 <= t <= t1 + 1e-12]

@@ -345,7 +345,7 @@ class TestInitialPhase:
     def test_construction_discrepancy_bounds(self):
         # construction-side: the profile identity is exact on the inner box;
         # on the grid, away from the interface core, xi stays under 1e-3/eps
-        from actx.measures import discrepancy_field
+        from actx.checks import discrepancy_field
 
         cfg = circle_config(256, 8)
         phi = build_initial_phase(cfg)

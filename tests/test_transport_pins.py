@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from actx import cli
+from actx import checks
 from actx.grid import GridSpec
 from actx.scenario import ScenarioConfig, parse_sexpr, transport_from_sexpr, transport_report
 from actx.shapes import Ball
@@ -78,9 +78,9 @@ def _law(cfg) -> str:
         raise _Law(repr(c))
 
     mp = pytest.MonkeyPatch()
-    mp.setattr(cli, "mcf_oracle", oracle)
+    mp.setattr(checks, "mcf_oracle", oracle)
     try:
-        return "none" if cli._radius_error_vs_oracle(cfg, []) is None else "no-raise"
+        return "none" if checks._radius_error_vs_oracle(cfg, []) is None else "no-raise"
     except _Law as law:
         return str(law)
     finally:
