@@ -542,7 +542,7 @@ def sweep(plan_path: str, out_dir: str) -> int:
     budget = cpu_budget()
     workers = min(budget, len(jobs))
     if workers > 1:  # the workers share the CPU budget for their block sweeps
-        from .workers import run_jobs  # imported here: see its docstring
+        from .team import run_jobs  # imported only to fork: see the docstring of team
 
         results = run_jobs(jobs, workers, max(1, budget // workers), _rung_job, _failed_rung)
     else:

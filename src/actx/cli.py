@@ -33,13 +33,15 @@ of at least one. For ``run``, ``sweep`` and ``diagnose`` a value that is not
 a positive integer is a configuration error. Each distinct rung is one job,
 its run and its offline checks; a rung named twice in a plan runs once. On
 one CPU the jobs run in the calling process. Otherwise ``sweep`` forks up to
-one worker per CPU itself, with no process pool (``workers.run_jobs``): the
+one worker per CPU itself, with no process pool (``team.run_jobs``): the
 first free worker takes the largest remaining rung and sends its result back
 pickled over a pipe, and a worker that dies leaves its rung FAILED, with one
-stderr line naming its pid, its rungs and how it ended. Messages come in
-plan order and a block sweep split among processes gives the serial bits,
-so no output depends on ACTX_THREADS. Every helper and worker is reaped
-before the command returns, also after an abort or an error.
+stderr line naming its pid, its rungs and how it ended. One module, ``team``,
+forks, frames and reaps the helpers and the workers alike, and only an
+invocation that forks imports it. Messages come in plan order and a block
+sweep split among processes gives the serial bits, so no output depends on
+ACTX_THREADS. Every helper and worker is reaped before the command returns,
+also after an abort or an error.
 
 ``main`` freezes the objects the imports made (``gc.freeze``) once per
 process, before any fork and after importing ``checks`` for an offline

@@ -370,13 +370,14 @@ def open_team(nodes: tuple[int, ...], fields: int, helpers: int | None = None) -
         helpers = _procs(n - 2 * s0, s0, 1 + helper_count()) - 1
     if helpers < 1:
         return FieldSet(nodes)
-    from .team import Team  # imported here: see its docstring
+    from .team import Team  # imported only to fork: see its docstring
 
     return Team(nodes, fields, helpers)
 
 
 # The open ``team.Team``s, which add and remove themselves; the sweeps use the
-# last. Kept here, so that a sweep needs no import of ``team``.
+# last, and a forked child forgets them (``team._forget``). Kept here, so that
+# a sweep needs no import of ``team``.
 _teams: list = []
 
 

@@ -54,17 +54,6 @@ class InterfaceSet:
     def vertices(self) -> np.ndarray:
         return self.elements.reshape(-1, self.dim)
 
-    def total_measure(self) -> float:
-        """Total polyline length (n=2) or triangle area (n=3)."""
-        if self.is_empty:
-            return 0.0
-        if self.dim == 2:
-            d = self.elements[:, 1] - self.elements[:, 0]
-            return float(np.sum(np.sqrt(np.sum(d * d, axis=-1))))
-        a = self.elements[:, 1] - self.elements[:, 0]
-        b = self.elements[:, 2] - self.elements[:, 0]
-        return float(0.5 * np.sum(np.linalg.norm(np.cross(a, b), axis=-1)))
-
 
 # Offset of corner k from a cell's lowest node. The square's corners are the
 # cube's z = 0 face, so in both dimensions cell edge e joins the corners

@@ -276,12 +276,6 @@ class ScenarioConfig:
         )
 
 
-def cutoff_field(cfg: ScenarioConfig) -> ScalarField:
-    """C^2 cutoff: 1 on the inner inset box, 0 outside the outer one (``_cutoff``
-    on the whole grid)."""
-    return ScalarField(cfg.grid, _cutoff(cfg, cfg.grid.coords()))
-
-
 def _cutoff(cfg: ScenarioConfig, x, out: np.ndarray | None = None) -> np.ndarray:
     """The cutoff at the nodes of the open mesh ``x`` (the grid's, or a slab of
     it), in a fresh array or in ``out``.

@@ -1,33 +1,30 @@
-"""The processes of the block sweeps: the caller and helpers forked over shared fields.
+"""Every process an invocation forks: the block sweeps' helpers and a sweep's workers.
 
-A block sweep (``grid.stencil_rhs``, ``measures.frame_fields``) of at least
-``grid.PROC_NODES`` interior nodes (24 Ki: 161^2 or 31^3 and up) splits its
-blocks among the processes of the open ``Team`` when every array it reads or
-writes is a field of the team: the calling process and up to
-``grid.helper_count()`` helpers (one per further CPU of
-``grid.cpu_budget()``, ``ACTX_THREADS``), forked when the team opens, each
-with at least 12 Ki nodes. The team's fields live in one anonymous shared
-``mmap``, made before the fork. Per sweep the caller sends each helper one
-short pipe message (the kernel, the plan, the arrays' offsets in the arena
-and the scalars), sweeps its own part and waits for each helper's one-byte
-answer. Each process takes a run of whole axis-0 slabs, so no two restore
-faces in the same slab, and each block writes only its own nodes and its own
-row of extrema or sums, in the shared rows: every output has the serial bits
-at any process count. The helpers are forked after ``cli.main`` has frozen
-the import-time objects (``gc.freeze``), so the cyclic collector, in the
-caller or a helper, never scans them and copies none of the pages they share.
+``_fork_child`` forks both, over two pipes made before the fork (commands
+in, answers out), with stdout and stderr flushed first. The child ignores
+SIGINT (its parent closes its command pipe, or kills it) and leaves only
+through ``os._exit``, so no cleanup of the parent runs twice. At any fork,
+the child closes its copies of the live children's pipe ends and forgets
+them and the open teams (``_forget``), so each command pipe reaches EOF when
+the parent closes it. Longer messages are frames, a 4-byte length and the
+bytes (``_send``, ``_recv``); ``_reap`` closes the pipes and waits.
 
-Threads gained nothing here, as the Python between the numpy calls holds the
-GIL: at 257^2 two threads took 175 us against 170 us serial. On a 2-CPU host
-one ``stencil_rhs`` call took, serial against two processes: 129^2 50 -> 53
-us (slower), 145^2 60 -> 58 us, 161^2 70 -> 59 us, 193^2 95 -> 65 us, 257^2
-165 -> 95 us, 513^2 0.70 -> 0.37 ms, 33^3 108 -> 76 us, 97^3 2.7 -> 1.41 ms;
-an empty sweep's round trip costs 16 us. A helper calls no public function of
-the package: the benchmark's span tracer (``perfbench/spans.py``) keeps one
-stack for the whole process. ``grid.open_team`` imports this module only for
-a team with helpers: compiling it costs a millisecond, which a run without
-helpers (a ladder's rung, say) or an invocation's set-up would pay for
-nothing.
+A block sweep of at least ``grid.PROC_NODES`` interior nodes (24 Ki: 161^2
+or 31^3 and up) whose arrays are all fields of the open ``Team`` (in one
+anonymous shared ``mmap``) splits its blocks, whole axis-0 slabs each, among
+the caller and the team's helpers (``grid.helper_count()``, each with at
+least 12 Ki nodes): one frame to each helper, the caller's own part, then
+each helper's one-byte answer. Every output has the serial bits. Threads
+gained nothing (the Python between numpy calls holds the GIL). On a 2-CPU
+host one ``stencil_rhs`` call took, serial against two processes, 129^2 50
+-> 53 us, 257^2 165 -> 95 us, 97^3 2.7 -> 1.41 ms; an empty sweep's round
+trip costs 16 us. A helper calls no public function of the package: the
+benchmark's span tracer keeps one stack per process.
+
+``run_jobs`` runs a refinement sweep's rungs (``checks.sweep``) on up to one
+forked worker per CPU, with no process pool; a worker that ends inside a job
+leaves that rung FAILED. Only an invocation that forks imports this module
+(``grid.open_team``, ``checks.sweep``).
 """
 
 from __future__ import annotations
@@ -36,8 +33,9 @@ import math
 import mmap
 import os
 import pickle
+import select
 import signal
-from typing import NamedTuple
+import sys
 
 import numpy as np
 
@@ -45,29 +43,129 @@ from . import grid
 from .grid import FieldSet, GridError, _plan, _teams
 
 
-class _Helper(NamedTuple):
-    pid: int
-    cmd: int  # the write end of its command pipe
-    ack: int  # the read end of its answer pipe
+class _Child:
+    """A forked child and the parent's ends of its pipes: ``cmd``, the write end
+    of its command pipe (-1 once closed), and ``ack``, the read end of its answer pipe."""
+
+    def __init__(self, pid: int, cmd: int, ack: int):
+        self.pid, self.cmd, self.ack = pid, cmd, ack
+
+    def release(self) -> None:
+        """Close its command pipe: it leaves once it has answered the last command."""
+        if self.cmd >= 0:
+            os.close(self.cmd)
+            self.cmd = -1
+
+
+# The children forked here and not yet reaped.
+_live: list[_Child] = []
+
+
+def _fork_child(serve, *args) -> _Child:
+    """A forked child that runs ``serve(cmd, ack, *args)`` on the read end of a new
+    command pipe and the write end of a new answer pipe, then leaves; with a
+    traceback on stderr and exit code 1 if ``serve`` raised."""
+    cmd_r, cmd_w = os.pipe()
+    ack_r, ack_w = os.pipe()
+    # text still buffered here would be written by the child too, if it ever flushed
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (cmd_r, cmd_w, ack_r, ack_w):
+            os.close(fd)
+        raise
+    if pid == 0:  # the child leaves only through os._exit, so no cleanup of the parent runs twice
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops it
+            os.close(cmd_w)  # else its own command pipe would never reach EOF
+            os.close(ack_r)
+            serve(cmd_r, ack_w, *args)
+            code = 0
+        except Exception:  # os._exit below skips the interpreter's own report
+            import traceback  # imported here: it costs ~2 ms, and only a failure needs it
+
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(cmd_r)
+    os.close(ack_w)
+    child = _Child(pid, cmd_w, ack_r)
+    _live.append(child)
+    return child
+
+
+def _forget() -> None:
+    """In a forked child: close its copies of the live children's pipe ends and
+    forget them and the teams, so that it never talks to them or holds a pipe open."""
+    for fd in [fd for child in _live for fd in (child.cmd, child.ack) if fd >= 0]:
+        os.close(fd)
+    _live.clear()
+    for team in _teams:
+        team.procs = []
+    _teams.clear()
+
+
+os.register_at_fork(after_in_child=_forget)
+
+
+def _reap(children) -> list[int | None]:
+    """Close every command pipe of ``children`` (so that they all leave at once),
+    then each answer pipe, and wait for each: their wait statuses (None: reaped elsewhere)."""
+    for child in children:
+        child.release()
+    statuses = []
+    for child in children:
+        os.close(child.ack)
+        _live.remove(child)
+        try:
+            statuses.append(os.waitpid(child.pid, 0)[1])
+        except ChildProcessError:
+            statuses.append(None)
+    return statuses
+
+
+def _ended(status: int | None) -> str:
+    """How a process with the wait status ``status`` ended."""
+    if status is None:
+        return "was reaped elsewhere"
+    if os.WIFSIGNALED(status):
+        sig = os.WTERMSIG(status)
+        return f"was killed by signal {sig} ({signal.Signals(sig).name})"
+    return f"exited with code {os.waitstatus_to_exitcode(status)}"
+
+
+def _send(fd: int, data: bytes) -> None:
+    """``data`` as one frame on ``fd``: its 4-byte length, then the bytes."""
+    view = memoryview(len(data).to_bytes(4, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _recv(fd: int) -> bytes | None:
+    """The bytes of the next frame on ``fd``, the only one in flight on its pipe
+    (its sender waits for an answer); None at EOF, also in mid-frame."""
+    data = b""
+    while len(data) < 4 or len(data) < 4 + int.from_bytes(data[:4], "little"):
+        more = os.read(fd, 1 << 16)
+        if not more:
+            return None
+        data += more
+    return data[4:]
 
 
 class Team(FieldSet):
     """The processes of the block sweeps: the calling one and ``helpers`` (at
     least one) forked ones, over an arena of shared memory with room for
-    ``fields`` float64 fields of shape ``nodes``, handed out by ``field``. A
-    sweep whose arrays are all fields of the last open team splits its blocks
-    among its processes; any other sweep runs in the calling process alone.
-    The open teams are kept in ``grid._teams``, as the sweeps deep inside a
-    step find them there and a fork must close the child's copies of their
-    pipes. The arena is one anonymous shared ``mmap``, made before the helpers
-    are forked; it stays mapped as long as an array in it lives, after
-    ``close`` too. ``grid.open_team`` makes one when a sweep can use helpers.
-    """
+    ``fields`` float64 fields of shape ``nodes`` (``field``), mapped as long as
+    an array in it lives. The open teams are kept in ``grid._teams``."""
 
     def __init__(self, nodes: tuple[int, ...], fields: int, helpers: int):
         super().__init__(nodes)
         n = math.prod(self.nodes)
-        self.procs: list[_Helper] = []
+        self.procs: list[_Child] = []
         # by id, each array ``field`` made (kept, so no other array takes its id) and its (offset, shape)
         self._fields: dict[int, tuple[np.ndarray, tuple[int, tuple[int, ...]]]] = {}
         page = mmap.PAGESIZE
@@ -114,27 +212,7 @@ class Team(FieldSet):
         return tuple(refs)
 
     def _fork(self) -> None:
-        cmd_r, cmd_w = os.pipe()
-        ack_r, ack_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (cmd_r, cmd_w, ack_r, ack_w):
-                os.close(fd)
-            raise
-        if pid == 0:  # the helper leaves only through os._exit, so no caller's cleanup runs twice
-            code = 1
-            try:
-                signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller stops it by closing its pipe
-                os.close(cmd_w)  # else its own command pipe would never reach EOF
-                os.close(ack_r)
-                _serve(cmd_r, ack_w, self.arena, self.results)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(cmd_r)
-        os.close(ack_w)
-        self.procs.append(_Helper(pid, cmd_w, ack_r))
+        self.procs.append(_fork_child(_serve, self.arena, self.results))
 
     def sweep(self, kernel, plan_args: tuple, refs: tuple, arrays, scalars) -> None:
         """``kernel`` on part t of the plan ``grid._plan(*plan_args)`` in helper t
@@ -144,9 +222,8 @@ class Team(FieldSet):
         busy = []
         try:
             for t, proc in enumerate(self.procs[: len(plan.parts) - 1], 1):
-                msg = pickle.dumps((kernel, plan_args, t, refs, scalars), pickle.HIGHEST_PROTOCOL)
                 try:
-                    os.write(proc.cmd, len(msg).to_bytes(4, "little") + msg)
+                    _send(proc.cmd, pickle.dumps((kernel, plan_args, t, refs, scalars), pickle.HIGHEST_PROTOCOL))
                 except OSError:
                     raise GridError(f"block sweep helper {proc.pid} has exited") from None
                 busy.append(proc)
@@ -162,49 +239,20 @@ class Team(FieldSet):
             _teams.remove(self)
         procs, self.procs = self.procs, []
         self._fields.clear()
-        for proc in procs:
-            os.close(proc.cmd)
-        for proc in procs:
-            os.close(proc.ack)
-            try:
-                os.waitpid(proc.pid, 0)
-            except ChildProcessError:  # reaped elsewhere
-                pass
-
-
-def _forget_teams() -> None:
-    """In a forked child: forget the parent's teams and close the child's copies
-    of their pipe ends, so that it never talks to their helpers and no helper
-    waits for it to close them."""
-    for team in _teams:
-        for proc in team.procs:
-            os.close(proc.cmd)
-            os.close(proc.ack)
-        team.procs = []
-    _teams.clear()
-
-
-os.register_at_fork(after_in_child=_forget_teams)
+        _reap(procs)
 
 
 def _serve(cmd: int, ack: int, arena, results: np.ndarray) -> None:
-    """A helper's loop: per message (kernel, plan arguments, part, array refs,
-    scalars), the kernel on its part over the arena's arrays, then one byte,
-    b"." when done; until its command pipe reaches EOF. It calls no public
-    function of the package: the benchmark's span tracer (``perfbench/spans.py``)
-    keeps one stack for the whole process."""
+    """A helper's loop: per frame (kernel, plan arguments, part, array refs,
+    scalars), the kernel on its part over the arena's arrays, then the byte
+    b"."; until its command pipe reaches EOF. A kernel that raises ends the
+    helper (``_fork_child``), and the caller's sweep raises ``GridError``."""
     jobs: dict[bytes, tuple] = {}  # the unpickled messages: a run repeats a few of them
     views: dict = {}
-    while msg := os.read(cmd, 1 << 16):
-        size = int.from_bytes(msg[:4], "little") + 4
-        while len(msg) < size:  # a message longer than the pipe writes at once
-            more = os.read(cmd, size - len(msg))
-            if not more:
-                return
-            msg += more
+    while (msg := _recv(cmd)) is not None:
         job = jobs.get(msg)
         if job is None:
-            kernel, plan_args, t, refs, scalars = pickle.loads(msg[4:])
+            kernel, plan_args, t, refs, scalars = pickle.loads(msg)
             for ref in refs:
                 if ref is not None and ref not in views:
                     views[ref] = np.ndarray(ref[1], np.float64, arena, ref[0])
@@ -213,12 +261,57 @@ def _serve(cmd: int, ack: int, arena, results: np.ndarray) -> None:
                 jobs.clear()
             job = jobs[msg] = (kernel, _plan(*plan_args).parts[t], arrays, scalars)
         kernel, part, arrays, scalars = job
-        try:
-            kernel(part, arrays, scalars, results)
-        except Exception:
-            import traceback  # imported here: it costs ~2 ms, and only a failure needs it
+        kernel(part, arrays, scalars, results)
+        os.write(ack, b".")
 
-            traceback.print_exc()
-            os.write(ack, b"!")
-        else:
-            os.write(ack, b".")
+
+def run_jobs(jobs: list[tuple[str, str]], workers: int, cpus: int, run, failed) -> list:
+    """``run(job)`` for each of ``jobs`` (a rung's config text and directory), on up
+    to ``workers`` forked workers with ``cpus`` CPUs each (``ACTX_THREADS``); a
+    new worker is forked while jobs wait and fewer than ``workers`` live. A job
+    whose worker ends before sending its result gets ``failed(job, line)``,
+    with the stderr line that says so. Returns the results in the jobs' order."""
+    results: list = [None] * len(jobs)
+    pending = list(range(len(jobs)))
+    idle: list[_Child] = []
+    busy: dict[int, tuple[_Child, int]] = {}  # by the read end of its answer pipe: a worker and its job
+    given: dict[int, list[int]] = {}  # by pid: every job a worker was given, in order
+    try:
+        while pending or busy:
+            while pending and (idle or len(idle) + len(busy) < workers):
+                w = idle.pop(0) if idle else _fork_child(_serve_jobs, jobs, run, cpus)
+                j = pending.pop(0)
+                busy[w.ack] = (w, j)
+                given.setdefault(w.pid, []).append(j)
+                try:
+                    _send(w.cmd, j.to_bytes(4, "little"))
+                except OSError:  # the worker has ended: its answer pipe reaches EOF below
+                    pass
+            if not pending:
+                for w in idle + [w for w, _ in busy.values()]:
+                    w.release()
+            for fd in select.select(list(busy), [], [])[0]:
+                w, j = busy[fd]
+                data = _recv(fd)
+                if data is None:
+                    del busy[fd]
+                    how = _ended(_reap([w])[0])
+                    rungs = ", ".join(jobs[i][1] for i in given[w.pid])
+                    results[j] = failed(jobs[j], f"rung failed: sweep worker {w.pid} {how} while running "
+                                        f"{jobs[j][1]} (its rungs: {rungs})")
+                else:
+                    results[j] = pickle.loads(data)
+                    del busy[fd]
+                    idle.append(w)
+    finally:
+        for w, _ in busy.values():  # only after an error: stop the job it runs
+            os.kill(w.pid, signal.SIGKILL)
+        _reap(idle + [w for w, _ in busy.values()])  # a waiting worker leaves at EOF
+    return results
+
+
+def _serve_jobs(cmd: int, res: int, jobs: list, run, cpus: int) -> None:
+    """A worker's loop: per job index, ``run(job)`` pickled back; until EOF."""
+    os.environ["ACTX_THREADS"] = str(cpus)  # its share of the budget (grid.cpu_budget)
+    while (msg := _recv(cmd)) is not None:
+        _send(res, pickle.dumps(run(jobs[int.from_bytes(msg, "little")]), pickle.HIGHEST_PROTOCOL))

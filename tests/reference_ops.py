@@ -10,7 +10,8 @@ the forms here, bit for bit where the arithmetic is the same. ``grad_sq``
 is |grad f|^2 by whole-field stride shifts, the frame fields' reference.
 ``whole_field_cutoff``, ``whole_field_phase`` and ``whole_box_ball_masses``
 build the cutoff, the initial phase and the ball masses over the whole
-field at once, where the program goes slab by slab.
+field at once, where the program goes slab by slab. ``interface_measure``
+is an extracted interface's total length or area.
 """
 
 import math
@@ -283,3 +284,13 @@ def whole_box_ball_masses(measure, radius: float, centres) -> np.ndarray:
         rest = tuple(shifted(k + 1, m + b) for k, b in enumerate(off))
         out += cum[(shifted(0, m + a + 1),) + rest] - cum[(shifted(0, m - a),) + rest]
     return out * spec.h**spec.dim
+
+
+def interface_measure(iset) -> float:
+    """The total length of an ``InterfaceSet``'s segments (n=2) or area of its
+    triangles (n=3)."""
+    a = iset.elements[:, 1] - iset.elements[:, 0]
+    if iset.dim == 2:
+        return float(np.sum(np.sqrt(np.sum(a * a, axis=-1))))
+    b = iset.elements[:, 2] - iset.elements[:, 0]
+    return float(0.5 * np.sum(np.linalg.norm(np.cross(a, b), axis=-1)))

@@ -1228,6 +1228,38 @@ class TestImportFootprint:
                              text=True, check=True, timeout=120).stdout.splitlines()
         assert out[-1] == "[0, 0] [False, False, True]"
 
+    def test_only_a_forking_invocation_loads_the_process_module(self, tmp_path):
+        # fresh interpreters: at ACTX_THREADS=1 neither a small run nor a
+        # two-rung sweep forks, so neither loads (compiles) actx.team; at
+        # ACTX_THREADS=2 the sweep forks its workers and loads it
+        import subprocess
+        import sys
+
+        import actx
+
+        (tmp_path / "run.cfg").write_text(CONFIG.replace("T = 0.004", "T = 0.0005")
+                                          .replace("tau = 0.002", "tau = 0.00025"))
+        (tmp_path / "plan.cfg").write_text(
+            PLAN.replace("T = 0.004", "T = 0.0005").replace("tau = 0.002", "tau = 0.00025"))
+        code = (
+            "import sys\n"
+            "import actx.cli\n"
+            "codes, loaded = [], []\n"
+            "for argv in sys.argv[1:]:\n"
+            "    codes.append(actx.cli.main(argv.split()))\n"
+            "    loaded.append('actx.team' in sys.modules)\n"
+            "print(codes, loaded)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(actx.__file__)))
+        outs = []
+        for threads, argvs in (("1", ["run --config run.cfg --out art", "sweep --plan plan.cfg --out s1"]),
+                               ("2", ["sweep --plan plan.cfg --out s2"])):
+            env = dict(os.environ, ACTX_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            outs.append(subprocess.run([sys.executable, "-c", code, *argvs], cwd=tmp_path, env=env,
+                                       capture_output=True, text=True, check=True, timeout=120).stdout.splitlines()[-1])
+        assert outs == ["[0, 0] [False, False]", "[0] [True]"]
+
 
 class TestScripts:
     @pytest.mark.parametrize("script, args", [

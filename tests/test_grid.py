@@ -722,3 +722,56 @@ class TestTeamLifecycle:
             with open_team(nodes, 2) as team:
                 assert type(team) is FieldSet and live_children() == set()
                 assert type(team.field()) is np.ndarray
+
+
+class TestFrames:
+    """The frames of ``team``'s pipes (``_send``, ``_recv``): a 4-byte length
+    and the bytes, read whole however many reads they take, and None at EOF,
+    also in mid-frame."""
+
+    @staticmethod
+    def _received(write):
+        """What ``_recv`` reads from a new pipe while a thread runs ``write(w)``
+        on its write end and then closes it."""
+        import os
+        import threading
+
+        from actx.team import _recv
+
+        r, w = os.pipe()
+
+        def write_and_close():
+            try:
+                write(w)
+            finally:
+                os.close(w)
+
+        writer = threading.Thread(target=write_and_close)
+        writer.start()
+        try:
+            return _recv(r)
+        finally:
+            os.close(r)  # a writer that _recv left blocked fails instead of waiting forever
+            writer.join()
+
+    def test_long_frame_arrives_whole(self):
+        # 320 KiB: five times what one read takes, more than a pipe holds
+        from actx.team import _send
+
+        data = np.random.default_rng(5).bytes(320 * 1024)
+        assert self._received(lambda w: _send(w, data)) == data
+        assert self._received(lambda w: _send(w, b"")) == b""
+
+    @pytest.mark.parametrize("cut", [0, 3, 4 + 160 * 1024], ids=["empty", "in-length", "in-bytes"])
+    def test_eof_mid_frame_gives_none(self, cut):
+        import os
+
+        data = np.random.default_rng(6).bytes(320 * 1024)
+        frame = (len(data).to_bytes(4, "little") + data)[:cut]
+
+        def write_part(w):
+            view = memoryview(frame)
+            while view:
+                view = view[os.write(w, view):]
+
+        assert self._received(write_part) is None
