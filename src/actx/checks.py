@@ -90,7 +90,7 @@ from .solver import Trajectory
 
 def discrepancy_field(phi: ScalarField, eps: float, well: DoubleWell) -> ScalarField:
     """xi = eps |grad phi|^2 / 2 - W(phi)/eps; vanishes on the exact 1D profile."""
-    return frame_fields(phi, eps, well).xi
+    return frame_fields(phi, eps, well, xi=np.empty(phi.spec.nodes)).xi
 
 
 def positive_discrepancy_ball(
@@ -542,6 +542,8 @@ def sweep(plan_path: str, out_dir: str) -> int:
     budget = cpu_budget()
     workers = min(budget, len(jobs))
     if workers > 1:  # the workers share the CPU budget for their block sweeps
+        import hashlib  # noqa: F401  every rung's manifest hashes: loaded once, the workers share its pages
+
         from .team import run_jobs  # imported only to fork: see the docstring of team
 
         results = run_jobs(jobs, workers, max(1, budget // workers), _rung_job, _failed_rung)
@@ -661,14 +663,14 @@ def diagnose(args) -> int:
     build_row = solver.RowBuilder(cfg, radii)
     code = EXIT_OK
     print(DiagnosticsRow.CSV_HEADER)
-    # each frame is copied into the fields that the block sweeps' helpers share
-    with open_team(cfg.grid.nodes, 3) as team:
-        frame, scratch, density = team.field(), team.field(), team.field()
+    # each frame is copied into one of the fields that the block sweeps' helpers share
+    with open_team(cfg.grid.nodes, 2) as team:
+        frame, scratch = team.field(), team.field()
         for t, phi in zip(traj.times, traj.frames):
             np.copyto(frame, phi.values)
             try:  # the default probe needs t < s = T + 0.01, so no later frame has a row
                 row, _ = build_row(ScalarField.from_checked(phi.spec, frame), t,
-                                   float(np.max(np.abs(frame))), scratch, density)
+                                   float(np.max(np.abs(frame))), scratch)
             except MeasureError as exc:
                 print(f"probe error: default probe: {exc}", file=sys.stderr)
                 code = EXIT_CONFIG

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import math
 import os
 import sys
@@ -91,6 +90,8 @@ def load_experiment(path: str) -> tuple[ScenarioConfig, SolverConfig, str]:
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # here: OpenSSL takes 3.6 MiB, and only the manifest and the report hash
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -173,8 +174,10 @@ def run_experiment(config_path: str, out_dir: str) -> int:
         print(f"solver abort: {exc}", file=sys.stderr)
         _write_manifest(out_dir, cfg, sol, text, exc.dt, exc.n_steps, "aborted", abort=exc)
         return EXIT_ABORT
-    _write_manifest(out_dir, cfg, sol, text, result.dt, result.n_steps, "complete")
-    print(f"run complete: {result.n_steps} steps, {len(result.rows)} diagnostics rows -> {out_dir}")
+    dt, n_steps, rows = result.dt, result.n_steps, len(result.rows)
+    del result  # its final field keeps the run's fields (with helpers, their whole arena) mapped
+    _write_manifest(out_dir, cfg, sol, text, dt, n_steps, "complete")
+    print(f"run complete: {n_steps} steps, {rows} diagnostics rows -> {out_dir}")
     return EXIT_OK
 
 

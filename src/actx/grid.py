@@ -13,7 +13,8 @@ of one component is a contiguous run too. ``stencil_rhs`` is the explicit
 step's update on the interior nodes in a folded, division-free form (the
 neighbour sum times one constant plus one polynomial in f), swept in
 cache-sized blocks into a caller's array; it returns max |out|, taken block
-by block in the same sweep. ``measures.frame_fields`` sweeps the same blocks.
+by block in the same sweep. ``measures.frame_fields`` sweeps the same blocks,
+whole axis-0 slabs each, and reduces the discrepancy in them per slab.
 
 A block sweep of at least ``PROC_NODES`` interior nodes (24 Ki: 161^2 or
 31^3 and up) splits its blocks among the processes of an open ``team.Team``,
@@ -250,9 +251,10 @@ def outer_sum_sq(offsets: Sequence[np.ndarray]) -> np.ndarray:
     return d2
 
 
-# Nodes per block of ``stencil_rhs`` and ``measures.frame_fields``: a block's
-# ~10 operands stay in L2, where whole-field passes stream each field through
-# it once per operation. 16-64 Ki nodes measured best at both 97^3 and 257^2.
+# Nodes per block of ``stencil_rhs`` and ``measures.frame_fields``, rounded to
+# whole axis-0 slabs: a block's ~10 operands stay in L2, where whole-field
+# passes stream each field through it once per operation. 16-64 Ki nodes
+# measured best at both 97^3 and 257^2.
 CHUNK = 32 * 1024
 
 # Nodes per slab of the passes that go through a whole field one axis-0 slab
@@ -299,22 +301,25 @@ def _procs(nodes: int, s0: int, procs: int) -> int:
 
 
 def _block_plan(lo: int, hi: int, s0: int, procs: int = 1) -> BlockPlan:
-    """The blocks of ``CHUNK`` nodes of one sweep over the nodes [lo, hi) of a
-    flattened field whose axis-0 slabs hold ``s0`` nodes, split among up to
-    ``procs`` processes (``_procs``): each takes a run of whole slabs, so no two
-    processes write in the same slab."""
+    """The blocks of about ``CHUNK`` nodes, whole slabs each, of one sweep over
+    the nodes [lo, hi) of a flattened field whose axis-0 slabs hold ``s0``
+    nodes, split among up to ``procs`` processes (``_procs``): each takes a run
+    of whole slabs, so no two processes write in the same slab."""
     return _plan(lo, hi, s0, _procs(hi - lo, s0, procs), CHUNK)
 
 
 @lru_cache(maxsize=32)
 def _plan(lo: int, hi: int, s0: int, procs: int, size: int) -> BlockPlan:
-    """``_block_plan``'s blocks for a given process count and block size."""
+    """``_block_plan``'s blocks for a given process count and block size: each
+    block is whole axis-0 slabs, round(size / s0) of them (at least one), so
+    that a kernel reducing per slab makes each slab's value in one block."""
     slabs = (hi - lo) // s0
+    step = max(1, round(size / s0)) * s0
     cuts = [lo + slabs * t // procs * s0 for t in range(procs)] + [hi]
     parts, i = [], 0
     for a0, b0 in zip(cuts, cuts[1:]):
-        starts = list(range(a0, b0, size))
-        if len(starts) > 1 and b0 - starts[-1] < size // 16:
+        starts = list(range(a0, b0, step))
+        if len(starts) > 1 and b0 - starts[-1] < step // 16:
             # a last block this short costs more in its ~15 numpy calls than in
             # arithmetic, so it joins the one before: at 257^2 on two processes,
             # the second part's last block of 128 nodes took 8 us of its 89
@@ -381,26 +386,30 @@ def open_team(nodes: tuple[int, ...], fields: int, helpers: int | None = None) -
 _teams: list = []
 
 
-def _sweep(kernel, lo: int, hi: int, s0: int, arrays: tuple, scalars: tuple) -> np.ndarray:
+def _sweep(kernel, lo: int, hi: int, s0: int, arrays: tuple, scalars: tuple, slabs: bool = False):
     """``kernel(blocks, arrays, scalars, rows)`` over the blocks of ``_block_plan``
     for the nodes [lo, hi) of flattened fields with axis-0 slabs of ``s0``
-    nodes: the kernel writes block i's row of two floats into ``rows[i]``.
+    nodes: the kernel writes block i's row of two floats into ``rows[i]`` and,
+    with ``slabs``, the row of the sweep's k-th slab into ``rows[S + 2 + k]``,
+    S = (hi - lo) // s0 the slabs swept (no plan has more blocks than slabs).
     With the last open ``team.Team``, if every array is one of its fields, each of
     its processes takes a part of the plan; otherwise the calling process takes
-    every block. Returns the rows, with two more after the blocks' for the
-    caller; with a team they are its shared rows, valid until its next sweep.
-    The kernel computes every node and every block's row on its own, so the
-    bits are the same whatever the split."""
+    every block. Returns the block rows, with two more after them for the
+    caller, and with ``slabs`` the S slab rows too; with a team they are its
+    shared rows, valid until its next sweep. The kernel computes every node
+    and every row on its own, so the bits are the same whatever the split."""
     team = _teams[-1] if _teams else None
     refs = None if team is None else team.refs(arrays)
     plan_args = (lo, hi, s0, _procs(hi - lo, s0, 1 if refs is None else 1 + len(team.procs)), CHUNK)
     plan = _plan(*plan_args)
+    n = (hi - lo) // s0
     if len(plan.parts) == 1:
-        rows = np.empty((plan.blocks + 2, 2))
+        rows = np.empty((2 * n + 2 if slabs else plan.blocks + 2, 2))
         kernel(plan.parts[0], arrays, scalars, rows)
-        return rows
-    team.sweep(kernel, plan_args, refs, arrays, scalars)
-    return team.results[: plan.blocks + 2]
+    else:
+        team.sweep(kernel, plan_args, refs, arrays, scalars)
+        rows = team.results
+    return (rows[: plan.blocks + 2], rows[n + 2 : 2 * n + 2]) if slabs else rows[: plan.blocks + 2]
 
 
 def _fold_coeffs(wprime: Sequence[float], h: float, eps: float, n: int, scale: float) -> tuple[float, ...]:
@@ -522,18 +531,13 @@ def _rhs_blocks(blocks, arrays: tuple, scalars: tuple, ext: np.ndarray) -> None:
         ext[i] = r.max(), r.min()
 
 
-def integrate(
-    f: ScalarField,
-    region: tuple[Sequence[float], Sequence[float]] | None = None,
-    out: np.ndarray | None = None,
-) -> float:
+def integrate(f: ScalarField, region: tuple[Sequence[float], Sequence[float]] | None = None) -> float:
     """Trapezoid-consistent integral: node sum x h^n, half-weights on region edges.
 
     ``region=(lo, hi)`` restricts to the nodes of ``spec.box_slices(region)``.
     A region with fewer than two nodes along an axis integrates to 0.0 with a
-    warning. The window's values are copied into a fresh array, or into the
-    first elements of ``out`` (a C-contiguous array of at least as many
-    elements that shares no memory with f), and halved there by ``trapezoid``.
+    warning. The window's values are copied into a fresh array and halved
+    there by ``trapezoid``.
     """
     spec = f.spec
     window = (slice(None),) * spec.dim
@@ -542,12 +546,7 @@ def integrate(
         if not spec.contains_box(lo, hi, tol=1e-9 * spec.h):
             raise GridError(f"region {lo}..{hi} is not contained in the domain box")
         window = spec.box_slices(region)
-    vals = f.values[window]
-    if out is None:
-        return trapezoid(vals.copy(), spec.h)
-    dst = out.reshape(-1)[: vals.size].reshape(vals.shape)
-    np.copyto(dst, vals)
-    return trapezoid(dst, spec.h)
+    return trapezoid(f.values[window].copy(), spec.h)
 
 
 def trapezoid(values: np.ndarray, h: float) -> float:

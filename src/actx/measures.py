@@ -10,14 +10,17 @@ kernel energy, the scaled density ratio, the Meyers-Ziemer probe, the
 weighted-energy growth check) live in ``checks``, which a run never loads.
 
 Per-frame quantities are computed once: ``frame_fields`` (|grad phi|^2 and
-W) plus the per-frame scalars built on it and ``velocity_sq`` (whose drive
-is the step's own ``grid.stencil_rhs``). ``solver.RowBuilder`` assembles
-them into the diagnostics row, which ``solver.run`` writes and ``actx
-diagnose`` prints. The rows are the record of every per-frame diagnostic:
-the growth check (``checks.gronwall_report``) reads them. Snapshot frames
-are read back only for what the rows cannot hold: ``checks.monotonicity_check``
-for probes chosen after the run (it builds each frame's fields once for all
-its probes), the scaled density ratio and the Meyers-Ziemer probe.
+W in one sweep, which writes the density and reduces the discrepancy xi on
+a window as it goes, so that xi becomes a field only when asked for) plus
+the per-frame scalars built on it, ``box_fields`` (both on a probe's box,
+with the same bits) and ``velocity_sq`` (whose drive is the step's own
+``grid.stencil_rhs``). ``solver.RowBuilder`` assembles them into the
+diagnostics row, which ``solver.run`` writes and ``actx diagnose`` prints.
+The rows are the record of every per-frame diagnostic: the growth check
+(``checks.gronwall_report``) reads them. Snapshot frames are read back only
+for what the rows cannot hold: ``checks.monotonicity_check`` for probes
+chosen after the run (it builds each frame's density once for all its
+probes), the scaled density ratio and the Meyers-Ziemer probe.
 
 The truncated backward kernel of a probe vanishes off B_{r_outer}(y), so it
 and the integrals it weights are evaluated on the probe's bounding sub-box
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
@@ -58,6 +62,7 @@ from .grid import (
     sum_sq,
     trapezoid,
 )
+from ._frame import _faces_2d, _faces_by_axis, _fields_blocks
 from .potential import DoubleWell, _smoothstep
 from .scenario import Transport, transport_field
 
@@ -73,167 +78,101 @@ class MeasureError(ValueError):
 
 @dataclass
 class FrameFields:
-    """Pointwise fields of one frame: density = eps |grad phi|^2/2 + W(phi)/eps
-    and xi = eps |grad phi|^2/2 - W(phi)/eps."""
+    """What one sweep over the frame phi made: the field density = eps |grad
+    phi|^2/2 + W(phi)/eps, and of the discrepancy xi = eps |grad phi|^2/2 -
+    W(phi)/eps the field, if it was asked for, and on a window its max and the
+    trapezoid integral of its positive part (nan without a window). ``eps``
+    and ``well`` are the frame's, for ``box_fields`` on phi."""
 
+    phi: ScalarField
+    eps: float
+    well: DoubleWell
     density: ScalarField
-    xi: ScalarField
+    xi: ScalarField | None = None
+    sup_xi: float = math.nan
+    pos_xi_integral: float = math.nan
 
     def measure(self) -> "EnergyMeasure":
         return EnergyMeasure.of(self.density)
 
 
-def frame_fields(phi: ScalarField, eps: float, well: DoubleWell,
-                 out: tuple[np.ndarray, np.ndarray] | None = None) -> FrameFields:
+def frame_fields(phi: ScalarField, eps: float, well: DoubleWell, out: np.ndarray | None = None,
+                 xi: np.ndarray | None = None, window: tuple[slice, ...] | None = None) -> FrameFields:
     """|grad phi|^2 and W in one sweep over the flattened frame, in the blocks of
     ``grid.stencil_rhs`` (``grid._sweep``: split among a team's processes when
-    phi and ``out`` are its fields), each through every term before the next:
-    density and xi are written straight into their two fields, fresh ones or
-    the (density, xi) arrays ``out`` (C-contiguous, of phi's shape, sharing no
-    memory with phi or each other).
+    phi and the outputs are its fields), each through every term before the
+    next: the density goes into a fresh field or into ``out``, and xi into
+    ``xi`` if given, else only into each block's scratch (arrays C-contiguous,
+    of phi's shape, sharing no memory with phi or each other).
+
+    With a ``window`` (index slices of step 1, holding no face node), each
+    block also reduces xi on its part of the window: its max, and per axis-0
+    slab the sum of xi^+ = max(xi, 0) with half weights on the edges of axes
+    >= 1, over the slab's trailing axes in one call. A block is whole slabs,
+    so every slab's sum is made in one process; ``pos_xi_integral`` is the
+    sum of the slab sums in slab order, the window's two end slabs at half
+    weight, times h^n: the trapezoid rule of ``grid.trapezoid``, with the
+    same bits at any process count.
 
     |grad phi|^2 is sum_k ((up_k - dn_k) / 2h)^2 in axis order, where a face
     node takes the ghost node 2 f_face - f_inner along the face's axis. The
     sweep covers the nodes off the two axis-0 faces, as ``stencil_rhs`` does,
     and wraps around on the faces of the other axes; every face is then
-    redone (``_faces_2d``, ``_faces_by_axis``). A non-finite node, found from
-    the blocks' sums, raises ``GridError`` with its index.
+    redone (``_faces_2d``, ``_faces_by_axis``). A non-finite density, found
+    from the blocks' sums, raises ``GridError`` with its first node (xi is
+    finite wherever the density is).
     """
     v, h = phi.values, phi.spec.h
-    density, xi = (np.empty(v.shape), np.empty(v.shape)) if out is None else out
+    density = np.empty(v.shape) if out is None else out
+    if window is not None:
+        if any(sl.start < 1 or sl.stop > n - 1 for sl, n in zip(window, v.shape)):
+            raise MeasureError(f"window {window} reaches the box faces")
+        if any(sl.stop <= sl.start for sl in window):
+            raise MeasureError(f"window {window} holds no node")
     s0 = v.strides[0] // v.itemsize
-    # the sums of each block's density and xi, then of the faces'
-    sums = _sweep(_fields_blocks, s0, v.size - s0, s0, (v, density, xi), (h, eps, well))
-    sums[-2:] = (_faces_2d if v.ndim == 2 else _faces_by_axis)(v, h, eps, well, density, xi), 0.0
-    if not np.all(np.isfinite(sums)):  # a non-finite node, or only an overflowing sum or wrapped face
+    # per block its density sum and the max of xi on its part of the window; per slab its xi^+ sum
+    rows, slabs = _sweep(_fields_blocks, s0, v.size - s0, s0, (v, density, xi), (h, eps, well, window), slabs=True)
+    faces = (_faces_2d if v.ndim == 2 else _faces_by_axis)(v, h, eps, well, density, xi)
+    rows[-2:] = (faces, -math.inf), (0.0, -math.inf)  # the caller's two rows: the faces' density sum
+    if not np.all(np.isfinite(rows[:, 0])):  # a non-finite node, or only an overflowing sum or wrapped face
         _check_finite(density, "scalar field")
-        _check_finite(xi, "scalar field")
-    return FrameFields(ScalarField.from_checked(phi.spec, density), ScalarField.from_checked(phi.spec, xi))
-
-
-def _fields_blocks(blocks, arrays: tuple, scalars: tuple, sums: np.ndarray) -> None:
-    """``frame_fields``'s sweep over ``blocks`` (index, start, end) of the arrays
-    (phi, density, xi) with the scalars (h, eps, well): each block's density
-    and xi, and their sums into ``sums``. A ``grid._sweep`` kernel, which runs
-    in a helper process too."""
-    v, density, xi = arrays
-    h, eps, well = scalars
-    flat, dens_flat, xi_flat = v.reshape(-1), density.reshape(-1), xi.reshape(-1)
-    steps = [st // v.itemsize for st in v.strides]
-    scratch = np.empty(max(b - a for _, a, b in blocks))
-    for i, a, b in blocks:
-        work = scratch[: b - a]
-        diffs = (np.subtract(flat[a + st : b + st], flat[a - st : b - st], out=work) for st in steps)
-        _fields_into(diffs, flat[a:b], h, eps, well, dens_flat[a:b], xi_flat[a:b], work)
-        sums[i] = dens_flat[a:b].sum(), xi_flat[a:b].sum()
-
-
-def _fields_into(diffs, f: np.ndarray, h: float, eps: float, well: DoubleWell,
-                 density: np.ndarray, xi: np.ndarray, work: np.ndarray) -> None:
-    """density = eps |grad|^2/2 + W(f)/eps and xi = eps |grad|^2/2 - W(f)/eps into
-    the two arrays, from the values ``f`` and ``diffs``, which yields up_k - dn_k
-    for each axis k in turn, in an array the sum may overwrite. ``work`` is an
-    array of f's shape, which may hold the diffs; W goes there, while xi holds
-    1 - f^2 until it gets its value."""
-    for k, g in enumerate(diffs):
-        g /= 2.0 * h
-        if k == 0:
-            np.multiply(g, g, out=density)
+    ff = FrameFields(phi, eps, well, ScalarField.from_checked(phi.spec, density),
+                     None if xi is None else ScalarField.from_checked(phi.spec, xi))
+    if window is not None:
+        ff.sup_xi = float(np.max(rows[:, 1]))
+        ff.pos_xi_integral = 0.0
+        if min(sl.stop - sl.start for sl in window) > 1:  # else 0.0 with a warning, as grid.trapezoid gives
+            sums = slabs[window[0].start - 1 : window[0].stop - 1, 0].copy()
+            sums[[0, -1]] *= 0.5
+            ff.pos_xi_integral = float(np.sum(sums) * h**v.ndim)
         else:
-            g *= g
-            density += g
-    density *= 0.5 * eps
-    well_half = well.w(f, out=work, work=xi)
-    well_half /= eps
-    np.subtract(density, well_half, out=xi)
-    density += well_half
+            warnings.warn("integration region contains no grid nodes (or a zero-volume slice)", stacklevel=2)
+    return ff
 
 
-@functools.lru_cache(maxsize=8)
-def _boundary_2d(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """The boundary nodes of a 2D field by flat index, c, and per axis k (rows of
-    (2, len(c)) arrays) the flat indices of their two neighbours along k, up and
-    dn, with the masks ``first`` and ``last`` of the nodes on the axis's first
-    and last face: there dn (first) or up (last) names the inner neighbour."""
-    mask = np.ones(shape, dtype=bool)
-    mask[1:-1, 1:-1] = False
-    c = np.flatnonzero(mask)
-    pos = np.unravel_index(c, shape)
-    first = np.array([p == 0 for p in pos])
-    last = np.array([p == n - 1 for p, n in zip(pos, shape)])
-    up = np.array([c + shape[1], c + 1])
-    dn = np.array([c - shape[1], c - 1])
-    up[last], dn[first] = dn[last], up[first]
-    return c, up, dn, first, last
-
-
-def _faces_2d(v: np.ndarray, h: float, eps: float, well: DoubleWell,
-              density: np.ndarray, xi: np.ndarray) -> float:
-    """Density and xi on every boundary node of a 2D frame, in a few calls over one
-    gather of those nodes (``_boundary_2d``); returns the sum of both there. On
-    a face the difference is f_in - (2 f - f_in) or (2 f - f_in) - f_in, as
-    ``_end_diff`` forms it."""
-    c, up, dn, first, last = _boundary_2d(v.shape)
-    flat = v.reshape(-1)
-    f = flat[c]
-    f2 = f * 2.0
-    g_up, g_dn = flat[up], flat[dn]
-    np.subtract(f2, g_dn, out=g_up, where=last)
-    np.subtract(f2, g_up, out=g_dn, where=first)
-    np.subtract(g_up, g_dn, out=g_up)
-    dens_b, xi_b = np.empty(f.shape), np.empty(f.shape)
-    _fields_into(iter(g_up), f, h, eps, well, dens_b, xi_b, np.empty(f.shape))
-    density.reshape(-1)[c], xi.reshape(-1)[c] = dens_b, xi_b
-    return dens_b.sum() + xi_b.sum()
-
-
-def _faces_by_axis(v: np.ndarray, h: float, eps: float, well: DoubleWell,
-                   density: np.ndarray, xi: np.ndarray) -> float:
-    """Density and xi on every face of a frame, one face at a time and axis by
-    axis (where faces meet, the last axis's value stays); returns the sum of
-    both there. A face takes five arrays of its size: its copy, its density
-    and xi, W and its differences along each axis in turn. In 3D a gather like
-    ``_faces_2d``'s was slower (97^3: 2.4 against 1.8 ms) and would keep index
-    arrays of all 55 Ki boundary nodes."""
-    total = 0.0
-    buf = np.empty((5, max(v.size // n for n in v.shape)))
-    for ax in range(v.ndim):
-        planes = [a.swapaxes(0, ax) for a in (v, density, xi)]
-        shape = planes[0].shape[1:]  # v's axes but ax, with axis 0 in ax's place
-        f, g, work, dens_face, xi_face = (b[: math.prod(shape)].reshape(shape) for b in buf)
-        for e, inner in ((0, 1), (-1, -2)):
-            # the face and its inner neighbours copied (a face of the last axes
-            # is strided), the latter into work, which W takes after the diffs
-            np.copyto(f, planes[0][e])
-            np.copyto(work, planes[0][inner])
-            diffs = (_end_diff(f, work, e == 0, g) if k == ax
-                     else _ghost_diff(f, (ax if k == 0 else k) - 1, g) for k in range(v.ndim))
-            _fields_into(diffs, f, h, eps, well, dens_face, xi_face, work)
-            planes[1][e], planes[2][e] = dens_face, xi_face
-            total += dens_face.sum() + xi_face.sum()
-    return total
-
-
-def _end_diff(f: np.ndarray, f_in: np.ndarray, first: bool, out: np.ndarray) -> np.ndarray:
-    """up - dn into ``out`` at end nodes f of an axis (its first end if
-    ``first``) with inner neighbours f_in, the ghost node 2 f - f_in standing
-    in for the missing neighbour."""
-    np.multiply(f, 2.0, out=out)
-    out -= f_in
-    return np.subtract(f_in, out, out=out) if first else np.subtract(out, f_in, out=out)
-
-
-def _ghost_diff(s: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """up - dn along ``axis`` at every node of ``s``, into ``out`` (both
-    C-contiguous, of one shape): one flat run of differences st apart, st the
-    axis's stride, then the nodes on either end by ``_end_diff``. A slice off
-    the last axis would be buffered by numpy (97^2: 2.6 arrays of s's size)."""
-    st = s.strides[axis] // s.itemsize
-    np.subtract(s.reshape(-1)[2 * st :], s.reshape(-1)[: -2 * st], out=out.reshape(-1)[st:-st])
-    for sl, inner, first in ((slice(None, 1), slice(1, 2), True), (slice(-1, None), slice(-2, -1), False)):
-        ends = (slice(None),) * axis + (sl,)
-        _end_diff(s[ends], s[(slice(None),) * axis + (inner,)], first, out[ends])
-    return out
+def box_fields(phi: ScalarField, box: tuple[slice, ...], eps: float, well: DoubleWell) -> tuple[np.ndarray, np.ndarray]:
+    """(density, xi) on the index sub-box ``box`` of phi's nodes (step-1
+    slices), with the bits that ``frame_fields`` gives them: the box with one
+    more node on either side along every axis is copied, where the box meets
+    a face the ghost node 2 f_face - f_inner takes the missing node's place
+    (formed as ``_frame._end_diff`` forms it), and ``frame_fields``' block kernel
+    sweeps the copy. Its temporaries are the size of the box."""
+    v = phi.values
+    idx = [range(*sl.indices(n)) for sl, n in zip(box, v.shape)]
+    pad = np.zeros(tuple(len(r) + 2 for r in idx))
+    src = tuple(slice(max(r.start - 1, 0), min(r.stop + 1, n)) for r, n in zip(idx, v.shape))
+    pad[tuple(slice(s.start - r.start + 1, s.stop - r.start + 1) for s, r in zip(src, idx))] = v[src]
+    for k, (r, n) in enumerate(zip(idx, v.shape)):
+        lead = (slice(None),) * k
+        for ghost, face, inner, on_face in ((0, 1, 2, r.start == 0), (-1, -2, -3, r.stop == n)):
+            if on_face:
+                np.multiply(pad[lead + (face,)], 2.0, out=pad[lead + (ghost,)])
+                pad[lead + (ghost,)] -= pad[lead + (inner,)]
+    out = np.empty((2,) + pad.shape)  # density and xi; the copy's own faces are left unset
+    s0 = pad.size // pad.shape[0]
+    _fields_blocks(((0, s0, pad.size - s0),), (pad, out[0], out[1]), (phi.spec.h, eps, well, None), np.empty((1, 2)))
+    core = (slice(1, -1),) * v.ndim
+    return out[0][core], out[1][core]
 
 
 @dataclass
@@ -245,10 +184,9 @@ class EnergyMeasure:
     total: float
 
     @classmethod
-    def of(cls, density: ScalarField, scratch: np.ndarray | None = None) -> "EnergyMeasure":
-        """The measure with this density: the field and its ``grid.integrate``,
-        which copies the density into ``scratch`` when given."""
-        return cls(density.spec, density, integrate(density, out=scratch))
+    def of(cls, density: ScalarField) -> "EnergyMeasure":
+        """The measure with this density: the field and its ``grid.integrate``."""
+        return cls(density.spec, density, integrate(density))
 
     @classmethod
     def from_phase(cls, phi: ScalarField, eps: float, well: DoubleWell) -> "EnergyMeasure":
@@ -286,14 +224,27 @@ def gronwall_weight(transport: Transport, spec: GridSpec, t: float) -> np.ndarra
     return None if g is None else np.exp(-(transport.m(t) * g))
 
 
-def weighted_energy(mu: EnergyMeasure, weight: np.ndarray | None, out: np.ndarray | None = None) -> float:
-    """int weight dmu, the Groenwall factor F(t) for weight = ``gronwall_weight``;
-    ``mu.total`` for weight None. The product is formed in a fresh field or in
-    ``out`` (of the density's shape) and summed there."""
+def energy_totals(density: np.ndarray, h: float, weight: np.ndarray | None) -> tuple[float, float]:
+    """(int dmu, int weight dmu) from the density's node values on the whole box,
+    which are overwritten: ``grid.trapezoid`` halves its face slices in place
+    and sums it, the bits of ``integrate``; the halved density is then
+    multiplied by the weight in place and summed. Halving commutes with
+    rounding, so the second has the bits of ``weighted_energy``. Weight None
+    stands for 1."""
+    total = trapezoid(density, h)
+    if weight is None:
+        return total, total
+    density *= weight
+    return total, float(np.sum(density) * h**density.ndim)
+
+
+def weighted_energy(mu: EnergyMeasure, weight: np.ndarray | None) -> float:
+    """int weight dmu, the Groenwall factor F(t) for weight = ``gronwall_weight``,
+    as the trapezoid of the product field; ``mu.total`` for weight None. The
+    rows take it from ``energy_totals``, with the same bits."""
     if weight is None:
         return mu.total
-    prod = ScalarField(mu.spec, np.multiply(weight, mu.density.values, out=out))
-    return trapezoid(prod.values, mu.spec.h)
+    return trapezoid(weight * mu.density.values, mu.spec.h)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +274,9 @@ def _ball_lines(spec: GridSpec, radius: float) -> tuple[int, list[tuple[int, tup
     return m, [(int(count[off]) // 2, tuple(int(i) - m for i in off)) for off in zip(*np.nonzero(count))]
 
 
-def ball_masses(measure: EnergyMeasure, radius: float, centres: Sequence[slice]) -> np.ndarray:
+def ball_masses(measure: EnergyMeasure | FrameFields, radius: float, centres: Sequence[slice]) -> np.ndarray:
     """mu(B_radius(x)) at the nodes x of the sub-lattice ``centres`` (one index
-    slice per axis); balls are clipped at the box.
+    slice per axis), for the density of ``measure``; balls are clipped at the box.
 
     A prefix sum along axis 0, padded by m = ceil(r/h) rows clamped to its end
     values and m zero columns on the other axes, turns the ball mass into a
@@ -341,7 +292,7 @@ def ball_masses(measure: EnergyMeasure, radius: float, centres: Sequence[slice])
     one. A column's prefix sum and a centre's chords do not depend on the
     slab, so the masses have the bits of one whole-box prefix sum.
     """
-    spec = measure.spec
+    spec = measure.density.spec
     vals = measure.density.values
     m, lines = _ball_lines(spec, radius)
     sub = [range(*sl.indices(n)) for sl, n in zip(centres, vals.shape)]
@@ -412,7 +363,7 @@ def _lattice_argmax(vals: np.ndarray, axes: Sequence[np.ndarray], centres: Seque
 
 
 def density_ratio(
-    measure: EnergyMeasure,
+    measure: EnergyMeasure | FrameFields,
     radii: Sequence[float] | None = None,
     region: tuple[Sequence[float], Sequence[float]] | None = None,
     stride: int = 4,
@@ -424,8 +375,9 @@ def density_ratio(
     box), keeping only centers whose ball fits inside the region when
     ``require_fit``. Radii default to the dyadic ladder 2h, 4h, ... capped at
     a quarter of the region extent; radii below 2h are rejected as noise.
+    mu is the density of ``measure`` (``ball_masses``).
     """
-    spec = measure.spec
+    spec = measure.density.spec
     h = spec.h
     region = region or (spec.lo, spec.hi)
     ext = min(hi - lo for lo, hi in zip(*region))
@@ -513,7 +465,8 @@ class ProbeGeometry:
 
     ``box`` is the index sub-box of the nodes within r_outer of y along every
     axis: it holds every node where the kernel can be nonzero, and a probe
-    that passes ``validate`` has none of those on the box faces, so sums over
+    that passes ``validate`` has none of those on the box faces but within
+    rounding of r_outer (where the kernel is at most rounding), so sums over
     it need no trapezoid edge weights. ``r2`` and ``cutoff`` are the squared
     distance to y and the C^2 cutoff on it; ``tail`` is the ``ball_window`` of
     B_{1/4}(y). The arrays are shared and read-only.
@@ -571,20 +524,23 @@ def kernel_terms(
 
     (int rho dmu, 1/2 int rho |u|^2 dmu, int xi rho / (2(s - t))) for the probe's
     kernel rho and the transport u = m(t) U. The products are formed and summed
-    on the probe's box only; |U|^2 is the sum over the leading (component)
-    axis of the grid's cached U (``scenario.transport_field``) and m(t)^2
-    scales its integral.
+    on the probe's box only: the density is read from ``fields``, and xi there
+    is ``box_fields`` of the frame; |U|^2 is the sum over the leading
+    (component) axis of the grid's cached U (``scenario.transport_field``) and
+    m(t)^2 scales its integral.
     """
     spec = fields.density.spec
     geo = probe_geometry(probe, spec)
+    xi = box_fields(fields.phi, geo.box, fields.eps, fields.well)[1]  # first: its temporaries are the most
     rho = _kernel(probe, geo.r2, geo.cutoff, t, spec.dim)
+    i_xi = _box_integral(xi * rho, geo, spec) / (2.0 * (probe.s - t))
+    del xi
     dens = fields.density.values[geo.box]
     i_rho = _box_integral(rho * dens, geo, spec)
     u, m = transport_field(transport, spec).u, transport.m(t)
     i_u = 0.0
     if u is not None:  # U is component-major: the box indexes the axes behind the components
         i_u = 0.5 * m * m * _box_integral(rho * sum_sq(u[(slice(None),) + geo.box], axis=0) * dens, geo, spec)
-    i_xi = _box_integral(fields.xi.values[geo.box] * rho, geo, spec) / (2.0 * (probe.s - t))
     return i_rho, i_u, i_xi
 
 

@@ -17,10 +17,11 @@ makes each row from its frame, which it extracts once; the last row's
 interface is written to ``interface_final.csv``. The run keeps only the
 final field, and allocates its fields once, from ``grid.open_team`` (shared
 with the block sweeps' helper processes on a grid large enough for them):
-phi0 (built by slabs) and a spare field, which the steps write in
-turn, rk2's midpoint, and the rows' density; each row borrows the spare field
-as its scratch. Besides these (and a transport's cached U and G, U's copy
-among the team's fields, and the Groenwall weight), what a run allocates is
+phi0 (built by slabs) and a spare field, which the steps write in turn, and
+rk2's midpoint; each row borrows the spare field, which holds the drive and
+then the density, while the discrepancy is reduced in the density's sweep
+and never becomes a field. Besides these (and a transport's cached U and G,
+U's copy among the team's fields, and the Groenwall weight), what a run allocates is
 the size of a slab, a block or one interface: a row drops the previous
 row's interface before it extracts its own. The rows are the run's record
 of every per-frame diagnostic;
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .grid import GridError, ScalarField, VectorField, open_team, pack, read_field, stencil_rhs, trapezoid
+from .grid import GridError, ScalarField, VectorField, open_team, read_field, stencil_rhs
 from .grid import write_field
 from .interface import InterfaceSet, extract_interface, radius_estimate
 from .potential import DoubleWell
@@ -267,20 +268,24 @@ class RowBuilder:
     probe's kernel terms since the previous frame. The Groenwall weight
     exp(-m G) is formed once if static, else at every row.
 
-    A row needs two fields besides phi, a scratch field and the density, which
-    the caller may lend and which the builder otherwise allocates once. ``run``
-    lends the step's spare field and its team's density field, ``actx
-    diagnose`` its team's fields: the block sweeps over phi and these split
-    among the team's processes. The scratch holds in turn the drive, xi, the
-    density's copy for its integral and the Groenwall product; each window
-    that a trapezoid sums is packed to its front (``grid.pack``). Besides phi,
-    the scratch and the density, a row's temporaries are the size of a block,
-    a slab or the interface, one part at a time: the block sweeps' scratch
-    rows, ``frame_fields``' face planes, ``ball_masses``' prefix-sum slab of
-    columns, the probe's box, ``extract_interface``'s node mask of one slab,
-    its active cells and a piece of their elements, and ``radius_estimate``'s
-    distances. At 97^3 that peaks at 0.07 of a field above the row's inputs
-    and the interface it returns.
+    A row needs one field besides phi, which the caller may lend and which the
+    builder otherwise allocates once: ``run`` lends the step's spare field,
+    ``actx diagnose`` one of its team's fields, so that the block sweeps over
+    phi and it split among the team's processes. The field holds in turn the
+    drive, whose window ``velocity_sq`` packs to its front (``grid.pack``),
+    and the density, which ``measures.frame_fields`` writes while it reduces
+    xi on Omega' (``sup_xi``, ``pos_xi_integral``), so that xi never becomes
+    a field. On the density the first row places the probe (its argmax), then
+    come the kernel terms (xi on the probe's box from ``measures.box_fields``),
+    the density ratio and the interface; last, ``measures.energy_totals``
+    halves its faces in place for the total and multiplies it by the
+    Groenwall weight. Besides phi and the field, a row's temporaries are the
+    size of a block, a slab, a probe's box or the interface, one part at a
+    time: the block sweeps' scratch rows, ``frame_fields``' face planes,
+    ``ball_masses``' prefix-sum slab of columns, ``extract_interface``'s node
+    mask of one slab, its active cells and a piece of their elements, and
+    ``radius_estimate``'s distances. At 97^3 that peaks at 0.07 of a field
+    above the row's inputs and the interface it returns.
     """
 
     def __init__(self, cfg: ScenarioConfig, radii: list[float]):
@@ -292,21 +297,22 @@ class RowBuilder:
         self.center = tuple(0.5 * (lo + hi) for lo, hi in zip(cfg.grid.lo, cfg.grid.hi))
         self.omega_p = cfg.omega_prime()
         self.box_p = cfg.grid.box_slices(self.omega_p)
-        self.own: dict[str, np.ndarray] = {}  # the builder's scratch and density, if a call lends none
+        self.own: np.ndarray | None = None  # the builder's field, if a call lends none
 
-    def __call__(self, phi: ScalarField, t: float, max_abs_phi: float, scratch: np.ndarray | None = None,
-                 density: np.ndarray | None = None) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
-        """The frame's row and interface; ``scratch`` and ``density`` are
-        C-contiguous fields of phi's shape that share no memory with phi or
-        each other, overwritten here."""
+    def __call__(self, phi: ScalarField, t: float, max_abs_phi: float,
+                 field: np.ndarray | None = None) -> tuple[measures.DiagnosticsRow, InterfaceSet]:
+        """The frame's row and interface; ``field`` is a C-contiguous field of
+        phi's shape that shares no memory with phi, overwritten here."""
         cfg = self.cfg
         tr, spec = cfg.transport, cfg.grid
-        scratch = self._own("scratch") if scratch is None else scratch
-        density = self._own("density") if density is None else density
-        vel = measures.velocity_sq(phi, cfg.epsilon, cfg.well, self.omega_p, out=scratch)
-        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, out=(density, scratch))
+        if field is None:
+            if self.own is None:
+                self.own = np.empty(spec.nodes)
+            field = self.own
+        vel = measures.velocity_sq(phi, cfg.epsilon, cfg.well, self.omega_p, out=field)
+        ff = measures.frame_fields(phi, cfg.epsilon, cfg.well, out=field, window=self.box_p)
         if self.probe is None:
-            idx = np.unravel_index(int(np.argmax(ff.density.values)), spec.nodes)
+            idx = np.unravel_index(int(np.argmax(field)), spec.nodes)
             self.probe = probe_at(cfg, [ax[i] for ax, i in zip(spec.axes(), idx)])
         if self.weight is None or tr.time_dependent:  # without G it stays None, at no cost
             self.weight = measures.gronwall_weight(tr, spec, t)
@@ -316,37 +322,26 @@ class RowBuilder:
             t0, rho0, u0, xi0 = self.kernel
             resid = (i_rho - rho0) - 0.5 * (t - t0) * (i_u + u0 + i_xi + xi0)
         self.kernel = (t, i_rho, i_u, i_xi)
-        xi = ff.xi.values[self.box_p]
-        sup_xi = float(np.max(xi))
-        np.maximum(xi, 0.0, out=xi)
-        pos_xi = trapezoid(pack(scratch, self.box_p), spec.h)
-        mu = measures.EnergyMeasure.of(ff.density, scratch)
-        del ff, xi
-        ratio = measures.density_ratio(mu, region=self.omega_p, stride=4, radii=self.radii)
+        ratio = measures.density_ratio(ff, region=self.omega_p, stride=4, radii=self.radii)
         iset = extract_interface(phi)
         radius = -1.0
         if not iset.is_empty:
             radius = radius_estimate(iset, self.center)[0]
+        total, gronwall = measures.energy_totals(field, spec.h, self.weight)  # overwrites the density
         row = measures.DiagnosticsRow(
             t=t,
-            total_energy=mu.total,
+            total_energy=total,
             density_ratio_max=ratio.max_ratio,
-            sup_xi=sup_xi,
-            sup_xi_pos=max(sup_xi, 0.0),
-            pos_xi_integral=pos_xi,
+            sup_xi=ff.sup_xi,
+            sup_xi_pos=max(ff.sup_xi, 0.0),
+            pos_xi_integral=ff.pos_xi_integral,
             interface_radius=radius,
             monotonicity_residual=resid,
-            gronwall_factor=measures.weighted_energy(mu, self.weight, out=scratch),
+            gronwall_factor=gronwall,
             velocity_sq=vel,
             max_abs_phi=max_abs_phi,
         )
         return row, iset
-
-    def _own(self, name: str) -> np.ndarray:
-        """The builder's own field ``name``, allocated by the first call that needs it."""
-        if name not in self.own:
-            self.own[name] = np.empty(self.cfg.grid.nodes)
-        return self.own[name]
 
 
 def run(
@@ -379,10 +374,10 @@ def run(
     solver = solver or SolverConfig()
     tr, spec = cfg.transport, cfg.grid
     u_field = transport_field(tr, spec).u
-    # phi0 and the spare field, which the steps write in turn, rk2's midpoint, the
-    # rows' density and U: made before the first step, and shared with the block
-    # sweeps' helpers (opened before the build, so that they inherit little)
-    fields = 3 + (solver.scheme == "rk2") + (0 if u_field is None else spec.dim)
+    # phi0 and the spare field, which the steps write in turn, rk2's midpoint and
+    # U: made before the first step, and shared with the block sweeps' helpers
+    # (opened before the build, so that they inherit little)
+    fields = 2 + (solver.scheme == "rk2") + (0 if u_field is None else spec.dim)
     with open_team(spec.nodes, fields) as team:
         phi0 = build_initial_phase(cfg, out=team.field())
         build_row = RowBuilder(cfg, ratio_radii(cfg))
@@ -408,11 +403,11 @@ def run(
 
         # the steps write into phi0's array and the spare field in turn, rk2's
         # midpoint into a third; the rows borrow the field the last step left free
-        spare, density = team.field(), team.field()
+        spare = team.field()
         mid = team.field() if solver.scheme == "rk2" else None
         state = SimState(0.0, phi0, 0)
         running_max = max(float(np.max(phi0.values)), -float(np.min(phi0.values)))  # max |phi0|, no |phi0| field
-        row, iset = build_row(phi0, 0.0, running_max, spare, density)
+        row, iset = build_row(phi0, 0.0, running_max, spare)
         rows = [row]
         snapshot(state)
 
@@ -425,7 +420,7 @@ def run(
                 running_max = max(running_max, state.max_abs_phi)
                 if k % d == 0:
                     iset = None  # only the last row's interface is written: never two at once
-                    row, iset = build_row(state.phi, state.t, running_max, spare, density)
+                    row, iset = build_row(state.phi, state.t, running_max, spare)
                     rows.append(row)
                     running_max = state.max_abs_phi
                 if (solver.snap_every and k % solver.snap_every == 0) or k == n_steps:

@@ -39,7 +39,6 @@ import sys
 
 import numpy as np
 
-from . import grid
 from .grid import FieldSet, GridError, _plan, _teams
 
 
@@ -169,10 +168,12 @@ class Team(FieldSet):
         # by id, each array ``field`` made (kept, so no other array takes its id) and its (offset, shape)
         self._fields: dict[int, tuple[np.ndarray, tuple[int, tuple[int, ...]]]] = {}
         page = mmap.PAGESIZE
-        rows = fields * n // grid.CHUNK + helpers + 4  # block rows of a sweep over any array in the arena
+        # a sweep over a field: a row per block (at most one per slab swept) and two
+        # for the caller, then a row per slab (``grid._sweep``)
+        rows = 2 * self.nodes[0]
         self.arena = mmap.mmap(-1, -(-16 * rows // page) * page + fields * -(-8 * n // page) * page)
         self._free = 0
-        self.results = self.field((rows, 2))  # each block's row of extrema or sums
+        self.results = self.field((rows, 2))  # each block's row of extrema or sums, each slab's sums
         _teams.append(self)
         try:
             for _ in range(helpers):

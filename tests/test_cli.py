@@ -806,8 +806,8 @@ class TestSweepCommand:
     def _sweep_at(threads, plan, where, monkeypatch, capsys):
         """(exit code, stdout, stderr, {path: bytes}) of one sweep into ``sweep/``
         under the new directory ``where``, at an ACTX_THREADS setting (None: unset),
-        after checking that no worker process is left."""
-        import multiprocessing
+        after checking that every forked worker and helper was reaped."""
+        from actx import team
 
         where.mkdir()
         monkeypatch.chdir(where)  # the same relative out dir in every message
@@ -819,7 +819,7 @@ class TestSweepCommand:
         capsys.readouterr()
         code = main(["sweep", "--plan", str(plan), "--out", "sweep"])
         captured = capsys.readouterr()
-        assert multiprocessing.active_children() == []
+        assert team._live == []
         files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
         return code, captured.out, captured.err, files
 
@@ -1227,6 +1227,58 @@ class TestImportFootprint:
         out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
                              text=True, check=True, timeout=120).stdout.splitlines()
         assert out[-1] == "[0, 0] [False, False, True]"
+
+    def test_only_the_hashing_loads_openssl(self, tmp_path):
+        # a fresh interpreter: importing the CLI loads neither hashlib nor its
+        # OpenSSL module (3.6 MiB); a completed run hashes its manifest's files
+        import subprocess
+        import sys
+
+        import actx
+
+        (tmp_path / "run.cfg").write_text(CONFIG.replace("T = 0.004", "T = 0.0005")
+                                          .replace("tau = 0.002", "tau = 0.00025"))
+        code = (
+            "import sys\n"
+            "import actx.cli\n"
+            "mods = ('hashlib', '_hashlib')\n"
+            "loaded = [[m in sys.modules for m in mods]]\n"
+            "code = actx.cli.main(['run', '--config', 'run.cfg', '--out', 'art'])\n"
+            "loaded.append([m in sys.modules for m in mods])\n"
+            "print(code, loaded)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(actx.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout.splitlines()
+        assert out[-1] == "0 [[False, False], [True, True]]"
+
+    def test_a_run_frees_its_fields_before_the_manifest(self, tmp_path, monkeypatch):
+        # the result's final field (with helpers, a view into the arena of all
+        # the run's fields) is gone by the time the manifest hashes the outputs
+        import weakref
+
+        import actx.cli
+        import actx.solver
+
+        run, write = actx.solver.run, actx.cli._write_manifest
+        seen = {}
+
+        def run_and_watch(*args, **kwargs):
+            res = run(*args, **kwargs)
+            seen["phi"] = weakref.ref(res.final_phi.values)
+            return res
+
+        def write_and_look(*args, **kwargs):
+            seen["alive"] = seen["phi"]() is not None
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(actx.solver, "run", run_and_watch)
+        monkeypatch.setattr(actx.cli, "_write_manifest", write_and_look)
+        (tmp_path / "run.cfg").write_text(CONFIG.replace("T = 0.004", "T = 0.0005")
+                                          .replace("tau = 0.002", "tau = 0.00025"))
+        assert main(["run", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "art")]) == 0
+        assert seen["alive"] is False
 
     def test_only_a_forking_invocation_loads_the_process_module(self, tmp_path):
         # fresh interpreters: at ACTX_THREADS=1 neither a small run nor a

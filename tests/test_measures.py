@@ -69,7 +69,7 @@ class TestDiscrepancy:
         box = cfg.grid.box_slices(cfg.omega_prime())
         sups = []
         for row, t, phi in zip(res.rows, traj.times, traj.frames):
-            ff = frame_fields(phi, cfg.epsilon, cfg.well)
+            ff = frame_fields(phi, cfg.epsilon, cfg.well, xi=np.empty(cfg.grid.nodes))
             sups.append(float(np.max(ff.xi.values[box])))
             assert row.sup_xi == sups[-1]
             assert row.velocity_sq == velocity_sq(phi, cfg.epsilon, cfg.well, cfg.omega_prime())
@@ -118,7 +118,7 @@ class TestFrameFields:
         spec = GridSpec(dim, (0.0,) * dim, tuple(0.1 * c for c in cells), cells)
         eps = 0.4
         phi = ScalarField(spec, np.random.default_rng(dim).uniform(-1.05, 1.05, spec.nodes))
-        ff = frame_fields(phi, eps, well)
+        ff = frame_fields(phi, eps, well, xi=np.empty(spec.nodes))
 
         # every node, the faces and edges among them, against both references
         well_half = well.w(phi.values) / eps
@@ -167,6 +167,61 @@ class TestFrameFields:
         for lo, hi in (((0.0,) * dim, (0.9,) * dim), ((0.1,) * dim, (0.9,) * (dim - 1) + (1.0,))):
             with pytest.raises(MeasureError, match="region .* reaches the box faces"):
                 velocity_sq(phi, 0.25, WELL, (lo, hi))
+
+
+class TestBoxFields:
+    """``box_fields`` on a sub-box against the whole-field frame fields, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("well", [WELL, DoubleWell.from_coeffs([2.0, 0.0, -4.0, 0.0, 2.0], kappa=4.0)],
+                             ids=["quartic", "poly"])
+    @pytest.mark.parametrize("where", ["interior", "first-face", "last-face", "corner", "whole"])
+    def test_matches_the_whole_field(self, dim, well, where):
+        from actx.measures import box_fields
+
+        cells = (23, 20) if dim == 2 else (13, 11, 10)
+        spec = GridSpec(dim, (0.0,) * dim, tuple(0.1 * c for c in cells), cells)
+        phi = ScalarField(spec, np.random.default_rng(dim).uniform(-1.05, 1.05, spec.nodes))
+        ff = frame_fields(phi, 0.4, well, xi=np.empty(spec.nodes))
+        n = spec.nodes
+        box = {"interior": tuple(slice(2, k - 3) for k in n),
+               "first-face": (slice(0, 4),) + tuple(slice(2, k - 2) for k in n[1:]),
+               "last-face": tuple(slice(2, k - 2) for k in n[:-1]) + (slice(n[-1] - 3, n[-1]),),
+               "corner": tuple(slice(0, 3) if k % 2 else slice(m - 4, m) for k, m in enumerate(n)),
+               "whole": (slice(None),) * dim}[where]
+        density, xi = box_fields(phi, box, 0.4, well)
+        assert np.array_equal(_bits(density), _bits(ff.density.values[box]))
+        assert np.array_equal(_bits(xi), _bits(ff.xi.values[box]))
+
+
+class TestRowFormulas:
+    """A row's xi reductions, made in the frame sweep, and its totals, made on its
+    one field, against the whole-field formulas they replaced: under a static
+    and a pulsed radial transport (whose Groenwall weight changes every row)."""
+
+    @pytest.mark.parametrize("tag", ["static", "modulated"])
+    def test_rows_keep_the_whole_field_bits(self, gronwall_runs, tag):
+        from actx.grid import trapezoid
+        from actx.measures import _kernel, kernel_terms, probe_geometry
+
+        cfg, res, traj = gronwall_runs[tag]
+        spec, probe = cfg.grid, res.probe
+        box = spec.box_slices(cfg.omega_prime())
+        geo = probe_geometry(probe, spec)
+        assert traj.times == [r.t for r in res.rows]
+        for row, t, phi in zip(res.rows, traj.times, traj.frames):
+            ff = frame_fields(phi, cfg.epsilon, cfg.well, xi=np.empty(spec.nodes))
+            xi, mu = ff.xi.values, ff.measure()
+            assert row.sup_xi == float(np.max(xi[box]))
+            assert row.total_energy == mu.total == integrate(ff.density)
+            assert row.gronwall_factor == weighted_energy(mu, gronwall_weight(cfg.transport, spec, t))
+            want = trapezoid(np.maximum(xi[box], 0.0), spec.h)
+            assert row.pos_xi_integral == pytest.approx(want, rel=1e-13, abs=0.0)
+            # the kernel terms with xi from the whole field, as they were formed
+            rho = _kernel(probe, geo.r2, geo.cutoff, t, spec.dim)
+            i_xi = float(np.sum(xi[geo.box] * rho) * spec.h**spec.dim) / (2.0 * (probe.s - t))
+            i_rho = float(np.sum(rho * ff.density.values[geo.box]) * spec.h**spec.dim)
+            assert kernel_terms(ff, probe, t, cfg.transport)[::2] == (i_rho, i_xi)
 
 
 class TestPositiveDiscrepancyBall:
@@ -427,7 +482,7 @@ class TestProbeLocalKernel:
         # the probe ball at the box centre or touching a face, per axis
         y = tuple({"lo": r_outer, "mid": 0.4, "hi": 0.8 - r_outer}[f] for f in faces[:dim])
         probe = HuiskenProbe(y, 0.05, 0.5 * r_outer, r_outer)
-        ff = frame_fields(ScalarField(spec, rng.uniform(-1.2, 1.2, spec.nodes)), 0.1, WELL)
+        ff = frame_fields(ScalarField(spec, rng.uniform(-1.2, 1.2, spec.nodes)), 0.1, WELL, xi=np.empty(spec.nodes))
         transport, u2 = Transport(), None
         if with_u:  # the reference takes the field |m U|^2, kernel_terms m^2 times the sum of |U|^2
             transport = _ArrayTransport(rng.uniform(-2.0, 2.0, spec.nodes + (dim,)), rng.uniform(-3.0, 3.0))
