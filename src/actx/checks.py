@@ -53,7 +53,7 @@ from .grid import (
     GridError,
     GridSpec,
     ScalarField,
-    ball_integrate,
+    ball_window,
     cpu_budget,
     integrate,
     open_team,
@@ -70,6 +70,7 @@ from .measures import (
     _kernel,
     _lattice_argmax,
     ball_masses,
+    box_fields,
     density_ratio,
     dyadic_radii,
     frame_fields,
@@ -89,20 +90,25 @@ from .solver import Trajectory
 
 
 def discrepancy_field(phi: ScalarField, eps: float, well: DoubleWell) -> ScalarField:
-    """xi = eps |grad phi|^2 / 2 - W(phi)/eps; vanishes on the exact 1D profile."""
-    return frame_fields(phi, eps, well, xi=np.empty(phi.spec.nodes)).xi
+    """xi = eps |grad phi|^2 / 2 - W(phi)/eps, ``box_fields`` over the whole node
+    box; vanishes on the exact 1D profile."""
+    return ScalarField(phi.spec, box_fields(phi, (slice(None),) * phi.spec.dim, eps, well)[1])
 
 
 def positive_discrepancy_ball(
     phi: ScalarField, eps: float, well: DoubleWell, y: Sequence[float], r: float
 ) -> float:
-    """Ball integral of the positive part of the discrepancy; needs B_r(y) inside."""
+    """Ball integral of the positive part of the discrepancy (the node sum over
+    the ball's ``ball_window`` times h^n, as ``grid.ball_integrate`` sums), with
+    xi from ``box_fields`` on the ball's box only; needs B_r(y) inside."""
     spec = phi.spec
+    if len(y) != spec.dim or r <= 0:
+        raise MeasureError(f"need a centre of {spec.dim} coordinates and a positive radius, got {tuple(y)}, {r:g}")
     if not spec.contains_box([v - r for v in y], [v + r for v in y]):
         raise MeasureError(f"ball of radius {r:g} at {tuple(y)} is not contained in the domain")
-    xi = discrepancy_field(phi, eps, well)
-    pos = ScalarField(spec, np.maximum(xi.values, 0.0))
-    return ball_integrate(pos, y, r, clip_ok=True)
+    box, mask = ball_window(spec, y, r)
+    pos = np.maximum(box_fields(phi, box, eps, well)[1], 0.0)
+    return float(np.sum(pos[mask]) * spec.h**spec.dim)
 
 
 def scaled_density_ratio(

@@ -11,9 +11,10 @@ weighted-energy growth check) live in ``checks``, which a run never loads.
 
 Per-frame quantities are computed once: ``frame_fields`` (|grad phi|^2 and
 W in one sweep, which writes the density and reduces the discrepancy xi on
-a window as it goes, so that xi becomes a field only when asked for) plus
-the per-frame scalars built on it, ``box_fields`` (both on a probe's box,
-with the same bits) and ``velocity_sq`` (whose drive is the step's own
+a window as it goes, so that xi never becomes a field there) plus the
+per-frame scalars built on it, ``box_fields`` (both fields on a box of
+nodes, with the same bits: the one place where a box face's ghost node is
+formed) and ``velocity_sq`` (whose drive is the step's own
 ``grid.stencil_rhs``). ``solver.RowBuilder`` assembles them into the
 diagnostics row, which ``solver.run`` writes and ``actx diagnose`` prints.
 The rows are the record of every per-frame diagnostic: the growth check
@@ -48,6 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (
+    CHUNK,
     GridError,
     SLAB_NODES,
     GridSpec,
@@ -62,7 +64,7 @@ from .grid import (
     sum_sq,
     trapezoid,
 )
-from ._frame import _faces_2d, _faces_by_axis, _fields_blocks
+from ._frame import _fields_blocks
 from .potential import DoubleWell, _smoothstep
 from .scenario import Transport, transport_field
 
@@ -80,15 +82,14 @@ class MeasureError(ValueError):
 class FrameFields:
     """What one sweep over the frame phi made: the field density = eps |grad
     phi|^2/2 + W(phi)/eps, and of the discrepancy xi = eps |grad phi|^2/2 -
-    W(phi)/eps the field, if it was asked for, and on a window its max and the
-    trapezoid integral of its positive part (nan without a window). ``eps``
-    and ``well`` are the frame's, for ``box_fields`` on phi."""
+    W(phi)/eps on a window its max and the trapezoid integral of its positive
+    part (nan without a window). ``eps`` and ``well`` are the frame's, for
+    ``box_fields`` on phi."""
 
     phi: ScalarField
     eps: float
     well: DoubleWell
     density: ScalarField
-    xi: ScalarField | None = None
     sup_xi: float = math.nan
     pos_xi_integral: float = math.nan
 
@@ -97,13 +98,12 @@ class FrameFields:
 
 
 def frame_fields(phi: ScalarField, eps: float, well: DoubleWell, out: np.ndarray | None = None,
-                 xi: np.ndarray | None = None, window: tuple[slice, ...] | None = None) -> FrameFields:
+                 window: tuple[slice, ...] | None = None) -> FrameFields:
     """|grad phi|^2 and W in one sweep over the flattened frame, in the blocks of
     ``grid.stencil_rhs`` (``grid._sweep``: split among a team's processes when
-    phi and the outputs are its fields), each through every term before the
-    next: the density goes into a fresh field or into ``out``, and xi into
-    ``xi`` if given, else only into each block's scratch (arrays C-contiguous,
-    of phi's shape, sharing no memory with phi or each other).
+    phi and ``out`` are its fields), each through every term before the
+    next: the density goes into a fresh field or into ``out`` (C-contiguous,
+    of phi's shape, not phi's memory), and xi only into each block's scratch.
 
     With a ``window`` (index slices of step 1, holding no face node), each
     block also reduces xi on its part of the window: its max, and per axis-0
@@ -118,9 +118,11 @@ def frame_fields(phi: ScalarField, eps: float, well: DoubleWell, out: np.ndarray
     node takes the ghost node 2 f_face - f_inner along the face's axis. The
     sweep covers the nodes off the two axis-0 faces, as ``stencil_rhs`` does,
     and wraps around on the faces of the other axes; every face is then
-    redone (``_faces_2d``, ``_faces_by_axis``). A non-finite density, found
-    from the blocks' sums, raises ``GridError`` with its first node (xi is
-    finite wherever the density is).
+    redone by ``box_fields`` on strips of about ``grid.CHUNK // 4`` face
+    nodes (an axis-0 face cut along axis 1, every other face along axis 0):
+    at 97^3 a row then peaks at 0.066 of a field above its inputs, against
+    0.110 with a whole face at a time. A non-finite density, found from the
+    blocks' and strips' sums, raises ``GridError`` with its first node.
     """
     v, h = phi.values, phi.spec.h
     density = np.empty(v.shape) if out is None else out
@@ -131,13 +133,22 @@ def frame_fields(phi: ScalarField, eps: float, well: DoubleWell, out: np.ndarray
             raise MeasureError(f"window {window} holds no node")
     s0 = v.strides[0] // v.itemsize
     # per block its density sum and the max of xi on its part of the window; per slab its xi^+ sum
-    rows, slabs = _sweep(_fields_blocks, s0, v.size - s0, s0, (v, density, xi), (h, eps, well, window), slabs=True)
-    faces = (_faces_2d if v.ndim == 2 else _faces_by_axis)(v, h, eps, well, density, xi)
+    rows, slabs = _sweep(_fields_blocks, s0, v.size - s0, s0, (v, density, None), (h, eps, well, window), slabs=True)
+    faces = 0.0
+    for k, n in enumerate(v.shape):
+        c = 1 if k == 0 else 0  # the axis the face is cut along
+        per = max(1, CHUNK // 4 // (v.size // n // v.shape[c]))  # indices along c per strip
+        for e in (0, n - 1):
+            for a in range(0, v.shape[c], per):
+                strip = tuple(slice(e, e + 1) if j == k else slice(a, a + per) if j == c else slice(None)
+                              for j in range(v.ndim))
+                part = box_fields(phi, strip, eps, well)[0]
+                density[strip] = part
+                faces += part.sum()
     rows[-2:] = (faces, -math.inf), (0.0, -math.inf)  # the caller's two rows: the faces' density sum
     if not np.all(np.isfinite(rows[:, 0])):  # a non-finite node, or only an overflowing sum or wrapped face
         _check_finite(density, "scalar field")
-    ff = FrameFields(phi, eps, well, ScalarField.from_checked(phi.spec, density),
-                     None if xi is None else ScalarField.from_checked(phi.spec, xi))
+    ff = FrameFields(phi, eps, well, ScalarField.from_checked(phi.spec, density))
     if window is not None:
         ff.sup_xi = float(np.max(rows[:, 1]))
         ff.pos_xi_integral = 0.0
@@ -152,11 +163,13 @@ def frame_fields(phi: ScalarField, eps: float, well: DoubleWell, out: np.ndarray
 
 def box_fields(phi: ScalarField, box: tuple[slice, ...], eps: float, well: DoubleWell) -> tuple[np.ndarray, np.ndarray]:
     """(density, xi) on the index sub-box ``box`` of phi's nodes (step-1
-    slices), with the bits that ``frame_fields`` gives them: the box with one
-    more node on either side along every axis is copied, where the box meets
-    a face the ghost node 2 f_face - f_inner takes the missing node's place
-    (formed as ``_frame._end_diff`` forms it), and ``frame_fields``' block kernel
-    sweeps the copy. Its temporaries are the size of the box."""
+    slices), with the bits of the whole field's: the box with one more node
+    on either side along every axis is copied, where the box meets a face
+    the ghost node 2 f_face - f_inner takes the missing node's place, and
+    ``frame_fields``' block kernel sweeps the copy. The only place where the
+    ghost node is formed: ``frame_fields`` takes its faces from here, and
+    ``checks.discrepancy_field`` the whole xi field. Its temporaries are the
+    size of the box."""
     v = phi.values
     idx = [range(*sl.indices(n)) for sl, n in zip(box, v.shape)]
     pad = np.zeros(tuple(len(r) + 2 for r in idx))

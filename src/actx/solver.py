@@ -223,9 +223,17 @@ class RunResult:
 
 def read_trajectory(paths, cfg: ScenarioConfig) -> Trajectory:
     """The snapshot files ``paths`` as a trajectory, ordered by time (files of
-    equal time keep their order); an unreadable file raises ``GridError`` or
-    ``OSError`` naming it."""
-    snaps = sorted((read_field(p) for p in paths), key=lambda snap: snap[1])
+    equal time keep their order); an unreadable file, or one whose grid (dim,
+    lo, hi, cells) is not ``cfg.grid``, raises ``GridError`` or ``OSError``
+    naming it."""
+    snaps = []
+    for path in paths:
+        snaps.append(read_field(path))
+        spec = snaps[-1][0].spec
+        if spec != cfg.grid:
+            grids = (f"(cells {g.cells}, lo {g.lo}, hi {g.hi})" for g in (spec, cfg.grid))
+            raise GridError("{}: snapshot grid {} is not the config's {}".format(path, *grids))
+    snaps.sort(key=lambda snap: snap[1])
     return Trajectory(cfg, [t for _, t in snaps], [f for f, _ in snaps])
 
 
@@ -281,8 +289,9 @@ class RowBuilder:
     halves its faces in place for the total and multiplies it by the
     Groenwall weight. Besides phi and the field, a row's temporaries are the
     size of a block, a slab, a probe's box or the interface, one part at a
-    time: the block sweeps' scratch rows, ``frame_fields``' face planes,
-    ``ball_masses``' prefix-sum slab of columns, ``extract_interface``'s node
+    time: the block sweeps' scratch rows, ``box_fields``' padded copy of a
+    face strip (``frame_fields`` redoes the faces with it) or of the probe's
+    box, ``ball_masses``' prefix-sum slab of columns, ``extract_interface``'s node
     mask of one slab, its active cells and a piece of their elements, and
     ``radius_estimate``'s distances. At 97^3 that peaks at 0.07 of a field
     above the row's inputs and the interface it returns.

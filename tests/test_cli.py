@@ -1050,6 +1050,24 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(bad) in err[0] and "truncated payload" in err[0]
 
+    @pytest.mark.parametrize("old, new, grid", [
+        ("cells = 96", "cells = 128", "(cells (128, 128), lo (0.0, 0.0), hi (1.6, 1.6))"),
+        ("hi = 1.6 1.6", "hi = 1.5 1.5", "(cells (96, 96), lo (0.0, 0.0), hi (1.5, 1.5))"),
+    ], ids=["cells", "hi"])
+    def test_snapshot_of_another_grid_exits_one(self, artifact, tmp_path, capsys, old, new, grid):
+        # a snapshot of the 96-cell run against a config of another cell count, or
+        # of the same cells on another box: no row, one line naming both grids
+        _, _, out = artifact
+        other = tmp_path / "other.cfg"
+        other.write_text(CONFIG.replace(old, new))
+        snaps = sorted((out / "snapshots").iterdir())
+        assert main(["diagnose", "--config", str(other), "--snapshot", str(snaps[0]), "--snapshot", str(snaps[-1])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"snapshot error: {snaps[0]}: snapshot grid (cells (96, 96), lo (0.0, 0.0), hi (1.6, 1.6)) "
+            f"is not the config's {grid}"]
+
     @pytest.mark.parametrize("count", [1, 2])
     def test_probe_leaving_box_exits_one(self, artifact, capsys, count):
         # the default d = 0.06 puts the probe ball across the face x = 0

@@ -608,26 +608,25 @@ class TestThreadedSweep:
         window = tuple(slice(2, n - 3) for n in f.shape)
         got, errors = [], []
         for procs in (1, 2, 3):
-            with self._team(monkeypatch, procs, f.shape, 4) as team:
-                phi, out, xi = team.field(), team.field(), team.field()
+            with self._team(monkeypatch, procs, f.shape, 2) as team:
+                phi, out = team.field(), team.field()
                 np.copyto(phi, f)
-                ff = frame_fields(ScalarField(spec, phi), 0.4, well, out=out, xi=xi, window=window)
-                got.append([np.ascontiguousarray(a.values).view(np.uint64).copy() for a in (ff.density, ff.xi)]
-                           + [ff.sup_xi, ff.pos_xi_integral])
-                # without the xi field, the same density and reductions
-                again = frame_fields(ScalarField(spec, phi), 0.4, well, out=out, window=window)
-                assert np.array_equal(out.view(np.uint64), got[-1][0]) and again.xi is None
-                assert (again.sup_xi, again.pos_xi_integral) == (ff.sup_xi, ff.pos_xi_integral)
+                ff = frame_fields(ScalarField(spec, phi), 0.4, well, out=out, window=window)
+                assert ff.density.values is out
+                got.append([out.view(np.uint64).copy(), ff.sup_xi, ff.pos_xi_integral])
                 np.copyto(phi, planted)
                 with pytest.raises(GridError) as exc:
                     frame_fields(ScalarField.from_checked(spec, phi), 0.4, well, out=out, window=window)
                 errors.append(str(exc.value))
         for bits in got[1:]:
-            assert all(np.array_equal(a, b) for a, b in zip(bits[:2], got[0][:2]))
-            assert bits[2:] == got[0][2:]
-        xi_win = got[0][1].view(np.float64)[window]
-        assert got[0][2] == np.max(xi_win)
-        assert got[0][3] == pytest.approx(trapezoid(np.maximum(xi_win, 0.0), spec.h), rel=1e-13)
+            assert np.array_equal(bits[0], got[0][0])
+            assert bits[1:] == got[0][1:]
+        # the density and the xi reductions against the reference fields
+        grad_half, well_half = grad_sq(ScalarField(spec, f)) * (0.5 * 0.4), well.w(f) / 0.4
+        assert np.array_equal(got[0][0], (grad_half + well_half).view(np.uint64))
+        xi_win = (grad_half - well_half)[window]
+        assert got[0][1] == np.max(xi_win)
+        assert got[0][2] == pytest.approx(trapezoid(np.maximum(xi_win, 0.0), spec.h), rel=1e-13)
         # the first non-finite node, row-major, is the planted one's axis-0 neighbour before it
         ref = grad_sq(ScalarField.from_checked(spec, planted))
         first = tuple(int(i) for i in np.argwhere(~np.isfinite(ref))[0])

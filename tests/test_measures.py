@@ -69,8 +69,8 @@ class TestDiscrepancy:
         box = cfg.grid.box_slices(cfg.omega_prime())
         sups = []
         for row, t, phi in zip(res.rows, traj.times, traj.frames):
-            ff = frame_fields(phi, cfg.epsilon, cfg.well, xi=np.empty(cfg.grid.nodes))
-            sups.append(float(np.max(ff.xi.values[box])))
+            ff = frame_fields(phi, cfg.epsilon, cfg.well)
+            sups.append(float(np.max(discrepancy_field(phi, cfg.epsilon, cfg.well).values[box])))
             assert row.sup_xi == sups[-1]
             assert row.velocity_sq == velocity_sq(phi, cfg.epsilon, cfg.well, cfg.omega_prime())
             assert row.gronwall_factor == weighted_energy(
@@ -118,13 +118,14 @@ class TestFrameFields:
         spec = GridSpec(dim, (0.0,) * dim, tuple(0.1 * c for c in cells), cells)
         eps = 0.4
         phi = ScalarField(spec, np.random.default_rng(dim).uniform(-1.05, 1.05, spec.nodes))
-        ff = frame_fields(phi, eps, well, xi=np.empty(spec.nodes))
+        ff = frame_fields(phi, eps, well)
+        xi = discrepancy_field(phi, eps, well)
 
         # every node, the faces and edges among them, against both references
         well_half = well.w(phi.values) / eps
         for grad_half in (0.5 * eps * sum_sq(gradient(phi, None).values), grad_sq(phi) * (0.5 * eps)):
             assert np.array_equal(_bits(ff.density.values), _bits(grad_half + well_half))
-            assert np.array_equal(_bits(ff.xi.values), _bits(grad_half - well_half))
+            assert np.array_equal(_bits(xi.values), _bits(grad_half - well_half))
         # the drive velocity_sq forms (stencil_rhs without transport) at every
         # interior node, and velocity_sq as its window trapezoid of eps drive^2 over
         # a window of every interior node
@@ -178,11 +179,13 @@ class TestBoxFields:
     @pytest.mark.parametrize("where", ["interior", "first-face", "last-face", "corner", "whole"])
     def test_matches_the_whole_field(self, dim, well, where):
         from actx.measures import box_fields
+        from reference_ops import grad_sq
 
         cells = (23, 20) if dim == 2 else (13, 11, 10)
         spec = GridSpec(dim, (0.0,) * dim, tuple(0.1 * c for c in cells), cells)
         phi = ScalarField(spec, np.random.default_rng(dim).uniform(-1.05, 1.05, spec.nodes))
-        ff = frame_fields(phi, 0.4, well, xi=np.empty(spec.nodes))
+        ff = frame_fields(phi, 0.4, well)
+        want_xi = grad_sq(phi) * (0.5 * 0.4) - well.w(phi.values) / 0.4
         n = spec.nodes
         box = {"interior": tuple(slice(2, k - 3) for k in n),
                "first-face": (slice(0, 4),) + tuple(slice(2, k - 2) for k in n[1:]),
@@ -191,7 +194,50 @@ class TestBoxFields:
                "whole": (slice(None),) * dim}[where]
         density, xi = box_fields(phi, box, 0.4, well)
         assert np.array_equal(_bits(density), _bits(ff.density.values[box]))
-        assert np.array_equal(_bits(xi), _bits(ff.xi.values[box]))
+        assert np.array_equal(_bits(xi), _bits(want_xi[box]))
+
+
+class TestFaceStrips:
+    """``frame_fields`` redoes its faces with ``box_fields`` on strips of about
+    ``CHUNK // 4`` face nodes; with the strips cut down to a few indices, or to
+    one, every node keeps the reference density's bits."""
+
+    @pytest.mark.parametrize("cells", [(10, 7), (2, 9), (8, 2), (6, 5, 4), (2, 6, 5), (5, 2, 6), (6, 4, 2)],
+                             ids=lambda c: "x".join(str(n + 1) for n in c))
+    @pytest.mark.parametrize("chunk", [4, 12, None], ids=["one-index", "three-nodes", "default"])
+    def test_density_matches_the_reference(self, cells, chunk, monkeypatch):
+        import actx.grid
+        import actx.measures
+        from reference_ops import grad_sq
+
+        calls, box_fields = [], actx.measures.box_fields
+
+        def counted(*args):
+            calls.append(args[1])
+            return box_fields(*args)
+
+        monkeypatch.setattr(actx.measures, "box_fields", counted)
+        if chunk is not None:
+            monkeypatch.setattr(actx.measures, "CHUNK", chunk)
+        dim = len(cells)
+        spec = GridSpec(dim, (0.0,) * dim, tuple(0.1 * c for c in cells), cells)
+        phi = ScalarField(spec, np.random.default_rng(sum(cells)).uniform(-1.05, 1.05, spec.nodes))
+        well = DoubleWell.from_coeffs([2.0, 0.0, -4.0, 0.0, 2.0], kappa=4.0)
+        ff = frame_fields(phi, 0.4, well)
+        want = grad_sq(phi) * (0.5 * 0.4) + well.w(phi.values) / 0.4
+        assert np.array_equal(_bits(ff.density.values), _bits(want))
+        # the strips cover each face once: a node is in as many strips as it is on faces
+        covered, on_faces = np.zeros(spec.nodes, dtype=int), np.zeros(spec.nodes, dtype=int)
+        for box in calls:
+            covered[box] += 1
+        for k, idx in enumerate(np.indices(spec.nodes)):
+            on_faces += (idx == 0) | (idx == spec.nodes[k] - 1)
+        assert np.array_equal(covered, on_faces)
+        # an axis-0 face is cut along axis 1, every other one along axis 0, into
+        # strips of chunk // 4 face nodes, at least one index along the cut each
+        n, size = spec.nodes, (chunk or actx.grid.CHUNK) // 4
+        cuts = [(1 if k == 0 else 0, math.prod(n) // n[k]) for k in range(dim)]
+        assert len(calls) == sum(2 * -(-n[c] // max(1, size // (face // n[c]))) for c, face in cuts)
 
 
 class TestRowFormulas:
@@ -210,8 +256,8 @@ class TestRowFormulas:
         geo = probe_geometry(probe, spec)
         assert traj.times == [r.t for r in res.rows]
         for row, t, phi in zip(res.rows, traj.times, traj.frames):
-            ff = frame_fields(phi, cfg.epsilon, cfg.well, xi=np.empty(spec.nodes))
-            xi, mu = ff.xi.values, ff.measure()
+            ff = frame_fields(phi, cfg.epsilon, cfg.well)
+            xi, mu = discrepancy_field(phi, cfg.epsilon, cfg.well).values, ff.measure()
             assert row.sup_xi == float(np.max(xi[box]))
             assert row.total_energy == mu.total == integrate(ff.density)
             assert row.gronwall_factor == weighted_energy(mu, gronwall_weight(cfg.transport, spec, t))
@@ -237,6 +283,27 @@ class TestPositiveDiscrepancyBall:
     def test_ball_must_fit(self):
         with pytest.raises(MeasureError):
             positive_discrepancy_ball(flat_field(), EPS, WELL, (0.9, 0.5), 0.2)
+        for y, r in (((0.5, 0.5), 0.0), ((0.5, 0.5), -0.1), ((0.5,), 0.2)):
+            with pytest.raises(MeasureError):
+                positive_discrepancy_ball(flat_field(), EPS, WELL, y, r)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("where", ["centre", "faces", "tiny"])
+    def test_same_bits_as_the_whole_field_form(self, dim, where):
+        # xi on the ball's box only, against ball_integrate of the clipped
+        # reference xi over the whole field, on balls that touch the faces too
+        from reference_ops import grad_sq
+
+        cells = (24, 20) if dim == 2 else (14, 12, 10)
+        spec = GridSpec(dim, (0.0,) * dim, tuple(0.1 * c for c in cells), cells)
+        phi = ScalarField(spec, np.random.default_rng(dim).uniform(-1.05, 1.05, spec.nodes))
+        y, r = {"centre": ((0.7, 0.6, 0.5)[:dim], 0.45), "faces": ((0.4, 0.6, 0.5)[:dim], 0.4),
+                "tiny": ((0.75, 0.63, 0.55)[:dim], 0.03)}[where]  # a box of no node
+        xi = grad_sq(phi) * (0.5 * 0.4) - WELL.w(phi.values) / 0.4
+        want = ball_integrate(ScalarField(spec, np.maximum(xi, 0.0)), y, r, clip_ok=True)
+        got = positive_discrepancy_ball(phi, 0.4, WELL, y, r)
+        assert _bits(np.float64(got)) == _bits(np.float64(want))
+        assert (got == 0.0) == (where == "tiny")
 
     def test_refinement_ladder_non_increasing(self, ladder):
         # integrated positive discrepancy shrinks (or ties) as eps refines
@@ -436,7 +503,7 @@ class _ArrayTransport:
         return np.moveaxis(self.u, -1, 0).copy(), None
 
 
-def _whole_grid_terms(ff, probe, t, u2):
+def _whole_grid_terms(ff, xi, probe, t, u2):
     """``kernel_terms`` as whole-grid trapezoid integrals, with the scale of each
     (the integral of the absolute integrand).
 
@@ -448,7 +515,7 @@ def _whole_grid_terms(ff, probe, t, u2):
     rho = _whole_grid_kernel(probe, spec, t)
     dens = ff.density.values
     u2 = np.zeros(spec.nodes) if u2 is None else u2
-    parts = [(1.0, rho * dens), (2.0, rho * u2 * dens), (2.0 * (probe.s - t), ff.xi.values * rho)]
+    parts = [(1.0, rho * dens), (2.0, rho * u2 * dens), (2.0 * (probe.s - t), xi * rho)]
     return [
         (integrate(ScalarField(spec, p)) / d, integrate(ScalarField(spec, np.abs(p))) / d)
         for d, p in parts
@@ -474,6 +541,7 @@ class TestProbeLocalKernel:
     @settings(max_examples=60, deadline=None)
     def test_matches_whole_grid(self, dim, cells, r_outer, faces, gap, with_u, seed):
         from actx.measures import frame_fields, kernel_terms, probe_geometry
+        from reference_ops import grad_sq
 
         if dim == 3:
             cells = min(cells, 20)
@@ -482,7 +550,9 @@ class TestProbeLocalKernel:
         # the probe ball at the box centre or touching a face, per axis
         y = tuple({"lo": r_outer, "mid": 0.4, "hi": 0.8 - r_outer}[f] for f in faces[:dim])
         probe = HuiskenProbe(y, 0.05, 0.5 * r_outer, r_outer)
-        ff = frame_fields(ScalarField(spec, rng.uniform(-1.2, 1.2, spec.nodes)), 0.1, WELL, xi=np.empty(spec.nodes))
+        phi = ScalarField(spec, rng.uniform(-1.2, 1.2, spec.nodes))
+        ff = frame_fields(phi, 0.1, WELL)
+        xi = grad_sq(phi) * (0.5 * 0.1) - WELL.w(phi.values) / 0.1
         transport, u2 = Transport(), None
         if with_u:  # the reference takes the field |m U|^2, kernel_terms m^2 times the sum of |U|^2
             transport = _ArrayTransport(rng.uniform(-2.0, 2.0, spec.nodes + (dim,)), rng.uniform(-3.0, 3.0))
@@ -497,7 +567,7 @@ class TestProbeLocalKernel:
             assert np.all(ref[outside] == 0.0)
             assert np.array_equal(kernel_field(probe, spec, t).values, ref)
             got = kernel_terms(ff, probe, t, transport)
-            for value, (want, scale) in zip(got, _whole_grid_terms(ff, probe, t, u2)):
+            for value, (want, scale) in zip(got, _whole_grid_terms(ff, xi, probe, t, u2)):
                 assert abs(value - want) <= 1e-13 * scale, (t, value, want)
 
     def test_transport_term_forms_no_whole_grid_field(self):
